@@ -6,7 +6,7 @@
 //! `backend_equivalence` suite.
 
 use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig};
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use workloads::keys_by_name;
 
 fn world(p: usize) -> World {

@@ -11,12 +11,12 @@
 //! Non-power-of-two worlds use odd-even transposition (`p` rounds), which
 //! shares the merge-split kernel.
 
-use mpisim::Comm;
+use comm::Communicator;
 use sdssort::merge::merge_two;
 use sdssort::record::Sortable;
 
-fn merge_split<T: Sortable>(
-    comm: &Comm,
+fn merge_split<T: Sortable, C: Communicator>(
+    comm: &C,
     block: &mut Vec<T>,
     partner: usize,
     keep_low: bool,
@@ -43,7 +43,7 @@ fn merge_split<T: Sortable>(
 ///
 /// Requires every rank to hold the same number of records (checked
 /// collectively); pad externally if necessary.
-pub fn bitonic_sort<T: Sortable>(comm: &Comm, mut data: Vec<T>) -> Vec<T> {
+pub fn bitonic_sort<T: Sortable, C: Communicator>(comm: &C, mut data: Vec<T>) -> Vec<T> {
     let p = comm.size();
     let (min_n, max_n) = comm.allreduce((data.len(), data.len()), |a, b| {
         (a.0.min(b.0), a.1.max(b.1))

@@ -18,7 +18,7 @@
 //! that.
 
 use crate::histogram::{histogram_splitters, HistogramConfig};
-use mpisim::Comm;
+use comm::{AsyncExchange, Communicator};
 use sdssort::config::{ComputeCharge, ComputeModel};
 use sdssort::merge::merge_two;
 use sdssort::partition::{classic_cuts, cuts_to_counts};
@@ -58,8 +58,8 @@ fn model_of(cfg: &HykSortConfig) -> Option<ComputeModel> {
     }
 }
 
-fn charged<R>(
-    comm: &Comm,
+fn charged<R, C: Communicator>(
+    comm: &C,
     cfg: &HykSortConfig,
     cost: impl FnOnce(&ComputeModel) -> f64,
     f: impl FnOnce() -> R,
@@ -68,7 +68,7 @@ fn charged<R>(
         None => comm.compute(f),
         Some(m) => {
             let r = f();
-            comm.clock().charge(cost(&m));
+            comm.charge_compute(cost(&m));
             r
         }
     }
@@ -105,8 +105,8 @@ fn choose_k(p: usize, kmax: usize) -> usize {
 /// Sort `data` across `comm` with HykSort. Unstable. Fails collectively
 /// with [`SortError`] when any rank's receive buffer exceeds the simulated
 /// memory budget.
-pub fn hyksort<T: Sortable>(
-    comm: &Comm,
+pub fn hyksort<T: Sortable, C: Communicator>(
+    comm: &C,
     mut data: Vec<T>,
     cfg: &HykSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
@@ -128,8 +128,8 @@ pub fn hyksort<T: Sortable>(
     Ok(SortOutput { data, stats })
 }
 
-fn stage<T: Sortable>(
-    comm: &Comm,
+fn stage<T: Sortable, C: Communicator>(
+    comm: &C,
     data: Vec<T>,
     cfg: &HykSortConfig,
     stats: &mut SortStats,
@@ -143,12 +143,12 @@ fn stage<T: Sortable>(
     let g = p / k; // group size after this stage
 
     // Splitter selection (histogram refinement).
-    let t0 = comm.clock().now();
+    let t0 = comm.now();
     let splitters = histogram_splitters(comm, &data, k, &cfg.hist, cfg.seed ^ depth);
-    stats.pivot_s += comm.clock().now() - t0;
+    stats.pivot_s += comm.now() - t0;
 
     // Classic bucketing: all duplicates of a splitter go to one bucket.
-    let t1 = comm.clock().now();
+    let t1 = comm.now();
     let bucket_counts = if splitters.is_empty() {
         let mut c = vec![0usize; k];
         c[0] = data.len();
@@ -227,7 +227,7 @@ fn stage<T: Sortable>(
         )
     };
     comm.free(bytes);
-    stats.exchange_s += comm.clock().now() - t1;
+    stats.exchange_s += comm.now() - t1;
 
     if g == 1 {
         return Ok(acc);

@@ -1,7 +1,9 @@
 //! # baselines — comparison sorters for the SDS-Sort evaluation
 //!
-//! Every system the paper compares against, implemented from scratch on
-//! the same [`mpisim`] runtime and [`sdssort`] record abstractions:
+//! Every system the paper compares against, implemented from scratch over
+//! the same [`comm::Communicator`] transport trait and [`sdssort`] record
+//! abstractions as SDS-Sort itself, so each runs on the simulator, on
+//! threads and on sockets alike:
 //!
 //! * [`hyksort()`](hyksort::hyksort) — HykSort (ICS'13), the state-of-the-art baseline:
 //!   k-way hypercube sample sort with histogram-based splitter selection.
@@ -17,8 +19,9 @@
 //!   scan and per-pivot binary search).
 //!
 //! HykSort and sample sort allocate their receive buffers through the
-//! simulated per-rank memory budget, reproducing the paper's observed OOM
-//! crashes on highly skewed inputs.
+//! communicator's per-rank memory budget (`try_alloc`), which under the
+//! simulator reproduces the paper's observed OOM crashes on highly skewed
+//! inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 //! primitives and the total-order float wrappers. 128-bit keys implement
 //! the trait with `USABLE = false` and are rejected at runtime.
 
-use mpisim::Comm;
+use comm::Communicator;
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};
 use sdssort::stats::SortStats;
@@ -68,8 +68,9 @@ pub fn carve_ranges(hist: &[u64], p: usize) -> Vec<usize> {
 /// Distributed radix sort. Unstable. Fails collectively with
 /// [`SortError`] under the simulated memory budget, exactly like the
 /// other skew-vulnerable baselines.
-pub fn radix_sort<T>(comm: &Comm, mut data: Vec<T>) -> Result<SortOutput<T>, SortError>
+pub fn radix_sort<T, C>(comm: &C, mut data: Vec<T>) -> Result<SortOutput<T>, SortError>
 where
+    C: Communicator,
     T: Sortable,
     T::Key: RadixKey,
 {
@@ -82,13 +83,13 @@ where
         input_count: data.len(),
         ..SortStats::default()
     };
-    let t0 = comm.clock().now();
+    let t0 = comm.now();
 
     // Local sort once: boundaries then become binary searches, and the
     // final ordering is a k-way-mergeable layout.
     comm.compute(|| data.sort_unstable_by_key(|r| r.key().radix_u64()));
     if p == 1 {
-        stats.pivot_s = comm.clock().now() - t0;
+        stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
         return Ok(SortOutput { data, stats });
     }
@@ -132,10 +133,10 @@ where
     cuts.push(data.len());
     debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
     let scounts: Vec<usize> = cuts.windows(2).map(|w| w[1] - w[0]).collect();
-    stats.pivot_s = comm.clock().now() - t0;
+    stats.pivot_s = comm.now() - t0;
 
     // Exchange with the collective memory check.
-    let t1 = comm.clock().now();
+    let t1 = comm.now();
     let rcounts = comm.alltoall(&scounts);
     let m: usize = rcounts.iter().sum();
     let bytes = m * std::mem::size_of::<T>();
@@ -152,17 +153,17 @@ where
     }
     let buf = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
     drop(data);
-    stats.exchange_s = comm.clock().now() - t1;
+    stats.exchange_s = comm.now() - t1;
 
     // Local ordering of the received chunks.
-    let t2 = comm.clock().now();
+    let t2 = comm.now();
     let mut disp = Vec::with_capacity(p + 1);
     disp.push(0usize);
     for &rc in &rcounts {
         disp.push(disp.last().copied().expect("non-empty") + rc);
     }
     let out = comm.compute(|| sdssort::merge::kway_merge_offsets(&buf, &disp));
-    stats.local_order_s = comm.clock().now() - t2;
+    stats.local_order_s = comm.now() - t2;
     comm.free(bytes);
     stats.recv_count = out.len();
     Ok(SortOutput { data: out, stats })

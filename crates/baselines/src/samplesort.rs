@@ -7,7 +7,7 @@
 //! skew — it shares HykSort's duplicate-pivot failure mode and serves as
 //! the second baseline.
 
-use mpisim::Comm;
+use comm::Communicator;
 use sdssort::config::{ComputeCharge, ComputeModel};
 use sdssort::merge::kway_merge_offsets;
 use sdssort::partition::{classic_cuts, cuts_to_counts};
@@ -32,8 +32,8 @@ impl Default for SampleSortConfig {
     }
 }
 
-fn charged<R>(
-    comm: &Comm,
+fn charged<R, C: Communicator>(
+    comm: &C,
     cfg: &SampleSortConfig,
     cost: impl FnOnce(&ComputeModel) -> f64,
     f: impl FnOnce() -> R,
@@ -42,15 +42,15 @@ fn charged<R>(
         ComputeCharge::Measured => comm.compute(f),
         ComputeCharge::Modeled(m) => {
             let r = f();
-            comm.clock().charge(cost(&m));
+            comm.charge_compute(cost(&m));
             r
         }
     }
 }
 
 /// Classical PSRS sort of `data` across `comm`. Unstable.
-pub fn sample_sort<T: Sortable>(
-    comm: &Comm,
+pub fn sample_sort<T: Sortable, C: Communicator>(
+    comm: &C,
     mut data: Vec<T>,
     cfg: &SampleSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
@@ -59,7 +59,7 @@ pub fn sample_sort<T: Sortable>(
         input_count: data.len(),
         ..SortStats::default()
     };
-    let t0 = comm.clock().now();
+    let t0 = comm.now();
 
     let n0 = data.len();
     charged(
@@ -69,7 +69,7 @@ pub fn sample_sort<T: Sortable>(
         || data.sort_unstable_by_key(|r| r.key()),
     );
     if p == 1 {
-        stats.pivot_s = comm.clock().now() - t0;
+        stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
         return Ok(SortOutput { data, stats });
     }
@@ -91,10 +91,10 @@ pub fn sample_sort<T: Sortable>(
         classic_cuts(&data, &pivots)
     };
     let scounts = cuts_to_counts(&cuts);
-    stats.pivot_s = comm.clock().now() - t0;
+    stats.pivot_s = comm.now() - t0;
 
     // Exchange with collective memory check.
-    let t1 = comm.clock().now();
+    let t1 = comm.now();
     let rcounts = comm.alltoall(&scounts);
     let m: usize = rcounts.iter().sum();
     let bytes = m * std::mem::size_of::<T>();
@@ -111,10 +111,10 @@ pub fn sample_sort<T: Sortable>(
     }
     let buf = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
     drop(data);
-    stats.exchange_s = comm.clock().now() - t1;
+    stats.exchange_s = comm.now() - t1;
 
     // Final k-way merge.
-    let t2 = comm.clock().now();
+    let t2 = comm.now();
     let mut disp = Vec::with_capacity(p + 1);
     disp.push(0usize);
     for &rc in &rcounts {
@@ -126,7 +126,7 @@ pub fn sample_sort<T: Sortable>(
         |mo| mo.kway_merge_cost(m, p),
         || kway_merge_offsets(&buf, &disp),
     );
-    stats.local_order_s = comm.clock().now() - t2;
+    stats.local_order_s = comm.now() - t2;
     comm.free(bytes);
     stats.recv_count = out.len();
     Ok(SortOutput { data: out, stats })

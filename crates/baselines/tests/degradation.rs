@@ -4,7 +4,7 @@
 //! spilling and completes correctly.
 
 use baselines::{hyksort, HykSortConfig};
-use mpisim::{FaultSpec, NetModel, World};
+use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, sds_sort_resilient, ComputeModel, ResilienceConfig, SdsConfig, SortError,
 };

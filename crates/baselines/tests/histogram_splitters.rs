@@ -2,7 +2,7 @@
 //! across ranks, and the duplicate-blindness that dooms it on skew.
 
 use baselines::{histogram_splitters, HistogramConfig};
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::search::upper_bound;
 use workloads::uniform_u64;
 

@@ -1,7 +1,7 @@
 //! Distributed radix sort: correctness on benign inputs, OOM on skew.
 
 use baselines::radix_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{OrderedF32, Record, SortError};
 use workloads::{uniform_u64, zipf_keys};
 

@@ -8,7 +8,7 @@
 //! crossover actually moves.
 
 use bench::{by_scale, fmt_bytes, fmt_time, header, model, verdict, Table};
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::node_merge::node_merge;
 use sdssort::partition::{cuts_to_counts, fast_cuts};
 use workloads::uniform_u64;

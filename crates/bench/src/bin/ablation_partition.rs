@@ -7,7 +7,7 @@
 //! in load balance and survival is attributable to the partition alone.
 
 use bench::{by_scale, fmt_opt_time, fmt_rdfa, header, model, verdict, Table};
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{rdfa, sds_sort, PartitionStrategy, SdsConfig, SortError};
 use workloads::{zipf_keys, PAPER_ALPHA_DELTA_TABLE2};
 

@@ -7,7 +7,7 @@
 //! sort's log-round exchanges.
 
 use bench::{by_scale, fmt_time, header, model, verdict, Table};
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::pivots::{select_global_pivots, PivotMethod};
 use sdssort::sampling::regular_sample;
 use workloads::uniform_u64;

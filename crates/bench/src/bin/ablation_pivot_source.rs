@@ -12,7 +12,7 @@
 //! * histogram + classic    (HykSort's pairing)   → OOM
 
 use bench::{by_scale, fmt_opt_time, fmt_rdfa, header, model, verdict, Table};
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{rdfa, sds_sort, PartitionStrategy, PivotSource, SdsConfig};
 use workloads::zipf_keys;
 

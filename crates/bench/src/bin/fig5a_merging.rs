@@ -10,6 +10,7 @@
 //! of a crossover, loses right of it".
 
 use bench::{by_scale, fmt_bytes, fmt_time, header, model, modeled_world, verdict, Table};
+use comm::Communicator;
 use sdssort::node_merge::node_merge;
 use sdssort::partition::{cuts_to_counts, fast_cuts};
 use workloads::uniform_u64;

@@ -9,7 +9,7 @@
 //! which grows quadratically with p and reproduces the crossover.
 
 use bench::{by_scale, fmt_time, header, model, verdict, Table};
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{sds_sort, ComputeModel, SdsConfig};
 use workloads::uniform_u64;
 

@@ -17,11 +17,10 @@
 //!                                  thread (crates/shmem); `sockets` runs
 //!                                  each rank as a real OS *process*
 //!                                  connected by sockets (crates/sockcomm).
-//!                                  Both real backends report wall-clock
-//!                                  times and support the transport-generic
-//!                                  sorters (sds, sds-stable, ams, hss);
-//!                                  fault injection, memory budgets,
-//!                                  tracing and resilience are
+//!                                  Every sorter runs on every backend;
+//!                                  both real backends report wall-clock
+//!                                  times. Fault injection, memory
+//!                                  budgets, tracing and resilience are
 //!                                  simulator-only
 //!   --transport uds | tcp          (default uds; sockets backend only)
 //!                                  socket family for rank-to-rank links
@@ -62,7 +61,7 @@
 
 use bench::{fmt_bytes, fmt_time, Table};
 use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, WorldMeta};
-use mpisim::{FaultSpec, NetModel, World};
+use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, is_permutation_of, rdfa, sds_sort, sds_sort_resilient, ResilienceConfig,
     SdsConfig, SortError,
@@ -201,15 +200,7 @@ fn sds_cfg(args: &Args) -> Option<SdsConfig> {
     }
 }
 
-/// Whether this sorter is generic over `comm::Communicator` and therefore
-/// runs on the threads and sockets backends (the baselines are
-/// simulator-only).
-fn transport_generic(sorter: &str) -> bool {
-    matches!(sorter, "sds" | "sds-stable" | "ams" | "hss")
-}
-
-/// Dispatch a transport-generic sorter on any backend. The baselines never
-/// reach here — `main` validates the sorter/backend combination first.
+/// Dispatch `--sorter` on any backend (`main` validated the name).
 fn run_generic<C: comm::Communicator>(
     args: &Args,
     comm: &C,
@@ -220,9 +211,18 @@ fn run_generic<C: comm::Communicator>(
             let cfg = sds_cfg(args).expect("sds sorter");
             sds_sort(comm, input, &cfg)
         }
+        "hyksort" => baselines::hyksort(comm, input, &baselines::HykSortConfig::default()),
+        "samplesort" => {
+            baselines::sample_sort(comm, input, &baselines::SampleSortConfig::default())
+        }
+        "radix" => baselines::radix_sort(comm, input),
+        "bitonic" => Ok(sdssort::SortOutput {
+            data: baselines::bitonic_sort(comm, input),
+            stats: sdssort::SortStats::default(),
+        }),
         "ams" => algos::ams_sort(comm, input, &algos::AmsConfig::default()),
         "hss" => algos::hss_sort(comm, input, &algos::HssConfig::default()),
-        other => panic!("sorter {other} is not transport-generic (validated before launch)"),
+        other => panic!("unknown sorter {other} (validated before launch)"),
     }
 }
 
@@ -247,7 +247,6 @@ const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
 /// own argv (the launcher re-execs sortcli with identical arguments), so
 /// no configuration needs to travel through the params payload.
 fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> SocketsRankResult {
-    use comm::Communicator;
     let args = parse_args().expect("parent validated this argv before launching");
     let input = gen_keys(&args.workload, args.records, args.seed, comm.rank())
         .expect("workload validated before launch");
@@ -266,8 +265,7 @@ fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> SocketsRankRes
     )
 }
 
-/// Run a transport-generic sorter with one OS process per rank over
-/// real sockets.
+/// Run the sorter with one OS process per rank over real sockets.
 fn run_sorter_sockets(
     a: &Args,
     transport: sockcomm::Transport,
@@ -278,10 +276,9 @@ fn run_sorter_sockets(
         .run::<u64, SocketsRankResult>(SOCKETS_SORT_ENTRY, &0)
 }
 
-/// Run a transport-generic sorter for real on the threads backend (one OS
-/// thread per rank, wall-clock timing); baselines stay simulator-only.
+/// Run the sorter for real on the threads backend (one OS thread per rank,
+/// wall-clock timing).
 fn run_sorter_threads(a: &Args) -> shmem::ThreadReport<RankResult> {
-    use comm::Communicator;
     let a2 = a.clone();
     shmem::ThreadWorld::new(a.ranks)
         .cores_per_node(a.cores)
@@ -317,51 +314,14 @@ fn run_sorter(a: &Args) -> Result<(RankResult, mpisim::runtime::WorldReport<Rank
         move |comm| -> Result<(bool, bool, usize, sdssort::SortStats), SortError> {
             let input = gen_keys(&a2.workload, a2.records, a2.seed, comm.rank())
                 .expect("workload validated before launch");
-            let (out, stats) = match a2.sorter.as_str() {
-                "sds" | "sds-stable" => {
-                    let cfg = sds_cfg(&a2).expect("sds sorter");
-                    let o = if let Some(dir) = &a2.resilient {
-                        let rcfg = ResilienceConfig::new(dir);
-                        sds_sort_resilient(comm, input.clone(), &cfg, &rcfg)?
-                    } else {
-                        sds_sort(comm, input.clone(), &cfg)?
-                    };
-                    (o.data, o.stats)
+            let o = match &a2.resilient {
+                Some(dir) => {
+                    let cfg = sds_cfg(&a2).expect("--resilient is validated as sds-only");
+                    sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
                 }
-                "hyksort" => {
-                    let o = baselines::hyksort(
-                        comm,
-                        input.clone(),
-                        &baselines::HykSortConfig::default(),
-                    )?;
-                    (o.data, o.stats)
-                }
-                "samplesort" => {
-                    let o = baselines::sample_sort(
-                        comm,
-                        input.clone(),
-                        &baselines::SampleSortConfig::default(),
-                    )?;
-                    (o.data, o.stats)
-                }
-                "radix" => {
-                    let o = baselines::radix_sort(comm, input.clone())?;
-                    (o.data, o.stats)
-                }
-                "bitonic" => {
-                    let out = baselines::bitonic_sort(comm, input.clone());
-                    (out, sdssort::SortStats::default())
-                }
-                "ams" => {
-                    let o = algos::ams_sort(comm, input.clone(), &algos::AmsConfig::default())?;
-                    (o.data, o.stats)
-                }
-                "hss" => {
-                    let o = algos::hss_sort(comm, input.clone(), &algos::HssConfig::default())?;
-                    (o.data, o.stats)
-                }
-                other => panic!("unknown sorter {other} (validated before launch)"),
+                None => run_generic(&a2, &*comm, input.clone())?,
             };
+            let (out, stats) = (o.data, o.stats);
             let sorted = is_globally_sorted(comm, &out);
             let permutation = is_permutation_of(comm, &input, &out, |&k| k);
             Ok((sorted, permutation, out.len(), stats))
@@ -468,15 +428,6 @@ fn main() -> ExitCode {
     }
     if args.backend == "threads" || args.backend == "sockets" {
         let backend = &args.backend;
-        if !transport_generic(&args.sorter) {
-            eprintln!(
-                "error: the {backend} backend supports the transport-generic sorters only \
-                 (sds, sds-stable, ams, hss); {} runs on the simulator — \
-                 drop --backend {backend}",
-                args.sorter
-            );
-            return ExitCode::from(2);
-        }
         if args.oversample != 1 && sds_cfg(&args).is_none() {
             eprintln!("error: --oversample applies to the sds sorters only");
             return ExitCode::from(2);

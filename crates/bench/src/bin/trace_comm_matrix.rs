@@ -10,7 +10,7 @@
 //! intra-node.
 
 use bench::{header, verdict, Table};
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, SdsConfig};
 use workloads::uniform_u64;
 

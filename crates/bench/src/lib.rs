@@ -12,7 +12,7 @@
 //! Scale control: set `BENCH_SCALE=full` for larger sweeps (default
 //! `small` finishes in seconds per harness).
 
-use mpisim::{Comm, NetModel, World};
+use mpisim::{Comm, Communicator, NetModel, World};
 use sdssort::{sds_sort, ComputeCharge, ComputeModel, SdsConfig, SortError, SortOutput, Sortable};
 use std::time::Instant;
 
@@ -110,12 +110,6 @@ impl Sorter {
             4 => Some(Sorter::Hss),
             _ => None,
         }
-    }
-
-    /// Whether this sorter is generic over [`comm::Communicator`] and so
-    /// runs on the threads and sockets backends, not just the simulator.
-    pub fn transport_generic(self) -> bool {
-        !matches!(self, Sorter::HykSort)
     }
 }
 
@@ -235,14 +229,10 @@ where
     }
 }
 
-/// Dispatch a transport-generic sorter (SDS fast/stable, AMS, HSS) on any
-/// [`comm::Communicator`] backend with *measured* compute charging and the
-/// same τ knobs as the simulator harnesses (`τm = 0`, `τo = 16`, `τs = 8`)
-/// so cross-backend sweeps compare identical algorithm configurations.
-///
-/// # Panics
-/// Panics for [`Sorter::HykSort`], which is simulator-only — callers gate
-/// on [`Sorter::transport_generic`].
+/// Dispatch a sorter on any [`comm::Communicator`] backend with *measured*
+/// compute charging and the same τ knobs as the simulator harnesses
+/// (`τm = 0`, `τo = 16`, `τs = 8`) so cross-backend sweeps compare
+/// identical algorithm configurations.
 pub fn run_one_measured<T: Sortable, C: comm::Communicator>(
     sorter: Sorter,
     comm: &C,
@@ -262,29 +252,22 @@ pub fn run_one_measured<T: Sortable, C: comm::Communicator>(
         }
         Sorter::Ams => algos::ams_sort(comm, data, &algos::AmsConfig::default()),
         Sorter::Hss => algos::hss_sort(comm, data, &algos::HssConfig::default()),
-        Sorter::HykSort => panic!("HykSort is simulator-only, not transport-generic"),
+        Sorter::HykSort => baselines::hyksort(comm, data, &baselines::HykSortConfig::default()),
     }
 }
 
-/// Run a transport-generic sorter for real on the threads backend
-/// (`crates/shmem`): one OS thread per rank, wall-clock timing. `time_s`
-/// in the outcome is the measured wall clock of the whole world, so
-/// weak-scaling sweeps report real seconds. SDS fast/stable, AMS and HSS
-/// run here; the HykSort baseline is simulator-only
-/// (see [`run_one_measured`]).
+/// Run a sorter for real on the threads backend (`crates/shmem`): one OS
+/// thread per rank, wall-clock timing. `time_s` in the outcome is the
+/// measured wall clock of the whole world, so weak-scaling sweeps report
+/// real seconds.
 pub fn run_sorter_threads<T, G>(sorter: Sorter, p: usize, gen: G) -> RunOutcome
 where
     T: Sortable,
     G: Fn(usize) -> Vec<T> + Send + Sync,
 {
-    assert!(
-        sorter.transport_generic(),
-        "the threads backend runs the transport-generic sorters only (sds, sds-stable, ams, hss)"
-    );
-    let report = shmem::ThreadWorld::new(p).cores_per_node(24).run(|comm| {
-        use comm::Communicator;
-        run_one_measured(sorter, comm, gen(comm.rank()))
-    });
+    let report = shmem::ThreadWorld::new(p)
+        .cores_per_node(24)
+        .run(|comm| run_one_measured(sorter, comm, gen(comm.rank())));
     let ok = report.results.iter().all(Result::is_ok);
     if !ok {
         return RunOutcome {
@@ -328,7 +311,6 @@ pub fn sockets_bench_child() {
     sockcomm::child_rank(
         SOCKETS_BENCH_ENTRY,
         |comm, (code, n_rank): (u8, u64)| -> SockBenchResult {
-            use comm::Communicator;
             let sorter = Sorter::from_code(code).expect("sockets bench rank: bad sorter code");
             let data = workloads::uniform_u64(n_rank as usize, 0xF167, comm.rank());
             let t0 = Instant::now();
@@ -354,10 +336,6 @@ pub fn sockets_bench_child() {
 /// launcher's wall clock and additionally includes process spawn and
 /// rendezvous (see EXPERIMENTS.md).
 pub fn run_sorter_sockets(sorter: Sorter, p: usize, n_rank: usize) -> RunOutcome {
-    assert!(
-        sorter.transport_generic(),
-        "the sockets backend runs the transport-generic sorters only (sds, sds-stable, ams, hss)"
-    );
     let world = sockcomm::SocketWorld::new(p).cores_per_node(24);
     match world
         .run::<(u8, u64), SockBenchResult>(SOCKETS_BENCH_ENTRY, &(sorter.code(), n_rank as u64))

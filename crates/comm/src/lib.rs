@@ -16,39 +16,38 @@
 //!   length-prefixed `(ctx, src, tag)` frames. This is where
 //!   serialization boundaries and process death are real.
 //!
-//! The real backends share more than the trait: the [`mailbox`] module is
-//!   the `(ctx, src, tag)` matching discipline both use verbatim, [`Wire`]
-//!   is the zero-copy record codec, and [`raw`] holds the collective
-//!   *algorithms* (dissemination barrier, binomial bcast, staggered
-//!   self-first all-to-all) written once against a minimal [`raw::RawComm`]
-//!   core — which is why the same seed yields bit-identical output on all
-//!   three substrates.
+//! Each backend is a *transport*: it implements [`raw::RawComm`] (raw
+//! send/receive on any tag, a clock, memory accounting) and nothing else.
+//! [`Communicator`] is implemented for every `RawComm` once, in [`raw`]:
+//! the communicator bookkeeping, the reserved-tag allocator, `split`, the
+//! collective algorithm bodies and the asynchronous all-to-all exist in
+//! exactly one copy, which is why the same seed yields bit-identical output
+//! on all three substrates. The real backends additionally share the
+//! [`mailbox`] module (the `(ctx, src, tag)` matching discipline) and
+//! [`Wire`], the zero-copy record codec.
 //!
-//! The trait mirrors the MPI-flavoured surface `mpisim::Comm` grew: rank /
-//! topology queries, buffered point-to-point sends, the collectives the
-//! sort uses, the asynchronous all-to-all protocol (via the [`Communicator::Async`]
-//! associated type and [`AsyncExchange`]), communicator splitting, plus the
-//! cost-accounting and telemetry hooks (`compute`, `charge_compute`, spans,
-//! counters) that feed `telemetry::RunReport`.
+//! The trait is MPI-flavoured: rank / topology queries, buffered
+//! point-to-point sends, the collectives the sort uses, the asynchronous
+//! all-to-all protocol (via the [`Communicator::Async`] associated type and
+//! [`AsyncExchange`]), communicator splitting, plus the cost-accounting and
+//! telemetry hooks (`compute`, `charge_compute`, spans, counters) that feed
+//! `telemetry::RunReport`.
 //!
 //! ## Composed collectives
 //!
 //! Only the traffic-generating primitives (`barrier`, `bcast`, `gatherv`,
-//! `alltoall`, `alltoallv_given_counts`, the async all-to-all, `split`) are
-//! required methods. Everything else (`allreduce`, scans, scatters, …) has
-//! a provided default composed from those primitives **in exactly the
-//! decomposition `mpisim` uses**, so a backend that implements just the
-//! primitives produces the same message pattern — and, crucially for the
-//! backend-equivalence tests, the same deterministic rank-order reduction
-//! results — as the simulator.
+//! `alltoall`, `alltoallv_given_counts`, `scatterv`, the async all-to-all,
+//! `split`) are required methods. Everything else (`allreduce`, scans,
+//! scatters, …) is a provided method composed from those primitives, with
+//! reductions folded in rank order — so results are deterministic even for
+//! non-commutative closures, and identical on every backend.
 //!
 //! ## Tags
 //!
 //! User point-to-point traffic must stay below [`MAX_USER_TAG`]; the space
 //! above it is reserved for collectives, which key their traffic by a
-//! per-communicator operation sequence number. Backends must implement the
-//! same reservation so interleaved collectives and user messages never
-//! cross-match.
+//! per-communicator operation sequence number ([`raw::Group`]), so
+//! interleaved collectives and user messages never cross-match.
 
 #![warn(missing_docs)]
 
@@ -62,8 +61,8 @@ use std::fmt;
 use telemetry::{Recorder, SpanId};
 
 /// Largest tag value available to user point-to-point messages. The space
-/// at and above this value is reserved for collective operations: backends
-/// allocate collective tags as `MAX_USER_TAG + (op_seq << 12) + round`.
+/// at and above this value is reserved for collective operations, whose
+/// tags are `MAX_USER_TAG + (op_seq << 12) + round`.
 pub const MAX_USER_TAG: u64 = 1 << 48;
 
 /// Error returned when a rank exceeds its memory budget.
@@ -303,7 +302,7 @@ pub trait Communicator: Sized {
     /// Within each color group, new ranks are ordered by `(key, old rank)`.
     fn split(&self, color: Option<i64>, key: i64) -> Option<Self>;
 
-    // ---- composed collectives (mpisim's decompositions) ------------------
+    // ---- composed collectives --------------------------------------------
 
     /// Gather equal-length contributions to `root`, concatenated in rank
     /// order. Other ranks return `None`.
@@ -413,7 +412,7 @@ pub trait Communicator: Sized {
     /// Scatter variable-length chunks from `root`: the root supplies one
     /// vector per rank (in rank order) and every rank returns its chunk.
     /// A traffic-generating primitive (root sends on a reserved collective
-    /// tag), so backends implement it natively.
+    /// tag).
     fn scatterv<T: Wire>(&self, root: usize, chunks: Option<Vec<Vec<T>>>) -> Vec<T>;
 
     /// Scatter equal-length chunks of `data` from `root` (`MPI_Scatter`).
@@ -423,7 +422,11 @@ pub trait Communicator: Sized {
             let data = data.expect("root must supply data");
             assert_eq!(data.len() % p, 0, "scatter requires p equal chunks");
             let len = data.len() / p;
-            Some(data.chunks(len).map(<[T]>::to_vec).collect())
+            Some(
+                (0..p)
+                    .map(|i| data[i * len..(i + 1) * len].to_vec())
+                    .collect(),
+            )
         } else {
             None
         };

@@ -21,14 +21,15 @@
 //!   in-flight messages from the *same* source on one `(ctx, tag)`: the
 //!   receiver cannot attribute replies to operations by tag alone;
 //! * **shared-state races** — code that touches rank-shared host state can
-//!   declare it via [`crate::Comm::check_shared_read`] /
-//!   [`crate::Comm::check_shared_write`]; accesses by two ranks with no
+//!   declare it via [`Communicator::check_shared_read`](::comm::Communicator::check_shared_read) /
+//!   [`check_shared_write`](::comm::Communicator::check_shared_write); accesses by two ranks with no
 //!   happens-before edge between them are flagged (write-write and
 //!   read-write).
 //!
 //! Reports name world ranks, decoded tags (collective tags are decoded into
 //! operation/round like the deadlock report), and the last phase each
-//! involved rank entered via [`crate::Comm::trace_phase`].
+//! involved rank entered via
+//! [`trace_phase`](::comm::Communicator::trace_phase).
 
 use crate::comm::describe_tag;
 use parking_lot::Mutex;

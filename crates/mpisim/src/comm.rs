@@ -1,10 +1,19 @@
-//! The communicator handle: point-to-point messaging, clocks, memory.
+//! The communicator handle: the simulator as a [`RawComm`] transport.
 //!
 //! A [`Comm`] is a single rank's view of a communicator, analogous to an
 //! `MPI_Comm` plus the calling rank. It is deliberately `!Send`: a rank's
 //! communicator lives on that rank's thread. All sends are *buffered*
 //! (payload copied/moved into the envelope), so the common
 //! send-everything-then-receive-everything pattern cannot deadlock.
+//!
+//! Everything the simulator models happens on the raw send/receive path in
+//! this file: the virtual clock, the `netmodel` inject/transit charge,
+//! `faults` perturbation, tracer/recorder accounting, happens-before
+//! stamps and the deadlock watchdog. The [`Communicator`](::comm::Communicator)
+//! surface on top — collectives, the asynchronous all-to-all, `split` — is
+//! the single implementation in [`::comm::raw`] that the real backends run
+//! too; only the simulator-specific operations (`recv_any`, `try_recv_*`,
+//! nonblocking requests, `clock`, `universe`) are inherent methods.
 //!
 //! Tags: user code may use any tag below [`Comm::MAX_USER_TAG`]. Collectives
 //! use a reserved high tag space keyed by a per-communicator operation
@@ -15,8 +24,8 @@ use crate::clock::VirtualClock;
 use crate::error::OomError;
 use crate::mailbox::{Envelope, SrcSel, TakeResult};
 use crate::universe::{DeadlockError, Universe, WaitDesc};
-use std::cell::Cell;
-use std::collections::HashMap;
+use ::comm::raw::{assert_user_tag, Group, RawComm};
+use ::comm::Wire;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -47,22 +56,10 @@ pub struct AbortedPanic {
 /// A rank-local handle to a communicator.
 pub struct Comm {
     uni: Arc<Universe>,
-    /// Context id distinguishing this communicator's traffic.
-    ctx: u64,
-    /// World ranks of the members, ordered by communicator rank.
-    members: Arc<[usize]>,
-    /// Map from world rank to communicator rank for members.
-    world_to_comm: Arc<HashMap<usize, usize>>,
-    /// This rank's position within `members`.
-    my_index: usize,
+    group: Group,
     /// This rank's virtual clock (shared with sibling communicators of the
     /// same rank, e.g. after a split).
     clock: Rc<VirtualClock>,
-    /// Number of splits performed on this communicator (for deterministic
-    /// child context ids).
-    split_seq: Cell<u64>,
-    /// Number of collective operations performed (for tag isolation).
-    coll_seq: Cell<u64>,
 }
 
 impl Comm {
@@ -70,55 +67,8 @@ impl Comm {
     /// (defined once in the backend-neutral `comm` crate).
     pub const MAX_USER_TAG: u64 = ::comm::MAX_USER_TAG;
 
-    pub(crate) fn new(
-        uni: Arc<Universe>,
-        ctx: u64,
-        members: Arc<[usize]>,
-        my_index: usize,
-        clock: Rc<VirtualClock>,
-    ) -> Self {
-        let world_to_comm = Arc::new(
-            members
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (w, i))
-                .collect::<HashMap<_, _>>(),
-        );
-        Self {
-            uni,
-            ctx,
-            members,
-            world_to_comm,
-            my_index,
-            clock,
-            split_seq: Cell::new(0),
-            coll_seq: Cell::new(0),
-        }
-    }
-
-    /// Communicator size (`MPI_Comm_size`).
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// This rank within the communicator (`MPI_Comm_rank`).
-    pub fn rank(&self) -> usize {
-        self.my_index
-    }
-
-    /// This rank in the world communicator.
-    pub fn world_rank(&self) -> usize {
-        self.members[self.my_index]
-    }
-
-    /// World rank of communicator rank `r`.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
-    /// Communicator rank of world rank `w`, if a member.
-    pub(crate) fn comm_rank_of_world(&self, w: usize) -> Option<usize> {
-        self.world_to_comm.get(&w).copied()
+    pub(crate) fn new(uni: Arc<Universe>, group: Group, clock: Rc<VirtualClock>) -> Self {
+        Self { uni, group, clock }
     }
 
     /// The shared world state.
@@ -131,313 +81,43 @@ impl Comm {
         &self.clock
     }
 
-    pub(crate) fn clock_rc(&self) -> Rc<VirtualClock> {
-        Rc::clone(&self.clock)
-    }
-
-    /// Shorthand: run `f`, measure wall time, charge it to the clock.
-    pub fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        let before = self.clock.now();
-        let r = self.clock.measure(f);
-        let factor = self.uni.faults().compute_factor(self.world_rank());
-        if factor != 1.0 {
-            // Slowed rank: the same work takes `factor` times as long.
-            let dt = self.clock.now() - before;
-            self.clock.charge(dt * (factor - 1.0));
-        }
-        self.uni
-            .recorder
-            .add_compute(self.world_rank(), self.clock.now() - before);
-        r
-    }
-
-    /// Charge modeled compute seconds to this rank's clock, attributing
-    /// them to the compute ledger in the telemetry recorder.
-    pub fn charge_compute(&self, seconds: f64) {
-        let seconds = seconds * self.uni.faults().compute_factor(self.world_rank());
-        self.clock.charge(seconds);
-        self.uni.recorder.add_compute(self.world_rank(), seconds);
-    }
-
     /// Charge communication-overhead seconds (injection, probe costs) to
     /// this rank's clock, attributing them to the comm ledger.
     pub(crate) fn charge_comm(&self, seconds: f64) {
         self.clock.charge(seconds);
-        self.uni.recorder.add_comm(self.world_rank(), seconds);
-    }
-
-    /// Attribute subsequent traced traffic (tracer matrices and telemetry
-    /// phase totals) to the named phase. No-op when both are disabled.
-    pub fn trace_phase(&self, name: &str) {
-        self.uni.tracer.set_phase(name);
-        self.uni.recorder.set_phase(name);
-        if self.uni.deadlock.timeout.is_some() {
-            *self.uni.deadlock.last_phase[self.world_rank()].lock() = name.to_string();
-        }
-        self.uni.checker().on_phase(self.world_rank(), name);
-    }
-
-    /// Declare a read of rank-shared host state named `key` to the
-    /// happens-before checker (see [`crate::check`]): two ranks touching the
-    /// same key with no synchronization edge between them (a message path or
-    /// collective) are reported as a race at world exit. No-op unless the
-    /// world was built with [`crate::World::check`].
-    pub fn check_shared_read(&self, key: &str) {
-        self.uni.checker().on_shared_read(self.world_rank(), key);
-    }
-
-    /// Declare a write of rank-shared host state named `key` to the
-    /// happens-before checker. See [`Comm::check_shared_read`].
-    pub fn check_shared_write(&self, key: &str) {
-        self.uni.checker().on_shared_write(self.world_rank(), key);
-    }
-
-    /// The world's telemetry recorder (disabled unless the world was built
-    /// with [`crate::World::telemetry`]).
-    pub fn recorder(&self) -> &telemetry::Recorder {
-        &self.uni.recorder
-    }
-
-    /// Open a telemetry span on this rank at the current virtual time.
-    pub fn span_begin(&self, name: &str) -> telemetry::SpanId {
-        self.uni
-            .recorder
-            .span_begin(self.world_rank(), name, self.clock.now())
-    }
-
-    /// Close a telemetry span at the current virtual time.
-    pub fn span_end(&self, id: telemetry::SpanId) {
-        self.uni.recorder.span_end(id, self.clock.now());
-    }
-
-    /// Record a telemetry point event on this rank at the current virtual
-    /// time.
-    pub fn event(&self, name: &str, detail: &str) {
-        self.uni
-            .recorder
-            .event(self.world_rank(), name, detail, self.clock.now());
-    }
-
-    /// Bump a named telemetry counter.
-    pub fn count(&self, name: &str, n: u64) {
-        self.uni.recorder.count(name, n);
-    }
-
-    /// Reserve `bytes` of simulated memory on this rank. Under a
-    /// memory-pressure fault ramp, part of the budget is withheld and the
-    /// effective headroom shrinks over virtual time.
-    pub fn try_alloc(&self, bytes: usize) -> Result<(), OomError> {
-        let withheld = self.uni.faults().withheld(
-            self.world_rank(),
-            self.clock.now(),
-            self.uni.memory().budget(),
-        );
-        let res = self
-            .uni
-            .memory()
-            .try_alloc_reserved(self.world_rank(), bytes, withheld);
-        if self.uni.recorder.enabled() {
-            if let Err(e) = &res {
-                self.uni.recorder.count("mem.oom", 1);
-                self.event(
-                    "oom",
-                    &format!("requested {} with {} available", e.requested, e.available),
-                );
-            }
-            self.uni.recorder.gauge_max(
-                "mem.high_water",
-                self.uni.memory().high_water(self.world_rank()) as f64,
-            );
-        }
-        res
-    }
-
-    /// Release a simulated-memory reservation.
-    pub fn free(&self, bytes: usize) {
-        self.uni.memory().free(self.world_rank(), bytes);
-    }
-
-    /// Fraction of this rank's *effective* memory budget (budget minus any
-    /// fault-withheld bytes) that would be in use after reserving `extra`
-    /// more bytes. Always 0.0 with an unlimited budget. Drivers use this to
-    /// detect memory pressure and degrade gracefully before an allocation
-    /// actually fails.
-    pub fn memory_pressure_with(&self, extra: usize) -> f64 {
-        let budget = self.uni.memory().budget();
-        if budget == usize::MAX {
-            return 0.0;
-        }
-        let withheld = self
-            .uni
-            .faults()
-            .withheld(self.world_rank(), self.clock.now(), budget);
-        let effective = budget.saturating_sub(withheld).max(1);
-        self.uni
-            .memory()
-            .used(self.world_rank())
-            .saturating_add(extra) as f64
-            / effective as f64
-    }
-
-    /// Cores per node of the simulated machine.
-    pub fn cores_per_node(&self) -> usize {
-        self.uni.topology().cores_per_node()
-    }
-
-    /// Node id (in the simulated machine) hosting this rank.
-    pub fn node(&self) -> usize {
-        self.uni.topology().node_of(self.world_rank())
+        self.uni.recorder.add_comm(self.group.world_rank(), seconds);
     }
 
     fn check_alive(&self) {
         if self.uni.is_aborted() {
-            std::panic::panic_any(AbortedPanic { rank: self.rank() });
+            std::panic::panic_any(AbortedPanic {
+                rank: self.group.rank(),
+            });
         }
-    }
-
-    pub(crate) fn next_coll_tag(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        debug_assert!(
-            seq < (1 << 15),
-            "collective sequence number overflow risk (seq {seq})"
-        );
-        // Reserved space above MAX_USER_TAG; round numbers within one
-        // collective are added by the caller (< 4096 rounds).
-        Self::MAX_USER_TAG + (seq << 12)
-    }
-
-    /// Reject tags that would collide with the reserved collective tag
-    /// space. An in-flight asynchronous collective receives with
-    /// any-source matching on its reserved tag; a user message forged into
-    /// that space could be stolen by it and silently corrupt the exchange.
-    #[track_caller]
-    fn assert_user_tag(tag: u64) {
-        assert!(
-            tag < Self::MAX_USER_TAG,
-            "tag {tag} is outside the user tag space: tags at or above \
-             Comm::MAX_USER_TAG (2^48) are reserved for collective operations"
-        );
     }
 
     /// Charge any injected stall for one message operation on this rank.
     fn inject_op_stall(&self) {
-        let s = self.uni.faults().op_stall(self.world_rank());
+        let s = self.uni.faults().op_stall(self.group.world_rank());
         if s > 0.0 {
             self.charge_comm(s);
         }
-    }
-
-    pub(crate) fn next_split_seq(&self) -> u64 {
-        let s = self.split_seq.get();
-        self.split_seq.set(s + 1);
-        s
-    }
-
-    // ---- point-to-point ---------------------------------------------------
-
-    /// Send an owned vector to communicator rank `dst` with `tag`.
-    /// Buffered: returns as soon as the envelope is enqueued. The sender's
-    /// clock is charged the injection cost from the network model.
-    ///
-    /// `tag` must be below [`Comm::MAX_USER_TAG`]; the space above it is
-    /// reserved for collectives.
-    pub fn send_vec<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        Self::assert_user_tag(tag);
-        self.send_vec_raw(dst, tag, data);
-    }
-
-    /// Internal send without the user-tag check — collectives and async
-    /// exchanges send on reserved tags through this path.
-    pub(crate) fn send_vec_raw<T: Clone + Send + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) {
-        self.check_alive();
-        self.inject_op_stall();
-        let bytes = std::mem::size_of::<T>() * data.len();
-        let src_w = self.world_rank();
-        let dst_w = self.members[dst];
-        let topo = self.uni.topology();
-        let net = self.uni.net();
-        let (inject, transit, reorder_depth) = match self.uni.faults().message(src_w, dst_w) {
-            Some(mf) => {
-                let (i, t) = net.perturbed_times(topo, src_w, dst_w, bytes, &mf);
-                (i, t, mf.reorder_depth)
-            }
-            None => (
-                net.inject_time(topo, src_w, dst_w, bytes),
-                net.transit_time(topo, src_w, dst_w, bytes),
-                0,
-            ),
-        };
-        self.charge_comm(inject);
-        let arrival = self.clock.now() + transit;
-        self.uni.stats().record(bytes);
-        self.uni.tracer.record(src_w, dst_w, bytes);
-        self.uni.recorder.on_send(src_w, dst_w, bytes);
-        let stamp = self.uni.checker().on_send(src_w, dst_w, self.ctx, tag);
-        self.uni.mailboxes[dst_w].push_reordered(
-            Envelope {
-                ctx: self.ctx,
-                src: src_w,
-                tag,
-                data: Box::new(data),
-                bytes,
-                arrival,
-                stamp,
-            },
-            reorder_depth,
-        );
-        if self.uni.deadlock.timeout.is_some() {
-            self.uni.deadlock.progress.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Send a copy of a slice to communicator rank `dst`.
-    pub fn send_slice<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, data: &[T]) {
-        self.send_vec(dst, tag, data.to_vec());
-    }
-
-    pub(crate) fn send_slice_raw<T: Clone + Send + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        data: &[T],
-    ) {
-        self.send_vec_raw(dst, tag, data.to_vec());
-    }
-
-    /// Send a single value.
-    pub fn send_val<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, value: T) {
-        self.send_vec(dst, tag, vec![value]);
-    }
-
-    pub(crate) fn send_val_raw<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, value: T) {
-        self.send_vec_raw(dst, tag, vec![value]);
-    }
-
-    fn take_envelope(&self, src: SrcSel, tag: u64) -> Envelope {
-        self.inject_op_stall();
-        self.blocking_take(&[(src, tag)])
     }
 
     /// Block until an envelope matching any of `specs` arrives. Registers
     /// the wait with the deadlock watch when a collective timeout is
     /// configured.
     fn blocking_take(&self, specs: &[(SrcSel, u64)]) -> Envelope {
-        let me_w = self.world_rank();
+        let me_w = self.group.world_rank();
         let mb = &self.uni.mailboxes[me_w];
         let dl = &self.uni.deadlock;
         let result = match dl.timeout {
-            None => mb.take_any_of(self.ctx, specs, &self.uni.aborted, None),
+            None => mb.take_any_of(self.group.ctx(), specs, &self.uni.aborted, None),
             Some(window) => {
                 {
                     let (src, tag) = specs[0];
                     *dl.waits[me_w].lock() = Some(WaitDesc {
-                        ctx: self.ctx,
+                        ctx: self.group.ctx(),
                         src: match src {
                             SrcSel::Exact(s) => Some(s),
                             SrcSel::Any => None,
@@ -459,9 +139,9 @@ impl Comm {
                 }
                 env
             }
-            TakeResult::Aborted | TakeResult::TimedOut => {
-                std::panic::panic_any(AbortedPanic { rank: self.rank() })
-            }
+            TakeResult::Aborted | TakeResult::TimedOut => std::panic::panic_any(AbortedPanic {
+                rank: self.group.rank(),
+            }),
         }
     }
 
@@ -470,12 +150,12 @@ impl Comm {
     /// is delivered or taken for a full `window`, the run is provably
     /// deadlocked — raise a diagnostic instead of hanging forever.
     fn take_watched(&self, specs: &[(SrcSel, u64)], window: Duration) -> TakeResult {
-        let mb = &self.uni.mailboxes[self.world_rank()];
+        let mb = &self.uni.mailboxes[self.group.world_rank()];
         let dl = &self.uni.deadlock;
         let mut progress_snapshot = dl.progress.load(Ordering::SeqCst);
         loop {
             let deadline = Instant::now() + window;
-            match mb.take_any_of(self.ctx, specs, &self.uni.aborted, Some(deadline)) {
+            match mb.take_any_of(self.group.ctx(), specs, &self.uni.aborted, Some(deadline)) {
                 TakeResult::TimedOut => {
                     let progress_now = dl.progress.load(Ordering::SeqCst);
                     let all_blocked =
@@ -490,20 +170,6 @@ impl Comm {
         }
     }
 
-    /// Record a completed receive with the happens-before checker.
-    /// `wildcard` marks any-source matching whose order nondeterminism is a
-    /// real program property (see [`crate::check`]).
-    fn note_recv(&self, env: &Envelope, wildcard: bool) {
-        self.uni.checker().on_recv(
-            self.world_rank(),
-            env.ctx,
-            env.tag,
-            env.src,
-            env.stamp.as_ref(),
-            wildcard,
-        );
-    }
-
     /// Build and raise the deadlock report. Only the first detecting rank
     /// raises [`DeadlockError`]; the abort it triggers unwinds the rest
     /// with [`AbortedPanic`], so the diagnostic surfaces from the runtime.
@@ -514,7 +180,9 @@ impl Comm {
         let mut slot = dl.report.lock();
         if slot.is_some() {
             drop(slot);
-            std::panic::panic_any(AbortedPanic { rank: self.rank() });
+            std::panic::panic_any(AbortedPanic {
+                rank: self.group.rank(),
+            });
         }
         let p = self.uni.topology().world_size();
         let mut rep = String::new();
@@ -522,7 +190,7 @@ impl Comm {
             rep,
             "all {p} ranks blocked with no message progress for {window:?} \
              (detected by world rank {})",
-            self.world_rank()
+            self.group.world_rank()
         );
         for r in 0..p {
             let wait = dl.waits[r].lock().clone();
@@ -561,10 +229,23 @@ impl Comm {
         std::panic::panic_any(DeadlockError { report: rep });
     }
 
-    fn open_envelope<T: Send + 'static>(&self, env: Envelope) -> (usize, Vec<T>) {
+    /// Complete a receive: record it with the happens-before checker,
+    /// advance the clock to the arrival time and unbox the payload.
+    /// `wildcard` marks any-source matching whose order nondeterminism is a
+    /// real program property (see [`crate::check`]).
+    fn open_envelope<T: Send + 'static>(&self, env: Envelope, wildcard: bool) -> (usize, Vec<T>) {
+        self.uni.checker().on_recv(
+            self.group.world_rank(),
+            env.ctx,
+            env.tag,
+            env.src,
+            env.stamp.as_ref(),
+            wildcard,
+        );
         self.clock.advance_to(env.arrival);
         let src_comm = self
-            .comm_rank_of_world(env.src)
+            .group
+            .rank_of_world(env.src)
             .expect("sender is a member of this communicator");
         let data = env
             .data
@@ -574,141 +255,316 @@ impl Comm {
         (src_comm, *data)
     }
 
-    /// Blocking receive of a vector from communicator rank `src` with `tag`.
-    ///
-    /// `tag` must be below [`Comm::MAX_USER_TAG`].
-    pub fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
-        Self::assert_user_tag(tag);
-        self.recv_vec_raw(src, tag)
-    }
-
-    pub(crate) fn recv_vec_raw<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.check_alive();
-        let env = self.take_envelope(SrcSel::Exact(self.members[src]), tag);
-        self.note_recv(&env, false);
-        self.open_envelope(env).1
-    }
-
-    /// Blocking receive from any source; returns `(src_comm_rank, data)`.
-    pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
-        Self::assert_user_tag(tag);
-        self.recv_any_raw(tag)
-    }
-
-    pub(crate) fn recv_any_raw<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.check_alive();
-        // Any-source matching must only consider members of this
-        // communicator; ctx filtering in the mailbox guarantees that.
-        let env = self.take_envelope(SrcSel::Any, tag);
-        self.note_recv(&env, true);
-        self.open_envelope(env)
-    }
-
-    /// Any-source receive whose match order is insensitive *by protocol*:
-    /// the caller keys chunks by source and hard-asserts against duplicates
-    /// (see [`crate::async_a2a`]). The happens-before edges are still
-    /// recorded; only the wildcard-nondeterminism finding is suppressed.
-    pub(crate) fn recv_any_unordered_raw<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.check_alive();
-        let env = self.take_envelope(SrcSel::Any, tag);
-        self.note_recv(&env, false);
-        self.open_envelope(env)
-    }
-
-    /// Blocking receive of the first message matching any `(src, tag)` pair
-    /// in `specs` (communicator ranks). Returns `(src_comm_rank, tag, data)`.
-    /// This is a true blocking wait: idle time advances with the message
-    /// arrival, not with polling.
-    pub(crate) fn recv_any_of_raw<T: Send + 'static>(
+    /// The one blocking receive: the first envelope matching any of
+    /// `specs`, as `(src_comm_rank, tag, data)`. A true blocking wait: idle
+    /// time advances with the message arrival, not with polling.
+    fn recv_first<T: Send + 'static>(
         &self,
-        specs: &[(usize, u64)],
+        specs: &[(SrcSel, u64)],
+        wildcard: bool,
     ) -> (usize, u64, Vec<T>) {
-        assert!(!specs.is_empty(), "recv_any_of needs at least one request");
         self.check_alive();
         self.inject_op_stall();
-        let world_specs: Vec<(SrcSel, u64)> = specs
-            .iter()
-            .map(|&(s, t)| (SrcSel::Exact(self.members[s]), t))
-            .collect();
-        let env = self.blocking_take(&world_specs);
-        self.note_recv(&env, false);
+        let env = self.blocking_take(specs);
         let tag = env.tag;
-        let (src, data) = self.open_envelope(env);
+        let (src, data) = self.open_envelope(env, wildcard);
         (src, tag, data)
+    }
+
+    /// Blocking any-source receive on `tag`.
+    fn recv_any_sel<T: Send + 'static>(&self, tag: u64, wildcard: bool) -> (usize, Vec<T>) {
+        let (src, _, data) = self.recv_first(&[(SrcSel::Any, tag)], wildcard);
+        (src, data)
+    }
+
+    /// Non-blocking receive of one envelope matching `(src, tag)`.
+    fn try_recv_sel<T: Send + 'static>(
+        &self,
+        src: SrcSel,
+        tag: u64,
+        wildcard: bool,
+    ) -> Option<(usize, Vec<T>)> {
+        self.check_alive();
+        self.uni.mailboxes[self.group.world_rank()]
+            .try_take(self.group.ctx(), src, tag)
+            .map(|env| self.open_envelope(env, wildcard))
+    }
+
+    fn exact(&self, src: usize) -> SrcSel {
+        SrcSel::Exact(self.group.world_rank_of(src))
+    }
+
+    // ---- simulator-only point-to-point ------------------------------------
+
+    /// Blocking receive from any source; returns `(src_comm_rank, data)`.
+    /// Any-source matching only considers members of this communicator
+    /// (ctx filtering in the mailbox guarantees that).
+    ///
+    /// `tag` must be below [`Comm::MAX_USER_TAG`].
+    pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
+        assert_user_tag(tag);
+        self.recv_any_sel(tag, true)
     }
 
     /// Non-blocking receive attempt from any source.
     pub fn try_recv_any<T: Send + 'static>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
-        Self::assert_user_tag(tag);
-        self.try_recv_any_raw(tag)
-    }
-
-    pub(crate) fn try_recv_any_raw<T: Send + 'static>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
-        self.check_alive();
-        let mb = &self.uni.mailboxes[self.world_rank()];
-        mb.try_take(self.ctx, SrcSel::Any, tag).map(|env| {
-            self.note_recv(&env, true);
-            self.open_envelope(env)
-        })
-    }
-
-    /// Non-blocking variant of [`Comm::recv_any_unordered_raw`].
-    pub(crate) fn try_recv_any_unordered_raw<T: Send + 'static>(
-        &self,
-        tag: u64,
-    ) -> Option<(usize, Vec<T>)> {
-        self.check_alive();
-        let mb = &self.uni.mailboxes[self.world_rank()];
-        mb.try_take(self.ctx, SrcSel::Any, tag).map(|env| {
-            self.note_recv(&env, false);
-            self.open_envelope(env)
-        })
+        assert_user_tag(tag);
+        self.try_recv_sel(SrcSel::Any, tag, true)
     }
 
     /// Non-blocking receive attempt from a specific source rank.
     pub fn try_recv_from<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<Vec<T>> {
-        Self::assert_user_tag(tag);
-        self.try_recv_from_raw(src, tag)
+        assert_user_tag(tag);
+        self.try_recv_sel(self.exact(src), tag, false)
+            .map(|(_, data)| data)
     }
 
-    pub(crate) fn try_recv_from_raw<T: Send + 'static>(
+    /// Blocking receive of the first message matching any `(src, tag)` pair
+    /// in `specs` (communicator ranks). Returns `(src_comm_rank, tag, data)`.
+    pub(crate) fn recv_any_of<T: Send + 'static>(
         &self,
-        src: usize,
-        tag: u64,
-    ) -> Option<Vec<T>> {
-        self.check_alive();
-        let mb = &self.uni.mailboxes[self.world_rank()];
-        mb.try_take(self.ctx, SrcSel::Exact(self.members[src]), tag)
-            .map(|env| {
-                self.note_recv(&env, false);
-                self.open_envelope(env).1
-            })
-    }
-
-    /// Blocking receive of a single value.
-    pub fn recv_val<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        Self::assert_user_tag(tag);
-        self.recv_val_raw(src, tag)
-    }
-
-    pub(crate) fn recv_val_raw<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        let v = self.recv_vec_raw::<T>(src, tag);
-        debug_assert_eq!(v.len(), 1, "recv_val expects single-element message");
-        v.into_iter().next().expect("non-empty message")
-    }
-
-    pub(crate) fn ctx(&self) -> u64 {
-        self.ctx
+        specs: &[(usize, u64)],
+    ) -> (usize, u64, Vec<T>) {
+        assert!(!specs.is_empty(), "recv_any_of needs at least one request");
+        let world_specs: Vec<(SrcSel, u64)> =
+            specs.iter().map(|&(s, t)| (self.exact(s), t)).collect();
+        self.recv_first(&world_specs, false)
     }
 }
 
-impl std::fmt::Debug for Comm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Comm")
-            .field("ctx", &self.ctx)
-            .field("rank", &self.my_index)
-            .field("size", &self.members.len())
-            .field("world_rank", &self.world_rank())
-            .finish()
+impl RawComm for Comm {
+    fn group(&self) -> &Group {
+        &self.group
+    }
+
+    /// The child communicator shares this rank's virtual clock.
+    fn with_group(&self, group: Group) -> Self {
+        Self::new(Arc::clone(&self.uni), group, Rc::clone(&self.clock))
+    }
+
+    fn cores_per_node(&self) -> usize {
+        self.uni.topology().cores_per_node()
+    }
+
+    fn node(&self) -> usize {
+        self.uni.topology().node_of(self.group.world_rank())
+    }
+
+    fn now(&self) -> f64 {
+        self.clock.now()
+    }
+
+    fn recorder(&self) -> &telemetry::Recorder {
+        &self.uni.recorder
+    }
+
+    /// Run `f`, measure its host time, charge it to the virtual clock.
+    fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
+        let me_w = self.group.world_rank();
+        let before = self.clock.now();
+        let r = self.clock.measure(f);
+        let factor = self.uni.faults().compute_factor(me_w);
+        if factor != 1.0 {
+            // Slowed rank: the same work takes `factor` times as long.
+            let dt = self.clock.now() - before;
+            self.clock.charge(dt * (factor - 1.0));
+        }
+        self.uni
+            .recorder
+            .add_compute(me_w, self.clock.now() - before);
+        r
+    }
+
+    fn charge_compute(&self, seconds: f64) {
+        let me_w = self.group.world_rank();
+        let seconds = seconds * self.uni.faults().compute_factor(me_w);
+        self.clock.charge(seconds);
+        self.uni.recorder.add_compute(me_w, seconds);
+    }
+
+    /// Attributes subsequent traced traffic (tracer matrices and telemetry
+    /// phase totals) to the named phase, and tells the deadlock watchdog
+    /// and the checker where this rank is.
+    fn trace_phase(&self, name: &str) {
+        let me_w = self.group.world_rank();
+        self.uni.tracer.set_phase(name);
+        self.uni.recorder.set_phase(name);
+        if self.uni.deadlock.timeout.is_some() {
+            *self.uni.deadlock.last_phase[me_w].lock() = name.to_string();
+        }
+        self.uni.checker().on_phase(me_w, name);
+    }
+
+    /// Two ranks touching the same key with no synchronization edge between
+    /// them (a message path or collective) are reported as a race at world
+    /// exit. No-op unless the world was built with [`crate::World::check`].
+    fn check_shared_read(&self, key: &str) {
+        self.uni
+            .checker()
+            .on_shared_read(self.group.world_rank(), key);
+    }
+
+    fn check_shared_write(&self, key: &str) {
+        self.uni
+            .checker()
+            .on_shared_write(self.group.world_rank(), key);
+    }
+
+    /// Reserve `bytes` of simulated memory on this rank. Under a
+    /// memory-pressure fault ramp, part of the budget is withheld and the
+    /// effective headroom shrinks over virtual time.
+    fn try_alloc(&self, bytes: usize) -> Result<(), OomError> {
+        let me_w = self.group.world_rank();
+        let withheld =
+            self.uni
+                .faults()
+                .withheld(me_w, self.clock.now(), self.uni.memory().budget());
+        let res = self.uni.memory().try_alloc_reserved(me_w, bytes, withheld);
+        let recorder = &self.uni.recorder;
+        if recorder.enabled() {
+            if let Err(e) = &res {
+                recorder.count("mem.oom", 1);
+                let detail = format!("requested {} with {} available", e.requested, e.available);
+                recorder.event(me_w, "oom", &detail, self.clock.now());
+            }
+            recorder.gauge_max("mem.high_water", self.uni.memory().high_water(me_w) as f64);
+        }
+        res
+    }
+
+    fn free(&self, bytes: usize) {
+        self.uni.memory().free(self.group.world_rank(), bytes);
+    }
+
+    /// Fraction of this rank's *effective* memory budget (budget minus any
+    /// fault-withheld bytes) that would be in use after reserving `extra`
+    /// more bytes. Drivers use this to detect memory pressure and degrade
+    /// gracefully before an allocation actually fails.
+    fn memory_pressure_with(&self, extra: usize) -> f64 {
+        let me_w = self.group.world_rank();
+        let budget = self.uni.memory().budget();
+        if budget == usize::MAX {
+            return 0.0;
+        }
+        let withheld = self.uni.faults().withheld(me_w, self.clock.now(), budget);
+        let effective = budget.saturating_sub(withheld).max(1);
+        self.uni.memory().used(me_w).saturating_add(extra) as f64 / effective as f64
+    }
+
+    /// Buffered: returns as soon as the envelope is enqueued. The sender's
+    /// clock is charged the injection cost from the network model, and the
+    /// envelope carries its modelled arrival time.
+    fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.check_alive();
+        self.inject_op_stall();
+        let bytes = std::mem::size_of::<T>() * data.len();
+        let src_w = self.group.world_rank();
+        let dst_w = self.group.world_rank_of(dst);
+        let ctx = self.group.ctx();
+        let topo = self.uni.topology();
+        let net = self.uni.net();
+        let (inject, transit, reorder_depth) = match self.uni.faults().message(src_w, dst_w) {
+            Some(mf) => {
+                let (i, t) = net.perturbed_times(topo, src_w, dst_w, bytes, &mf);
+                (i, t, mf.reorder_depth)
+            }
+            None => (
+                net.inject_time(topo, src_w, dst_w, bytes),
+                net.transit_time(topo, src_w, dst_w, bytes),
+                0,
+            ),
+        };
+        self.charge_comm(inject);
+        let arrival = self.clock.now() + transit;
+        self.uni.stats().record(bytes);
+        self.uni.tracer.record(src_w, dst_w, bytes);
+        self.uni.recorder.on_send(src_w, dst_w, bytes);
+        let stamp = self.uni.checker().on_send(src_w, dst_w, ctx, tag);
+        self.uni.mailboxes[dst_w].push_reordered(
+            Envelope {
+                ctx,
+                src: src_w,
+                tag,
+                data: Box::new(data),
+                bytes,
+                arrival,
+                stamp,
+            },
+            reorder_depth,
+        );
+        if self.uni.deadlock.timeout.is_some() {
+            self.uni.deadlock.progress.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
+        self.recv_first(&[(self.exact(src), tag)], false).2
+    }
+
+    // The asynchronous all-to-all's any-source matching is
+    // order-insensitive by protocol (chunks are keyed by source and
+    // duplicates hard-asserted), so the happens-before edges are recorded
+    // but the wildcard-nondeterminism finding is suppressed.
+    fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
+        self.recv_any_sel(tag, false)
+    }
+
+    fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
+        self.try_recv_sel(SrcSel::Any, tag, false)
+    }
+
+    /// Progress cost of testing the outstanding requests (`MPI_Test`
+    /// sweep): grows with the number of pending peers, which is what erodes
+    /// the overlap benefit at large process counts (Fig. 5b).
+    fn async_test_sweep(&self, pending: usize) {
+        self.charge_comm(self.uni.net().async_test_overhead * pending as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ::comm::Communicator;
+
+    /// A generic driver exercised through the trait only: proves the trait
+    /// surface is sufficient for collective + p2p round trips.
+    fn trait_driver<C: Communicator>(comm: &C) -> (u64, Vec<u64>) {
+        let sum = comm.allreduce(comm.rank() as u64 + 1, |a, b| a + b);
+        let next = (comm.rank() + 1) % comm.size();
+        let prev = (comm.rank() + comm.size() - 1) % comm.size();
+        comm.send_val(next, 7, comm.rank() as u64);
+        let from_prev: u64 = comm.recv_val(prev, 7);
+        assert_eq!(from_prev as usize, prev);
+        let gathered = comm.allgather(&[comm.rank() as u64]);
+        (sum, gathered)
+    }
+
+    #[test]
+    fn comm_implements_the_trait() {
+        let p = 4;
+        let report = crate::World::new(p).run(|comm| trait_driver(comm));
+        for (sum, gathered) in report.results {
+            assert_eq!(sum, (1..=p as u64).sum());
+            assert_eq!(gathered, (0..p as u64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn async_exchange_through_the_trait() {
+        let p = 4;
+        let report = crate::World::new(p).run(|comm| {
+            let data: Vec<u64> = (0..p as u64).map(|i| i * 10 + comm.rank() as u64).collect();
+            let counts = vec![1usize; p];
+            let mut pending = Communicator::alltoallv_async(comm, &data, &counts);
+            let mut by_src = vec![0u64; p];
+            while let Some((src, chunk)) = ::comm::AsyncExchange::wait_any(&mut pending, comm) {
+                assert_eq!(chunk.len(), 1);
+                by_src[src] = chunk[0];
+            }
+            by_src
+        });
+        for (r, by_src) in report.results.iter().enumerate() {
+            let want: Vec<u64> = (0..p as u64).map(|src| r as u64 * 10 + src).collect();
+            assert_eq!(*by_src, want);
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use mpisim::World;
+//! use mpisim::{Communicator, World};
 //!
 //! let report = World::new(4).cores_per_node(2).run(|comm| {
 //!     // Every rank contributes its rank id; allreduce sums them.
@@ -30,11 +30,8 @@
 
 #![warn(missing_docs)]
 
-pub mod abstraction;
-pub mod async_a2a;
 pub mod check;
 pub mod clock;
-pub mod collectives;
 pub mod comm;
 pub mod error;
 pub mod faults;
@@ -43,12 +40,10 @@ pub mod memory;
 pub mod netmodel;
 pub mod p2p;
 pub mod runtime;
-pub mod split;
 pub mod topology;
 pub mod trace;
 pub mod universe;
 
-pub use async_a2a::AsyncAlltoallv;
 pub use check::RaceError;
 pub use clock::VirtualClock;
 pub use comm::Comm;
@@ -65,6 +60,6 @@ pub use universe::{DeadlockError, Universe};
 // without a direct dependency.
 pub use telemetry;
 
-// The backend-neutral trait this simulator implements (see `abstraction`),
-// re-exported so tests and drivers can bring it into scope from here.
+// The backend-neutral surface every `Comm` gets from `comm::raw`'s blanket
+// impl, re-exported so tests and drivers can bring it into scope from here.
 pub use ::comm::{AsyncExchange, Communicator};

@@ -9,6 +9,8 @@
 //! progress overhead just like the async all-to-all.
 
 use crate::comm::Comm;
+use ::comm::raw::assert_user_tag;
+use ::comm::{Communicator, Wire};
 
 /// Handle to a posted nonblocking receive.
 ///
@@ -23,33 +25,25 @@ pub struct RecvRequest<T> {
 impl Comm {
     /// Post a buffered (immediately completing) send — `MPI_Isend` with an
     /// implementation that buffers. Provided for symmetry and clarity at
-    /// call sites; identical to [`Comm::send_vec`].
-    pub fn isend<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
+    /// call sites; identical to [`Communicator::send_vec`].
+    pub fn isend<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
         self.send_vec(dst, tag, data);
     }
 
     /// Post a nonblocking receive for a message from `src` with `tag`.
     ///
     /// `tag` must be below [`Comm::MAX_USER_TAG`].
-    pub fn irecv<T: Send + 'static>(&self, src: usize, tag: u64) -> RecvRequest<T> {
-        assert!(
-            tag < Self::MAX_USER_TAG,
-            "tag {tag} is outside the user tag space: tags at or above \
-             Comm::MAX_USER_TAG (2^48) are reserved for collective operations"
-        );
+    pub fn irecv<T: Wire>(&self, src: usize, tag: u64) -> RecvRequest<T> {
+        assert_user_tag(tag);
         RecvRequest {
             src,
             tag,
             done: None,
         }
     }
-
-    pub(crate) fn try_take_from<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<Vec<T>> {
-        self.try_recv_from(src, tag)
-    }
 }
 
-impl<T: Send + 'static> RecvRequest<T> {
+impl<T: Wire> RecvRequest<T> {
     /// Nonblocking completion test (`MPI_Test`). Returns `true` once the
     /// message has arrived (after which [`wait`](Self::wait) is
     /// immediate). Charges the model's per-test progress overhead.
@@ -58,7 +52,7 @@ impl<T: Send + 'static> RecvRequest<T> {
             return true;
         }
         comm.charge_comm(comm.universe().net().async_test_overhead);
-        if let Some(data) = comm.try_take_from::<T>(self.src, self.tag) {
+        if let Some(data) = comm.try_recv_from::<T>(self.src, self.tag) {
             self.done = Some(data);
             true
         } else {
@@ -91,7 +85,7 @@ impl<T: Send + 'static> RecvRequest<T> {
 /// the blocking receive. The virtual-time cost of an idle wait is therefore
 /// one sweep plus the arrival gap, independent of how long the OS schedules
 /// the receiver to sleep.
-pub fn wait_any<T: Send + 'static>(
+pub fn wait_any<T: Wire>(
     comm: &Comm,
     requests: &mut Vec<RecvRequest<T>>,
 ) -> Option<(usize, Vec<T>)> {
@@ -102,7 +96,7 @@ pub fn wait_any<T: Send + 'static>(
     comm.charge_comm(comm.universe().net().async_test_overhead * requests.len() as f64);
     for i in 0..requests.len() {
         let ready = requests[i].done.is_some()
-            || match comm.try_take_from::<T>(requests[i].src, requests[i].tag) {
+            || match comm.try_recv_from::<T>(requests[i].src, requests[i].tag) {
                 Some(data) => {
                     requests[i].done = Some(data);
                     true
@@ -117,7 +111,7 @@ pub fn wait_any<T: Send + 'static>(
     }
     // Nothing ready: block on the set of outstanding (src, tag) pairs.
     let specs: Vec<(usize, u64)> = requests.iter().map(|r| (r.src, r.tag)).collect();
-    let (src, tag, data) = comm.recv_any_of_raw::<T>(&specs);
+    let (src, tag, data) = comm.recv_any_of::<T>(&specs);
     let i = requests
         .iter()
         .position(|r| r.src == src && r.tag == tag)
@@ -130,6 +124,7 @@ pub fn wait_any<T: Send + 'static>(
 mod tests {
     use crate::netmodel::NetModel;
     use crate::runtime::World;
+    use ::comm::Communicator;
 
     use super::wait_any;
 

@@ -12,6 +12,7 @@ use crate::faults::FaultSpec;
 use crate::netmodel::NetModel;
 use crate::topology::Topology;
 use crate::universe::Universe;
+use ::comm::raw::Group;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -196,8 +197,8 @@ impl World {
                 let handle = builder
                     .spawn_scoped(scope, move || {
                         let clock = Rc::new(VirtualClock::new(compute_scale));
-                        let mut comm =
-                            Comm::new(Arc::clone(&uni), 0, members, rank, Rc::clone(&clock));
+                        let group = Group::new(0, members, rank);
+                        let mut comm = Comm::new(Arc::clone(&uni), group, Rc::clone(&clock));
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                         match out {
                             Ok(r) => {

@@ -1,5 +1,5 @@
 //! Shared state of one simulated world: mailboxes, topology, network model,
-//! memory tracker, context-id registry, and abort flag.
+//! memory tracker, and abort flag.
 
 use crate::check::Checker;
 use crate::faults::{FaultSpec, Faults};
@@ -9,7 +9,6 @@ use crate::netmodel::NetModel;
 use crate::topology::Topology;
 use crate::trace::Tracer;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -113,11 +112,6 @@ pub struct Universe {
     pub(crate) faults: Faults,
     pub(crate) deadlock: DeadlockWatch,
     pub(crate) checker: Checker,
-    /// Deterministic context-id registry for communicator splits: all ranks
-    /// performing the same (parent ctx, split sequence number, color) split
-    /// must agree on the child context id, regardless of arrival order.
-    contexts: Mutex<HashMap<(u64, u64, i64), u64>>,
-    next_ctx: AtomicU64,
 }
 
 impl Universe {
@@ -147,9 +141,6 @@ impl Universe {
             aborted: AtomicBool::new(false),
             stats: NetStats::default(),
             tracer: Tracer::new(size, trace),
-            contexts: Mutex::new(HashMap::new()),
-            // ctx 0 is the world communicator.
-            next_ctx: AtomicU64::new(1),
         }
     }
 
@@ -169,15 +160,6 @@ impl Universe {
         if self.deadlock.timeout.is_some() {
             self.deadlock.blocked.fetch_add(1, Ordering::SeqCst);
         }
-    }
-
-    /// Look up (or allocate) the context id for a split of `parent_ctx`
-    /// identified by `(split_seq, color)`. Deterministic across ranks: the
-    /// first rank to arrive allocates, later ranks read the same id.
-    pub(crate) fn context_for_split(&self, parent_ctx: u64, split_seq: u64, color: i64) -> u64 {
-        let mut map = self.contexts.lock();
-        *map.entry((parent_ctx, split_seq, color))
-            .or_insert_with(|| self.next_ctx.fetch_add(1, Ordering::SeqCst))
     }
 
     /// Mark the world as aborted and wake every blocked receiver.
@@ -239,22 +221,6 @@ mod tests {
             None,
             false,
         )
-    }
-
-    #[test]
-    fn context_registry_is_deterministic() {
-        let u = uni(4);
-        let a = u.context_for_split(0, 0, 7);
-        let b = u.context_for_split(0, 0, 7);
-        assert_eq!(a, b);
-        let c = u.context_for_split(0, 0, 8);
-        assert_ne!(a, c);
-        let d = u.context_for_split(0, 1, 7);
-        assert_ne!(a, d);
-        // world ctx 0 is never handed out
-        assert_ne!(a, 0);
-        assert_ne!(c, 0);
-        assert_ne!(d, 0);
     }
 
     #[test]

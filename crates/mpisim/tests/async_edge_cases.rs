@@ -1,7 +1,7 @@
 //! Edge-case regressions for the asynchronous all-to-all: empty self
 //! chunks, single-rank worlds, all-empty counts, sparse patterns, handles
 //! interleaved with collectives, and `p2p::wait_any` request identity.
-use mpisim::{NetModel, World};
+use mpisim::{AsyncExchange, Communicator, NetModel, World};
 
 #[test]
 fn single_rank_nonempty() {

@@ -1,7 +1,7 @@
 //! Integration tests: collectives agree with sequential reference results
 //! for a range of world sizes, including non-power-of-two sizes.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 
 fn world(p: usize) -> World {
     World::new(p).cores_per_node(4).net(NetModel::zero())
@@ -213,13 +213,17 @@ fn scan_inclusive_prefix() {
 #[test]
 fn scatter_equal_chunks() {
     let p = 4;
-    let report = world(p).run(move |comm| {
-        let data: Option<Vec<u32>> = (comm.rank() == 1).then(|| (0..(p as u32) * 3).collect());
-        comm.scatter(1, data.as_deref())
-    });
-    for (rank, chunk) in report.results.into_iter().enumerate() {
-        let base = rank as u32 * 3;
-        assert_eq!(chunk, vec![base, base + 1, base + 2]);
+    // An empty buffer is `p` equal chunks of length 0.
+    for len in [3u32, 0] {
+        let report = world(p).run(move |comm| {
+            let data: Option<Vec<u32>> =
+                (comm.rank() == 1).then(|| (0..(p as u32) * len).collect());
+            comm.scatter(1, data.as_deref())
+        });
+        for (rank, chunk) in report.results.into_iter().enumerate() {
+            let base = rank as u32 * len;
+            assert_eq!(chunk, (base..base + len).collect::<Vec<_>>());
+        }
     }
 }
 
@@ -249,4 +253,24 @@ fn reduce_scatter_sums_columns() {
         let expect: u64 = (0..p).map(|r| (r * 10 + rank) as u64).sum();
         assert_eq!(sum, expect);
     }
+}
+
+/// A resident world keeps one communicator for its whole life; the
+/// collective tag allocator must not run out after 2^15 operations (a
+/// `split` alone uses three).
+#[test]
+fn forty_thousand_collectives_on_one_communicator() {
+    let report = world(2).run(|comm| {
+        for _ in 0..11_000 {
+            let child = comm
+                .split(Some(0), comm.rank() as i64)
+                .expect("every rank has a color");
+            assert_eq!(child.size(), 2);
+        }
+        for _ in 0..7_000 {
+            comm.barrier();
+        }
+        comm.allreduce(comm.rank() as u64 + 1, |a, b| a + b)
+    });
+    assert_eq!(report.results, vec![3, 3]);
 }

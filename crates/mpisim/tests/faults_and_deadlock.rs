@@ -6,7 +6,7 @@
 //! in-flight async-exchange chunks), and `p2p::wait_any` busy-poll
 //! charging unbounded schedule-dependent virtual time while idle.
 
-use mpisim::{Comm, DeadlockError, FaultSpec, NetModel, World};
+use mpisim::{Comm, Communicator, DeadlockError, FaultSpec, NetModel, World};
 use std::time::Duration;
 
 // ---- user-tag / collective-tag isolation ------------------------------

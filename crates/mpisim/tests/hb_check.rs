@@ -3,7 +3,7 @@
 //! (including every pattern the tier-1 suite relies on) run clean with
 //! checking enabled.
 
-use mpisim::{NetModel, RaceError, World};
+use mpisim::{AsyncExchange, Communicator, NetModel, RaceError, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const DATA_TAG: u64 = 5;

@@ -1,7 +1,7 @@
 //! Property tests: collectives agree with sequential reference
 //! computations for arbitrary inputs, sizes, and roots.
 
-use mpisim::{NetModel, World};
+use mpisim::{AsyncExchange, Communicator, NetModel, World};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

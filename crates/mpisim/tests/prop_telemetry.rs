@@ -2,7 +2,7 @@
 //! matrices — totals, per-phase splits, and inter-node classification —
 //! for arbitrary all-to-all length matrices and arbitrary rank→node maps.
 
-use mpisim::{NetModel, Topology, World};
+use mpisim::{Communicator, NetModel, Topology, World};
 use proptest::prelude::*;
 
 fn count_for(seed: u64, p: usize, src: usize, dst: usize) -> usize {

@@ -1,7 +1,7 @@
 //! Integration tests: world execution semantics — panic propagation,
 //! virtual clocks, memory budgets, point-to-point ordering.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 
 #[test]
 fn results_in_rank_order() {

@@ -2,7 +2,7 @@
 //! leaders) and the asynchronous all-to-all used for exchange/compute
 //! overlap.
 
-use mpisim::{NetModel, World};
+use mpisim::{AsyncExchange, Communicator, NetModel, World};
 
 fn world(p: usize, cores: usize) -> World {
     World::new(p).cores_per_node(cores).net(NetModel::zero())

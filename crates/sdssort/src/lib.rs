@@ -17,7 +17,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use mpisim::{NetModel, World};
+//! use mpisim::{Communicator, NetModel, World};
 //! use sdssort::{sds_sort, SdsConfig};
 //!
 //! let report = World::new(4).net(NetModel::zero()).run(|comm| {

@@ -2,7 +2,7 @@
 //! configurations of `sds_sort` that the workload-centric suites don't
 //! target directly.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, SdsConfig, SortError};
 
 fn world(p: usize) -> World {

@@ -3,7 +3,7 @@
 //! with bounded virtual-time inflation; plus the graceful-degradation
 //! (spill) scenarios and the faults-layer observer-purity guarantee.
 
-use mpisim::{FaultSpec, NetModel, World};
+use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, ComputeModel, Record,
     ResilienceConfig, SdsConfig, SortError,

@@ -2,7 +2,7 @@
 //! must globally sort sample blocks, and all pivot-selection paths must
 //! return the same regular-position pivots on every rank.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use rand::prelude::*;
 use sdssort::pivots::{
     bitonic_block_sort, odd_even_block_sort, reference_pivots, select_global_pivots, PivotMethod,

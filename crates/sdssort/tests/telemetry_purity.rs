@@ -8,7 +8,7 @@
 //! (the overlapped exchange consumes chunks in arrival order, which is
 //! schedule-dependent).
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, ComputeModel, SdsConfig};
 
 /// Deterministic per-rank input: a mix of a shared heavy key (exercises

@@ -1,24 +1,18 @@
-//! The threads-backend communicator: [`ThreadComm`] implements
-//! [`comm::Communicator`] over bounded mailboxes and real wall-clock time.
+//! The threads-backend communicator: [`ThreadComm`] is a
+//! [`comm::raw::RawComm`] transport over bounded mailboxes and real
+//! wall-clock time.
 //!
-//! The collective primitives are the *shared* algorithm bodies in
-//! [`comm::raw`] — dissemination barrier, binomial broadcast, rank-order
-//! gatherv, staggered `alltoallv`, async self-first protocol — which
-//! reproduce the simulator's algorithms and wire patterns exactly.
-//! `ThreadComm` supplies only the raw substrate ([`comm::raw::RawComm`]):
-//! mailbox-backed reserved-tag send/recv and the collective tag allocator.
-//! The composed collectives come from the trait's provided defaults, which
-//! mirror the simulator's decompositions. Together with the identical
-//! reserved-tag scheme this keeps the backends' collective *results*
-//! (including deterministic rank-order reduction folds) bit-identical;
-//! only arrival timing differs.
+//! Everything above raw send/receive — the [`comm::Communicator`] impl,
+//! the collective algorithm bodies, the reserved-tag allocator, `split` —
+//! is the single copy in [`comm::raw`], the same code the simulator and the
+//! sockets backend run. That keeps the backends' collective *results*
+//! (including deterministic rank-order reduction folds) bit-identical; only
+//! arrival timing differs.
 
 use crate::mailbox::{Envelope, SrcSel};
 use crate::universe::Universe;
-use ::comm::raw::{self, RawAsync, RawComm};
-use ::comm::{Communicator, OomError, Wire, MAX_USER_TAG};
-use std::cell::Cell;
-use std::collections::HashMap;
+use ::comm::raw::{Group, RawComm};
+use ::comm::Wire;
 use std::sync::Arc;
 
 /// Panic payload used when a rank unwinds *because another rank panicked*
@@ -30,52 +24,16 @@ pub struct ShmemAborted {
     pub rank: usize,
 }
 
-/// Handle to an in-flight asynchronous `alltoallv` on the threads backend:
-/// the shared raw-substrate handle from [`comm::raw`].
-pub type ShmemAsync<T> = RawAsync<T>;
-
-/// A rank-local handle to a threads-backend communicator. `!Send` by
-/// construction (collective sequence counters are `Cell`s): a rank's
-/// communicator lives on that rank's thread.
+/// A rank-local handle to a threads-backend communicator; it lives on that
+/// rank's thread.
 pub struct ThreadComm {
     uni: Arc<Universe>,
-    /// Context id distinguishing this communicator's traffic.
-    ctx: u64,
-    /// World ranks of the members, ordered by communicator rank.
-    members: Arc<[usize]>,
-    /// Map from world rank to communicator rank for members.
-    world_to_comm: Arc<HashMap<usize, usize>>,
-    /// This rank's position within `members`.
-    my_index: usize,
-    /// Number of splits performed (for deterministic child context ids).
-    split_seq: Cell<u64>,
-    /// Number of collective operations performed (for tag isolation).
-    coll_seq: Cell<u64>,
+    group: Group,
 }
 
 impl ThreadComm {
-    pub(crate) fn new(
-        uni: Arc<Universe>,
-        ctx: u64,
-        members: Arc<[usize]>,
-        my_index: usize,
-    ) -> Self {
-        let world_to_comm = Arc::new(
-            members
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (w, i))
-                .collect::<HashMap<_, _>>(),
-        );
-        Self {
-            uni,
-            ctx,
-            members,
-            world_to_comm,
-            my_index,
-            split_seq: Cell::new(0),
-            coll_seq: Cell::new(0),
-        }
+    pub(crate) fn new(uni: Arc<Universe>, group: Group) -> Self {
+        Self { uni, group }
     }
 
     /// The shared world state.
@@ -83,28 +41,26 @@ impl ThreadComm {
         &self.uni
     }
 
+    fn abort_unwind(&self) -> ! {
+        std::panic::panic_any(ShmemAborted {
+            rank: self.group.rank(),
+        })
+    }
+
     fn check_alive(&self) {
         if self.uni.is_aborted() {
-            std::panic::panic_any(ShmemAborted {
-                rank: self.my_index,
-            });
+            self.abort_unwind();
         }
     }
 
-    #[track_caller]
-    fn assert_user_tag(tag: u64) {
-        assert!(
-            tag < MAX_USER_TAG,
-            "tag {tag} is outside the user tag space: tags at or above \
-             MAX_USER_TAG (2^48) are reserved for collective operations"
-        );
+    fn my_mailbox(&self) -> &crate::mailbox::Mailbox {
+        &self.uni.mailboxes[self.group.world_rank()]
     }
 
     fn open_envelope<T: Send + 'static>(&self, env: Envelope) -> (usize, Vec<T>) {
         let src_comm = self
-            .world_to_comm
-            .get(&env.src)
-            .copied()
+            .group
+            .rank_of_world(env.src)
             .expect("sender is a member of this communicator");
         let data = env
             .data
@@ -116,44 +72,47 @@ impl ThreadComm {
 
     fn recv_sel_raw<T: Send + 'static>(&self, src: SrcSel, tag: u64) -> (usize, Vec<T>) {
         self.check_alive();
-        let me_w = self.members[self.my_index];
-        match self.uni.mailboxes[me_w].take(self.ctx, src, tag, &self.uni.aborted) {
+        match self
+            .my_mailbox()
+            .take(self.group.ctx(), src, tag, &self.uni.aborted)
+        {
             Some(env) => self.open_envelope(env),
-            None => std::panic::panic_any(ShmemAborted {
-                rank: self.my_index,
-            }),
+            None => self.abort_unwind(),
         }
-    }
-
-    fn next_split_seq(&self) -> u64 {
-        let s = self.split_seq.get();
-        self.split_seq.set(s + 1);
-        s
-    }
-}
-
-impl std::fmt::Debug for ThreadComm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadComm")
-            .field("ctx", &self.ctx)
-            .field("rank", &self.my_index)
-            .field("size", &self.members.len())
-            .field("world_rank", &self.members[self.my_index])
-            .finish()
     }
 }
 
 impl RawComm for ThreadComm {
+    fn group(&self) -> &Group {
+        &self.group
+    }
+
+    fn with_group(&self, group: Group) -> Self {
+        Self::new(Arc::clone(&self.uni), group)
+    }
+
+    fn cores_per_node(&self) -> usize {
+        self.uni.cores_per_node
+    }
+
+    fn now(&self) -> f64 {
+        self.uni.start.elapsed().as_secs_f64()
+    }
+
+    fn recorder(&self) -> &telemetry::Recorder {
+        &self.uni.recorder
+    }
+
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
         self.check_alive();
         let bytes = std::mem::size_of::<T>() * data.len();
-        let src_w = self.members[self.my_index];
-        let dst_w = self.members[dst];
+        let src_w = self.group.world_rank();
+        let dst_w = self.group.world_rank_of(dst);
         self.uni.stats.record(bytes);
         self.uni.recorder.on_send(src_w, dst_w, bytes);
         let delivered = self.uni.mailboxes[dst_w].push(
             Envelope {
-                ctx: self.ctx,
+                ctx: self.group.ctx(),
                 src: src_w,
                 tag,
                 data: Box::new(data),
@@ -162,14 +121,13 @@ impl RawComm for ThreadComm {
             &self.uni.aborted,
         );
         if !delivered {
-            std::panic::panic_any(ShmemAborted {
-                rank: self.my_index,
-            });
+            self.abort_unwind();
         }
     }
 
     fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_sel_raw(SrcSel::Exact(self.members[src]), tag).1
+        self.recv_sel_raw(SrcSel::Exact(self.group.world_rank_of(src)), tag)
+            .1
     }
 
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
@@ -178,159 +136,8 @@ impl RawComm for ThreadComm {
 
     fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
         self.check_alive();
-        let me_w = self.members[self.my_index];
-        self.uni.mailboxes[me_w]
-            .try_take(self.ctx, SrcSel::Any, tag)
+        self.my_mailbox()
+            .try_take(self.group.ctx(), SrcSel::Any, tag)
             .map(|env| self.open_envelope(env))
-    }
-
-    fn next_coll_tag(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        debug_assert!(
-            seq < (1 << 15),
-            "collective sequence number overflow risk (seq {seq})"
-        );
-        // Same reservation as the simulator: the space above MAX_USER_TAG,
-        // with round numbers (< 4096) added by the caller.
-        MAX_USER_TAG + (seq << 12)
-    }
-}
-
-impl Communicator for ThreadComm {
-    type Async<T: Wire> = ShmemAsync<T>;
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn rank(&self) -> usize {
-        self.my_index
-    }
-
-    fn world_rank(&self) -> usize {
-        self.members[self.my_index]
-    }
-
-    fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
-    fn cores_per_node(&self) -> usize {
-        self.uni.cores_per_node
-    }
-
-    fn node(&self) -> usize {
-        self.world_rank() / self.uni.cores_per_node
-    }
-
-    fn now(&self) -> f64 {
-        self.uni.start.elapsed().as_secs_f64()
-    }
-
-    fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = self.now();
-        let r = f();
-        self.uni
-            .recorder
-            .add_compute(self.world_rank(), self.now() - t0);
-        r
-    }
-
-    fn charge_compute(&self, seconds: f64) {
-        // Modeled charges shape *virtual* time; on a wall-clock backend the
-        // work takes the time it takes, so the charge is recorded for the
-        // ledger but the thread is not stalled.
-        self.uni.recorder.add_compute(self.world_rank(), seconds);
-    }
-
-    fn trace_phase(&self, name: &str) {
-        self.uni.recorder.set_phase(name);
-    }
-
-    fn recorder(&self) -> &telemetry::Recorder {
-        &self.uni.recorder
-    }
-
-    fn try_alloc(&self, _bytes: usize) -> Result<(), OomError> {
-        // No simulated budget on the real backend: host RAM is the budget.
-        Ok(())
-    }
-
-    fn free(&self, _bytes: usize) {}
-
-    fn memory_pressure_with(&self, _extra: usize) -> f64 {
-        0.0
-    }
-
-    fn send_vec<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        Self::assert_user_tag(tag);
-        self.send_raw(dst, tag, data);
-    }
-
-    fn recv_vec<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        Self::assert_user_tag(tag);
-        self.recv_vec_raw(src, tag)
-    }
-
-    fn barrier(&self) {
-        raw::barrier(self);
-    }
-
-    fn bcast<T: Wire>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
-        raw::bcast(self, root, data)
-    }
-
-    fn gatherv<T: Wire>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
-        raw::gatherv(self, root, data)
-    }
-
-    fn alltoall<T: Wire>(&self, data: &[T]) -> Vec<T> {
-        raw::alltoall(self, data)
-    }
-
-    fn alltoallv_given_counts<T: Wire>(
-        &self,
-        data: &[T],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Vec<T> {
-        raw::alltoallv_given_counts(self, data, send_counts, recv_counts)
-    }
-
-    fn alltoallv_async_given_counts<T: Wire>(
-        &self,
-        data: &[T],
-        send_counts: &[usize],
-        recv_counts: Vec<usize>,
-    ) -> ShmemAsync<T> {
-        raw::alltoallv_async_given_counts(self, data, send_counts, recv_counts)
-    }
-
-    fn scatterv<T: Wire>(&self, root: usize, chunks: Option<Vec<Vec<T>>>) -> Vec<T> {
-        raw::scatterv(self, root, chunks)
-    }
-
-    fn split(&self, color: Option<i64>, key: i64) -> Option<ThreadComm> {
-        // Shared group computation (allgather of (color, key) with the
-        // i64::MIN sentinel encoding, identical to the simulator's split);
-        // the split sequence number advances on every member, color or not,
-        // so later splits agree on context ids.
-        let group = raw::split_group(self, color, key);
-        let split_seq = self.next_split_seq();
-        let (old_ranks, my_index) = group?;
-        let my_color = color.expect("group membership implies a color");
-
-        let members: Arc<[usize]> = old_ranks
-            .iter()
-            .map(|&old| self.world_rank_of(old))
-            .collect();
-        let ctx = self.uni.context_for_split(self.ctx, split_seq, my_color);
-        Some(ThreadComm::new(
-            Arc::clone(&self.uni),
-            ctx,
-            members,
-            my_index,
-        ))
     }
 }

@@ -7,10 +7,10 @@
 //! epoch — so telemetry spans and the resulting `RunReport`s carry *real*
 //! times, not modeled ones.
 //!
-//! This is the second implementation of the [`comm::Communicator`]
-//! transport trait; the first is `mpisim`, the deterministic virtual-time
-//! simulator. The sort in `sdssort` is generic over the trait, so the same
-//! algorithm code runs on both:
+//! This is the second [`RawComm`](::comm::raw::RawComm) transport under
+//! the [`Communicator`](::comm::Communicator) trait; the first is `mpisim`,
+//! the deterministic virtual-time simulator. The sort in `sdssort` is
+//! generic over the trait, so the same algorithm code runs on both:
 //!
 //! - **mpisim** answers *"what would this cost on a modeled Cray XC30?"* —
 //!   single-threaded, reproducible to the tick, with invariant checking.
@@ -18,10 +18,10 @@
 //!   stay correct under true concurrency?"* — real threads, real races on
 //!   arrival order, real seconds.
 //!
-//! The collectives reproduce the simulator's algorithms and deterministic
-//! reduction orders (rank-order folds), so for a given seed both backends
-//! produce bit-identical sorted output; see the workspace's
-//! `backend_equivalence` tests.
+//! Both run the same collective bodies (`comm::raw`) with deterministic
+//! rank-order reduction folds, so for a given seed both backends produce
+//! bit-identical sorted output; see the workspace's `backend_equivalence`
+//! tests.
 //!
 //! ## Quick start
 //!
@@ -48,7 +48,7 @@ mod resident;
 mod universe;
 mod world;
 
-pub use crate::comm::{ShmemAborted, ShmemAsync, ThreadComm};
+pub use crate::comm::{ShmemAborted, ThreadComm};
 pub use resident::{GangError, ResidentWorld};
 pub use universe::{NetStats, Universe};
 pub use world::{ThreadReport, ThreadWorld};

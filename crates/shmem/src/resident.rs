@@ -21,6 +21,7 @@
 
 use crate::comm::{ShmemAborted, ThreadComm};
 use crate::universe::Universe;
+use comm::raw::Group;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -152,7 +153,7 @@ impl ResidentWorld {
                     // The communicator is built once and survives across
                     // jobs: collective sequence numbers keep advancing, so
                     // consecutive jobs can never collide on tags.
-                    let comm = ThreadComm::new(uni, 0, members, r);
+                    let comm = ThreadComm::new(uni, Group::new(0, members, r));
                     while let Ok(task) = rx.recv() {
                         let res = std::panic::catch_unwind(AssertUnwindSafe(|| (task.job)(&comm)));
                         match res {

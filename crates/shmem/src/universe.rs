@@ -2,9 +2,7 @@
 //! traffic stats, the wall-clock epoch, and the abort flag.
 
 use crate::mailbox::Mailbox;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::Recorder;
 
@@ -43,11 +41,6 @@ pub struct Universe {
     pub(crate) recorder: Recorder,
     /// Wall-clock epoch: `Communicator::now` reports seconds since this.
     pub(crate) start: Instant,
-    /// Deterministic context-id registry for communicator splits: all
-    /// ranks performing the same (parent ctx, split sequence, color) split
-    /// must agree on the child context id regardless of arrival order.
-    contexts: Mutex<HashMap<(u64, u64, i64), u64>>,
-    next_ctx: AtomicU64,
 }
 
 impl Universe {
@@ -66,19 +59,7 @@ impl Universe {
             stats: NetStats::default(),
             recorder: Recorder::new(node_of, telemetry),
             start: Instant::now(),
-            contexts: Mutex::new(HashMap::new()),
-            // ctx 0 is the world communicator.
-            next_ctx: AtomicU64::new(1),
         }
-    }
-
-    /// Look up (or allocate) the context id for a split of `parent_ctx`
-    /// identified by `(split_seq, color)`. First arrival allocates; later
-    /// ranks read the same id.
-    pub(crate) fn context_for_split(&self, parent_ctx: u64, split_seq: u64, color: i64) -> u64 {
-        let mut map = self.contexts.lock().expect("context registry poisoned");
-        *map.entry((parent_ctx, split_seq, color))
-            .or_insert_with(|| self.next_ctx.fetch_add(1, Ordering::SeqCst))
     }
 
     /// Mark the world as aborted and wake every blocked sender/receiver.
@@ -113,16 +94,6 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn context_registry_is_deterministic() {
-        let u = Universe::new(4, 2, 64, false);
-        let a = u.context_for_split(0, 0, 7);
-        assert_eq!(a, u.context_for_split(0, 0, 7));
-        assert_ne!(a, u.context_for_split(0, 0, 8));
-        assert_ne!(a, u.context_for_split(0, 1, 7));
-        assert_ne!(a, 0, "world ctx 0 is never handed out");
-    }
 
     #[test]
     fn stats_accumulate() {

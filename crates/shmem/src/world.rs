@@ -3,9 +3,9 @@
 
 use crate::comm::{ShmemAborted, ThreadComm};
 use crate::universe::Universe;
+use comm::raw::Group;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::time::Instant;
 use telemetry::Snapshot;
 
 /// Builder for a threads-backend world.
@@ -116,7 +116,6 @@ impl ThreadWorld {
         let members: Arc<[usize]> = (0..self.size).collect();
         let f = &f;
 
-        let t0 = Instant::now();
         let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.size)
                 .map(|r| {
@@ -125,7 +124,7 @@ impl ThreadWorld {
                     std::thread::Builder::new()
                         .name(format!("shmem-rank-{r}"))
                         .spawn_scoped(scope, move || {
-                            let comm = ThreadComm::new(Arc::clone(&uni), 0, members, r);
+                            let comm = ThreadComm::new(Arc::clone(&uni), Group::new(0, members, r));
                             let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
                             let wall = uni.start.elapsed().as_secs_f64();
                             match res {
@@ -149,7 +148,9 @@ impl ThreadWorld {
                 })
                 .collect()
         });
-        let wall_s = t0.elapsed().as_secs_f64();
+        // The same epoch as every `per_rank_wall` entry (and `now()`), so
+        // no rank can report finishing after the world did.
+        let wall_s = uni.start.elapsed().as_secs_f64();
 
         // Re-raise the original failure, preferring a payload that is NOT
         // the secondary abort marker; fall back to any payload.

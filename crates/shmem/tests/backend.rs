@@ -100,11 +100,59 @@ fn scatter_and_scatterv() {
         let vpart = comm.scatterv(1, chunks);
         let flat = (comm.rank() == 3).then(|| (0..2 * comm.size() as u64).collect::<Vec<_>>());
         let part = comm.scatter(3, flat.as_deref());
-        (vpart, part)
+        // An empty buffer is `p` equal chunks of length 0.
+        let none: Vec<u64> = comm.scatter(3, (comm.rank() == 3).then_some(&[][..]));
+        (vpart, part, none)
     });
-    for (r, (vpart, part)) in rep.results.into_iter().enumerate() {
+    for (r, (vpart, part, none)) in rep.results.into_iter().enumerate() {
         assert_eq!(vpart, vec![r as u64; r]);
         assert_eq!(part, vec![2 * r as u64, 2 * r as u64 + 1]);
+        assert!(none.is_empty());
+    }
+}
+
+/// A resident world keeps one communicator for its whole life (and the sort
+/// service splits it once per job); the collective tag allocator must not
+/// run out after 2^15 operations (a `split` alone uses three).
+#[test]
+fn forty_thousand_collectives_on_one_communicator() {
+    let rep = ThreadWorld::new(2).run(|comm| {
+        for _ in 0..11_000 {
+            let child = comm
+                .split(Some(0), comm.rank() as i64)
+                .expect("every rank has a color");
+            assert_eq!(child.size(), 2);
+        }
+        for _ in 0..7_000 {
+            comm.barrier();
+        }
+        comm.allreduce(comm.rank() as u64 + 1, |a, b| a + b)
+    });
+    assert_eq!(rep.results, vec![3, 3]);
+}
+
+/// The same exchange as `mpisim`'s
+/// `async_wait_any_charges_one_test_sweep_per_pending_chunk`: the shared
+/// handle delivers the same `(src, chunk)` set here, where the test sweep
+/// costs nothing.
+#[test]
+fn async_exchange_delivers_every_pending_chunk_once() {
+    let p = 5;
+    let rep = ThreadWorld::new(p).run(|comm| {
+        let me = comm.rank();
+        let counts: Vec<usize> = (0..p).map(|d| usize::from(d <= me)).collect();
+        let data: Vec<u64> = (0..=me).map(|d| (me * 10 + d) as u64).collect();
+        let mut pending = comm.alltoallv_async(&data, &counts);
+        let k = pending.remaining();
+        let mut got = pending.wait_all(comm);
+        got.sort();
+        assert!(pending.wait_any(comm).is_none());
+        (k, got)
+    });
+    for (r, (k, got)) in rep.results.iter().enumerate() {
+        assert_eq!(*k, p - r);
+        let want: Vec<(usize, Vec<u64>)> = (r..p).map(|s| (s, vec![(s * 10 + r) as u64])).collect();
+        assert_eq!(*got, want);
     }
 }
 

@@ -1,23 +1,21 @@
-//! The sockets-backend communicator: [`SockComm`] implements
-//! [`comm::Communicator`] over per-peer socket links and the shared
-//! bounded-mailbox matching discipline.
+//! The sockets-backend communicator: [`SockComm`] is a
+//! [`comm::raw::RawComm`] transport over per-peer socket links and the
+//! shared bounded-mailbox matching discipline.
 //!
-//! The collective algorithms are the shared bodies in [`comm::raw`] — the
-//! same dissemination barrier, binomial broadcast, rank-order gatherv,
-//! staggered `alltoallv` and async self-first protocol as the simulator
-//! and the threads backend — so collective *results* (including
-//! deterministic rank-order reduction folds) are bit-identical across all
-//! three backends. `SockComm` supplies only the raw substrate: frame
-//! encoding/decoding at the send/recv boundary, mailbox matching, and the
-//! identical `MAX_USER_TAG + (op_seq << 12)` collective tag reservation.
+//! `SockComm` supplies only frame encoding/decoding at the send/recv
+//! boundary and mailbox matching. The [`comm::Communicator`] impl, the
+//! collective algorithm bodies, the reserved-tag allocator and `split`
+//! (with its stateless hash-derived child context id — a process-per-rank
+//! world cannot share a registry) are the single copy in [`comm::raw`] that
+//! the simulator and the threads backend run too, so collective *results*
+//! (including deterministic rank-order reduction folds) are bit-identical
+//! across all three backends.
 
 use crate::frame::{Frame, FrameKind};
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
-use ::comm::raw::{self, RawAsync, RawComm};
-use ::comm::{Communicator, OomError, Wire, MAX_USER_TAG};
-use std::cell::Cell;
-use std::collections::HashMap;
+use ::comm::raw::{Group, RawComm};
+use ::comm::Wire;
 use std::sync::Arc;
 
 /// Panic payload used when a rank unwinds because the world aborted
@@ -29,68 +27,16 @@ pub struct SockAborted {
     pub rank: usize,
 }
 
-/// Handle to an in-flight asynchronous `alltoallv` on the sockets backend:
-/// the shared raw-substrate handle from [`comm::raw`].
-pub type SockAsync<T> = RawAsync<T>;
-
-/// Derive a child communicator context id from the parent's: a splitmix64
-/// hash chain over `(parent_ctx, split_seq, color)`. Every member of a
-/// split computes this locally from values all members agree on, so no
-/// shared registry (which a process-per-rank world cannot have) is needed;
-/// the high bit is forced so a derived context never collides with the
-/// world context 0.
-pub(crate) fn split_ctx(parent: u64, split_seq: u64, color: i64) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    mix(mix(mix(parent) ^ split_seq) ^ color as u64) | (1 << 63)
-}
-
-/// A rank-local handle to a sockets-backend communicator. `!Send` by
-/// construction (collective sequence counters are `Cell`s): a rank's
-/// communicator lives on that rank process's main thread.
+/// A rank-local handle to a sockets-backend communicator; it lives on that
+/// rank process's main thread.
 pub struct SockComm {
     uni: Arc<SockUniverse>,
-    /// Context id distinguishing this communicator's traffic.
-    ctx: u64,
-    /// World ranks of the members, ordered by communicator rank.
-    members: Arc<[usize]>,
-    /// Map from world rank to communicator rank for members.
-    world_to_comm: Arc<HashMap<usize, usize>>,
-    /// This rank's position within `members`.
-    my_index: usize,
-    /// Number of splits performed (for deterministic child context ids).
-    split_seq: Cell<u64>,
-    /// Number of collective operations performed (for tag isolation).
-    coll_seq: Cell<u64>,
+    group: Group,
 }
 
 impl SockComm {
-    pub(crate) fn new(
-        uni: Arc<SockUniverse>,
-        ctx: u64,
-        members: Arc<[usize]>,
-        my_index: usize,
-    ) -> Self {
-        let world_to_comm = Arc::new(
-            members
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (w, i))
-                .collect::<HashMap<_, _>>(),
-        );
-        Self {
-            uni,
-            ctx,
-            members,
-            world_to_comm,
-            my_index,
-            split_seq: Cell::new(0),
-            coll_seq: Cell::new(0),
-        }
+    pub(crate) fn new(uni: Arc<SockUniverse>, group: Group) -> Self {
+        Self { uni, group }
     }
 
     fn check_alive(&self) {
@@ -99,29 +45,19 @@ impl SockComm {
         }
     }
 
-    #[track_caller]
-    fn assert_user_tag(tag: u64) {
-        assert!(
-            tag < MAX_USER_TAG,
-            "tag {tag} is outside the user tag space: tags at or above \
-             MAX_USER_TAG (2^48) are reserved for collective operations"
-        );
-    }
-
     fn abort_unwind(&self) -> ! {
         // resume_unwind, not panic_any: this is deliberate control flow to
         // the catch_unwind in the rank runtime (which reports the dead
         // peer), so the panic hook's backtrace would be pure noise.
         std::panic::resume_unwind(Box::new(SockAborted {
-            rank: self.my_index,
+            rank: self.group.rank(),
         }))
     }
 
     fn open_envelope<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
         let src_comm = self
-            .world_to_comm
-            .get(&env.src)
-            .copied()
+            .group
+            .rank_of_world(env.src)
             .expect("sender is a member of this communicator");
         let bytes = env
             .data
@@ -142,35 +78,42 @@ impl SockComm {
 
     fn recv_sel_raw<T: Wire>(&self, src: SrcSel, tag: u64) -> (usize, Vec<T>) {
         self.check_alive();
-        match self.uni.mailbox.take(self.ctx, src, tag, &self.uni.aborted) {
+        match self
+            .uni
+            .mailbox
+            .take(self.group.ctx(), src, tag, &self.uni.aborted)
+        {
             Some(env) => self.open_envelope(env),
             None => self.abort_unwind(),
         }
     }
-
-    fn next_split_seq(&self) -> u64 {
-        let s = self.split_seq.get();
-        self.split_seq.set(s + 1);
-        s
-    }
-}
-
-impl std::fmt::Debug for SockComm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SockComm")
-            .field("ctx", &self.ctx)
-            .field("rank", &self.my_index)
-            .field("size", &self.members.len())
-            .field("world_rank", &self.members[self.my_index])
-            .finish()
-    }
 }
 
 impl RawComm for SockComm {
+    fn group(&self) -> &Group {
+        &self.group
+    }
+
+    fn with_group(&self, group: Group) -> Self {
+        Self::new(Arc::clone(&self.uni), group)
+    }
+
+    fn cores_per_node(&self) -> usize {
+        self.uni.cores_per_node
+    }
+
+    fn now(&self) -> f64 {
+        self.uni.start.elapsed().as_secs_f64()
+    }
+
+    fn recorder(&self) -> &telemetry::Recorder {
+        &self.uni.recorder
+    }
+
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
         self.check_alive();
-        let src_w = self.members[self.my_index];
-        let dst_w = self.members[dst];
+        let src_w = self.group.world_rank();
+        let dst_w = self.group.world_rank_of(dst);
         let mut payload = Vec::new();
         T::put_slice(&data, &mut payload);
         let bytes = payload.len();
@@ -180,7 +123,7 @@ impl RawComm for SockComm {
             // Self-send: straight into the local mailbox, no socket.
             let delivered = self.uni.mailbox.push(
                 Envelope {
-                    ctx: self.ctx,
+                    ctx: self.group.ctx(),
                     src: src_w,
                     tag,
                     data: Box::new(payload),
@@ -195,7 +138,7 @@ impl RawComm for SockComm {
         }
         let frame = Frame {
             kind: FrameKind::Data,
-            ctx: self.ctx,
+            ctx: self.group.ctx(),
             src: src_w as u32,
             tag,
             payload,
@@ -211,7 +154,8 @@ impl RawComm for SockComm {
     }
 
     fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_sel_raw(SrcSel::Exact(self.members[src]), tag).1
+        self.recv_sel_raw(SrcSel::Exact(self.group.world_rank_of(src)), tag)
+            .1
     }
 
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
@@ -222,166 +166,7 @@ impl RawComm for SockComm {
         self.check_alive();
         self.uni
             .mailbox
-            .try_take(self.ctx, SrcSel::Any, tag)
+            .try_take(self.group.ctx(), SrcSel::Any, tag)
             .map(|env| self.open_envelope(env))
-    }
-
-    fn next_coll_tag(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        debug_assert!(
-            seq < (1 << 15),
-            "collective sequence number overflow risk (seq {seq})"
-        );
-        // Same reservation as the simulator and the threads backend.
-        MAX_USER_TAG + (seq << 12)
-    }
-}
-
-impl Communicator for SockComm {
-    type Async<T: Wire> = SockAsync<T>;
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn rank(&self) -> usize {
-        self.my_index
-    }
-
-    fn world_rank(&self) -> usize {
-        self.members[self.my_index]
-    }
-
-    fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
-    fn cores_per_node(&self) -> usize {
-        self.uni.cores_per_node
-    }
-
-    fn node(&self) -> usize {
-        self.world_rank() / self.uni.cores_per_node
-    }
-
-    fn now(&self) -> f64 {
-        self.uni.start.elapsed().as_secs_f64()
-    }
-
-    fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = self.now();
-        let r = f();
-        self.uni
-            .recorder
-            .add_compute(self.world_rank(), self.now() - t0);
-        r
-    }
-
-    fn charge_compute(&self, seconds: f64) {
-        // Wall-clock backend: record the modeled charge, don't stall.
-        self.uni.recorder.add_compute(self.world_rank(), seconds);
-    }
-
-    fn trace_phase(&self, name: &str) {
-        self.uni.recorder.set_phase(name);
-    }
-
-    fn recorder(&self) -> &telemetry::Recorder {
-        &self.uni.recorder
-    }
-
-    fn try_alloc(&self, _bytes: usize) -> Result<(), OomError> {
-        // No simulated budget: each rank process is bounded by host RAM.
-        Ok(())
-    }
-
-    fn free(&self, _bytes: usize) {}
-
-    fn memory_pressure_with(&self, _extra: usize) -> f64 {
-        0.0
-    }
-
-    fn send_vec<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        Self::assert_user_tag(tag);
-        self.send_raw(dst, tag, data);
-    }
-
-    fn recv_vec<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        Self::assert_user_tag(tag);
-        self.recv_vec_raw(src, tag)
-    }
-
-    fn barrier(&self) {
-        raw::barrier(self);
-    }
-
-    fn bcast<T: Wire>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
-        raw::bcast(self, root, data)
-    }
-
-    fn gatherv<T: Wire>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
-        raw::gatherv(self, root, data)
-    }
-
-    fn alltoall<T: Wire>(&self, data: &[T]) -> Vec<T> {
-        raw::alltoall(self, data)
-    }
-
-    fn alltoallv_given_counts<T: Wire>(
-        &self,
-        data: &[T],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Vec<T> {
-        raw::alltoallv_given_counts(self, data, send_counts, recv_counts)
-    }
-
-    fn alltoallv_async_given_counts<T: Wire>(
-        &self,
-        data: &[T],
-        send_counts: &[usize],
-        recv_counts: Vec<usize>,
-    ) -> SockAsync<T> {
-        raw::alltoallv_async_given_counts(self, data, send_counts, recv_counts)
-    }
-
-    fn scatterv<T: Wire>(&self, root: usize, chunks: Option<Vec<Vec<T>>>) -> Vec<T> {
-        raw::scatterv(self, root, chunks)
-    }
-
-    fn split(&self, color: Option<i64>, key: i64) -> Option<SockComm> {
-        // Shared group computation (identical wire pattern to the other
-        // backends); the context id is derived by hashing, not a registry —
-        // see `split_ctx`.
-        let group = raw::split_group(self, color, key);
-        let split_seq = self.next_split_seq();
-        let (old_ranks, my_index) = group?;
-        let my_color = color.expect("group membership implies a color");
-
-        let members: Arc<[usize]> = old_ranks
-            .iter()
-            .map(|&old| self.world_rank_of(old))
-            .collect();
-        let ctx = split_ctx(self.ctx, split_seq, my_color);
-        Some(SockComm::new(Arc::clone(&self.uni), ctx, members, my_index))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_ctx_is_deterministic_distinct_and_nonzero() {
-        let a = split_ctx(0, 0, 0);
-        assert_eq!(a, split_ctx(0, 0, 0), "pure function of its inputs");
-        assert_ne!(a, 0);
-        // Distinct along every axis a correct split varies.
-        assert_ne!(split_ctx(0, 0, 0), split_ctx(0, 0, 1));
-        assert_ne!(split_ctx(0, 0, 0), split_ctx(0, 1, 0));
-        assert_ne!(split_ctx(0, 0, 0), split_ctx(a, 0, 0));
-        // Negative colors are fine (split colors are i64).
-        assert_ne!(split_ctx(0, 0, -1), split_ctx(0, 0, 1));
     }
 }

@@ -40,6 +40,7 @@ use crate::frame::{read_frame, write_frame, Frame, FrameKind};
 use crate::net::{connect, Listener, Stream, Transport};
 use crate::universe::{PeerLink, SockUniverse};
 use comm::mailbox::Envelope;
+use comm::raw::Group;
 use comm::Wire;
 use std::cell::RefCell;
 use std::io::{self, BufWriter};
@@ -649,7 +650,7 @@ fn run_child<P: Wire, R: Wire>(
     }
 
     let members: Arc<[usize]> = (0..p).collect();
-    let comm = SockComm::new(Arc::clone(&uni), 0, members, me);
+    let comm = SockComm::new(Arc::clone(&uni), Group::new(0, members, me));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm, params)));
 
     match outcome {

@@ -10,10 +10,10 @@
 //! | `shmem`    | OS thread       | shared-memory bounded mailboxes       |
 //! | `sockcomm` | OS **process**  | length-prefixed frames over sockets   |
 //!
-//! All three share the collective decompositions in `comm::raw`
-//! (dissemination barrier, binomial bcast, staggered alltoallv, self-first
-//! async exchange) and the `(ctx, src, tag)` matching discipline in
-//! `comm::mailbox`, so the same seed produces bit-identical per-rank
+//! All three run the one collective stack in `comm::raw` (dissemination
+//! barrier, binomial bcast, staggered alltoallv, self-first async
+//! exchange, split), and the two real ones share the `(ctx, src, tag)`
+//! matching discipline in `comm::mailbox`, so the same seed produces bit-identical per-rank
 //! output on every backend — `tests/backend_equivalence.rs` at the
 //! workspace root proves it.
 //!
@@ -24,8 +24,8 @@
 //! - `net`: `Stream`/`Listener` over TCP-loopback or Unix-domain sockets.
 //! - `universe`: per-process rank state — mailbox, peer links, abort flag,
 //!   close-barrier bookkeeping, traffic counters.
-//! - `comm`: [`SockComm`], the `Communicator` implementation (a thin
-//!   `comm::raw::RawComm` shim; the algorithms live in `comm::raw`).
+//! - `comm`: [`SockComm`], the `comm::raw::RawComm` transport (the
+//!   `Communicator` impl and its algorithms live in `comm::raw`).
 //! - `launch`: [`SocketWorld`] (rendezvous launcher) and [`child_rank`]
 //!   (re-exec'd child entry); peer-death detection and teardown.
 //!
@@ -57,7 +57,7 @@ mod launch;
 mod net;
 mod universe;
 
-pub use crate::comm::{SockAborted, SockAsync, SockComm};
+pub use crate::comm::{SockAborted, SockComm};
 pub use launch::{child_rank, SockError, SockReport, SocketWorld, ENV_RANK};
 pub use net::Transport;
 pub use universe::{DeadPeer, NetStats};

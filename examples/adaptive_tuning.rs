@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example adaptive_tuning`
 
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{sds_sort, ComputeModel, SdsConfig};
 use workloads::uniform_u64;
 

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example cosmology_clustering`
 
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{sds_sort, SdsConfig};
 use workloads::{cosmology_particles, Particle};
 

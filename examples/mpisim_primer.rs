@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example mpisim_primer`
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 
 /// Tag for the point-to-point ring exchange below. Tags are named constants
 /// by convention (enforced by `tools/xlint`) so every tag assignment in the

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example ptf_pipeline`
 
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{sds_sort, SdsConfig};
 use workloads::{ptf_scores, PtfObject};
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mpisim::World;
+use mpisim::{Communicator, World};
 use sdssort::{sds_sort, SdsConfig};
 use workloads::zipf_keys;
 

@@ -4,7 +4,7 @@
 mod common;
 
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{rdfa, sds_sort, PartitionStrategy, SdsConfig};
 use workloads::{heavy_hitters, one_rank_duplicates, pivot_aligned};
 

@@ -23,7 +23,7 @@
 //! targeting the [`sockcomm_child_entry`] test by exact name; in a normal
 //! parent test run that test is a no-op.
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, Record, SdsConfig, Tagged};
 use shmem::ThreadWorld;
 use workloads::{heavy_hitters, staircase, uniform_u64, zipf_keys};

@@ -5,7 +5,7 @@
 mod common;
 
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, Record, SdsConfig, SortOutput};
 use workloads::{cosmology_particles, ptf_scores, uniform_u64, zipf_keys};
 

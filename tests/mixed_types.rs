@@ -5,7 +5,7 @@
 mod common;
 
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use rand::prelude::*;
 use sdssort::record::Pad;
 use sdssort::{sds_sort, OrderedF32, OrderedF64, Record, SdsConfig};

@@ -7,7 +7,7 @@ mod common;
 
 use baselines::{bitonic_sort, hyksort, sample_sort, HykSortConfig, SampleSortConfig};
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use sdssort::{sds_sort, SdsConfig, SortError};
 use workloads::{uniform_u64, zipf_keys};
 

@@ -3,7 +3,7 @@
 mod common;
 
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sdssort::merge::{is_sorted_by_key, kway_merge};

@@ -7,7 +7,7 @@
 mod common;
 
 use common::assert_global_sort;
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use rand::prelude::*;
 use sdssort::{sds_sort, Record, SdsConfig, Tagged};
 

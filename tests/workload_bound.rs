@@ -5,7 +5,7 @@
 
 mod common;
 
-use mpisim::{NetModel, World};
+use mpisim::{Communicator, NetModel, World};
 use rand::prelude::*;
 use sdssort::{sds_sort, SdsConfig};
 use workloads::zipf_keys;
