@@ -59,9 +59,10 @@
 //! Prints: correctness verdict (globally sorted + permutation), modelled
 //! makespan, phase breakdown, RDFA, message/byte totals.
 
+use bench::emit::{write_document, Emitter};
 use bench::{fmt_bytes, fmt_time, Table};
-use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, WorldMeta};
-use mpisim::{Communicator, FaultSpec, NetModel, World};
+use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta};
+use mpisim::{FaultSpec, World};
 use sdssort::{
     is_globally_sorted, is_permutation_of, rdfa, sds_sort, sds_sort_resilient, ResilienceConfig,
     SdsConfig, SortError,
@@ -94,7 +95,12 @@ struct Args {
     clients: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the value of numeric option `flag`.
+fn num<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, v: String) -> Result<T, String> {
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         sorter: "sds".into(),
         workload: "uniform".into(),
@@ -117,100 +123,140 @@ fn parse_args() -> Result<Args, String> {
         jobs: 32,
         clients: 4,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sorter" | "--algo" => args.sorter = take(&mut i)?,
-            "--workload" => args.workload = take(&mut i)?,
-            "--backend" => args.backend = take(&mut i)?,
-            "--transport" => args.transport = take(&mut i)?,
-            "--ranks" => args.ranks = take(&mut i)?.parse().map_err(|e| format!("--ranks: {e}"))?,
-            "--records" => {
-                args.records = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--records: {e}"))?;
-            }
-            "--cores" => args.cores = take(&mut i)?.parse().map_err(|e| format!("--cores: {e}"))?,
-            "--budget" => {
-                args.budget = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?,
-                );
-            }
-            "--oversample" => {
-                args.oversample = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--oversample: {e}"))?;
-            }
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut take = || {
+            let v = it.next().cloned();
+            v.ok_or_else(|| format!("missing value for {flag}"))
+        };
+        match flag.as_str() {
+            "--sorter" | "--algo" => args.sorter = take()?,
+            "--workload" => args.workload = take()?,
+            "--backend" => args.backend = take()?,
+            "--transport" => args.transport = take()?,
+            "--ranks" => args.ranks = num(flag, take()?)?,
+            "--records" => args.records = num(flag, take()?)?,
+            "--cores" => args.cores = num(flag, take()?)?,
+            "--budget" => args.budget = Some(num(flag, take()?)?),
+            "--oversample" => args.oversample = num(flag, take()?)?,
             "--trace" => args.trace = true,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seed" => args.seed = num(flag, take()?)?,
             "--faults" => {
-                let spec = take(&mut i)?;
+                let spec = take()?;
                 args.faults = Some(FaultSpec::parse(&spec).map_err(|e| format!("--faults: {e}"))?);
                 args.faults_text = Some(spec);
             }
             "--collective-timeout" => {
-                let secs: f64 = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--collective-timeout: {e}"))?;
+                let secs: f64 = num(flag, take()?)?;
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err("--collective-timeout: must be a positive number".into());
                 }
                 args.collective_timeout = Some(Duration::from_secs_f64(secs));
             }
-            "--resilient" => args.resilient = Some(PathBuf::from(take(&mut i)?)),
-            "--metrics-out" => args.metrics_out = Some(PathBuf::from(take(&mut i)?)),
-            "--validate-metrics" => args.validate_metrics = Some(PathBuf::from(take(&mut i)?)),
+            "--resilient" => args.resilient = Some(PathBuf::from(take()?)),
+            "--metrics-out" => args.metrics_out = Some(PathBuf::from(take()?)),
+            "--validate-metrics" => args.validate_metrics = Some(PathBuf::from(take()?)),
             "--serve" => args.serve = true,
-            "--jobs" => args.jobs = take(&mut i)?.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--clients" => {
-                args.clients = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?;
-            }
+            "--jobs" => args.jobs = num(flag, take()?)?,
+            "--clients" => args.clients = num(flag, take()?)?,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown option {other}")),
         }
-        i += 1;
     }
     Ok(args)
 }
 
-/// The SDS configuration this invocation runs (None for baselines).
-fn sds_cfg(args: &Args) -> Option<SdsConfig> {
-    match args.sorter.as_str() {
-        "sds" | "sds-stable" => {
-            let mut cfg = if args.sorter == "sds-stable" {
-                SdsConfig::stable()
-            } else {
-                SdsConfig::default()
-            };
-            cfg.oversample = args.oversample;
-            Some(cfg)
-        }
-        _ => None,
+/// Reject argument combinations no backend can run, before any world is
+/// built (a usage error exits 2; `World::new` and friends would assert).
+fn validate(a: &Args) -> Result<(), String> {
+    let known = matches!(
+        a.sorter.as_str(),
+        "sds" | "sds-stable" | "hyksort" | "samplesort" | "bitonic" | "radix" | "ams" | "hss"
+    );
+    if !known {
+        return Err(format!("unknown sorter {}", a.sorter));
     }
+    workloads::keys_by_name(&a.workload, 1, 0, 0)?;
+    if a.ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
+    if a.cores == 0 {
+        return Err("--cores must be at least 1".into());
+    }
+    let sds = sds_cfg(a).is_some();
+    if a.resilient.is_some() && !sds {
+        return Err("--resilient applies to the sds sorters only".into());
+    }
+    // `--serve` runs the resident service, which lives on the threads backend.
+    let backend = if a.serve {
+        "threads"
+    } else {
+        a.backend.as_str()
+    };
+    if a.serve && !sds {
+        return Err("--serve runs the sds sorters only".into());
+    }
+    if a.serve && a.clients == 0 {
+        return Err("--clients must be at least 1".into());
+    }
+    if !["sim", "threads", "sockets"].contains(&backend) {
+        return Err(format!(
+            "unknown backend {backend} (expected sim, threads, or sockets)"
+        ));
+    }
+    if a.transport != "uds" && backend != "sockets" {
+        return Err("--transport applies to --backend sockets only".into());
+    }
+    if backend == "sockets" && sockcomm::Transport::parse(&a.transport).is_none() {
+        return Err(format!(
+            "unknown transport {} (expected uds or tcp)",
+            a.transport
+        ));
+    }
+    if backend != "sim" {
+        if a.oversample != 1 && !sds {
+            return Err("--oversample applies to the sds sorters only".into());
+        }
+        let simulator_only = [
+            (a.faults.is_some(), "--faults"),
+            (a.collective_timeout.is_some(), "--collective-timeout"),
+            (a.budget.is_some(), "--budget"),
+            (a.trace, "--trace"),
+            (a.resilient.is_some(), "--resilient"),
+        ];
+        if let Some((_, flag)) = simulator_only.iter().find(|(set, _)| *set) {
+            let real = if a.serve {
+                "--serve"
+            } else {
+                &format!("--backend {backend}")
+            };
+            return Err(format!("{flag} is simulator-only (remove {real})"));
+        }
+    }
+    Ok(())
 }
 
-/// Dispatch `--sorter` on any backend (`main` validated the name).
+/// The SDS configuration this invocation runs (None for baselines).
+fn sds_cfg(args: &Args) -> Option<SdsConfig> {
+    let mut cfg = match args.sorter.as_str() {
+        "sds" => SdsConfig::default(),
+        "sds-stable" => SdsConfig::stable(),
+        _ => return None,
+    };
+    cfg.oversample = args.oversample;
+    Some(cfg)
+}
+
+/// Dispatch `--sorter` on any backend ([`validate`] checked the name).
 fn run_generic<C: comm::Communicator>(
     args: &Args,
     comm: &C,
     input: Vec<u64>,
 ) -> Result<sdssort::SortOutput<u64>, SortError> {
+    if let Some(cfg) = sds_cfg(args) {
+        return sds_sort(comm, input, &cfg);
+    }
     match args.sorter.as_str() {
-        "sds" | "sds-stable" => {
-            let cfg = sds_cfg(args).expect("sds sorter");
-            sds_sort(comm, input, &cfg)
-        }
         "hyksort" => baselines::hyksort(comm, input, &baselines::HykSortConfig::default()),
         "samplesort" => {
             baselines::sample_sort(comm, input, &baselines::SampleSortConfig::default())
@@ -226,78 +272,98 @@ fn run_generic<C: comm::Communicator>(
     }
 }
 
-/// Keys for one rank — the shared by-name dispatch, so the CLI, the
-/// service, and the harnesses all agree on what `zipf:0.8` means.
-fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Result<Vec<u64>, String> {
-    workloads::keys_by_name(workload, n, seed, rank)
+/// What one rank reports, on every backend: the distributed correctness
+/// checks, its post-exchange load, and the phase stats the table prints.
+/// `Wire` because on the sockets backend it crosses a process boundary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RankOutcome {
+    sorted: bool,
+    permutation: bool,
+    len: u64,
+    pivot_s: f64,
+    exchange_s: f64,
+    local_order_s: f64,
+    node_merged: bool,
+    overlapped: bool,
+    spilled: bool,
+    spill_records: u64,
 }
 
-/// Per-rank outcome: (globally sorted, permutation, output length, stats).
-type RankResult = Result<(bool, bool, usize, sdssort::SortStats), SortError>;
+impl comm::Wire for RankOutcome {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.sorted, self.permutation, self.len).put(out);
+        (self.pivot_s, self.exchange_s, self.local_order_s).put(out);
+        (self.node_merged, self.overlapped, self.spilled).put(out);
+        self.spill_records.put(out);
+    }
 
-/// Per-rank outcome on the sockets backend, flattened to `Wire`-encodable
-/// scalars: (sorted, permutation, output length, pivot s, exchange s,
-/// local-order s, node merged, overlapped).
-type SocketsRankResult = (bool, bool, u64, f64, f64, f64, bool, bool);
-
-/// Entry name the re-exec'd rank processes dispatch on.
-const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
-
-/// One rank process of a `--backend sockets` run. The child re-parses its
-/// own argv (the launcher re-execs sortcli with identical arguments), so
-/// no configuration needs to travel through the params payload.
-fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> SocketsRankResult {
-    let args = parse_args().expect("parent validated this argv before launching");
-    let input = gen_keys(&args.workload, args.records, args.seed, comm.rank())
-        .expect("workload validated before launch");
-    let o = run_generic(&args, comm, input.clone()).expect("sort failed on sockets rank");
-    let sorted = is_globally_sorted(comm, &o.data);
-    let permutation = is_permutation_of(comm, &input, &o.data, |&k| k);
-    (
-        sorted,
-        permutation,
-        o.data.len() as u64,
-        o.stats.pivot_s,
-        o.stats.exchange_s,
-        o.stats.local_order_s,
-        o.stats.node_merged,
-        o.stats.overlapped,
-    )
-}
-
-/// Run the sorter with one OS process per rank over real sockets.
-fn run_sorter_sockets(
-    a: &Args,
-    transport: sockcomm::Transport,
-) -> Result<sockcomm::SockReport<SocketsRankResult>, sockcomm::SockError> {
-    sockcomm::SocketWorld::new(a.ranks)
-        .cores_per_node(a.cores)
-        .transport(transport)
-        .run::<u64, SocketsRankResult>(SOCKETS_SORT_ENTRY, &0)
-}
-
-/// Run the sorter for real on the threads backend (one OS thread per rank,
-/// wall-clock timing).
-fn run_sorter_threads(a: &Args) -> shmem::ThreadReport<RankResult> {
-    let a2 = a.clone();
-    shmem::ThreadWorld::new(a.ranks)
-        .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some())
-        .run(move |comm| -> RankResult {
-            let input = gen_keys(&a2.workload, a2.records, a2.seed, comm.rank())
-                .expect("workload validated before launch");
-            let o = run_generic(&a2, comm, input.clone())?;
-            let sorted = is_globally_sorted(comm, &o.data);
-            let permutation = is_permutation_of(comm, &input, &o.data, |&k| k);
-            Ok((sorted, permutation, o.data.len(), o.stats))
+    fn get(src: &mut &[u8]) -> Option<Self> {
+        let (sorted, permutation, len) = comm::Wire::get(src)?;
+        let (pivot_s, exchange_s, local_order_s) = comm::Wire::get(src)?;
+        let (node_merged, overlapped, spilled) = comm::Wire::get(src)?;
+        Some(Self {
+            sorted,
+            permutation,
+            len,
+            pivot_s,
+            exchange_s,
+            local_order_s,
+            node_merged,
+            overlapped,
+            spilled,
+            spill_records: comm::Wire::get(src)?,
         })
+    }
 }
 
-#[allow(clippy::type_complexity)]
-fn run_sorter(a: &Args) -> Result<(RankResult, mpisim::runtime::WorldReport<RankResult>), String> {
+/// One rank of the run, on any backend: generate, sort, validate.
+fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome, SortError> {
+    let input = workloads::keys_by_name(&args.workload, args.records, args.seed, comm.rank())
+        .expect("workload validated before launch");
+    let o = match &args.resilient {
+        Some(dir) => {
+            let cfg = sds_cfg(args).expect("--resilient is validated as sds-only");
+            sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
+        }
+        None => run_generic(args, comm, input.clone())?,
+    };
+    Ok(RankOutcome {
+        sorted: is_globally_sorted(comm, &o.data),
+        permutation: is_permutation_of(comm, &input, &o.data, |&k| k),
+        len: o.data.len() as u64,
+        pivot_s: o.stats.pivot_s,
+        exchange_s: o.stats.exchange_s,
+        local_order_s: o.stats.local_order_s,
+        node_merged: o.stats.node_merged,
+        overlapped: o.stats.overlapped,
+        spilled: o.stats.spilled,
+        spill_records: o.stats.spill_records as u64,
+    })
+}
+
+/// What a backend hands the one report path: the per-rank outcomes plus
+/// the world-level numbers whose meaning differs by backend.
+#[derive(Default)]
+struct BackendRun {
+    ranks: Vec<RankOutcome>,
+    /// The two leading table rows — what this backend's clocks measure. The
+    /// first is the makespan: virtual on the simulator, wall elsewhere.
+    times: [(&'static str, f64); 2],
+    wall_s: f64,
+    messages: u64,
+    bytes: u64,
+    /// Simulated memory (simulator only).
+    memory: MemoryReport,
+    snapshot: Option<Snapshot>,
+    /// `--trace` (simulator): traffic by phase.
+    trace: Option<Table>,
+}
+
+/// The deterministic virtual-time simulator: modelled makespan, simulated
+/// memory, optional faults/budget/trace.
+fn run_sim(a: &Args) -> Result<BackendRun, String> {
     let mut world = World::new(a.ranks)
         .cores_per_node(a.cores)
-        .net(NetModel::edison())
         .trace(a.trace)
         .telemetry(a.metrics_out.is_some());
     if let Some(b) = a.budget {
@@ -309,33 +375,111 @@ fn run_sorter(a: &Args) -> Result<(RankResult, mpisim::runtime::WorldReport<Rank
     if let Some(window) = a.collective_timeout {
         world = world.collective_timeout(window);
     }
-    let a2 = a.clone();
-    let report = world.run(
-        move |comm| -> Result<(bool, bool, usize, sdssort::SortStats), SortError> {
-            let input = gen_keys(&a2.workload, a2.records, a2.seed, comm.rank())
-                .expect("workload validated before launch");
-            let o = match &a2.resilient {
-                Some(dir) => {
-                    let cfg = sds_cfg(&a2).expect("--resilient is validated as sds-only");
-                    sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
-                }
-                None => run_generic(&a2, &*comm, input.clone())?,
-            };
-            let (out, stats) = (o.data, o.stats);
-            let sorted = is_globally_sorted(comm, &out);
-            let permutation = is_permutation_of(comm, &input, &out, |&k| k);
-            Ok((sorted, permutation, out.len(), stats))
+    let report = world.run(|comm| sort_rank(a, &*comm));
+    let high_water = &report.per_rank_memory_high_water;
+    let mut trace = Table::new(["phase", "messages", "inter-node", "bytes"]);
+    for (name, t) in &report.trace_phases {
+        trace.row([
+            name.clone(),
+            t.total_messages().to_string(),
+            t.internode_messages(&report.topology).to_string(),
+            fmt_bytes(t.total_bytes() as usize),
+        ]);
+    }
+    Ok(BackendRun {
+        times: [
+            ("modelled makespan", report.makespan),
+            ("host wall", report.wall.as_secs_f64()),
+        ],
+        wall_s: report.wall.as_secs_f64(),
+        messages: report.messages,
+        bytes: report.bytes,
+        memory: MemoryReport {
+            budget: report.memory_budget.map(|b| b as u64),
+            max_high_water: report.max_memory_high_water as u64,
+            per_rank_high_water: high_water.iter().map(|&b| b as u64).collect(),
         },
-    );
-    let first = report.results[0].clone();
-    Ok((first, report))
+        snapshot: report.telemetry,
+        trace: a.trace.then_some(trace),
+        ranks: report
+            .results
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|e| {
+                let why = "the paper's imbalance-induced crash, reproduced under the memory budget";
+                format!("{e}\n({why})")
+            })?,
+    })
+}
+
+/// One OS thread per rank (`crates/shmem`). Every duration is wall-clock
+/// seconds, so the makespan *is* the world's wall clock.
+fn run_threads(a: &Args) -> Result<BackendRun, String> {
+    let report = shmem::ThreadWorld::new(a.ranks)
+        .cores_per_node(a.cores)
+        .telemetry(a.metrics_out.is_some())
+        .run(|comm| sort_rank(a, comm));
+    let slowest = report.per_rank_wall.iter().copied().fold(0.0, f64::max);
+    Ok(BackendRun {
+        times: [("wall clock", report.wall_s), ("slowest rank", slowest)],
+        wall_s: report.wall_s,
+        messages: report.messages,
+        bytes: report.bytes,
+        snapshot: report.telemetry,
+        ranks: report
+            .results
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|e: SortError| e.to_string())?,
+        ..BackendRun::default()
+    })
+}
+
+/// Entry name the re-exec'd rank processes dispatch on.
+const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
+
+/// One rank process of a `--backend sockets` run. The child re-parses its
+/// own argv (the launcher re-execs sortcli with identical arguments), so
+/// no configuration needs to travel through the params payload.
+fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> RankOutcome {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).expect("parent validated this argv before launching");
+    sort_rank(&args, comm).expect("sort failed on sockets rank")
+}
+
+/// One OS process per rank over real sockets (`crates/sockcomm`). Wall-clock
+/// seconds again, but the world's wall clock additionally includes process
+/// spawn + rendezvous, and there is no telemetry snapshot (each rank is a
+/// separate address space).
+fn run_sockets(a: &Args) -> Result<BackendRun, String> {
+    let transport =
+        sockcomm::Transport::parse(&a.transport).expect("transport validated before launch");
+    println!("transport: {} (process per rank)", transport.as_str());
+    let report = sockcomm::SocketWorld::new(a.ranks)
+        .cores_per_node(a.cores)
+        .transport(transport)
+        .run::<u64, RankOutcome>(SOCKETS_SORT_ENTRY, &0)
+        .map_err(|e| e.to_string())?;
+    let slowest = report.per_rank_wall.iter().copied().fold(0.0, f64::max);
+    Ok(BackendRun {
+        ranks: report.results,
+        times: [
+            ("wall clock (launch + sort)", report.wall_s),
+            ("slowest rank", slowest),
+        ],
+        wall_s: report.wall_s,
+        messages: report.messages,
+        bytes: report.bytes,
+        ..BackendRun::default()
+    })
 }
 
 fn main() -> ExitCode {
     // Rank processes of a `--backend sockets` run divert here (the
     // launcher re-execs this binary); everyone else falls through.
     sockcomm::child_rank(SOCKETS_SORT_ENTRY, sockets_rank_entry);
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             if e != "help" {
@@ -346,105 +490,32 @@ fn main() -> ExitCode {
         }
     };
     if let Some(path) = &args.validate_metrics {
-        return match std::fs::read_to_string(path) {
-            Ok(text) => match RunReport::from_json_str(&text) {
-                Ok(r) => {
-                    println!(
-                        "valid run report: experiment {:?}, {} ranks, makespan {:.6} s",
-                        r.experiment, r.world.ranks, r.makespan_v
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("invalid metrics file {}: {e}", path.display());
-                    ExitCode::from(1)
-                }
-            },
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|text| {
+                RunReport::from_json_str(&text)
+                    .map_err(|e| format!("invalid metrics file {}: {e}", path.display()))
+            });
+        return match parsed {
+            Ok(r) => {
+                println!(
+                    "valid run report: experiment {:?}, {} ranks, makespan {:.6} s",
+                    r.experiment, r.world.ranks, r.makespan_v
+                );
+                ExitCode::SUCCESS
+            }
             Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
+                eprintln!("{e}");
                 ExitCode::from(1)
             }
         };
     }
-    match args.sorter.as_str() {
-        "sds" | "sds-stable" | "hyksort" | "samplesort" | "bitonic" | "radix" | "ams" | "hss" => {}
-        other => {
-            eprintln!("error: unknown sorter {other}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = gen_keys(&args.workload, 1, 0, 0) {
+    if let Err(e) = validate(&args) {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    if args.resilient.is_some() && sds_cfg(&args).is_none() {
-        eprintln!("error: --resilient applies to the sds sorters only");
-        return ExitCode::from(2);
-    }
     if args.serve {
-        if sds_cfg(&args).is_none() {
-            eprintln!("error: --serve runs the sds sorters only");
-            return ExitCode::from(2);
-        }
-        if args.clients == 0 {
-            eprintln!("error: --clients must be at least 1");
-            return ExitCode::from(2);
-        }
-        let incompatible = [
-            (args.faults.is_some(), "--faults"),
-            (args.collective_timeout.is_some(), "--collective-timeout"),
-            (args.budget.is_some(), "--budget"),
-            (args.trace, "--trace"),
-            (args.resilient.is_some(), "--resilient"),
-        ];
-        for (set, flag) in incompatible {
-            if set {
-                eprintln!(
-                    "error: {flag} does not apply to --serve \
-                     (the service runs on the threads backend)"
-                );
-                return ExitCode::from(2);
-            }
-        }
         return serve_main(&args);
-    }
-    match args.backend.as_str() {
-        "sim" | "threads" | "sockets" => {}
-        other => {
-            eprintln!("error: unknown backend {other} (expected sim, threads, or sockets)");
-            return ExitCode::from(2);
-        }
-    }
-    if args.transport != "uds" && args.backend != "sockets" {
-        eprintln!("error: --transport applies to --backend sockets only");
-        return ExitCode::from(2);
-    }
-    if args.backend == "sockets" && sockcomm::Transport::parse(&args.transport).is_none() {
-        eprintln!(
-            "error: unknown transport {} (expected uds or tcp)",
-            args.transport
-        );
-        return ExitCode::from(2);
-    }
-    if args.backend == "threads" || args.backend == "sockets" {
-        let backend = &args.backend;
-        if args.oversample != 1 && sds_cfg(&args).is_none() {
-            eprintln!("error: --oversample applies to the sds sorters only");
-            return ExitCode::from(2);
-        }
-        let simulator_only = [
-            (args.faults.is_some(), "--faults"),
-            (args.collective_timeout.is_some(), "--collective-timeout"),
-            (args.budget.is_some(), "--budget"),
-            (args.trace, "--trace"),
-            (args.resilient.is_some(), "--resilient"),
-        ];
-        for (set, flag) in simulator_only {
-            if set {
-                eprintln!("error: {flag} is simulator-only (remove --backend {backend})");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     println!(
@@ -462,319 +533,100 @@ fn main() -> ExitCode {
     if let Some(spec) = &args.faults_text {
         println!("faults: {spec}");
     }
-
-    if args.backend == "threads" {
-        return threads_main(&args);
-    }
-    if args.backend == "sockets" {
-        return sockets_main(&args);
-    }
-
-    let (first, report) = run_sorter(&args).expect("validated");
-    match first {
-        Err(e) => {
-            println!("\nresult: FAILED — {e}");
-            println!("(the paper's imbalance-induced crash, reproduced under the memory budget)");
-            ExitCode::from(1)
-        }
-        Ok(_) => {
-            let all_ok = report
-                .results
-                .iter()
-                .all(|r| matches!(r, Ok((sorted, perm, _, _)) if *sorted && *perm));
-            let loads: Vec<usize> = report
-                .results
-                .iter()
-                .map(|r| r.as_ref().expect("checked ok").2)
-                .collect();
-            let stats = report.results[0].as_ref().expect("checked ok").3;
-            println!(
-                "\nresult: {}",
-                if all_ok {
-                    "OK (sorted, permutation)"
-                } else {
-                    "CORRUPT"
-                }
-            );
-            let mut t = Table::new(["metric", "value"]);
-            t.row(["modelled makespan".to_string(), fmt_time(report.makespan)]);
-            t.row(["host wall".to_string(), fmt_time(report.wall.as_secs_f64())]);
-            t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
-            t.row([
-                "exchange phase (rank 0)".to_string(),
-                fmt_time(stats.exchange_s),
-            ]);
-            t.row([
-                "ordering phase (rank 0)".to_string(),
-                fmt_time(stats.local_order_s),
-            ]);
-            t.row([
-                "node merged (τm)".to_string(),
-                stats.node_merged.to_string(),
-            ]);
-            t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-            t.row(["messages".to_string(), report.messages.to_string()]);
-            t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
-            t.row([
-                "peak simulated memory".to_string(),
-                fmt_bytes(report.max_memory_high_water),
-            ]);
-            t.print();
-            if stats.spilled {
-                println!(
-                    "note: memory pressure tripped graceful degradation — {} received\n\
-                     records were spilled through disk runs instead of aborting.",
-                    stats.spill_records
-                );
-            }
-            if stats.node_merged {
-                println!(
-                    "note: node-level merging ran (avg message below τm), so output\n\
-                     concentrates on node leaders — RDFA counts the empty non-leaders."
-                );
-            }
-            if args.trace {
-                println!("\ntraffic by phase:");
-                let mut tt = Table::new(["phase", "messages", "inter-node", "bytes"]);
-                for (name, tr) in &report.trace_phases {
-                    tt.row([
-                        name.clone(),
-                        tr.total_messages().to_string(),
-                        tr.internode_messages(&report.topology).to_string(),
-                        fmt_bytes(tr.total_bytes() as usize),
-                    ]);
-                }
-                tt.print();
-            }
-            if let Some(out) = &args.metrics_out {
-                match write_metrics(out, &args, &report, &loads, &stats) {
-                    Ok(path) => println!("metrics: wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error writing metrics: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
-            if all_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-    }
-}
-
-/// Run, validate, report, and optionally emit metrics on the threads
-/// backend. Times printed here are real wall-clock seconds.
-fn threads_main(args: &Args) -> ExitCode {
-    let report = run_sorter_threads(args);
-    match &report.results[0] {
+    let run = match args.backend.as_str() {
+        "threads" => run_threads(&args),
+        "sockets" => run_sockets(&args),
+        _ => run_sim(&args),
+    };
+    match run {
+        Ok(run) => report(&args, run),
         Err(e) => {
             println!("\nresult: FAILED — {e}");
             ExitCode::from(1)
         }
-        Ok(_) => {
-            let all_ok = report
-                .results
-                .iter()
-                .all(|r| matches!(r, Ok((sorted, perm, _, _)) if *sorted && *perm));
-            let loads: Vec<usize> = report
-                .results
-                .iter()
-                .map(|r| r.as_ref().expect("checked ok").2)
-                .collect();
-            let stats = report.results[0].as_ref().expect("checked ok").3;
-            println!(
-                "\nresult: {}",
-                if all_ok {
-                    "OK (sorted, permutation)"
-                } else {
-                    "CORRUPT"
-                }
-            );
-            let mut t = Table::new(["metric", "value"]);
-            t.row(["wall clock".to_string(), fmt_time(report.wall_s)]);
-            t.row([
-                "slowest rank".to_string(),
-                fmt_time(report.per_rank_wall.iter().copied().fold(0.0, f64::max)),
-            ]);
-            t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
-            t.row([
-                "exchange phase (rank 0)".to_string(),
-                fmt_time(stats.exchange_s),
-            ]);
-            t.row([
-                "ordering phase (rank 0)".to_string(),
-                fmt_time(stats.local_order_s),
-            ]);
-            t.row([
-                "node merged (τm)".to_string(),
-                stats.node_merged.to_string(),
-            ]);
-            t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-            t.row(["messages".to_string(), report.messages.to_string()]);
-            t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
-            t.print();
-            if stats.node_merged {
-                println!(
-                    "note: node-level merging ran (avg message below τm), so output\n\
-                     concentrates on node leaders — RDFA counts the empty non-leaders."
-                );
-            }
-            if let Some(out) = &args.metrics_out {
-                match write_metrics_threads(out, args, &report, &loads, &stats) {
-                    Ok(path) => println!("metrics: wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error writing metrics: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
-            if all_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
     }
 }
 
-/// Run, validate, report, and optionally emit metrics on the sockets
-/// backend (one OS process per rank). Times are real wall-clock seconds;
-/// `wall clock` additionally includes process spawn + rendezvous.
-fn sockets_main(args: &Args) -> ExitCode {
-    let transport =
-        sockcomm::Transport::parse(&args.transport).expect("transport validated before launch");
-    println!("transport: {} (process per rank)", transport.as_str());
-    let report = match run_sorter_sockets(args, transport) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("\nresult: FAILED — {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let all_ok = report
-        .results
-        .iter()
-        .all(|&(sorted, perm, ..)| sorted && perm);
-    let loads: Vec<usize> = report.results.iter().map(|r| r.2 as usize).collect();
-    let r0 = report.results[0];
-    let stats = sdssort::SortStats {
-        pivot_s: r0.3,
-        exchange_s: r0.4,
-        local_order_s: r0.5,
-        node_merged: r0.6,
-        overlapped: r0.7,
-        ..Default::default()
-    };
-    println!(
-        "\nresult: {}",
-        if all_ok {
-            "OK (sorted, permutation)"
-        } else {
-            "CORRUPT"
-        }
-    );
+/// Print a `metric | value` table.
+fn print_metric_table(rows: Vec<(&str, String)>) {
     let mut t = Table::new(["metric", "value"]);
-    t.row([
-        "wall clock (launch + sort)".to_string(),
-        fmt_time(report.wall_s),
-    ]);
-    t.row([
-        "slowest rank".to_string(),
-        fmt_time(report.per_rank_wall.iter().copied().fold(0.0, f64::max)),
-    ]);
-    t.row(["pivot phase (rank 0)".to_string(), fmt_time(stats.pivot_s)]);
-    t.row([
-        "exchange phase (rank 0)".to_string(),
-        fmt_time(stats.exchange_s),
-    ]);
-    t.row([
-        "ordering phase (rank 0)".to_string(),
-        fmt_time(stats.local_order_s),
-    ]);
-    t.row([
-        "node merged (τm)".to_string(),
-        stats.node_merged.to_string(),
-    ]);
-    t.row(["RDFA".to_string(), format!("{:.4}", rdfa(&loads))]);
-    t.row(["messages".to_string(), report.messages.to_string()]);
-    t.row(["bytes".to_string(), fmt_bytes(report.bytes as usize)]);
+    for (label, value) in rows {
+        t.row([label.to_string(), value]);
+    }
     t.print();
-    if stats.node_merged {
+}
+
+/// Print the result table and notes of a completed run and, with
+/// `--metrics-out`, write its [`RunReport`] — the same rows and the same
+/// report fields on every backend.
+fn report(args: &Args, run: BackendRun) -> ExitCode {
+    let all_ok = run.ranks.iter().all(|r| r.sorted && r.permutation);
+    let loads: Vec<usize> = run.ranks.iter().map(|r| r.len as usize).collect();
+    let r0 = run.ranks[0];
+    let verdict = if all_ok {
+        "OK (sorted, permutation)"
+    } else {
+        "CORRUPT"
+    };
+    println!("\nresult: {verdict}");
+    let mut rows: Vec<(&str, String)> = vec![
+        (run.times[0].0, fmt_time(run.times[0].1)),
+        (run.times[1].0, fmt_time(run.times[1].1)),
+        ("pivot phase (rank 0)", fmt_time(r0.pivot_s)),
+        ("exchange phase (rank 0)", fmt_time(r0.exchange_s)),
+        ("ordering phase (rank 0)", fmt_time(r0.local_order_s)),
+        ("node merged (τm)", r0.node_merged.to_string()),
+        ("RDFA", format!("{:.4}", rdfa(&loads))),
+        ("messages", run.messages.to_string()),
+        ("bytes", fmt_bytes(run.bytes as usize)),
+    ];
+    if args.backend == "sim" {
+        let peak = run.memory.max_high_water as usize;
+        rows.push(("peak simulated memory", fmt_bytes(peak)));
+    }
+    print_metric_table(rows);
+    if r0.spilled {
+        println!(
+            "note: memory pressure tripped graceful degradation — {} received\n\
+             records were spilled through disk runs instead of aborting.",
+            r0.spill_records
+        );
+    }
+    if r0.node_merged {
         println!(
             "note: node-level merging ran (avg message below τm), so output\n\
              concentrates on node leaders — RDFA counts the empty non-leaders."
         );
     }
-    if let Some(out) = &args.metrics_out {
-        match write_metrics_sockets(out, args, &report, &loads, &stats) {
-            Ok(path) => println!("metrics: wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error writing metrics: {e}");
-                return ExitCode::from(1);
-            }
-        }
+    if let Some(trace) = &run.trace {
+        println!("\ntraffic by phase:");
+        trace.print();
     }
-    if all_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-/// Run a resident [`service::SortService`] over the threads backend and
-/// drive it with a stream of Zipf-sized jobs from several concurrent
-/// client handles. Reports throughput and latency percentiles; with
-/// `--metrics-out`, emits a self-describing experiment document.
-fn serve_main(args: &Args) -> ExitCode {
-    let mut cfg = service::ServiceConfig::new(args.ranks);
-    cfg.cores_per_node = args.cores;
-    cfg.sort = sds_cfg(args).expect("validated: --serve runs sds only");
-    let load = service::LoadGen::new(args.workload.clone(), args.records, args.seed);
-    println!(
-        "sortsvc: {} on {} resident ranks | {} jobs from {} clients, >= {} records/rank",
-        args.workload, args.ranks, args.jobs, args.clients, args.records
-    );
-    let report = bench::experiments::drive_service(cfg, &load, args.jobs, args.clients);
-    bench::experiments::print_service_report(&report);
     if let Some(out) = &args.metrics_out {
-        let mut em = bench::emit::Emitter::with_out("sortsvc", Some(out.clone()));
-        em.meta("backend", "threads");
-        em.meta("workload", args.workload.clone());
-        em.meta("ranks", args.ranks);
-        em.meta("min_records_per_rank", args.records);
-        em.meta("clients", args.clients);
-        em.point(
-            "SortService",
-            &[("jobs", Json::from(args.jobs))],
-            &bench::experiments::service_values(&report),
-        );
-        if let Err(e) = em.finish() {
+        if let Err(e) = write_metrics(out, args, run, &loads) {
             eprintln!("error writing metrics: {e}");
             return ExitCode::from(1);
         }
     }
-    if report.counters.failed == 0 && report.counters.balanced() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    ExitCode::from(u8::from(!all_ok))
 }
 
-/// The config and decision fields shared by both backends' RunReports.
-fn base_run_report(
+/// Assemble and write the telemetry [`RunReport`] of a completed run (a
+/// `.json` path is written as-is; any other path is a directory receiving
+/// `BENCH_sortcli.json`).
+fn write_metrics(
+    out: &Path,
     args: &Args,
-    snapshot: mpisim::telemetry::Snapshot,
+    run: BackendRun,
     loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> RunReport {
-    let mut run = RunReport::from_snapshot(
+) -> std::io::Result<PathBuf> {
+    let r0 = run.ranks[0];
+    let mut report = RunReport::from_snapshot(
         "sortcli",
-        snapshot,
+        run.snapshot.unwrap_or_default(),
         loads.iter().map(|&l| l as u64).collect(),
     );
-    run.config = [
+    report.config = [
         ("sorter", Json::from(args.sorter.clone())),
         ("workload", Json::from(args.workload.clone())),
         ("backend", Json::from(args.backend.clone())),
@@ -793,128 +645,200 @@ fn base_run_report(
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
     .collect();
+    if args.backend == "sockets" {
+        report
+            .config
+            .push(("transport".to_string(), Json::from(args.transport.clone())));
+    }
     let cfg = sds_cfg(args);
-    run.decisions = Decisions {
+    report.decisions = Decisions {
         tau_m_bytes: cfg.as_ref().map_or(0, |c| c.tau_m_bytes as u64),
         tau_o: cfg.as_ref().map_or(0, |c| c.tau_o as u64),
         tau_s: cfg.as_ref().map_or(0, |c| c.tau_s as u64),
         stable: cfg.as_ref().is_some_and(|c| c.stable),
-        node_merged: stats.node_merged,
-        overlapped: stats.overlapped,
+        node_merged: r0.node_merged,
+        overlapped: r0.overlapped,
     };
-    run
+    report.world = WorldMeta {
+        ranks: args.ranks,
+        cores_per_node: args.cores,
+        nodes: args.ranks.div_ceil(args.cores),
+    };
+    report.memory = run.memory;
+    report.makespan_v = run.times[0].1;
+    report.wall_s = run.wall_s;
+    write_document(out, "sortcli", &report.to_json_string())
 }
 
-/// Resolve the output path: a `.json` path is written as-is; any other
-/// path is treated as a directory receiving `BENCH_sortcli.json`.
-fn metrics_path(out: &Path) -> std::io::Result<PathBuf> {
-    let path = if out.extension().is_some_and(|e| e == "json") {
-        out.to_path_buf()
-    } else {
-        out.join("BENCH_sortcli.json")
-    };
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
+/// Run a resident [`service::SortService`] over the threads backend and
+/// drive it with a stream of Zipf-sized jobs from several concurrent
+/// client handles. Reports throughput and latency percentiles; with
+/// `--metrics-out`, emits a self-describing experiment document.
+fn serve_main(args: &Args) -> ExitCode {
+    let mut cfg = service::ServiceConfig::new(args.ranks);
+    cfg.cores_per_node = args.cores;
+    cfg.sort = sds_cfg(args).expect("validated: --serve runs sds only");
+    let load = service::LoadGen::new(args.workload.clone(), args.records, args.seed);
+    println!(
+        "sortsvc: {} on {} resident ranks | {} jobs from {} clients, >= {} records/rank",
+        args.workload, args.ranks, args.jobs, args.clients, args.records
+    );
+    // Jobs are dealt round-robin across the clients, so the stream is
+    // deterministic given `load`. Blocking submits exercise the queue's
+    // backpressure; every ticket is awaited before shutdown, so the report
+    // accounts for every job.
+    let svc = service::SortService::start(cfg);
+    std::thread::scope(|scope| {
+        for c in 0..args.clients as u64 {
+            let (client, load) = (svc.client(), load.clone());
+            scope.spawn(move || {
+                let tickets: Vec<_> = (c..args.jobs)
+                    .step_by(args.clients)
+                    .map(|i| client.submit(load.spec(i)).expect("service accepting"))
+                    .collect();
+                for t in tickets {
+                    t.wait();
+                }
+            });
+        }
+    });
+    let r = svc.shutdown();
+    let c = &r.counters;
+    // (table label, document key, value, value as printed)
+    let time = |label, key, secs: f64| (label, key, Json::from(secs), fmt_time(secs));
+    let count = |label, key, n: u64| (label, key, Json::from(n), n.to_string());
+    let rate = format!("{:.2}", r.jobs_per_sec);
+    let rows = [
+        ("jobs/sec", "jobs_per_sec", Json::from(r.jobs_per_sec), rate),
+        time("wall clock", "wall_s", r.wall_s),
+        time("latency p50", "latency_p50_s", r.latency_p50_s),
+        time("latency p99", "latency_p99_s", r.latency_p99_s),
+        time("queue wait p50", "queue_wait_p50_s", r.queue_wait_p50_s),
+        time("queue wait p99", "queue_wait_p99_s", r.queue_wait_p99_s),
+        count("completed", "completed", c.completed),
+        count("shed", "shed", c.shed),
+        count("failed", "failed", c.failed),
+        count("spilled", "spilled", c.spilled),
+        count("queue full", "queue_full", c.queue_full),
+        count("arena hits", "arena_hits", c.arena_hits),
+        count("arena misses", "arena_misses", c.arena_misses),
+    ];
+    print_metric_table(
+        rows.iter()
+            .map(|(l, _, _, text)| (*l, text.clone()))
+            .collect(),
+    );
+    if let Some(out) = &args.metrics_out {
+        let mut em = Emitter::with_out("sortsvc", Some(out.clone()));
+        em.meta("backend", "threads");
+        em.meta("workload", args.workload.clone());
+        em.meta("ranks", args.ranks);
+        em.meta("min_records_per_rank", args.records);
+        em.meta("clients", args.clients);
+        let values: Vec<_> = rows.iter().map(|(_, k, v, _)| (*k, v.clone())).collect();
+        em.point("SortService", &[("jobs", Json::from(args.jobs))], &values);
+        if let Err(e) = em.finish() {
+            eprintln!("error writing metrics: {e}");
+            return ExitCode::from(1);
         }
     }
-    Ok(path)
+    ExitCode::from(u8::from(c.failed != 0 || !c.balanced()))
 }
 
-/// Write the [`RunReport`] for a threads-backend run. Every duration in
-/// the report — spans, phase times, makespan — is wall-clock seconds.
-fn write_metrics_threads<R>(
-    out: &Path,
-    args: &Args,
-    report: &shmem::ThreadReport<R>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let snapshot = report.telemetry.clone().unwrap_or_default();
-    let mut run = base_run_report(args, snapshot, loads, stats);
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: args.cores,
-        nodes: args.ranks.div_ceil(args.cores),
-    };
-    run.memory = MemoryReport {
-        budget: None,
-        max_high_water: 0,
-        per_rank_high_water: Vec::new(),
-    };
-    // On this backend virtual time IS wall time: the makespan is the
-    // world's measured wall clock.
-    run.makespan_v = report.wall_s;
-    run.wall_s = report.wall_s;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
-    Ok(path)
-}
+    /// `validate` over `parse_args` of a command line, as `main` runs them.
+    fn check(line: &str) -> Result<(), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        validate(&parse_args(&argv)?)
+    }
 
-/// Write the [`RunReport`] for a sockets-backend run. Durations are
-/// wall-clock seconds measured across real processes; there is no
-/// telemetry snapshot (each rank is a separate address space), so the
-/// report carries the config, decisions, loads, and timing only.
-fn write_metrics_sockets(
-    out: &Path,
-    args: &Args,
-    report: &sockcomm::SockReport<SocketsRankResult>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let mut run = base_run_report(args, Default::default(), loads, stats);
-    run.config
-        .push(("transport".to_string(), Json::from(args.transport.clone())));
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: args.cores,
-        nodes: args.ranks.div_ceil(args.cores),
-    };
-    run.memory = MemoryReport {
-        budget: None,
-        max_high_water: 0,
-        per_rank_high_water: Vec::new(),
-    };
-    // Real processes: virtual time IS wall time.
-    run.makespan_v = report.wall_s;
-    run.wall_s = report.wall_s;
+    #[test]
+    fn validate_accepts_what_ci_runs() {
+        for line in [
+            "",
+            "--backend threads --sorter hyksort --ranks 4",
+            "--backend sockets --transport tcp --sorter sds-stable",
+            "--budget 60000 --faults seed=7,ramp=0:0:0.5 --resilient /tmp/s",
+            "--serve --ranks 4 --jobs 12 --workload adversarial",
+        ] {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+    }
 
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
-    Ok(path)
-}
+    #[test]
+    fn validate_rejects_what_no_backend_can_run() {
+        // (command line, a fragment the error must name)
+        for (line, want) in [
+            ("--ranks 0", "--ranks must be at least 1"),
+            ("--cores 0", "--cores must be at least 1"),
+            ("--serve --ranks 0", "--ranks must be at least 1"),
+            ("--serve --cores 0", "--cores must be at least 1"),
+            ("--serve --clients 0", "--clients must be at least 1"),
+            (
+                "--serve --sorter radix",
+                "--serve runs the sds sorters only",
+            ),
+            (
+                "--serve --trace",
+                "--trace is simulator-only (remove --serve",
+            ),
+            ("--sorter quick", "unknown sorter quick"),
+            ("--workload nope", "unknown workload"),
+            ("--backend mpi", "unknown backend mpi"),
+            (
+                "--transport tcp",
+                "--transport applies to --backend sockets",
+            ),
+            ("--backend sockets --transport ib", "unknown transport ib"),
+            (
+                "--sorter ams --resilient /tmp/s",
+                "--resilient applies to the sds",
+            ),
+            (
+                "--backend threads --sorter ams --oversample 2",
+                "--oversample",
+            ),
+            (
+                "--backend threads --faults seed=1",
+                "--faults is simulator-only",
+            ),
+            ("--backend sockets --budget 1", "--budget is simulator-only"),
+            ("--backend threads --trace", "--trace is simulator-only"),
+            (
+                "--backend sockets --collective-timeout 5",
+                "--collective-timeout is",
+            ),
+            (
+                "--backend threads --resilient /tmp/s",
+                "--resilient is simulator-only",
+            ),
+        ] {
+            let err = check(line).expect_err("must be rejected");
+            assert!(err.contains(want), "{line}: {err:?} lacks {want:?}");
+        }
+    }
 
-/// Assemble and write the telemetry [`RunReport`] for a successful run. A
-/// `.json` path is written as-is; any other path is treated as a directory
-/// receiving `BENCH_sortcli.json`.
-fn write_metrics<R>(
-    out: &Path,
-    args: &Args,
-    report: &mpisim::WorldReport<R>,
-    loads: &[usize],
-    stats: &sdssort::SortStats,
-) -> std::io::Result<PathBuf> {
-    let snapshot = report.telemetry.clone().unwrap_or_default();
-    let mut run = base_run_report(args, snapshot, loads, stats);
-    run.world = WorldMeta {
-        ranks: args.ranks,
-        cores_per_node: report.topology.cores_per_node(),
-        nodes: report.topology.num_nodes(),
-    };
-    run.memory = MemoryReport {
-        budget: report.memory_budget.map(|b| b as u64),
-        max_high_water: report.max_memory_high_water as u64,
-        per_rank_high_water: report
-            .per_rank_memory_high_water
-            .iter()
-            .map(|&b| b as u64)
-            .collect(),
-    };
-    run.makespan_v = report.makespan;
-    run.wall_s = report.wall.as_secs_f64();
-
-    let path = metrics_path(out)?;
-    std::fs::write(&path, run.to_json_string() + "\n")?;
-    Ok(path)
+    #[test]
+    fn rank_outcome_crosses_the_wire_intact() {
+        use comm::Wire;
+        let sent = RankOutcome {
+            sorted: true,
+            permutation: false,
+            len: 12_345,
+            pivot_s: 1.5e-3,
+            exchange_s: 2.5e-4,
+            local_order_s: 0.0,
+            node_merged: true,
+            overlapped: false,
+            spilled: true,
+            spill_records: 77,
+        };
+        let mut bytes = Vec::new();
+        sent.put(&mut bytes);
+        assert_eq!(RankOutcome::get(&mut &bytes[..]), Some(sent));
+        assert_eq!(RankOutcome::get(&mut &bytes[..bytes.len() - 1]), None);
+    }
 }

@@ -1,6 +1,6 @@
-//! Structured result emission shared by every harness binary.
+//! Structured result emission shared by both binaries.
 //!
-//! Each harness records its series through an [`Emitter`] — one named
+//! Each experiment records its series through an [`Emitter`] — one named
 //! series per sorter/variant, one point per parameter setting — instead of
 //! hand-rolling `println!` output. When the process was given
 //! `--metrics-out <path>` (or `BENCH_METRICS_OUT` is set), `finish`
@@ -30,47 +30,22 @@ use std::path::{Path, PathBuf};
 /// Version of the experiment JSON schema written by [`Emitter::finish`].
 pub const EXPERIMENT_SCHEMA_VERSION: u64 = 1;
 
-/// Parse the metrics output destination from the process arguments
-/// (`--metrics-out <path>` or `--metrics-out=<path>`), falling back to the
-/// `BENCH_METRICS_OUT` environment variable.
-pub fn metrics_out_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--metrics-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--metrics-out=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    std::env::var_os("BENCH_METRICS_OUT").map(PathBuf::from)
-}
-
-struct SeriesData {
-    name: String,
-    points: Vec<Json>,
-}
-
 /// Collects one experiment's series and writes them as canonical JSON.
 pub struct Emitter {
     experiment: String,
     meta: Vec<(String, Json)>,
-    series: Vec<SeriesData>,
+    /// (name, points) in first-recorded order.
+    series: Vec<(String, Vec<Json>)>,
     out: Option<PathBuf>,
 }
 
 impl Emitter {
-    /// An emitter for `experiment`, with the output destination taken from
-    /// the process arguments / environment (see [`metrics_out_path`]).
-    pub fn from_env(experiment: &str) -> Self {
-        Self::with_out(experiment, metrics_out_path())
-    }
-
     /// An emitter writing to an explicit destination (`None` = print only).
     ///
     /// Every document starts self-describing: `git_rev` and `backend`
-    /// meta entries are filled in automatically (harnesses can still
-    /// override them via [`Emitter::meta`]).
+    /// meta entries are filled in automatically (`backend` is `sim`, where
+    /// every registry experiment runs; `sortcli --serve` overrides it via
+    /// [`Emitter::meta`]).
     pub fn with_out(experiment: &str, out: Option<PathBuf>) -> Self {
         let mut em = Self {
             experiment: experiment.to_string(),
@@ -79,7 +54,7 @@ impl Emitter {
             out,
         };
         em.meta("git_rev", crate::git_rev());
-        em.meta("backend", crate::backend().label());
+        em.meta("backend", "sim");
         em
     }
 
@@ -100,12 +75,9 @@ impl Emitter {
             Json::Obj(kv.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
         };
         let point = Json::obj(vec![("params", to_obj(params)), ("values", to_obj(values))]);
-        match self.series.iter_mut().find(|s| s.name == series) {
-            Some(s) => s.points.push(point),
-            None => self.series.push(SeriesData {
-                name: series.to_string(),
-                points: vec![point],
-            }),
+        match self.series.iter_mut().find(|(name, _)| name == series) {
+            Some((_, points)) => points.push(point),
+            None => self.series.push((series.to_string(), vec![point])),
         }
     }
 
@@ -121,10 +93,10 @@ impl Emitter {
                 Json::Arr(
                     self.series
                         .iter()
-                        .map(|s| {
+                        .map(|(name, points)| {
                             Json::obj(vec![
-                                ("name", Json::from(s.name.clone())),
-                                ("points", Json::Arr(s.points.clone())),
+                                ("name", Json::from(name.clone())),
+                                ("points", Json::Arr(points.clone())),
                             ])
                         })
                         .collect(),
@@ -133,21 +105,12 @@ impl Emitter {
         ])
     }
 
-    /// Write the document if a destination was configured. Prints the
-    /// output path so harness logs record where the metrics went.
-    pub fn finish(self) -> std::io::Result<Option<PathBuf>> {
+    /// Write the document if a destination was configured.
+    pub fn finish(&self) -> std::io::Result<Option<PathBuf>> {
         let Some(out) = &self.out else {
             return Ok(None);
         };
-        let path = resolve_out(out, &self.experiment);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(&path, self.to_json().to_string_pretty() + "\n")?;
-        println!("metrics: wrote {}", path.display());
-        Ok(Some(path))
+        write_document(out, &self.experiment, &self.to_json().to_string_pretty()).map(Some)
     }
 }
 
@@ -161,8 +124,23 @@ fn resolve_out(out: &Path, experiment: &str) -> PathBuf {
     }
 }
 
+/// Write `json` as `experiment`'s document under the `--metrics-out`
+/// destination `out` (see [`resolve_out`]), creating missing directories.
+/// Prints the output path so logs record where the metrics went.
+pub fn write_document(out: &Path, experiment: &str, json: &str) -> std::io::Result<PathBuf> {
+    let path = resolve_out(out, experiment);
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(&path, format!("{json}\n"))?;
+    println!("metrics: wrote {}", path.display());
+    Ok(path)
+}
+
 /// The standard value set recorded for one [`RunOutcome`] — shared so
-/// every harness reports the same keys.
+/// every experiment reports the same keys.
 pub fn outcome_values(o: &RunOutcome) -> Vec<(&'static str, Json)> {
     vec![
         ("time_s", Json::from(o.time_s)),

@@ -1,68 +1,68 @@
 //! # bench — experiment harness for the SDS-Sort reproduction
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks (`benches/`). This library holds the shared
-//! plumbing: scaled experiment sizes, table printing, world construction,
+//! Two binaries (see `src/bin/`): `experiments`, which regenerates every
+//! table and figure of the paper plus the ablations from one
+//! [`registry::REGISTRY`], and `sortcli`, which runs any sorter on any
+//! workload and backend. This library holds what they share: scaled
+//! experiment sizes, table printing, result emission, world construction,
 //! and sorter dispatch.
 //!
-//! Every harness prints (a) the paper's rows/series at our reduced scale
+//! Every experiment prints (a) the paper's rows/series at our reduced scale
 //! and (b) a `shape:` verdict line summarizing whether the qualitative
 //! result (who wins, where the crossover falls, who crashes) reproduced.
 //!
 //! Scale control: set `BENCH_SCALE=full` for larger sweeps (default
-//! `small` finishes in seconds per harness).
+//! `small` finishes in seconds per experiment).
 
-use mpisim::{Comm, Communicator, NetModel, World};
+use mpisim::{Comm, World};
 use sdssort::{sds_sort, ComputeCharge, ComputeModel, SdsConfig, SortError, SortOutput, Sortable};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod emit;
 pub mod experiments;
+pub mod registry;
 pub mod table;
 
-pub use emit::{metrics_out_path, Emitter};
+pub use emit::Emitter;
+pub use registry::{Cells, Dataset, Experiment, Run, REGISTRY};
 pub use table::{fmt_bytes, fmt_time, Table};
 
 /// Experiment scale, from the `BENCH_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-per-harness sizes (default; used by `cargo test`).
+    /// Seconds-per-experiment sizes (default; used by `cargo test`).
     Small,
     /// Larger sweeps for report-quality numbers.
     Full,
 }
 
-/// Read the scale from the environment.
-pub fn scale() -> Scale {
-    match std::env::var("BENCH_SCALE").as_deref() {
-        Ok("full") | Ok("FULL") => Scale::Full,
-        _ => Scale::Small,
+impl Scale {
+    /// Read the scale from the environment.
+    pub fn from_env() -> Scale {
+        match std::env::var("BENCH_SCALE").as_deref() {
+            Ok("full") | Ok("FULL") => Scale::Full,
+            _ => Scale::Small,
+        }
+    }
+
+    /// Pick `small` or `full` by scale.
+    pub fn pick<T>(self, small: T, full: T) -> T {
+        match self {
+            Scale::Small => small,
+            Scale::Full => full,
+        }
     }
 }
 
-/// Pick `small` or `full` by scale.
-pub fn by_scale<T>(small: T, full: T) -> T {
-    match scale() {
-        Scale::Small => small,
-        Scale::Full => full,
-    }
-}
-
-/// Calibrate the compute model once per harness.
-pub fn model() -> ComputeModel {
-    ComputeModel::calibrate()
-}
-
-/// A modelled world: Edison network, 24-core nodes, zero wall-clock
-/// compute charging (compute enters through `ComputeCharge::Modeled`).
+/// A modelled world: Edison network and 24-core nodes (the `World`
+/// defaults), zero wall-clock compute charging (compute enters through
+/// `ComputeCharge::Modeled`).
 pub fn modeled_world(p: usize) -> World {
-    World::new(p)
-        .cores_per_node(24)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
+    World::new(p).compute_scale(0.0)
 }
 
-/// Which sorter a harness runs.
+/// Which sorter an experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sorter {
     /// SDS-Sort, fast (unstable) variant.
@@ -88,77 +88,30 @@ impl Sorter {
             Sorter::Hss => "HSS",
         }
     }
-
-    /// Stable wire code for the sockets bench entry (process boundary).
-    pub fn code(self) -> u8 {
-        match self {
-            Sorter::Sds => 0,
-            Sorter::SdsStable => 1,
-            Sorter::HykSort => 2,
-            Sorter::Ams => 3,
-            Sorter::Hss => 4,
-        }
-    }
-
-    /// Inverse of [`Sorter::code`].
-    pub fn from_code(code: u8) -> Option<Sorter> {
-        match code {
-            0 => Some(Sorter::Sds),
-            1 => Some(Sorter::SdsStable),
-            2 => Some(Sorter::HykSort),
-            3 => Some(Sorter::Ams),
-            4 => Some(Sorter::Hss),
-            _ => None,
-        }
-    }
-}
-
-/// Which execution backend a harness runs on, from the `BENCH_BACKEND`
-/// env var: the deterministic virtual-time simulator (default) or the real
-/// OS-thread backend (`crates/shmem`), which reports wall-clock seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// `mpisim`: modeled network, virtual time, deterministic.
-    Sim,
-    /// `shmem`: one OS thread per rank, measured wall-clock time.
-    Threads,
-}
-
-impl Backend {
-    /// Stable name embedded in emitted reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Threads => "threads",
-        }
-    }
-}
-
-/// Read the backend from the environment (`BENCH_BACKEND=threads`).
-pub fn backend() -> Backend {
-    match std::env::var("BENCH_BACKEND").as_deref() {
-        Ok("threads") | Ok("THREADS") => Backend::Threads,
-        _ => Backend::Sim,
-    }
 }
 
 /// Short git revision of the checkout producing a report, or `"unknown"`
 /// outside a repository — embedded in every emitted document so a BENCH
-/// file identifies the code that produced it.
+/// file identifies the code that produced it. Asked of `git` once per
+/// process.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+    .clone()
 }
 
 /// Outcome of one distributed-sort run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Modelled makespan in seconds, `None` on OOM failure.
     pub time_s: Option<f64>,
@@ -181,6 +134,36 @@ impl RunOutcome {
     }
 }
 
+/// Run `sort` on every rank of a [`modeled_world`] of `p` ranks, optionally
+/// under a per-rank simulated memory `budget`, and fold the per-rank results
+/// into one [`RunOutcome`] (a failure on any rank is a failed run).
+pub fn run_world<T, F>(p: usize, budget: Option<usize>, sort: F) -> RunOutcome
+where
+    T: Sortable,
+    F: Fn(&mut Comm) -> Result<SortOutput<T>, SortError> + Send + Sync,
+{
+    let mut world = modeled_world(p);
+    if let Some(b) = budget {
+        world = world.memory_budget(b);
+    }
+    let started = Instant::now();
+    let report = world.run(sort);
+    let wall_s = started.elapsed().as_secs_f64();
+    let Ok(outputs) = report.results.into_iter().collect::<Result<Vec<_>, _>>() else {
+        return RunOutcome {
+            wall_s,
+            ..RunOutcome::default()
+        };
+    };
+    let stats: Vec<sdssort::SortStats> = outputs.iter().map(|o| o.stats).collect();
+    RunOutcome {
+        time_s: Some(report.makespan),
+        loads: outputs.iter().map(|o| o.data.len()).collect(),
+        phases: sdssort::stats::phase_maxima(&stats),
+        wall_s,
+    }
+}
+
 /// Run `sorter` over `p` ranks where rank `r` sorts `gen(r)`; compute is
 /// charged via the calibrated model, communication via the Edison network
 /// model. `budget` optionally caps per-rank simulated memory.
@@ -195,184 +178,10 @@ where
     T: Sortable,
     G: Fn(usize) -> Vec<T> + Send + Sync,
 {
-    let mut world = modeled_world(p);
-    if let Some(b) = budget {
-        world = world.memory_budget(b);
-    }
-    let started = Instant::now();
-    let report = world.run(|comm| run_one(sorter, comm, gen(comm.rank()), model));
-    let wall_s = started.elapsed().as_secs_f64();
-    let ok = report.results.iter().all(Result::is_ok);
-    if !ok {
-        return RunOutcome {
-            time_s: None,
-            loads: Vec::new(),
-            phases: sdssort::SortStats::default(),
-            wall_s,
-        };
-    }
-    let stats: Vec<sdssort::SortStats> = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").stats)
-        .collect();
-    let loads = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").data.len())
-        .collect();
-    RunOutcome {
-        time_s: Some(report.makespan),
-        loads,
-        phases: sdssort::stats::phase_maxima(&stats),
-        wall_s,
-    }
-}
-
-/// Dispatch a sorter on any [`comm::Communicator`] backend with *measured*
-/// compute charging and the same τ knobs as the simulator harnesses
-/// (`τm = 0`, `τo = 16`, `τs = 8`) so cross-backend sweeps compare
-/// identical algorithm configurations.
-pub fn run_one_measured<T: Sortable, C: comm::Communicator>(
-    sorter: Sorter,
-    comm: &C,
-    data: Vec<T>,
-) -> Result<SortOutput<T>, SortError> {
-    match sorter {
-        Sorter::Sds | Sorter::SdsStable => {
-            let mut cfg = if sorter == Sorter::SdsStable {
-                SdsConfig::stable()
-            } else {
-                SdsConfig::default()
-            };
-            cfg.tau_m_bytes = 0;
-            cfg.tau_o = 16;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::Ams => algos::ams_sort(comm, data, &algos::AmsConfig::default()),
-        Sorter::Hss => algos::hss_sort(comm, data, &algos::HssConfig::default()),
-        Sorter::HykSort => baselines::hyksort(comm, data, &baselines::HykSortConfig::default()),
-    }
-}
-
-/// Run a sorter for real on the threads backend (`crates/shmem`): one OS
-/// thread per rank, wall-clock timing. `time_s` in the outcome is the
-/// measured wall clock of the whole world, so weak-scaling sweeps report
-/// real seconds.
-pub fn run_sorter_threads<T, G>(sorter: Sorter, p: usize, gen: G) -> RunOutcome
-where
-    T: Sortable,
-    G: Fn(usize) -> Vec<T> + Send + Sync,
-{
-    let report = shmem::ThreadWorld::new(p)
-        .cores_per_node(24)
-        .run(|comm| run_one_measured(sorter, comm, gen(comm.rank())));
-    let ok = report.results.iter().all(Result::is_ok);
-    if !ok {
-        return RunOutcome {
-            time_s: None,
-            loads: Vec::new(),
-            phases: sdssort::SortStats::default(),
-            wall_s: report.wall_s,
-        };
-    }
-    let stats: Vec<sdssort::SortStats> = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").stats)
-        .collect();
-    let loads = report
-        .results
-        .iter()
-        .map(|r| r.as_ref().expect("checked ok").data.len())
-        .collect();
-    RunOutcome {
-        time_s: Some(report.wall_s),
-        loads,
-        phases: sdssort::stats::phase_maxima(&stats),
-        wall_s: report.wall_s,
-    }
-}
-
-/// Entry name the sockets bench worlds dispatch on. A binary that calls
-/// [`run_sorter_sockets`] MUST call [`sockets_bench_child`] at the top of
-/// `main`, or its re-exec'd rank processes will never find the entry.
-pub const SOCKETS_BENCH_ENTRY: &str = "bench-sds-uniform";
-
-/// Per-rank result of the sockets bench entry, flattened to `Wire`
-/// scalars: (output len, wall s, pivot s, exchange s, local-order s,
-/// other s, node merged, overlapped).
-type SockBenchResult = (u64, f64, f64, f64, f64, f64, bool, bool);
-
-/// Child-side hook for [`run_sorter_sockets`]: diverts re-exec'd rank
-/// processes into the bench sort entry; a no-op in the parent.
-pub fn sockets_bench_child() {
-    sockcomm::child_rank(
-        SOCKETS_BENCH_ENTRY,
-        |comm, (code, n_rank): (u8, u64)| -> SockBenchResult {
-            let sorter = Sorter::from_code(code).expect("sockets bench rank: bad sorter code");
-            let data = workloads::uniform_u64(n_rank as usize, 0xF167, comm.rank());
-            let t0 = Instant::now();
-            let o = run_one_measured(sorter, comm, data).expect("sockets bench rank: sort failed");
-            (
-                o.data.len() as u64,
-                t0.elapsed().as_secs_f64(),
-                o.stats.pivot_s,
-                o.stats.exchange_s,
-                o.stats.local_order_s,
-                o.stats.other_s,
-                o.stats.node_merged,
-                o.stats.overlapped,
-            )
-        },
-    );
-}
-
-/// Run `sorter` over `p` rank *processes* connected by Unix-domain
-/// sockets, each sorting `n_rank` uniform `u64` keys (same generator and
-/// seed as [`run_sorter_threads`] via `weak_scaling_uniform_threads`).
-/// `time_s` is the slowest rank's measured sort seconds; `wall_s` is the
-/// launcher's wall clock and additionally includes process spawn and
-/// rendezvous (see EXPERIMENTS.md).
-pub fn run_sorter_sockets(sorter: Sorter, p: usize, n_rank: usize) -> RunOutcome {
-    let world = sockcomm::SocketWorld::new(p).cores_per_node(24);
-    match world
-        .run::<(u8, u64), SockBenchResult>(SOCKETS_BENCH_ENTRY, &(sorter.code(), n_rank as u64))
-    {
-        Err(e) => {
-            eprintln!("sockets bench world failed: {e}");
-            RunOutcome {
-                time_s: None,
-                loads: Vec::new(),
-                phases: sdssort::SortStats::default(),
-                wall_s: 0.0,
-            }
-        }
-        Ok(report) => {
-            let stats: Vec<sdssort::SortStats> = report
-                .results
-                .iter()
-                .map(|r| sdssort::SortStats {
-                    pivot_s: r.2,
-                    exchange_s: r.3,
-                    local_order_s: r.4,
-                    other_s: r.5,
-                    recv_count: r.0 as usize,
-                    node_merged: r.6,
-                    overlapped: r.7,
-                    ..Default::default()
-                })
-                .collect();
-            let slowest_sort = report.results.iter().map(|r| r.1).fold(0.0f64, f64::max);
-            RunOutcome {
-                time_s: Some(slowest_sort),
-                loads: report.results.iter().map(|r| r.0 as usize).collect(),
-                phases: sdssort::stats::phase_maxima(&stats),
-                wall_s: report.wall_s,
-            }
-        }
-    }
+    use mpisim::Communicator;
+    run_world(p, budget, |comm| {
+        run_one(sorter, comm, gen(comm.rank()), model)
+    })
 }
 
 fn run_one<T: Sortable>(
@@ -381,27 +190,21 @@ fn run_one<T: Sortable>(
     data: Vec<T>,
     model: ComputeModel,
 ) -> Result<SortOutput<T>, SortError> {
-    // Node merging is disabled (τm = 0) in the comparative harnesses: our
+    // Node merging is disabled (τm = 0) in the comparative experiments: our
     // memory budget is per rank, while node merging concentrates a node's
     // data on its leader by design (the real machine's budget is per
     // *node*). Fig. 5a studies node merging in isolation.
     //
     // τo and τs are machine-specific tuning knobs: the paper calibrates
-    // 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c harnesses locate
+    // 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c experiments locate
     // the crossovers near 16 and 8 on the simulated machine, so the
     // comparative runs use those.
     match sorter {
-        Sorter::Sds => {
+        Sorter::Sds | Sorter::SdsStable => {
             let mut cfg = SdsConfig::modeled(model);
+            cfg.stable = sorter == Sorter::SdsStable; // stable never overlaps: τo is moot
             cfg.tau_m_bytes = 0;
             cfg.tau_o = 16;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::SdsStable => {
-            let mut cfg = SdsConfig::modeled(model);
-            cfg.stable = true;
-            cfg.tau_m_bytes = 0;
             cfg.tau_s = 8;
             sds_sort(comm, data, &cfg)
         }
@@ -431,12 +234,28 @@ fn run_one<T: Sortable>(
     }
 }
 
+/// The smallest of `reps` draws of `f`.
+pub fn best_of(reps: usize, f: impl FnMut() -> f64) -> f64 {
+    std::iter::repeat_with(f)
+        .take(reps)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Best-of-`reps` wall time of `f` — the shared-memory kernel experiments
+/// (Figs. 5c/6a/6b) time real code on this host.
+pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    best_of(reps, || {
+        let t0 = Instant::now();
+        let out = f();
+        let secs = t0.elapsed().as_secs_f64();
+        std::hint::black_box(out);
+        secs
+    })
+}
+
 /// Format an optional time, using the paper's "Out of Memory" marker.
 pub fn fmt_opt_time(t: Option<f64>) -> String {
-    match t {
-        Some(t) => fmt_time(t),
-        None => "OOM".to_string(),
-    }
+    t.map_or_else(|| "OOM".to_string(), fmt_time)
 }
 
 /// Format an RDFA value, with ∞ for failures (Tables 3/4).
@@ -446,24 +265,4 @@ pub fn fmt_rdfa(r: f64) -> String {
     } else {
         format!("{r:.4}")
     }
-}
-
-/// Print the standard harness header.
-pub fn header(id: &str, paper_claim: &str) {
-    println!("==============================================================");
-    println!("{id}");
-    println!("paper: {paper_claim}");
-    println!(
-        "scale: {:?} (set BENCH_SCALE=full for larger sweeps)",
-        scale()
-    );
-    println!("==============================================================");
-}
-
-/// Print a shape verdict line.
-pub fn verdict(ok: bool, what: &str) {
-    println!(
-        "shape: [{}] {what}",
-        if ok { "REPRODUCED" } else { "DIVERGED" }
-    );
 }

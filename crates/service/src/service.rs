@@ -97,7 +97,17 @@ pub struct ServiceClient {
 
 impl SortService {
     /// Spawn the resident rank pool and the dispatcher, ready for jobs.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.ranks` or `cfg.cores_per_node` is zero. The world is built
+    /// here, on the caller's thread, so a configuration no world can run
+    /// fails at the call site — not inside the dispatcher, where it would
+    /// leave a service that accepts jobs no one will ever run.
     pub fn start(cfg: ServiceConfig) -> Self {
+        let mut world = ThreadWorld::new(cfg.ranks)
+            .cores_per_node(cfg.cores_per_node)
+            .resident();
         let shared = Arc::new(Shared {
             queue: Mailbox::new(cfg.queue_capacity),
             stopping: AtomicBool::new(false),
@@ -116,11 +126,8 @@ impl SortService {
         let dispatcher = std::thread::Builder::new()
             .name("sortsvc-dispatcher".to_owned())
             .spawn(move || {
-                // The resident world lives on the dispatcher thread: gangs
-                // are strictly sequential by construction.
-                let mut world = ThreadWorld::new(cfg.ranks)
-                    .cores_per_node(cfg.cores_per_node)
-                    .resident();
+                // The resident world lives on the dispatcher thread from
+                // here on: gangs are strictly sequential by construction.
                 while let Some(env) =
                     shared2
                         .queue

@@ -113,14 +113,14 @@ run cargo test -q "${CARGO_OPTS[@]}" --test backend_equivalence
 # skew matrix, and collective OOM behavior.
 run cargo test -q "${CARGO_OPTS[@]}" -p algos
 
-# 4-way skew shoot-out smoke at p=4: all five sorters must complete every
-# cell, HSS must honour its balance bound, and the emitted BENCH_pr10.json
-# must read back with the git_rev/backend meta and all sorter columns
-# (asserted inside the binary).
-run env BENCH_METRICS_OUT="$tmp/shootout" cargo run --release -q "${CARGO_OPTS[@]}" \
-    -p bench --bin shootout_pr10 -- --ranks 4
-test -s "$tmp/shootout/BENCH_pr10.json" || {
-    echo "ci: shootout_pr10 did not write BENCH_pr10.json" >&2
+# Every table, figure, ablation and the shoot-out (EXPERIMENTS.md), from
+# the one registry: the run fails if any shape verdict is DIVERGED (~1-2
+# min on 2 cores at the default BENCH_SCALE=small), and each experiment
+# must have written its document — spot-checked on the shoot-out's.
+run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin experiments -- \
+    --all --metrics-out "$tmp/exp"
+test -s "$tmp/exp/BENCH_shootout.json" || {
+    echo "ci: experiments did not write BENCH_shootout.json" >&2
     exit 1
 }
 
@@ -130,11 +130,11 @@ test -s "$tmp/shootout/BENCH_pr10.json" || {
 # document. The service suite also proves equivalence with one-shot runs
 # and graceful degradation under an injected pressure ramp.
 run cargo test -q "${CARGO_OPTS[@]}" -p service
-run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin svc_bench -- \
-    --ranks 4 --clients 4 --jobs 16 --records 4000 \
+run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --serve --ranks 4 --clients 4 --jobs 16 --records 4000 \
     --metrics-out "$tmp/svc"
-test -s "$tmp/svc/BENCH_svc.json" || {
-    echo "ci: svc_bench did not write BENCH_svc.json" >&2
+test -s "$tmp/svc/BENCH_sortsvc.json" || {
+    echo "ci: sortcli --serve did not write BENCH_sortsvc.json" >&2
     exit 1
 }
 
