@@ -35,10 +35,10 @@
 //! synchronous rank-order exchanges, tie-to-lower-run merges), so output
 //! is bit-identical across the sim/threads/sockets backends.
 
-use crate::{charged, collective_alloc};
 use comm::Communicator;
-use sdssort::merge::kway_merge_offsets;
-use sdssort::node_merge::node_merge;
+use sdssort::exchange::{exchange, fail_together, Delivery};
+use sdssort::histogram::choose_k;
+use sdssort::node_merge::{merge_onto_leaders, node_merge_applies};
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::reference_pivots;
 use sdssort::sampling::regular_sample;
@@ -79,34 +79,6 @@ impl Default for AmsConfig {
     }
 }
 
-/// Largest divisor of `p` that is ≤ `kmax` and ≥ 2; `p` itself when `p`
-/// is prime and exceeds `kmax` (single-level fallback, as in HykSort).
-fn choose_k(p: usize, kmax: usize) -> usize {
-    debug_assert!(p >= 2);
-    let mut best = 1usize;
-    let mut d = 2usize;
-    while d * d <= p {
-        if p.is_multiple_of(d) {
-            if d <= kmax {
-                best = best.max(d);
-            }
-            let q = p / d;
-            if q <= kmax {
-                best = best.max(q);
-            }
-        }
-        d += 1;
-    }
-    if p <= kmax {
-        best = best.max(p);
-    }
-    if best >= 2 {
-        best
-    } else {
-        p
-    }
-}
-
 /// Fan-out for one level. The first level prefers one group per node
 /// (`k = p/c`) when the node count divides the rank count and fits
 /// `kmax` — with a block rank layout this makes every later level
@@ -142,9 +114,8 @@ pub fn ams_sort<T: Sortable, C: Communicator>(
     };
     comm.trace_phase("local-sort");
     let n0 = data.len();
-    charged(
+    cfg.charge.charged(
         comm,
-        cfg.charge,
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
@@ -155,44 +126,22 @@ pub fn ams_sort<T: Sortable, C: Communicator>(
         return Ok(SortOutput { data, stats });
     }
 
-    // τm node merging on the input side, the SDS-Sort §2.3 machinery: the
-    // decision is uniform (global average), merging gathers each node's
-    // runs onto its leader, and AMS then runs over the leader communicator.
-    let n_sum = comm.allreduce(data.len() as u64, |a, b| a + b);
-    let n_avg = (n_sum / p as u64) as usize;
-    let c = comm.cores_per_node();
-    let avg_msg_bytes = n_avg / p * std::mem::size_of::<T>();
-    if c > 1 && avg_msg_bytes <= cfg.tau_m_bytes {
+    // τm node merging on the input side, the SDS-Sort §2.3 machinery:
+    // merging gathers each node's runs onto its leader, and AMS then runs
+    // over the leader communicator.
+    if node_merge_applies::<T, C>(comm, data.len(), cfg.tau_m_bytes).is_some() {
         stats.node_merged = true;
         comm.trace_phase("node-merge");
         let t1 = comm.now();
-        let (cg, cl) = comm.refine_comm();
-        let node_n = cl.allreduce(data.len(), |a, b| a + b);
-        let runs = cl.size();
-        let merged = charged(
-            comm,
-            cfg.charge,
-            |m| m.kway_merge_cost(node_n, runs),
-            || node_merge(&cl, &data),
-        );
-        drop(data);
+        let led = merge_onto_leaders(comm, data, cfg.charge);
         stats.other_s += comm.now() - t1;
-        return match (cg, merged) {
-            (Some(cg), Some(merged)) => {
-                let out = levels(&cg, merged, cfg, &mut stats, 0)?;
-                stats.recv_count = out.len();
-                Ok(SortOutput { data: out, stats })
-            }
-            (None, None) => {
-                // Non-leader: its data now lives on the node leader.
-                stats.recv_count = 0;
-                Ok(SortOutput {
-                    data: Vec::new(),
-                    stats,
-                })
-            }
-            _ => unreachable!("leader status must agree between cg and node_merge"),
+        // A non-leader's data now lives on its node leader.
+        let out = match led {
+            Some((cg, merged)) => levels(&cg, merged, cfg, &mut stats, 0)?,
+            None => Vec::new(),
         };
+        stats.recv_count = out.len();
+        return Ok(SortOutput { data: out, stats });
     }
 
     let out = levels(comm, data, cfg, &mut stats, 0)?;
@@ -223,9 +172,8 @@ fn levels<T: Sortable, C: Communicator>(
     let mine = regular_sample(&data, cfg.oversample.max(1).saturating_mul(kb_want));
     let (mut pooled, _) = comm.allgatherv(&mine);
     let pool_n = pooled.len();
-    let splitters = charged(
+    let splitters = cfg.charge.charged(
         comm,
-        cfg.charge,
         |m| m.sort_cost(pool_n),
         || reference_pivots(&mut pooled, kb_want),
     );
@@ -268,34 +216,23 @@ fn levels<T: Sortable, C: Communicator>(
             .expect("destination group*g + (me%g) < p, which fit in usize");
         send[dst] += cnt;
     }
-    let recv = comm.alltoall(&send);
-    let m: usize = recv.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    collective_alloc(comm, bytes)?;
-    let buf = comm.alltoallv_given_counts(&data, &send, &recv);
-    drop(data);
-    let mut disp = Vec::with_capacity(p + 1);
-    disp.push(0usize);
-    for &r in &recv {
-        disp.push(disp.last().copied().unwrap_or(0) + r);
-    }
-    let delivered = charged(
-        comm,
-        cfg.charge,
-        |mo| mo.kway_merge_cost(m, p),
-        || kway_merge_offsets(&buf, &disp),
-    );
-    drop(buf);
-    comm.free(bytes);
+    let delivered = exchange(comm, data, &send, Delivery::Merge, cfg.charge, None)?.data;
 
     // Stage 2: exact positional rebalance within the group, then recurse.
     let group = me / g;
     let sub = comm
         .split(Some(group as i64), (me % g) as i64)
         .expect("every rank is in a group");
-    let rebalanced = rebalance(&sub, delivered, cfg)?;
-    stats.exchange_s += comm.now() - t1;
-    levels(&sub, rebalanced, cfg, stats, depth + 1)
+    let sorted = rebalance(&sub, delivered, cfg).and_then(|rebalanced| {
+        stats.exchange_s += comm.now() - t1;
+        levels(&sub, rebalanced, cfg, stats, depth + 1)
+    });
+    // From the rebalance on, the memory checks are per group.
+    if depth == 0 && g > 1 {
+        fail_together(comm, sorted)
+    } else {
+        sorted
+    }
 }
 
 /// Redistribute the group's records so member `r` holds exactly the
@@ -323,26 +260,7 @@ fn rebalance<T: Sortable, C: Communicator>(
         let b = hi.min(before + n);
         *s = b.saturating_sub(a) as usize;
     }
-    let recv = sub.alltoall(&send);
-    let m: usize = recv.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    collective_alloc(sub, bytes)?;
-    let buf = sub.alltoallv_given_counts(&mine, &send, &recv);
-    drop(mine);
-    let mut disp = Vec::with_capacity(gsz + 1);
-    disp.push(0usize);
-    for &r in &recv {
-        disp.push(disp.last().copied().unwrap_or(0) + r);
-    }
-    let out = charged(
-        sub,
-        cfg.charge,
-        |mo| mo.kway_merge_cost(m, gsz),
-        || kway_merge_offsets(&buf, &disp),
-    );
-    drop(buf);
-    sub.free(bytes);
-    Ok(out)
+    Ok(exchange(sub, mine, &send, Delivery::Merge, cfg.charge, None)?.data)
 }
 
 #[cfg(test)]

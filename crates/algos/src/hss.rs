@@ -34,9 +34,9 @@
 //! breaks ties toward lower source ranks: output is bit-identical across
 //! the sim/threads/sockets backends.
 
-use crate::{charged, collective_alloc};
 use comm::Communicator;
-use sdssort::merge::kway_merge_offsets;
+use sdssort::exchange::{exchange, Delivery};
+use sdssort::histogram::xorshift;
 use sdssort::search::{lower_bound, upper_bound};
 use sdssort::selection::kth_smallest_key;
 use sdssort::stats::SortStats;
@@ -81,17 +81,6 @@ pub struct HssCut<K> {
     pub take_equal: u64,
     /// Realized global boundary position, `lower(key) + take_equal`.
     pub position: u64,
-}
-
-/// xorshift64* — deterministic candidate sampling without an RNG crate
-/// dependency (same generator as `sdssort::histogram`).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// Best candidate so far for one target: key, its global `[lower, upper]`
@@ -296,9 +285,8 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
     };
     comm.trace_phase("local-sort");
     let n0 = data.len();
-    charged(
+    cfg.charge.charged(
         comm,
-        cfg.charge,
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
@@ -316,7 +304,6 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
     stats.pivot_s += comm.now() - t1;
 
     comm.trace_phase("hss-exchange");
-    let t2 = comm.now();
     let mut send = Vec::with_capacity(p);
     let mut prev = 0usize;
     for &i in &idx {
@@ -327,29 +314,6 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
     // Degenerate inputs can yield fewer cuts than p-1 boundaries; the
     // remaining ranks receive nothing.
     send.resize(p, 0);
-    let recv = comm.alltoall(&send);
-    let m: usize = recv.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    collective_alloc(comm, bytes)?;
-    let buf = comm.alltoallv_given_counts(&data, &send, &recv);
-    drop(data);
-    stats.exchange_s += comm.now() - t2;
-
-    let t3 = comm.now();
-    let mut disp = Vec::with_capacity(p + 1);
-    disp.push(0usize);
-    for &r in &recv {
-        disp.push(disp.last().copied().unwrap_or(0) + r);
-    }
-    let out = charged(
-        comm,
-        cfg.charge,
-        |mo| mo.kway_merge_cost(m, p),
-        || kway_merge_offsets(&buf, &disp),
-    );
-    drop(buf);
-    comm.free(bytes);
-    stats.local_order_s += comm.now() - t3;
-    stats.recv_count = out.len();
-    Ok(SortOutput { data: out, stats })
+    let ex = exchange(comm, data, &send, Delivery::Merge, cfg.charge, None)?;
+    Ok(ex.into_output(stats))
 }

@@ -39,47 +39,3 @@ pub mod hss;
 
 pub use ams::{ams_sort, AmsConfig};
 pub use hss::{hss_sort, hss_splitters, HssConfig, HssCut};
-
-use comm::Communicator;
-use sdssort::{ComputeCharge, ComputeModel};
-
-/// Run `f`, charging its cost per the configured [`ComputeCharge`]:
-/// measured wall time via `comm.compute` or the calibrated model via
-/// `comm.charge_compute` (the same convention as `sdssort::sort`).
-pub(crate) fn charged<R, C: Communicator>(
-    comm: &C,
-    charge: ComputeCharge,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match charge {
-        ComputeCharge::Measured => comm.compute(f),
-        ComputeCharge::Modeled(m) => {
-            let r = f();
-            comm.charge_compute(cost(&m));
-            r
-        }
-    }
-}
-
-/// Collectively check that every rank can allocate its receive buffer.
-/// Returns the error for the exchange to abort with, or charges `bytes`
-/// against the budget on every rank. The check is collective so all ranks
-/// agree to fail (the simulator's OOM semantics; see `baselines::hyksort`).
-pub(crate) fn collective_alloc<C: Communicator>(
-    comm: &C,
-    bytes: usize,
-) -> Result<(), sdssort::SortError> {
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(u8::from(my_alloc.is_err()), |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => sdssort::SortError::Oom(e),
-            Ok(()) => sdssort::SortError::PeerOom,
-        });
-    }
-    Ok(())
-}

@@ -7,6 +7,8 @@
 
 use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig};
 use mpisim::{Communicator, NetModel, World};
+use sdssort::{is_globally_sorted, SortError};
+use std::time::Duration;
 use workloads::keys_by_name;
 
 fn world(p: usize) -> World {
@@ -281,4 +283,33 @@ fn both_fail_collectively_under_memory_pressure() {
             assert!(r.is_err(), "{algo}: rank {rank} must report the OOM");
         }
     }
+}
+
+#[test]
+fn ams_group_level_oom_fails_every_rank() {
+    // `sortcli --sorter ams --workload zipf:1.4 --ranks 16 --cores 4
+    // --records 4000 --budget 100000`: the first level (one group per node)
+    // fits everywhere, then group 0's rebalance does not. The memory check
+    // there is the group's own, so the other groups used to finish and hang
+    // in the next world collective, which the deadlock detector turns into a
+    // panic here.
+    let report = World::new(16)
+        .cores_per_node(4)
+        .memory_budget(100_000)
+        .collective_timeout(Duration::from_secs(10))
+        .run(|comm| {
+            let data = keys("zipf:1.4", 4000, 42, comm.rank());
+            ams_sort(comm, data, &AmsConfig::default())
+                .map(|out| is_globally_sorted(comm, &out.data))
+        });
+    for (rank, r) in report.results.iter().enumerate() {
+        assert!(
+            matches!(r, Err(SortError::Oom(_) | SortError::PeerOom)),
+            "rank {rank} must fail with group 0: {r:?}"
+        );
+    }
+    assert!(report
+        .results
+        .iter()
+        .any(|r| matches!(r, Err(SortError::Oom(_)))));
 }

@@ -18,9 +18,10 @@
 //! that.
 
 use crate::histogram::{histogram_splitters, HistogramConfig};
-use comm::{AsyncExchange, Communicator};
-use sdssort::config::{ComputeCharge, ComputeModel};
-use sdssort::merge::merge_two;
+use comm::Communicator;
+use sdssort::config::ComputeCharge;
+use sdssort::exchange::{exchange, fail_together, Delivery};
+use sdssort::histogram::choose_k;
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};
@@ -51,57 +52,6 @@ impl Default for HykSortConfig {
     }
 }
 
-fn model_of(cfg: &HykSortConfig) -> Option<ComputeModel> {
-    match cfg.charge {
-        ComputeCharge::Measured => None,
-        ComputeCharge::Modeled(m) => Some(m),
-    }
-}
-
-fn charged<R, C: Communicator>(
-    comm: &C,
-    cfg: &HykSortConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match model_of(cfg) {
-        None => comm.compute(f),
-        Some(m) => {
-            let r = f();
-            comm.charge_compute(cost(&m));
-            r
-        }
-    }
-}
-
-/// Largest divisor of `p` that is ≤ `kmax` and ≥ 2; `p` itself when `p` is
-/// prime and exceeds `kmax` (single-stage fallback).
-fn choose_k(p: usize, kmax: usize) -> usize {
-    debug_assert!(p >= 2);
-    let mut best = 1usize;
-    let mut d = 2usize;
-    while d * d <= p {
-        if p.is_multiple_of(d) {
-            if d <= kmax {
-                best = best.max(d);
-            }
-            let q = p / d;
-            if q <= kmax {
-                best = best.max(q);
-            }
-        }
-        d += 1;
-    }
-    if p <= kmax {
-        best = best.max(p);
-    }
-    if best >= 2 {
-        best
-    } else {
-        p
-    }
-}
-
 /// Sort `data` across `comm` with HykSort. Unstable. Fails collectively
 /// with [`SortError`] when any rank's receive buffer exceeds the simulated
 /// memory budget.
@@ -115,9 +65,8 @@ pub fn hyksort<T: Sortable, C: Communicator>(
         ..SortStats::default()
     };
     let n0 = data.len();
-    charged(
+    cfg.charge.charged(
         comm,
-        cfg,
         |m| m.sort_cost(n0),
         || {
             data.sort_unstable_by_key(|r| r.key());
@@ -174,59 +123,18 @@ fn stage<T: Sortable, C: Communicator>(
             .expect("bucket destination b*g + (me%g) < p, which fit in usize above");
         send_counts[dst] = cnt;
     }
-    let recv_counts = comm.alltoall(&send_counts);
-    let m: usize = recv_counts.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => SortError::Oom(e),
-            Ok(()) => SortError::PeerOom,
-        });
-    }
-
     // Asynchronous exchange overlapped with progressive merging; merge time
     // is charged to the exchange phase (paper footnote 4: HykSort's
     // exchange contains its local ordering).
-    let mut pending = comm.alltoallv_async_given_counts(&data, &send_counts, recv_counts);
-    drop(data);
-    // Binomial-counter progressive merging (see sdssort::sort for the
-    // volume argument).
-    let mut runs: Vec<(u32, Vec<T>)> = Vec::new();
-    while let Some((_src, chunk)) = pending.wait_any(comm) {
-        runs.push((0, chunk));
-        while runs.len() >= 2 && runs[runs.len() - 1].0 == runs[runs.len() - 2].0 {
-            let (lvl, hi) = runs.pop().expect("len>=2");
-            let (_, lo) = runs.pop().expect("len>=2");
-            let merged = charged(
-                comm,
-                cfg,
-                |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
-                || merge_two(&lo, &hi),
-            );
-            runs.push((lvl + 1, merged));
-        }
-    }
-    // Balanced cascade over whatever the stack still holds (free when the
-    // counter already collapsed everything into one run).
-    let acc = if runs.len() == 1 {
-        runs.pop().expect("len==1").1
-    } else {
-        let refs: Vec<&[T]> = runs.iter().map(|(_, r)| r.as_slice()).collect();
-        let left: usize = refs.iter().map(|r| r.len()).sum();
-        let k_left = refs.len();
-        charged(
-            comm,
-            cfg,
-            |mo| mo.kway_merge_cost(left, k_left),
-            || sdssort::merge::kway_merge(&refs),
-        )
-    };
-    comm.free(bytes);
+    let acc = exchange(
+        comm,
+        data,
+        &send_counts,
+        Delivery::Overlapped,
+        cfg.charge,
+        None,
+    )?
+    .data;
     stats.exchange_s += comm.now() - t1;
 
     if g == 1 {
@@ -236,7 +144,13 @@ fn stage<T: Sortable, C: Communicator>(
     let sub = comm
         .split(Some(group), (me % g) as i64)
         .expect("every rank is in a group");
-    stage(&sub, acc, cfg, stats, depth + 1)
+    let sorted = stage(&sub, acc, cfg, stats, depth + 1);
+    // Below the first stage the memory checks are per group.
+    if depth == 0 {
+        fail_together(comm, sorted)
+    } else {
+        sorted
+    }
 }
 
 #[cfg(test)]

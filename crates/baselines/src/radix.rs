@@ -16,6 +16,8 @@
 //! the trait with `USABLE = false` and are rejected at runtime.
 
 use comm::Communicator;
+use sdssort::config::ComputeCharge;
+use sdssort::exchange::{exchange, Delivery};
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};
 use sdssort::stats::SortStats;
@@ -135,38 +137,17 @@ where
     let scounts: Vec<usize> = cuts.windows(2).map(|w| w[1] - w[0]).collect();
     stats.pivot_s = comm.now() - t0;
 
-    // Exchange with the collective memory check.
-    let t1 = comm.now();
-    let rcounts = comm.alltoall(&scounts);
-    let m: usize = rcounts.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => SortError::Oom(e),
-            Ok(()) => SortError::PeerOom,
-        });
-    }
-    let buf = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
-    drop(data);
-    stats.exchange_s = comm.now() - t1;
-
-    // Local ordering of the received chunks.
-    let t2 = comm.now();
-    let mut disp = Vec::with_capacity(p + 1);
-    disp.push(0usize);
-    for &rc in &rcounts {
-        disp.push(disp.last().copied().expect("non-empty") + rc);
-    }
-    let out = comm.compute(|| sdssort::merge::kway_merge_offsets(&buf, &disp));
-    stats.local_order_s = comm.now() - t2;
-    comm.free(bytes);
-    stats.recv_count = out.len();
-    Ok(SortOutput { data: out, stats })
+    // Collective memory check, exchange, k-way merge of the received
+    // chunks (compute is always measured here).
+    let ex = exchange(
+        comm,
+        data,
+        &scounts,
+        Delivery::Merge,
+        ComputeCharge::Measured,
+        None,
+    )?;
+    Ok(ex.into_output(stats))
 }
 
 #[cfg(test)]

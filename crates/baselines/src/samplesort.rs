@@ -8,8 +8,8 @@
 //! the second baseline.
 
 use comm::Communicator;
-use sdssort::config::{ComputeCharge, ComputeModel};
-use sdssort::merge::kway_merge_offsets;
+use sdssort::config::ComputeCharge;
+use sdssort::exchange::{exchange, Delivery};
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::{select_global_pivots, PivotMethod};
 use sdssort::record::Sortable;
@@ -32,22 +32,6 @@ impl Default for SampleSortConfig {
     }
 }
 
-fn charged<R, C: Communicator>(
-    comm: &C,
-    cfg: &SampleSortConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match cfg.charge {
-        ComputeCharge::Measured => comm.compute(f),
-        ComputeCharge::Modeled(m) => {
-            let r = f();
-            comm.charge_compute(cost(&m));
-            r
-        }
-    }
-}
-
 /// Classical PSRS sort of `data` across `comm`. Unstable.
 pub fn sample_sort<T: Sortable, C: Communicator>(
     comm: &C,
@@ -62,9 +46,8 @@ pub fn sample_sort<T: Sortable, C: Communicator>(
     let t0 = comm.now();
 
     let n0 = data.len();
-    charged(
+    cfg.charge.charged(
         comm,
-        cfg,
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
@@ -93,41 +76,7 @@ pub fn sample_sort<T: Sortable, C: Communicator>(
     let scounts = cuts_to_counts(&cuts);
     stats.pivot_s = comm.now() - t0;
 
-    // Exchange with collective memory check.
-    let t1 = comm.now();
-    let rcounts = comm.alltoall(&scounts);
-    let m: usize = rcounts.iter().sum();
-    let bytes = m * std::mem::size_of::<T>();
-    let my_alloc = comm.try_alloc(bytes);
-    let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-    if any_oom {
-        if my_alloc.is_ok() {
-            comm.free(bytes);
-        }
-        return Err(match my_alloc {
-            Err(e) => SortError::Oom(e),
-            Ok(()) => SortError::PeerOom,
-        });
-    }
-    let buf = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
-    drop(data);
-    stats.exchange_s = comm.now() - t1;
-
-    // Final k-way merge.
-    let t2 = comm.now();
-    let mut disp = Vec::with_capacity(p + 1);
-    disp.push(0usize);
-    for &rc in &rcounts {
-        disp.push(disp.last().copied().expect("non-empty") + rc);
-    }
-    let out = charged(
-        comm,
-        cfg,
-        |mo| mo.kway_merge_cost(m, p),
-        || kway_merge_offsets(&buf, &disp),
-    );
-    stats.local_order_s = comm.now() - t2;
-    comm.free(bytes);
-    stats.recv_count = out.len();
-    Ok(SortOutput { data: out, stats })
+    // Collective memory check, exchange, final k-way merge.
+    let ex = exchange(comm, data, &scounts, Delivery::Merge, cfg.charge, None)?;
+    Ok(ex.into_output(stats))
 }

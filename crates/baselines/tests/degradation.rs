@@ -8,6 +8,7 @@ use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, sds_sort_resilient, ComputeModel, ResilienceConfig, SdsConfig, SortError,
 };
+use std::time::Duration;
 
 const P: usize = 6;
 const N: usize = 300;
@@ -46,6 +47,36 @@ fn hyksort_still_ooms_under_memory_ramp() {
             .all(|r| matches!(r, Err(SortError::Oom(_)) | Err(SortError::PeerOom))),
         "HykSort has no degradation path; the ramp must crash it everywhere"
     );
+}
+
+#[test]
+fn hyksort_group_level_oom_fails_every_rank() {
+    // k = 4 over p = 16: the first stage fits everywhere, the second stage's
+    // memory check is each group's own and only group 0 fails it. The other
+    // three groups used to return Ok and hang in the next world collective,
+    // which the deadlock detector turns into a panic here.
+    let report = World::new(16)
+        .cores_per_node(4)
+        .memory_budget(100_000)
+        .collective_timeout(Duration::from_secs(10))
+        .run(|comm| {
+            let cfg = HykSortConfig {
+                k: 4,
+                ..HykSortConfig::default()
+            };
+            let data = workloads::zipf::zipf_keys(4000, 1.4, 42, comm.rank());
+            hyksort(comm, data, &cfg).map(|out| is_globally_sorted(comm, &out.data))
+        });
+    for (rank, r) in report.results.iter().enumerate() {
+        assert!(
+            matches!(r, Err(SortError::Oom(_) | SortError::PeerOom)),
+            "rank {rank} must fail with group 0: {r:?}"
+        );
+    }
+    assert!(report
+        .results
+        .iter()
+        .any(|r| matches!(r, Err(SortError::Oom(_)))));
 }
 
 #[test]

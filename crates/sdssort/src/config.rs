@@ -14,6 +14,7 @@
 //! reproduces a figure sweeps the relevant threshold explicitly.
 
 use crate::record::Sortable;
+use comm::Communicator;
 
 /// How compute time is charged to the virtual clocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +25,26 @@ pub enum ComputeCharge {
     /// Charge analytically modelled durations from a [`ComputeModel`]
     /// (robust for scaling studies with thousands of simulated ranks).
     Modeled(ComputeModel),
+}
+
+impl ComputeCharge {
+    /// Run `f` on `comm`'s timeline, charging either its measured duration
+    /// or the model cost returned from `cost`.
+    pub fn charged<R, C: Communicator>(
+        self,
+        comm: &C,
+        cost: impl FnOnce(&ComputeModel) -> f64,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        match self {
+            ComputeCharge::Measured => comm.compute(f),
+            ComputeCharge::Modeled(m) => {
+                let r = f();
+                comm.charge_compute(cost(&m));
+                r
+            }
+        }
+    }
 }
 
 /// Calibrated per-record compute costs, in seconds.
@@ -262,8 +283,7 @@ impl SdsConfig {
     /// Whether node-level merging applies for local size `n`, world size
     /// `p`, and record type `T` (paper line 3: `n/p ≤ τm`).
     pub fn should_node_merge<T: Sortable>(&self, n: usize, p: usize) -> bool {
-        let avg_msg_bytes = n / p.max(1) * std::mem::size_of::<T>();
-        avg_msg_bytes <= self.tau_m_bytes
+        crate::node_merge::within_tau_m::<T>(n, p, self.tau_m_bytes)
     }
 
     /// Whether to overlap exchange with local ordering (paper line 15,

@@ -42,14 +42,43 @@ impl Default for HistogramConfig {
 }
 
 /// xorshift64* — deterministic candidate sampling without an RNG crate
-/// dependency in the core library.
-fn xorshift(state: &mut u64) -> u64 {
+/// dependency in the core library (HSS in `algos` samples with it too).
+pub fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Fan-out `k` for one level of a multi-level sorter (HykSort's rule, which
+/// AMS-sort shares): the largest divisor of `p` that is ≤ `kmax` and ≥ 2, or
+/// `p` itself when `p` is prime and exceeds `kmax` (single-level fallback).
+pub fn choose_k(p: usize, kmax: usize) -> usize {
+    debug_assert!(p >= 2);
+    let mut best = 1usize;
+    let mut d = 2usize;
+    while d * d <= p {
+        if p.is_multiple_of(d) {
+            if d <= kmax {
+                best = best.max(d);
+            }
+            let q = p / d;
+            if q <= kmax {
+                best = best.max(q);
+            }
+        }
+        d += 1;
+    }
+    if p <= kmax {
+        best = best.max(p);
+    }
+    if best >= 2 {
+        best
+    } else {
+        p
+    }
 }
 
 /// Select `k-1` splitters over the distributed (locally sorted) `data`

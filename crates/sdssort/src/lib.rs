@@ -9,10 +9,11 @@
 //! overlap (`τo`), and merge-vs-sort final ordering (`τs`).
 //!
 //! The algorithms are generic over the [`comm::Communicator`] transport
-//! trait, with two backends: `mpisim`, a deterministic virtual-time
+//! trait, with three backends: `mpisim`, a deterministic virtual-time
 //! message-passing runtime standing in for MPI on a Cray XC30 (see that
-//! crate's docs for the substitution rationale), and `shmem`, a real
-//! OS-thread backend that measures wall-clock time.
+//! crate's docs for the substitution rationale), `shmem`, a real OS-thread
+//! backend, and `sockcomm`, a real process-per-rank backend over sockets
+//! (both measure wall-clock time).
 //!
 //! ## Quick example
 //!
@@ -35,6 +36,7 @@
 
 pub mod autotune;
 pub mod config;
+pub mod exchange;
 pub mod external;
 pub mod histogram;
 pub mod local_sort;

@@ -10,9 +10,57 @@
 //! ([`crate::config::SdsConfig::tau_m_bytes`]); Fig. 5a locates the
 //! crossover.
 
+use crate::config::ComputeCharge;
 use crate::merge::kway_merge;
 use crate::record::Sortable;
 use comm::Communicator;
+
+/// The `τm` rule (paper line 3, `n/p ≤ τm`): whether the average all-to-all
+/// message of a rank holding `n` records of `T` among `p` ranks is at most
+/// `tau_m_bytes`.
+pub fn within_tau_m<T>(n: usize, p: usize, tau_m_bytes: usize) -> bool {
+    n / p.max(1) * std::mem::size_of::<T>() <= tau_m_bytes
+}
+
+/// The node-merging decision for a rank holding `local_n` records. It must
+/// be uniform across ranks, so it uses the global average local size (one
+/// allreduce, paid whether or not merging applies). Returns that average
+/// when the machine has more than one core per node and the average message
+/// is within `tau_m_bytes`.
+pub fn node_merge_applies<T: Sortable, C: Communicator>(
+    comm: &C,
+    local_n: usize,
+    tau_m_bytes: usize,
+) -> Option<usize> {
+    let p = comm.size();
+    let n_sum = comm.allreduce(local_n as u64, |a, b| a + b);
+    let n_avg = (n_sum / p as u64) as usize;
+    (comm.cores_per_node() > 1 && within_tau_m::<T>(n_avg, p, tau_m_bytes)).then_some(n_avg)
+}
+
+/// `SdssRefineComm` + `SdssNodeMerge`: merge each node's sorted data onto
+/// its leader. A leader gets the leaders' communicator, on which the sort
+/// continues, and its node's merged data; every other rank gets `None` (its
+/// data now lives on the leader).
+pub fn merge_onto_leaders<T: Sortable, C: Communicator>(
+    comm: &C,
+    data: Vec<T>,
+    charge: ComputeCharge,
+) -> Option<(C, Vec<T>)> {
+    let (cg, cl) = comm.refine_comm();
+    let node_n = cl.allreduce(data.len(), |a, b| a + b);
+    let k = cl.size();
+    let merged = charge.charged(
+        comm,
+        |m| m.kway_merge_cost(node_n, k),
+        || node_merge(&cl, &data),
+    );
+    match (cg, merged) {
+        (Some(cg), Some(merged)) => Some((cg, merged)),
+        (None, None) => None,
+        _ => unreachable!("leader status must agree between cg and node_merge"),
+    }
+}
 
 /// Merge each node's sorted per-rank data onto the node's leader using the
 /// node-local communicator `cl` (from [`Communicator::refine_comm`]).

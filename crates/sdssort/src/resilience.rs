@@ -25,14 +25,16 @@
 //! simple seek + bandwidth model.
 
 use crate::config::SdsConfig;
+use crate::exchange::{Exchanged, Phases, Reservation};
 use crate::external::{remove_run, write_run, PlainData, RunFile, RunMerger};
 use crate::merge::kway_merge;
 use crate::record::Sortable;
-use crate::sort::{charged, sds_sort_impl, ExchangeBackend, SortError, SortOutput};
+use crate::sort::{sds_sort_with, SortError, SortOutput};
 use crate::stats::SortStats;
 use comm::{AsyncExchange, Communicator};
 use std::io;
 use std::path::PathBuf;
+use telemetry::SpanId;
 
 /// Knobs for the resilient exchange.
 #[derive(Debug, Clone)]
@@ -46,25 +48,23 @@ pub struct ResilienceConfig {
     /// Maximum records per spilled run file; large incoming chunks are
     /// split into consecutive runs of at most this size.
     pub spill_chunk_records: usize,
-    /// Modelled disk streaming bandwidth in bytes/second.
-    pub disk_bw: f64,
-    /// Modelled per-file seek/open latency in seconds.
-    pub disk_seek_s: f64,
 }
 
 impl ResilienceConfig {
-    /// Defaults: degrade at 80% pressure, 64 Ki records per run, 500 MB/s
-    /// disk with 100 µs seeks.
+    /// Defaults: degrade at 80% pressure, 64 Ki records per run.
     pub fn new(spill_dir: impl Into<PathBuf>) -> Self {
         Self {
             pressure_threshold: 0.8,
             spill_dir: spill_dir.into(),
             spill_chunk_records: 1 << 16,
-            disk_bw: 5e8,
-            disk_seek_s: 1e-4,
         }
     }
 }
+
+/// Modelled disk streaming bandwidth in bytes/second (500 MB/s).
+const DISK_BW: f64 = 5e8;
+/// Modelled per-file seek/open latency in seconds (100 µs).
+const DISK_SEEK_S: f64 = 1e-4;
 
 /// [`crate::sds_sort`] with graceful degradation: ranks whose receive
 /// buffer would breach the memory-pressure threshold spill incoming chunks
@@ -79,12 +79,9 @@ pub fn sds_sort_resilient<T: Sortable + PlainData, C: Communicator>(
     cfg: &SdsConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    sds_sort_impl(comm, data, cfg, &SpillExchange { rcfg })
-}
-
-/// Exchange backend that degrades to disk spilling under memory pressure.
-struct SpillExchange<'a> {
-    rcfg: &'a ResilienceConfig,
+    sds_sort_with(comm, data, cfg, |comm, data, scounts, sp_ex, stats| {
+        spill_exchange(comm, data, scounts, cfg, rcfg, sp_ex, stats)
+    })
 }
 
 /// Per-rank exchange strategy, ordered by severity for the allreduce.
@@ -92,206 +89,128 @@ const IN_MEMORY: u8 = 0;
 const SPILL: u8 = 1;
 const HARD_OOM: u8 = 2;
 
-impl<T: Sortable + PlainData, C: Communicator> ExchangeBackend<T, C> for SpillExchange<'_> {
-    fn exchange(
-        &self,
-        comm: &C,
-        data: Vec<T>,
-        scounts: &[usize],
-        cfg: &SdsConfig,
-        stats: &mut SortStats,
-        t1: f64,
-        sp_ex: telemetry::SpanId,
-    ) -> Result<Vec<T>, SortError> {
-        let p = comm.size();
-        let rec = std::mem::size_of::<T>();
-        let rcounts = comm.alltoall(scounts);
-        let m: usize = rcounts.iter().sum();
-        let bytes = m * rec;
-        // Spilling stages one chunk at a time; the largest incoming chunk
-        // bounds the resident set.
-        let chunk_bytes = rcounts.iter().copied().max().unwrap_or(0) * rec;
+/// Steps 5–7 with degradation to disk spilling under memory pressure. Its
+/// memory check is three-way and per rank, unlike the all-or-nothing check
+/// of [`crate::exchange::exchange`].
+fn spill_exchange<T: Sortable + PlainData, C: Communicator>(
+    comm: &C,
+    data: Vec<T>,
+    scounts: &[usize],
+    cfg: &SdsConfig,
+    rcfg: &ResilienceConfig,
+    sp_ex: SpanId,
+    stats: &mut SortStats,
+) -> Result<Exchanged<T>, SortError> {
+    let p = comm.size();
+    let rec = std::mem::size_of::<T>();
+    let mut phases = Phases::begin(comm, Some(sp_ex));
+    let rcounts = comm.alltoall(scounts);
+    let m: usize = rcounts.iter().sum();
+    let bytes = m * rec;
+    // Spilling stages one chunk at a time; the largest incoming chunk
+    // bounds the resident set.
+    let chunk_bytes = rcounts.iter().copied().max().unwrap_or(0) * rec;
 
-        let pressure = comm.memory_pressure_with(bytes);
-        let mut reserved = 0usize;
-        let mut hard_oom = None;
-        let code = if pressure <= self.rcfg.pressure_threshold && comm.try_alloc(bytes).is_ok() {
-            reserved = bytes;
-            IN_MEMORY
-        } else {
-            match comm.try_alloc(chunk_bytes) {
-                Ok(()) => {
-                    reserved = chunk_bytes;
-                    SPILL
-                }
-                Err(e) => {
-                    hard_oom = Some(e);
-                    HARD_OOM
-                }
-            }
-        };
-        let worst = comm.allreduce(code, |a, b| a.max(b));
-        if worst == HARD_OOM {
-            if reserved > 0 {
-                comm.free(reserved);
-            }
-            comm.span_end(sp_ex);
-            return Err(match hard_oom {
-                Some(e) => SortError::Oom(e),
-                None => SortError::PeerOom,
-            });
+    let pressure = comm.memory_pressure_with(bytes);
+    let whole_buffer = if pressure <= rcfg.pressure_threshold {
+        Reservation::new(comm, bytes).ok()
+    } else {
+        None
+    };
+    let (code, reservation) = match whole_buffer {
+        Some(r) => (IN_MEMORY, Ok(r)),
+        None => match Reservation::new(comm, chunk_bytes) {
+            Ok(r) => (SPILL, Ok(r)),
+            Err(e) => (HARD_OOM, Err(e)),
+        },
+    };
+    let worst = comm.allreduce(code, |a, b| a.max(b));
+    let _reservation = match reservation {
+        Err(e) => return Err(SortError::Oom(e)),
+        Ok(_) if worst == HARD_OOM => return Err(SortError::PeerOom),
+        Ok(r) => r,
+    };
+
+    // All ranks take the asynchronous exchange (one collective tag,
+    // wire-compatible with the synchronous path), so per-rank
+    // in-memory/spill decisions interoperate freely.
+    let mut pending = comm.alltoallv_async_given_counts(&data, scounts, rcounts);
+    drop(data);
+
+    if code == IN_MEMORY {
+        let mut chunks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        while let Some((src, chunk)) = pending.wait_any(comm) {
+            chunks[src] = chunk;
         }
-        stats.recv_count = m;
-
-        // All ranks take the asynchronous exchange (one collective tag,
-        // wire-compatible with the synchronous path), so per-rank
-        // in-memory/spill decisions interoperate freely.
-        let mut pending = comm.alltoallv_async_given_counts(&data, scounts, rcounts.clone());
-        drop(data);
-
-        let result = if code == IN_MEMORY {
-            let mut chunks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-            while let Some((src, chunk)) = pending.wait_any(comm) {
-                chunks[src] = chunk;
-            }
-            stats.exchange_s = comm.now() - t1;
-            comm.span_end(sp_ex);
-            comm.trace_phase("local-order");
-            let sp_lo = comm.span_begin("local-order");
-            let t2 = comm.now();
-            // Source-rank order with a stable k-way merge (ties to the
-            // lowest run index) preserves global stability.
-            let refs: Vec<&[T]> = chunks.iter().map(|c| c.as_slice()).collect();
-            let out = charged(
-                comm,
-                cfg,
-                |mo| mo.kway_merge_cost(m, p),
-                || kway_merge(&refs),
-            );
-            stats.local_order_s = comm.now() - t2;
-            comm.span_end(sp_lo);
-            Ok(out)
-        } else {
-            stats.spilled = true;
-            stats.spill_records = m;
-            if comm.recorder().enabled() {
-                comm.event(
-                    "degrade.spill",
-                    &format!(
-                        "pressure {pressure:.2} over threshold {}; spilling {m} records",
-                        self.rcfg.pressure_threshold
-                    ),
-                );
-            }
-            self.spill_and_merge(comm, cfg, stats, &mut pending, m, t1, sp_ex)
-        };
-        let out = match result {
-            Ok(out) => out,
-            Err(e) => {
-                comm.free(reserved);
-                return Err(e);
-            }
-        };
-        comm.free(reserved);
+        phases.start_ordering(true);
+        // Source-rank order with a stable k-way merge (ties to the
+        // lowest run index) preserves global stability.
+        let refs: Vec<&[T]> = chunks.iter().map(|c| c.as_slice()).collect();
+        let out = cfg
+            .charge
+            .charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs));
         debug_assert_eq!(out.len(), m);
-        Ok(out)
-    }
-}
-
-impl SpillExchange<'_> {
-    /// Disk-time charge for touching one file of `bytes` payload.
-    fn io_cost(&self, bytes: usize) -> f64 {
-        self.rcfg.disk_seek_s + bytes as f64 / self.rcfg.disk_bw
+        return Ok(phases.finish(out));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn spill_and_merge<T: Sortable + PlainData, C: Communicator>(
-        &self,
-        comm: &C,
-        cfg: &SdsConfig,
-        stats: &mut SortStats,
-        pending: &mut C::Async<T>,
-        m: usize,
-        t1: f64,
-        sp_ex: telemetry::SpanId,
-    ) -> Result<Vec<T>, SortError> {
-        let rec = std::mem::size_of::<T>();
-        let dir = self
-            .rcfg
-            .spill_dir
-            .join(format!("rank{:04}", comm.world_rank()));
-        let run_records = self.rcfg.spill_chunk_records.max(1);
-        let io_err = |e: io::Error| SortError::Io(e.to_string());
+    stats.spilled = true;
+    stats.spill_records = m;
+    if comm.recorder().enabled() {
+        comm.event(
+            "degrade.spill",
+            &format!(
+                "pressure {pressure:.2} over threshold {}; spilling {m} records",
+                rcfg.pressure_threshold
+            ),
+        );
+    }
+    let dir = rcfg.spill_dir.join(format!("rank{:04}", comm.world_rank()));
+    let run_records = rcfg.spill_chunk_records.max(1);
+    let io_err = |e: io::Error| SortError::Io(e.to_string());
 
-        // Each incoming chunk is already sorted (a contiguous slice of the
-        // sender's sorted share), so it spills as ready-made runs; keyed by
-        // (source, part) the runs replay the stable merge order later.
-        let mut runs: Vec<(usize, usize, RunFile)> = Vec::new();
-        let spill_err = loop {
-            let Some((src, chunk)) = pending.wait_any(comm) else {
-                break None;
-            };
-            let mut failed = None;
+    // Each incoming chunk is already sorted (a contiguous slice of the
+    // sender's sorted share), so it spills as ready-made runs; keyed by
+    // (source, part) the runs replay the stable merge order later.
+    let mut runs: Vec<(usize, usize, RunFile)> = Vec::new();
+    let mut spill = || -> Result<(), SortError> {
+        while let Some((src, chunk)) = pending.wait_any(comm) {
             for (part, piece) in chunk.chunks(run_records).enumerate() {
                 let path = dir.join(format!("src{src:06}-part{part:04}.bin"));
-                match write_run(piece, &path) {
-                    Ok(rf) => {
-                        comm.charge_compute(self.io_cost(std::mem::size_of_val(piece)));
-                        runs.push((src, part, rf));
-                    }
-                    Err(e) => {
-                        failed = Some(io_err(e));
-                        break;
-                    }
-                }
-            }
-            if failed.is_some() {
-                break failed;
+                let rf = write_run(piece, &path).map_err(io_err)?;
+                // Disk time for one file: a seek plus streaming it.
+                comm.charge_compute(DISK_SEEK_S + std::mem::size_of_val(piece) as f64 / DISK_BW);
+                runs.push((src, part, rf));
             }
             // `chunk` drops here: the resident set stays one chunk deep.
-        };
-        if let Some(e) = spill_err {
-            // Drain the exchange so peers' sends are consumed, then clean
-            // up before surfacing the disk failure.
-            while pending.wait_any(comm).is_some() {}
-            for (_, _, rf) in &runs {
-                remove_run(rf);
-            }
-            let _ = std::fs::remove_dir(&dir);
-            comm.span_end(sp_ex);
-            return Err(e);
         }
-        stats.exchange_s = comm.now() - t1;
-        comm.span_end(sp_ex);
-
-        comm.trace_phase("local-order");
-        let sp_lo = comm.span_begin("local-order");
-        let t2 = comm.now();
-        runs.sort_by_key(|&(src, part, _)| (src, part));
-        let run_files: Vec<RunFile> = runs.into_iter().map(|(_, _, rf)| rf).collect();
-        // Read-back: one seek per run plus a full streaming pass.
-        comm.charge_compute(
-            run_files.len() as f64 * self.rcfg.disk_seek_s + (m * rec) as f64 / self.rcfg.disk_bw,
-        );
-        let merged = charged(
-            comm,
-            cfg,
-            |mo| mo.kway_merge_cost(m, run_files.len().max(2)),
-            || -> io::Result<Vec<T>> { RunMerger::new(&run_files)?.collect() },
-        );
-        for rf in &run_files {
+        Ok(())
+    };
+    if let Err(e) = spill() {
+        // Drain the exchange so peers' sends are consumed, then clean
+        // up before surfacing the disk failure.
+        while pending.wait_any(comm).is_some() {}
+        for (_, _, rf) in &runs {
             remove_run(rf);
         }
         let _ = std::fs::remove_dir(&dir);
-        let out = match merged {
-            Ok(out) => out,
-            Err(e) => {
-                comm.span_end(sp_lo);
-                return Err(io_err(e));
-            }
-        };
-        stats.local_order_s = comm.now() - t2;
-        comm.span_end(sp_lo);
-        Ok(out)
+        return Err(e);
     }
+    phases.start_ordering(true);
+
+    runs.sort_by_key(|&(src, part, _)| (src, part));
+    let run_files: Vec<RunFile> = runs.into_iter().map(|(_, _, rf)| rf).collect();
+    // Read-back: one seek per run plus a full streaming pass.
+    comm.charge_compute(run_files.len() as f64 * DISK_SEEK_S + bytes as f64 / DISK_BW);
+    let merged = cfg.charge.charged(
+        comm,
+        |mo| mo.kway_merge_cost(m, run_files.len().max(2)),
+        || -> io::Result<Vec<T>> { RunMerger::new(&run_files)?.collect() },
+    );
+    for rf in &run_files {
+        remove_run(rf);
+    }
+    let _ = std::fs::remove_dir(&dir);
+    let out = merged.map_err(io_err)?;
+    debug_assert_eq!(out.len(), m);
+    Ok(phases.finish(out))
 }

@@ -19,10 +19,10 @@
 //! Every rank returns its slice of the globally sorted sequence (ascending
 //! with rank) plus a [`SortStats`] phase breakdown.
 
-use crate::config::{ComputeCharge, ComputeModel, LocalKernel, SdsConfig};
+use crate::config::{LocalKernel, SdsConfig};
+use crate::exchange::{exchange, Delivery, Exchanged};
 use crate::local_sort::{local_sort_with, LocalSortReport};
-use crate::merge::{kway_merge_offsets, merge_two};
-use crate::node_merge::node_merge;
+use crate::node_merge::{merge_onto_leaders, node_merge_applies};
 use crate::partition::{
     cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source, stable_cuts,
 };
@@ -30,7 +30,8 @@ use crate::pivots::{select_global_pivots, PivotMethod};
 use crate::record::Sortable;
 use crate::search::LocalPivotIndex;
 use crate::stats::SortStats;
-use comm::{AsyncExchange, Communicator, OomError};
+use comm::{Communicator, OomError};
+use telemetry::SpanId;
 
 /// Errors from a distributed sort.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,70 +68,47 @@ pub struct SortOutput<T> {
     pub stats: SortStats,
 }
 
-fn model_of(cfg: &SdsConfig) -> Option<ComputeModel> {
-    match cfg.charge {
-        ComputeCharge::Measured => None,
-        ComputeCharge::Modeled(m) => Some(m),
-    }
-}
-
-/// Run `f`, charging compute either by measurement or by the model cost
-/// returned from `cost`.
-pub(crate) fn charged<R, C: Communicator>(
-    comm: &C,
-    cfg: &SdsConfig,
-    cost: impl FnOnce(&ComputeModel) -> f64,
-    f: impl FnOnce() -> R,
-) -> R {
-    match model_of(cfg) {
-        None => comm.compute(f),
-        Some(m) => {
-            let r = f();
-            comm.charge_compute(cost(&m));
-            r
-        }
-    }
-}
-
-/// Policy object for steps 5–7 of the pipeline: the collective memory
-/// check, the all-to-all exchange, and the final local ordering. The
-/// default [`InMemoryExchange`] is the paper's behaviour (whole-job OOM
-/// crash when any receive buffer does not fit); the resilient backend in
-/// [`crate::resilience`] degrades to disk spilling instead.
-pub(crate) trait ExchangeBackend<T: Sortable, C: Communicator> {
-    /// Exchange `data` according to `scounts` and return this rank's
-    /// locally ordered slice. Called with the "exchange" phase/span open;
-    /// implementations must close `sp_ex` and account `stats.exchange_s` /
-    /// `stats.local_order_s` / `stats.recv_count` themselves.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange(
-        &self,
-        comm: &C,
-        data: Vec<T>,
-        scounts: &[usize],
-        cfg: &SdsConfig,
-        stats: &mut SortStats,
-        t1: f64,
-        sp_ex: telemetry::SpanId,
-    ) -> Result<Vec<T>, SortError>;
-}
-
 /// Sort `data` (one rank's share) across all ranks of `comm` by key.
 ///
 /// On success every rank holds a sorted slice, slices ascend with rank,
 /// and the multiset union equals the input union. With `cfg.stable`, equal
 /// keys appear in their global input order (rank, then local position).
+///
+/// Steps 5–7 are [`crate::exchange`]'s, the paper's behaviour: the whole
+/// receive buffer is allocated up front, and if any rank cannot, the sort
+/// fails everywhere.
 pub fn sds_sort<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     cfg: &SdsConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    sds_sort_impl(comm, data, cfg, &InMemoryExchange)
+    sds_sort_with(comm, data, cfg, |comm, data, scounts, sp_ex, stats| {
+        let p = comm.size();
+        let delivery = if cfg.should_overlap(p) {
+            stats.overlapped = true;
+            if comm.recorder().enabled() && comm.rank() == 0 {
+                comm.event(
+                    "decision.overlap",
+                    &format!("p {p} below tau_o {}", cfg.tau_o),
+                );
+            }
+            Delivery::Overlapped
+        } else if cfg.should_merge_local(p) {
+            Delivery::Merge
+        } else {
+            Delivery::Resort {
+                threads: cfg.local_threads,
+                stable: cfg.stable,
+                kernel: cfg.local_kernel,
+            }
+        };
+        exchange(comm, data, scounts, delivery, cfg.charge, Some(sp_ex))
+    })
 }
 
 /// Record which local-sort kernel ran (and its transient scratch) in the
 /// telemetry counters.
-fn count_local_sort<C: Communicator>(comm: &C, report: LocalSortReport) {
+pub(crate) fn count_local_sort<C: Communicator>(comm: &C, report: LocalSortReport) {
     let name = match report.kernel {
         LocalKernel::Radix => "local_sort.kernel.radix",
         _ => "local_sort.kernel.comparison",
@@ -141,13 +119,21 @@ fn count_local_sort<C: Communicator>(comm: &C, report: LocalSortReport) {
     }
 }
 
-/// Full pipeline, generic over the exchange backend.
-pub(crate) fn sds_sort_impl<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
+/// Steps 1–4, then `steps_5_to_7` on the (possibly refined) communicator
+/// with the sorted data, its per-destination send counts and the open
+/// "exchange" span, which it must close. It may note what it did in the
+/// stats; the exchange accounting is written here.
+pub(crate) fn sds_sort_with<T, C, X>(
     comm: &C,
     mut data: Vec<T>,
     cfg: &SdsConfig,
-    backend: &B,
-) -> Result<SortOutput<T>, SortError> {
+    steps_5_to_7: X,
+) -> Result<SortOutput<T>, SortError>
+where
+    T: Sortable,
+    C: Communicator,
+    X: FnOnce(&C, Vec<T>, &[usize], SpanId, &mut SortStats) -> Result<Exchanged<T>, SortError>,
+{
     let p = comm.size();
     let mut stats = SortStats {
         input_count: data.len(),
@@ -160,81 +146,52 @@ pub(crate) fn sds_sort_impl<T: Sortable, C: Communicator, B: ExchangeBackend<T, 
     comm.trace_phase("pivot");
     let sp_pivot = comm.span_begin("pivot-select");
     let n0 = data.len();
-    let lsr = charged(
+    let lsr = cfg.charge.charged(
         comm,
-        cfg,
         |m| m.sort_cost_with(n0, cfg.stable),
         || local_sort_with(&mut data, cfg.local_threads, cfg.stable, cfg.local_kernel),
     );
     count_local_sort(comm, lsr);
 
-    if p == 1 {
-        stats.pivot_s = comm.now() - t0;
-        stats.recv_count = data.len();
-        comm.span_end(sp_pivot);
-        return Ok(SortOutput { data, stats });
-    }
-
-    // Step 2: adaptive node-level merging. The decision must be uniform
-    // across ranks, so it uses the global average local size.
-    let n_sum = comm.allreduce(data.len() as u64, |a, b| a + b);
-    let n_avg = (n_sum / p as u64) as usize;
-    let c = comm.cores_per_node();
-    if c > 1 && cfg.should_node_merge::<T>(n_avg, p) {
-        stats.node_merged = true;
-        if comm.recorder().enabled() && comm.rank() == 0 {
-            comm.event(
-                "decision.node-merge",
-                &format!("avg {n_avg} records/rank over {p} ranks"),
-            );
-        }
-        let sp_nm = comm.span_begin("node-merge");
-        let (cg, cl) = comm.refine_comm();
-        let node_n = cl.allreduce(data.len(), |a, b| a + b);
-        let k = cl.size();
-        let merged = charged(
-            comm,
-            cfg,
-            |m| m.kway_merge_cost(node_n, k),
-            || node_merge(&cl, &data),
-        );
-        drop(data);
-        comm.span_end(sp_nm);
-        return match (cg, merged) {
-            (Some(cg), Some(merged)) => inner_sort(&cg, merged, cfg, stats, t0, sp_pivot, backend),
-            (None, None) => {
-                // Non-leader: its data now lives on the node leader.
-                stats.pivot_s = comm.now() - t0;
-                comm.span_end(sp_pivot);
-                Ok(SortOutput {
-                    data: Vec::new(),
-                    stats,
-                })
+    // Step 2: adaptive node-level merging; the sort then continues among
+    // the node leaders only.
+    let leaders;
+    let mut comm = comm;
+    let mut alone = p == 1;
+    if !alone {
+        if let Some(n_avg) = node_merge_applies::<T, C>(comm, data.len(), cfg.tau_m_bytes) {
+            stats.node_merged = true;
+            if comm.recorder().enabled() && comm.rank() == 0 {
+                comm.event(
+                    "decision.node-merge",
+                    &format!("avg {n_avg} records/rank over {p} ranks"),
+                );
             }
-            _ => unreachable!("leader status must agree between cg and node_merge"),
-        };
+            let sp_nm = comm.span_begin("node-merge");
+            let led = merge_onto_leaders(comm, data, cfg.charge);
+            comm.span_end(sp_nm);
+            match led {
+                Some((cg, merged)) => {
+                    leaders = cg;
+                    comm = &leaders;
+                    data = merged;
+                    alone = comm.size() == 1;
+                }
+                // Non-leader: its data now lives on the node leader.
+                None => {
+                    data = Vec::new();
+                    alone = true;
+                }
+            }
+        }
     }
-
-    inner_sort(comm, data, cfg, stats, t0, sp_pivot, backend)
-}
-
-/// Steps 3–7 on the (possibly refined) communicator. `data` is sorted.
-fn inner_sort<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
-    comm: &C,
-    data: Vec<T>,
-    cfg: &SdsConfig,
-    mut stats: SortStats,
-    t0: f64,
-    sp_pivot: telemetry::SpanId,
-    backend: &B,
-) -> Result<SortOutput<T>, SortError> {
-    let p = comm.size();
-    if p == 1 {
+    if alone {
         stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
         comm.span_end(sp_pivot);
         return Ok(SortOutput { data, stats });
     }
+    let p = comm.size();
 
     // Step 3: sampling + global pivot selection.
     let index = LocalPivotIndex::build(&data, cfg.oversample.max(1) * (p - 1));
@@ -280,24 +237,21 @@ fn inner_sort<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
         } else {
             shares_for_source(&by_source, comm.rank())
         };
-        charged(
+        cfg.charge.charged(
             comm,
-            cfg,
             |m| m.scan_cost(p * 32),
             || stable_cuts(&data, &pivots, Some(&index), &shares),
         )
     } else {
         match cfg.partition {
-            crate::config::PartitionStrategy::SkewAware => charged(
+            crate::config::PartitionStrategy::SkewAware => cfg.charge.charged(
                 comm,
-                cfg,
                 |m| m.scan_cost(p * 32),
                 || fast_cuts(&data, &pivots, Some(&index)),
             ),
             // Ablation: duplicate-blind upper_bound partitioning.
-            crate::config::PartitionStrategy::Classic => charged(
+            crate::config::PartitionStrategy::Classic => cfg.charge.charged(
                 comm,
-                cfg,
                 |m| m.scan_cost(p * 32),
                 || crate::partition::classic_cuts(&data, &pivots),
             ),
@@ -308,163 +262,11 @@ fn inner_sort<T: Sortable, C: Communicator, B: ExchangeBackend<T, C>>(
     stats.pivot_s = comm.now() - t0;
     comm.span_end(sp_pivot);
 
-    // Steps 5–7 are the backend's: collective memory check, exchange,
-    // final local ordering.
+    // Steps 5–7: collective memory check, exchange, final local ordering.
     comm.trace_phase("exchange");
     let sp_ex = comm.span_begin("exchange");
-    let t1 = comm.now();
-    let out = backend.exchange(comm, data, &scounts, cfg, &mut stats, t1, sp_ex)?;
-    Ok(SortOutput { data: out, stats })
-}
-
-/// The paper's exchange behaviour: allocate the whole receive buffer up
-/// front; if any rank cannot, the collective sort fails everywhere.
-pub(crate) struct InMemoryExchange;
-
-impl<T: Sortable, C: Communicator> ExchangeBackend<T, C> for InMemoryExchange {
-    fn exchange(
-        &self,
-        comm: &C,
-        data: Vec<T>,
-        scounts: &[usize],
-        cfg: &SdsConfig,
-        stats: &mut SortStats,
-        t1: f64,
-        sp_ex: telemetry::SpanId,
-    ) -> Result<Vec<T>, SortError> {
-        let p = comm.size();
-        // Step 5: exchange counts and collectively check the receive buffer
-        // against the simulated memory budget.
-        let rcounts = comm.alltoall(scounts);
-        let m: usize = rcounts.iter().sum();
-        let bytes = m * std::mem::size_of::<T>();
-        let my_alloc = comm.try_alloc(bytes);
-        let any_oom = comm.allreduce(my_alloc.is_err() as u8, |a, b| a.max(b)) > 0;
-        if any_oom {
-            if my_alloc.is_ok() {
-                comm.free(bytes);
-            }
-            // stats are discarded on the error path: the paper treats this
-            // as a whole-job crash.
-            comm.span_end(sp_ex);
-            return Err(match my_alloc {
-                Err(e) => SortError::Oom(e),
-                Ok(()) => SortError::PeerOom,
-            });
-        }
-        stats.recv_count = m;
-
-        // Steps 6–7: exchange + final local ordering.
-        let out = if !cfg.should_overlap(p) {
-            // Synchronous exchange...
-            let buf = comm.alltoallv_given_counts(&data, scounts, &rcounts);
-            drop(data);
-            stats.exchange_s = comm.now() - t1;
-            comm.span_end(sp_ex);
-            // ...then ordering: merge below τs, adaptive re-sort above.
-            comm.trace_phase("local-order");
-            let sp_lo = comm.span_begin("local-order");
-            let t2 = comm.now();
-            let mut disp = Vec::with_capacity(p + 1);
-            disp.push(0usize);
-            for &rc in &rcounts {
-                disp.push(disp.last().copied().expect("non-empty") + rc);
-            }
-            let sorted = if cfg.should_merge_local(p) {
-                charged(
-                    comm,
-                    cfg,
-                    |mo| mo.kway_merge_cost(m, p),
-                    || kway_merge_offsets(&buf, &disp),
-                )
-            } else {
-                let mut buf = buf;
-                let lsr = charged(
-                    comm,
-                    cfg,
-                    |mo| {
-                        let base = mo.adaptive_sort_cost(m, p);
-                        if cfg.stable {
-                            base * mo.stable_factor
-                        } else {
-                            base
-                        }
-                    },
-                    || local_sort_with(&mut buf, cfg.local_threads, cfg.stable, cfg.local_kernel),
-                );
-                count_local_sort(comm, lsr);
-                buf
-            };
-            stats.local_order_s = comm.now() - t2;
-            comm.span_end(sp_lo);
-            sorted
-        } else {
-            // Asynchronous exchange overlapped with incremental merging
-            // (SdssAlltoallvAsync + SdssFinished + SdssMergeTwo).
-            stats.overlapped = true;
-            if comm.recorder().enabled() && comm.rank() == 0 {
-                comm.event(
-                    "decision.overlap",
-                    &format!("p {p} below tau_o {}", cfg.tau_o),
-                );
-            }
-            let mut pending = comm.alltoallv_async_given_counts(&data, scounts, rcounts.clone());
-            drop(data);
-            let mut merge_s = 0.0;
-            // Binomial-counter progressive merging: every incoming chunk is a
-            // level-0 run; two runs merge only when they are at the same
-            // level. Total merged volume is then exactly the balanced
-            // cascade's (m·⌈log2 p⌉), independent of chunk-size variance and
-            // arrival order — overlapping adds no merge work over the
-            // synchronous path, it only moves it earlier.
-            let mut runs: Vec<(u32, Vec<T>)> = Vec::new();
-            while let Some((_src, chunk)) = pending.wait_any(comm) {
-                runs.push((0, chunk));
-                while runs.len() >= 2 && runs[runs.len() - 1].0 == runs[runs.len() - 2].0 {
-                    let (lvl, hi) = runs.pop().expect("len>=2");
-                    let (_, lo) = runs.pop().expect("len>=2");
-                    let tm = comm.now();
-                    let merged = charged(
-                        comm,
-                        cfg,
-                        |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
-                        || merge_two(&lo, &hi),
-                    );
-                    merge_s += comm.now() - tm;
-                    runs.push((lvl + 1, merged));
-                }
-            }
-            // Overlap makes exchange and merge inseparable in wall order; the
-            // "exchange" span covers the overlapped region, "local-order" the
-            // final cascade. stats still split the virtual time exactly.
-            comm.span_end(sp_ex);
-            let sp_lo = comm.span_begin("local-order");
-            // Balanced cascade over whatever the stack still holds (free when
-            // the counter already collapsed everything into one run).
-            let acc = if runs.len() == 1 {
-                runs.pop().expect("len==1").1
-            } else {
-                let tm = comm.now();
-                let refs: Vec<&[T]> = runs.iter().map(|(_, r)| r.as_slice()).collect();
-                let left: usize = refs.iter().map(|r| r.len()).sum();
-                let k_left = refs.len();
-                let acc = charged(
-                    comm,
-                    cfg,
-                    |mo| mo.kway_merge_cost(left, k_left),
-                    || crate::merge::kway_merge(&refs),
-                );
-                merge_s += comm.now() - tm;
-                acc
-            };
-            let elapsed = comm.now() - t1;
-            stats.local_order_s = merge_s;
-            stats.exchange_s = (elapsed - merge_s).max(0.0);
-            comm.span_end(sp_lo);
-            acc
-        };
-        comm.free(bytes);
-        debug_assert_eq!(out.len(), m);
-        Ok(out)
-    }
+    // Stats are discarded on the error path: the paper treats it as a
+    // whole-job crash.
+    let ex = steps_5_to_7(comm, data, &scounts, sp_ex, &mut stats)?;
+    Ok(ex.into_output(stats))
 }

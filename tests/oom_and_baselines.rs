@@ -5,10 +5,13 @@
 
 mod common;
 
-use baselines::{bitonic_sort, hyksort, sample_sort, HykSortConfig, SampleSortConfig};
+use algos::{ams_sort, hss_sort, AmsConfig, HssConfig};
+use baselines::{bitonic_sort, hyksort, radix_sort, sample_sort, HykSortConfig, SampleSortConfig};
 use common::assert_global_sort;
-use mpisim::{Communicator, NetModel, World};
-use sdssort::{sds_sort, SdsConfig, SortError};
+use mpisim::{Comm, Communicator, NetModel, World};
+use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortError};
+use std::path::Path;
+use std::time::Duration;
 use workloads::{uniform_u64, zipf_keys};
 
 #[test]
@@ -205,4 +208,98 @@ fn generous_budget_lets_hyksort_finish_skew() {
         r > (p as f64) * 0.9,
         "HykSort RDFA should approach p, got {r} ({loads:?})"
     );
+}
+
+/// Every distributed entry point ends in the one collective memory gate of
+/// `sdssort::exchange` (the resilient driver in its own three-way one): a
+/// budget no receive buffer fits fails every rank, and the reservation is
+/// released on the failed and on the successful exit alike.
+#[test]
+fn every_sorter_fails_together_and_releases_its_reservation() {
+    type Sorter = fn(&Comm, Vec<u64>, &Path) -> Result<usize, SortError>;
+    // τm off: node merging would leave the exchange to the node leaders.
+    fn sds_cfg(stable: bool) -> SdsConfig {
+        SdsConfig {
+            stable,
+            tau_m_bytes: 0,
+            ..SdsConfig::default()
+        }
+    }
+    let sorters: [(&str, Sorter); 8] = [
+        ("sds", |c, d, _| {
+            sds_sort(c, d, &sds_cfg(false)).map(|o| o.data.len())
+        }),
+        ("sds-stable", |c, d, _| {
+            sds_sort(c, d, &sds_cfg(true)).map(|o| o.data.len())
+        }),
+        ("sds_sort_resilient", |c, d, dir| {
+            sds_sort_resilient(c, d, &sds_cfg(false), &ResilienceConfig::new(dir))
+                .map(|o| o.data.len())
+        }),
+        ("samplesort", |c, d, _| {
+            sample_sort(c, d, &SampleSortConfig::default()).map(|o| o.data.len())
+        }),
+        ("radix", |c, d, _| radix_sort(c, d).map(|o| o.data.len())),
+        ("hyksort", |c, d, _| {
+            hyksort(c, d, &HykSortConfig::default()).map(|o| o.data.len())
+        }),
+        ("ams", |c, d, _| {
+            ams_sort(c, d, &AmsConfig::default()).map(|o| o.data.len())
+        }),
+        ("hss", |c, d, _| {
+            hss_sort(c, d, &HssConfig::default()).map(|o| o.data.len())
+        }),
+    ];
+    let p = 8;
+    let n = 500usize;
+    let dir = std::env::temp_dir().join(format!("sds-one-gate-{}", std::process::id()));
+    for (name, sort) in sorters {
+        // 64 B holds no rank's receive buffer, nor one staged chunk of it;
+        // 1 MiB holds all of the data on one rank.
+        for (budget, fits) in [(64, false), (1 << 20, true)] {
+            let report = World::new(p)
+                .cores_per_node(4)
+                .net(NetModel::zero())
+                .memory_budget(budget)
+                .collective_timeout(Duration::from_secs(20))
+                .run(|comm| {
+                    let data = uniform_u64(n, 5, comm.rank());
+                    let result = sort(comm, data, &dir);
+                    let memory = comm.universe().memory();
+                    let rank = comm.world_rank();
+                    (result, memory.used(rank), memory.high_water(rank))
+                });
+            for (rank, (result, used, high_water)) in report.results.iter().enumerate() {
+                assert_eq!(
+                    *used, 0,
+                    "{name}, budget {budget}: rank {rank} still holds a reservation"
+                );
+                if fits {
+                    assert!(result.is_ok(), "{name}: rank {rank} fits 1 MiB: {result:?}");
+                    assert!(
+                        *high_water > 0,
+                        "{name}: rank {rank} never charged its receive buffer"
+                    );
+                } else {
+                    assert!(
+                        matches!(result, Err(SortError::Oom(_) | SortError::PeerOom)),
+                        "{name}: rank {rank} must fail with the others: {result:?}"
+                    );
+                }
+            }
+            if fits {
+                let total: usize = report.results.iter().map(|r| *r.0.as_ref().unwrap()).sum();
+                assert_eq!(total, p * n, "{name}: records lost");
+            } else {
+                assert!(
+                    report
+                        .results
+                        .iter()
+                        .any(|r| matches!(r.0, Err(SortError::Oom(_)))),
+                    "{name}: the rank over its budget reports Oom itself"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

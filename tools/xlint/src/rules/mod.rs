@@ -10,7 +10,7 @@
 //! | `tag-discipline` | everything outside `mpisim` | message tags are named constants, not integer literals |
 //! | `workload-determinism` | `workloads` crate | generators are seeded: no `thread_rng`/`from_entropy`/entropy sources |
 //! | `rank-divergent-collective` | algorithm/driver code | no `Communicator` collective call lexically inside a branch/loop/match that depends on the caller's rank — the static shadow of mpisim's runtime deadlock detector |
-//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix}`, `baselines`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
+//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix,exchange}`, `baselines`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
 //! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside the backends that implement `RawComm` |
 //! | `blocking-in-dispatcher` | `crates/service` | no `thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
 
@@ -71,11 +71,13 @@ const LIB_CRATE_SRC: [&str; 10] = [
 
 /// Files covered by `unchecked-partition-arith`: the partition/carve
 /// arithmetic the rule descends from lives here (PR 2's u128 widening,
-/// PR 7's merge-cut underfill and radix-carve overshoot fixes).
-const PARTITION_ARITH_SRC: [&str; 5] = [
+/// PR 7's merge-cut underfill and radix-carve overshoot fixes), and the
+/// exchange's displacement sums feed slice bounds the same way.
+const PARTITION_ARITH_SRC: [&str; 6] = [
     "crates/sdssort/src/partition.rs",
     "crates/sdssort/src/merge.rs",
     "crates/sdssort/src/radix.rs",
+    "crates/sdssort/src/exchange.rs",
     "crates/baselines/src/",
     "crates/algos/src/",
 ];
