@@ -38,7 +38,7 @@
 use comm::Communicator;
 use sdssort::exchange::{exchange, fail_together, Delivery};
 use sdssort::histogram::choose_k;
-use sdssort::node_merge::{merge_onto_leaders, node_merge_applies};
+use sdssort::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::reference_pivots;
 use sdssort::sampling::regular_sample;
@@ -133,13 +133,14 @@ pub fn ams_sort<T: Sortable, C: Communicator>(
         stats.node_merged = true;
         comm.trace_phase("node-merge");
         let t1 = comm.now();
-        let led = merge_onto_leaders(comm, data, cfg.charge);
+        let (cl, led) = merge_onto_leaders(comm, data, cfg.charge);
         stats.other_s += comm.now() - t1;
         // A non-leader's data now lives on its node leader.
-        let out = match led {
-            Some((cg, merged)) => levels(&cg, merged, cfg, &mut stats, 0)?,
-            None => Vec::new(),
+        let sorted = match led {
+            Some((cg, merged)) => levels(&cg, merged, cfg, &mut stats, 0),
+            None => Ok(Vec::new()),
         };
+        let out = leaders_verdict(&cl, sorted)?;
         stats.recv_count = out.len();
         return Ok(SortOutput { data: out, stats });
     }

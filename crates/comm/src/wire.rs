@@ -15,15 +15,17 @@
 //! binary* for every rank on one host, so native endianness and pointer
 //! width are identical on both ends by construction. What the format *does*
 //! guarantee is self-consistency: `get` inverts `put` and `get_vec` inverts
-//! `put_slice`, byte for byte.
+//! `put_slice`, byte for byte. It is the only byte format records have:
+//! `sdssort`'s spilled run files are `put_slice` bytes too, written and read
+//! back by one process.
 //!
 //! ## Zero-copy record buffers
 //!
 //! The hot path of a sort exchange is a large `Vec<K>` of keys or records.
-//! For the primitive pod types (no padding, every bit pattern valid — the
-//! same contract as `sdssort`'s `PlainData`), [`Wire::put_slice`] and
-//! [`Wire::get_vec`] are overridden with a single `memcpy` instead of an
-//! element loop, so encoding a million-key buffer costs one copy.
+//! For the primitive pod types (no padding, every bit pattern valid),
+//! [`Wire::put_slice`] and [`Wire::get_vec`] are overridden with a single
+//! `memcpy` instead of an element loop, so encoding a million-key buffer
+//! costs one copy.
 //! Composite types (tuples, `Record`-style structs with padding) fall back
 //! to the element-wise loop, which sidesteps padding bytes entirely.
 

@@ -1,163 +1,69 @@
-//! Out-of-core local sorting: run generation + streaming k-way merge.
+//! Sorted runs on disk: written once, streamed back through a k-way merge.
 //!
 //! The paper's related work separates in-memory sorters (SDS-Sort,
 //! HykSort) from disk-based ones (TritonSort, NTOSort) and assumes "enough
-//! memory to hold data in core". This module removes that assumption for
-//! the *local* phases: a rank whose share exceeds memory can sort it as
-//! bounded-memory runs spilled to disk and then stream-merge them — the
-//! classical external merge sort, reusing this crate's merge kernels. The
-//! distributed pipeline is unchanged; `external` slots in wherever
-//! `SdssLocalSort` would otherwise need the whole share resident.
+//! memory to hold data in core". [`crate::resilience`] removes that
+//! assumption for the receive side of the exchange: every received chunk is
+//! already sorted, so it is spilled as ready-made runs with [`write_run`]
+//! and [`RunMerger`] streams their merge back.
 //!
-//! Records are written in their in-memory representation via the
-//! [`PlainData`] marker (all-bytes-initialized `Copy` types), keeping the
-//! i/o path allocation-free per record.
+//! A run's bytes are the records' [`comm::Wire`] encoding — the one record
+//! codec, so whatever can be sorted can be spilled — in blocks of 1 024
+//! records, each decoded whole with `Wire::get_vec`. A block that comes back
+//! short or does not decode to its records is an error naming the file,
+//! never a shorter output.
 
-use crate::merge::is_sorted_by_key;
-use crate::record::{OrderedF32, OrderedF64, Record, Sortable};
+use crate::merge::{is_sorted_by_key, HeapEntry};
+use crate::record::Sortable;
 use std::collections::BinaryHeap;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Marker for types whose in-memory bytes are fully initialized (no
-/// padding) and which accept any bit pattern — safe to write to and read
-/// from disk byte-wise.
-///
-/// # Safety
-/// Implementors must guarantee `Self` contains no padding bytes and every
-/// bit pattern of `size_of::<Self>()` bytes is a valid `Self`.
-pub unsafe trait PlainData: Copy {}
-
-/// Implements [`PlainData`] for primitives / single-field newtypes of
-/// primitives (no padding by construction) and for `Record<K, P>` pairs,
-/// where padding-freedom is proved by a compile-time size assertion.
-macro_rules! plain_data {
-    (prim: $($ty:ty),+ $(,)?) => {$(
-        // SAFETY: `$ty` is a primitive integer or a single-field newtype of
-        // one: it has no padding bytes and every bit pattern is a valid
-        // value.
-        unsafe impl PlainData for $ty {}
-    )+};
-    (record: $(($k:ty, $p:ty)),+ $(,)?) => {$(
-        const _: () = assert!(
-            std::mem::size_of::<Record<$k, $p>>()
-                == std::mem::size_of::<$k>() + std::mem::size_of::<$p>(),
-            "Record<K, P> must have no padding bytes to be PlainData"
-        );
-        // SAFETY: both halves are PlainData (any bit pattern valid), and
-        // the size assertion above proves the pair introduces no padding.
-        unsafe impl PlainData for Record<$k, $p> {}
-    )+};
-}
-
-plain_data!(prim: u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
-plain_data!(prim: OrderedF32, OrderedF64);
-// Records mixing sizes, e.g. Record<u32, u64>, have padding and intentionally
-// do NOT get an impl — the const assertion would reject them at compile time.
-plain_data!(record: (u64, u64), (u32, u32), (OrderedF32, u32), (OrderedF64, u64));
-
-fn write_records<T: PlainData>(w: &mut impl Write, records: &[T]) -> io::Result<()> {
-    // SAFETY: PlainData guarantees no padding, so every byte is
-    // initialized.
-    let bytes = unsafe {
-        std::slice::from_raw_parts(
-            records.as_ptr().cast::<u8>(),
-            std::mem::size_of_val(records),
-        )
-    };
-    w.write_all(bytes)
-}
-
-fn read_record<T: PlainData>(r: &mut impl Read) -> io::Result<Option<T>> {
-    let mut buf = vec![0u8; std::mem::size_of::<T>()];
-    match r.read_exact(&mut buf) {
-        Ok(()) => {
-            // SAFETY: PlainData accepts any bit pattern; buf has exactly
-            // size_of::<T>() bytes.
-            let v = unsafe { std::ptr::read_unaligned(buf.as_ptr().cast::<T>()) };
-            Ok(Some(v))
-        }
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
-    }
-}
+/// Records per block of a run file: what one run keeps decoded during a
+/// merge.
+const BLOCK_RECORDS: usize = 1024;
 
 /// A sorted run spilled to disk.
 #[derive(Debug)]
 pub struct RunFile {
     path: PathBuf,
     records: usize,
+    /// Encoded length of each block, in file order.
+    block_bytes: Vec<usize>,
 }
 
 impl RunFile {
-    /// Number of records in the run.
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    /// Whether the run is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
+    fn corrupt(&self, what: impl std::fmt::Display) -> io::Error {
+        let path = self.path.display();
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("run file {path}: {what}"),
+        )
     }
 }
 
-/// Sort `input` into bounded-memory runs of at most `run_records` records
-/// each, spilled as sorted files under `dir`.
-pub fn write_sorted_runs<T: Sortable + PlainData>(
-    input: impl IntoIterator<Item = T>,
-    run_records: usize,
-    dir: &Path,
-) -> io::Result<Vec<RunFile>> {
-    assert!(run_records > 0, "runs must hold at least one record");
-    std::fs::create_dir_all(dir)?;
-    let mut runs = Vec::new();
-    let mut buf: Vec<T> = Vec::with_capacity(run_records);
-    let spill = |buf: &mut Vec<T>, idx: usize| -> io::Result<Option<RunFile>> {
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        buf.sort_unstable_by_key(Sortable::key);
-        let path = dir.join(format!("run-{idx:06}.bin"));
-        let mut w = BufWriter::new(File::create(&path)?);
-        write_records(&mut w, buf)?;
-        w.flush()?;
-        let rf = RunFile {
-            path,
-            records: buf.len(),
-        };
-        buf.clear();
-        Ok(Some(rf))
-    };
-    for record in input {
-        buf.push(record);
-        if buf.len() == run_records {
-            if let Some(rf) = spill(&mut buf, runs.len())? {
-                runs.push(rf);
-            }
-        }
-    }
-    if let Some(rf) = spill(&mut buf, runs.len())? {
-        runs.push(rf);
-    }
-    Ok(runs)
-}
-
-/// Write one *already sorted* chunk as a run file at `path`. Unlike
-/// [`write_sorted_runs`] this never re-sorts, so a stably sorted chunk
-/// keeps its order on disk — the resilient exchange path relies on this to
-/// preserve stability when spilling received partitions.
-pub fn write_run<T: Sortable + PlainData>(records: &[T], path: &Path) -> io::Result<RunFile> {
+/// Write one *already sorted* chunk as a run file at `path`. It is never
+/// re-sorted, so a stably sorted chunk keeps its order on disk — the
+/// resilient exchange relies on this to stay stable when it spills.
+pub fn write_run<T: Sortable>(records: &[T], path: &Path) -> io::Result<RunFile> {
     debug_assert!(is_sorted_by_key(records), "run must be pre-sorted");
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut w = BufWriter::new(File::create(path)?);
-    write_records(&mut w, records)?;
-    w.flush()?;
+    let mut file = File::create(path)?;
+    let mut bytes = Vec::new();
+    let mut block_bytes = Vec::with_capacity(records.len().div_ceil(BLOCK_RECORDS));
+    for block in records.chunks(BLOCK_RECORDS) {
+        bytes.clear();
+        T::put_slice(block, &mut bytes);
+        file.write_all(&bytes)?;
+        block_bytes.push(bytes.len());
+    }
     Ok(RunFile {
         path: path.to_path_buf(),
         records: records.len(),
+        block_bytes,
     })
 }
 
@@ -166,200 +72,157 @@ pub fn remove_run(run: &RunFile) {
     let _ = std::fs::remove_file(&run.path);
 }
 
-struct HeapItem<T: Sortable> {
-    record: T,
-    run: usize,
-}
-
-impl<T: Sortable> PartialEq for HeapItem<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.record.key() == other.record.key() && self.run == other.run
-    }
-}
-impl<T: Sortable> Eq for HeapItem<T> {}
-impl<T: Sortable> PartialOrd for HeapItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T: Sortable> Ord for HeapItem<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // min-heap with run-index tie-break (stability across runs)
-        (other.record.key(), other.run).cmp(&(self.record.key(), self.run))
-    }
-}
-
-/// Streaming k-way merge over sorted runs. Memory: one buffered reader
-/// plus one record per run.
-pub struct RunMerger<T: Sortable + PlainData> {
-    readers: Vec<BufReader<File>>,
-    heap: BinaryHeap<HeapItem<T>>,
+/// Streaming k-way merge over sorted runs, stable across them: ties go to
+/// the run that comes first in `runs`. Memory: one decoded block per run.
+pub struct RunMerger<'a, T: Sortable> {
+    runs: &'a [RunFile],
+    files: Vec<File>,
+    /// Each run's current block, and how many of its blocks were read.
+    blocks: Vec<(Vec<T>, usize)>,
+    /// One entry per run with records left; `pos` indexes its block.
+    heap: BinaryHeap<HeapEntry<T::Key>>,
     remaining: usize,
+    bytes: Vec<u8>,
 }
 
-impl<T: Sortable + PlainData> RunMerger<T> {
-    /// Open every run and prime the merge heap.
-    pub fn new(runs: &[RunFile]) -> io::Result<Self> {
-        let mut readers = Vec::with_capacity(runs.len());
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        let mut remaining = 0usize;
-        for (i, run) in runs.iter().enumerate() {
-            let mut reader = BufReader::new(File::open(&run.path)?);
-            remaining += run.records;
-            if let Some(first) = read_record::<T>(&mut reader)? {
-                heap.push(HeapItem {
-                    record: first,
-                    run: i,
-                });
-            }
-            readers.push(reader);
+impl<'a, T: Sortable> RunMerger<'a, T> {
+    /// Open every run and read its first block.
+    pub fn new(runs: &'a [RunFile]) -> io::Result<Self> {
+        let files = runs.iter().map(|run| File::open(&run.path));
+        let mut merger = Self {
+            runs,
+            files: files.collect::<io::Result<_>>()?,
+            blocks: runs.iter().map(|_| (Vec::new(), 0)).collect(),
+            heap: BinaryHeap::with_capacity(runs.len()),
+            remaining: runs.iter().map(|run| run.records).sum(),
+            bytes: Vec::new(),
+        };
+        for run in 0..runs.len() {
+            merger.next_block(run)?;
         }
-        Ok(Self {
-            readers,
-            heap,
-            remaining,
-        })
+        Ok(merger)
     }
 
     /// Records left to emit.
     pub fn remaining(&self) -> usize {
         self.remaining
     }
+
+    /// Replace `run`'s block by its next one and queue that block's first
+    /// record; a run with no block left leaves the merge.
+    fn next_block(&mut self, run: usize) -> io::Result<()> {
+        let runs = self.runs;
+        let rf = &runs[run];
+        let (block, read) = &mut self.blocks[run];
+        let Some(&len) = rf.block_bytes.get(*read) else {
+            return Ok(());
+        };
+        let want = (rf.records - *read * BLOCK_RECORDS).min(BLOCK_RECORDS);
+        self.bytes.resize(len, 0);
+        self.files[run]
+            .read_exact(&mut self.bytes)
+            .map_err(|e| rf.corrupt(e))?;
+        *block = T::get_vec(&self.bytes)
+            .filter(|b| b.len() == want)
+            .ok_or_else(|| rf.corrupt(format_args!("block {read} is not its {want} records")))?;
+        *read += 1;
+        self.heap.push(HeapEntry {
+            key: block[0].key(),
+            run,
+            pos: 0,
+        });
+        Ok(())
+    }
 }
 
-impl<T: Sortable + PlainData> Iterator for RunMerger<T> {
+impl<T: Sortable> Iterator for RunMerger<'_, T> {
     type Item = io::Result<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let HeapItem { record, run } = self.heap.pop()?;
-        self.remaining -= 1;
-        match read_record::<T>(&mut self.readers[run]) {
-            Ok(Some(next)) => self.heap.push(HeapItem { record: next, run }),
-            Ok(None) => {}
-            Err(e) => return Some(Err(e)),
+        let HeapEntry { run, pos, .. } = self.heap.pop()?;
+        let block = &self.blocks[run].0;
+        let record = block[pos];
+        match block.get(pos + 1) {
+            Some(next) => self.heap.push(HeapEntry {
+                key: next.key(),
+                run,
+                pos: pos + 1,
+            }),
+            None => {
+                if let Err(e) = self.next_block(run) {
+                    return Some(Err(e));
+                }
+            }
         }
+        self.remaining -= 1;
         Some(Ok(record))
     }
-}
-
-/// End-to-end external sort: spill sorted runs under `dir`, then stream
-/// the merge back as a vector (callers needing true streaming use
-/// [`RunMerger`] directly). Run files are removed afterwards.
-pub fn external_sort<T: Sortable + PlainData>(
-    input: impl IntoIterator<Item = T>,
-    run_records: usize,
-    dir: &Path,
-) -> io::Result<Vec<T>> {
-    let runs = write_sorted_runs(input, run_records, dir)?;
-    let merger = RunMerger::new(&runs)?;
-    let out: io::Result<Vec<T>> = merger.collect();
-    for run in &runs {
-        let _ = std::fs::remove_file(&run.path);
-    }
-    let out = out?;
-    debug_assert!(is_sorted_by_key(&out));
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{OrderedF32, Pad, Record, Tagged};
     use rand::prelude::*;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sdssort-external-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    #[test]
-    fn external_sort_matches_in_memory() {
-        let dir = tmpdir("basic");
-        let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0..5000)).collect();
-        let sorted = external_sort(data.iter().copied(), 777, &dir).expect("io");
-        let mut expect = data;
-        expect.sort_unstable();
-        assert_eq!(sorted, expect);
+    /// Cut `data` into runs of `run_records`, each stably sorted and written
+    /// with `write_run`, merge them back with `RunMerger`, and hold the
+    /// result against the stable in-memory sort.
+    fn round_trip<T: Sortable + PartialEq + std::fmt::Debug>(
+        tag: &str,
+        data: &[T],
+        run_records: usize,
+    ) {
+        let dir =
+            std::env::temp_dir().join(format!("sdssort-external-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_generation_respects_bound() {
-        let dir = tmpdir("runs");
-        let data: Vec<u64> = (0..2500).rev().collect();
-        let runs = write_sorted_runs(data.iter().copied(), 1000, &dir).expect("io");
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].len(), 1000);
-        assert_eq!(runs[2].len(), 500);
-        assert!(!runs[0].is_empty());
-        // each run individually sorted on disk
+        let runs: Vec<RunFile> = data
+            .chunks(run_records)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let mut chunk = chunk.to_vec();
+                chunk.sort_by_key(Sortable::key);
+                write_run(&chunk, &dir.join(format!("run-{i}.bin"))).expect("write")
+            })
+            .collect();
+        let mut merger = RunMerger::<T>::new(&runs).expect("open");
+        assert_eq!(merger.remaining(), data.len());
+        let mut expect = data.to_vec();
+        expect.sort_by_key(Sortable::key);
+        // Streaming: the count goes down one record at a time.
+        if let Some(first) = merger.next() {
+            assert_eq!(first.expect("io"), expect[0]);
+            assert_eq!(merger.remaining(), data.len() - 1);
+        }
+        let rest: Vec<T> = merger.collect::<io::Result<_>>().expect("io");
+        assert_eq!(rest, expect.get(1..).unwrap_or_default());
         for run in &runs {
-            let mut r = BufReader::new(File::open(&run.path).expect("open"));
-            let mut prev = None;
-            while let Some(v) = read_record::<u64>(&mut r).expect("read") {
-                if let Some(p) = prev {
-                    assert!(p <= v, "run not sorted");
-                }
-                prev = Some(v);
-            }
+            remove_run(run);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn merger_is_streaming_and_counts_down() {
-        let dir = tmpdir("stream");
-        let data: Vec<u64> = (0..100).rev().collect();
-        let runs = write_sorted_runs(data.iter().copied(), 30, &dir).expect("io");
-        let mut m = RunMerger::<u64>::new(&runs).expect("open");
-        assert_eq!(m.remaining(), 100);
-        let first = m.next().expect("some").expect("io");
-        assert_eq!(first, 0);
-        assert_eq!(m.remaining(), 99);
-        let rest: io::Result<Vec<u64>> = m.collect();
-        assert_eq!(rest.expect("io").len(), 99);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn record_payloads_roundtrip() {
-        let dir = tmpdir("records");
-        let mut rng = StdRng::seed_from_u64(5);
-        let data: Vec<Record<u64, u64>> = (0..3000)
+    fn merged_runs_equal_the_stable_in_memory_sort() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let ints: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0..5000)).collect();
+        round_trip("ints", &ints, 777);
+        // Runs longer than a block, and an exact multiple of it.
+        round_trip("blocks", &ints[..3 * BLOCK_RECORDS], BLOCK_RECORDS + 1);
+        round_trip("aligned", &ints[..4 * BLOCK_RECORDS], 2 * BLOCK_RECORDS);
+        round_trip::<u64>("empty", &[], 100);
+        // Payloads travel with their keys, padded layouts included, and
+        // equal keys stay in run order.
+        let tagged: Vec<Tagged<u32>> = (0..3000)
             .map(|i| Record::new(rng.gen_range(0..100), i))
             .collect();
-        let sorted = external_sort(data.iter().copied(), 500, &dir).expect("io");
-        assert!(is_sorted_by_key(&sorted));
-        let mut in_payloads: Vec<u64> = data.iter().map(|r| r.payload).collect();
-        let mut out_payloads: Vec<u64> = sorted.iter().map(|r| r.payload).collect();
-        in_payloads.sort_unstable();
-        out_payloads.sort_unstable();
-        assert_eq!(
-            in_payloads, out_payloads,
-            "payloads must survive the disk roundtrip"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_input() {
-        let dir = tmpdir("empty");
-        let sorted = external_sort(std::iter::empty::<u64>(), 100, &dir).expect("io");
-        assert!(sorted.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn float_keys_on_disk() {
-        let dir = tmpdir("float");
-        let mut rng = StdRng::seed_from_u64(9);
-        let data: Vec<OrderedF32> = (0..4000)
-            .map(|_| OrderedF32::new(rng.gen::<f32>() * 2.0 - 1.0))
+        round_trip("tagged", &tagged, 500);
+        let floats: Vec<Record<OrderedF32, Pad<24>>> = (0..4000)
+            .map(|i| {
+                let key = OrderedF32::new(rng.gen::<f32>() * 2.0 - 1.0);
+                Record::new(key, Pad([i as u8; 24]))
+            })
             .collect();
-        let sorted = external_sort(data.iter().copied(), 512, &dir).expect("io");
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(sorted.len(), 4000);
-        let _ = std::fs::remove_dir_all(&dir);
+        round_trip("floats", &floats, 512);
     }
 }

@@ -14,30 +14,34 @@ use std::mem::MaybeUninit;
 
 /// Merge two sorted runs. Stable: ties take from `a` first.
 pub fn merge_two<T: Sortable>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    merge_two_into(a, b, &mut out);
-    out
+    merge_two_by_key(a, b, Sortable::key)
 }
 
-/// Merge two sorted runs into an existing buffer (cleared first).
+/// [`merge_two`] for runs of any `Copy` type sorted by `key`: the
+/// pivot-selection network merges bare keys, which need not be [`Sortable`].
 ///
 /// The hot loop is branchless (select + unconditional index bumps) so
 /// random interleavings don't pay a misprediction per record — this kernel
 /// is the inner pass of the node-level merge and every 2-run part of the
 /// parallel merge, and shows up directly in Figs. 5c and 6a.
-pub fn merge_two_into<T: Sortable>(a: &[T], b: &[T], out: &mut Vec<T>) {
+pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
     let total = a.len() + b.len();
-    out.clear();
-    out.reserve(total);
-    merge_two_uninit(a, b, &mut out.spare_capacity_mut()[..total]);
+    let mut out = Vec::with_capacity(total);
+    merge_two_uninit(a, b, &mut out.spare_capacity_mut()[..total], key);
     // SAFETY: `merge_two_uninit` initialized all `total` reserved slots.
     unsafe {
         out.set_len(total);
     }
+    out
 }
 
 /// Two-way merge into uninitialized storage; writes every slot of `out`.
-fn merge_two_uninit<T: Sortable>(a: &[T], b: &[T], out: &mut [MaybeUninit<T>]) {
+fn merge_two_uninit<T: Copy, K: Ord>(
+    a: &[T],
+    b: &[T],
+    out: &mut [MaybeUninit<T>],
+    key: impl Fn(&T) -> K,
+) {
     debug_assert_eq!(out.len(), a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     let mut k = 0usize;
@@ -50,7 +54,7 @@ fn merge_two_uninit<T: Sortable>(a: &[T], b: &[T], out: &mut [MaybeUninit<T>]) {
             let ea = *a.get_unchecked(i);
             let eb = *b.get_unchecked(j);
             // `<=` keeps `a`'s element on ties: stability.
-            let take_a = ea.key() <= eb.key();
+            let take_a = key(&ea) <= key(&eb);
             *dst.add(k) = if take_a { ea } else { eb };
             i += take_a as usize;
             j += usize::from(!take_a);
@@ -163,12 +167,14 @@ impl<'a, T: Sortable> LoserTree<'a, T> {
     }
 }
 
-/// Heap entry for the k-way merge: ordered by (key, run index) so that the
+/// Heap entry for a k-way merge — [`kway_merge_heap`] here, the streaming
+/// merge of [`crate::external`]: ordered by (key, run index) so that the
 /// smallest key wins and ties go to the lowest run index (stability).
-struct HeapEntry<K: Copy> {
-    key: K,
-    run: usize,
-    pos: usize,
+pub(crate) struct HeapEntry<K: Copy> {
+    pub(crate) key: K,
+    pub(crate) run: usize,
+    /// Where in its run the entry's record is.
+    pub(crate) pos: usize,
 }
 
 impl<K: Ord + Copy> PartialEq for HeapEntry<K> {
@@ -225,7 +231,8 @@ fn kway_merge_cascade_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUninit<
         }
         level = next;
     }
-    merge_two_uninit(&level[0], level.get(1).map_or(&[][..], Vec::as_slice), out);
+    let last = level.get(1).map_or(&[][..], Vec::as_slice);
+    merge_two_uninit(&level[0], last, out, Sortable::key);
 }
 
 /// Merge `k` sorted runs into uninitialized storage of exactly the total
@@ -248,7 +255,7 @@ pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUnin
                 slot.write(r);
             }
         }
-        2 => merge_two_uninit(runs[0], runs[1], out),
+        2 => merge_two_uninit(runs[0], runs[1], out, Sortable::key),
         k if k <= CASCADE_MAX_K && std::mem::size_of::<T>() <= CASCADE_MAX_BYTES => {
             kway_merge_cascade_uninit(runs, out);
         }

@@ -13,6 +13,7 @@
 use crate::config::ComputeCharge;
 use crate::merge::kway_merge;
 use crate::record::Sortable;
+use crate::sort::SortError;
 use comm::Communicator;
 
 /// The `τm` rule (paper line 3, `n/p ≤ τm`): whether the average all-to-all
@@ -39,14 +40,15 @@ pub fn node_merge_applies<T: Sortable, C: Communicator>(
 }
 
 /// `SdssRefineComm` + `SdssNodeMerge`: merge each node's sorted data onto
-/// its leader. A leader gets the leaders' communicator, on which the sort
-/// continues, and its node's merged data; every other rank gets `None` (its
-/// data now lives on the leader).
+/// its leader. Returns the node-local communicator, for [`leaders_verdict`],
+/// and on a leader the leaders' communicator, on which the sort continues,
+/// with its node's merged data; every other rank gets `None` there (its data
+/// now lives on the leader).
 pub fn merge_onto_leaders<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     charge: ComputeCharge,
-) -> Option<(C, Vec<T>)> {
+) -> (C, Option<(C, Vec<T>)>) {
     let (cg, cl) = comm.refine_comm();
     let node_n = cl.allreduce(data.len(), |a, b| a + b);
     let k = cl.size();
@@ -55,10 +57,30 @@ pub fn merge_onto_leaders<T: Sortable, C: Communicator>(
         |m| m.kway_merge_cost(node_n, k),
         || node_merge(&cl, &data),
     );
-    match (cg, merged) {
+    let led = match (cg, merged) {
         (Some(cg), Some(merged)) => Some((cg, merged)),
         (None, None) => None,
         _ => unreachable!("leader status must agree between cg and node_merge"),
+    };
+    (cl, led)
+}
+
+/// Make a leader's failure its node's. After [`merge_onto_leaders`] only the
+/// leaders sort on, so only they meet the collective memory check; the other
+/// ranks have nothing left to do. Every rank passes what it has — the leader
+/// the result of the sort among the leaders, the others their empty output —
+/// and the leader tells its node (`cl`) whether it failed: a rank whose
+/// leader did returns [`SortError::PeerOom`] instead of a success the sort
+/// never had.
+pub fn leaders_verdict<R, C: Communicator>(
+    cl: &C,
+    result: Result<R, SortError>,
+) -> Result<R, SortError> {
+    let mine = (cl.rank() == 0).then(|| vec![result.is_err()]);
+    let leader_failed = cl.bcast(0, mine)[0];
+    match result {
+        Ok(_) if leader_failed => Err(SortError::PeerOom),
+        result => result,
     }
 }
 

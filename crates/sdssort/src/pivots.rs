@@ -14,6 +14,7 @@
 //!
 //! All three produce identical pivot vectors.
 
+use crate::merge::merge_two_by_key;
 use comm::Communicator;
 
 /// Which parallel sorter orders the pooled samples.
@@ -56,11 +57,8 @@ pub fn select_global_pivots<K: Ord + Copy + Send + Sync + 'static + comm::Wire, 
         return gather_select(comm, local_pivots);
     }
 
-    let sorted_block = if p.is_power_of_two() {
-        bitonic_block_sort(comm, local_pivots.to_vec())
-    } else {
-        odd_even_block_sort(comm, local_pivots.to_vec())
-    };
+    let mut sorted_block = local_pivots.to_vec();
+    block_network_sort(comm, &mut sorted_block, 1000, |k| *k);
 
     // Global pivot i (i = 0..p-2) sits at pooled position (i+1)·total/p
     // over the p·b pooled samples (regular stride; for b = p-1 this is the
@@ -96,43 +94,93 @@ fn gather_select<K: Ord + Copy + Send + Sync + 'static + comm::Wire, C: Communic
 }
 
 /// One merge-split step: exchange blocks with `partner`, merge, keep the
-/// low or high half. Blocks must be sorted and equal-length; the kept half
-/// has the caller's original block length.
-fn merge_split<K: Ord + Copy + Send + Sync + 'static + comm::Wire, C: Communicator>(
+/// low or high half. Blocks must be sorted by `key` and equal-length; the
+/// kept half has the caller's original block length.
+fn merge_split<T: Copy + comm::Wire, K: Ord, C: Communicator>(
     comm: &C,
-    block: &mut Vec<K>,
+    block: &mut Vec<T>,
     partner: usize,
     keep_low: bool,
     tag: u64,
+    key: impl Fn(&T) -> K,
 ) {
     comm.send_slice(partner, tag, block);
-    let theirs: Vec<K> = comm.recv_vec(partner, tag);
-    let merged = merge_two_keys(block, &theirs);
+    let theirs: Vec<T> = comm.recv_vec(partner, tag);
+    let merged = merge_two_by_key(block, &theirs, key);
     let keep = block.len();
-    if keep_low {
-        block.clear();
-        block.extend_from_slice(&merged[..keep]);
+    let from = if keep_low { 0 } else { theirs.len() };
+    block.clear();
+    block.extend_from_slice(&merged[from..from + keep]);
+}
+
+/// Sort equal-length blocks, each sorted by `key`, across the ranks of
+/// `comm`: on return every rank's block is sorted and blocks ascend with
+/// rank. The network is the bitonic one when `p` is a power of two and
+/// odd-even transposition otherwise; round `i` of the first is tagged
+/// `tag_base + i`, of the second `tag_base + 1000 + i`.
+pub fn block_network_sort<T: Copy + comm::Wire, K: Ord, C: Communicator>(
+    comm: &C,
+    block: &mut Vec<T>,
+    tag_base: u64,
+    key: impl Fn(&T) -> K + Copy,
+) {
+    if comm.size().is_power_of_two() {
+        bitonic_rounds(comm, block, tag_base, key);
     } else {
-        block.clear();
-        block.extend_from_slice(&merged[merged.len() - keep..]);
+        odd_even_rounds(comm, block, tag_base + 1000, key);
     }
 }
 
-fn merge_two_keys<K: Ord + Copy>(a: &[K], b: &[K]) -> Vec<K> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// The hypercube merge-split rounds of a block bitonic sort (`p` a power of
+/// two): `log p (log p + 1) / 2` of them.
+fn bitonic_rounds<T: Copy + comm::Wire, K: Ord, C: Communicator>(
+    comm: &C,
+    block: &mut Vec<T>,
+    tag_base: u64,
+    key: impl Fn(&T) -> K + Copy,
+) {
+    let r = comm.rank();
+    let mut round: u64 = 0;
+    for k in 1..=comm.size().trailing_zeros() {
+        for j in (0..k).rev() {
+            let partner = r ^ (1usize << j);
+            // Ascending region if bit k of rank is 0 (for the final stage
+            // k = log p, every rank is ascending: bit log p of r < p is 0).
+            let ascending = (r >> k) & 1 == 0;
+            let keep_low = (r < partner) == ascending;
+            merge_split(comm, block, partner, keep_low, tag_base + round, key);
+            round += 1;
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+}
+
+/// The `p` pairwise merge-split rounds of a block odd-even transposition
+/// sort. Ranks stay in lockstep without a barrier: every round has its tag.
+fn odd_even_rounds<T: Copy + comm::Wire, K: Ord, C: Communicator>(
+    comm: &C,
+    block: &mut Vec<T>,
+    tag_base: u64,
+    key: impl Fn(&T) -> K + Copy,
+) {
+    let (p, r) = (comm.size(), comm.rank());
+    for round in 0..p {
+        // Even rounds pair (0,1), (2,3), …; odd rounds (1,2), (3,4), ….
+        let partner = if r.is_multiple_of(2) == (round % 2 == 0) {
+            (r + 1 < p).then(|| r + 1)
+        } else {
+            r.checked_sub(1)
+        };
+        if let Some(partner) = partner {
+            merge_split(
+                comm,
+                block,
+                partner,
+                r < partner,
+                tag_base + round as u64,
+                key,
+            );
+        }
+    }
 }
 
 /// Block bitonic sort across a power-of-two number of ranks. On return,
@@ -141,31 +189,12 @@ pub fn bitonic_block_sort<K: Ord + Copy + Send + Sync + 'static + comm::Wire, C:
     comm: &C,
     mut block: Vec<K>,
 ) -> Vec<K> {
-    let p = comm.size();
     assert!(
-        p.is_power_of_two(),
+        comm.size().is_power_of_two(),
         "bitonic needs a power-of-two rank count"
     );
-    if p == 1 {
-        block.sort_unstable();
-        return block;
-    }
     block.sort_unstable();
-    let r = comm.rank();
-    let stages = p.trailing_zeros();
-    let mut round: u64 = 0;
-    let tag_base = 1000;
-    for k in 1..=stages {
-        for j in (0..k).rev() {
-            let partner = r ^ (1usize << j);
-            // Ascending region if bit k of rank is 0 (for the final stage
-            // k = log p, every rank is ascending: bit log p of r < p is 0).
-            let ascending = (r >> k) & 1 == 0;
-            let keep_low = (r < partner) == ascending;
-            merge_split(comm, &mut block, partner, keep_low, tag_base + round);
-            round += 1;
-        }
-    }
+    bitonic_rounds(comm, &mut block, 1000, |k| *k);
     block
 }
 
@@ -175,34 +204,8 @@ pub fn odd_even_block_sort<K: Ord + Copy + Send + Sync + 'static + comm::Wire, C
     comm: &C,
     mut block: Vec<K>,
 ) -> Vec<K> {
-    let p = comm.size();
     block.sort_unstable();
-    if p == 1 {
-        return block;
-    }
-    let r = comm.rank();
-    let tag_base = 2000;
-    for round in 0..p {
-        let even_round = round % 2 == 0;
-        let partner = if r.is_multiple_of(2) == even_round {
-            // left end of a pair
-            if r + 1 < p {
-                Some(r + 1)
-            } else {
-                None
-            }
-        } else if r > 0 {
-            Some(r - 1)
-        } else {
-            None
-        };
-        if let Some(partner) = partner {
-            let keep_low = r < partner;
-            merge_split(comm, &mut block, partner, keep_low, tag_base + round as u64);
-        }
-        // Everyone must stay in lockstep round-wise; merge_split uses
-        // distinct tags per round so no barrier is required.
-    }
+    odd_even_rounds(comm, &mut block, 2000, |k| *k);
     block
 }
 

@@ -26,7 +26,7 @@
 
 use crate::config::SdsConfig;
 use crate::exchange::{Exchanged, Phases, Reservation};
-use crate::external::{remove_run, write_run, PlainData, RunFile, RunMerger};
+use crate::external::{remove_run, write_run, RunFile, RunMerger};
 use crate::merge::kway_merge;
 use crate::record::Sortable;
 use crate::sort::{sds_sort_with, SortError, SortOutput};
@@ -45,21 +45,21 @@ pub struct ResilienceConfig {
     /// Directory for spilled run files (a `rank{NNNN}` subdirectory is
     /// created per rank).
     pub spill_dir: PathBuf,
-    /// Maximum records per spilled run file; large incoming chunks are
-    /// split into consecutive runs of at most this size.
-    pub spill_chunk_records: usize,
 }
 
 impl ResilienceConfig {
-    /// Defaults: degrade at 80% pressure, 64 Ki records per run.
+    /// Default: degrade at 80% pressure.
     pub fn new(spill_dir: impl Into<PathBuf>) -> Self {
         Self {
             pressure_threshold: 0.8,
             spill_dir: spill_dir.into(),
-            spill_chunk_records: 1 << 16,
         }
     }
 }
+
+/// Maximum records per spilled run file; a larger incoming chunk is split
+/// into consecutive runs of at most this size.
+const RUN_RECORDS: usize = 1 << 16;
 
 /// Modelled disk streaming bandwidth in bytes/second (500 MB/s).
 const DISK_BW: f64 = 5e8;
@@ -70,10 +70,10 @@ const DISK_SEEK_S: f64 = 1e-4;
 /// buffer would breach the memory-pressure threshold spill incoming chunks
 /// to disk and stream-merge them instead of failing the whole job.
 ///
-/// Requires [`PlainData`] records (they round-trip through disk). Output
-/// and stability guarantees are identical to `sds_sort`; ranks that
-/// degraded report it in [`SortStats::spilled`] / `spill_records`.
-pub fn sds_sort_resilient<T: Sortable + PlainData, C: Communicator>(
+/// Takes every record type `sds_sort` takes (a spilled run is the records'
+/// `Wire` encoding), with identical output and stability guarantees; ranks
+/// that degraded report it in [`SortStats::spilled`] / `spill_records`.
+pub fn sds_sort_resilient<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     cfg: &SdsConfig,
@@ -92,7 +92,7 @@ const HARD_OOM: u8 = 2;
 /// Steps 5–7 with degradation to disk spilling under memory pressure. Its
 /// memory check is three-way and per rank, unlike the all-or-nothing check
 /// of [`crate::exchange::exchange`].
-fn spill_exchange<T: Sortable + PlainData, C: Communicator>(
+fn spill_exchange<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     scounts: &[usize],
@@ -165,7 +165,6 @@ fn spill_exchange<T: Sortable + PlainData, C: Communicator>(
         );
     }
     let dir = rcfg.spill_dir.join(format!("rank{:04}", comm.world_rank()));
-    let run_records = rcfg.spill_chunk_records.max(1);
     let io_err = |e: io::Error| SortError::Io(e.to_string());
 
     // Each incoming chunk is already sorted (a contiguous slice of the
@@ -174,7 +173,7 @@ fn spill_exchange<T: Sortable + PlainData, C: Communicator>(
     let mut runs: Vec<(usize, usize, RunFile)> = Vec::new();
     let mut spill = || -> Result<(), SortError> {
         while let Some((src, chunk)) = pending.wait_any(comm) {
-            for (part, piece) in chunk.chunks(run_records).enumerate() {
+            for (part, piece) in chunk.chunks(RUN_RECORDS).enumerate() {
                 let path = dir.join(format!("src{src:06}-part{part:04}.bin"));
                 let rf = write_run(piece, &path).map_err(io_err)?;
                 // Disk time for one file: a seek plus streaming it.
@@ -211,6 +210,9 @@ fn spill_exchange<T: Sortable + PlainData, C: Communicator>(
     }
     let _ = std::fs::remove_dir(&dir);
     let out = merged.map_err(io_err)?;
-    debug_assert_eq!(out.len(), m);
+    if out.len() != m {
+        let msg = format!("{} records came back from {m} spilled", out.len());
+        return Err(SortError::Io(msg));
+    }
     Ok(phases.finish(out))
 }

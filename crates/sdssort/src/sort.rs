@@ -22,7 +22,7 @@
 use crate::config::{LocalKernel, SdsConfig};
 use crate::exchange::{exchange, Delivery, Exchanged};
 use crate::local_sort::{local_sort_with, LocalSortReport};
-use crate::node_merge::{merge_onto_leaders, node_merge_applies};
+use crate::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
 use crate::partition::{
     cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source, stable_cuts,
 };
@@ -156,6 +156,7 @@ where
     // Step 2: adaptive node-level merging; the sort then continues among
     // the node leaders only.
     let leaders;
+    let mut node = None;
     let mut comm = comm;
     let mut alone = p == 1;
     if !alone {
@@ -168,8 +169,9 @@ where
                 );
             }
             let sp_nm = comm.span_begin("node-merge");
-            let led = merge_onto_leaders(comm, data, cfg.charge);
+            let (cl, led) = merge_onto_leaders(comm, data, cfg.charge);
             comm.span_end(sp_nm);
+            node = Some(cl);
             match led {
                 Some((cg, merged)) => {
                     leaders = cg;
@@ -185,11 +187,17 @@ where
             }
         }
     }
+    // What becomes of the sort among the leaders holds for their nodes:
+    // every exit from here on passes through this.
+    let verdict = |sorted| match &node {
+        Some(cl) => leaders_verdict(cl, sorted),
+        None => sorted,
+    };
     if alone {
         stats.pivot_s = comm.now() - t0;
         stats.recv_count = data.len();
         comm.span_end(sp_pivot);
-        return Ok(SortOutput { data, stats });
+        return verdict(Ok(SortOutput { data, stats }));
     }
     let p = comm.size();
 
@@ -267,6 +275,6 @@ where
     let sp_ex = comm.span_begin("exchange");
     // Stats are discarded on the error path: the paper treats it as a
     // whole-job crash.
-    let ex = steps_5_to_7(comm, data, &scounts, sp_ex, &mut stats)?;
-    Ok(ex.into_output(stats))
+    let ex = steps_5_to_7(comm, data, &scounts, sp_ex, &mut stats);
+    verdict(ex.map(|ex| ex.into_output(stats)))
 }

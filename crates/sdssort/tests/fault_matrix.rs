@@ -4,9 +4,11 @@
 //! (spill) scenarios and the faults-layer observer-purity guarantee.
 
 use mpisim::{Communicator, FaultSpec, NetModel, World};
+use sdssort::external::{write_run, RunMerger};
+use sdssort::record::Pad;
 use sdssort::{
-    is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, ComputeModel, Record,
-    ResilienceConfig, SdsConfig, SortError,
+    is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, ComputeModel, OrderedF32,
+    Record, ResilienceConfig, SdsConfig, SortError, SortStats, Sortable, Tagged,
 };
 use std::path::PathBuf;
 
@@ -21,10 +23,15 @@ fn base_cfg(overlap: bool) -> SdsConfig {
 }
 
 fn workload(kind: &str, rank: usize) -> Vec<u64> {
+    keys(kind, N, rank)
+}
+
+fn keys(kind: &str, n: usize, rank: usize) -> Vec<u64> {
     match kind {
-        "uniform" => workloads::uniform::uniform_u64(N, 11, rank),
-        "zipf" => workloads::zipf::zipf_keys(N, 1.2, 13, rank),
-        "adversarial" => workloads::adversarial::heavy_hitters(N, 3, 60.0, 17, rank),
+        "uniform" => workloads::uniform::uniform_u64(n, 11, rank),
+        "zipf" => workloads::zipf::zipf_keys(n, 1.2, 13, rank),
+        "adversarial" => workloads::adversarial::heavy_hitters(n, 3, 60.0, 17, rank),
+        "eight-keys" => (0..n as u64).map(|i| (i * 7 + rank as u64) % 8).collect(),
         other => panic!("unknown workload {other}"),
     }
 }
@@ -237,31 +244,160 @@ fn memory_ramp_kills_plain_sort_but_resilient_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The record shapes the spill path is held to: bare keys, the padded
+/// 16-byte record of the stability tests, and the cosmology record.
+trait Spillable: Sortable + PartialEq + std::fmt::Debug {
+    /// A record with `key` (reduced to few distinct values, so ties are
+    /// everywhere) that carries its global input position `pos`.
+    fn make(key: u64, pos: u64) -> Self;
+    fn hash(&self) -> u64;
+}
+
+impl Spillable for u64 {
+    fn make(key: u64, _pos: u64) -> Self {
+        key
+    }
+    fn hash(&self) -> u64 {
+        *self
+    }
+}
+
+impl Spillable for Tagged<u32> {
+    fn make(key: u64, pos: u64) -> Self {
+        Record::new((key % 61) as u32, pos)
+    }
+    fn hash(&self) -> u64 {
+        u64::from(self.key) << 40 ^ self.payload
+    }
+}
+
+impl Spillable for Record<OrderedF32, Pad<24>> {
+    fn make(key: u64, pos: u64) -> Self {
+        let mut pad = [0u8; 24];
+        pad[..8].copy_from_slice(&pos.to_ne_bytes());
+        pad[8..16].copy_from_slice(&(!pos).to_ne_bytes());
+        Record::new(OrderedF32::new((key % 61) as f32 - 30.5), Pad(pad))
+    }
+    fn hash(&self) -> u64 {
+        let pos: [u8; 8] = self.payload.0[..8].try_into().expect("8 bytes");
+        u64::from(self.key.ordered_bits()) << 40 ^ u64::from_ne_bytes(pos)
+    }
+}
+
+/// One scenario of the resilient driver: `n` records of `kind` per rank on
+/// `p` ranks, under a budget of `budget_records` records (`None`: unlimited)
+/// and the given pressure threshold.
+#[derive(Clone, Copy)]
+struct SpillCase {
+    tag: &'static str,
+    p: usize,
+    n: usize,
+    kind: &'static str,
+    budget_records: Option<usize>,
+    pressure_threshold: f64,
+}
+
+/// Run `case` on records of `T`, fast or stable, and hold it to the plain
+/// driver without a budget: sorted, a permutation, and every rank's output
+/// equal to `sds_sort`'s record for record (below `τs` both merge the chunks
+/// in source-rank order, so the fast variant has no freedom either). The
+/// spill directory must be left without a file. Returns each rank's output
+/// and stats.
+fn resilient_equals_plain<T: Spillable>(
+    case: SpillCase,
+    stable: bool,
+) -> (Vec<Vec<T>>, Vec<SortStats>) {
+    let mut cfg = base_cfg(false);
+    cfg.stable = stable;
+    let cfg = cfg;
+    let input = move |rank: usize| -> Vec<T> {
+        keys(case.kind, case.n, rank)
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| T::make(key, (rank * case.n + i) as u64))
+            .collect()
+    };
+    let world = || {
+        World::new(case.p)
+            .cores_per_node(3)
+            .net(NetModel::edison())
+            .compute_scale(0.0)
+    };
+    let dir = spill_dir(case.tag);
+    let mut rcfg = ResilienceConfig::new(dir.clone());
+    rcfg.pressure_threshold = case.pressure_threshold;
+    let budgeted = match case.budget_records {
+        Some(records) => world().memory_budget(records * std::mem::size_of::<T>()),
+        None => world(),
+    };
+    let resilient = budgeted.run(move |comm| {
+        let data = input(comm.rank());
+        let out = sds_sort_resilient(comm, data.clone(), &cfg, &rcfg).expect("survives");
+        assert!(is_globally_sorted(comm, &out.data));
+        assert!(is_permutation_of(comm, &data, &out.data, T::hash));
+        if out.stats.spilled {
+            assert_eq!(out.stats.spill_records, out.stats.recv_count);
+        }
+        (out.data, out.stats)
+    });
+    let plain = world().run(move |comm| {
+        sds_sort(comm, input(comm.rank()), &cfg)
+            .expect("no budget")
+            .data
+    });
+    let what = format!(
+        "{} as {}, stable={stable}",
+        case.tag,
+        std::any::type_name::<T>()
+    );
+    let (outputs, stats): (Vec<Vec<T>>, Vec<SortStats>) = resilient.results.into_iter().unzip();
+    for (rank, (spilled, plain)) in outputs.iter().zip(&plain.results).enumerate() {
+        assert_eq!(spilled, plain, "{what}: rank {rank} differs from sds_sort");
+    }
+    if let Ok(left) = std::fs::read_dir(&dir) {
+        let files = left
+            .flatten()
+            .flat_map(|rank| std::fs::read_dir(rank.path()));
+        assert_eq!(files.flatten().count(), 0, "{what}: run files left behind");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    (outputs, stats)
+}
+
+/// `check` on every record shape, fast and stable.
+fn for_every_shape(case: SpillCase, check: fn(&str, &[SortStats])) {
+    type Cosmology = Record<OrderedF32, Pad<24>>;
+    for stable in [false, true] {
+        check("u64", &resilient_equals_plain::<u64>(case, stable).1);
+        check(
+            "Tagged<u32>",
+            &resilient_equals_plain::<Tagged<u32>>(case, stable).1,
+        );
+        check(
+            "cosmology",
+            &resilient_equals_plain::<Cosmology>(case, stable).1,
+        );
+    }
+}
+
 #[test]
 fn pressure_threshold_triggers_spill_without_faults() {
     // No fault layer at all: a tight budget alone pushes the projected
     // high-water over the threshold and the resilient driver degrades.
-    let cfg = base_cfg(false);
-    let dir = spill_dir("threshold");
-    let mut rcfg = ResilienceConfig::new(dir.clone());
-    rcfg.pressure_threshold = 0.5; // receive buffer lands at ~0.8 of budget
-    let report = World::new(P)
-        .cores_per_node(3)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
-        .memory_budget(BUDGET)
-        .run(move |comm| {
-            let input = workload("uniform", comm.rank());
-            let out = sds_sort_resilient(comm, input.clone(), &cfg, &rcfg).expect("survives");
-            (
-                is_globally_sorted(comm, &out.data),
-                is_permutation_of(comm, &input, &out.data, |&k| k),
-                out.stats.spilled,
-            )
-        });
-    assert!(report.results.iter().all(|r| r.0 && r.1));
-    assert!(report.results.iter().any(|r| r.2), "threshold must trip");
-    let _ = std::fs::remove_dir_all(&dir);
+    let case = SpillCase {
+        tag: "threshold",
+        p: P,
+        n: N,
+        kind: "uniform",
+        budget_records: Some(5 * N / 4),
+        pressure_threshold: 0.5, // receive buffer lands at ~0.8 of budget
+    };
+    for_every_shape(case, |shape, stats| {
+        assert!(
+            stats.iter().any(|s| s.spilled),
+            "{shape}: threshold must trip"
+        );
+    });
 }
 
 #[test]
@@ -269,62 +405,49 @@ fn resilient_matches_plain_when_memory_is_ample() {
     // With an unlimited budget the resilient driver takes the in-memory
     // path on every rank and must agree with the plain driver record for
     // record (both merge source chunks in rank order).
-    let cfg = base_cfg(false);
-    let dir = spill_dir("ample");
-    let rcfg = ResilienceConfig::new(dir.clone());
-    let resilient = World::new(P)
-        .cores_per_node(3)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
-        .run(move |comm| {
-            let out = sds_sort_resilient(comm, workload("zipf", comm.rank()), &cfg, &rcfg)
-                .expect("no budget");
-            assert!(!out.stats.spilled);
-            out.data
-        });
-    let cfg = base_cfg(false);
-    let plain = World::new(P)
-        .cores_per_node(3)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
-        .run(move |comm| {
-            sds_sort(comm, workload("zipf", comm.rank()), &cfg)
-                .expect("no budget")
-                .data
-        });
-    assert_eq!(resilient.results, plain.results);
-    let _ = std::fs::remove_dir_all(&dir);
+    let case = SpillCase {
+        tag: "ample",
+        p: P,
+        n: N,
+        kind: "zipf",
+        budget_records: None,
+        pressure_threshold: 0.8,
+    };
+    for_every_shape(case, |shape, stats| {
+        assert!(
+            stats.iter().all(|s| !s.spilled),
+            "{shape}: nothing to spill"
+        );
+    });
 }
 
 #[test]
 fn spill_path_preserves_stability() {
-    // Stable sort with duplicate-heavy keys, forced through the spill path:
-    // equal keys must keep global input order (rank, then local position).
-    let mut cfg = base_cfg(false);
-    cfg.stable = true;
-    let dir = spill_dir("stable");
-    let mut rcfg = ResilienceConfig::new(dir.clone());
-    rcfg.pressure_threshold = 0.0; // any nonzero pressure spills
-    rcfg.spill_chunk_records = 64; // many runs per chunk
-    let report = World::new(4)
-        .cores_per_node(2)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
+    // Duplicate-heavy keys forced through the spill path, with chunks longer
+    // than a run file holds (resilience.rs cuts them every 2^16 records), so
+    // one source's records come back from several runs: equal keys must
+    // keep global input order (rank, then local position).
+    const RUN_RECORDS: usize = 1 << 16;
+    let case = SpillCase {
+        tag: "stable",
+        p: 2,
+        n: 3 * RUN_RECORDS,
+        kind: "eight-keys",
         // a finite budget makes pressure nonzero, tripping the threshold
-        .memory_budget(1 << 20)
-        .run(move |comm| {
-            let n = 500usize;
-            let rank = comm.rank() as u64;
-            // 8 distinct keys, payload encodes global input position
-            let input: Vec<Record<u64, u64>> = (0..n)
-                .map(|i| Record::new((i as u64 * 7 + rank) % 8, rank * n as u64 + i as u64))
-                .collect();
-            let out = sds_sort_resilient(comm, input, &cfg, &rcfg).expect("survives");
-            assert!(out.stats.spilled, "threshold 0 must force the spill path");
-            out.data
-        });
-    let all: Vec<Record<u64, u64>> = report.results.iter().flatten().copied().collect();
-    assert_eq!(all.len(), 4 * 500);
+        budget_records: Some(4 * RUN_RECORDS),
+        pressure_threshold: 0.0, // any nonzero pressure spills
+    };
+    for_every_shape(case, |shape, stats| {
+        assert!(
+            stats.iter().all(|s| s.spilled),
+            "{shape}: threshold 0 must force the spill path"
+        );
+        let most = stats.iter().map(|s| s.spill_records).max();
+        assert!(most > Some(2 * RUN_RECORDS), "{shape}: no chunk was cut");
+    });
+    let (outputs, _) = resilient_equals_plain::<Tagged<u32>>(case, true);
+    let all: Vec<Tagged<u32>> = outputs.into_iter().flatten().collect();
+    assert_eq!(all.len(), case.p * case.n);
     assert!(all.windows(2).all(|w| w[0].key <= w[1].key), "sorted");
     for w in all.windows(2) {
         if w[0].key == w[1].key {
@@ -337,5 +460,34 @@ fn spill_path_preserves_stability() {
             );
         }
     }
+}
+
+#[test]
+fn a_run_file_that_comes_back_short_fails_the_merge_naming_the_file() {
+    // A spilled run knows its record count: fewer coming back (a cut file,
+    // a length that is no whole number of records, bytes that do not
+    // decode) is an i/o error, never a shorter output.
+    let dir = spill_dir("cut");
+    let path = dir.join("cut.bin");
+    let data: Vec<u64> = (0..1000).collect();
+    let cut_to = |len: u64| {
+        let run = write_run(&data, &path).expect("write");
+        let file = std::fs::OpenOptions::new().write(true).open(&path);
+        file.expect("open").set_len(len).expect("truncate");
+        let merged = RunMerger::<u64>::new(std::slice::from_ref(&run))
+            .and_then(|merger| merger.collect::<std::io::Result<Vec<u64>>>());
+        let err = merged.expect_err("a short run must not merge");
+        assert!(err.to_string().contains("cut.bin"), "{err}");
+    };
+    cut_to(600 * 8 + 3);
+    cut_to(0);
+    // A `bool` payload that is neither 0 nor 1 does not decode.
+    let flags = [Record::new(1u8, true), Record::new(2, false)];
+    let run = write_run(&flags, &path).expect("write");
+    std::fs::write(&path, [1, 1, 2, 7]).expect("overwrite");
+    let err = RunMerger::<Record<u8, bool>>::new(std::slice::from_ref(&run))
+        .err()
+        .expect("undecodable");
+    assert!(err.to_string().contains("cut.bin"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

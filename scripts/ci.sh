@@ -38,11 +38,12 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 # suites with vector-clock checking enabled for every simulated world.
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
-# Miri over the unsafe-bearing modules (PlainData codecs, merge internals,
-# radix scatter passes, pivot sampling). Best effort: needs a nightly
-# toolchain with the miri component, which sealed containers may not have.
+# Miri over the unsafe-bearing modules (merge internals, radix scatter
+# passes, pivot sampling; the spill path has no unsafe). Best effort: needs
+# a nightly toolchain with the miri component, which sealed containers may
+# not have.
 if cargo +nightly miri --version >/dev/null 2>&1; then
-    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- external merge pivot radix
+    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- merge pivot radix
 else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
 fi
@@ -131,5 +132,24 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --sorter sds --workload adversarial --ranks 6 --cores 1 \
     --records 4000 --budget 60000 --faults seed=7,ramp=0:0:0.5 \
     --resilient "$tmp/spill"
+
+# Node-merging smokes (4 cores/node, so only the 4 leaders exchange): a
+# budget the leaders' receive buffers do not fit must end the run with the
+# out-of-memory report on every rank — it used to hang — and the same run
+# must complete by spilling, leaving no run file behind.
+oom=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --sorter sds --workload zipf:1.4 --cores 4 --ranks 16 --records 4000 \
+    --budget 100000)
+echo "ci: ${oom[*]} (must fail with OOM)"
+if out="$(timeout 60 "${oom[@]}" 2>&1)" || ! grep -q "simulated OOM" <<<"$out"; then
+    echo "ci: the leaders' OOM was not reported: $out" >&2
+    exit 1
+fi
+echo "ci: ${oom[*]} --resilient $tmp/spill-nodes"
+out="$(timeout 60 "${oom[@]}" --resilient "$tmp/spill-nodes" 2>&1)"
+if ! grep -q "result: OK" <<<"$out" || [ -n "$(ls -A "$tmp/spill-nodes")" ]; then
+    echo "ci: spilling run failed or left files under $tmp/spill-nodes: $out" >&2
+    exit 1
+fi
 
 echo "ci: all checks passed"

@@ -24,7 +24,7 @@
 //! parent test run that test is a no-op.
 
 use mpisim::{Communicator, NetModel, World};
-use sdssort::{sds_sort, Record, SdsConfig, Tagged};
+use sdssort::{sds_sort, sds_sort_resilient, Record, ResilienceConfig, SdsConfig, Tagged};
 use shmem::ThreadWorld;
 use workloads::{heavy_hitters, staircase, uniform_u64, zipf_keys};
 
@@ -310,16 +310,29 @@ fn run_sim_tagged(p: usize, cfg: &SdsConfig, n: usize, seed: u64) -> (RankRecord
     report.results.into_iter().unzip()
 }
 
+/// With `spill_dir`, every rank is forced onto the disk-spilling exchange
+/// the way the service forces it: the threads backend reports no memory
+/// pressure, so only an impossible threshold spills.
 fn run_threads_tagged(
     p: usize,
     cfg: &SdsConfig,
     n: usize,
     seed: u64,
+    spill_dir: Option<&std::path::Path>,
 ) -> (RankRecords, RankRecords) {
     use comm::Communicator;
     let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
         let data = tagged_input(n, 64, seed, comm.rank());
-        let out = sds_sort(comm, data.clone(), cfg).expect("no memory budget");
+        let out = match spill_dir {
+            None => sds_sort(comm, data.clone(), cfg).expect("no memory budget"),
+            Some(dir) => {
+                let mut rcfg = ResilienceConfig::new(dir);
+                rcfg.pressure_threshold = -1.0;
+                let out = sds_sort_resilient(comm, data.clone(), cfg, &rcfg).expect("spills");
+                assert!(out.stats.spilled, "a negative threshold must spill");
+                out
+            }
+        };
         (data, out.data)
     });
     report.results.into_iter().unzip()
@@ -330,10 +343,15 @@ fn stable_variant_ties_are_bit_identical_across_backends() {
     for p in [2usize, 4, 8] {
         let cfg = cfg_for(true);
         let (_, sim) = run_sim_tagged(p, &cfg, 1000, 0xAB + p as u64);
-        let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xAB + p as u64);
+        let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xAB + p as u64, None);
         // Stability pins equal-key order to global input order, so even
         // the payloads match record-for-record.
         assert_eq!(sim, thr, "stable tagged divergence at p={p}");
+        // ... and a round trip through run files on disk changes nothing.
+        let dir = std::env::temp_dir().join(format!("sds-equiv-spill-{}-{p}", std::process::id()));
+        let (_, spilled) = run_threads_tagged(p, &cfg, 1000, 0xAB + p as u64, Some(&dir));
+        assert_eq!(sim, spilled, "spilled stable tagged divergence at p={p}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -342,7 +360,7 @@ fn fast_variant_keys_match_and_tags_are_a_permutation() {
     let p = 8;
     let cfg = cfg_for(false);
     let (input, sim) = run_sim_tagged(p, &cfg, 1000, 0xFA57);
-    let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xFA57);
+    let (_, thr) = run_threads_tagged(p, &cfg, 1000, 0xFA57, None);
     for r in 0..p {
         let sim_keys: Vec<u32> = sim[r].iter().map(|t| t.key).collect();
         let thr_keys: Vec<u32> = thr[r].iter().map(|t| t.key).collect();
