@@ -219,13 +219,26 @@ pub trait RawComm: Sized {
     /// (including reserved collective tags).
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>);
 
-    /// Send a copy of a slice to communicator rank `dst` on any tag.
+    /// Send a slice to communicator rank `dst` on any tag. The default
+    /// clones it into a vector to hand over; a transport that serializes
+    /// (sockets) encodes straight from the borrow instead.
     fn send_slice_raw<T: Wire>(&self, dst: usize, tag: u64, data: &[T]) {
         self.send_raw(dst, tag, data.to_vec());
     }
 
+    /// Blocking receive from communicator rank `src` on any tag, appended
+    /// to `out`: the one receive primitive of the source-ordered paths. A
+    /// transport that moves vectors through one address space hands its
+    /// message to [`append_moved`]; one that serializes decodes the payload
+    /// bytes straight onto the end of `out`.
+    fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>);
+
     /// Blocking receive from communicator rank `src` on any tag.
-    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T>;
+    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        self.recv_into_raw(src, tag, &mut out);
+        out
+    }
 
     /// Blocking receive of a single value from communicator rank `src`.
     fn recv_val_raw<T: Wire>(&self, src: usize, tag: u64) -> T {
@@ -454,14 +467,20 @@ impl<C: RawComm> Communicator for C {
                 self.send_slice_raw(dst, tag, &data[offsets[dst]..offsets[dst + 1]]);
             }
         }
+        // One allocation for everything this rank receives; each chunk
+        // lands at the end of it, in source order.
         let mut out: Vec<T> = Vec::with_capacity(recv_counts.iter().sum());
         for (src, &rc) in recv_counts.iter().enumerate() {
             if src == me {
                 out.extend_from_slice(&data[offsets[me]..offsets[me + 1]]);
             } else if rc > 0 {
-                let chunk = self.recv_vec_raw::<T>(src, tag);
-                assert_eq!(chunk.len(), rc, "alltoallv count mismatch from {src}");
-                out.extend(chunk);
+                let before = out.len();
+                self.recv_into_raw(src, tag, &mut out);
+                assert_eq!(
+                    out.len() - before,
+                    rc,
+                    "alltoallv count mismatch from {src}"
+                );
             }
         }
         out
@@ -558,6 +577,18 @@ impl<C: RawComm> Communicator for C {
             .expect("calling rank is in its own color group");
         let ctx = split_ctx(self.group().ctx(), split_seq, my_color);
         Some(self.with_group(Group::new(ctx, members, my_index)))
+    }
+}
+
+/// [`RawComm::recv_into_raw`] for a transport whose messages are vectors
+/// moved through one address space: the message becomes `out` when `out`
+/// owns no buffer yet (a plain receive stays a move), and is appended to it
+/// otherwise.
+pub fn append_moved<T>(mut chunk: Vec<T>, out: &mut Vec<T>) {
+    if out.capacity() == 0 {
+        *out = chunk;
+    } else {
+        out.append(&mut chunk);
     }
 }
 
@@ -673,6 +704,23 @@ mod tests {
             assert!(tag >= last + 4096, "room for 4096 rounds per operation");
             last = tag;
         }
+    }
+
+    #[test]
+    fn append_moved_moves_into_an_unallocated_vec_and_appends_otherwise() {
+        let chunk = vec![7u64, 8, 9];
+        let ptr = chunk.as_ptr();
+        let mut out = Vec::new();
+        append_moved(chunk, &mut out);
+        assert_eq!(out.as_ptr(), ptr, "a plain receive must not copy");
+
+        let mut out = Vec::with_capacity(8);
+        out.push(1u64);
+        let ptr = out.as_ptr();
+        append_moved(vec![7, 8, 9], &mut out);
+        append_moved(Vec::new(), &mut out);
+        assert_eq!(out, [1, 7, 8, 9]);
+        assert_eq!(out.as_ptr(), ptr, "the sized buffer must be kept");
     }
 
     #[test]

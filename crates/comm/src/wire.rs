@@ -14,27 +14,30 @@
 //! The format never crosses machines: the launcher re-execs *the same
 //! binary* for every rank on one host, so native endianness and pointer
 //! width are identical on both ends by construction. What the format *does*
-//! guarantee is self-consistency: `get` inverts `put` and `get_vec` inverts
-//! `put_slice`, byte for byte. It is the only byte format records have:
+//! guarantee is self-consistency: `get` inverts `put` and `get_into` /
+//! `get_vec` invert `put_slice`, byte for byte. It is the only byte format
+//! records have:
 //! `sdssort`'s spilled run files are `put_slice` bytes too, written and read
 //! back by one process.
 //!
 //! ## Zero-copy record buffers
 //!
 //! The hot path of a sort exchange is a large `Vec<K>` of keys or records.
-//! For the primitive pod types (no padding, every bit pattern valid),
-//! [`Wire::put_slice`] and [`Wire::get_vec`] are overridden with a single
-//! `memcpy` instead of an element loop, so encoding a million-key buffer
-//! costs one copy.
+//! For the primitive pod types (no padding, every bit pattern valid) the
+//! slice's memory *is* its encoding: [`Wire::as_wire_bytes`] hands it out
+//! borrowed, so a transport can write it without an intermediate buffer,
+//! [`Wire::put_slice`] is one `memcpy` of that view, and
+//! [`Wire::get_into`] is one `memcpy` onto the end of the receiver's buffer.
 //! Composite types (tuples, `Record`-style structs with padding) fall back
-//! to the element-wise loop, which sidesteps padding bytes entirely.
+//! to the element-wise loop, which sidesteps padding bytes entirely; the
+//! loops reserve once from the size of their input.
 
 /// A value that can cross a process boundary as bytes.
 ///
 /// Implementations must be self-consistent round-trips:
 /// `get(put(x)) == x` and `get_vec(put_slice(xs)) == xs`. Decoding must be
-/// total over the format — malformed input returns `None`, never panics —
-/// because the bytes arrive from another process.
+/// total over the format — malformed input returns `None` / `false`, never
+/// panics — because the bytes arrive from another process.
 pub trait Wire: Clone + Send + 'static {
     /// Append this value's encoding to `out`.
     fn put(&self, out: &mut Vec<u8>);
@@ -43,24 +46,50 @@ pub trait Wire: Clone + Send + 'static {
     /// the consumed bytes. `None` if `src` is truncated or malformed.
     fn get(src: &mut &[u8]) -> Option<Self>;
 
+    /// The slice's encoding, borrowed, when the slice's own memory is
+    /// exactly the bytes [`Wire::put_slice`] would append (pod types);
+    /// `None` when encoding has to build them.
+    fn as_wire_bytes(_items: &[Self]) -> Option<&[u8]> {
+        None
+    }
+
     /// Bulk-encode a slice (element-wise by default; pod types override
     /// with a single copy).
     fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+        // A hint, bounded by the input's own size: exact for fixed-size
+        // types without padding, an over-estimate with padding.
+        out.reserve(std::mem::size_of_val(items));
         for item in items {
             item.put(out);
         }
     }
 
-    /// Decode an entire buffer into a vector, consuming every byte. `None`
-    /// if the buffer is truncated mid-element or has trailing garbage
-    /// (pod override: length not a multiple of the element size).
-    fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+    /// Decode an entire buffer onto the end of `out`, consuming every byte.
+    /// `false` — with `out` left as it was — if the buffer is truncated
+    /// mid-element or has trailing garbage (pod override: length not a
+    /// multiple of the element size).
+    fn get_into(src: &[u8], out: &mut Vec<Self>) -> bool {
+        let start = out.len();
+        // A hint bounded by the buffer's own length, so a corrupt buffer
+        // cannot over-allocate: exact for fixed-size types without padding.
+        out.reserve(src.len() / std::mem::size_of::<Self>().max(1));
         let mut cursor = src;
-        let mut out = Vec::new();
         while !cursor.is_empty() {
-            out.push(Self::get(&mut cursor)?);
+            match Self::get(&mut cursor) {
+                Some(item) => out.push(item),
+                None => {
+                    out.truncate(start);
+                    return false;
+                }
+            }
         }
-        Some(out)
+        true
+    }
+
+    /// [`Wire::get_into`] a fresh vector; `None` where it returns `false`.
+    fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+        let mut out = Vec::new();
+        Self::get_into(src, &mut out).then_some(out)
     }
 }
 
@@ -76,8 +105,8 @@ fn take<'a>(src: &mut &'a [u8], count: usize) -> Option<&'a [u8]> {
 }
 
 /// Implements [`Wire`] for pod scalars: no padding, every bit pattern
-/// valid, encoded as their native-endian bytes. Bulk paths are a single
-/// `memcpy` of the whole buffer.
+/// valid, encoded as their native-endian bytes. A slice is its own
+/// encoding; the bulk paths are a single `memcpy` of the whole buffer.
 macro_rules! wire_pod {
     ($($ty:ty),+ $(,)?) => {$(
         impl Wire for $ty {
@@ -92,40 +121,43 @@ macro_rules! wire_pod {
                 Some(<$ty>::from_ne_bytes(bytes.try_into().ok()?))
             }
 
-            fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+            fn as_wire_bytes(items: &[Self]) -> Option<&[u8]> {
                 // SAFETY: `$ty` is a primitive scalar — no padding bytes,
                 // so every byte of the slice is initialized and may be
-                // viewed as `u8`.
-                let bytes = unsafe {
+                // viewed as `u8` for as long as `items` is borrowed.
+                Some(unsafe {
                     std::slice::from_raw_parts(
                         items.as_ptr().cast::<u8>(),
                         std::mem::size_of_val(items),
                     )
-                };
-                out.extend_from_slice(bytes);
+                })
             }
 
-            fn get_vec(src: &[u8]) -> Option<Vec<Self>> {
+            fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+                out.extend_from_slice(Self::as_wire_bytes(items).expect("a pod slice is its bytes"));
+            }
+
+            fn get_into(src: &[u8], out: &mut Vec<Self>) -> bool {
                 let size = std::mem::size_of::<$ty>();
                 if src.len() % size != 0 {
-                    return None;
+                    return false;
                 }
                 let n = src.len() / size;
-                let mut out = Vec::<$ty>::with_capacity(n);
+                out.reserve(n);
                 // SAFETY: every bit pattern of `$ty` is a valid value, the
-                // destination has capacity for `n` elements, and the source
-                // holds exactly `n * size` bytes (checked above).
-                // `copy_nonoverlapping` via u8 pointers tolerates any
-                // source alignment.
+                // destination has spare capacity for `n` elements past its
+                // length (reserved above), and the source holds exactly
+                // `n * size` bytes (checked above). `copy_nonoverlapping`
+                // via u8 pointers tolerates any source alignment.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
                         src.as_ptr(),
-                        out.as_mut_ptr().cast::<u8>(),
+                        out.as_mut_ptr().add(out.len()).cast::<u8>(),
                         src.len(),
                     );
-                    out.set_len(n);
+                    out.set_len(out.len() + n);
                 }
-                Some(out)
+                true
             }
         }
     )+};
@@ -318,6 +350,72 @@ mod tests {
         u64::put_slice(&[1u64, 2], &mut buf);
         buf.pop();
         assert_eq!(u64::get_vec(&buf), None);
+    }
+
+    /// For every pod type: the borrowed view is the slice's own memory and
+    /// is byte-for-byte what `put_slice` and the element loop produce, and
+    /// it decodes back to the slice.
+    macro_rules! pod_view_checks {
+        ($($ty:ty),+) => {$({
+            let items: Vec<$ty> = (0..37u8).map(|i| (i.wrapping_mul(97) >> 1) as $ty).collect();
+            let view = <$ty>::as_wire_bytes(&items).expect("pod types expose their bytes");
+            assert_eq!(view.as_ptr(), items.as_ptr().cast::<u8>(), "view must borrow, not copy");
+            let mut bulk = Vec::new();
+            <$ty>::put_slice(&items, &mut bulk);
+            let mut elem = Vec::new();
+            for it in &items {
+                it.put(&mut elem);
+            }
+            assert_eq!(view, &bulk[..], "{}", stringify!($ty));
+            assert_eq!(view, &elem[..], "{}", stringify!($ty));
+            assert_eq!(<$ty>::get_vec(view), Some(items));
+            assert_eq!(<$ty>::as_wire_bytes(&[]), Some(&[][..]));
+        })+};
+    }
+
+    #[test]
+    fn as_wire_bytes_is_put_slice_for_every_pod_type() {
+        pod_view_checks!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64, usize, isize);
+        // Composite types have no such view: padding may not reach the wire.
+        assert_eq!(<(u32, u64)>::as_wire_bytes(&[(1, 2)]), None);
+        assert_eq!(bool::as_wire_bytes(&[true]), None);
+    }
+
+    #[test]
+    fn get_into_appends_and_leaves_out_alone_on_bad_input() {
+        // Pod: one memcpy past the existing elements.
+        let mut buf = Vec::new();
+        u64::put_slice(&[3u64, 4, 5], &mut buf);
+        let mut out = vec![1u64, 2];
+        assert!(u64::get_into(&buf, &mut out));
+        assert_eq!(out, [1, 2, 3, 4, 5]);
+        assert!(
+            u64::get_into(&[], &mut out),
+            "an empty buffer is zero elements"
+        );
+        assert!(!u64::get_into(&buf[..buf.len() - 1], &mut out), "ragged");
+        assert_eq!(out, [1, 2, 3, 4, 5]);
+
+        // Field-wise (the `Record` shape: 12 wire bytes, 16 in memory).
+        let pairs = [(7u32, 70u64), (8, 80), (9, 90)];
+        let mut buf = Vec::new();
+        <(u32, u64)>::put_slice(&pairs, &mut buf);
+        assert_eq!(buf.len(), 36);
+        let mut out = vec![(1u32, 10u64)];
+        assert!(<(u32, u64)>::get_into(&buf, &mut out));
+        assert_eq!(out, [(1, 10), (7, 70), (8, 80), (9, 90)]);
+        for cut in (1..buf.len()).filter(|c| c % 12 != 0) {
+            assert!(
+                !<(u32, u64)>::get_into(&buf[..cut], &mut out),
+                "cut at {cut}"
+            );
+            assert_eq!(
+                out.len(),
+                4,
+                "cut at {cut}: decoded elements must be rolled back"
+            );
+        }
+        assert_eq!(<(u32, u64)>::get_vec(&buf[..35]), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::clock::VirtualClock;
 use crate::error::OomError;
 use crate::mailbox::{Envelope, SrcSel, TakeResult};
 use crate::universe::{DeadlockError, Universe, WaitDesc};
-use ::comm::raw::{assert_user_tag, Group, RawComm};
+use ::comm::raw::{append_moved, assert_user_tag, Group, RawComm};
 use ::comm::Wire;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -497,8 +497,8 @@ impl RawComm for Comm {
         }
     }
 
-    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_first(&[(self.exact(src), tag)], false).2
+    fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
+        append_moved(self.recv_first(&[(self.exact(src), tag)], false).2, out);
     }
 
     // The asynchronous all-to-all's any-source matching is

@@ -447,6 +447,28 @@ mod tests {
     }
 
     #[test]
+    fn record_bulk_codec_appends_and_rolls_back_on_truncation() {
+        type Wide = Record<OrderedF32, Pad<24>>;
+        let recs: Vec<Wide> = (0..5u8)
+            .map(|i| Record::new(OrderedF32::new(f32::from(i) - 2.5), Pad([i; 24])))
+            .collect();
+        let mut bytes = Vec::new();
+        Wide::put_slice(&recs, &mut bytes);
+        assert_eq!(bytes.len(), 5 * 28, "field-wise: key then payload");
+        assert_eq!(Wide::as_wire_bytes(&recs), None);
+
+        let mut out = vec![recs[4]];
+        assert!(Wide::get_into(&bytes, &mut out));
+        assert_eq!(out[0], recs[4]);
+        assert_eq!(out[1..], recs[..]);
+        for cut in [1, 27, 29, bytes.len() - 1] {
+            assert!(!Wide::get_into(&bytes[..cut], &mut out), "cut at {cut}");
+            assert_eq!(out.len(), 6, "cut at {cut}: out must be left as it was");
+        }
+        assert_eq!(Wide::get_vec(&bytes), Some(recs));
+    }
+
+    #[test]
     fn pad_default_is_zeroed() {
         let p: Pad<16> = Pad::default();
         assert_eq!(p.0, [0u8; 16]);

@@ -11,7 +11,7 @@
 
 use crate::mailbox::{Envelope, SrcSel};
 use crate::universe::Universe;
-use ::comm::raw::{Group, RawComm};
+use ::comm::raw::{append_moved, Group, RawComm};
 use ::comm::Wire;
 use std::sync::Arc;
 
@@ -125,9 +125,9 @@ impl RawComm for ThreadComm {
         }
     }
 
-    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_sel_raw(SrcSel::Exact(self.group.world_rank_of(src)), tag)
-            .1
+    fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
+        let sel = SrcSel::Exact(self.group.world_rank_of(src));
+        append_moved(self.recv_sel_raw(sel, tag).1, out);
     }
 
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {

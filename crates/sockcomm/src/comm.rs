@@ -2,8 +2,10 @@
 //! [`comm::raw::RawComm`] transport over per-peer socket links and the
 //! shared bounded-mailbox matching discipline.
 //!
-//! `SockComm` supplies only frame encoding/decoding at the send/recv
-//! boundary and mailbox matching. The [`comm::Communicator`] impl, the
+//! `SockComm` supplies only `Wire` encoding/decoding at the send/recv
+//! boundary and mailbox matching: a send encodes once from the borrowed
+//! slice (pod slices not at all) and a receive decodes once, onto the end
+//! of the caller's buffer. The [`comm::Communicator`] impl, the
 //! collective algorithm bodies, the reserved-tag allocator and `split`
 //! (with its stateless hash-derived child context id — a process-per-rank
 //! world cannot share a registry) are the single copy in [`comm::raw`] that
@@ -11,7 +13,7 @@
 //! (including deterministic rank-order reduction folds) are bit-identical
 //! across all three backends.
 
-use crate::frame::{Frame, FrameKind};
+use crate::frame::FrameKind;
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::raw::{Group, RawComm};
@@ -54,7 +56,9 @@ impl SockComm {
         }))
     }
 
-    fn open_envelope<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
+    /// Decode an envelope's payload bytes onto the end of `out`; the
+    /// sender's communicator rank.
+    fn open_envelope<T: Wire>(&self, env: Envelope, out: &mut Vec<T>) -> usize {
         let src_comm = self
             .group
             .rank_of_world(env.src)
@@ -63,29 +67,32 @@ impl SockComm {
             .data
             .downcast::<Vec<u8>>()
             .unwrap_or_else(|_| panic!("non-byte payload in sockets mailbox (tag {})", env.tag));
-        let data = T::get_vec(&bytes).unwrap_or_else(|| {
-            panic!(
-                "undecodable payload from world rank {} (ctx {}, tag {}, {} bytes): \
-                 sender and receiver disagree on the element type",
-                env.src,
-                env.ctx,
-                env.tag,
-                bytes.len()
-            )
-        });
-        (src_comm, data)
+        assert!(
+            T::get_into(&bytes, out),
+            "undecodable payload from world rank {} (ctx {}, tag {}, {} bytes): \
+             sender and receiver disagree on the element type",
+            env.src,
+            env.ctx,
+            env.tag,
+            bytes.len()
+        );
+        src_comm
     }
 
-    fn recv_sel_raw<T: Wire>(&self, src: SrcSel, tag: u64) -> (usize, Vec<T>) {
+    /// [`SockComm::open_envelope`] into a vector of its own.
+    fn open_envelope_new<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
+        let mut out = Vec::new();
+        (self.open_envelope(env, &mut out), out)
+    }
+
+    /// Blocking take of the next matching envelope; unwinds if the world
+    /// aborted.
+    fn take_envelope(&self, src: SrcSel, tag: u64) -> Envelope {
         self.check_alive();
-        match self
-            .uni
+        self.uni
             .mailbox
             .take(self.group.ctx(), src, tag, &self.uni.aborted)
-        {
-            Some(env) => self.open_envelope(env),
-            None => self.abort_unwind(),
-        }
+            .unwrap_or_else(|| self.abort_unwind())
     }
 }
 
@@ -111,23 +118,31 @@ impl RawComm for SockComm {
     }
 
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.send_slice_raw(dst, tag, &data);
+    }
+
+    /// Encode once, from the borrow: a pod slice is written to the socket
+    /// from its own memory, anything else through one encoded buffer.
+    fn send_slice_raw<T: Wire>(&self, dst: usize, tag: u64, data: &[T]) {
         self.check_alive();
         let src_w = self.group.world_rank();
         let dst_w = self.group.world_rank_of(dst);
-        let mut payload = Vec::new();
-        T::put_slice(&data, &mut payload);
-        let bytes = payload.len();
-        self.uni.stats.record(bytes);
-        self.uni.recorder.on_send(src_w, dst_w, bytes);
+        let account = |bytes: usize| {
+            self.uni.stats.record(bytes);
+            self.uni.recorder.on_send(src_w, dst_w, bytes);
+        };
         if dst_w == src_w {
             // Self-send: straight into the local mailbox, no socket.
+            let mut payload = Vec::new();
+            T::put_slice(data, &mut payload);
+            account(payload.len());
             let delivered = self.uni.mailbox.push(
                 Envelope {
                     ctx: self.group.ctx(),
                     src: src_w,
                     tag,
+                    bytes: payload.len(),
                     data: Box::new(payload),
-                    bytes,
                 },
                 &self.uni.aborted,
             );
@@ -136,30 +151,45 @@ impl RawComm for SockComm {
             }
             return;
         }
-        let frame = Frame {
-            kind: FrameKind::Data,
-            ctx: self.group.ctx(),
-            src: src_w as u32,
-            tag,
-            payload,
+        let encoded;
+        let payload = match T::as_wire_bytes(data) {
+            Some(bytes) => bytes,
+            None => {
+                let mut buf = Vec::new();
+                T::put_slice(data, &mut buf);
+                encoded = buf;
+                &encoded[..]
+            }
         };
-        if let Err(e) = self.uni.send_frame(dst_w, &frame) {
-            // A write error means the peer's socket is gone: record the
-            // death (EPIPE/ECONNRESET arrive here because Rust ignores
-            // SIGPIPE) and unwind.
-            self.uni
-                .peer_died(dst_w, format!("send to rank {dst_w} failed: {e}"));
-            self.abort_unwind();
+        account(payload.len());
+        match self
+            .uni
+            .send_frame(dst_w, FrameKind::Data, self.group.ctx(), tag, payload)
+        {
+            Ok(()) => {}
+            // Refused before a byte was written: this rank asked for a
+            // frame no receiver accepts. Its own failure, not the peer's.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                panic!("rank {src_w} cannot send to rank {dst_w} (tag {tag}): {e}")
+            }
+            Err(e) => {
+                // A write error means the peer's socket is gone: record the
+                // death (EPIPE/ECONNRESET arrive here because Rust ignores
+                // SIGPIPE) and unwind.
+                self.uni
+                    .peer_died(dst_w, format!("send to rank {dst_w} failed: {e}"));
+                self.abort_unwind();
+            }
         }
     }
 
-    fn recv_vec_raw<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_sel_raw(SrcSel::Exact(self.group.world_rank_of(src)), tag)
-            .1
+    fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
+        let sel = SrcSel::Exact(self.group.world_rank_of(src));
+        self.open_envelope(self.take_envelope(sel, tag), out);
     }
 
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_sel_raw(SrcSel::Any, tag)
+        self.open_envelope_new(self.take_envelope(SrcSel::Any, tag))
     }
 
     fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
@@ -167,6 +197,6 @@ impl RawComm for SockComm {
         self.uni
             .mailbox
             .try_take(self.group.ctx(), SrcSel::Any, tag)
-            .map(|env| self.open_envelope(env))
+            .map(|env| self.open_envelope_new(env))
     }
 }

@@ -16,10 +16,15 @@
 //! construction (see `comm::wire`).
 //!
 //! The codec is split into pure buffer functions ([`encode_frame`] /
-//! [`decode_frame`]) that the property tests drive, and thin IO wrappers
-//! ([`write_frame`] / [`read_frame`]) used by the transport.
+//! [`decode_frame`]) that the property tests drive and hold the IO path
+//! against, and the IO functions the transport uses, which touch a payload
+//! once per side: [`write_frame`] / [`write_parts`] fill the 29-byte prefix
+//! on the stack and write it and the payload *where it lies* with one
+//! vectored write (no frame buffer is assembled), and [`read_frame`] reads
+//! the prefix, rejects a bad length or kind before allocating anything,
+//! then reads the payload once into the `Vec` the [`Frame`] keeps.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on a frame's payload size. Nothing in a sort exchange comes
 /// near this (the exchange ships at most one rank's partition per frame);
@@ -30,6 +35,9 @@ pub const MAX_PAYLOAD: usize = 1 << 32;
 /// Bytes of frame after the length prefix, before the payload:
 /// kind (1) + ctx (8) + src (4) + tag (8).
 pub const HEADER_BYTES: usize = 21;
+
+/// Bytes of frame in front of the payload: length prefix + header.
+pub const PREFIX_BYTES: usize = 8 + HEADER_BYTES;
 
 /// What a frame means. The discriminants are the wire encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,14 +134,33 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Everything in front of a payload of `payload_len` bytes. The one place
+/// that writes the layout.
+fn encode_prefix(
+    kind: FrameKind,
+    ctx: u64,
+    src: u32,
+    tag: u64,
+    payload_len: usize,
+) -> [u8; PREFIX_BYTES] {
+    let mut prefix = [0u8; PREFIX_BYTES];
+    prefix[..8].copy_from_slice(&((HEADER_BYTES + payload_len) as u64).to_ne_bytes());
+    prefix[8] = kind as u8;
+    prefix[9..17].copy_from_slice(&ctx.to_ne_bytes());
+    prefix[17..21].copy_from_slice(&src.to_ne_bytes());
+    prefix[21..].copy_from_slice(&tag.to_ne_bytes());
+    prefix
+}
+
 /// Append the frame's encoding to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let len = (HEADER_BYTES + frame.payload.len()) as u64;
-    out.extend_from_slice(&len.to_ne_bytes());
-    out.push(frame.kind as u8);
-    out.extend_from_slice(&frame.ctx.to_ne_bytes());
-    out.extend_from_slice(&frame.src.to_ne_bytes());
-    out.extend_from_slice(&frame.tag.to_ne_bytes());
+    out.extend_from_slice(&encode_prefix(
+        frame.kind,
+        frame.ctx,
+        frame.src,
+        frame.tag,
+        frame.payload.len(),
+    ));
     out.extend_from_slice(&frame.payload);
 }
 
@@ -143,56 +170,118 @@ fn fixed<const N: usize>(src: &[u8], at: usize) -> Result<[u8; N], FrameError> {
         .ok_or(FrameError::Truncated)
 }
 
+/// The payload length announced by the length prefix at the front of
+/// `src`, if it is one an encoder can have produced.
+fn payload_len(src: &[u8]) -> Result<usize, FrameError> {
+    let len = u64::from_ne_bytes(fixed(src, 0)?);
+    usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_sub(HEADER_BYTES))
+        .filter(|&payload| payload <= MAX_PAYLOAD)
+        .ok_or(FrameError::BadLength(len))
+}
+
+/// Parse the header (what follows the length prefix) into a frame whose
+/// payload is still empty. The one place that reads the layout.
+fn decode_header(header: &[u8]) -> Result<Frame, FrameError> {
+    let kind_byte = *header.first().ok_or(FrameError::Truncated)?;
+    Ok(Frame {
+        kind: FrameKind::from_u8(kind_byte).ok_or(FrameError::BadKind(kind_byte))?,
+        ctx: u64::from_ne_bytes(fixed(header, 1)?),
+        src: u32::from_ne_bytes(fixed(header, 9)?),
+        tag: u64::from_ne_bytes(fixed(header, 13)?),
+        payload: Vec::new(),
+    })
+}
+
 /// Decode one frame from the front of `src`, returning it and the number
 /// of bytes consumed.
 pub fn decode_frame(src: &[u8]) -> Result<(Frame, usize), FrameError> {
-    let len = u64::from_ne_bytes(fixed::<8>(src, 0)?);
-    if (len as usize) < HEADER_BYTES || len as usize > HEADER_BYTES + MAX_PAYLOAD {
-        return Err(FrameError::BadLength(len));
-    }
-    let body_len = len as usize;
-    if src.len() < 8 + body_len {
+    let end = PREFIX_BYTES + payload_len(src)?;
+    if src.len() < end {
         return Err(FrameError::Truncated);
     }
-    let kind_byte = src[8];
-    let kind = FrameKind::from_u8(kind_byte).ok_or(FrameError::BadKind(kind_byte))?;
-    let ctx = u64::from_ne_bytes(fixed::<8>(src, 9)?);
-    let src_rank = u32::from_ne_bytes(fixed::<4>(src, 17)?);
-    let tag = u64::from_ne_bytes(fixed::<8>(src, 21)?);
-    let payload = src[8 + HEADER_BYTES..8 + body_len].to_vec();
-    Ok((
-        Frame {
-            kind,
-            ctx,
-            src: src_rank,
-            tag,
-            payload,
-        },
-        8 + body_len,
-    ))
+    let mut frame = decode_header(&src[8..PREFIX_BYTES])?;
+    frame.payload = src[PREFIX_BYTES..end].to_vec();
+    Ok((frame, end))
 }
 
-/// Write one frame to a stream (single buffered write).
+/// The sender's half of the [`MAX_PAYLOAD`] contract: a payload the
+/// receiver would refuse is refused here, before a byte of it is written,
+/// so the failure is reported where it was caused.
+fn check_payload_len(len: usize) -> io::Result<()> {
+    if len > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the cap of {MAX_PAYLOAD} bytes"),
+        ));
+    }
+    Ok(())
+}
+
+/// Write one frame to a stream: the prefix from the stack and
+/// `frame.payload` in place, allocating nothing.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(8 + HEADER_BYTES + frame.payload.len());
-    encode_frame(frame, &mut buf);
-    w.write_all(&buf)
+    write_parts(
+        w,
+        frame.kind,
+        frame.ctx,
+        frame.src,
+        frame.tag,
+        &frame.payload,
+    )
+}
+
+/// [`write_frame`] for a payload the caller only borrows (a `Wire` byte
+/// view of the records being sent): same bytes on the stream, no [`Frame`]
+/// to build. `InvalidInput`, with nothing written, if the payload is over
+/// [`MAX_PAYLOAD`].
+pub fn write_parts(
+    w: &mut impl Write,
+    kind: FrameKind,
+    ctx: u64,
+    src: u32,
+    tag: u64,
+    payload: &[u8],
+) -> io::Result<()> {
+    check_payload_len(payload.len())?;
+    let prefix = encode_prefix(kind, ctx, src, tag, payload.len());
+    let mut bufs = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    // `Write::write_all_vectored` is unstable; this is its loop. A writer
+    // may take any part of the two slices per call.
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read exactly one frame from a stream. `Ok(None)` on clean EOF at a
-/// frame boundary; an EOF mid-frame is an `UnexpectedEof` error.
+/// frame boundary; an EOF mid-frame is an `UnexpectedEof` error. The
+/// payload is read once, into the one allocation the frame keeps, and only
+/// after the length and kind in front of it were accepted.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut len_buf = [0u8; 8];
-    // Hand-rolled first read so EOF-before-any-byte is distinguishable
-    // from EOF mid-prefix.
+    let mut prefix = [0u8; PREFIX_BYTES];
+    // Hand-rolled so EOF-before-any-byte is distinguishable from EOF
+    // mid-prefix.
     let mut filled = 0;
-    while filled < len_buf.len() {
-        match r.read(&mut len_buf[filled..]) {
+    while filled < PREFIX_BYTES {
+        match r.read(&mut prefix[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame (length prefix)",
+                    "connection closed mid-frame (prefix)",
                 ))
             }
             Ok(n) => filled += n,
@@ -200,21 +289,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u64::from_ne_bytes(len_buf);
-    if (len as usize) < HEADER_BYTES || len as usize > HEADER_BYTES + MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::BadLength(len).to_string(),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&len_buf);
-    buf.extend_from_slice(&body);
-    let (frame, consumed) = decode_frame(&buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    debug_assert_eq!(consumed, buf.len());
+    let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+    let len = payload_len(&prefix).map_err(invalid)?;
+    let mut frame = decode_header(&prefix[8..]).map_err(invalid)?;
+    frame.payload = vec![0u8; len];
+    r.read_exact(&mut frame.payload)?;
     Ok(Some(frame))
 }
 
@@ -283,6 +362,40 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         let err = read_frame(&mut cursor).expect_err("oversized");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn sender_refuses_exactly_what_the_receiver_would() {
+        // The length check on its own: a payload over the cap cannot be
+        // built in a test, and need not be.
+        check_payload_len(0).expect("empty payload");
+        check_payload_len(MAX_PAYLOAD).expect("the cap itself is allowed");
+        let err = check_payload_len(MAX_PAYLOAD + 1).expect_err("one byte over");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&(MAX_PAYLOAD + 1).to_string()) && msg.contains(&MAX_PAYLOAD.to_string()),
+            "must name size and cap: {msg}"
+        );
+        // Same boundary on the receiving side.
+        let max_len = (HEADER_BYTES + MAX_PAYLOAD) as u64;
+        assert_eq!(payload_len(&max_len.to_ne_bytes()), Ok(MAX_PAYLOAD));
+        assert_eq!(
+            payload_len(&(max_len + 1).to_ne_bytes()),
+            Err(FrameError::BadLength(max_len + 1))
+        );
+    }
+
+    #[test]
+    fn bad_kind_is_rejected_on_the_stream_before_the_payload_is_allocated() {
+        // A valid length announcing the largest payload, an unknown kind,
+        // and no payload bytes at all: had the payload been allocated (or
+        // waited for) first, this would be 4 GiB or UnexpectedEof.
+        let mut buf = encode_prefix(FrameKind::Data, 0, 0, 0, MAX_PAYLOAD).to_vec();
+        buf[8] = 250;
+        let err = read_frame(&mut io::Cursor::new(buf)).expect_err("unknown kind");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown frame kind 250"), "{err}");
     }
 
     #[test]

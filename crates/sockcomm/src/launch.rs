@@ -43,7 +43,7 @@ use comm::mailbox::Envelope;
 use comm::raw::Group;
 use comm::Wire;
 use std::cell::RefCell;
-use std::io::{self, BufWriter};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -615,10 +615,7 @@ fn run_child<P: Wire, R: Wire>(
             &Frame::control(FrameKind::Hello, me as u32, Vec::new()),
         )?;
         read_halves.push((peer, stream.try_clone()?));
-        links[peer] = Some(PeerLink {
-            raw: stream.try_clone()?,
-            writer: std::sync::Mutex::new(BufWriter::new(stream)),
-        });
+        links[peer] = Some(PeerLink::new(stream)?);
     }
     for _ in me + 1..p {
         let mut stream = data_listener.accept_deadline(timeout, &|| None)?;
@@ -630,10 +627,7 @@ fn run_child<P: Wire, R: Wire>(
             return Err(io::Error::other(format!("bogus hello from peer {peer}")));
         }
         read_halves.push((peer, stream.try_clone()?));
-        links[peer] = Some(PeerLink {
-            raw: stream.try_clone()?,
-            writer: std::sync::Mutex::new(BufWriter::new(stream)),
-        });
+        links[peer] = Some(PeerLink::new(stream)?);
     }
 
     let uni = Arc::new(SockUniverse::new(
@@ -723,6 +717,20 @@ fn reader_loop(mut stream: Stream, peer: usize, uni: Arc<SockUniverse>) {
     loop {
         match read_frame(&mut stream) {
             Ok(Some(frame)) if frame.kind == FrameKind::Data => {
+                // The link, not the header, says who is talking: a frame
+                // naming another source would be filed under that rank's
+                // matching key (or, for a rank outside the world, panic
+                // the receive that opens it).
+                if frame.src as usize != peer {
+                    uni.peer_died(
+                        peer,
+                        format!(
+                            "data frame claims src {} on the link to rank {peer}",
+                            frame.src
+                        ),
+                    );
+                    return;
+                }
                 let bytes = frame.payload.len();
                 let delivered = uni.mailbox.push(
                     Envelope {
@@ -761,6 +769,81 @@ fn reader_loop(mut stream: Stream, peer: usize, uni: Arc<SockUniverse>) {
                 }
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use comm::mailbox::SrcSel;
+    use std::os::unix::net::UnixStream;
+
+    const CTX: u64 = 0;
+    const TAG: u64 = 77;
+
+    /// What rank 0 of a 3-rank world makes of `frames` arriving on its link
+    /// to rank 2: the universe after the reader thread has returned.
+    fn read_on_link_to_rank_2(frames: &[Frame]) -> Arc<SockUniverse> {
+        let (mut tx, rx) = UnixStream::pair().expect("socketpair");
+        let uni = Arc::new(SockUniverse::new(3, 0, 1, 16, vec![None, None, None]));
+        let reader = {
+            let uni = Arc::clone(&uni);
+            std::thread::spawn(move || reader_loop(Stream::Uds(rx), 2, uni))
+        };
+        for frame in frames {
+            // The reader hangs up at a protocol error; what follows it on
+            // the link may then fail to send.
+            if write_frame(&mut tx, frame).is_err() {
+                break;
+            }
+        }
+        drop(tx);
+        reader.join().expect("reader thread");
+        uni
+    }
+
+    fn data_frame(src: u32) -> Frame {
+        Frame {
+            kind: FrameKind::Data,
+            ctx: CTX,
+            src,
+            tag: TAG,
+            payload: vec![1, 2, 3],
+        }
+    }
+
+    #[test]
+    fn data_frame_is_filed_under_the_link_it_arrived_on() {
+        let goodbye = Frame::control(FrameKind::Goodbye, 2, Vec::new());
+        let uni = read_on_link_to_rank_2(&[data_frame(2), goodbye]);
+        assert!(uni.dead_peer().is_none());
+        let env = uni
+            .mailbox
+            .try_take(CTX, SrcSel::Exact(2), TAG)
+            .expect("delivered under rank 2");
+        assert_eq!(env.bytes, 3);
+    }
+
+    #[test]
+    fn data_frame_naming_another_source_is_a_protocol_error_of_the_link() {
+        // src = 1: would be matched as rank 1's message. src = 9: outside
+        // the world, would panic the receive that opens it.
+        for claimed in [1u32, 9] {
+            let uni = read_on_link_to_rank_2(&[data_frame(claimed), data_frame(2)]);
+            let dead = uni.dead_peer().expect("the link's peer is blamed");
+            assert_eq!(dead.rank, 2);
+            assert!(
+                dead.detail
+                    .contains(&format!("data frame claims src {claimed}")),
+                "{}",
+                dead.detail
+            );
+            assert!(uni.is_aborted());
+            assert!(
+                uni.mailbox.try_take(CTX, SrcSel::Any, TAG).is_none(),
+                "nothing from a link in protocol error may be delivered"
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Transport selection: TCP on loopback or Unix-domain sockets, behind one
 //! `Stream`/`Listener` pair so the rest of the backend is transport-blind.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -97,6 +97,15 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Uds(s) => s.write(buf),
+        }
+    }
+
+    /// One `writev`: a frame's prefix and payload leave in a single call
+    /// without being assembled into one buffer first.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Uds(s) => s.write_vectored(bufs),
         }
     }
 

@@ -6,10 +6,9 @@
 //! threads trip when a peer dies, and the network counters it ships back
 //! to the launcher with its result.
 
-use crate::frame::{write_frame, Frame, FrameKind};
+use crate::frame::{write_parts, FrameKind};
 use crate::net::Stream;
 use comm::mailbox::Mailbox;
-use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -49,14 +48,23 @@ pub struct DeadPeer {
 }
 
 /// Write half of the link to one peer. Sends from the rank thread and the
-/// occasional teardown goodbye serialize on the mutex; the buffered writer
-/// is flushed per frame (a frame is the unit of progress — there is no
-/// later "batch" moment that could flush it).
+/// occasional teardown goodbye serialize on the mutex; every frame goes to
+/// the socket as one vectored write (a frame is the unit of progress —
+/// there is no later "batch" moment a buffer could wait for).
 pub struct PeerLink {
-    pub(crate) writer: Mutex<BufWriter<Stream>>,
-    /// Unbuffered clone used to shut the socket down on abort, unblocking
-    /// both this process's reader thread and the remote peer.
+    pub(crate) writer: Mutex<Stream>,
+    /// Clone used to shut the socket down on abort, unblocking both this
+    /// process's reader thread and the remote peer.
     pub(crate) raw: Stream,
+}
+
+impl PeerLink {
+    pub(crate) fn new(stream: Stream) -> std::io::Result<Self> {
+        Ok(Self {
+            raw: stream.try_clone()?,
+            writer: Mutex::new(stream),
+        })
+    }
 }
 
 /// Shared state for one rank process of a sockets world.
@@ -142,24 +150,29 @@ impl SockUniverse {
             .clone()
     }
 
-    /// Send one frame to world rank `dst`. `Err` means the link is gone —
-    /// the caller decides whether that is a peer death (data sends) or
-    /// ignorable (teardown best-effort).
-    pub(crate) fn send_frame(&self, dst: usize, frame: &Frame) -> std::io::Result<()> {
+    /// Send one frame from this rank to world rank `dst`, its payload
+    /// written from where it lies. `InvalidInput` means the payload is over
+    /// the frame cap and nothing was written (this rank's own failure); any
+    /// other `Err` means the link is gone — the caller decides whether that
+    /// is a peer death (data sends) or ignorable (teardown best-effort).
+    pub(crate) fn send_frame(
+        &self,
+        dst: usize,
+        kind: FrameKind,
+        ctx: u64,
+        tag: u64,
+        payload: &[u8],
+    ) -> std::io::Result<()> {
         let link = self.peers[dst]
             .as_ref()
             .expect("no self-link: self-sends go through the mailbox");
         let mut w = link.writer.lock().expect("peer writer mutex poisoned");
-        write_frame(&mut *w, frame)?;
-        w.flush()
+        write_parts(&mut *w, kind, ctx, self.my_world_rank as u32, tag, payload)
     }
 
     /// Send a goodbye to world rank `dst` (orderly-teardown marker).
     pub(crate) fn send_goodbye(&self, dst: usize) -> std::io::Result<()> {
-        self.send_frame(
-            dst,
-            &Frame::control(FrameKind::Goodbye, self.my_world_rank as u32, Vec::new()),
-        )
+        self.send_frame(dst, FrameKind::Goodbye, 0, 0, &[])
     }
 
     /// Called by a reader thread when its peer says goodbye.

@@ -39,11 +39,13 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
 # Miri over the unsafe-bearing modules (merge internals, radix scatter
-# passes, pivot sampling; the spill path has no unsafe). Best effort: needs
-# a nightly toolchain with the miri component, which sealed containers may
-# not have.
+# passes, pivot sampling; the spill path has no unsafe) and over the pods'
+# `Wire` byte view, which every sockets send of a pod buffer now goes
+# through. Best effort: needs a nightly toolchain with the miri component,
+# which sealed containers may not have.
 if cargo +nightly miri --version >/dev/null 2>&1; then
     run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- merge pivot radix
+    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p comm --lib -- wire
 else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
 fi
@@ -97,6 +99,11 @@ test -s "$tmp/sockets/BENCH_sortcli.json" || {
 }
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --validate-metrics "$tmp/sockets/BENCH_sortcli.json"
+# ... and once more over TCP: the vectored frame write is a different
+# kernel path there.
+run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend sockets --transport tcp --sorter sds --workload zipf:1.2 \
+    --ranks 4 --records 5000
 
 # Every table, figure, ablation and the shoot-out (EXPERIMENTS.md), from
 # the one registry: the run fails if any shape verdict is DIVERGED (~1-2

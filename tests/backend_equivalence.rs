@@ -15,6 +15,12 @@
 //!   and a global permutation of the input; equal-key tag order is the
 //!   one place real-thread arrival order is allowed to show through.
 //!
+//! - Records that cross the sockets wire field by field — `Tagged<u32>`
+//!   (12 wire bytes, 16 in memory) and `Record<OrderedF32, Pad<24>>` — hold
+//!   the same two guarantees through the synchronous (stable) and the
+//!   overlapped (fast) exchange, with an empty rank, empty chunks and
+//!   zero-length frames in the run, at `p = 1` and `p = 3`, over UDS and TCP.
+//!
 //! Also runs the Theorem 1 `O(4N/p)` skew-bound assertions on the threads
 //! and sockets backends: the bound is a property of the partition, not the
 //! simulator.
@@ -24,7 +30,10 @@
 //! parent test run that test is a no-op.
 
 use mpisim::{Communicator, NetModel, World};
-use sdssort::{sds_sort, sds_sort_resilient, Record, ResilienceConfig, SdsConfig, Tagged};
+use sdssort::record::Pad;
+use sdssort::{
+    sds_sort, sds_sort_resilient, OrderedF32, Record, ResilienceConfig, SdsConfig, Sortable, Tagged,
+};
 use shmem::ThreadWorld;
 use workloads::{heavy_hitters, staircase, uniform_u64, zipf_keys};
 
@@ -116,6 +125,8 @@ fn run_threads_u64(
 const ENTRY_SORT_U64: &str = "equiv-sort-u64";
 const ENTRY_SORT_TAGGED: &str = "equiv-sort-tagged";
 const ENTRY_SORT_ALGO: &str = "equiv-sort-algo";
+const ENTRY_RECORDS_TAGGED: &str = "equiv-records-tagged";
+const ENTRY_RECORDS_WIDE: &str = "equiv-records-wide";
 
 /// (workload, records per rank, seed, stable, force node merge).
 type U64Params = (String, u64, u64, bool, bool);
@@ -166,6 +177,8 @@ fn sockcomm_child_entry() {
     sockcomm::child_rank(ENTRY_SORT_U64, sockets_u64_entry);
     sockcomm::child_rank(ENTRY_SORT_TAGGED, sockets_tagged_entry);
     sockcomm::child_rank(ENTRY_SORT_ALGO, sockets_algo_entry);
+    sockcomm::child_rank(ENTRY_RECORDS_TAGGED, sort_records::<Tagged<u32>, _>);
+    sockcomm::child_rank(ENTRY_RECORDS_WIDE, sort_records::<Wide, _>);
 }
 
 fn sockets_world(p: usize) -> sockcomm::SocketWorld {
@@ -435,6 +448,146 @@ fn sockets_stable_ties_are_bit_identical_to_sim() {
         got, want,
         "sockets output is not a permutation of the input"
     );
+}
+
+// ---- field-wise records through both exchanges ---------------------------
+
+/// The cosmology-shaped record: float key, 24 opaque payload bytes.
+type Wide = Record<OrderedF32, Pad<24>>;
+
+/// A record type of the field-wise matrix: built from a small key (so ties
+/// abound) and its origin (so every record is distinct).
+trait EquivRecord: Sortable + PartialEq + std::fmt::Debug {
+    const ENTRY: &'static str;
+    fn make(key: u32, rank: usize, i: usize) -> Self;
+}
+
+impl EquivRecord for Tagged<u32> {
+    const ENTRY: &'static str = ENTRY_RECORDS_TAGGED;
+    fn make(key: u32, rank: usize, i: usize) -> Self {
+        Record::new(key, ((rank as u64) << 32) | i as u64)
+    }
+}
+
+impl EquivRecord for Wide {
+    const ENTRY: &'static str = ENTRY_RECORDS_WIDE;
+    fn make(key: u32, rank: usize, i: usize) -> Self {
+        let mut pad = [0xA5u8; 24];
+        pad[..8].copy_from_slice(&(rank as u64).to_le_bytes());
+        pad[16..].copy_from_slice(&(i as u64).to_le_bytes());
+        // Negative, fractional and positive keys.
+        Record::new(OrderedF32::new(key as f32 * 0.5 - 300.0), Pad(pad))
+    }
+}
+
+/// (records per rank, seed, stable).
+type RecordParams = (u64, u64, bool);
+
+/// Rank 1 holds nothing (every chunk it sends is empty, and its samples
+/// travel as zero-length payloads); the others hold one narrow key band
+/// each, so most of their chunks are empty too.
+fn record_input<T: EquivRecord>(n: usize, seed: u64, rank: usize) -> Vec<T> {
+    if rank == 1 {
+        return Vec::new();
+    }
+    zipf_keys(n, 1.1, seed, rank)
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| T::make(rank as u32 * 400 + (k % 48) as u32, rank, i))
+        .collect()
+}
+
+/// One rank of the field-wise matrix, on any backend: `(input, output)`.
+/// Stable takes the synchronous exchange, fast the overlapped one.
+fn sort_records<T: EquivRecord, C: comm::Communicator>(
+    comm: &C,
+    (n, seed, stable): RecordParams,
+) -> (Vec<T>, Vec<T>) {
+    let cfg = cfg_for(stable);
+    assert_eq!(cfg.should_overlap(comm.size()), !stable);
+    let data = record_input::<T>(n as usize, seed, comm.rank());
+    let out = sds_sort(comm, data.clone(), &cfg).expect("no memory budget");
+    comm.barrier(); // zero-length frames, whatever the sort sent
+    (data, out.data)
+}
+
+/// Sorted wire encodings of every record: equal iff the multisets are.
+fn multiset<T: EquivRecord>(ranks: &[Vec<T>]) -> Vec<Vec<u8>> {
+    let mut all: Vec<Vec<u8>> = ranks
+        .iter()
+        .flatten()
+        .map(|rec| {
+            let mut bytes = Vec::new();
+            rec.put(&mut bytes);
+            bytes
+        })
+        .collect();
+    all.sort_unstable();
+    all
+}
+
+fn records_agree_everywhere<T: EquivRecord>(p: usize, transports: &[sockcomm::Transport]) {
+    for stable in [true, false] {
+        let params: RecordParams = (700, 0xF1E1D + p as u64, stable);
+        let (input, sim): (Vec<Vec<T>>, Vec<Vec<T>>) = World::new(p)
+            .cores_per_node(4)
+            .net(NetModel::zero())
+            .run(|comm| sort_records::<T, _>(comm, params))
+            .results
+            .into_iter()
+            .unzip();
+        let (_, thr): (Vec<Vec<T>>, Vec<Vec<T>>) = ThreadWorld::new(p)
+            .cores_per_node(4)
+            .run(|comm| sort_records::<T, _>(comm, params))
+            .results
+            .into_iter()
+            .unzip();
+        assert_eq!(multiset(&input), multiset(&thr), "threads p={p}");
+        for &transport in transports {
+            let what = format!(
+                "{} p={p} {transport:?} stable={stable}",
+                std::any::type_name::<T>()
+            );
+            let (sock_input, sock): (Vec<Vec<T>>, Vec<Vec<T>>) = sockets_world(p)
+                .transport(transport)
+                .run::<RecordParams, (Vec<T>, Vec<T>)>(T::ENTRY, &params)
+                .expect("sockets world")
+                .results
+                .into_iter()
+                .unzip();
+            assert_eq!(input, sock_input, "{what}: inputs differ");
+            assert_eq!(
+                multiset(&input),
+                multiset(&sock),
+                "{what}: not a permutation"
+            );
+            if stable {
+                // Nothing is arrival-dependent: record for record.
+                assert_eq!(sim, sock, "{what}: sim vs sockets");
+                assert_eq!(thr, sock, "{what}: threads vs sockets");
+            } else {
+                // Equal keys may interleave by arrival; the key sequence
+                // of every rank may not.
+                let keys = |ranks: &[Vec<T>]| -> Vec<Vec<T::Key>> {
+                    ranks
+                        .iter()
+                        .map(|r| r.iter().map(|rec| rec.key()).collect())
+                        .collect()
+                };
+                assert!(keys(&sim) == keys(&sock), "{what}: sim vs sockets keys");
+                assert!(keys(&thr) == keys(&sock), "{what}: threads vs sockets keys");
+            }
+        }
+    }
+}
+
+#[test]
+fn field_wise_records_agree_on_every_backend_through_both_exchanges() {
+    use sockcomm::Transport::{Tcp, Uds};
+    for (p, transports) in [(1usize, &[Uds][..]), (3, &[Uds, Tcp])] {
+        records_agree_everywhere::<Tagged<u32>>(p, transports);
+        records_agree_everywhere::<Wide>(p, transports);
+    }
 }
 
 #[test]
