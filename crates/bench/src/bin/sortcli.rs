@@ -20,7 +20,7 @@
 //!                                  Every sorter runs on every backend;
 //!                                  both real backends report wall-clock
 //!                                  times. Fault injection, memory
-//!                                  budgets, tracing and resilience are
+//!                                  budgets and resilience are
 //!                                  simulator-only
 //!   --transport uds | tcp          (default uds; sockets backend only)
 //!                                  socket family for rank-to-rank links
@@ -29,7 +29,9 @@
 //!   --cores    <cores per node>    (default 24)
 //!   --budget   <bytes per rank>    (default unlimited)
 //!   --oversample <s>               (default 1; sds only)
-//!   --trace                        print per-phase traffic matrices
+//!   --trace                        print traffic by phase (messages,
+//!                                  inter-node messages, bytes) from the
+//!                                  telemetry snapshot; sim and threads
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
 //!                                  e.g. seed=7,delay=0.5:1e-4,reorder=0.3:8,
@@ -221,16 +223,23 @@ fn validate(a: &Args) -> Result<(), String> {
             (a.faults.is_some(), "--faults"),
             (a.collective_timeout.is_some(), "--collective-timeout"),
             (a.budget.is_some(), "--budget"),
-            (a.trace, "--trace"),
             (a.resilient.is_some(), "--resilient"),
         ];
+        let real = if a.serve {
+            "--serve"
+        } else {
+            &format!("--backend {backend}")
+        };
         if let Some((_, flag)) = simulator_only.iter().find(|(set, _)| *set) {
-            let real = if a.serve {
-                "--serve"
-            } else {
-                &format!("--backend {backend}")
-            };
             return Err(format!("{flag} is simulator-only (remove {real})"));
+        }
+        // The table is read off the run's telemetry snapshot, which a
+        // process-per-rank world and the service do not return.
+        if a.trace && (a.serve || backend == "sockets") {
+            return Err(format!(
+                "--trace needs a telemetry snapshot, which only sim and threads \
+                 return (remove {real})"
+            ));
         }
     }
     Ok(())
@@ -355,8 +364,21 @@ struct BackendRun {
     /// Simulated memory (simulator only).
     memory: MemoryReport,
     snapshot: Option<Snapshot>,
-    /// `--trace` (simulator): traffic by phase.
-    trace: Option<Table>,
+}
+
+/// `--trace`: the snapshot's per-phase traffic, one row per phase in
+/// first-entered order.
+fn trace_table(snapshot: &Snapshot) -> Table {
+    let mut t = Table::new(["phase", "messages", "inter-node", "bytes"]);
+    for p in &snapshot.phases {
+        t.row([
+            p.name.clone(),
+            p.messages.to_string(),
+            p.internode_messages.to_string(),
+            fmt_bytes(p.bytes as usize),
+        ]);
+    }
+    t
 }
 
 /// The deterministic virtual-time simulator: modelled makespan, simulated
@@ -364,8 +386,7 @@ struct BackendRun {
 fn run_sim(a: &Args) -> Result<BackendRun, String> {
     let mut world = World::new(a.ranks)
         .cores_per_node(a.cores)
-        .trace(a.trace)
-        .telemetry(a.metrics_out.is_some());
+        .telemetry(a.metrics_out.is_some() || a.trace);
     if let Some(b) = a.budget {
         world = world.memory_budget(b);
     }
@@ -377,15 +398,6 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
     }
     let report = world.run(|comm| sort_rank(a, &*comm));
     let high_water = &report.per_rank_memory_high_water;
-    let mut trace = Table::new(["phase", "messages", "inter-node", "bytes"]);
-    for (name, t) in &report.trace_phases {
-        trace.row([
-            name.clone(),
-            t.total_messages().to_string(),
-            t.internode_messages(&report.topology).to_string(),
-            fmt_bytes(t.total_bytes() as usize),
-        ]);
-    }
     Ok(BackendRun {
         times: [
             ("modelled makespan", report.makespan),
@@ -400,7 +412,6 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
             per_rank_high_water: high_water.iter().map(|&b| b as u64).collect(),
         },
         snapshot: report.telemetry,
-        trace: a.trace.then_some(trace),
         ranks: report
             .results
             .into_iter()
@@ -417,7 +428,7 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
 fn run_threads(a: &Args) -> Result<BackendRun, String> {
     let report = shmem::ThreadWorld::new(a.ranks)
         .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some())
+        .telemetry(a.metrics_out.is_some() || a.trace)
         .run(|comm| sort_rank(a, comm));
     let slowest = report.per_rank_wall.iter().copied().fold(0.0, f64::max);
     Ok(BackendRun {
@@ -598,9 +609,10 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
              concentrates on node leaders — RDFA counts the empty non-leaders."
         );
     }
-    if let Some(trace) = &run.trace {
+    if args.trace {
+        let snapshot = run.snapshot.as_ref();
         println!("\ntraffic by phase:");
-        trace.print();
+        trace_table(snapshot.expect("--trace turns telemetry on")).print();
     }
     if let Some(out) = &args.metrics_out {
         if let Err(e) = write_metrics(out, args, run, &loads) {
@@ -748,6 +760,7 @@ fn serve_main(args: &Args) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::telemetry::PhaseComm;
 
     /// `validate` over `parse_args` of a command line, as `main` runs them.
     fn check(line: &str) -> Result<(), String> {
@@ -762,6 +775,8 @@ mod tests {
             "--backend threads --sorter hyksort --ranks 4",
             "--backend sockets --transport tcp --sorter sds-stable",
             "--budget 60000 --faults seed=7,ramp=0:0:0.5 --resilient /tmp/s",
+            "--trace",
+            "--backend threads --trace",
             "--serve --ranks 4 --jobs 12 --workload adversarial",
         ] {
             assert_eq!(check(line), Ok(()), "{line}");
@@ -783,7 +798,7 @@ mod tests {
             ),
             (
                 "--serve --trace",
-                "--trace is simulator-only (remove --serve",
+                "--trace needs a telemetry snapshot, which only sim and threads return (remove --serve",
             ),
             ("--sorter quick", "unknown sorter quick"),
             ("--workload nope", "unknown workload"),
@@ -806,7 +821,10 @@ mod tests {
                 "--faults is simulator-only",
             ),
             ("--backend sockets --budget 1", "--budget is simulator-only"),
-            ("--backend threads --trace", "--trace is simulator-only"),
+            (
+                "--backend sockets --trace",
+                "--trace needs a telemetry snapshot, which only sim and threads return (remove --backend sockets",
+            ),
             (
                 "--backend sockets --collective-timeout 5",
                 "--collective-timeout is",
@@ -818,6 +836,24 @@ mod tests {
         ] {
             let err = check(line).expect_err("must be rejected");
             assert!(err.contains(want), "{line}: {err:?} lacks {want:?}");
+        }
+    }
+
+    #[test]
+    fn trace_columns_sum_to_the_reports_totals() {
+        let line = "--trace --ranks 8 --cores 4 --records 500 --workload zipf:1.4";
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let args = parse_args(&argv).expect("parses");
+        for run in [run_sim(&args), run_threads(&args)] {
+            let run = run.expect("sorts");
+            let phases = &run.snapshot.as_ref().expect("--trace records").phases;
+            assert!(phases
+                .iter()
+                .any(|p| p.name == "exchange" && p.messages > 0));
+            let sum = |f: fn(&PhaseComm) -> u64| phases.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|p| p.messages), run.messages);
+            assert_eq!(sum(|p| p.bytes), run.bytes);
+            assert!(sum(|p| p.internode_messages) < run.messages);
         }
     }
 

@@ -232,15 +232,17 @@ pub fn ablation_pivot_methods(r: &mut Run) -> bool {
 /// `nodes` nodes of `c` cores each crosses the network with up to
 /// `c² · nodes·(nodes-1)` messages; with merging, only the leaders talk
 /// across nodes (`nodes·(nodes-1)` messages), at the price of the
-/// node-local gather. Runs the full SDS-Sort pipeline with tracing enabled
-/// and prints the per-phase traffic, inter-node vs intra-node.
+/// node-local gather. Runs the full SDS-Sort pipeline with telemetry on and
+/// prints the snapshot's per-phase traffic, inter-node vs intra-node.
 pub fn trace_comm_matrix(r: &mut Run) -> bool {
     const CORES: usize = 6;
     println!("{NODES} nodes x {CORES} cores, 2000 u64/rank\n");
     // Trace one configuration; returns the exchange phase's inter-node
     // message count.
     let mut traffic = |label: &str, tau_m: usize| -> u64 {
-        let world = World::new(CORES * NODES).cores_per_node(CORES).trace(true);
+        let world = World::new(CORES * NODES)
+            .cores_per_node(CORES)
+            .telemetry(true);
         let mut cfg = SdsConfig::default();
         cfg.tau_m_bytes = tau_m;
         cfg.tau_o = 0;
@@ -250,26 +252,24 @@ pub fn trace_comm_matrix(r: &mut Run) -> bool {
         });
         let mut table = Table::new(["phase", "messages", "inter-node", "bytes"]);
         let mut exchange_inter = 0;
-        for (name, t) in &report.trace_phases {
-            let (messages, bytes) = (t.total_messages(), t.total_bytes());
-            let inter = t.internode_messages(&report.topology);
-            if name == "exchange" {
-                exchange_inter = inter;
+        for p in &report.telemetry.expect("telemetry enabled").phases {
+            if p.name == "exchange" {
+                exchange_inter = p.internode_messages;
             }
             r.em().point(
                 label,
-                &[("phase", name.as_str().into())],
+                &[("phase", p.name.as_str().into())],
                 &[
-                    ("messages", messages.into()),
-                    ("internode_messages", inter.into()),
-                    ("bytes", bytes.into()),
+                    ("messages", p.messages.into()),
+                    ("internode_messages", p.internode_messages.into()),
+                    ("bytes", p.bytes.into()),
                 ],
             );
             table.row([
-                name.clone(),
-                messages.to_string(),
-                inter.to_string(),
-                bytes.to_string(),
+                p.name.clone(),
+                p.messages.to_string(),
+                p.internode_messages.to_string(),
+                p.bytes.to_string(),
             ]);
         }
         table.print();

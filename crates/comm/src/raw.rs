@@ -190,9 +190,9 @@ pub trait RawComm: Sized {
             .add_compute(self.group().world_rank(), seconds);
     }
 
-    /// Attribute subsequent traffic and time to the named phase.
+    /// Attribute this rank's subsequent sends to the named phase.
     fn trace_phase(&self, name: &str) {
-        self.recorder().set_phase(name);
+        self.recorder().set_phase(self.group().world_rank(), name);
     }
 
     /// See [`Communicator::check_shared_read`].

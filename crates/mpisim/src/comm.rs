@@ -8,12 +8,12 @@
 //!
 //! Everything the simulator models happens on the raw send/receive path in
 //! this file: the virtual clock, the `netmodel` inject/transit charge,
-//! `faults` perturbation, tracer/recorder accounting, happens-before
-//! stamps and the deadlock watchdog. The [`Communicator`](::comm::Communicator)
+//! `faults` perturbation, recorder accounting, happens-before stamps and
+//! the deadlock watchdog. The [`Communicator`](::comm::Communicator)
 //! surface on top — collectives, the asynchronous all-to-all, `split` — is
 //! the single implementation in [`::comm::raw`] that the real backends run
-//! too; only the simulator-specific operations (`recv_any`, `try_recv_*`,
-//! nonblocking requests, `clock`, `universe`) are inherent methods.
+//! too; only the simulator-specific operations (`recv_any`,
+//! `try_recv_any`, `clock`, `universe`) are inherent methods.
 //!
 //! Tags: user code may use any tag below [`Comm::MAX_USER_TAG`]. Collectives
 //! use a reserved high tag space keyed by a per-communicator operation
@@ -255,26 +255,19 @@ impl Comm {
         (src_comm, *data)
     }
 
-    /// The one blocking receive: the first envelope matching any of
-    /// `specs`, as `(src_comm_rank, tag, data)`. A true blocking wait: idle
-    /// time advances with the message arrival, not with polling.
-    fn recv_first<T: Send + 'static>(
+    /// The one blocking receive: the first envelope matching `(src, tag)`,
+    /// as `(src_comm_rank, data)`. A true blocking wait: idle time advances
+    /// with the message arrival, not with polling.
+    fn recv_sel<T: Send + 'static>(
         &self,
-        specs: &[(SrcSel, u64)],
+        src: SrcSel,
+        tag: u64,
         wildcard: bool,
-    ) -> (usize, u64, Vec<T>) {
+    ) -> (usize, Vec<T>) {
         self.check_alive();
         self.inject_op_stall();
-        let env = self.blocking_take(specs);
-        let tag = env.tag;
-        let (src, data) = self.open_envelope(env, wildcard);
-        (src, tag, data)
-    }
-
-    /// Blocking any-source receive on `tag`.
-    fn recv_any_sel<T: Send + 'static>(&self, tag: u64, wildcard: bool) -> (usize, Vec<T>) {
-        let (src, _, data) = self.recv_first(&[(SrcSel::Any, tag)], wildcard);
-        (src, data)
+        let env = self.blocking_take(&[(src, tag)]);
+        self.open_envelope(env, wildcard)
     }
 
     /// Non-blocking receive of one envelope matching `(src, tag)`.
@@ -303,32 +296,13 @@ impl Comm {
     /// `tag` must be below [`Comm::MAX_USER_TAG`].
     pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
         assert_user_tag(tag);
-        self.recv_any_sel(tag, true)
+        self.recv_sel(SrcSel::Any, tag, true)
     }
 
     /// Non-blocking receive attempt from any source.
     pub fn try_recv_any<T: Send + 'static>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
         assert_user_tag(tag);
         self.try_recv_sel(SrcSel::Any, tag, true)
-    }
-
-    /// Non-blocking receive attempt from a specific source rank.
-    pub fn try_recv_from<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<Vec<T>> {
-        assert_user_tag(tag);
-        self.try_recv_sel(self.exact(src), tag, false)
-            .map(|(_, data)| data)
-    }
-
-    /// Blocking receive of the first message matching any `(src, tag)` pair
-    /// in `specs` (communicator ranks). Returns `(src_comm_rank, tag, data)`.
-    pub(crate) fn recv_any_of<T: Send + 'static>(
-        &self,
-        specs: &[(usize, u64)],
-    ) -> (usize, u64, Vec<T>) {
-        assert!(!specs.is_empty(), "recv_any_of needs at least one request");
-        let world_specs: Vec<(SrcSel, u64)> =
-            specs.iter().map(|&(s, t)| (self.exact(s), t)).collect();
-        self.recv_first(&world_specs, false)
     }
 }
 
@@ -382,13 +356,11 @@ impl RawComm for Comm {
         self.uni.recorder.add_compute(me_w, seconds);
     }
 
-    /// Attributes subsequent traced traffic (tracer matrices and telemetry
-    /// phase totals) to the named phase, and tells the deadlock watchdog
-    /// and the checker where this rank is.
+    /// Attributes this rank's subsequent sends to the named phase, and
+    /// tells the deadlock watchdog and the checker where this rank is.
     fn trace_phase(&self, name: &str) {
         let me_w = self.group.world_rank();
-        self.uni.tracer.set_phase(name);
-        self.uni.recorder.set_phase(name);
+        self.uni.recorder.set_phase(me_w, name);
         if self.uni.deadlock.timeout.is_some() {
             *self.uni.deadlock.last_phase[me_w].lock() = name.to_string();
         }
@@ -476,8 +448,6 @@ impl RawComm for Comm {
         };
         self.charge_comm(inject);
         let arrival = self.clock.now() + transit;
-        self.uni.stats().record(bytes);
-        self.uni.tracer.record(src_w, dst_w, bytes);
         self.uni.recorder.on_send(src_w, dst_w, bytes);
         let stamp = self.uni.checker().on_send(src_w, dst_w, ctx, tag);
         self.uni.mailboxes[dst_w].push_reordered(
@@ -498,7 +468,7 @@ impl RawComm for Comm {
     }
 
     fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
-        append_moved(self.recv_first(&[(self.exact(src), tag)], false).2, out);
+        append_moved(self.recv_sel(self.exact(src), tag, false).1, out);
     }
 
     // The asynchronous all-to-all's any-source matching is
@@ -506,7 +476,7 @@ impl RawComm for Comm {
     // duplicates hard-asserted), so the happens-before edges are recorded
     // but the wildcard-nondeterminism finding is suppressed.
     fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_any_sel(tag, false)
+        self.recv_sel(SrcSel::Any, tag, false)
     }
 
     fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {

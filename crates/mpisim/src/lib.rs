@@ -38,10 +38,8 @@ pub mod faults;
 pub mod mailbox;
 pub mod memory;
 pub mod netmodel;
-pub mod p2p;
 pub mod runtime;
 pub mod topology;
-pub mod trace;
 pub mod universe;
 
 pub use check::RaceError;
@@ -50,10 +48,8 @@ pub use comm::Comm;
 pub use error::{CommError, OomError};
 pub use faults::FaultSpec;
 pub use netmodel::NetModel;
-pub use p2p::RecvRequest;
 pub use runtime::{World, WorldReport};
 pub use topology::Topology;
-pub use trace::{PhaseTraffic, Tracer};
 pub use universe::{DeadlockError, Universe};
 
 // Re-exported so downstream crates can name `WorldReport::telemetry` types

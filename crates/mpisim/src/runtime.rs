@@ -28,7 +28,6 @@ pub struct World {
     memory_budget: Option<usize>,
     compute_scale: f64,
     stack_size: usize,
-    trace: bool,
     telemetry: bool,
     faults: Option<FaultSpec>,
     collective_timeout: Option<Duration>,
@@ -49,7 +48,6 @@ impl World {
             memory_budget: None,
             compute_scale: 1.0,
             stack_size: 1 << 21, // 2 MiB: worlds may have thousands of ranks
-            trace: false,
             telemetry: false,
             faults: None,
             collective_timeout: None,
@@ -57,18 +55,11 @@ impl World {
         }
     }
 
-    /// Enable communication tracing (per-pair traffic matrices, see
-    /// [`crate::trace`]); results land in
-    /// [`WorldReport::trace_phases`].
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
-    /// Enable telemetry recording (phase comm totals, span timelines,
+    /// Enable telemetry recording (per-phase traffic, span timelines,
     /// metrics; see the `telemetry` crate); the snapshot lands in
     /// [`WorldReport::telemetry`]. Recording is a pure observer: results
-    /// and virtual clocks are identical with it on or off.
+    /// and virtual clocks are identical with it on or off. The run's
+    /// message and byte totals are counted either way.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -172,7 +163,6 @@ impl World {
             topo,
             self.net.clone(),
             self.memory_budget,
-            self.trace,
             self.telemetry,
             self.faults,
             self.collective_timeout,
@@ -253,15 +243,6 @@ impl World {
             per_rank_time.push(t);
         }
         let makespan = per_rank_time.iter().copied().fold(0.0f64, f64::max);
-        let trace_phases = if self.trace {
-            uni.tracer()
-                .phase_names()
-                .into_iter()
-                .filter_map(|n| uni.tracer().phase(&n).map(|t| (n, t)))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let telemetry = self.telemetry.then(|| uni.recorder().snapshot());
         let per_rank_memory_high_water =
             (0..self.size).map(|r| uni.memory().high_water(r)).collect();
@@ -270,13 +251,12 @@ impl World {
             per_rank_time,
             makespan,
             wall: started.elapsed(),
-            messages: uni.stats().messages(),
-            bytes: uni.stats().bytes(),
+            messages: uni.recorder().messages(),
+            bytes: uni.recorder().bytes(),
             max_memory_high_water: uni.memory().max_high_water(),
             per_rank_memory_high_water,
             memory_budget: self.memory_budget,
             topology: uni.topology().clone(),
-            trace_phases,
             telemetry,
         }
     }
@@ -305,8 +285,6 @@ pub struct WorldReport<R> {
     pub memory_budget: Option<usize>,
     /// The rank→node topology the world ran on.
     pub topology: Topology,
-    /// Per-phase traffic matrices (empty unless tracing was enabled).
-    pub trace_phases: Vec<(String, crate::trace::PhaseTraffic)>,
     /// Recorder snapshot (`None` unless telemetry was enabled).
     pub telemetry: Option<telemetry::Snapshot>,
 }

@@ -7,7 +7,6 @@ use crate::mailbox::Mailbox;
 use crate::memory::MemoryTracker;
 use crate::netmodel::NetModel;
 use crate::topology::Topology;
-use crate::trace::Tracer;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -18,8 +17,7 @@ use telemetry::Recorder;
 #[derive(Debug, Clone)]
 pub(crate) struct WaitDesc {
     pub ctx: u64,
-    /// `None` = any source; `Some(w)` = world rank w (or several, for
-    /// multi-request waits — the first is recorded).
+    /// `None` = any source; `Some(w)` = world rank w.
     pub src: Option<usize>,
     pub tag: u64,
 }
@@ -75,30 +73,6 @@ impl fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
-/// Statistics accumulated over a run (whole world, all communicators).
-#[derive(Debug, Default)]
-pub struct NetStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl NetStats {
-    pub(crate) fn record(&self, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::SeqCst);
-        self.bytes.fetch_add(bytes as u64, Ordering::SeqCst);
-    }
-
-    /// Total point-to-point messages sent (self-sends included).
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::SeqCst)
-    }
-
-    /// Total payload bytes sent.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::SeqCst)
-    }
-}
-
 /// Shared immutable/concurrent state for all ranks of a world.
 pub struct Universe {
     pub(crate) topology: Topology,
@@ -106,8 +80,6 @@ pub struct Universe {
     pub(crate) memory: MemoryTracker,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) aborted: AtomicBool,
-    pub(crate) stats: NetStats,
-    pub(crate) tracer: Tracer,
     pub(crate) recorder: Recorder,
     pub(crate) faults: Faults,
     pub(crate) deadlock: DeadlockWatch,
@@ -117,12 +89,10 @@ pub struct Universe {
 impl Universe {
     // Crate-internal constructor called from exactly one place
     // (`World::run`), which forwards the builder's knobs one-to-one.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         topology: Topology,
         net: NetModel,
         memory_budget: Option<usize>,
-        trace: bool,
         telemetry: bool,
         faults: Option<FaultSpec>,
         collective_timeout: Option<Duration>,
@@ -139,8 +109,6 @@ impl Universe {
             topology,
             net,
             aborted: AtomicBool::new(false),
-            stats: NetStats::default(),
-            tracer: Tracer::new(size, trace),
         }
     }
 
@@ -190,17 +158,9 @@ impl Universe {
         &self.memory
     }
 
-    /// Run statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The communication tracer (no-op unless enabled at world build).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The telemetry recorder (no-op unless enabled at world build).
+    /// The telemetry recorder: the world's one traffic observer. Message
+    /// and byte totals are always counted; everything else is a no-op
+    /// unless telemetry was enabled at world build.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -216,7 +176,6 @@ mod tests {
             NetModel::zero(),
             None,
             false,
-            false,
             None,
             None,
             false,
@@ -229,14 +188,5 @@ mod tests {
         assert!(!u.is_aborted());
         u.abort();
         assert!(u.is_aborted());
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let u = uni(2);
-        u.stats.record(100);
-        u.stats.record(50);
-        assert_eq!(u.stats().messages(), 2);
-        assert_eq!(u.stats().bytes(), 150);
     }
 }

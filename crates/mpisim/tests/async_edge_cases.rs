@@ -1,6 +1,6 @@
 //! Edge-case regressions for the asynchronous all-to-all: empty self
-//! chunks, single-rank worlds, all-empty counts, sparse patterns, handles
-//! interleaved with collectives, and `p2p::wait_any` request identity.
+//! chunks, single-rank worlds, all-empty counts, sparse patterns, and
+//! handles interleaved with collectives.
 use mpisim::{AsyncExchange, Communicator, NetModel, World};
 
 #[test]
@@ -163,37 +163,4 @@ fn two_handles_in_flight() {
         assert_eq!(got_a.len(), p);
         0u8
     });
-}
-
-#[test]
-fn p2p_wait_any_identity() {
-    // wait_any's returned index must identify the completed request in a
-    // way the caller can use. Use per-source tags and check payloads match
-    // the request the index claims completed.
-    let p = 4;
-    let report = World::new(p).net(NetModel::zero()).run(move |comm| {
-        if comm.rank() == 0 {
-            let mut reqs: Vec<_> = (1..p)
-                .map(|src| comm.irecv::<u64>(src, 40 + src as u64))
-                .collect();
-            // Track identity by source: slot i initially holds source i+1.
-            let mut sources: Vec<usize> = (1..p).collect();
-            let mut got = Vec::new();
-            while !reqs.is_empty() {
-                let (idx, data) = mpisim::p2p::wait_any(comm, &mut reqs).expect("nonempty");
-                let src = sources[idx];
-                // mirror swap_remove bookkeeping
-                sources.swap_remove(idx);
-                assert_eq!(data, vec![src as u64 * 100], "index/payload mismatch");
-                got.push(src);
-            }
-            got.sort_unstable();
-            got
-        } else {
-            let me = comm.rank();
-            comm.isend(0, 40 + me as u64, vec![me as u64 * 100]);
-            Vec::new()
-        }
-    });
-    assert_eq!(report.results[0], vec![1, 2, 3]);
 }

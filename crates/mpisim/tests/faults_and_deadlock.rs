@@ -3,10 +3,10 @@
 //!
 //! The first three tests reproduce bugs that existed before this layer:
 //! user tags colliding with the collective tag space (silently stealing
-//! in-flight async-exchange chunks), and `p2p::wait_any` busy-poll
+//! in-flight async-exchange chunks), and a busy-polling `wait_any`
 //! charging unbounded schedule-dependent virtual time while idle.
 
-use mpisim::{Comm, Communicator, DeadlockError, FaultSpec, NetModel, World};
+use mpisim::{AsyncExchange, Comm, Communicator, DeadlockError, FaultSpec, NetModel, World};
 use std::time::Duration;
 
 // ---- user-tag / collective-tag isolation ------------------------------
@@ -26,17 +26,7 @@ fn send_at_tag_boundary_is_rejected() {
 #[should_panic(expected = "outside the user tag space")]
 fn recv_at_collective_tag_is_rejected() {
     World::new(1).net(NetModel::zero()).run(|comm| {
-        let _ = comm.try_recv_from::<u8>(0, Comm::MAX_USER_TAG + 5);
-    });
-}
-
-#[test]
-#[should_panic(expected = "outside the user tag space")]
-fn irecv_at_collective_tag_is_rejected() {
-    World::new(2).net(NetModel::zero()).run(|comm| {
-        if comm.rank() == 0 {
-            let _ = comm.irecv::<u8>(1, Comm::MAX_USER_TAG + (7 << 12));
-        }
+        let _ = comm.recv_vec::<u8>(0, Comm::MAX_USER_TAG + 5);
     });
 }
 
@@ -58,21 +48,22 @@ fn max_legal_user_tag_works() {
 
 #[test]
 fn wait_any_does_not_charge_while_idle() {
-    // The sender wall-sleeps before sending. The old wait_any busy-polled
-    // MPI_Test sweeps during that window, charging async_test_overhead per
-    // sweep — virtual time grew with *wall* time and thread scheduling.
-    // Blocking wait charges exactly one sweep.
+    // The sender wall-sleeps before posting its chunk. A wait_any that
+    // busy-polled MPI_Test sweeps during that window would charge
+    // async_test_overhead per sweep — virtual time would grow with *wall*
+    // time and thread scheduling. The blocking wait charges exactly one
+    // sweep. Counts are given (the sorters' exchange path), so the idle
+    // window falls inside wait_any, not inside a count exchange.
     let report = World::new(2).net(NetModel::edison()).run(|comm| {
-        if comm.rank() == 0 {
-            let mut reqs = vec![comm.irecv::<u64>(1, 3)];
-            let (_, data) = mpisim::p2p::wait_any(comm, &mut reqs).expect("one request");
-            assert_eq!(data, vec![7]);
-            comm.clock().now()
-        } else {
+        let me = comm.rank();
+        if me == 1 {
             std::thread::sleep(Duration::from_millis(80));
-            comm.isend(0, 3, vec![7u64]);
-            0.0
         }
+        // One key to the peer, nothing to self.
+        let counts = [usize::from(me == 1), usize::from(me == 0)];
+        let mut pending = comm.alltoallv_async_given_counts(&[7u64], &counts, counts.to_vec());
+        assert_eq!(pending.wait_any(comm), Some((1 - me, vec![7])));
+        comm.clock().now()
     });
     // One test sweep (5e-8 s on the edison model) plus the message cost —
     // microseconds. 80 ms of busy-poll sweeps would exceed this by orders

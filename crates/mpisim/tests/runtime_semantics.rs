@@ -172,46 +172,48 @@ fn tracing_captures_phased_traffic() {
     let report = World::new(4)
         .cores_per_node(2)
         .net(NetModel::zero())
-        .trace(true)
+        .telemetry(true)
         .run(|comm| {
             comm.trace_phase("warmup");
             comm.send_val((comm.rank() + 1) % 4, 1, 1u8);
             let _: u8 = comm.recv_val((comm.rank() + 3) % 4, 1);
-            // Phases are world-global: without a barrier a fast rank could flip
-            // the phase before a slow rank's warmup send is recorded.
-            comm.barrier();
+            // No barrier: a send belongs to its sender's phase, so a fast
+            // rank entering "bulk" cannot claim a slow rank's warmup send.
             comm.trace_phase("bulk");
             let counts = vec![2usize; 4];
             let data = vec![comm.rank() as u64; 8];
             comm.alltoallv(&data, &counts);
         });
-    let phases: Vec<&str> = report
-        .trace_phases
+    let phases = report.telemetry.expect("telemetry enabled").phases;
+    let got: Vec<_> = phases
         .iter()
-        .map(|(n, _)| n.as_str())
+        .map(|p| {
+            let inter = (p.internode_messages, p.internode_bytes);
+            (p.name.as_str(), p.messages, p.bytes, inter)
+        })
         .collect();
-    assert_eq!(phases, vec!["warmup", "bulk"]);
-    let warmup = &report.trace_phases[0].1;
-    assert!(
-        warmup.total_messages() >= 4,
-        "one ring message per rank plus barrier traffic"
-    );
-    let bulk = &report.trace_phases[1].1;
-    // alltoallv: per rank, 1 count msg to 3 peers + 3 data msgs = 24 total
-    assert!(bulk.total_messages() >= 24);
-    assert!(bulk.total_bytes() > warmup.total_bytes());
-    // intra-node pairs exist with 2 cores/node
-    assert!(bulk.internode_messages(&report.topology) < bulk.total_messages());
+    // warmup: one 1-byte ring message per rank, 1→2 and 3→0 cross nodes.
+    // bulk: per ordered pair one 8-byte count and one 2×u64 chunk; each
+    // rank has two peers on the other node.
+    let want = [
+        ("warmup", 4, 4, (2, 2)),
+        ("bulk", 12 + 12, 12 * 8 + 12 * 16, (8 + 8, 8 * 8 + 8 * 16)),
+    ];
+    assert_eq!(got, want);
+    assert_eq!((report.messages, report.bytes), (28, 292));
 }
 
 #[test]
 fn tracing_disabled_by_default() {
     let report = World::new(2).net(NetModel::zero()).run(|comm| {
+        comm.trace_phase("ping");
         if comm.rank() == 0 {
             comm.send_val(1, 0, 1u8);
         } else {
             let _: u8 = comm.recv_val(0, 0);
         }
     });
-    assert!(report.trace_phases.is_empty());
+    assert!(report.telemetry.is_none());
+    // The totals are counted whether or not anything is recorded.
+    assert_eq!((report.messages, report.bytes), (1, 1));
 }

@@ -13,7 +13,6 @@
 //! Defaults here are scaled to the simulated machine; every harness that
 //! reproduces a figure sweeps the relevant threshold explicitly.
 
-use crate::record::Sortable;
 use comm::Communicator;
 
 /// How compute time is charged to the virtual clocks.
@@ -184,8 +183,6 @@ pub enum LocalKernel {
     /// embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], and the input's
     /// keys occupy at most [`crate::radix::RADIX_MAX_AUTO_DIGITS`] digit
     /// bytes (checked with one read pass); comparison sort otherwise.
-    /// [`crate::autotune`] replaces this with `Radix` when radix wins its
-    /// worst-case (full-range-key) probe outright.
     #[default]
     Auto,
     /// Force the LSD radix kernel (falls back to comparison when the key
@@ -280,12 +277,6 @@ impl SdsConfig {
         }
     }
 
-    /// Whether node-level merging applies for local size `n`, world size
-    /// `p`, and record type `T` (paper line 3: `n/p ≤ τm`).
-    pub fn should_node_merge<T: Sortable>(&self, n: usize, p: usize) -> bool {
-        crate::node_merge::within_tau_m::<T>(n, p, self.tau_m_bytes)
-    }
-
     /// Whether to overlap exchange with local ordering (paper line 15,
     /// inverted: overlap unless stable or `p > τo`).
     pub fn should_overlap(&self, p: usize) -> bool {
@@ -318,16 +309,6 @@ mod tests {
         let f = SdsConfig::default();
         assert!(f.should_overlap(2));
         assert!(!f.should_overlap(1 << 20));
-    }
-
-    #[test]
-    fn node_merge_threshold_uses_bytes() {
-        let mut c = SdsConfig::default();
-        c.tau_m_bytes = 1000;
-        // n/p = 100 u64 records = 800 B ≤ 1000 → merge
-        assert!(c.should_node_merge::<u64>(800, 8));
-        // n/p = 200 u64 = 1600 B > 1000 → no merge
-        assert!(!c.should_node_merge::<u64>(1600, 8));
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod config;
 pub mod exchange;
 pub mod external;
@@ -54,7 +53,6 @@ pub mod sort;
 pub mod stats;
 pub mod validate;
 
-pub use autotune::{autotune, AutotuneReport};
 pub use config::{
     ComputeCharge, ComputeModel, LocalKernel, PartitionStrategy, PivotSource, SdsConfig,
 };

@@ -111,6 +111,14 @@ mod tests {
     use mpisim::{NetModel, World};
 
     #[test]
+    fn tau_m_threshold_uses_bytes() {
+        // n/p = 100 u64 records = 800 B ≤ 1000 → merge
+        assert!(within_tau_m::<u64>(800, 8, 1000));
+        // n/p = 200 u64 = 1600 B > 1000 → no merge
+        assert!(!within_tau_m::<u64>(1600, 8, 1000));
+    }
+
+    #[test]
     fn leaders_receive_merged_node_data() {
         let report = World::new(8)
             .cores_per_node(4)

@@ -56,8 +56,7 @@ pub fn radix_applicable<T: Sortable>(n: usize) -> bool {
 /// conservative choice that keeps the common narrow embeddings —
 /// u32/i32/f32 keys, bounded ids, day-scale timestamps — on the radix
 /// path while leaving full-range 64-bit keys on the (excellent) std
-/// sorts. `LocalKernel::Radix` bypasses the bound; the autotune probe
-/// measures the actual machine instead of trusting it.
+/// sorts. `LocalKernel::Radix` bypasses the bound.
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
 pub const RADIX_MAX_AUTO_DIGITS: u32 = 4;

@@ -108,7 +108,6 @@ impl RawComm for ThreadComm {
         let bytes = std::mem::size_of::<T>() * data.len();
         let src_w = self.group.world_rank();
         let dst_w = self.group.world_rank_of(dst);
-        self.uni.stats.record(bytes);
         self.uni.recorder.on_send(src_w, dst_w, bytes);
         let delivered = self.uni.mailboxes[dst_w].push(
             Envelope {

@@ -50,5 +50,5 @@ mod world;
 
 pub use crate::comm::{ShmemAborted, ThreadComm};
 pub use resident::{GangError, ResidentWorld};
-pub use universe::{NetStats, Universe};
+pub use universe::Universe;
 pub use world::{ThreadReport, ThreadWorld};

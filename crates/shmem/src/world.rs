@@ -73,9 +73,10 @@ impl ThreadWorld {
         self
     }
 
-    /// Enable telemetry recording (spans, events, per-rank ledgers). The
-    /// report then carries a [`telemetry::Snapshot`] with wall-clock span
-    /// times.
+    /// Enable telemetry recording (per-phase traffic, spans, events,
+    /// per-rank ledgers). The report then carries a [`telemetry::Snapshot`]
+    /// with wall-clock span times. The run's message and byte totals are
+    /// counted either way.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -180,8 +181,8 @@ impl ThreadWorld {
             results,
             wall_s,
             per_rank_wall,
-            messages: uni.stats().messages(),
-            bytes: uni.stats().bytes(),
+            messages: uni.recorder().messages(),
+            bytes: uni.recorder().bytes(),
             telemetry: self.telemetry.then(|| uni.recorder().snapshot()),
         }
     }

@@ -312,6 +312,39 @@ fn wall_clock_advances_and_is_reported() {
 }
 
 #[test]
+fn a_send_is_attributed_to_its_senders_phase() {
+    const TAG_GO: u64 = 102;
+    let rep = ThreadWorld::new(2).telemetry(true).run(|comm| {
+        comm.trace_phase("a");
+        if comm.rank() == 0 {
+            // Rank 1 is in "a" for certain before this rank moves on.
+            let _: u8 = comm.recv_val(1, TAG_PING);
+            comm.trace_phase("b");
+            comm.send_val(1, TAG_GO, 0u8);
+            for _ in 0..3 {
+                let _: u8 = comm.recv_val(1, TAG_PONG);
+            }
+        } else {
+            comm.send_val(0, TAG_PING, 0u8);
+            let _: u8 = comm.recv_val(0, TAG_GO);
+            // Rank 0 entered "b" before it released this rank, which is
+            // still in "a": these three belong to "a".
+            for _ in 0..3 {
+                comm.send_val(0, TAG_PONG, 0u8);
+            }
+            comm.trace_phase("b");
+        }
+    });
+    let phases = rep.telemetry.expect("telemetry enabled").phases;
+    let got: Vec<_> = phases
+        .iter()
+        .map(|p| (p.name.as_str(), p.messages))
+        .collect();
+    assert_eq!(got, [("a", 4), ("b", 1)]);
+    assert_eq!(rep.messages, 5);
+}
+
+#[test]
 fn panic_on_one_rank_aborts_the_world_with_original_payload() {
     let caught = std::panic::catch_unwind(|| {
         ThreadWorld::new(4).run(|comm: &ThreadComm| {

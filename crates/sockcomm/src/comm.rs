@@ -18,6 +18,7 @@ use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::raw::{Group, RawComm};
 use ::comm::Wire;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Panic payload used when a rank unwinds because the world aborted
@@ -127,15 +128,18 @@ impl RawComm for SockComm {
         self.check_alive();
         let src_w = self.group.world_rank();
         let dst_w = self.group.world_rank_of(dst);
-        let account = |bytes: usize| {
-            self.uni.stats.record(bytes);
-            self.uni.recorder.on_send(src_w, dst_w, bytes);
+        let payload = match T::as_wire_bytes(data) {
+            Some(bytes) => Cow::Borrowed(bytes),
+            None => {
+                let mut buf = Vec::new();
+                T::put_slice(data, &mut buf);
+                Cow::Owned(buf)
+            }
         };
+        self.uni.recorder.on_send(src_w, dst_w, payload.len());
         if dst_w == src_w {
             // Self-send: straight into the local mailbox, no socket.
-            let mut payload = Vec::new();
-            T::put_slice(data, &mut payload);
-            account(payload.len());
+            let payload = payload.into_owned();
             let delivered = self.uni.mailbox.push(
                 Envelope {
                     ctx: self.group.ctx(),
@@ -151,20 +155,9 @@ impl RawComm for SockComm {
             }
             return;
         }
-        let encoded;
-        let payload = match T::as_wire_bytes(data) {
-            Some(bytes) => bytes,
-            None => {
-                let mut buf = Vec::new();
-                T::put_slice(data, &mut buf);
-                encoded = buf;
-                &encoded[..]
-            }
-        };
-        account(payload.len());
         match self
             .uni
-            .send_frame(dst_w, FrameKind::Data, self.group.ctx(), tag, payload)
+            .send_frame(dst_w, FrameKind::Data, self.group.ctx(), tag, &payload)
         {
             Ok(()) => {}
             // Refused before a byte was written: this rank asked for a

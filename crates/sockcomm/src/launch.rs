@@ -665,7 +665,7 @@ fn run_child<P: Wire, R: Wire>(
                 }
                 let wall = uni.start.elapsed().as_secs_f64();
                 let mut payload = Vec::new();
-                (result, uni.stats.messages(), uni.stats.bytes(), wall).put(&mut payload);
+                (result, uni.recorder.messages(), uni.recorder.bytes(), wall).put(&mut payload);
                 write_frame(
                     &mut ctl,
                     &Frame::control(FrameKind::Result, me as u32, payload),

@@ -60,4 +60,4 @@ mod universe;
 pub use crate::comm::{SockAborted, SockComm};
 pub use launch::{child_rank, SockError, SockReport, SocketWorld, ENV_RANK};
 pub use net::Transport;
-pub use universe::{DeadPeer, NetStats};
+pub use universe::DeadPeer;

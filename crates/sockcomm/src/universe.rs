@@ -3,40 +3,15 @@
 //! Where the threads backend has one `Universe` shared by every rank, the
 //! sockets backend has one [`SockUniverse`] *per OS process*: this rank's
 //! mailbox, its links to every peer, the abort flag its socket-reader
-//! threads trip when a peer dies, and the network counters it ships back
-//! to the launcher with its result.
+//! threads trip when a peer dies, and the recorder whose traffic totals it
+//! ships back to the launcher with its result.
 
 use crate::frame::{write_parts, FrameKind};
 use crate::net::Stream;
 use comm::mailbox::Mailbox;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-
-/// Point-to-point traffic counters for this rank process.
-#[derive(Default)]
-pub struct NetStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl NetStats {
-    pub(crate) fn record(&self, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::SeqCst);
-        self.bytes.fetch_add(bytes as u64, Ordering::SeqCst);
-    }
-
-    /// Messages sent by this rank (self-deliveries through the local
-    /// mailbox included, mirroring the threads backend's accounting).
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::SeqCst)
-    }
-
-    /// Encoded payload bytes sent by this rank.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::SeqCst)
-    }
-}
 
 /// The first peer death observed by this process.
 #[derive(Debug, Clone)]
@@ -81,7 +56,9 @@ pub struct SockUniverse {
     pub(crate) peers: Vec<Option<PeerLink>>,
     pub(crate) aborted: AtomicBool,
     pub(crate) dead_peer: Mutex<Option<DeadPeer>>,
-    pub(crate) stats: NetStats,
+    /// Counts this rank's sends (self-deliveries through the local mailbox
+    /// included) and their encoded payload bytes; never enabled, so nothing
+    /// else is recorded in a rank process.
     pub(crate) recorder: telemetry::Recorder,
     pub(crate) start: Instant,
     /// Count of goodbye frames received; the close barrier waits for
@@ -107,7 +84,6 @@ impl SockUniverse {
             peers,
             aborted: AtomicBool::new(false),
             dead_peer: Mutex::new(None),
-            stats: NetStats::default(),
             recorder: telemetry::Recorder::new(node_of, false),
             start: Instant::now(),
             goodbyes: Mutex::new(0),

@@ -1,7 +1,10 @@
 //! Per-run recorder: the single sink every instrumented component writes
 //! to. A `Recorder` is a *pure observer* — it never reads or advances
 //! virtual clocks, so simulation results are identical with recording on
-//! or off. When disabled, every operation is one relaxed atomic load.
+//! or off. It is also the only traffic observer: every transport's send
+//! path calls [`Recorder::on_send`] once. The two whole-run totals
+//! ([`Recorder::messages`], [`Recorder::bytes`]) are always counted; phases,
+//! spans, events, metrics and ledgers cost one atomic load when disabled.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -19,9 +22,8 @@ impl SpanId {
     const DISABLED: SpanId = SpanId(usize::MAX);
 }
 
-/// Per-phase communication totals (mirrors the shape of
-/// `mpisim::PhaseTraffic` but pre-aggregated, with inter-node splits
-/// computed from the recorder's rank→node map).
+/// Per-phase communication totals, with inter-node splits computed from
+/// the recorder's rank→node map.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseComm {
     pub name: String,
@@ -61,34 +63,25 @@ struct OpenSpan {
 
 #[derive(Default)]
 struct Inner {
-    current_phase: String,
-    phase_order: Vec<String>,
+    /// In first-entered order. `phases[0]` is the unnamed phase every rank
+    /// starts in; a snapshot leaves it out while it is empty.
     phases: Vec<PhaseComm>,
+    /// `current[rank]` indexes `phases`: a send is attributed to the phase
+    /// its *sender* is in, so the per-phase table is a function of the
+    /// program, not of which rank reached a phase boundary first.
+    current: Vec<usize>,
     spans: Vec<SpanRecord>,
     open: Vec<Option<OpenSpan>>,
     events: Vec<EventRecord>,
 }
 
-impl Inner {
-    fn phase_mut(&mut self) -> &mut PhaseComm {
-        let name = self.current_phase.clone();
-        match self.phase_order.iter().position(|n| n == &name) {
-            Some(i) => &mut self.phases[i],
-            None => {
-                self.phase_order.push(name.clone());
-                self.phases.push(PhaseComm {
-                    name,
-                    ..PhaseComm::default()
-                });
-                self.phases.last_mut().expect("just pushed")
-            }
-        }
-    }
-}
-
 pub struct Recorder {
     enabled: AtomicBool,
     node_of: Vec<usize>,
+    // Whole-run wire totals, counted whether or not recording is enabled:
+    // the world reports' `messages` / `bytes`.
+    messages: AtomicU64,
+    bytes: AtomicU64,
     registry: Registry,
     // Per-rank accumulated seconds, stored as f64 bits. Each rank only
     // writes its own slot, so a load+store pair per update is race-free.
@@ -110,10 +103,16 @@ impl Recorder {
         Self {
             enabled: AtomicBool::new(enabled),
             node_of,
+            messages: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
             registry: Registry::default(),
             compute_v: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             comm_v: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                phases: vec![PhaseComm::default()],
+                current: vec![0; ranks],
+                ..Inner::default()
+            }),
         }
     }
 
@@ -134,24 +133,47 @@ impl Recorder {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Switch the phase new communication is attributed to.
-    pub fn set_phase(&self, name: &str) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.current_phase = name.to_string();
-        inner.phase_mut();
+    /// Messages sent so far (always counted).
+    pub fn messages(&self) -> u64 {
+        self.messages.load(Ordering::SeqCst)
     }
 
-    /// Record one message on the wire (called from the runtime send path).
-    pub fn on_send(&self, src: usize, dst: usize, bytes: usize) {
+    /// Payload bytes sent so far (always counted).
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::SeqCst)
+    }
+
+    /// Switch the phase world rank `rank`'s sends are attributed to.
+    pub fn set_phase(&self, rank: usize, name: &str) {
         if !self.enabled() {
             return;
         }
-        let internode = self.node_of.get(src) != self.node_of.get(dst);
         let mut inner = self.lock();
-        let phase = inner.phase_mut();
+        let phase = match inner.phases.iter().position(|p| p.name == name) {
+            Some(i) => i,
+            None => {
+                inner.phases.push(PhaseComm {
+                    name: name.to_string(),
+                    ..PhaseComm::default()
+                });
+                inner.phases.len() - 1
+            }
+        };
+        inner.current[rank] = phase;
+    }
+
+    /// Record one message on the wire, world rank `src` to world rank
+    /// `dst`: the one accounting call of every transport's send path.
+    pub fn on_send(&self, src: usize, dst: usize, bytes: usize) {
+        self.messages.fetch_add(1, Ordering::SeqCst);
+        self.bytes.fetch_add(bytes as u64, Ordering::SeqCst);
+        if !self.enabled() {
+            return;
+        }
+        let internode = self.node_of[src] != self.node_of[dst];
+        let mut inner = self.lock();
+        let current = inner.current[src];
+        let phase = &mut inner.phases[current];
         phase.messages += 1;
         phase.bytes += bytes as u64;
         if internode {
@@ -256,7 +278,12 @@ impl Recorder {
         let inner = self.lock();
         Snapshot {
             node_of: self.node_of.clone(),
-            phases: inner.phases.clone(),
+            phases: inner
+                .phases
+                .iter()
+                .filter(|p| !p.name.is_empty() || p.messages > 0)
+                .cloned()
+                .collect(),
             spans: inner.spans.clone(),
             events: inner.events.clone(),
             counters: self.registry.counter_values(),
@@ -437,10 +464,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_records_nothing() {
+    fn disabled_recorder_counts_only_the_totals() {
         let r = Recorder::disabled(4);
-        r.set_phase("pivot");
+        r.set_phase(0, "pivot");
         r.on_send(0, 3, 100);
+        assert_eq!((r.messages(), r.bytes()), (1, 100));
         r.count("c", 1);
         r.gauge_max("g", 5.0);
         r.observe("h", 9);
@@ -461,16 +489,40 @@ mod tests {
     fn phase_comm_splits_internode_by_node_map() {
         // Custom (non-block) map: ranks 0,2 on node 0; ranks 1,3 on node 1.
         let r = Recorder::new(vec![0, 1, 0, 1], true);
-        r.set_phase("exchange");
+        for rank in 0..4 {
+            r.set_phase(rank, "exchange");
+        }
         r.on_send(0, 2, 10); // intra-node
         r.on_send(0, 1, 20); // inter-node
         r.on_send(3, 1, 30); // intra-node
         r.on_send(2, 3, 40); // inter-node
         let snap = r.snapshot();
-        assert_eq!(snap.phases.len(), 1);
+        assert_eq!(snap.phases.len(), 1, "the empty unnamed phase is left out");
         let p = &snap.phases[0];
         assert_eq!((p.messages, p.bytes), (4, 100));
         assert_eq!((p.internode_messages, p.internode_bytes), (2, 60));
+        assert_eq!((r.messages(), r.bytes()), (4, 100));
+    }
+
+    #[test]
+    fn a_send_is_counted_under_its_senders_phase() {
+        let r = Recorder::new(vec![0, 0], true);
+        r.on_send(1, 0, 1); // before any phase: the unnamed one
+        r.set_phase(0, "a");
+        r.set_phase(1, "a");
+        r.set_phase(0, "b");
+        r.on_send(1, 0, 8); // rank 1 is still in "a"
+        r.on_send(0, 1, 16);
+        r.set_phase(1, "b");
+        r.on_send(1, 0, 32);
+        let got: Vec<(String, u64, u64)> = r
+            .snapshot()
+            .phases
+            .into_iter()
+            .map(|p| (p.name, p.messages, p.bytes))
+            .collect();
+        let want = [("", 1, 1), ("a", 1, 8), ("b", 2, 48)];
+        assert_eq!(got, want.map(|(n, m, b)| (n.to_string(), m, b)));
     }
 
     #[test]
@@ -495,7 +547,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_json() {
         let r = Recorder::new(vec![0, 0, 1], true);
-        r.set_phase("pivot");
+        r.set_phase(0, "pivot");
         r.on_send(0, 2, 64);
         r.count("coll.barrier", 3);
         r.gauge_max("mem.hw", 1024.0);

@@ -256,10 +256,10 @@ mod tests {
 
     fn sample_report() -> RunReport {
         let rec = Recorder::new(vec![0, 0, 1, 1], true);
-        rec.set_phase("pivot");
+        rec.set_phase(0, "pivot");
         rec.on_send(0, 1, 10);
         rec.on_send(0, 2, 30);
-        rec.set_phase("exchange");
+        rec.set_phase(3, "exchange");
         rec.on_send(3, 0, 100);
         rec.count("coll.alltoallv", 1);
         let s0 = rec.span_begin(0, "pivot", 0.0);

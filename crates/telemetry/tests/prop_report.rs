@@ -15,7 +15,9 @@ fn seeded_report(seed: u64, ranks: usize, phases: usize, spans: usize) -> RunRep
         z ^ (z >> 31)
     };
     for ph in 0..phases {
-        rec.set_phase(&format!("phase-{ph}"));
+        for rank in 0..ranks {
+            rec.set_phase(rank, &format!("phase-{ph}"));
+        }
         for i in 0..(mix(ph as u64) % 5) {
             let src = (mix(i) % ranks as u64) as usize;
             let dst = (mix(i + 100) % ranks as u64) as usize;

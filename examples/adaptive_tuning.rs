@@ -76,34 +76,4 @@ fn main() {
             "sorting"
         }
     );
-
-    // The paper's future work, implemented: probe the live machine and let
-    // the library pick all three thresholds itself.
-    println!("autotune — live micro-probes choosing all three thresholds:");
-    let world = World::new(p).cores_per_node(8);
-    let report = world.run(|comm| {
-        let (cfg, probe) = sdssort::autotune::<u64, _>(comm, n_rank, &SdsConfig::default());
-        if comm.rank() == 0 {
-            println!(
-                "  probes: direct {:.1}us vs node-merge {:.1}us | sync {:.1}us vs overlap {:.1}us | merge {:.1}us vs sort {:.1}us",
-                probe.t_direct * 1e6,
-                probe.t_node_merge * 1e6,
-                probe.t_sync * 1e6,
-                probe.t_overlap * 1e6,
-                probe.t_merge_order * 1e6,
-                probe.t_sort_order * 1e6,
-            );
-            println!(
-                "  chosen: node-merge {}, overlap {}, final ordering by {}",
-                if cfg.should_node_merge::<u64>(n_rank, comm.size()) { "ON" } else { "OFF" },
-                if cfg.should_overlap(comm.size()) { "ON" } else { "OFF" },
-                if cfg.should_merge_local(comm.size()) { "merge" } else { "sort" },
-            );
-        }
-        // and the tuned config actually sorts:
-        let data = uniform_u64(n_rank, 2, comm.rank());
-        sdssort::sds_sort(comm, data, &cfg).expect("sort failed").data.len()
-    });
-    let total: usize = report.results.iter().sum();
-    println!("  sorted {total} records with the autotuned configuration");
 }

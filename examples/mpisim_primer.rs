@@ -1,7 +1,7 @@
 //! A tour of the `mpisim` runtime itself — the substrate the sorters run
 //! on — independent of sorting: point-to-point messaging, collectives,
 //! communicator splits, the virtual-time model, memory budgets, and
-//! communication tracing.
+//! per-phase traffic from the telemetry snapshot.
 //!
 //! Run with: `cargo run --release --example mpisim_primer`
 
@@ -17,7 +17,7 @@ fn main() {
     let world = World::new(8)
         .cores_per_node(4)
         .net(NetModel::edison())
-        .trace(true);
+        .telemetry(true);
 
     let report = world.run(|comm| {
         let rank = comm.rank();
@@ -71,13 +71,11 @@ fn main() {
     }
     println!("\nmodelled makespan: {:.3} ms", report.makespan * 1e3);
     println!("messages: {} ({} bytes)", report.messages, report.bytes);
-    println!("\ntraffic by phase (tracing enabled):");
-    for (name, t) in &report.trace_phases {
+    println!("\ntraffic by phase (telemetry enabled):");
+    for p in &report.telemetry.expect("telemetry enabled").phases {
         println!(
-            "  {name:12} {:>5} messages, {:>5} inter-node, {:>8} bytes",
-            t.total_messages(),
-            t.internode_messages(&report.topology),
-            t.total_bytes()
+            "  {:12} {:>5} messages, {:>5} inter-node, {:>8} bytes",
+            p.name, p.messages, p.internode_messages, p.bytes
         );
     }
 }

@@ -76,6 +76,34 @@ test -s "$tmp/threads/BENCH_sortcli.json" || {
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --validate-metrics "$tmp/threads/BENCH_sortcli.json"
 
+# --trace smoke: the per-phase traffic table comes off the telemetry
+# snapshot on the simulator and on threads. Each run must print an
+# `exchange` row with messages in it, and because a send is counted under
+# its sender's phase the table is a function of the program: two simulator
+# runs must print it byte for byte the same.
+trace_table() {
+    local table
+    table="$("$@" | sed -n '/^traffic by phase:/,$p')"
+    if ! grep -Eq '^ *exchange +[1-9]' <<<"$table"; then
+        echo "ci: no exchange row with messages in the --trace table of: $*" >&2
+        return 1
+    fi
+    printf '%s\n' "$table"
+}
+trace=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --sorter sds --workload zipf:1.4 --records 2000 --trace)
+echo "ci: ${trace[*]} --ranks 16 --cores 4 (twice), --backend threads --ranks 4 --cores 2"
+first="$(trace_table "${trace[@]}" --ranks 16 --cores 4)"
+second="$(trace_table "${trace[@]}" --ranks 16 --cores 4)"
+if [ "$first" != "$second" ]; then
+    printf 'ci: two simulator runs printed different --trace tables:\n%s\n%s\n' \
+        "$first" "$second" >&2
+    exit 1
+fi
+# (two nodes of two cores: with all four ranks on one node the single
+# leader has nobody to exchange with)
+trace_table "${trace[@]}" --backend threads --ranks 4 --cores 2 >/dev/null
+
 # The benchmark (benchmark/, a package of its own) is a consumer of the
 # crates' public API: its unit tests must build and pass against the
 # workspace as it is now, and one short traced run on the simulator must

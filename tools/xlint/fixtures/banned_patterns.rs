@@ -26,7 +26,7 @@ fn unwraps(x: Option<u8>, msg: &str) {
 fn literal_tag(comm: &Comm) {
     comm.send_val(1, 7, 0u64); // tag-discipline
     let _ = comm.recv_any::<u64>(3); // tag-discipline
-    comm.isend(0, 281474976710656, 0u64); // tag-discipline: 2^48 is reserved
+    comm.send_val(0, 281474976710656, 0u64); // tag-discipline: 2^48 is reserved
 }
 
 fn entropy() {
