@@ -31,7 +31,7 @@
 //! still defeats the assignment — the skew-sweep shoot-out shows exactly
 //! where. Splitter selection reuses `sdssort::sampling::regular_sample`
 //! and `sdssort::pivots::reference_pivots`; merging reuses the loser-tree
-//! `kway_merge_offsets`. Everything is deterministic (regular sampling,
+//! `kway_merge`. Everything is deterministic (regular sampling,
 //! synchronous rank-order exchanges, tie-to-lower-run merges), so output
 //! is bit-identical across the sim/threads/sockets backends.
 

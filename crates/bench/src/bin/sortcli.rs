@@ -32,6 +32,8 @@
 //!   --trace                        print traffic by phase (messages,
 //!                                  inter-node messages, bytes) from the
 //!                                  telemetry snapshot; sim and threads
+//!                                  (threads adds how many of the bytes
+//!                                  were lent in place, not copied)
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
 //!                                  e.g. seed=7,delay=0.5:1e-4,reorder=0.3:8,
@@ -610,9 +612,17 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         );
     }
     if args.trace {
-        let snapshot = run.snapshot.as_ref();
+        let snapshot = run.snapshot.as_ref().expect("--trace turns telemetry on");
         println!("\ntraffic by phase:");
-        trace_table(snapshot.expect("--trace turns telemetry on")).print();
+        trace_table(snapshot).print();
+        // Only a transport that lends runs (threads) bumps the counter.
+        if let Some(lent) = snapshot.counter("comm.bytes_lent") {
+            println!(
+                "lent, not copied (comm.bytes_lent): {} of the {} sent",
+                fmt_bytes(lent as usize),
+                fmt_bytes(snapshot.total_bytes() as usize)
+            );
+        }
     }
     if let Some(out) = &args.metrics_out {
         if let Err(e) = write_metrics(out, args, run, &loads) {

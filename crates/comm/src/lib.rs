@@ -37,10 +37,11 @@
 //!
 //! Only the traffic-generating primitives (`barrier`, `bcast`, `gatherv`,
 //! `alltoall`, `alltoallv_given_counts`, `scatterv`, the async all-to-all,
-//! `split`) are required methods. Everything else (`allreduce`, scans,
-//! scatters, …) is a provided method composed from those primitives, with
-//! reductions folded in rank order — so results are deterministic even for
-//! non-commutative closures, and identical on every backend.
+//! their owned forms over [`Run`]s, `split`) are required methods.
+//! Everything else (`allreduce`, scans, scatters, …) is a provided method
+//! composed from those primitives, with reductions folded in rank order —
+//! so results are deterministic even for non-commutative closures, and
+//! identical on every backend.
 //!
 //! ## Tags
 //!
@@ -53,11 +54,14 @@
 
 pub mod mailbox;
 pub mod raw;
+pub mod run;
 pub mod wire;
 
+pub use run::Run;
 pub use wire::Wire;
 
 use std::fmt;
+use std::sync::Arc;
 use telemetry::{Recorder, SpanId};
 
 /// Largest tag value available to user point-to-point messages. The space
@@ -100,12 +104,20 @@ impl std::error::Error for OomError {}
 /// `SdssAlltoallvAsync` / `SdssFinished` pair, §2.6): all sends are posted
 /// up front, and completed per-peer chunks are retrieved incrementally so
 /// the caller can merge while the network is still moving data.
-pub trait AsyncExchange<T, C: Communicator> {
-    /// Retrieve the next completed chunk as `(source_rank, data)`, blocking
+pub trait AsyncExchange<T: Clone, C: Communicator> {
+    /// Retrieve the next completed chunk as `(source_rank, run)`, blocking
     /// if none has arrived yet. Returns `None` once all chunks have been
     /// delivered. The local (self) chunk is delivered first — it is
-    /// "complete" immediately — then remote chunks in arrival order.
-    fn wait_any(&mut self, comm: &C) -> Option<(usize, Vec<T>)>;
+    /// "complete" immediately — then remote chunks in arrival order. On a
+    /// transport that lends, the run is a window of the sender's buffer.
+    fn wait_any_run(&mut self, comm: &C) -> Option<(usize, Run<T>)>;
+
+    /// [`AsyncExchange::wait_any_run`] with the chunk as a vector of its
+    /// own ([`Run::into_vec`]: a lent window is copied out).
+    fn wait_any(&mut self, comm: &C) -> Option<(usize, Vec<T>)> {
+        self.wait_any_run(comm)
+            .map(|(src, run)| (src, run.into_vec()))
+    }
 
     /// Number of per-peer chunks not yet delivered.
     fn remaining(&self) -> usize;
@@ -293,6 +305,32 @@ pub trait Communicator: Sized {
     fn alltoallv_async_given_counts<T: Wire>(
         &self,
         data: &[T],
+        send_counts: &[usize],
+        recv_counts: Vec<usize>,
+    ) -> Self::Async<T>;
+
+    /// [`Communicator::alltoallv_given_counts`] over a buffer the caller
+    /// gives up: returns one [`Run`] per source rank, in rank order (empty
+    /// where nothing was sent), instead of concatenating them. A transport
+    /// that shares an address space lends each run as a window of `data` —
+    /// the receiver reads the sender's memory in place and `data` lives
+    /// until its last window drops; any other transport copies out of
+    /// `data` exactly as the borrowed form does and frees it once every
+    /// send is posted.
+    fn alltoallv_runs<T: Wire>(
+        &self,
+        data: Arc<Vec<T>>,
+        send_counts: &[usize],
+        recv_counts: &[usize],
+    ) -> Vec<Run<T>>;
+
+    /// [`Communicator::alltoallv_async_given_counts`] over a buffer the
+    /// caller gives up, as [`Communicator::alltoallv_runs`] is to the
+    /// synchronous form: retrieve the runs with
+    /// [`AsyncExchange::wait_any_run`].
+    fn alltoallv_async_runs<T: Wire>(
+        &self,
+        data: Arc<Vec<T>>,
         send_counts: &[usize],
         recv_counts: Vec<usize>,
     ) -> Self::Async<T>;

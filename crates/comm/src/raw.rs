@@ -18,10 +18,12 @@
 //! backend maps them to world ranks (or socket peers) through its
 //! [`Group`].
 
+use crate::run::Run;
 use crate::wire::Wire;
 use crate::{AsyncExchange, Communicator, OomError, MAX_USER_TAG};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use telemetry::Recorder;
 
@@ -247,18 +249,38 @@ pub trait RawComm: Sized {
         v.into_iter().next().expect("non-empty message")
     }
 
-    /// Blocking receive from *any* member on `tag`; returns the sender's
-    /// communicator rank with the payload. Only [`RawAsync`] calls this,
+    /// Send `run` to communicator rank `dst` on any tag: how a chunk of an
+    /// owned exchange leaves. The default copies — it is
+    /// [`RawComm::send_slice_raw`] from the borrow — and drops the window;
+    /// a transport whose ranks share an address space *lends* instead,
+    /// handing the window itself to the receiver.
+    fn send_run_raw<T: Wire>(&self, dst: usize, tag: u64, run: Run<T>) {
+        self.send_slice_raw(dst, tag, &run);
+    }
+
+    /// The run a rank delivers to itself out of the buffer it is sending
+    /// from. The default copies it, so that nothing holds the buffer once
+    /// the sends are posted and it is freed before the receives; a
+    /// transport that lends keeps the window, since the peers' windows
+    /// hold the buffer anyway.
+    fn self_run_raw<T: Wire>(&self, run: Run<T>) -> Run<T> {
+        run.to_vec().into()
+    }
+
+    /// Blocking receive of one run on `tag`, from communicator rank `src`
+    /// or, with `None`, from *any* member; returns the sender's
+    /// communicator rank with the payload (a vector of its own unless the
+    /// sender lent a window). Only [`RawAsync`] receives from any source,
     /// and it keys chunks by source and hard-asserts against duplicates,
     /// so the match order cannot change a result.
-    fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>);
+    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>);
 
-    /// Non-blocking variant of [`RawComm::recv_any_raw`].
-    fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)>;
+    /// Non-blocking, any-source variant of [`RawComm::recv_run_raw`].
+    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)>;
 
-    /// Called by [`RawAsync`]'s `wait_any` with the number of chunks still
-    /// pending, before it looks for one: the `MPI_Test` sweep over the
-    /// outstanding requests. Costs nothing on a real transport; a cost
+    /// Called by [`RawAsync`]'s `wait_any_run` with the number of chunks
+    /// still pending, before it looks for one: the `MPI_Test` sweep over
+    /// the outstanding requests. Costs nothing on a real transport; a cost
     /// model charges it here.
     fn async_test_sweep(&self, _pending: usize) {}
 }
@@ -457,10 +479,7 @@ impl<C: RawComm> Communicator for C {
         let me = self.rank();
 
         let offsets = chunk_offsets(send_counts);
-        // Staggered send order (start at me+1, wrap) as real MPI all-to-all
-        // implementations do: receiver r then sees its chunks injected at
-        // positions (r - sender) mod p of each sender's loop, spreading
-        // arrivals instead of synchronizing them into a hotspot.
+        // The same staggered send order as [`post_chunks`].
         for i in 1..p {
             let dst = (me + i) % p;
             if send_counts[dst] > 0 {
@@ -486,8 +505,8 @@ impl<C: RawComm> Communicator for C {
         out
     }
 
-    /// Posts every send (staggered, as the synchronous `alltoallv`) and
-    /// returns the handle that retrieves completed chunks, self chunk first.
+    /// The asynchronous exchange from a borrow: every chunk is copied out
+    /// of `data` as it is posted.
     fn alltoallv_async_given_counts<T: Wire>(
         &self,
         data: &[T],
@@ -495,35 +514,35 @@ impl<C: RawComm> Communicator for C {
         recv_counts: Vec<usize>,
     ) -> RawAsync<T> {
         self.count("coll.alltoallv_async", 1);
-        let p = self.size();
-        assert_eq!(send_counts.len(), p);
-        assert_eq!(send_counts.iter().sum::<usize>(), data.len());
-        let tag = self.group().next_coll_tag();
-        let me = self.rank();
-
-        let offsets = chunk_offsets(send_counts);
-        let self_slice = &data[offsets[me]..offsets[me + 1]];
-        let self_chunk = (!self_slice.is_empty()).then(|| self_slice.to_vec());
-        for i in 1..p {
-            let dst = (me + i) % p;
-            let chunk = &data[offsets[dst]..offsets[dst + 1]];
-            if !chunk.is_empty() {
-                self.send_slice_raw(dst, tag, chunk);
-            }
-        }
-
-        let pending: Vec<bool> = (0..p)
-            .map(|src| src != me && recv_counts[src] > 0)
-            .collect();
-        let remaining =
-            pending.iter().filter(|&&waiting| waiting).count() + usize::from(self_chunk.is_some());
-        RawAsync {
-            tag,
-            pending,
+        post_chunks(
+            self,
+            data.len(),
+            send_counts,
             recv_counts,
-            self_chunk,
-            remaining,
-        }
+            |mine| data[mine].to_vec().into(),
+            |dst, tag, chunk| self.send_slice_raw(dst, tag, &data[chunk]),
+        )
+    }
+
+    /// Source-ordered receives of the runs [`post_runs`] posted.
+    fn alltoallv_runs<T: Wire>(
+        &self,
+        data: Arc<Vec<T>>,
+        send_counts: &[usize],
+        recv_counts: &[usize],
+    ) -> Vec<Run<T>> {
+        self.count("coll.alltoallv", 1);
+        post_runs(self, data, send_counts, recv_counts.to_vec()).into_source_order(self)
+    }
+
+    fn alltoallv_async_runs<T: Wire>(
+        &self,
+        data: Arc<Vec<T>>,
+        send_counts: &[usize],
+        recv_counts: Vec<usize>,
+    ) -> RawAsync<T> {
+        self.count("coll.alltoallv_async", 1);
+        post_runs(self, data, send_counts, recv_counts)
     }
 
     /// Rank-order scatterv: the root sends each non-root chunk, keeps its
@@ -603,6 +622,78 @@ fn chunk_offsets(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
+/// The posting half of every run exchange, owned or borrowed: reserves the
+/// collective's tag, posts each non-empty remote chunk with
+/// `send(dst, tag, chunk)` and sets the self chunk aside with `keep` — each
+/// given the chunk's range in the send buffer, which `send_counts`
+/// partitions.
+/// Staggered send order (start at me+1, wrap) as real MPI all-to-all
+/// implementations do: receiver r then sees its chunks injected at positions
+/// (r - sender) mod p of each sender's loop, spreading arrivals instead of
+/// synchronizing them into a hotspot.
+fn post_chunks<T, C: RawComm>(
+    comm: &C,
+    len: usize,
+    send_counts: &[usize],
+    recv_counts: Vec<usize>,
+    keep: impl FnOnce(Range<usize>) -> Run<T>,
+    send: impl Fn(usize, u64, Range<usize>),
+) -> RawAsync<T> {
+    let p = comm.size();
+    assert_eq!(send_counts.len(), p, "one send count per rank");
+    assert_eq!(recv_counts.len(), p, "one recv count per rank");
+    let total: usize = send_counts.iter().sum();
+    assert_eq!(total, len, "send counts must cover the data");
+    let tag = comm.group().next_coll_tag();
+    let me = comm.rank();
+
+    let offsets = chunk_offsets(send_counts);
+    let chunk = |r: usize| offsets[r]..offsets[r + 1];
+    for i in 1..p {
+        let dst = (me + i) % p;
+        if send_counts[dst] > 0 {
+            send(dst, tag, chunk(dst));
+        }
+    }
+    // After the sends: where keeping means copying, the peers' chunks are
+    // already under way while this rank copies its own.
+    let self_run = (send_counts[me] > 0).then(|| keep(chunk(me)));
+
+    let pending: Vec<bool> = (0..p)
+        .map(|src| src != me && recv_counts[src] > 0)
+        .collect();
+    let remaining =
+        pending.iter().filter(|&&waiting| waiting).count() + usize::from(self_run.is_some());
+    RawAsync {
+        tag,
+        pending,
+        recv_counts,
+        self_run,
+        remaining,
+    }
+}
+
+/// [`post_chunks`] out of a buffer the caller gave up: each chunk leaves as
+/// a window of `data`, which the transport lends or copies
+/// ([`RawComm::send_run_raw`], [`RawComm::self_run_raw`]). `data` is let go
+/// before this returns, so where nothing was lent it is freed here.
+fn post_runs<T: Wire, C: RawComm>(
+    comm: &C,
+    data: Arc<Vec<T>>,
+    send_counts: &[usize],
+    recv_counts: Vec<usize>,
+) -> RawAsync<T> {
+    let window = |chunk| Run::new(Arc::clone(&data), chunk);
+    post_chunks(
+        comm,
+        data.len(),
+        send_counts,
+        recv_counts,
+        |mine| comm.self_run_raw(window(mine)),
+        |dst, tag, chunk| comm.send_run_raw(dst, tag, window(chunk)),
+    )
+}
+
 /// Handle to an in-flight asynchronous `alltoallv` — the paper's
 /// `SdssAlltoallvAsync` / `SdssFinished` pair (§2.6). Buffered sends make
 /// the send side trivially asynchronous; the receive side surfaces the self
@@ -612,7 +703,7 @@ pub struct RawAsync<T> {
     tag: u64,
     pending: Vec<bool>,
     recv_counts: Vec<usize>,
-    self_chunk: Option<Vec<T>>,
+    self_run: Option<Run<T>>,
     remaining: usize,
 }
 
@@ -638,20 +729,46 @@ impl<T> RawAsync<T> {
     }
 }
 
+impl<T: Wire> RawAsync<T> {
+    /// The synchronous completion: every run, received in source-rank
+    /// order (the self run in its place, an empty run where nothing was
+    /// sent) with no request sweep in between.
+    fn into_source_order<C: RawComm>(mut self, comm: &C) -> Vec<Run<T>> {
+        let me = comm.rank();
+        (0..self.pending.len())
+            .map(|src| {
+                if src == me {
+                    self.self_run.take().unwrap_or_default()
+                } else if self.pending[src] {
+                    let (_, run) = comm.recv_run_raw::<T>(Some(src), self.tag);
+                    assert_eq!(
+                        run.len(),
+                        self.recv_counts[src],
+                        "alltoallv count mismatch from {src}"
+                    );
+                    run
+                } else {
+                    Run::default()
+                }
+            })
+            .collect()
+    }
+}
+
 impl<T: Wire, C: RawComm> AsyncExchange<T, C> for RawAsync<T> {
-    fn wait_any(&mut self, comm: &C) -> Option<(usize, Vec<T>)> {
+    fn wait_any_run(&mut self, comm: &C) -> Option<(usize, Run<T>)> {
         if self.remaining == 0 {
             return None;
         }
         comm.async_test_sweep(self.remaining);
-        if let Some(chunk) = self.self_chunk.take() {
+        if let Some(run) = self.self_run.take() {
             self.remaining -= 1;
-            return Some((comm.rank(), chunk));
+            return Some((comm.rank(), run));
         }
         // Prefer a chunk that already arrived; otherwise block for any.
-        let (src, data) = match comm.try_recv_any_raw::<T>(self.tag) {
+        let (src, run) = match comm.try_recv_run_raw::<T>(self.tag) {
             Some(hit) => hit,
-            None => comm.recv_any_raw::<T>(self.tag),
+            None => comm.recv_run_raw::<T>(None, self.tag),
         };
         // A hard check, not a debug assert: a duplicate or foreign chunk
         // here means the exchange protocol was violated (e.g. a tag
@@ -661,11 +778,11 @@ impl<T: Wire, C: RawComm> AsyncExchange<T, C> for RawAsync<T> {
             "async alltoallv protocol violation: unexpected chunk from rank {src} \
              on tag {} ({} records); bookkeeping already marked it delivered",
             self.tag,
-            data.len()
+            run.len()
         );
         self.pending[src] = false;
         self.remaining -= 1;
-        Some((src, data))
+        Some((src, run))
     }
 
     fn remaining(&self) -> usize {

@@ -38,7 +38,10 @@
 /// `get(put(x)) == x` and `get_vec(put_slice(xs)) == xs`. Decoding must be
 /// total over the format — malformed input returns `None` / `false`, never
 /// panics — because the bytes arrive from another process.
-pub trait Wire: Clone + Send + 'static {
+///
+/// `Sync` because a threads-backend receiver reads a sender's buffer in
+/// place ([`crate::Run`]); every implementor is plain data.
+pub trait Wire: Clone + Send + Sync + 'static {
     /// Append this value's encoding to `out`.
     fn put(&self, out: &mut Vec<u8>);
 

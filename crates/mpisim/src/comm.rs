@@ -25,7 +25,7 @@ use crate::error::OomError;
 use crate::mailbox::{Envelope, SrcSel, TakeResult};
 use crate::universe::{DeadlockError, Universe, WaitDesc};
 use ::comm::raw::{append_moved, assert_user_tag, Group, RawComm};
-use ::comm::Wire;
+use ::comm::{Run, Wire};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -475,12 +475,15 @@ impl RawComm for Comm {
     // order-insensitive by protocol (chunks are keyed by source and
     // duplicates hard-asserted), so the happens-before edges are recorded
     // but the wildcard-nondeterminism finding is suppressed.
-    fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_sel(SrcSel::Any, tag, false)
+    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
+        let sel = src.map_or(SrcSel::Any, |s| self.exact(s));
+        let (src, data) = self.recv_sel(sel, tag, false);
+        (src, data.into())
     }
 
-    fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
+    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
         self.try_recv_sel(SrcSel::Any, tag, false)
+            .map(|(src, data)| (src, data.into()))
     }
 
     /// Progress cost of testing the outstanding requests (`MPI_Test`

@@ -17,21 +17,31 @@
 //! reservation — released on every exit — and reports how long the exchange
 //! and the ordering took, so each caller attributes them to its own
 //! [`SortStats`] fields.
+//!
+//! The sorted buffer is given up to the collective, and what comes back is
+//! one [`comm::Run`] per source: on the threads backend a window of the
+//! sender's own sorted buffer, which the merge reads in place (a key is
+//! touched by the local sort and by the merge into the output, and by
+//! nothing in between); on the simulator and over sockets a vector the
+//! transport filled. Only the re-sort needs its input contiguous and still
+//! receives into one buffer.
 
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::local_sort::local_sort_with;
-use crate::merge::{kway_merge, kway_merge_offsets, merge_two};
+use crate::merge::{kway_merge, merge_two};
 use crate::record::Sortable;
 use crate::sort::{count_local_sort, SortError, SortOutput};
 use crate::stats::SortStats;
-use comm::{AsyncExchange, Communicator, OomError};
+use comm::{AsyncExchange, Communicator, OomError, Run};
+use std::sync::Arc;
 use telemetry::SpanId;
 
 /// How steps 6–7 deliver and order the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
-    /// Synchronous all-to-all, then one k-way merge of the received runs
-    /// (ties to the lower source rank, so stability is preserved).
+    /// Synchronous all-to-all, then one k-way merge of the runs, each read
+    /// where the transport left it (ties to the lower source rank, so
+    /// stability is preserved).
     Merge,
     /// Synchronous all-to-all, then an adaptive re-sort of the partially
     /// ordered buffer (SDS-Sort's choice at or above `τs`).
@@ -195,8 +205,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
     let _reservation = fail_together(comm, mine.map_err(SortError::Oom))?;
 
     if delivery == Delivery::Overlapped {
-        let mut pending = comm.alltoallv_async_given_counts(&data, scounts, rcounts);
-        drop(data);
+        let mut pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
         let mut merge_s = 0.0;
         // Binomial-counter progressive merging: every incoming chunk is a
         // level-0 run; two runs merge only when they are at the same
@@ -204,8 +213,8 @@ pub fn exchange<T: Sortable, C: Communicator>(
         // cascade's (m·⌈log2 p⌉), independent of chunk-size variance and
         // arrival order — overlapping adds no merge work over the
         // synchronous path, it only moves it earlier.
-        let mut runs: Vec<(u32, Vec<T>)> = Vec::new();
-        while let Some((_src, chunk)) = pending.wait_any(comm) {
+        let mut runs: Vec<(u32, Run<T>)> = Vec::new();
+        while let Some((_src, chunk)) = pending.wait_any_run(comm) {
             runs.push((0, chunk));
             while runs.len() >= 2 && runs[runs.len() - 1].0 == runs[runs.len() - 2].0 {
                 let (lvl, hi) = runs.pop().expect("len>=2");
@@ -217,7 +226,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
                     || merge_two(&lo, &hi),
                 );
                 merge_s += comm.now() - tm;
-                runs.push((lvl + 1, merged));
+                runs.push((lvl + 1, merged.into()));
             }
         }
         // Overlap makes exchange and merge inseparable in wall order: the
@@ -228,10 +237,10 @@ pub fn exchange<T: Sortable, C: Communicator>(
         // Balanced cascade over whatever the stack still holds (free when
         // the counter already collapsed everything into one run).
         let out = if runs.len() == 1 {
-            runs.pop().expect("len==1").1
+            runs.pop().expect("len==1").1.into_vec()
         } else {
             let tm = comm.now();
-            let refs: Vec<&[T]> = runs.iter().map(|(_, r)| r.as_slice()).collect();
+            let refs: Vec<&[T]> = runs.iter().map(|(_, r)| &r[..]).collect();
             let left: usize = refs.iter().map(|r| r.len()).sum();
             let k_left = refs.len();
             let out = charge.charged(
@@ -253,29 +262,22 @@ pub fn exchange<T: Sortable, C: Communicator>(
         });
     }
 
-    let mut buf = comm.alltoallv_given_counts(&data, scounts, &rcounts);
-    drop(data);
-    phases.start_ordering(true);
     let out = match delivery {
         Delivery::Overlapped => unreachable!("the overlapped delivery returned above"),
         Delivery::Merge => {
-            // The received runs sit back to back in source-rank order.
-            let mut disp = Vec::with_capacity(p + 1);
-            disp.push(0usize);
-            for &rc in &rcounts {
-                disp.push(disp.last().copied().expect("non-empty") + rc);
-            }
-            charge.charged(
-                comm,
-                |mo| mo.kway_merge_cost(m, p),
-                || kway_merge_offsets(&buf, &disp),
-            )
+            let runs = comm.alltoallv_runs(Arc::new(data), scounts, &rcounts);
+            phases.start_ordering(true);
+            let refs: Vec<&[T]> = runs.iter().map(|r| &r[..]).collect();
+            charge.charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs))
         }
         Delivery::Resort {
             threads,
             stable,
             kernel,
         } => {
+            let mut buf = comm.alltoallv_given_counts(&data, scounts, &rcounts);
+            drop(data);
+            phases.start_ordering(true);
             let report = charge.charged(
                 comm,
                 |mo| {

@@ -9,7 +9,6 @@
 
 use crate::record::Sortable;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::MaybeUninit;
 
 /// Merge two sorted runs. Stable: ties take from `a` first.
@@ -42,12 +41,15 @@ fn merge_two_uninit<T: Copy, K: Ord>(
     out: &mut [MaybeUninit<T>],
     key: impl Fn(&T) -> K,
 ) {
-    debug_assert_eq!(out.len(), a.len() + b.len());
+    assert_eq!(out.len(), a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     let mut k = 0usize;
-    // SAFETY: `k` counts the writes and never exceeds
-    // `a.len() + b.len() == out.len()`; `i`/`j` are bounded by the loop
-    // condition; every element written is a valid `T` (T: Copy).
+    // SAFETY: `k == i + j` counts the writes and never exceeds
+    // `a.len() + b.len() == out.len()` (asserted above); `i`/`j` are
+    // bounded by the loop condition; every element written is a valid `T`
+    // (T: Copy). The two tail copies read `a[i..]` and `b[j..]` and fill
+    // exactly the slots the loop left, and `out` is a `&mut` borrow, so it
+    // overlaps neither input.
     unsafe {
         let dst = out.as_mut_ptr().cast::<T>();
         while i < a.len() && j < b.len() {
@@ -60,14 +62,11 @@ fn merge_two_uninit<T: Copy, K: Ord>(
             j += usize::from(!take_a);
             k += 1;
         }
-    }
-    for &r in &a[i..] {
-        out[k].write(r);
-        k += 1;
-    }
-    for &r in &b[j..] {
-        out[k].write(r);
-        k += 1;
+        // What is left of the one run not exhausted, as one block copy:
+        // when the runs do not interleave (presorted or staircase input,
+        // an empty partner) that is the whole output.
+        std::ptr::copy_nonoverlapping(a.as_ptr().add(i), dst.add(k), a.len() - i);
+        std::ptr::copy_nonoverlapping(b.as_ptr().add(j), dst.add(a.len() + j), b.len() - j);
     }
 }
 
@@ -167,8 +166,9 @@ impl<'a, T: Sortable> LoserTree<'a, T> {
     }
 }
 
-/// Heap entry for a k-way merge — [`kway_merge_heap`] here, the streaming
-/// merge of [`crate::external`]: ordered by (key, run index) so that the
+/// Heap entry for a k-way merge — the streaming merge of
+/// [`crate::external`], and the heap oracle of this module's tests: ordered
+/// by (key, run index) so that the
 /// smallest key wins and ties go to the lowest run index (stability).
 pub(crate) struct HeapEntry<K: Copy> {
     pub(crate) key: K,
@@ -243,9 +243,8 @@ fn kway_merge_cascade_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUninit<
 /// short pairwise cascade for thin records at small `k` (branchless
 /// streaming beats tournament branches when copies are cheap), and a
 /// [`LoserTree`] beyond: `O(n log k)` comparisons, zero intermediate
-/// buffers (the old all-`k` pairwise cascade allocated `O(log k)`
-/// full-size `Vec`s per merge — see [`kway_merge_cascade`], kept for
-/// equivalence tests and the merge micro-benchmarks).
+/// buffers (the old all-`k` pairwise cascade, which this module's tests
+/// keep as an oracle, allocated `O(log k)` full-size `Vec`s per merge).
 pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUninit<T>]) {
     debug_assert_eq!(out.len(), runs.iter().map(|r| r.len()).sum::<usize>());
     match runs.len() {
@@ -299,10 +298,10 @@ pub fn kway_merge<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
 }
 
 /// The pre-loser-tree pairwise merge cascade (`⌈log₂ k⌉` linear passes,
-/// each allocating a full-size intermediate `Vec`). Kept as an
-/// independently-derived oracle for the equivalence tests and as the
-/// baseline in the merge micro-benchmarks.
-pub fn kway_merge_cascade<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
+/// each allocating a full-size intermediate `Vec`): an independently
+/// derived oracle for the equivalence test.
+#[cfg(test)]
+fn kway_merge_cascade<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
     match runs.len() {
         0 => Vec::new(),
         1 => runs[0].to_vec(),
@@ -336,17 +335,17 @@ pub fn kway_merge_cascade<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
     }
 }
 
-/// Merge `k` sorted runs with a k-ary heap (`O(n log k)` with heap
-/// constants). Exposed for the merge micro-benchmarks and as a second
-/// independent oracle; the loser tree in [`kway_merge`] does about half
-/// the memory traffic per record.
-pub fn kway_merge_heap<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
+/// Merge `k` sorted runs with a binary heap (`O(n log k)` with heap
+/// constants): a second independent oracle; the loser tree in
+/// [`kway_merge`] does about half the memory traffic per record.
+#[cfg(test)]
+fn kway_merge_heap<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
     if runs.len() < 3 {
         return kway_merge(runs);
     }
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
-    let mut heap: BinaryHeap<HeapEntry<T::Key>> = BinaryHeap::with_capacity(runs.len());
+    let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
     for (run, data) in runs.iter().enumerate() {
         if let Some(first) = data.first() {
             heap.push(HeapEntry {
@@ -371,8 +370,10 @@ pub fn kway_merge_heap<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
 }
 
 /// Merge `k` sorted runs identified by their offsets inside one contiguous
-/// buffer (the post-exchange layout: chunk `i` occupies
-/// `buf[disp[i]..disp[i+1]]`).
+/// buffer (what `alltoallv_given_counts` returns: chunk `i` occupies
+/// `buf[disp[i]..disp[i+1]]`). [`crate::exchange`] merges the runs where
+/// they lie instead; the benchmark's staged replay, which follows the
+/// borrowed exchange, is the caller.
 pub fn kway_merge_offsets<T: Sortable>(buf: &[T], disp: &[usize]) -> Vec<T> {
     debug_assert!(disp.len() >= 2, "disp must bracket at least one run");
     let runs: Vec<&[T]> = disp.windows(2).map(|w| &buf[w[0]..w[1]]).collect();
@@ -395,6 +396,9 @@ mod tests {
         assert_eq!(merge_two(&[], &[1u32]), vec![1]);
         assert_eq!(merge_two(&[1u32], &[]), vec![1]);
         assert_eq!(merge_two::<u32>(&[], &[]), Vec::<u32>::new());
+        // Runs that do not interleave leave all of one to the tail copy.
+        assert_eq!(merge_two(&[1u32, 2, 3], &[4, 5]), vec![1, 2, 3, 4, 5]);
+        assert_eq!(merge_two(&[4u32, 5], &[1, 2, 3]), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

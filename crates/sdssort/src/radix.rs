@@ -36,8 +36,8 @@ const BUCKETS: usize = 256;
 
 /// Input size below which the comparison sort wins: the radix kernel pays
 /// two fixed read passes (difference mask + histograms) before the first
-/// scatter, which only amortizes past a few thousand records
-/// (`benches/local_sort.rs`).
+/// scatter, which only amortizes past a few thousand records (the
+/// benchmark's `sdssort.local_sort.ms` row is where a change to it shows).
 pub const RADIX_MIN_N: usize = 1 << 11;
 
 /// Whether the radix kernel applies to `T` at input size `n`: the key must

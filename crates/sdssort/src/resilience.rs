@@ -31,9 +31,10 @@ use crate::merge::kway_merge;
 use crate::record::Sortable;
 use crate::sort::{sds_sort_with, SortError, SortOutput};
 use crate::stats::SortStats;
-use comm::{AsyncExchange, Communicator};
+use comm::{AsyncExchange, Communicator, Run};
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 use telemetry::SpanId;
 
 /// Knobs for the resilient exchange.
@@ -134,18 +135,17 @@ fn spill_exchange<T: Sortable, C: Communicator>(
     // All ranks take the asynchronous exchange (one collective tag,
     // wire-compatible with the synchronous path), so per-rank
     // in-memory/spill decisions interoperate freely.
-    let mut pending = comm.alltoallv_async_given_counts(&data, scounts, rcounts);
-    drop(data);
+    let mut pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
 
     if code == IN_MEMORY {
-        let mut chunks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        while let Some((src, chunk)) = pending.wait_any(comm) {
+        let mut chunks: Vec<Run<T>> = (0..p).map(|_| Run::default()).collect();
+        while let Some((src, chunk)) = pending.wait_any_run(comm) {
             chunks[src] = chunk;
         }
         phases.start_ordering(true);
         // Source-rank order with a stable k-way merge (ties to the
         // lowest run index) preserves global stability.
-        let refs: Vec<&[T]> = chunks.iter().map(|c| c.as_slice()).collect();
+        let refs: Vec<&[T]> = chunks.iter().map(|c| &c[..]).collect();
         let out = cfg
             .charge
             .charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs));
@@ -172,7 +172,7 @@ fn spill_exchange<T: Sortable, C: Communicator>(
     // (source, part) the runs replay the stable merge order later.
     let mut runs: Vec<(usize, usize, RunFile)> = Vec::new();
     let mut spill = || -> Result<(), SortError> {
-        while let Some((src, chunk)) = pending.wait_any(comm) {
+        while let Some((src, chunk)) = pending.wait_any_run(comm) {
             for (part, piece) in chunk.chunks(RUN_RECORDS).enumerate() {
                 let path = dir.join(format!("src{src:06}-part{part:04}.bin"));
                 let rf = write_run(piece, &path).map_err(io_err)?;
@@ -187,7 +187,7 @@ fn spill_exchange<T: Sortable, C: Communicator>(
     if let Err(e) = spill() {
         // Drain the exchange so peers' sends are consumed, then clean
         // up before surfacing the disk failure.
-        while pending.wait_any(comm).is_some() {}
+        while pending.wait_any_run(comm).is_some() {}
         for (_, _, rf) in &runs {
             remove_run(rf);
         }

@@ -12,7 +12,8 @@
 use crate::mailbox::{Envelope, SrcSel};
 use crate::universe::Universe;
 use ::comm::raw::{append_moved, Group, RawComm};
-use ::comm::Wire;
+use ::comm::{Run, Wire};
+use std::any::Any;
 use std::sync::Arc;
 
 /// Panic payload used when a rank unwinds *because another rank panicked*
@@ -22,6 +23,14 @@ use std::sync::Arc;
 pub struct ShmemAborted {
     /// Communicator rank that was interrupted.
     pub rank: usize,
+}
+
+/// What an envelope carries.
+enum Payload<T> {
+    /// The vector `send_raw` moved in.
+    Moved(Vec<T>),
+    /// The window of the sender's buffer `send_run_raw` lent.
+    Lent(Run<T>),
 }
 
 /// A rank-local handle to a threads-backend communicator; it lives on that
@@ -57,28 +66,66 @@ impl ThreadComm {
         &self.uni.mailboxes[self.group.world_rank()]
     }
 
-    fn open_envelope<T: Send + 'static>(&self, env: Envelope) -> (usize, Vec<T>) {
+    /// Enqueue `data` (`bytes` of payload) for communicator rank `dst`:
+    /// the one send path, and its one accounting call.
+    fn push(&self, dst: usize, tag: u64, data: Box<dyn Any + Send>, bytes: usize) {
+        self.check_alive();
+        let src_w = self.group.world_rank();
+        let dst_w = self.group.world_rank_of(dst);
+        self.uni.recorder.on_send(src_w, dst_w, bytes);
+        let delivered = self.uni.mailboxes[dst_w].push(
+            Envelope {
+                ctx: self.group.ctx(),
+                src: src_w,
+                tag,
+                data,
+                bytes,
+            },
+            &self.uni.aborted,
+        );
+        if !delivered {
+            self.abort_unwind();
+        }
+    }
+
+    /// Blocking take of the next envelope on `tag` from communicator rank
+    /// `src` (any member with `None`); unwinds if the world aborted.
+    fn take(&self, src: Option<usize>, tag: u64) -> Envelope {
+        self.check_alive();
+        let sel = src.map_or(SrcSel::Any, |s| SrcSel::Exact(self.group.world_rank_of(s)));
+        self.my_mailbox()
+            .take(self.group.ctx(), sel, tag, &self.uni.aborted)
+            .unwrap_or_else(|| self.abort_unwind())
+    }
+
+    fn open<T: Wire>(env: Envelope) -> Payload<T> {
+        let payload = match env.data.downcast::<Vec<T>>() {
+            Ok(moved) => Payload::Moved(*moved),
+            Err(data) => Payload::Lent(
+                *data
+                    .downcast::<Run<T>>()
+                    .unwrap_or_else(|_| panic!("type mismatch on recv (tag {})", env.tag)),
+            ),
+        };
+        let records: &[T] = match &payload {
+            Payload::Moved(v) => v,
+            Payload::Lent(run) => run,
+        };
+        debug_assert_eq!(env.bytes, std::mem::size_of_val(records));
+        payload
+    }
+
+    /// The sender's communicator rank with the envelope's payload as a run.
+    fn open_run<T: Wire>(&self, env: Envelope) -> (usize, Run<T>) {
         let src_comm = self
             .group
             .rank_of_world(env.src)
             .expect("sender is a member of this communicator");
-        let data = env
-            .data
-            .downcast::<Vec<T>>()
-            .unwrap_or_else(|_| panic!("type mismatch on recv (tag {})", env.tag));
-        debug_assert_eq!(env.bytes, std::mem::size_of::<T>() * data.len());
-        (src_comm, *data)
-    }
-
-    fn recv_sel_raw<T: Send + 'static>(&self, src: SrcSel, tag: u64) -> (usize, Vec<T>) {
-        self.check_alive();
-        match self
-            .my_mailbox()
-            .take(self.group.ctx(), src, tag, &self.uni.aborted)
-        {
-            Some(env) => self.open_envelope(env),
-            None => self.abort_unwind(),
-        }
+        let run = match Self::open(env) {
+            Payload::Moved(v) => v.into(),
+            Payload::Lent(run) => run,
+        };
+        (src_comm, run)
     }
 }
 
@@ -104,39 +151,39 @@ impl RawComm for ThreadComm {
     }
 
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        self.check_alive();
         let bytes = std::mem::size_of::<T>() * data.len();
-        let src_w = self.group.world_rank();
-        let dst_w = self.group.world_rank_of(dst);
-        self.uni.recorder.on_send(src_w, dst_w, bytes);
-        let delivered = self.uni.mailboxes[dst_w].push(
-            Envelope {
-                ctx: self.group.ctx(),
-                src: src_w,
-                tag,
-                data: Box::new(data),
-                bytes,
-            },
-            &self.uni.aborted,
-        );
-        if !delivered {
-            self.abort_unwind();
-        }
+        self.push(dst, tag, Box::new(data), bytes);
+    }
+
+    /// Lends: the window itself crosses the mailbox, so the receiver reads
+    /// this rank's buffer in place. Still one message of the run's bytes in
+    /// every traffic table; `comm.bytes_lent` says they were not copied.
+    fn send_run_raw<T: Wire>(&self, dst: usize, tag: u64, run: Run<T>) {
+        let bytes = std::mem::size_of_val::<[T]>(&run);
+        self.uni.recorder.count("comm.bytes_lent", bytes as u64);
+        self.push(dst, tag, Box::new(run), bytes);
+    }
+
+    /// The peers' windows hold the buffer anyway: keep the window.
+    fn self_run_raw<T: Wire>(&self, run: Run<T>) -> Run<T> {
+        run
     }
 
     fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
-        let sel = SrcSel::Exact(self.group.world_rank_of(src));
-        append_moved(self.recv_sel_raw(sel, tag).1, out);
+        match Self::open(self.take(Some(src), tag)) {
+            Payload::Moved(v) => append_moved(v, out),
+            Payload::Lent(run) => out.extend_from_slice(&run),
+        }
     }
 
-    fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_sel_raw(SrcSel::Any, tag)
+    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
+        self.open_run(self.take(src, tag))
     }
 
-    fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
+    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
         self.check_alive();
         self.my_mailbox()
             .try_take(self.group.ctx(), SrcSel::Any, tag)
-            .map(|env| self.open_envelope(env))
+            .map(|env| self.open_run(env))
     }
 }

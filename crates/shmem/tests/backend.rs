@@ -1,8 +1,10 @@
 //! Integration tests for the threads backend: collectives, splits, async
-//! exchange, panic propagation, wall-clock timing, and a sort smoke test.
+//! exchange, lent runs, panic propagation, wall-clock timing, and a sort
+//! smoke test.
 
-use comm::{AsyncExchange, Communicator};
+use comm::{AsyncExchange, Communicator, Run};
 use shmem::{ThreadComm, ThreadWorld};
+use std::sync::Arc;
 
 const TAG_PING: u64 = 100;
 const TAG_PONG: u64 = 101;
@@ -206,6 +208,179 @@ fn async_alltoallv_delivers_self_first_then_all() {
     for (r, rest) in rep.results.into_iter().enumerate() {
         let want: Vec<usize> = (0..p).filter(|&s| s != r).collect();
         assert_eq!(rest, want, "rank {r}");
+    }
+}
+
+/// The exchange of the lending tests: rank `r` sends `r + dst + 1` records
+/// of value `10 r + dst` to `dst`, so its send counts are its receive
+/// counts too. Returns `(data, counts)`.
+fn lending_exchange(me: usize, p: usize) -> (Arc<Vec<u64>>, Vec<usize>) {
+    let counts: Vec<usize> = (0..p).map(|dst| me + dst + 1).collect();
+    let data = (0..p)
+        .flat_map(|dst| vec![(me * 10 + dst) as u64; me + dst + 1])
+        .collect();
+    (Arc::new(data), counts)
+}
+
+/// Zero-copy, asserted by address: through both owned collectives every
+/// run — the self run included — is a window of the buffer its sender
+/// posted, that buffer lives exactly as long as its windows, and each run
+/// is still one message of its bytes in the traffic totals.
+#[test]
+fn owned_exchange_lends_windows_of_the_senders_buffer() {
+    let p = 3;
+    let rep = ThreadWorld::new(p).telemetry(true).run(|comm| {
+        let me = comm.rank();
+        for asynchronous in [false, true] {
+            let (data, counts) = lending_exchange(me, p);
+            let weak = Arc::downgrade(&data);
+            let mine = data.as_ptr_range();
+            let spans = comm.allgather(&[mine.start as usize, mine.end as usize]);
+            let runs: Vec<Run<u64>> = if asynchronous {
+                let mut pending = comm.alltoallv_async_runs(data, &counts, counts.clone());
+                let mut by_src: Vec<Run<u64>> = (0..p).map(|_| Run::default()).collect();
+                let mut first = None;
+                while let Some((src, run)) = pending.wait_any_run(comm) {
+                    first.get_or_insert(src);
+                    by_src[src] = run;
+                }
+                assert_eq!(first, Some(me), "self run first");
+                by_src
+            } else {
+                comm.alltoallv_runs(data, &counts, &counts)
+            };
+            for (src, run) in runs.iter().enumerate() {
+                assert_eq!(run[..], vec![(src * 10 + me) as u64; src + me + 1]);
+                let at = run.as_ptr() as usize;
+                assert!(
+                    (spans[2 * src]..spans[2 * src + 1]).contains(&at),
+                    "rank {me}: the run from {src} was copied out of its sender's buffer"
+                );
+            }
+            assert!(weak.upgrade().is_some(), "the windows hold the buffer");
+            drop(runs);
+            comm.barrier(); // every peer has dropped its windows of mine
+            assert!(weak.upgrade().is_none(), "freed with its last window");
+        }
+    });
+    // Per round, every remote record: Σ_r Σ_{dst≠r} (r + dst + 1) = 18.
+    let remote_bytes = 2 * 18 * 8;
+    let snap = rep.telemetry.expect("telemetry enabled");
+    assert_eq!(
+        snap.counter("comm.bytes_lent"),
+        Some(remote_bytes),
+        "all lent, none copied"
+    );
+
+    // A lent run is still one message of its bytes: the same program over
+    // the borrowed collectives counts the same traffic.
+    let borrowed = ThreadWorld::new(p).run(|comm| {
+        for asynchronous in [false, true] {
+            let (data, counts) = lending_exchange(comm.rank(), p);
+            comm.allgather(&[0usize, 0]);
+            if asynchronous {
+                let mut pending = comm.alltoallv_async_given_counts(&data, &counts, counts.clone());
+                pending.wait_all(comm);
+            } else {
+                comm.alltoallv_given_counts(&data, &counts, &counts);
+            }
+            comm.barrier();
+        }
+    });
+    assert_eq!(
+        (rep.messages, rep.bytes),
+        (borrowed.messages, borrowed.bytes)
+    );
+}
+
+/// The borrowed collectives keep their contract next to the owned ones: a
+/// rank may complete a lent exchange into one contiguous buffer, and
+/// `wait_any` hands out vectors of their own.
+#[test]
+fn lent_runs_complete_through_the_borrowed_receives() {
+    let p = 3;
+    ThreadWorld::new(p).run(|comm| {
+        let me = comm.rank();
+        let want: Vec<u64> = (0..p)
+            .flat_map(|src| vec![(src * 10 + me) as u64; src + me + 1])
+            .collect();
+        // Odd ranks lend, even ranks post copies; both are one collective.
+        let (data, counts) = lending_exchange(me, p);
+        let got: Vec<u64> = if me % 2 == 1 {
+            let runs = comm.alltoallv_runs(data, &counts, &counts);
+            runs.iter().flat_map(|r| r.iter().copied()).collect()
+        } else {
+            comm.alltoallv_given_counts(&data, &counts, &counts)
+        };
+        assert_eq!(got, want);
+
+        let (data, counts) = lending_exchange(me, p);
+        let mine = data.as_ptr_range();
+        let mut pending = comm.alltoallv_async_runs(data, &counts, counts.clone());
+        let mut got = pending.wait_all(comm);
+        got.sort();
+        let chunks: Vec<u64> = got.iter().flat_map(|(_, c)| c.iter().copied()).collect();
+        assert_eq!(chunks, want);
+        for (_, chunk) in &got {
+            assert!(!mine.contains(&chunk.as_ptr()), "a vector of its own");
+        }
+    });
+}
+
+/// A panic while windows are lent in both directions: rank 1 dies holding
+/// its peers' windows, and the peers hold rank 1's. Nothing dangles — the
+/// peers still read the dead rank's buffer — nothing hangs, and the world
+/// re-raises the original panic.
+#[test]
+fn a_panic_while_runs_are_lent_reraises_the_original() {
+    let p = 3;
+    let caught = std::panic::catch_unwind(|| {
+        ThreadWorld::new(p).run(|comm: &ThreadComm| {
+            let me = comm.rank();
+            let (data, counts) = lending_exchange(me, p);
+            let runs = comm.alltoallv_runs(data, &counts, &counts);
+            if me == 1 {
+                panic!("rank 1 exploded mid-merge");
+            }
+            // Cannot complete without rank 1: returns only by the abort.
+            let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.barrier()))
+                .expect_err("the barrier needs the dead rank");
+            assert_eq!(runs[1][..], vec![(10 + me) as u64; me + 2]);
+            std::panic::resume_unwind(aborted);
+        })
+    });
+    let payload = caught.expect_err("world must propagate the panic");
+    let msg = payload
+        .downcast_ref::<&str>()
+        .expect("original panic payload, not the abort marker");
+    assert!(msg.contains("rank 1 exploded mid-merge"), "got: {msg}");
+}
+
+/// No buffer outlives its job: a resident world (what the sort service
+/// runs its jobs on) is back to holding nothing after each of a thousand
+/// lent exchanges.
+#[test]
+fn no_buffer_outlives_its_job_across_a_thousand_resident_jobs() {
+    let p = 3;
+    let mut world = ThreadWorld::new(p).resident();
+    for job in 0..1000 {
+        let weaks = world
+            .run(move |comm| {
+                let (data, counts) = lending_exchange(comm.rank(), p);
+                let weak = Arc::downgrade(&data);
+                let mut pending = comm.alltoallv_async_runs(data, &counts, counts.clone());
+                let mut received = 0;
+                while let Some((_, run)) = pending.wait_any_run(comm) {
+                    received += run.len();
+                }
+                assert_eq!(received, pending.total_recv());
+                weak
+            })
+            .expect("healthy world");
+        assert!(
+            weaks.iter().all(|w| w.upgrade().is_none()),
+            "job {job} left a buffer behind"
+        );
     }
 }
 

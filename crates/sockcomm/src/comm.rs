@@ -17,7 +17,7 @@ use crate::frame::FrameKind;
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::raw::{Group, RawComm};
-use ::comm::Wire;
+use ::comm::{Run, Wire};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -80,10 +80,10 @@ impl SockComm {
         src_comm
     }
 
-    /// [`SockComm::open_envelope`] into a vector of its own.
-    fn open_envelope_new<T: Wire>(&self, env: Envelope) -> (usize, Vec<T>) {
+    /// [`SockComm::open_envelope`] into a run of its own.
+    fn open_envelope_new<T: Wire>(&self, env: Envelope) -> (usize, Run<T>) {
         let mut out = Vec::new();
-        (self.open_envelope(env, &mut out), out)
+        (self.open_envelope(env, &mut out), out.into())
     }
 
     /// Blocking take of the next matching envelope; unwinds if the world
@@ -181,11 +181,12 @@ impl RawComm for SockComm {
         self.open_envelope(self.take_envelope(sel, tag), out);
     }
 
-    fn recv_any_raw<T: Wire>(&self, tag: u64) -> (usize, Vec<T>) {
-        self.open_envelope_new(self.take_envelope(SrcSel::Any, tag))
+    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
+        let sel = src.map_or(SrcSel::Any, |s| SrcSel::Exact(self.group.world_rank_of(s)));
+        self.open_envelope_new(self.take_envelope(sel, tag))
     }
 
-    fn try_recv_any_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
+    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
         self.check_alive();
         self.uni
             .mailbox

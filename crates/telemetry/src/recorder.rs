@@ -335,6 +335,14 @@ impl Snapshot {
         self.phases.iter().map(|p| p.bytes).sum()
     }
 
+    /// The value of the named counter, if it was ever bumped.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
     pub fn total_internode_messages(&self) -> u64 {
         self.phases.iter().map(|p| p.internode_messages).sum()
     }

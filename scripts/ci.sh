@@ -75,6 +75,11 @@ test -s "$tmp/threads/BENCH_sortcli.json" || {
 }
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --validate-metrics "$tmp/threads/BENCH_sortcli.json"
+# ... and the stable variant: the synchronous exchange, whose k-way merge
+# reads the runs the peers lent in place (the run above overlaps).
+run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend threads --sorter sds-stable --workload zipf:1.2 --ranks 4 \
+    --records 5000
 
 # --trace smoke: the per-phase traffic table comes off the telemetry
 # snapshot on the simulator and on threads. Each run must print an
@@ -107,13 +112,19 @@ trace_table "${trace[@]}" --backend threads --ranks 4 --cores 2 >/dev/null
 # The benchmark (benchmark/, a package of its own) is a consumer of the
 # crates' public API: its unit tests must build and pass against the
 # workspace as it is now, and one short traced run on the simulator must
-# end in a result line that parses and reports no failed operation.
+# end in a result line that parses and reports no failed operation
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
-echo "ci: benchmark/run.sh measure --workload sim-zipf-p16 (smoke)"
-bash benchmark/run.sh measure --workload sim-zipf-p16 --seed 1 --seconds 2 --trace 1 |
-    python3 -c 'import json, sys
+# ... and one untraced on threads, where the exchange lends its runs: the
+# benchmark's own per-repetition digest check must pass on them.
+benchmark_smoke() {
+    echo "ci: benchmark/run.sh measure $* (smoke)"
+    bash benchmark/run.sh measure "$@" --seed 1 --seconds 2 |
+        python3 -c 'import json, sys
 r = json.loads(sys.stdin.readlines()[-1])
 sys.exit(None if r["attempted"] > 0 and r["failed"] == 0 else f"ci: benchmark smoke: {r}")'
+}
+benchmark_smoke --workload sim-zipf-p16 --trace 1
+benchmark_smoke --workload threads-presorted --trace 0
 
 # Sockets-backend smoke: the distributed process-per-rank backend (one OS
 # process per rank over Unix-domain sockets) must rendezvous, sort,

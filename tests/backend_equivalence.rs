@@ -21,6 +21,13 @@
 //!   overlapped (fast) exchange, with an empty rank, empty chunks and
 //!   zero-length frames in the run, at `p = 1` and `p = 3`, over UDS and TCP.
 //!
+//! - The owned exchange (`alltoallv_runs`, `alltoallv_async_runs`) delivers
+//!   what the borrowed one does on every backend — through both deliveries
+//!   of `sdssort::exchange`, with empty self chunks, empty remote chunks,
+//!   fewer records than ranks and nothing but ties — and only the threads
+//!   backend lends: there every run is read in its sender's buffer, on the
+//!   simulator and over sockets none is.
+//!
 //! Also runs the Theorem 1 `O(4N/p)` skew-bound assertions on the threads
 //! and sockets backends: the bound is a property of the partition, not the
 //! simulator.
@@ -127,6 +134,7 @@ const ENTRY_SORT_TAGGED: &str = "equiv-sort-tagged";
 const ENTRY_SORT_ALGO: &str = "equiv-sort-algo";
 const ENTRY_RECORDS_TAGGED: &str = "equiv-records-tagged";
 const ENTRY_RECORDS_WIDE: &str = "equiv-records-wide";
+const ENTRY_OWNED_EXCHANGE: &str = "equiv-owned-exchange";
 
 /// (workload, records per rank, seed, stable, force node merge).
 type U64Params = (String, u64, u64, bool, bool);
@@ -179,6 +187,7 @@ fn sockcomm_child_entry() {
     sockcomm::child_rank(ENTRY_SORT_ALGO, sockets_algo_entry);
     sockcomm::child_rank(ENTRY_RECORDS_TAGGED, sort_records::<Tagged<u32>, _>);
     sockcomm::child_rank(ENTRY_RECORDS_WIDE, sort_records::<Wide, _>);
+    sockcomm::child_rank(ENTRY_OWNED_EXCHANGE, owned_exchange_cases);
 }
 
 fn sockets_world(p: usize) -> sockcomm::SocketWorld {
@@ -587,6 +596,196 @@ fn field_wise_records_agree_on_every_backend_through_both_exchanges() {
     for (p, transports) in [(1usize, &[Uds][..]), (3, &[Uds, Tcp])] {
         records_agree_everywhere::<Tagged<u32>>(p, transports);
         records_agree_everywhere::<Wide>(p, transports);
+    }
+}
+
+/// What [`owned_exchange_cases`] found on one rank: the stable merge's
+/// output per case, then how many non-empty self and remote runs there
+/// were and how many of each were read in place —
+/// `[self, self in place, remote, remote in place]`.
+type OwnedExchangeOut = (Vec<Vec<Tagged<u32>>>, Vec<u64>);
+
+/// One rank's sorted data and send counts for each edge of the exchange:
+/// an empty self chunk, nothing but the self chunk, fewer records than
+/// ranks, nothing but ties, nothing at all.
+fn exchange_cases(me: usize, p: usize) -> Vec<(Vec<Tagged<u32>>, Vec<usize>)> {
+    // `per_dst[d]` keys go to rank `d`; the payload is (rank, position).
+    let case = |per_dst: Vec<Vec<u32>>| {
+        let counts: Vec<usize> = per_dst.iter().map(Vec::len).collect();
+        let data = per_dst
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, key)| Tagged::<u32>::make(key, me, i))
+            .collect();
+        (data, counts)
+    };
+    let to = |f: &dyn Fn(usize) -> Vec<u32>| (0..p).map(f).collect::<Vec<_>>();
+    vec![
+        case(to(&|d| {
+            if d == me {
+                vec![]
+            } else {
+                vec![d as u32 * 10; 2]
+            }
+        })),
+        case(to(&|d| {
+            if d == me {
+                vec![me as u32, me as u32 + 1]
+            } else {
+                vec![]
+            }
+        })),
+        case(to(&|d| {
+            if me == 0 && d == p - 1 {
+                vec![5]
+            } else {
+                vec![]
+            }
+        })),
+        case(to(&|_| vec![7; 3])),
+        case(to(&|_| vec![])),
+    ]
+}
+
+/// Every case of [`exchange_cases`] on any backend: the owned collectives
+/// must deliver what the borrowed one does, run for run, and both
+/// deliveries of [`sdssort::exchange::exchange`] must order it — the stable
+/// merge record for record.
+fn owned_exchange_cases<C: comm::Communicator>(comm: &C, world_size: u64) -> OwnedExchangeOut {
+    use comm::{AsyncExchange, Run};
+    use sdssort::exchange::{exchange, Delivery};
+    use std::sync::Arc;
+    let (me, p) = (comm.rank(), comm.size());
+    assert_eq!(p as u64, world_size);
+    let flat = |runs: &[Run<Tagged<u32>>]| -> Vec<Tagged<u32>> {
+        runs.iter().flat_map(|r| r.iter().copied()).collect()
+    };
+    let mut merged_per_case = Vec::new();
+    let mut found = vec![0u64; 4];
+    for (data, scounts) in exchange_cases(me, p) {
+        let rcounts = comm.alltoall(&scounts);
+        let borrowed = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
+
+        let lent = Arc::new(data.clone());
+        let mine = lent.as_ptr_range();
+        let spans = comm.allgather(&[mine.start as usize, mine.end as usize]);
+        let runs = comm.alltoallv_runs(lent, &scounts, &rcounts);
+        assert_eq!(runs.iter().map(|r| r.len()).collect::<Vec<_>>(), rcounts);
+        assert_eq!(flat(&runs), borrowed, "rank {me}: synchronous runs");
+        for (src, run) in runs.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+            let slot = if src == me { 0 } else { 2 };
+            found[slot] += 1;
+            let at = run.as_ptr() as usize;
+            found[slot + 1] += u64::from((spans[2 * src]..spans[2 * src + 1]).contains(&at));
+        }
+        drop(runs);
+
+        let mut pending = comm.alltoallv_async_runs(Arc::new(data.clone()), &scounts, rcounts);
+        let mut by_src: Vec<Run<Tagged<u32>>> = (0..p).map(|_| Run::default()).collect();
+        while let Some((src, run)) = pending.wait_any_run(comm) {
+            by_src[src] = run;
+        }
+        assert_eq!(flat(&by_src), borrowed, "rank {me}: asynchronous runs");
+        drop(by_src);
+
+        // Ties to the lower source rank, then to the sender's order: the
+        // stable sort of the source-ordered receive buffer.
+        let mut want = borrowed;
+        want.sort_by_key(|r| r.key);
+        let charge = SdsConfig::default().charge;
+        let merged = exchange(comm, data.clone(), &scounts, Delivery::Merge, charge, None)
+            .expect("no memory budget")
+            .data;
+        assert_eq!(merged, want, "rank {me}: stable merge over runs");
+        let mut overlapped = exchange(comm, data, &scounts, Delivery::Overlapped, charge, None)
+            .expect("no memory budget")
+            .data;
+        assert!(overlapped.windows(2).all(|w| w[0].key <= w[1].key));
+        overlapped.sort_by_key(|r| (r.key, r.payload));
+        want.sort_by_key(|r| (r.key, r.payload));
+        assert_eq!(overlapped, want, "rank {me}: overlapped merge over runs");
+        merged_per_case.push(merged);
+    }
+    (merged_per_case, found)
+}
+
+#[test]
+fn owned_exchange_agrees_everywhere_and_only_threads_lend() {
+    for p in [1usize, 3] {
+        let sim = World::new(p)
+            .net(NetModel::zero())
+            .run(|comm| owned_exchange_cases(comm, p as u64))
+            .results;
+        let thr = ThreadWorld::new(p)
+            .run(|comm| owned_exchange_cases(comm, p as u64))
+            .results;
+        let sock = sockets_world(p)
+            .run::<u64, OwnedExchangeOut>(ENTRY_OWNED_EXCHANGE, &(p as u64))
+            .expect("sockets world")
+            .results;
+        for rank in 0..p {
+            assert_eq!(
+                sim[rank].0, thr[rank].0,
+                "p={p} rank {rank}: sim vs threads"
+            );
+            assert_eq!(
+                sim[rank].0, sock[rank].0,
+                "p={p} rank {rank}: sim vs sockets"
+            );
+            let [own, own_in_place, remote, remote_in_place] = thr[rank].1[..] else {
+                panic!("four counts");
+            };
+            assert_eq!(
+                (own_in_place, remote_in_place),
+                (own, remote),
+                "p={p} rank {rank}: threads must read every run in its sender's buffer"
+            );
+            assert!(
+                own > 0 && (p == 1 || remote > 0),
+                "the cases have runs to find"
+            );
+            // The simulator shares the address space and copies anyway;
+            // a sockets rank can only see that its own chunk was copied.
+            assert_eq!(
+                (sim[rank].1[1], sim[rank].1[3]),
+                (0, 0),
+                "p={p} rank {rank}: sim"
+            );
+            assert_eq!(sock[rank].1[1], 0, "p={p} rank {rank}: sockets self chunk");
+        }
+    }
+}
+
+/// `comm.bytes_lent` on a whole `sds_sort`: every byte that left a rank was
+/// lent, none copied. The tag names each record's origin, so a rank's
+/// output says how much of it never left.
+#[test]
+fn a_threads_sort_lends_every_remote_byte() {
+    use comm::Communicator;
+    let p = 4;
+    for stable in [false, true] {
+        let cfg = cfg_for(stable);
+        let report = ThreadWorld::new(p).telemetry(true).run(|comm| {
+            let data = tagged_input(3000, 64, 0x1E27, comm.rank());
+            sds_sort(comm, data, &cfg).expect("no memory budget").data
+        });
+        let from_elsewhere: usize = report
+            .results
+            .iter()
+            .enumerate()
+            .map(|(r, out)| {
+                out.iter()
+                    .filter(|t| (t.payload >> 32) as usize != r)
+                    .count()
+            })
+            .sum();
+        let snap = report.telemetry.expect("telemetry enabled");
+        assert_eq!(
+            snap.counter("comm.bytes_lent"),
+            Some((from_elsewhere * std::mem::size_of::<Tagged<u32>>()) as u64),
+            "stable={stable}"
+        );
     }
 }
 

@@ -42,3 +42,12 @@ fn nested_divergence(comm: &Comm, rank: usize, ready: bool) {
         }
     }
 }
+
+fn leaders_lend_their_runs(comm: &Comm, sorted: Arc<Vec<u64>>, counts: &[usize]) {
+    let me = comm.rank();
+    if me % 4 == 0 {
+        let _runs = comm.alltoallv_runs(sorted, counts, counts); // rank-divergent-collective: the owned exchange is a collective too
+    } else {
+        let _pending = comm.alltoallv_async_runs(sorted, counts, counts.to_vec()); // rank-divergent-collective
+    }
+}

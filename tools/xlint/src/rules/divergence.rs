@@ -32,7 +32,7 @@ use crate::lexer::{Tok, TokKind};
 /// Collective `Communicator` methods with their argument counts
 /// (receiver excluded). Arity disambiguates from std methods of the same
 /// name.
-const COLLECTIVES: [(&str, usize); 21] = [
+const COLLECTIVES: [(&str, usize); 23] = [
     ("barrier", 0),
     ("bcast", 2),
     ("gatherv", 2),
@@ -42,6 +42,8 @@ const COLLECTIVES: [(&str, usize); 21] = [
     ("alltoallv_async", 2),
     ("alltoallv_given_counts", 3),
     ("alltoallv_async_given_counts", 3),
+    ("alltoallv_runs", 3),
+    ("alltoallv_async_runs", 3),
     ("allgather", 1),
     ("allgatherv", 1),
     ("reduce", 3),

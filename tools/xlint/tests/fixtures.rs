@@ -109,8 +109,9 @@ fn divergent_collectives_are_reported_at_exact_spans() {
     // comm.barrier(); }` is the exact shape mpisim's runtime detector
     // catches dynamically. The static rule must report each divergent
     // call site: barrier in an if, bcast in a branch arm, allreduce under
-    // a rank-bounded loop, split_shared_node in a match arm, and alltoall
-    // nested two branches deep.
+    // a rank-bounded loop, split_shared_node in a match arm, alltoall
+    // nested two branches deep, and the two owned exchanges, one in each
+    // arm of a rank branch.
     let spans = spans_of(
         "divergent_collective.rs",
         "crates/sdssort/src/fixture.rs",
@@ -118,7 +119,15 @@ fn divergent_collectives_are_reported_at_exact_spans() {
     );
     assert_eq!(
         spans,
-        vec![(10, 14), (16, 23), (25, 22), (32, 29), (41, 18)],
+        vec![
+            (10, 14),
+            (16, 23),
+            (25, 22),
+            (32, 29),
+            (41, 18),
+            (49, 26),
+            (51, 29)
+        ],
         "one finding per divergent collective call site"
     );
     // The message names the collective, so the fix is obvious from logs.
