@@ -33,7 +33,9 @@
 //!                                  inter-node messages, bytes) from the
 //!                                  telemetry snapshot; sim and threads
 //!                                  (threads adds how many of the bytes
-//!                                  were lent in place, not copied)
+//!                                  were lent in place, not copied), then
+//!                                  the sorter's decisions with their
+//!                                  inputs (τ choices, local-sort kernel)
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
 //!                                  e.g. seed=7,delay=0.5:1e-4,reorder=0.3:8,
@@ -622,6 +624,16 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
                 fmt_bytes(lent as usize),
                 fmt_bytes(snapshot.total_bytes() as usize)
             );
+        }
+        // What the sorter chose and why (rank 0 records them, in program
+        // order): τ decisions and the local-sort kernel gate.
+        println!("decisions:");
+        for e in snapshot
+            .events
+            .iter()
+            .filter(|e| e.name.starts_with("decision."))
+        {
+            println!("  {}: {}", e.name, e.detail);
         }
     }
     if let Some(out) = &args.metrics_out {

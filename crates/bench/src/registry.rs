@@ -244,7 +244,8 @@ const CALIBRATIONS: usize = 7;
 
 /// The host's compute model, robust to a cold start and a loaded host: one
 /// `ComputeModel::calibrate()` is ~10 ms of wall clock whose merge constant
-/// spreads 3.7–5.4 ns/key here, and Figs. 5a/7 follow it. Interference only
+/// spreads 1.8–2.3 ns/key here (it times the product's two-way kernel into
+/// resident storage), and Figs. 5a/7 follow it. Interference only
 /// adds time, so each constant is the minimum over [`CALIBRATIONS`] calls
 /// and the stable premium the ratio of the two minima.
 fn calibrate_best() -> ComputeModel {

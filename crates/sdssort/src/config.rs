@@ -89,20 +89,13 @@ impl ComputeModel {
 
         let half = n / 2;
         let (a, b) = data.split_at(half);
+        // The two-way kernel the product runs, into storage that is already
+        // resident: `merge_per_key` is a cost per merge *pass*, and whether
+        // a fresh output faults in page by page is the allocator's regime
+        // (it moved this constant by 2.7 ns/key), not the kernel's speed.
+        let mut merged = data.clone();
         let t1 = Instant::now();
-        let mut merged = Vec::with_capacity(n);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i] <= b[j] {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
+        crate::merge::kway_merge_into(&[a, b], &mut merged);
         let merge_secs = t1.elapsed().as_secs_f64();
         std::hint::black_box(&merged);
         let merge_per_key = (merge_secs / n as f64).max(1e-12);
@@ -179,10 +172,13 @@ pub enum PartitionStrategy {
 /// Which kernel `SdssLocalSort` uses to sort each thread's chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalKernel {
-    /// Decide per call: LSD radix when the key has a monotone `u64`
-    /// embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], and the input's
-    /// keys occupy at most [`crate::radix::RADIX_MAX_AUTO_DIGITS`] digit
-    /// bytes (checked with one read pass); comparison sort otherwise.
+    /// Decide per call, from a fixed-stride sample of at most 1 024 keys
+    /// ([`crate::radix::GateSample`]): LSD radix when the key has a
+    /// monotone `u64` embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], the
+    /// sampled keys occupy at most [`crate::radix::RADIX_MAX_AUTO_DIGITS`]
+    /// digit bytes and none of them holds an eighth of the sample
+    /// ([`crate::radix::RADIX_MAX_AUTO_DUP_INV`]); comparison sort
+    /// otherwise.
     #[default]
     Auto,
     /// Force the LSD radix kernel (falls back to comparison when the key

@@ -290,7 +290,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
                 },
                 || local_sort_with(&mut buf, threads, stable, kernel),
             );
-            count_local_sort(comm, report);
+            count_local_sort(comm, m, report);
             buf
         }
     };

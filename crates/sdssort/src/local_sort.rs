@@ -30,7 +30,7 @@ use crate::partition::{
     classic_cuts, cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source,
     stable_cuts,
 };
-use crate::radix::{radix_profitable, radix_sort, radix_sort_slice};
+use crate::radix::{radix_sort, radix_sort_slice, GateSample};
 use crate::record::Sortable;
 use crate::sampling::regular_sample;
 use std::mem::MaybeUninit;
@@ -56,6 +56,9 @@ pub struct LocalSortReport {
     /// Bytes of scratch transiently allocated (the `2n` peak; 0 when the
     /// input was sorted in place by the sequential comparison path).
     pub scratch_bytes: usize,
+    /// What `LocalKernel::Auto` sampled to choose `kernel`; `None` when the
+    /// kernel was forced or radix does not apply to this type and size.
+    pub gate: Option<GateSample>,
 }
 
 /// Sort `data` by key using up to `threads` threads. Stable iff `stable`.
@@ -71,9 +74,10 @@ pub fn local_sort<T: Sortable>(data: &mut Vec<T>, threads: usize, stable: bool) 
 /// [`local_sort`] with explicit kernel selection; returns what ran.
 ///
 /// `LocalKernel::Auto` picks the LSD radix kernel when the key type has a
-/// monotone `u64` embedding, `n` amortizes its fixed passes, and the
-/// input's keys occupy few enough digit bytes for scatter passes to beat
-/// the comparison sort ([`radix_profitable`], one extra read pass);
+/// monotone `u64` embedding, `n` amortizes its fixed passes, and a sample
+/// of at most 1 024 keys shows few enough digit bytes and little enough
+/// duplication for scatter passes to beat the comparison sort
+/// ([`GateSample::picks_radix`]; what it saw comes back in the report);
 /// `Radix` forces it whenever the key supports it (comparison fallback
 /// otherwise); `Comparison` always compares. Both
 /// kernels are stable when `stable` is set, and both produce output
@@ -86,8 +90,13 @@ pub fn local_sort_with<T: Sortable>(
     kernel: LocalKernel,
 ) -> LocalSortReport {
     let n = data.len();
+    let gate = if kernel == LocalKernel::Auto {
+        GateSample::take(data)
+    } else {
+        None
+    };
     let use_radix = match kernel {
-        LocalKernel::Auto => radix_profitable(data),
+        LocalKernel::Auto => gate.is_some_and(|g| g.picks_radix()),
         LocalKernel::Radix => T::RADIX && n >= 2,
         LocalKernel::Comparison => false,
     };
@@ -107,6 +116,7 @@ pub fn local_sort_with<T: Sortable>(
         return LocalSortReport {
             kernel: kernel_used,
             scratch_bytes,
+            gate,
         };
     }
 
@@ -146,6 +156,7 @@ pub fn local_sort_with<T: Sortable>(
     LocalSortReport {
         kernel: kernel_used,
         scratch_bytes: n * std::mem::size_of::<T>(),
+        gate,
     }
 }
 

@@ -18,11 +18,6 @@ pub fn merge_two<T: Sortable>(a: &[T], b: &[T]) -> Vec<T> {
 
 /// [`merge_two`] for runs of any `Copy` type sorted by `key`: the
 /// pivot-selection network merges bare keys, which need not be [`Sortable`].
-///
-/// The hot loop is branchless (select + unconditional index bumps) so
-/// random interleavings don't pay a misprediction per record — this kernel
-/// is the inner pass of the node-level merge and every 2-run part of the
-/// parallel merge, and shows up directly in Figs. 5c and 6a.
 pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
     let total = a.len() + b.len();
     let mut out = Vec::with_capacity(total);
@@ -35,6 +30,23 @@ pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K
 }
 
 /// Two-way merge into uninitialized storage; writes every slot of `out`.
+///
+/// The one two-way kernel: [`merge_two`], the pivot network, the `k = 2`
+/// arm and every cascade level of [`kway_merge_uninit`], and the overlapped
+/// exchange's binomial merges all end here (Figs. 5c and 6a time it).
+///
+/// It merges from both ends at once. A *front* chain takes the smaller
+/// head into `out[k]` (ties take `a`), a *back* chain takes the larger
+/// tail into `out[kb - 1]` (ties take `b`: the later run's record goes
+/// last) — the same stable merge written from its two ends. Each chain is
+/// a dependent load → compare → index-bump sequence, branchless (select +
+/// unconditional bumps) so random interleavings pay no misprediction, and
+/// the two share nothing, so the CPU overlaps their latencies. A round
+/// runs `min(rem_a, rem_b) / 2` paired steps: two chains retire at most
+/// that many records twice over, so neither can drain a run inside a round
+/// and the loop body needs no exhaustion test. Rounds repeat until a run
+/// is within one record of empty; the plain forward loop and two block
+/// copies then fill the middle.
 fn merge_two_uninit<T: Copy, K: Ord>(
     a: &[T],
     b: &[T],
@@ -42,31 +54,63 @@ fn merge_two_uninit<T: Copy, K: Ord>(
     key: impl Fn(&T) -> K,
 ) {
     assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut k = 0usize;
-    // SAFETY: `k == i + j` counts the writes and never exceeds
-    // `a.len() + b.len() == out.len()` (asserted above); `i`/`j` are
-    // bounded by the loop condition; every element written is a valid `T`
-    // (T: Copy). The two tail copies read `a[i..]` and `b[j..]` and fill
-    // exactly the slots the loop left, and `out` is a `&mut` borrow, so it
-    // overlaps neither input.
+    // The two-ended invariant: `a[i..ie]` and `b[j..je]` are unconsumed,
+    // `out[k..kb]` is unwritten, and `kb - k == (ie - i) + (je - j)` with
+    // `i <= ie`, `j <= je`, `k <= kb`. It holds here (asserted above) and
+    // after every step, which consumes one record and writes one slot at
+    // the same end. Inside a round of `min(ie - i, je - j) / 2` paired
+    // steps at most `2 * (steps - 1)` records of either run are gone
+    // before a step, so at least two remain in each: the four reads are in
+    // bounds and the two chains never read the same record.
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    let (mut ie, mut je, mut kb) = (a.len(), b.len(), out.len());
+    // SAFETY: by the two-ended invariant (`k <= kb`, `i <= ie`, `j <= je`)
+    // every read is inside `a[i..ie]` or `b[j..je]` — the rounds by their
+    // trip count, the forward loop by its condition — and writes land in
+    // `[k, kb)` exactly once: fronts at `k` going up, backs at `kb - 1`
+    // going down, the two tail copies filling what is left. `T: Copy`, and
+    // `out` is a `&mut` borrow, so it overlaps neither input.
     unsafe {
         let dst = out.as_mut_ptr().cast::<T>();
-        while i < a.len() && j < b.len() {
+        loop {
+            let steps = (ie - i).min(je - j) / 2;
+            if steps == 0 {
+                break;
+            }
+            for _ in 0..steps {
+                let fa = *a.get_unchecked(i);
+                let fb = *b.get_unchecked(j);
+                // `<=` keeps `a`'s element on ties: stability.
+                let take_a = key(&fa) <= key(&fb);
+                *dst.add(k) = if take_a { fa } else { fb };
+                i += usize::from(take_a);
+                j += usize::from(!take_a);
+                k += 1;
+
+                let ba = *a.get_unchecked(ie - 1);
+                let bb = *b.get_unchecked(je - 1);
+                // From the back, `<=` gives the tie to `b`: same order.
+                let take_b = key(&ba) <= key(&bb);
+                kb -= 1;
+                *dst.add(kb) = if take_b { bb } else { ba };
+                je -= usize::from(take_b);
+                ie -= usize::from(!take_b);
+            }
+        }
+        while i < ie && j < je {
             let ea = *a.get_unchecked(i);
             let eb = *b.get_unchecked(j);
-            // `<=` keeps `a`'s element on ties: stability.
             let take_a = key(&ea) <= key(&eb);
             *dst.add(k) = if take_a { ea } else { eb };
-            i += take_a as usize;
+            i += usize::from(take_a);
             j += usize::from(!take_a);
             k += 1;
         }
         // What is left of the one run not exhausted, as one block copy:
         // when the runs do not interleave (presorted or staircase input,
         // an empty partner) that is the whole output.
-        std::ptr::copy_nonoverlapping(a.as_ptr().add(i), dst.add(k), a.len() - i);
-        std::ptr::copy_nonoverlapping(b.as_ptr().add(j), dst.add(a.len() + j), b.len() - j);
+        std::ptr::copy_nonoverlapping(a.as_ptr().add(i), dst.add(k), ie - i);
+        std::ptr::copy_nonoverlapping(b.as_ptr().add(j), dst.add(k + (ie - i)), je - j);
     }
 }
 
@@ -388,7 +432,9 @@ pub fn is_sorted_by_key<T: Sortable>(data: &[T]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
+    use crate::record::{OrderedF64, Record, Tagged};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn merge_two_basic() {
@@ -408,6 +454,103 @@ mod tests {
         let m = merge_two(&a, &b);
         let tags: Vec<char> = m.iter().map(|r| r.payload).collect();
         assert_eq!(tags, vec!['a', 'b', 'a', 'b']);
+    }
+
+    /// Independent of every merge in this module: concatenate and let
+    /// `std`'s stable sort put ties in `a`-before-`b` order.
+    fn concat_then_stable_sort<T: Sortable>(a: &[T], b: &[T]) -> Vec<T> {
+        let mut v = [a, b].concat();
+        v.sort_by_key(Sortable::key);
+        v
+    }
+
+    /// Every sorted run of `len` keys from {0, 1, 2}, tagged `tag0..`.
+    fn runs_over_three_keys(len: usize, tag0: u64) -> Vec<Vec<Tagged<u32>>> {
+        let mut runs = Vec::new();
+        for zeros in 0..=len {
+            for ones in 0..=len - zeros {
+                let keys = (0..len).map(|i| u32::from(i >= zeros) + u32::from(i >= zeros + ones));
+                runs.push(
+                    keys.zip(tag0..)
+                        .map(|(key, tag)| Record::new(key, tag))
+                        .collect(),
+                );
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn merge_two_matches_stable_oracle_on_every_length_pair() {
+        // Both chains, the round boundary, the forward loop and each tail
+        // copy are all reached within lengths 0..=9; three keys give every
+        // tie pattern between and inside the runs.
+        for la in 0..=9 {
+            for lb in 0..=9 {
+                for a in runs_over_three_keys(la, 0) {
+                    for b in runs_over_three_keys(lb, 100) {
+                        assert_eq!(
+                            merge_two(&a, &b),
+                            concat_then_stable_sort(&a, &b),
+                            "a={a:?} b={b:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+        #[test]
+        fn merge_two_matches_stable_oracle_on_lopsided_and_degenerate_runs(
+            shape in 0usize..5,
+            short in 0usize..4,
+            long in 9_000usize..=10_000,
+            span in 1u32..3000,
+            seed in any::<u64>(),
+        ) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut run = |len: usize, lo: u32, hi: u32, tag0: u64| -> Vec<Tagged<u32>> {
+                let mut keys: Vec<u32> = (0..len).map(|_| rng.gen_range(lo..hi)).collect();
+                keys.sort_unstable();
+                keys.into_iter().zip(tag0..).map(|(k, t)| Record::new(k, t)).collect()
+            };
+            let (a, b) = match shape {
+                // 1 vs 10 000 and the like, either way round
+                0 => (run(short, 0, span, 0), run(long, 0, span, 1 << 32)),
+                1 => (run(long, 0, span, 0), run(short, 0, span, 1 << 32)),
+                // all keys equal: only the tie rules order the output
+                2 => (run(long / 3, 7, 8, 0), run(long, 7, 8, 1 << 32)),
+                // runs that do not interleave, `a` below `b` and above
+                3 => (run(long, 0, span, 0), run(long / 2, span, 2 * span, 1 << 32)),
+                _ => (run(long / 2, span, 2 * span, 0), run(long, 0, span, 1 << 32)),
+            };
+            prop_assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
+        }
+
+        #[test]
+        fn merge_two_matches_stable_oracle_on_float_keys(
+            picks_a in vec(0usize..12, 0..300),
+            picks_b in vec(0usize..12, 0..300),
+        ) {
+            // NaNs of both signs, both zeros and both infinities are keys
+            // like any other under the total order, and `-0 < +0`.
+            let palette = [
+                f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY,
+                1.5, -1.5, f64::MIN_POSITIVE, f64::MAX, f64::MIN, 1e-300,
+            ];
+            let run = |picks: &[usize], tag0: u64| -> Vec<Tagged<OrderedF64>> {
+                let mut keys: Vec<OrderedF64> =
+                    picks.iter().map(|&i| OrderedF64::new(palette[i])).collect();
+                keys.sort_unstable();
+                keys.into_iter().zip(tag0..).map(|(k, t)| Record::new(k, t)).collect()
+            };
+            let (a, b) = (run(&picks_a, 0), run(&picks_b, 1 << 32));
+            prop_assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
+        }
     }
 
     #[test]

@@ -18,8 +18,13 @@
 //!   permutation uniquely). One kernel serves `stable` and fast.
 //! * **Adaptive over occupied bytes.** A pre-pass ORs together the XOR of
 //!   every key against the first and only scatters the digit positions
-//!   that actually differ: 32-bit-range keys cost 4 passes, a constant
-//!   array costs none.
+//!   that actually differ: 32-bit-range keys cost 4 passes. The same
+//!   pre-pass notices input that is already in key order (a constant
+//!   array included) and stops there.
+//!
+//! Whether it beats the comparison sorts depends on the input, not only
+//! on the key type: [`GateSample`] is what `LocalKernel::Auto` decides
+//! from — few digit bytes *and* little duplication.
 //!
 //! Scatter passes ping-pong between the caller's slice and a caller-owned
 //! scratch buffer (one allocation for the whole sort, counted by
@@ -48,49 +53,113 @@ pub fn radix_applicable<T: Sortable>(n: usize) -> bool {
     T::RADIX && n >= RADIX_MIN_N
 }
 
-/// Most *active* digits for which [`LocalKernel::Auto`] still picks the
-/// radix kernel. A scatter pass (random writes across 256 buckets) costs
-/// more per record than a comparison-sort level, and measured break-evens
-/// against `slice::sort{,_unstable}` sit between ~4.5 and ~6.5 active
-/// bytes depending on `n`, stability, and cache size. Four is the
-/// conservative choice that keeps the common narrow embeddings —
-/// u32/i32/f32 keys, bounded ids, day-scale timestamps — on the radix
-/// path while leaving full-range 64-bit keys on the (excellent) std
-/// sorts. `LocalKernel::Radix` bypasses the bound.
+/// Most active digits *in the sample* for which [`LocalKernel::Auto`]
+/// still picks the radix kernel. A scatter pass (random writes across 256
+/// buckets) costs more per record than a comparison-sort level, and
+/// measured break-evens against `slice::sort{,_unstable}` sit between
+/// ~4.5 and ~6.5 active bytes depending on `n`, stability, and cache size.
+/// Four is the conservative choice that keeps the common narrow
+/// embeddings — u32/i32/f32 keys, bounded ids, day-scale timestamps — on
+/// the radix path while leaving full-range 64-bit keys on the (excellent)
+/// std sorts. `LocalKernel::Radix` bypasses the bound.
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
 pub const RADIX_MAX_AUTO_DIGITS: u32 = 4;
 
-/// Count the 8-bit digit positions of the key embedding that differ
-/// anywhere in `data` — exactly the scatter passes a radix sort of `data`
-/// would run. One read pass; 0 for empty or constant-key input.
+/// Most keys [`GateSample::take`] reads, whatever `n` is.
+pub const GATE_MAX_SAMPLE: usize = 1024;
+/// The sample is one key in this many, up to [`GATE_MAX_SAMPLE`] keys (so
+/// [`RADIX_MIN_N`] records are judged from 128 of them).
+const GATE_SAMPLE_EVERY: usize = 16;
+
+/// Reciprocal of the duplication bound: [`LocalKernel::Auto`] picks radix
+/// only while the sample's most frequent key holds less than one
+/// `1 / RADIX_MAX_AUTO_DUP_INV` of it (`δ̂ < 1/8`). The two measured sides
+/// (DESIGN.md §11.2): `zipf:0.8`, δ = 3.7 %, where LSD beats the
+/// comparison sorts 1.6–2.2×, and `zipf:1.4`, δ = 32 %, where it loses
+/// 2.2–2.4× at every size — ipnsort retires a heavy key in a couple of
+/// partition levels, while the scatter pass gets *slower* with
+/// duplication (one bucket's offset becomes a store-to-load chain).
 ///
-/// # Panics
+/// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
+pub const RADIX_MAX_AUTO_DUP_INV: usize = 8;
+
+/// What [`LocalKernel::Auto`] saw of an input before it chose a kernel:
+/// a fixed-stride sample of the keys, never more than [`GATE_MAX_SAMPLE`]
+/// of them.
 ///
-/// If `T` has no monotone `u64` key embedding (`T::RADIX` is false).
-#[must_use]
-pub fn active_digits<T: Sortable>(data: &[T]) -> u32 {
-    assert!(
-        T::RADIX,
-        "radix kernel requires a monotone u64 key embedding"
-    );
-    let Some(first) = data.first() else { return 0 };
-    let first = first.radix_u64();
-    let mut diff = 0u64;
-    for r in data {
-        diff |= r.radix_u64() ^ first;
-    }
-    (0..DIGITS)
-        .filter(|d| (diff >> (8 * d)) & 0xFF != 0)
-        .count() as u32
+/// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateSample {
+    /// Keys read: `min(n / 16, 1024)`.
+    pub sampled: usize,
+    /// 8-bit digit positions of the key embedding that differ anywhere in
+    /// the sample — a lower bound on the scatter passes a radix sort of
+    /// the whole input would run.
+    pub digits: u32,
+    /// Longest run of equal keys in the sorted sample; over `sampled` it is
+    /// δ̂, the estimate of the paper's maximum replication ratio δ (§2.2).
+    pub longest_run: usize,
 }
 
-/// The digit-aware automatic gate: [`radix_applicable`] plus a bound on
-/// the scatter passes this input actually needs
-/// ([`RADIX_MAX_AUTO_DIGITS`]). Costs one read pass over `data`.
+impl GateSample {
+    /// Sample `data`, or `None` when the radix kernel does not apply to
+    /// `T` at this size at all ([`radix_applicable`]; nothing is read).
+    ///
+    /// Deterministic: every `n / sampled`-th key from the first on, no
+    /// RNG. An input whose period matches the stride can therefore show
+    /// the gate one key (or none of its heavy key); that costs time, never
+    /// correctness — both kernels produce the same result.
+    #[must_use]
+    pub fn take<T: Sortable>(data: &[T]) -> Option<Self> {
+        let n = data.len();
+        if !radix_applicable::<T>(n) {
+            return None;
+        }
+        let sampled = (n / GATE_SAMPLE_EVERY).min(GATE_MAX_SAMPLE);
+        let mut keys: Vec<u64> = data
+            .iter()
+            .step_by(n / sampled)
+            .take(sampled)
+            .map(Sortable::radix_u64)
+            .collect();
+        let diff = keys.iter().fold(0, |d, k| d | (k ^ keys[0]));
+        keys.sort_unstable();
+        let longest_run = keys
+            .chunk_by(|a, b| a == b)
+            .map(<[u64]>::len)
+            .max()
+            .unwrap_or(0);
+        Some(Self {
+            sampled,
+            digits: active_digit_positions(diff).count() as u32,
+            longest_run,
+        })
+    }
+
+    /// The gate's verdict: few enough digits for scatter passes to beat
+    /// comparison levels ([`RADIX_MAX_AUTO_DIGITS`]) and no key heavy
+    /// enough to turn them into a dependent chain
+    /// ([`RADIX_MAX_AUTO_DUP_INV`]).
+    #[must_use]
+    pub fn picks_radix(&self) -> bool {
+        self.digits <= RADIX_MAX_AUTO_DIGITS
+            && self.longest_run * RADIX_MAX_AUTO_DUP_INV < self.sampled
+    }
+}
+
+/// The digit positions set in a XOR-difference mask, least significant
+/// first.
+fn active_digit_positions(diff: u64) -> impl Iterator<Item = u32> {
+    (0..DIGITS).filter(move |d| (diff >> (8 * d)) & 0xFF != 0)
+}
+
+/// The automatic gate: [`radix_applicable`], and the sample favours
+/// scatter passes ([`GateSample::picks_radix`]). A pure function of the
+/// input that reads at most [`GATE_MAX_SAMPLE`] records.
 #[must_use]
 pub fn radix_profitable<T: Sortable>(data: &[T]) -> bool {
-    radix_applicable::<T>(data.len()) && active_digits(data) <= RADIX_MAX_AUTO_DIGITS
+    GateSample::take(data).is_some_and(|g| g.picks_radix())
 }
 
 /// Sort `data` by key with LSD counting passes. Stable. The result is
@@ -116,18 +185,24 @@ pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<
         return;
     }
 
-    // Pre-pass: which digit positions differ at all?
+    // Pre-pass: which digit positions differ at all, and is there anything
+    // to do? Input already in key order (all keys equal included) is the
+    // stable sort's own output, so it costs this one scan, as it does
+    // `std`'s sorts.
     let first = data[0].radix_u64();
     let mut diff = 0u64;
+    let mut prev = first;
+    let mut sorted = true;
     for r in data.iter() {
-        diff |= r.radix_u64() ^ first;
+        let k = r.radix_u64();
+        diff |= k ^ first;
+        sorted &= prev <= k;
+        prev = k;
     }
-    let active: Vec<u32> = (0..DIGITS)
-        .filter(|d| (diff >> (8 * d)) & 0xFF != 0)
-        .collect();
-    if active.is_empty() {
-        return; // all keys equal: already sorted, trivially stable
+    if sorted {
+        return;
     }
+    let active: Vec<u32> = active_digit_positions(diff).collect();
 
     // One read pass builds the histogram of every active digit.
     let mut hist = vec![[0usize; BUCKETS]; active.len()];
@@ -203,7 +278,9 @@ pub fn radix_sort<T: Sortable>(data: &mut [T]) -> usize {
 mod tests {
     use super::*;
     use crate::record::{OrderedF32, Record};
+    use comm::Wire;
     use rand::prelude::*;
+    use std::cell::Cell;
 
     fn sorted_by_radix<T: Sortable>(mut v: Vec<T>) -> Vec<T> {
         radix_sort(&mut v);
@@ -283,31 +360,118 @@ mod tests {
     }
 
     #[test]
-    fn active_digits_counts_differing_bytes() {
-        assert_eq!(active_digits::<u64>(&[]), 0);
-        assert_eq!(active_digits(&[42u64; 100]), 0);
-        // Low two bytes vary.
-        let v: Vec<u64> = (0..20_000).collect();
-        assert_eq!(active_digits(&v), 2);
-        // A high-byte outlier activates that digit too.
-        let mut v = v;
-        v.push(1u64 << 56);
-        assert_eq!(active_digits(&v), 3);
+    fn radix_leaves_presorted_input_and_scratch_untouched() {
+        // Narrow keys (two active digits), already in order: the pre-pass
+        // sees that and returns before any histogram or scatter pass.
+        const SENTINEL: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+        let asc: Vec<Record<u32, u64>> = (0..5000).map(|i| Record::new(i / 3, i as u64)).collect();
+        let mut data = asc.clone();
+        let mut scratch = vec![MaybeUninit::new(Record::new(u32::MAX, SENTINEL)); data.len()];
+        radix_sort_slice(&mut data, &mut scratch);
+        assert_eq!(data, asc);
+        for slot in &scratch {
+            // SAFETY: every slot was initialized by `vec!` above, and a
+            // scatter pass would only have overwritten it with another
+            // initialized record.
+            let rec = unsafe { slot.assume_init() };
+            assert_eq!(rec, Record::new(u32::MAX, SENTINEL));
+        }
+        // One inversion at the very end is enough to need the passes.
+        data[4999].key = 0;
+        radix_sort_slice(&mut data, &mut scratch);
+        assert!(data.windows(2).all(|w| w[0].key <= w[1].key));
     }
 
     #[test]
-    fn profitability_is_digit_aware() {
-        // Narrow keys at amortizing size: radix.
+    fn radix_gate_table() {
+        let n = 1usize << 14;
+        let mut rng = StdRng::seed_from_u64(11);
+        // One key with probability `heavy`, the rest uniform below `range`.
+        let mut skewed = |heavy: f64, range: u64| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    if rng.gen_bool(heavy) {
+                        1
+                    } else {
+                        rng.gen_range(0..range)
+                    }
+                })
+                .collect()
+        };
+        let table: Vec<(&str, Vec<u64>, bool)> = vec![
+            ("zipf:1.4-like, one key ~32 %", skewed(0.32, 1 << 20), false),
+            ("90 % one key", skewed(0.9, 1000), false),
+            ("all equal", vec![42; n], false),
+            ("0..n", (0..n as u64).collect(), true),
+            ("reversed", (0..n as u64).rev().collect(), true),
+            ("uniform, u32 range", skewed(0.0, 1 << 32), true),
+            ("zipf:0.8-like, one key ~4 %", skewed(0.04, 1 << 16), true),
+            ("uniform, full range", skewed(0.0, u64::MAX), false),
+        ];
+        for (name, data, radix) in &table {
+            let g = GateSample::take(data).expect(name);
+            assert_eq!(g.sampled, GATE_MAX_SAMPLE, "{name}");
+            assert_eq!(g.picks_radix(), *radix, "{name}: {g:?}");
+            assert_eq!(radix_profitable(data), *radix, "{name}");
+        }
+        // What the sample of `0..n` shows: stride 16 hides the low nibble
+        // only, and no key repeats.
+        let g = GateSample::take(&table[3].1).unwrap();
+        assert_eq!((g.digits, g.longest_run), (2, 1));
+        let g = GateSample::take(&table[2].1).unwrap();
+        assert_eq!((g.digits, g.longest_run), (0, GATE_MAX_SAMPLE));
+
+        // Below the size floor, and for keys with no `u64` embedding,
+        // nothing is sampled at all.
         let narrow: Vec<u64> = (0..RADIX_MIN_N as u64).collect();
+        assert_eq!(GateSample::take(&narrow).map(|g| g.sampled), Some(128));
         assert!(radix_profitable(&narrow));
-        // Same size, full-range keys (all 8 digits active): comparison.
-        let wide: Vec<u64> = (0..RADIX_MIN_N as u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        assert_eq!(active_digits(&wide), 8);
-        assert!(!radix_profitable(&wide));
-        // Below the size floor even narrow keys stay on comparison.
+        assert_eq!(GateSample::take(&narrow[..RADIX_MIN_N - 1]), None);
         assert!(!radix_profitable(&narrow[..RADIX_MIN_N - 1]));
+        let wide: Vec<u128> = (0..n as u128).collect();
+        assert_eq!(GateSample::take(&wide), None);
+    }
+
+    thread_local! {
+        /// Records [`CountedKey`] was asked for on this thread.
+        static KEY_READS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A `u64` that counts every look at its key, whichever way.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct CountedKey(u64);
+
+    impl Wire for CountedKey {
+        fn put(&self, out: &mut Vec<u8>) {
+            self.0.put(out);
+        }
+        fn get(src: &mut &[u8]) -> Option<Self> {
+            u64::get(src).map(Self)
+        }
+    }
+
+    impl Sortable for CountedKey {
+        type Key = u64;
+        fn key(&self) -> u64 {
+            KEY_READS.set(KEY_READS.get() + 1);
+            self.0
+        }
+        const RADIX: bool = true;
+        fn radix_u64(&self) -> u64 {
+            self.key()
+        }
+    }
+
+    #[test]
+    fn radix_gate_reads_at_most_1024_records() {
+        for n in [RADIX_MIN_N, 5000, 1 << 14, (1 << 16) + 17] {
+            let data: Vec<CountedKey> = (0..n as u64).map(CountedKey).collect();
+            KEY_READS.set(0);
+            let g = GateSample::take(&data).unwrap();
+            let reads = KEY_READS.get();
+            assert_eq!(reads, g.sampled, "n={n}");
+            assert_eq!(reads, (n / 16).min(1024), "n={n}");
+        }
     }
 
     #[test]

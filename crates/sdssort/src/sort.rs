@@ -27,6 +27,7 @@ use crate::partition::{
     cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source, stable_cuts,
 };
 use crate::pivots::{select_global_pivots, PivotMethod};
+use crate::radix::{RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP_INV};
 use crate::record::Sortable;
 use crate::search::LocalPivotIndex;
 use crate::stats::SortStats;
@@ -107,15 +108,29 @@ pub fn sds_sort<T: Sortable, C: Communicator>(
 }
 
 /// Record which local-sort kernel ran (and its transient scratch) in the
-/// telemetry counters.
-pub(crate) fn count_local_sort<C: Communicator>(comm: &C, report: LocalSortReport) {
-    let name = match report.kernel {
-        LocalKernel::Radix => "local_sort.kernel.radix",
-        _ => "local_sort.kernel.comparison",
+/// telemetry counters, and on rank 0 what made `Auto` choose it.
+pub(crate) fn count_local_sort<C: Communicator>(comm: &C, n: usize, report: LocalSortReport) {
+    let (name, kernel) = match report.kernel {
+        LocalKernel::Radix => ("local_sort.kernel.radix", "radix"),
+        _ => ("local_sort.kernel.comparison", "comparison"),
     };
     comm.count(name, 1);
     if report.scratch_bytes > 0 {
         comm.count("local_sort.scratch_bytes", report.scratch_bytes as u64);
+    }
+    if comm.recorder().enabled() && comm.rank() == 0 {
+        let why = match report.gate {
+            Some(g) => format!(
+                "sampled {}: {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
+                 δ̂ {}/{} (radix below 1/{RADIX_MAX_AUTO_DUP_INV})",
+                g.sampled, g.digits, g.longest_run, g.sampled
+            ),
+            None => "not sampled: kernel forced, or radix does not apply".to_string(),
+        };
+        comm.event(
+            "decision.local-kernel",
+            &format!("{kernel} for n {n}; {why}"),
+        );
     }
 }
 
@@ -151,7 +166,7 @@ where
         |m| m.sort_cost_with(n0, cfg.stable),
         || local_sort_with(&mut data, cfg.local_threads, cfg.stable, cfg.local_kernel),
     );
-    count_local_sort(comm, lsr);
+    count_local_sort(comm, n0, lsr);
 
     // Step 2: adaptive node-level merging; the sort then continues among
     // the node leaders only.

@@ -38,8 +38,9 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 # suites with vector-clock checking enabled for every simulated world.
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
-# Miri over the unsafe-bearing modules (merge internals, radix scatter
-# passes, pivot sampling; the spill path has no unsafe) and over the pods'
+# Miri over the unsafe-bearing modules (merge internals — the two-chain
+# two-way kernel and its exhaustive oracle test — radix scatter passes and
+# gate, pivot sampling; the spill path has no unsafe) and over the pods'
 # `Wire` byte view, which every sockets send of a pod buffer now goes
 # through. Best effort: needs a nightly toolchain with the miri component,
 # which sealed containers may not have.
@@ -125,6 +126,9 @@ sys.exit(None if r["attempted"] > 0 and r["failed"] == 0 else f"ci: benchmark sm
 }
 benchmark_smoke --workload sim-zipf-p16 --trace 1
 benchmark_smoke --workload threads-presorted --trace 0
+# ... and on the skewed input, where `Auto`'s sampled gate leaves the radix
+# kernel for the comparison sort: same digest check, other kernel.
+benchmark_smoke --workload threads-zipf --trace 0
 
 # Sockets-backend smoke: the distributed process-per-rank backend (one OS
 # process per rank over Unix-domain sockets) must rendezvous, sort,

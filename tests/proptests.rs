@@ -11,7 +11,7 @@ use sdssort::partition::{
     cuts_to_counts, fast_cuts, replicated_runs, shares_for_source, stable_cuts, PivotRun,
 };
 use sdssort::search::{lower_bound, upper_bound, LocalPivotIndex};
-use sdssort::{local_sort_with, sds_sort, LocalKernel, Record, SdsConfig};
+use sdssort::{local_sort_with, sds_sort, LocalKernel, Record, SdsConfig, RADIX_MIN_N};
 
 /// Reference implementation of the paper's per-pivot `SdssReplicated` scan.
 fn replicated_reference<K: Ord + Copy>(pivots: &[K]) -> Vec<PivotRun<K>> {
@@ -130,8 +130,10 @@ proptest! {
 
 // Local-sort matrix: threads × {stable, unstable} × workload shape ×
 // kernel, with sizes straddling the radix/comparison boundary
-// (RADIX_MIN_N = 2048). Stable runs must equal std's stable sort exactly;
-// unstable runs must be a key-sorted permutation.
+// (RADIX_MIN_N = 2048) and, above it, shapes on both sides of `Auto`'s
+// sampled gate (few digit bytes and no key holding 1/8 of the sample →
+// radix; a heavy key → comparison). Stable runs must equal std's stable
+// sort exactly; unstable runs must be a key-sorted permutation.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -139,7 +141,7 @@ proptest! {
     fn local_sort_matrix_matches_std(
         threads in 1usize..6,
         stable in any::<bool>(),
-        shape in 0usize..4,
+        shape in 0usize..5,
         n in 1200usize..6000,
         kernel_idx in 0usize..3,
         seed in any::<u64>(),
@@ -157,7 +159,11 @@ proptest! {
             // presorted
             2 => (0..n as u32).collect(),
             // reverse-sorted
-            _ => (0..n as u32).rev().collect(),
+            3 => (0..n as u32).rev().collect(),
+            // zipf-shaped: rank r with P(r) ~ r^-1.4, the first ~24 %
+            _ => (0..n)
+                .map(|_| ((1.0 - rng.gen::<f64>()).powf(-2.5) as u32).min(5000))
+                .collect(),
         };
         let recs: Vec<Record<u32, u64>> = keys
             .iter()
@@ -165,7 +171,16 @@ proptest! {
             .map(|(i, &k)| Record::new(k, i as u64))
             .collect();
         let mut got = recs.clone();
-        local_sort_with(&mut got, threads, stable, kernel);
+        let report = local_sort_with(&mut got, threads, stable, kernel);
+        if kernel == LocalKernel::Auto && n >= RADIX_MIN_N {
+            // one heavy key (shapes 1 and 4) is the comparison sorts' case
+            let expect = if shape == 1 || shape == 4 {
+                LocalKernel::Comparison
+            } else {
+                LocalKernel::Radix
+            };
+            prop_assert_eq!(report.kernel, expect, "gate saw {:?}", report.gate);
+        }
         if stable {
             let mut expect = recs.clone();
             expect.sort_by_key(|r| r.key);
