@@ -18,13 +18,14 @@
 //!
 //! The recursion then repeats inside each group until groups are single
 //! ranks; the final balance is the overpartitioned assignment's
-//! `(1+ε)`-style bound, with ε shrinking as [`AmsConfig::overpartition`]
-//! grows. *Hierarchy awareness*: when the rank layout is node-block and
-//! the node count permits, the first level uses one group per node, so
-//! every level after the first exchanges intra-node only. On the input
-//! side the `τm` node-merge machinery of `sdssort` is reused verbatim
-//! ([`sdssort::node_merge`]): below the threshold, node data is merged
-//! onto leaders first and AMS runs over the leader communicator.
+//! `(1+ε)`-style bound, with ε shrinking as the overpartitioning factor
+//! (the constant `OVERPARTITION`) grows. *Hierarchy awareness*: when the
+//! rank layout is node-block and the node count permits, the first level
+//! uses one group per node, so every level after the first exchanges
+//! intra-node only. On the input side the `τm` node-merge machinery of
+//! `sdssort` is reused verbatim ([`sdssort::node_merge`]): below the
+//! threshold, node data is merged onto leaders first and AMS runs over the
+//! leader communicator.
 //!
 //! Like HykSort, bucketing is duplicate-blind (`classic_cuts`): all
 //! duplicates of a splitter land in one bucket, so a single heavy key
@@ -45,19 +46,20 @@ use sdssort::sampling::regular_sample;
 use sdssort::stats::SortStats;
 use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
 
+/// Overpartitioning factor `o`: each level carves `o·k` buckets and
+/// assigns consecutive buckets to the `k` groups by load. Larger `o`
+/// tightens the group-balance bound at the cost of more splitters.
+const OVERPARTITION: usize = 2;
+/// Regular samples contributed per rank *per bucket* for splitter
+/// selection.
+const OVERSAMPLE: usize = 4;
+
 /// AMS-sort configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct AmsConfig {
     /// Maximum groups per level (fan-out). Small values force multiple
     /// levels; the SPAA'15 evaluation uses modest k per level.
     pub kmax: usize,
-    /// Overpartitioning factor `o`: each level carves `o·k` buckets and
-    /// assigns consecutive buckets to the `k` groups by load. Larger `o`
-    /// tightens the group-balance bound at the cost of more splitters.
-    pub overpartition: usize,
-    /// Regular samples contributed per rank *per bucket* for splitter
-    /// selection.
-    pub oversample: usize,
     /// Node-merge threshold in bytes (τm, reusing the SDS-Sort decision
     /// rule): when the average exchange message is at or below this, node
     /// data is merged onto leaders before sorting. 0 keeps merging off for
@@ -71,8 +73,6 @@ impl Default for AmsConfig {
     fn default() -> Self {
         Self {
             kmax: 8,
-            overpartition: 2,
-            oversample: 4,
             tau_m_bytes: 0,
             charge: ComputeCharge::Measured,
         }
@@ -119,7 +119,7 @@ pub fn ams_sort<T: Sortable, C: Communicator>(
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
-    stats.local_order_s += comm.now() - t0;
+    stats.pivot_s += comm.now() - t0;
     let p = comm.size();
     if p == 1 {
         stats.recv_count = data.len();
@@ -169,8 +169,8 @@ fn levels<T: Sortable, C: Communicator>(
     // Splitter selection: pooled regular samples, overpartitioned buckets.
     comm.trace_phase("ams-pivot");
     let t0 = comm.now();
-    let kb_want = k.saturating_mul(cfg.overpartition.max(1));
-    let mine = regular_sample(&data, cfg.oversample.max(1).saturating_mul(kb_want));
+    let kb_want = k.saturating_mul(OVERPARTITION);
+    let mine = regular_sample(&data, OVERSAMPLE.saturating_mul(kb_want));
     let (mut pooled, _) = comm.allgatherv(&mine);
     let pool_n = pooled.len();
     let splitters = cfg.charge.charged(

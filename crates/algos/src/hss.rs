@@ -6,8 +6,9 @@
 //! `(1+ε)` of the ideal `N/p`, using far fewer samples than one-shot
 //! sample sort needs for the same bound.
 //!
-//! Two things distinguish this implementation from the HykSort-style
-//! histogramming already in `sdssort::histogram`:
+//! The refinement loop is `sdssort::histogram::refine`, the same one that
+//! selects HykSort's splitters; two things distinguish what HSS does with
+//! it:
 //!
 //! 1. **Boundaries are positions, not key values.** A cut is an
 //!    [`HssCut`]: a key plus a *tie split* — how many duplicates of that
@@ -19,8 +20,10 @@
 //!    guarantee unachievable — §2.4 of the SDS-Sort paper), instead makes
 //!    a candidate *more* useful here: the heavier the key, the wider the
 //!    interval of positions it can hit. This mirrors how SDS-Sort's
-//!    skew-aware partition splits replicated runs, applied to HSS's
-//!    histogram refinement.
+//!    skew-aware partition splits replicated runs — both resolve the
+//!    split on each rank with `sdssort::partition::tie_cut` — applied to
+//!    HSS's histogram refinement: a candidate is measured by its
+//!    interval, and its error is its distance to the target.
 //! 2. **A deterministic exact fallback.** If a target position is still
 //!    outside tolerance after `max_rounds` (degenerate sampling luck),
 //!    the exact boundary key is found with
@@ -36,11 +39,14 @@
 
 use comm::Communicator;
 use sdssort::exchange::{exchange, Delivery};
-use sdssort::histogram::xorshift;
-use sdssort::search::{lower_bound, upper_bound};
+use sdssort::histogram::{refine, Refinement};
+use sdssort::partition::{rank_interval, tie_cut};
 use sdssort::selection::kth_smallest_key;
 use sdssort::stats::SortStats;
 use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
+
+/// Candidate keys sampled per rank per histogram round.
+const SAMPLES_PER_ROUND: usize = 24;
 
 /// HSS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -48,8 +54,6 @@ pub struct HssConfig {
     /// Part-size guarantee: every part of the final partition is at most
     /// `(1+ε)` times the ideal `N/p` (plus integer rounding).
     pub eps: f64,
-    /// Candidate keys sampled per rank per histogram round.
-    pub samples_per_round: usize,
     /// Histogram refinement rounds before the exact-selection fallback.
     pub max_rounds: usize,
     /// Compute charging (see [`ComputeCharge`]).
@@ -62,7 +66,6 @@ impl Default for HssConfig {
     fn default() -> Self {
         Self {
             eps: 0.1,
-            samples_per_round: 24,
             max_rounds: 12,
             charge: ComputeCharge::Measured,
             seed: 0x4855_5353, // "HSS"
@@ -83,18 +86,9 @@ pub struct HssCut<K> {
     pub position: u64,
 }
 
-/// Best candidate so far for one target: key, its global `[lower, upper]`
-/// rank interval, and its distance to the target (0 when the target lies
-/// inside the interval).
-#[derive(Clone, Copy)]
-struct Best<K> {
-    key: K,
-    lo: u64,
-    hi: u64,
-    err: u64,
-}
-
-fn interval_err(lo: u64, hi: u64, target: u64) -> u64 {
+/// Distance from `target` to the `[lo, hi]` interval of positions a
+/// candidate can realize (0 when the target lies inside it).
+fn interval_err(&[lo, hi]: &[u64; 2], target: u64) -> u64 {
     if target < lo {
         lo - target
     } else {
@@ -123,65 +117,22 @@ pub fn hss_splitters<T: Sortable, C: Communicator>(
         .map(|i| i as u64 * total / parts as u64)
         .collect();
     let ideal = total as f64 / parts as f64;
-    let tol = (cfg.eps.max(0.0) * ideal / 2.0).floor() as u64;
-
-    let mut best: Vec<Option<Best<T::Key>>> = vec![None; want];
-    let mut rng = (cfg.seed ^ 0x4157_0002 ^ ((comm.rank() as u64) << 17)) | 1;
-
-    for round in 0..cfg.max_rounds {
-        // Sample candidates from local data (plus the extremes on the
-        // first round so every rank contributes structure).
-        let mut mine: Vec<T::Key> = Vec::with_capacity(cfg.samples_per_round + 2);
-        if !data.is_empty() {
-            for _ in 0..cfg.samples_per_round {
-                let idx = (xorshift(&mut rng) % data.len() as u64) as usize;
-                mine.push(data[idx].key());
-            }
-            if round == 0 {
-                mine.push(data[0].key());
-                mine.push(data[data.len() - 1].key());
-            }
-        }
-        let (mut candidates, _) = comm.allgatherv(&mine);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            break;
-        }
-        // One reduction gives every candidate's global [lower, upper]
-        // rank interval: the positions a tie-split at it can realize.
-        let local: Vec<u64> = candidates
-            .iter()
-            .flat_map(|&c| [lower_bound(data, c) as u64, upper_bound(data, c) as u64])
-            .collect();
-        let global = comm.allreduce(local, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
-        for (t, &target) in targets.iter().enumerate() {
-            for (c, &cand) in candidates.iter().enumerate() {
-                let (lo, hi) = (global[2 * c], global[2 * c + 1]);
-                let err = interval_err(lo, hi, target);
-                let better = match &best[t] {
-                    None => true,
-                    Some(b) => err < b.err,
-                };
-                if better {
-                    best[t] = Some(Best {
-                        key: cand,
-                        lo,
-                        hi,
-                        err,
-                    });
-                }
-            }
-        }
-        if best.iter().all(|b| matches!(b, Some(b) if b.err <= tol)) {
-            break;
-        }
-    }
+    let plan = Refinement {
+        targets: &targets,
+        tol: (cfg.eps.max(0.0) * ideal / 2.0).floor() as u64,
+        samples_per_round: SAMPLES_PER_ROUND,
+        max_rounds: cfg.max_rounds,
+        seed: cfg.seed ^ 0x4157_0002,
+    };
+    // A candidate is measured by its global [lower, upper] rank interval:
+    // the positions a tie-split at it can realize.
+    let global_interval = |key| rank_interval(data, key).map(|i| i as u64);
+    let mut best = refine(comm, data, &plan, global_interval, interval_err);
 
     // Deterministic exact fallback for any still-unmet target: select the
     // exact boundary key, then rank it with one more reduction.
-    for (t, &target) in targets.iter().enumerate() {
-        let met = matches!(&best[t], Some(b) if b.err <= tol);
+    for (b, &target) in best.iter_mut().zip(&targets) {
+        let met = matches!(b, Some((_, iv)) if interval_err(iv, target) <= plan.tol);
         let any_unmet = comm.allreduce(u8::from(!met), |a, b| a.max(b)) > 0;
         if !any_unmet {
             continue;
@@ -189,16 +140,10 @@ pub fn hss_splitters<T: Sortable, C: Communicator>(
         // (The decision above is an allreduce over replicated state, so
         // every rank takes this branch together.)
         let key = kth_smallest_key(comm, data, target);
-        let local = [lower_bound(data, key) as u64, upper_bound(data, key) as u64];
-        let global = comm.allreduce(local.to_vec(), |a, b| {
+        let global = comm.allreduce(global_interval(key).to_vec(), |a, b| {
             a.iter().zip(&b).map(|(x, y)| x + y).collect()
         });
-        best[t] = Some(Best {
-            key,
-            lo: global[0],
-            hi: global[1],
-            err: 0,
-        });
+        *b = Some((key, [global[0], global[1]]));
     }
 
     // Realize each boundary as close to its target as the chosen key
@@ -206,14 +151,14 @@ pub fn hss_splitters<T: Sortable, C: Communicator>(
     // identical fix-ups everywhere).
     let mut cuts: Vec<HssCut<T::Key>> = Vec::with_capacity(want);
     let mut prev_pos = 0u64;
-    for (t, &target) in targets.iter().enumerate() {
-        let b = best[t].expect("every target was ranked (fallback is exact)");
-        let pos = target.clamp(b.lo, b.hi).max(prev_pos);
-        let take = pos.saturating_sub(b.lo).min(b.hi.saturating_sub(b.lo));
+    for (b, &target) in best.iter().zip(&targets) {
+        let (key, [lo, hi]) = b.expect("every target was ranked (fallback is exact)");
+        let pos = target.clamp(lo, hi).max(prev_pos);
+        let take = pos.saturating_sub(lo).min(hi.saturating_sub(lo));
         let cut = HssCut {
-            key: b.key,
+            key,
             take_equal: take,
-            position: b.lo + take,
+            position: lo + take,
         };
         if let Some(last) = cuts.last().copied() {
             if cut.position < last.position {
@@ -242,24 +187,17 @@ fn local_cuts<T: Sortable, C: Communicator>(
     }
     // Global exscan of per-boundary equal-run lengths gives each rank its
     // offset into the tie split.
-    let equals: Vec<u64> = cuts
-        .iter()
-        .map(|c| (upper_bound(data, c.key) - lower_bound(data, c.key)) as u64)
-        .collect();
+    let spans: Vec<[usize; 2]> = cuts.iter().map(|c| rank_interval(data, c.key)).collect();
+    let equals: Vec<u64> = spans.iter().map(|[lo, hi]| (hi - lo) as u64).collect();
     let offsets = comm
-        .exscan(equals.clone(), |a, b| {
+        .exscan(equals, |a, b| {
             a.iter().zip(&b).map(|(x, y)| x + y).collect()
         })
         .unwrap_or_else(|| vec![0; cuts.len()]);
     let mut out = Vec::with_capacity(cuts.len());
     let mut prev = 0usize;
-    for (i, cut) in cuts.iter().enumerate() {
-        let below = lower_bound(data, cut.key);
-        let my_take = cut.take_equal.saturating_sub(offsets[i]).min(equals[i]) as usize;
-        let idx = below
-            .checked_add(my_take)
-            .expect("cut index below + my_take <= data.len()")
-            .max(prev);
+    for ((cut, [lo, hi]), before_me) in cuts.iter().zip(spans).zip(offsets) {
+        let idx = tie_cut(lo, hi - lo, cut.take_equal.into(), before_me.into()).max(prev);
         debug_assert!(idx <= data.len());
         out.push(idx);
         prev = idx;
@@ -290,7 +228,7 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
         |m| m.sort_cost(n0),
         || data.sort_unstable_by_key(|r| r.key()),
     );
-    stats.local_order_s += comm.now() - t0;
+    stats.pivot_s += comm.now() - t0;
     let p = comm.size();
     if p == 1 {
         stats.recv_count = data.len();

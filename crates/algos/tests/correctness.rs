@@ -1,12 +1,14 @@
 //! Correctness suite for the peer algorithms on the virtual-time
 //! simulator: global sortedness, permutation (no record lost or
 //! invented), multi-level recursion, the `τm` node-merge path, the HSS
-//! `(1+ε)` part-size guarantee across the skew matrix, and collective
-//! OOM behavior. Cross-backend bit-equality lives in the workspace-level
+//! `(1+ε)` part-size guarantee across the skew matrix, the splitters the
+//! shared refinement loop must keep producing, and collective OOM
+//! behavior. Cross-backend bit-equality lives in the workspace-level
 //! `backend_equivalence` suite.
 
 use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig};
 use mpisim::{Communicator, NetModel, World};
+use sdssort::histogram::histogram_splitters;
 use sdssort::{is_globally_sorted, SortError};
 use std::time::Duration;
 use workloads::keys_by_name;
@@ -312,4 +314,51 @@ fn ams_group_level_oom_fails_every_rank() {
         .results
         .iter()
         .any(|r| matches!(r, Err(SortError::Oom(_)))));
+}
+
+/// Pins the splitters: `histogram_splitters` and `hss_splitters` are two
+/// callers of one refinement loop (`sdssort::histogram::refine`) and must
+/// answer exactly what their two hand-written loops answered. The file was
+/// recorded at commit ba64a77 (the parent of the PR that merged the loops)
+/// with this same script. One line per call at `p = 8`: HykSort's
+/// splitters (seed 7), then HSS's cuts as configured by default and with
+/// `max_rounds = 0`, which forces the exact-selection fallback; an HSS cut
+/// reads `key+take_equal@position`.
+#[test]
+fn splitters_match_the_golden_file() {
+    use std::fmt::Write;
+    let p = 8;
+    let mut out = String::new();
+    for name in ["uniform", "zipf:0.9", "staircase:4", "identical"] {
+        let report = world(p).run(move |comm| {
+            let mut data = keys(name, 600, 53, comm.rank());
+            data.sort_unstable();
+            let forced = HssConfig {
+                max_rounds: 0,
+                ..HssConfig::default()
+            };
+            (
+                histogram_splitters(comm, &data, p, 7),
+                hss_splitters(comm, &data, p, &HssConfig::default()),
+                hss_splitters(comm, &data, p, &forced),
+            )
+        });
+        let first = &report.results[0];
+        for answer in &report.results {
+            assert_eq!(answer, first, "{name}: replicated on every rank");
+        }
+        let (histogram, hss, forced) = first;
+        write!(out, "{name} histogram").unwrap();
+        for key in histogram {
+            write!(out, " {key}").unwrap();
+        }
+        for (label, cuts) in [("hss", hss), ("hss-fallback", forced)] {
+            write!(out, "\n{name} {label}").unwrap();
+            for c in cuts {
+                write!(out, " {}+{}@{}", c.key, c.take_equal, c.position).unwrap();
+            }
+        }
+        out.push('\n');
+    }
+    assert_eq!(out, include_str!("golden/splitters.txt"));
 }

@@ -4,4 +4,4 @@
 //! ([`sdssort::config::PivotSource::Histogram`]). HykSort consumes it from
 //! here.
 
-pub use sdssort::histogram::{histogram_splitters, HistogramConfig};
+pub use sdssort::histogram::histogram_splitters;

@@ -17,7 +17,7 @@
 //! here goes through the simulated memory budget to reproduce exactly
 //! that.
 
-use crate::histogram::{histogram_splitters, HistogramConfig};
+use crate::histogram::histogram_splitters;
 use comm::Communicator;
 use sdssort::config::ComputeCharge;
 use sdssort::exchange::{exchange, fail_together, Delivery};
@@ -33,8 +33,6 @@ pub struct HykSortConfig {
     /// Fan-out per stage (`k`-way communication; the HykSort paper found
     /// k = 128 optimal, which SDS-Sort's evaluation reuses).
     pub k: usize,
-    /// Histogram refinement parameters.
-    pub hist: HistogramConfig,
     /// Compute charging (see [`ComputeCharge`]).
     pub charge: ComputeCharge,
     /// Seed for splitter sampling.
@@ -45,7 +43,6 @@ impl Default for HykSortConfig {
     fn default() -> Self {
         Self {
             k: 128,
-            hist: HistogramConfig::default(),
             charge: ComputeCharge::Measured,
             seed: 0xCAFE,
         }
@@ -64,6 +61,9 @@ pub fn hyksort<T: Sortable, C: Communicator>(
         input_count: data.len(),
         ..SortStats::default()
     };
+    // The initial local sort counts as pivot selection (the paper's "initial
+    // ordering" footnote), as in every other sorter.
+    let t0 = comm.now();
     let n0 = data.len();
     cfg.charge.charged(
         comm,
@@ -72,6 +72,7 @@ pub fn hyksort<T: Sortable, C: Communicator>(
             data.sort_unstable_by_key(|r| r.key());
         },
     );
+    stats.pivot_s += comm.now() - t0;
     let data = stage(comm, data, cfg, &mut stats, 0)?;
     stats.recv_count = data.len();
     Ok(SortOutput { data, stats })
@@ -93,7 +94,7 @@ fn stage<T: Sortable, C: Communicator>(
 
     // Splitter selection (histogram refinement).
     let t0 = comm.now();
-    let splitters = histogram_splitters(comm, &data, k, &cfg.hist, cfg.seed ^ depth);
+    let splitters = histogram_splitters(comm, &data, k, cfg.seed ^ depth);
     stats.pivot_s += comm.now() - t0;
 
     // Classic bucketing: all duplicates of a splitter go to one bucket.

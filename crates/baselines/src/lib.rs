@@ -34,7 +34,7 @@ pub mod samplesort;
 pub mod seqscan;
 
 pub use bitonic::bitonic_sort;
-pub use histogram::{histogram_splitters, HistogramConfig};
+pub use histogram::histogram_splitters;
 pub use hyksort::{hyksort, HykSortConfig};
 pub use radix::{radix_sort, RadixKey};
 pub use samplesort::{sample_sort, SampleSortConfig};

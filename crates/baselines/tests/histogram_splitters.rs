@@ -1,7 +1,7 @@
 //! Histogram-based splitter selection: quality on uniform data, agreement
 //! across ranks, and the duplicate-blindness that dooms it on skew.
 
-use baselines::{histogram_splitters, HistogramConfig};
+use baselines::histogram_splitters;
 use mpisim::{Communicator, NetModel, World};
 use sdssort::search::upper_bound;
 use workloads::uniform_u64;
@@ -16,7 +16,7 @@ fn splitters_agree_across_ranks() {
     let report = world(p).run(|comm| {
         let mut data = uniform_u64(2000, 1, comm.rank());
         data.sort_unstable();
-        histogram_splitters(comm, &data, p, &HistogramConfig::default(), 7)
+        histogram_splitters(comm, &data, p, 7)
     });
     let first = &report.results[0];
     assert_eq!(first.len(), p - 1);
@@ -33,7 +33,7 @@ fn splitters_balance_uniform_data() {
     let report = world(p).run(|comm| {
         let mut data = uniform_u64(n_rank, 3, comm.rank());
         data.sort_unstable();
-        let splitters = histogram_splitters(comm, &data, p, &HistogramConfig::default(), 3);
+        let splitters = histogram_splitters(comm, &data, p, 3);
         // local bucket sizes under these splitters
         let mut cuts = vec![0usize];
         for &s in &splitters {
@@ -77,7 +77,7 @@ fn duplicates_defeat_histogram_splitting() {
             })
             .collect();
         data.sort_unstable();
-        let splitters = histogram_splitters(comm, &data, p, &HistogramConfig::default(), 11);
+        let splitters = histogram_splitters(comm, &data, p, 11);
         let mut cuts = vec![0usize];
         for &s in &splitters {
             cuts.push(upper_bound(&data, s));
@@ -102,7 +102,7 @@ fn empty_world_data_handled() {
     let p = 4;
     let report = world(p).run(|comm| {
         let data: Vec<u64> = Vec::new();
-        histogram_splitters(comm, &data, p, &HistogramConfig::default(), 1)
+        histogram_splitters(comm, &data, p, 1)
     });
     for r in &report.results {
         assert!(r.is_empty(), "no data → no splitters");
@@ -113,7 +113,7 @@ fn empty_world_data_handled() {
 fn single_bucket_needs_no_splitters() {
     let report = world(4).run(|comm| {
         let data = vec![1u64, 2, 3];
-        histogram_splitters(comm, &data, 1, &HistogramConfig::default(), 1)
+        histogram_splitters(comm, &data, 1, 1)
     });
     for r in &report.results {
         assert!(r.is_empty());

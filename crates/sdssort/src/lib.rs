@@ -63,7 +63,7 @@ pub use radix::{
 };
 pub use record::{OrderedF32, OrderedF64, RadixKey, Record, Sortable, Tagged};
 pub use resilience::{sds_sort_resilient, ResilienceConfig};
-pub use selection::{kth_smallest_key, top_k};
+pub use selection::kth_smallest_key;
 pub use sort::{sds_sort, SortError, SortOutput};
 pub use stats::{rdfa, SortStats};
 pub use validate::{is_globally_sorted, is_permutation_of, load_stats};

@@ -111,6 +111,13 @@ pub fn stable_cuts<T: Sortable>(
     skew_aware_cuts(data, pivots, index, Some(shares))
 }
 
+/// `key`'s `[lower_bound, upper_bound]` in sorted `data`: the positions
+/// before and after its run of equal records. Summed over ranks these are
+/// the global positions a boundary at `key` can realize.
+pub fn rank_interval<T: Sortable>(data: &[T], key: T::Key) -> [usize; 2] {
+    [lower_bound(data, key), upper_bound(data, key)]
+}
+
 fn ub<T: Sortable>(data: &[T], index: Option<&LocalPivotIndex<T::Key>>, key: T::Key) -> usize {
     match index {
         Some(idx) => idx.upper_bound(data, key),
@@ -123,6 +130,15 @@ fn lb<T: Sortable>(data: &[T], index: Option<&LocalPivotIndex<T::Key>>, key: T::
         Some(idx) => idx.lower_bound(data, key),
         None => lower_bound(data, key),
     }
+}
+
+/// The one tie split. A boundary takes the first `take_equal` records of a
+/// stream of equal keys; this source's `equal` of them start at local index
+/// `lo` and follow `before_me` earlier ones in that stream. Returns the
+/// local index the boundary falls on: `lo + min(take_equal ∸ before_me,
+/// equal)`. The counts are `u128` because callers pass widened products.
+pub fn tie_cut(lo: usize, equal: usize, take_equal: u128, before_me: u128) -> usize {
+    lo + take_equal.saturating_sub(before_me).min(equal as u128) as usize
 }
 
 /// Common implementation for fast and stable skew-aware cuts.
@@ -152,18 +168,12 @@ fn skew_aware_cuts<T: Sortable>(
                 let d_lo = lb(data, index, value);
                 let d_hi = ub(data, index, value);
                 let dups = d_hi - d_lo;
-                match shares {
-                    None => {
-                        // Fast: even split of the local duplicate run. The
-                        // product is widened — `dups × rs` can exceed usize
-                        // for adversarial (huge-duplicate-run) inputs.
-                        for k in 0..rs {
-                            let split = (dups as u128 * (k as u128 + 1) / rs as u128) as usize;
-                            cuts[i + k + 1] = d_lo + split;
-                        }
-                    }
+                // Fast and stable differ in which stream of duplicates the
+                // owners' takes count along: this source's own run, or the
+                // *global* stream, in which `before_me` precede ours.
+                let (stream, before_me) = match shares {
+                    None => (dups, 0),
                     Some(shares) => {
-                        // Stable: contiguous groups of the *global* stream.
                         let share = shares[run_idx];
                         assert!(
                             share
@@ -175,20 +185,26 @@ fn skew_aware_cuts<T: Sortable>(
                             share.before_me,
                             share.total
                         );
-                        let sa = share.total.div_ceil(rs).max(1);
-                        for k in 0..rs {
-                            // Widened: `sa × rs` brackets `total` but the
-                            // ceil rounding can push `sa × rs` past usize
-                            // when total is near usize::MAX.
-                            let group_end = (k as u128 + 1) * sa as u128;
-                            let local = group_end
-                                .saturating_sub(share.before_me as u128)
-                                .min(dups as u128);
-                            cuts[i + k + 1] = d_lo + local as usize;
-                        }
-                        // Last owner takes any rounding remainder.
-                        cuts[i + rs] = d_hi;
+                        (share.total, share.before_me)
                     }
+                };
+                let sa = stream.div_ceil(rs).max(1);
+                for k in 0..rs {
+                    // Both products are widened: `dups × rs` can exceed
+                    // usize for adversarial (huge-duplicate-run) inputs,
+                    // and the ceil rounding can push `sa × rs` past usize
+                    // when total is near usize::MAX.
+                    let owners = k as u128 + 1;
+                    let take = if shares.is_none() {
+                        // Fast: even split.
+                        stream as u128 * owners / rs as u128
+                    } else {
+                        // Stable: contiguous groups of `sa`; `sa × rs`
+                        // brackets `total`, so the last owner takes any
+                        // rounding remainder.
+                        (owners * sa as u128).min(stream as u128)
+                    };
+                    cuts[i + k + 1] = tie_cut(d_lo, dups, take, before_me as u128);
                 }
                 run_iter.next();
                 i += rs;
@@ -217,7 +233,8 @@ pub fn cuts_to_counts(cuts: &[usize]) -> Vec<usize> {
 /// `data` (input to the stable share exchange).
 pub fn local_dup_counts<T: Sortable>(data: &[T], runs: &[PivotRun<T::Key>]) -> Vec<usize> {
     runs.iter()
-        .map(|r| upper_bound(data, r.value) - lower_bound(data, r.value))
+        .map(|r| rank_interval(data, r.value))
+        .map(|[lo, hi]| hi - lo)
         .collect()
 }
 

@@ -1,15 +1,14 @@
-//! Distributed order statistics: k-th smallest key and global top-k.
+//! Distributed order statistics: the k-th smallest key.
 //!
-//! The PTF pipeline that motivates the paper's Fig. 9 only *ranks* objects
-//! by classifier score to short-list candidates — which needs a selection,
-//! not a full sort. This module provides both primitives on the same
-//! substrate, using iterative candidate refinement (the selection analog
-//! of histogram splitter refinement): each round, ranks nominate candidate
-//! keys from their active windows, one reduction computes every
-//! candidate's global rank, and windows shrink geometrically. Duplicates
-//! are handled exactly — the k-th statistic is well defined even when the
-//! key space is 99 % one value.
+//! Iterative candidate refinement (the selection analog of histogram
+//! splitter refinement, whose exact fallback in `algos::hss` this is):
+//! each round, ranks nominate candidate keys from their active windows,
+//! one reduction per bound computes every candidate's global rank
+//! interval, and windows shrink geometrically. Duplicates are handled
+//! exactly — the k-th statistic is well defined even when the key space is
+//! 99 % one value.
 
+use crate::partition::rank_interval;
 use crate::record::Sortable;
 use crate::search::{lower_bound, upper_bound};
 use comm::Communicator;
@@ -46,16 +45,11 @@ pub fn kth_smallest_key<T: Sortable, C: Communicator>(comm: &C, data: &[T], k: u
 
         // Global rank of each candidate: how many records are < c, and how
         // many are <= c.
-        let below: Vec<u64> = candidates
-            .iter()
-            .map(|&c| lower_bound(data, c) as u64)
-            .collect();
-        let upto: Vec<u64> = candidates
-            .iter()
-            .map(|&c| upper_bound(data, c) as u64)
-            .collect();
-        let g_below = comm.allreduce(below, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
-        let g_upto = comm.allreduce(upto, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
+        let local: Vec<[usize; 2]> = candidates.iter().map(|&c| rank_interval(data, c)).collect();
+        let [g_below, g_upto] = [0, 1].map(|bound| {
+            let mine: Vec<u64> = local.iter().map(|iv| iv[bound] as u64).collect();
+            comm.allreduce(mine, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+        });
 
         // If some candidate's [below, upto) straddles k, it IS the answer.
         for (i, &c) in candidates.iter().enumerate() {
@@ -85,40 +79,6 @@ pub fn kth_smallest_key<T: Sortable, C: Communicator>(comm: &C, data: &[T], k: u
             hi = lo;
         }
     }
-}
-
-/// The `k` globally largest records, gathered on every rank in descending
-/// key order. Equal-key records needed to fill exactly `k` slots are taken
-/// from lower ranks first (deterministic). `data` must be sorted locally.
-pub fn top_k<T: Sortable, C: Communicator>(comm: &C, data: &[T], k: usize) -> Vec<T> {
-    let total = comm.allreduce(data.len() as u64, |a, b| a + b);
-    let k = (k as u64).min(total) as usize;
-    if k == 0 {
-        return Vec::new();
-    }
-    // Threshold key: the k-th largest = (N-k)-th smallest (0-based).
-    let threshold = kth_smallest_key(comm, data, total - k as u64);
-
-    // Records strictly above the threshold all belong to the top-k.
-    let above_start = upper_bound(data, threshold);
-    let above: Vec<T> = data[above_start..].to_vec();
-    let n_above = comm.allreduce(above.len() as u64, |a, b| a + b) as usize;
-    debug_assert!(n_above <= k);
-    // Fill the remainder with records equal to the threshold, taken from
-    // lower ranks first.
-    let need_ties = k - n_above;
-    let tie_lo = lower_bound(data, threshold);
-    let my_ties = above_start - tie_lo;
-    let before_me: u64 = comm.exscan(my_ties as u64, |a, b| a + b).unwrap_or(0);
-    let take = need_ties.saturating_sub(before_me as usize).min(my_ties);
-    let mut mine: Vec<T> = data[tie_lo..tie_lo + take].to_vec();
-    mine.extend_from_slice(&above);
-
-    // Gather everyone's contributions and order descending by key.
-    let (mut all, _) = comm.allgatherv(&mine);
-    all.sort_by_key(|r| std::cmp::Reverse(r.key()));
-    debug_assert_eq!(all.len(), k);
-    all
 }
 
 #[cfg(test)]
@@ -190,60 +150,5 @@ mod tests {
         for k in report.results {
             assert_eq!(k, 42);
         }
-    }
-
-    #[test]
-    fn top_k_matches_reference() {
-        let p = 6;
-        for k in [1usize, 10, 250, 1200] {
-            let report = world(p).run(move |comm| {
-                let data = sorted_data(400, 10_000, 13, comm.rank());
-                (data.clone(), top_k(comm, &data, k))
-            });
-            let mut all: Vec<u64> = report.results.iter().flat_map(|(d, _)| d.clone()).collect();
-            all.sort_unstable_by(|a, b| b.cmp(a));
-            let expect = &all[..k];
-            for (_, got) in &report.results {
-                assert_eq!(got.len(), k);
-                assert_eq!(&got[..], expect, "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_exactly_fills_from_ties() {
-        let p = 4;
-        let report = world(p).run(|comm| {
-            // every rank: 10 records of key 5, one record of key 9
-            let mut data = vec![5u64; 10];
-            data.push(9);
-            data.sort_unstable();
-            top_k(comm, &data, 7)
-        });
-        for got in report.results {
-            // 4 nines + exactly 3 fives
-            assert_eq!(got, vec![9, 9, 9, 9, 5, 5, 5]);
-        }
-    }
-
-    #[test]
-    fn top_k_larger_than_data_returns_everything() {
-        let p = 3;
-        let report = world(p).run(|comm| {
-            let data: Vec<u64> = vec![comm.rank() as u64];
-            top_k(comm, &data, 100)
-        });
-        for got in report.results {
-            assert_eq!(got, vec![2, 1, 0]);
-        }
-    }
-
-    #[test]
-    fn top_zero_is_empty() {
-        let report = world(2).run(|comm| {
-            let data: Vec<u64> = vec![1, 2, 3];
-            top_k(comm, &data, 0)
-        });
-        assert!(report.results.iter().all(Vec::is_empty));
     }
 }

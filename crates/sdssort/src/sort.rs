@@ -223,13 +223,9 @@ where
             let local_pivots = index.keys().to_vec();
             select_global_pivots(comm, &local_pivots, PivotMethod::default())
         }
-        crate::config::PivotSource::Histogram => crate::histogram::histogram_splitters(
-            comm,
-            &data,
-            p,
-            &crate::histogram::HistogramConfig::default(),
-            0x5D55_0000 ^ p as u64,
-        ),
+        crate::config::PivotSource::Histogram => {
+            crate::histogram::histogram_splitters(comm, &data, p, 0x5D55_0000 ^ p as u64)
+        }
     };
     // Degenerate tiny inputs can yield fewer than p-1 pivots; pad by
     // repeating the last pivot — the replicated-run machinery then spreads

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use sdssort::partition::{
-    classic_cuts, cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source,
-    stable_cuts,
+    classic_cuts, cuts_to_counts, fast_cuts, local_dup_counts, rank_interval, replicated_runs,
+    shares_for_source, stable_cuts, tie_cut,
 };
 
 fn check_cuts(cuts: &[usize], n: usize, p: usize, label: &str) {
@@ -138,6 +138,19 @@ proptest! {
                 // classic boundary.
                 for k in 0..rs {
                     got[k] += counts[run.start + k];
+                }
+                // The stable rule is the one tie split fed HSS-style
+                // boundaries: owner k's boundary takes the first
+                // min((k+1)·sa, total) of the global stream, the last
+                // owner's all of it.
+                let [lo, hi] = rank_interval(data, run.value);
+                for k in 0..rs {
+                    let take = if k + 1 == rs { total } else { ((k + 1) * sa).min(total) };
+                    prop_assert_eq!(
+                        cuts[run.start + k + 1],
+                        tie_cut(lo, hi - lo, take as u128, shares[ri].before_me as u128),
+                        "run {} owner {} of source {}", ri, k, me
+                    );
                 }
             }
             let dup_total: usize = got.iter().sum();

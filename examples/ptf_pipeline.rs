@@ -53,20 +53,4 @@ fn main() {
         zeros as f64 / all.len() as f64 * 100.0
     );
     println!("modelled sort time: {:.2} ms", report.makespan * 1e3);
-
-    // When only a short-list is needed, distributed selection skips the
-    // full sort entirely (sdssort::top_k on the same infrastructure).
-    let world = World::new(ranks).cores_per_node(6);
-    let sel = world.run(|comm| {
-        let mut catalog: Vec<PtfObject> = ptf_scores(per_rank, 7, comm.rank());
-        catalog.sort_unstable_by_key(|o| o.key);
-        sdssort::top_k(comm, &catalog, 10)
-    });
-    let short_list = &sel.results[0];
-    println!(
-        "\ndistributed top-10 via selection (no full sort): best score {:.4}, modelled {:.2} ms",
-        short_list[0].key.value(),
-        sel.makespan * 1e3
-    );
-    assert_eq!(short_list.len(), 10);
 }

@@ -3,13 +3,15 @@
 #
 # Works both online and in sealed containers: the committed
 # .cargo/config.toml patches the external crates (parking_lot, rand,
-# proptest) to the std-only stubs under devstubs/, so when crates.io is not
-# reachable the only thing to add is --offline.
+# proptest) to the std-only stubs under devstubs/, and the committed
+# Cargo.lock records that resolution, so cargo never asks the index.
+# --locked makes a stale lock file fail the run instead of being rewritten;
+# --offline is added only if a fetch fails all the same.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CARGO_OPTS=()
-if ! cargo fetch --quiet 2>/dev/null; then
+CARGO_OPTS=(--locked)
+if ! cargo fetch --quiet --locked 2>/dev/null; then
     echo "ci: crates.io unreachable, running offline"
     CARGO_OPTS+=(--offline)
 fi

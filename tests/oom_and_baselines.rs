@@ -10,7 +10,8 @@ use baselines::{bitonic_sort, hyksort, radix_sort, sample_sort, HykSortConfig, S
 use common::assert_global_sort;
 use mpisim::{Comm, Communicator, NetModel, World};
 use sdssort::{
-    sds_sort, sds_sort_resilient, Record, ResilienceConfig, SdsConfig, SortError, Tagged,
+    sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, Record, ResilienceConfig, SdsConfig,
+    SortError, SortStats, Tagged,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -329,4 +330,79 @@ fn every_sorter_fails_together_and_releases_its_reservation() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sorter's phases account for the time it took: on every rank
+/// `SortStats::total_s()` is the clock spent inside the call, and the
+/// initial local sort is booked in `pivot_s` (the paper's "initial
+/// ordering" footnote) — otherwise the per-phase rows of Figs. 9/10 and
+/// the shoot-out compare different things. HykSort used to book the local
+/// sort nowhere (its phases summed to 14 % of its time here), HSS and AMS
+/// under `local_order_s`.
+#[test]
+fn every_sorters_phases_sum_to_its_time_with_the_local_sort_under_pivot() {
+    type Sort = fn(&Comm, Vec<u64>, ComputeCharge) -> Result<SortStats, SortError>;
+    let sorters: [(&str, Sort); 7] = [
+        ("sds", |c, d, charge| {
+            let mut cfg = SdsConfig::default();
+            (cfg.charge, cfg.tau_m_bytes) = (charge, 0);
+            sds_sort(c, d, &cfg).map(|o| o.stats)
+        }),
+        ("sds-stable", |c, d, charge| {
+            let mut cfg = SdsConfig::stable();
+            (cfg.charge, cfg.tau_m_bytes) = (charge, 0);
+            sds_sort(c, d, &cfg).map(|o| o.stats)
+        }),
+        ("hyksort", |c, d, charge| {
+            // k = 4 over p = 8: two stages.
+            let mut cfg = HykSortConfig::default();
+            (cfg.charge, cfg.k) = (charge, 4);
+            hyksort(c, d, &cfg).map(|o| o.stats)
+        }),
+        ("samplesort", |c, d, charge| {
+            sample_sort(c, d, &SampleSortConfig { charge }).map(|o| o.stats)
+        }),
+        ("radix", |c, d, _| radix_sort(c, d).map(|o| o.stats)),
+        ("ams", |c, d, charge| {
+            // kmax = 4 over p = 8: two levels.
+            let mut cfg = AmsConfig::default();
+            (cfg.charge, cfg.kmax) = (charge, 4);
+            ams_sort(c, d, &cfg).map(|o| o.stats)
+        }),
+        ("hss", |c, d, charge| {
+            let mut cfg = HssConfig::default();
+            cfg.charge = charge;
+            hss_sort(c, d, &cfg).map(|o| o.stats)
+        }),
+    ];
+    let n = 4000;
+    let model = ComputeModel::nominal();
+    for (name, sort) in sorters {
+        let report = World::new(8).cores_per_node(2).run(move |comm| {
+            let data = zipf_keys(n, 0.9, 5, comm.rank());
+            let t0 = comm.now();
+            let stats = sort(comm, data, ComputeCharge::Modeled(model)).expect("no budget set");
+            (stats, comm.now() - t0)
+        });
+        for (rank, (stats, spent)) in report.results.iter().enumerate() {
+            // 5 %: before HykSort was fixed, five of the other six read a
+            // gap of 0 and AMS up to 2.5 % (the `split` and the collective
+            // verdict between its levels are booked nowhere; HykSort's are
+            // not either and read the same). HykSort itself read 86 %.
+            let gap = (spent - stats.total_s()).abs();
+            assert!(
+                gap <= 0.05 * spent,
+                "{name} rank {rank}: phases sum to {:e} of {spent:e} s",
+                stats.total_s()
+            );
+            // `radix_sort` always measures its compute; the others were
+            // charged the model's price for the local sort.
+            assert!(
+                name == "radix" || stats.pivot_s >= model.sort_cost(n),
+                "{name} rank {rank}: pivot_s {:e} does not hold the local sort ({:e} s)",
+                stats.pivot_s,
+                model.sort_cost(n)
+            );
+        }
+    }
 }
