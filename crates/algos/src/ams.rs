@@ -22,10 +22,9 @@
 //! (the constant `OVERPARTITION`) grows. *Hierarchy awareness*: when the
 //! rank layout is node-block and the node count permits, the first level
 //! uses one group per node, so every level after the first exchanges
-//! intra-node only. On the input side the `τm` node-merge machinery of
-//! `sdssort` is reused verbatim ([`sdssort::node_merge`]): below the
-//! threshold, node data is merged onto leaders first and AMS runs over the
-//! leader communicator.
+//! intra-node only. On the input side AMS asks [`sdssort::driver`] for the
+//! `τm` stage: below the threshold, node data is merged onto leaders first
+//! and the levels run over the leader communicator.
 //!
 //! Like HykSort, bucketing is duplicate-blind (`classic_cuts`): all
 //! duplicates of a splitter land in one bucket, so a single heavy key
@@ -37,13 +36,12 @@
 //! is bit-identical across the sim/threads/sockets backends.
 
 use comm::Communicator;
-use sdssort::exchange::{exchange, fail_together, Delivery};
+use sdssort::driver::{self, group_step, Clock, Level, Prelude, Step};
+use sdssort::exchange::{exchange, Delivery};
 use sdssort::histogram::choose_k;
-use sdssort::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
 use sdssort::partition::{classic_cuts, cuts_to_counts};
 use sdssort::pivots::reference_pivots;
 use sdssort::sampling::regular_sample;
-use sdssort::stats::SortStats;
 use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
 
 /// Overpartitioning factor `o`: each level carves `o·k` buckets and
@@ -104,50 +102,16 @@ fn choose_fanout<C: Communicator>(comm: &C, cfg: &AmsConfig, depth: u64) -> usiz
 /// the (simulated) memory budget.
 pub fn ams_sort<T: Sortable, C: Communicator>(
     comm: &C,
-    mut data: Vec<T>,
+    data: Vec<T>,
     cfg: &AmsConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    let t0 = comm.now();
-    let mut stats = SortStats {
-        input_count: data.len(),
-        ..SortStats::default()
+    let prelude = Prelude {
+        tau_m_bytes: Some(cfg.tau_m_bytes),
+        ..Prelude::unstable(cfg.charge)
     };
-    comm.trace_phase("local-sort");
-    let n0 = data.len();
-    cfg.charge.charged(
-        comm,
-        |m| m.sort_cost(n0),
-        || data.sort_unstable_by_key(|r| r.key()),
-    );
-    stats.pivot_s += comm.now() - t0;
-    let p = comm.size();
-    if p == 1 {
-        stats.recv_count = data.len();
-        return Ok(SortOutput { data, stats });
-    }
-
-    // τm node merging on the input side, the SDS-Sort §2.3 machinery:
-    // merging gathers each node's runs onto its leader, and AMS then runs
-    // over the leader communicator.
-    if node_merge_applies::<T, C>(comm, data.len(), cfg.tau_m_bytes).is_some() {
-        stats.node_merged = true;
-        comm.trace_phase("node-merge");
-        let t1 = comm.now();
-        let (cl, led) = merge_onto_leaders(comm, data, cfg.charge);
-        stats.other_s += comm.now() - t1;
-        // A non-leader's data now lives on its node leader.
-        let sorted = match led {
-            Some((cg, merged)) => levels(&cg, merged, cfg, &mut stats, 0),
-            None => Ok(Vec::new()),
-        };
-        let out = leaders_verdict(&cl, sorted)?;
-        stats.recv_count = out.len();
-        return Ok(SortOutput { data: out, stats });
-    }
-
-    let out = levels(comm, data, cfg, &mut stats, 0)?;
-    stats.recv_count = out.len();
-    Ok(SortOutput { data: out, stats })
+    driver::sort(comm, data, &prelude, |comm, data, clock| {
+        levels(comm, data, cfg, clock, 0)
+    })
 }
 
 /// One recursion level: splitters → bucket assignment → two-stage exchange
@@ -156,19 +120,13 @@ fn levels<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     cfg: &AmsConfig,
-    stats: &mut SortStats,
+    clock: &mut Clock<'_, C>,
     depth: u64,
 ) -> Result<Vec<T>, SortError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(data);
-    }
     let k = choose_fanout(comm, cfg, depth);
-    let g = p / k;
 
     // Splitter selection: pooled regular samples, overpartitioned buckets.
-    comm.trace_phase("ams-pivot");
-    let t0 = comm.now();
+    clock.enter(Step::Splitters);
     let kb_want = k.saturating_mul(OVERPARTITION);
     let mine = regular_sample(&data, OVERSAMPLE.saturating_mul(kb_want));
     let (mut pooled, _) = comm.allgatherv(&mine);
@@ -178,6 +136,8 @@ fn levels<T: Sortable, C: Communicator>(
         |m| m.sort_cost(pool_n),
         || reference_pivots(&mut pooled, kb_want),
     );
+
+    clock.enter(Step::Partition);
     // Tiny inputs can pool fewer samples than requested pivots; the bucket
     // count follows what we actually got (identical on every rank).
     let kb = splitters.len() + 1;
@@ -190,7 +150,7 @@ fn levels<T: Sortable, C: Communicator>(
     let loads: Vec<u64> = counts.iter().map(|&n| n as u64).collect();
     let global = comm.allreduce(loads, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
     let total: u128 = global.iter().map(|&l| u128::from(l)).sum();
-    let mut group_of = Vec::with_capacity(kb);
+    let mut to_group = vec![0usize; k];
     let mut cum: u128 = 0;
     for (b, &load) in global.iter().enumerate() {
         let mid = cum + u128::from(load) / 2;
@@ -198,42 +158,22 @@ fn levels<T: Sortable, C: Communicator>(
             None => b * k / kb,
             Some(q) => q.min(k as u128 - 1) as usize,
         };
-        group_of.push(grp);
+        to_group[grp] += counts[b];
         cum += u128::from(load);
     }
-    stats.pivot_s += comm.now() - t0;
 
-    // Stage 1: deliver bucket b to member (rank mod g) of its group. The
-    // destination sequence is non-decreasing in b, so sorted `data` is
-    // already laid out in rank order for the exchange.
-    comm.trace_phase("ams-deliver");
-    let t1 = comm.now();
-    let me = comm.rank();
-    let mut send = vec![0usize; p];
-    for (b, &cnt) in counts.iter().enumerate() {
-        let dst = group_of[b]
-            .checked_mul(g)
-            .and_then(|base| base.checked_add(me % g))
-            .expect("destination group*g + (me%g) < p, which fit in usize");
-        send[dst] += cnt;
-    }
-    let delivered = exchange(comm, data, &send, Delivery::Merge, cfg.charge, None)?.data;
-
+    // Stage 1: deliver each group's buckets to member (rank mod g) of it.
     // Stage 2: exact positional rebalance within the group, then recurse.
-    let group = me / g;
-    let sub = comm
-        .split(Some(group as i64), (me % g) as i64)
-        .expect("every rank is in a group");
-    let sorted = rebalance(&sub, delivered, cfg).and_then(|rebalanced| {
-        stats.exchange_s += comm.now() - t1;
-        levels(&sub, rebalanced, cfg, stats, depth + 1)
-    });
-    // From the rebalance on, the memory checks are per group.
-    if depth == 0 && g > 1 {
-        fail_together(comm, sorted)
-    } else {
-        sorted
-    }
+    let level = Level {
+        to_group: &to_group,
+        delivery: Delivery::Merge,
+        charge: cfg.charge,
+        top: depth == 0,
+    };
+    group_step(comm, data, &level, clock, |sub, delivered, clock| {
+        let rebalanced = rebalance(sub, delivered, cfg, clock)?;
+        levels(sub, rebalanced, cfg, clock, depth + 1)
+    })
 }
 
 /// Redistribute the group's records so member `r` holds exactly the
@@ -245,11 +185,10 @@ fn rebalance<T: Sortable, C: Communicator>(
     sub: &C,
     mine: Vec<T>,
     cfg: &AmsConfig,
+    clock: &mut Clock<'_, C>,
 ) -> Result<Vec<T>, SortError> {
+    clock.enter(Step::Partition);
     let gsz = sub.size();
-    if gsz == 1 {
-        return Ok(mine);
-    }
     let n = mine.len() as u64;
     let total = sub.allreduce(n, |a, b| a + b);
     let before = sub.exscan(n, |a, b| a + b).unwrap_or(0);
@@ -261,7 +200,7 @@ fn rebalance<T: Sortable, C: Communicator>(
         let b = hi.min(before + n);
         *s = b.saturating_sub(a) as usize;
     }
-    Ok(exchange(sub, mine, &send, Delivery::Merge, cfg.charge, None)?.data)
+    exchange(sub, mine, &send, Delivery::Merge, cfg.charge, clock)
 }
 
 #[cfg(test)]

@@ -38,11 +38,11 @@
 //! the sim/threads/sockets backends.
 
 use comm::Communicator;
+use sdssort::driver::{self, Prelude, Step};
 use sdssort::exchange::{exchange, Delivery};
 use sdssort::histogram::{refine, Refinement};
-use sdssort::partition::{rank_interval, tie_cut};
+use sdssort::partition::{cuts_to_counts, rank_interval, tie_cut};
 use sdssort::selection::kth_smallest_key;
-use sdssort::stats::SortStats;
 use sdssort::{ComputeCharge, SortError, SortOutput, Sortable};
 
 /// Candidate keys sampled per rank per histogram round.
@@ -213,45 +213,22 @@ fn local_cuts<T: Sortable, C: Communicator>(
 /// exceeds the (simulated) memory budget.
 pub fn hss_sort<T: Sortable, C: Communicator>(
     comm: &C,
-    mut data: Vec<T>,
+    data: Vec<T>,
     cfg: &HssConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    let t0 = comm.now();
-    let mut stats = SortStats {
-        input_count: data.len(),
-        ..SortStats::default()
-    };
-    comm.trace_phase("local-sort");
-    let n0 = data.len();
-    cfg.charge.charged(
-        comm,
-        |m| m.sort_cost(n0),
-        || data.sort_unstable_by_key(|r| r.key()),
-    );
-    stats.pivot_s += comm.now() - t0;
-    let p = comm.size();
-    if p == 1 {
-        stats.recv_count = data.len();
-        return Ok(SortOutput { data, stats });
-    }
+    let prelude = Prelude::unstable(cfg.charge);
+    driver::sort(comm, data, &prelude, |comm, data, clock| {
+        let p = comm.size();
+        clock.enter(Step::Splitters);
+        let cuts = hss_splitters(comm, &data, p, cfg);
+        clock.enter(Step::Partition);
+        let idx = local_cuts(comm, &data, &cuts);
 
-    comm.trace_phase("hss-pivot");
-    let t1 = comm.now();
-    let cuts = hss_splitters(comm, &data, p, cfg);
-    let idx = local_cuts(comm, &data, &cuts);
-    stats.pivot_s += comm.now() - t1;
-
-    comm.trace_phase("hss-exchange");
-    let mut send = Vec::with_capacity(p);
-    let mut prev = 0usize;
-    for &i in &idx {
-        send.push(i - prev);
-        prev = i;
-    }
-    send.push(data.len() - prev);
-    // Degenerate inputs can yield fewer cuts than p-1 boundaries; the
-    // remaining ranks receive nothing.
-    send.resize(p, 0);
-    let ex = exchange(comm, data, &send, Delivery::Merge, cfg.charge, None)?;
-    Ok(ex.into_output(stats))
+        let bounds = [&[0], &idx[..], &[data.len()]].concat();
+        let mut send = cuts_to_counts(&bounds);
+        // Degenerate inputs can yield fewer cuts than p-1 boundaries; the
+        // remaining ranks receive nothing.
+        send.resize(p, 0);
+        exchange(comm, data, &send, Delivery::Merge, cfg.charge, clock)
+    })
 }

@@ -75,6 +75,44 @@ fn ams_recurses_multi_level() {
     assert_sorted_permutation(&ins, &outs);
 }
 
+/// The level whose groups have one member ends the sort: nothing is left to
+/// split or rebalance. AMS used to `split` every rank into a one-rank group
+/// there (an allgather per group for nothing: 859 → 835 messages at `p = 16`,
+/// `kmax = 8`). A split shows in a rank's spans as the splitter step opening
+/// again after an ordering (the rebalance then separates it from the next
+/// level's), so each rank must pass through "pivot-select" once per level
+/// and once per split, and end in the last level's "local-order".
+#[test]
+fn ams_does_not_split_into_one_rank_groups() {
+    // (p, kmax, levels, of which split): one level of one-rank groups; 8
+    // groups of 2, then of 1; 2-way thrice.
+    for (p, kmax, levels, split) in [(4, 4, 1, 0), (16, 8, 2, 1), (8, 2, 3, 2)] {
+        let mut cfg = AmsConfig::default();
+        cfg.kmax = kmax;
+        let report = World::new(p)
+            .net(NetModel::zero())
+            .telemetry(true)
+            .run(move |comm| {
+                let data = keys("zipf:0.9", 500, 3, comm.rank());
+                ams_sort(comm, data, &cfg)
+                    .expect("no budget set")
+                    .data
+                    .len()
+            });
+        let spans = report.telemetry.expect("telemetry enabled").spans;
+        for rank in 0..p {
+            let mut mine: Vec<_> = spans.iter().filter(|s| s.rank == rank).collect();
+            mine.sort_by(|a, b| a.start_v.total_cmp(&b.start_v));
+            let splitter_steps = mine.iter().filter(|s| s.name == "pivot-select").count();
+            assert_eq!(
+                (splitter_steps, mine.last().map(|s| s.name.as_str())),
+                (levels + split, Some("local-order")),
+                "p {p} kmax {kmax} rank {rank}"
+            );
+        }
+    }
+}
+
 #[test]
 fn ams_node_merge_path_engages_and_stays_correct() {
     // A huge τm forces the node-merge prelude: node-local ranks gather to

@@ -8,7 +8,8 @@
 //! (overlapped with the exchange, per the paper's footnote that HykSort's
 //! exchange time includes local ordering), and recurses within the group.
 //! With `k = p` it degenerates to single-stage sample sort with histogram
-//! pivots.
+//! pivots. A stage here is its splitter rule plus one
+//! [`sdssort::driver::group_step`].
 //!
 //! On skewed data the splitters are duplicated key values and `upper_bound`
 //! bucketing assigns *all* duplicates of a splitter to one group — the load
@@ -20,12 +21,12 @@
 use crate::histogram::histogram_splitters;
 use comm::Communicator;
 use sdssort::config::ComputeCharge;
-use sdssort::exchange::{exchange, fail_together, Delivery};
+use sdssort::driver::{self, group_step, Clock, Level, Prelude, Step};
+use sdssort::exchange::Delivery;
 use sdssort::histogram::choose_k;
-use sdssort::partition::{classic_cuts, cuts_to_counts};
+use sdssort::partition::{classic_cuts, cuts_at, cuts_to_counts};
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};
-use sdssort::stats::SortStats;
 
 /// HykSort configuration.
 #[derive(Debug, Clone, Copy)]
@@ -54,104 +55,47 @@ impl Default for HykSortConfig {
 /// memory budget.
 pub fn hyksort<T: Sortable, C: Communicator>(
     comm: &C,
-    mut data: Vec<T>,
+    data: Vec<T>,
     cfg: &HykSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    let mut stats = SortStats {
-        input_count: data.len(),
-        ..SortStats::default()
-    };
-    // The initial local sort counts as pivot selection (the paper's "initial
-    // ordering" footnote), as in every other sorter.
-    let t0 = comm.now();
-    let n0 = data.len();
-    cfg.charge.charged(
-        comm,
-        |m| m.sort_cost(n0),
-        || {
-            data.sort_unstable_by_key(|r| r.key());
-        },
-    );
-    stats.pivot_s += comm.now() - t0;
-    let data = stage(comm, data, cfg, &mut stats, 0)?;
-    stats.recv_count = data.len();
-    Ok(SortOutput { data, stats })
+    let prelude = Prelude::unstable(cfg.charge);
+    let mut out = driver::sort(comm, data, &prelude, |comm, data, clock| {
+        stage(comm, data, cfg, clock, 0)
+    })?;
+    // Paper footnote 4: HykSort's exchange contains its local ordering.
+    out.stats.exchange_s += std::mem::take(&mut out.stats.local_order_s);
+    Ok(out)
 }
 
 fn stage<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     cfg: &HykSortConfig,
-    stats: &mut SortStats,
+    clock: &mut Clock<'_, C>,
     depth: u64,
 ) -> Result<Vec<T>, SortError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(data);
-    }
-    let k = choose_k(p, cfg.k.max(2));
-    let g = p / k; // group size after this stage
+    // `k` groups of `p / k` ranks after this stage.
+    let k = choose_k(comm.size(), cfg.k.max(2));
 
     // Splitter selection (histogram refinement).
-    let t0 = comm.now();
+    clock.enter(Step::Splitters);
     let splitters = histogram_splitters(comm, &data, k, cfg.seed ^ depth);
-    stats.pivot_s += comm.now() - t0;
 
     // Classic bucketing: all duplicates of a splitter go to one bucket.
-    let t1 = comm.now();
-    let bucket_counts = if splitters.is_empty() {
-        let mut c = vec![0usize; k];
-        c[0] = data.len();
-        c
-    } else {
-        let mut padded = splitters.clone();
-        if padded.len() < k - 1 {
-            if let Some(&last) = padded.last() {
-                padded.resize(k - 1, last);
-            }
-        }
-        cuts_to_counts(&classic_cuts(&data, &padded))
+    clock.enter(Step::Partition);
+    let cuts = cuts_at(&data, splitters, k, |splitters| {
+        classic_cuts(&data, splitters)
+    });
+    let level = Level {
+        to_group: &cuts_to_counts(&cuts),
+        // Asynchronous exchange overlapped with progressive merging.
+        delivery: Delivery::Overlapped,
+        charge: cfg.charge,
+        top: depth == 0,
     };
-    debug_assert_eq!(bucket_counts.len(), k);
-
-    // Bucket b goes to rank b·g + (rank mod g).
-    let me = comm.rank();
-    let mut send_counts = vec![0usize; p];
-    for (b, &cnt) in bucket_counts.iter().enumerate() {
-        let dst = b
-            .checked_mul(g)
-            .and_then(|bg| bg.checked_add(me % g))
-            .expect("bucket destination b*g + (me%g) < p, which fit in usize above");
-        send_counts[dst] = cnt;
-    }
-    // Asynchronous exchange overlapped with progressive merging; merge time
-    // is charged to the exchange phase (paper footnote 4: HykSort's
-    // exchange contains its local ordering).
-    let acc = exchange(
-        comm,
-        data,
-        &send_counts,
-        Delivery::Overlapped,
-        cfg.charge,
-        None,
-    )?
-    .data;
-    stats.exchange_s += comm.now() - t1;
-
-    if g == 1 {
-        return Ok(acc);
-    }
-    let group = (me / g) as i64;
-    let sub = comm
-        .split(Some(group), (me % g) as i64)
-        .expect("every rank is in a group");
-    let sorted = stage(&sub, acc, cfg, stats, depth + 1);
-    // Below the first stage the memory checks are per group.
-    if depth == 0 {
-        fail_together(comm, sorted)
-    } else {
-        sorted
-    }
+    group_step(comm, data, &level, clock, |sub, data, clock| {
+        stage(sub, data, cfg, clock, depth + 1)
+    })
 }
 
 #[cfg(test)]

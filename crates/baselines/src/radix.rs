@@ -17,10 +17,11 @@
 
 use comm::Communicator;
 use sdssort::config::ComputeCharge;
+use sdssort::driver::{self, Prelude, Step};
 use sdssort::exchange::{exchange, Delivery};
+use sdssort::partition::cuts_to_counts;
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};
-use sdssort::stats::SortStats;
 
 pub use sdssort::record::RadixKey;
 
@@ -70,7 +71,7 @@ pub fn carve_ranges(hist: &[u64], p: usize) -> Vec<usize> {
 /// Distributed radix sort. Unstable. Fails collectively with
 /// [`SortError`] under the simulated memory budget, exactly like the
 /// other skew-vulnerable baselines.
-pub fn radix_sort<T, C>(comm: &C, mut data: Vec<T>) -> Result<SortOutput<T>, SortError>
+pub fn radix_sort<T, C>(comm: &C, data: Vec<T>) -> Result<SortOutput<T>, SortError>
 where
     C: Communicator,
     T: Sortable,
@@ -80,74 +81,59 @@ where
         <T::Key as RadixKey>::USABLE,
         "radix baseline requires a key with a usable u64 embedding"
     );
-    let p = comm.size();
-    let mut stats = SortStats {
-        input_count: data.len(),
-        ..SortStats::default()
-    };
-    let t0 = comm.now();
+    // Compute is always measured here. The local sort comes first so that
+    // the boundaries become binary searches and the final ordering a k-way
+    // merge; the embedding is monotone, so key order is digit order.
+    let prelude = Prelude::unstable(ComputeCharge::Measured);
+    driver::sort(comm, data, &prelude, |comm, data, clock| {
+        let p = comm.size();
+        // Find the key width actually in use so the histogram covers the
+        // top HIST_BITS of the *occupied* range (fixed shift would waste
+        // buckets on narrow keys).
+        clock.enter(Step::Splitters);
+        let local_max = data.last().map_or(0, |r| r.key().radix_u64());
+        let global_max = comm.allreduce(local_max, u64::max);
+        let used_bits = 64 - global_max.leading_zeros();
+        let shift = used_bits.saturating_sub(HIST_BITS);
 
-    // Local sort once: boundaries then become binary searches, and the
-    // final ordering is a k-way-mergeable layout.
-    comm.compute(|| data.sort_unstable_by_key(|r| r.key().radix_u64()));
-    if p == 1 {
-        stats.pivot_s = comm.now() - t0;
-        stats.recv_count = data.len();
-        return Ok(SortOutput { data, stats });
-    }
+        // Global digit histogram.
+        let mut hist = vec![0u64; HIST_SIZE];
+        comm.compute(|| {
+            for r in &data {
+                hist[top_digit(r.key().radix_u64(), shift).min(HIST_SIZE - 1)] += 1;
+            }
+        });
+        let hist = comm.allreduce(hist, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
 
-    // Find the key width actually in use so the histogram covers the top
-    // HIST_BITS of the *occupied* range (fixed shift would waste buckets
-    // on narrow keys).
-    let local_max = data.last().map_or(0, |r| r.key().radix_u64());
-    let global_max = comm.allreduce(local_max, u64::max);
-    let used_bits = 64 - global_max.leading_zeros();
-    let shift = used_bits.saturating_sub(HIST_BITS);
+        // Carve digit space into p ranges of ≈ total/p population. A single
+        // over-populated digit cannot be split — the skew failure.
+        let range_end_digit = comm.compute(|| carve_ranges(&hist, p));
 
-    // Global digit histogram.
-    let mut hist = vec![0u64; HIST_SIZE];
-    comm.compute(|| {
-        for r in &data {
-            hist[top_digit(r.key().radix_u64(), shift).min(HIST_SIZE - 1)] += 1;
+        // Cut local (sorted) data at each range boundary.
+        clock.enter(Step::Partition);
+        let mut cuts = Vec::with_capacity(p + 1);
+        cuts.push(0usize);
+        for &end_digit in &range_end_digit {
+            // First record whose top digit exceeds end_digit. Computed in
+            // u128: the last digit's upper boundary is 2^64, which overflows
+            // u64.
+            let boundary = (end_digit as u128 + 1) << shift;
+            let pos = if boundary > u64::MAX as u128 {
+                data.len()
+            } else {
+                let boundary_key = boundary as u64;
+                comm.compute(|| data.partition_point(|r| r.key().radix_u64() < boundary_key))
+            };
+            cuts.push(pos);
         }
-    });
-    let hist = comm.allreduce(hist, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
+        cuts.push(data.len());
+        debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
+        let scounts = cuts_to_counts(&cuts);
 
-    // Carve digit space into p ranges of ≈ total/p population. A single
-    // over-populated digit cannot be split — the skew failure.
-    let range_end_digit = comm.compute(|| carve_ranges(&hist, p));
-
-    // Cut local (sorted) data at each range boundary.
-    let mut cuts = Vec::with_capacity(p + 1);
-    cuts.push(0usize);
-    for &end_digit in &range_end_digit {
-        // First record whose top digit exceeds end_digit. Computed in u128:
-        // the last digit's upper boundary is 2^64, which overflows u64.
-        let boundary = (end_digit as u128 + 1) << shift;
-        let pos = if boundary > u64::MAX as u128 {
-            data.len()
-        } else {
-            let boundary_key = boundary as u64;
-            comm.compute(|| data.partition_point(|r| r.key().radix_u64() < boundary_key))
-        };
-        cuts.push(pos);
-    }
-    cuts.push(data.len());
-    debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
-    let scounts: Vec<usize> = cuts.windows(2).map(|w| w[1] - w[0]).collect();
-    stats.pivot_s = comm.now() - t0;
-
-    // Collective memory check, exchange, k-way merge of the received
-    // chunks (compute is always measured here).
-    let ex = exchange(
-        comm,
-        data,
-        &scounts,
-        Delivery::Merge,
-        ComputeCharge::Measured,
-        None,
-    )?;
-    Ok(ex.into_output(stats))
+        // Collective memory check, exchange, k-way merge of the received
+        // chunks.
+        exchange(comm, data, &scounts, Delivery::Merge, prelude.charge, clock)
+    })
 }
 
 #[cfg(test)]

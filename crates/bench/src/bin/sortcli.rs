@@ -296,6 +296,7 @@ struct RankOutcome {
     pivot_s: f64,
     exchange_s: f64,
     local_order_s: f64,
+    other_s: f64,
     node_merged: bool,
     overlapped: bool,
     spilled: bool,
@@ -305,14 +306,20 @@ struct RankOutcome {
 impl comm::Wire for RankOutcome {
     fn put(&self, out: &mut Vec<u8>) {
         (self.sorted, self.permutation, self.len).put(out);
-        (self.pivot_s, self.exchange_s, self.local_order_s).put(out);
+        (
+            self.pivot_s,
+            self.exchange_s,
+            self.local_order_s,
+            self.other_s,
+        )
+            .put(out);
         (self.node_merged, self.overlapped, self.spilled).put(out);
         self.spill_records.put(out);
     }
 
     fn get(src: &mut &[u8]) -> Option<Self> {
         let (sorted, permutation, len) = comm::Wire::get(src)?;
-        let (pivot_s, exchange_s, local_order_s) = comm::Wire::get(src)?;
+        let (pivot_s, exchange_s, local_order_s, other_s) = comm::Wire::get(src)?;
         let (node_merged, overlapped, spilled) = comm::Wire::get(src)?;
         Some(Self {
             sorted,
@@ -321,6 +328,7 @@ impl comm::Wire for RankOutcome {
             pivot_s,
             exchange_s,
             local_order_s,
+            other_s,
             node_merged,
             overlapped,
             spilled,
@@ -347,6 +355,7 @@ fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome
         pivot_s: o.stats.pivot_s,
         exchange_s: o.stats.exchange_s,
         local_order_s: o.stats.local_order_s,
+        other_s: o.stats.other_s,
         node_merged: o.stats.node_merged,
         overlapped: o.stats.overlapped,
         spilled: o.stats.spilled,
@@ -590,6 +599,7 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         ("pivot phase (rank 0)", fmt_time(r0.pivot_s)),
         ("exchange phase (rank 0)", fmt_time(r0.exchange_s)),
         ("ordering phase (rank 0)", fmt_time(r0.local_order_s)),
+        ("other (rank 0)", fmt_time(r0.other_s)),
         ("node merged (τm)", r0.node_merged.to_string()),
         ("RDFA", format!("{:.4}", rdfa(&loads))),
         ("messages", run.messages.to_string()),
@@ -889,6 +899,7 @@ mod tests {
             pivot_s: 1.5e-3,
             exchange_s: 2.5e-4,
             local_order_s: 0.0,
+            other_s: 3.0e-6,
             node_merged: true,
             overlapped: false,
             spilled: true,

@@ -14,9 +14,8 @@
 //! `sds_sort`, the `baselines` sorters and the `algos` sorters all deliver
 //! their data through it ([`crate::resilience`] has the one alternative,
 //! which spills to disk instead of failing). It owns the memory
-//! reservation — released on every exit — and reports how long the exchange
-//! and the ordering took, so each caller attributes them to its own
-//! [`SortStats`] fields.
+//! reservation — released on every exit — and books the exchange and the
+//! ordering on the sort's [`Clock`].
 //!
 //! The sorted buffer is given up to the collective, and what comes back is
 //! one [`comm::Run`] per source: on the threads backend a window of the
@@ -27,14 +26,13 @@
 //! receives into one buffer.
 
 use crate::config::{ComputeCharge, LocalKernel};
+use crate::driver::{count_local_sort, Clock, Step};
 use crate::local_sort::local_sort_with;
 use crate::merge::{kway_merge, merge_two};
 use crate::record::Sortable;
-use crate::sort::{count_local_sort, SortError, SortOutput};
-use crate::stats::SortStats;
+use crate::sort::SortError;
 use comm::{AsyncExchange, Communicator, OomError, Run};
 use std::sync::Arc;
-use telemetry::SpanId;
 
 /// How steps 6–7 deliver and order the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,33 +55,6 @@ pub enum Delivery {
     /// the chunks as they arrive (`SdssAlltoallvAsync` + `SdssMergeTwo`).
     /// Unstable: chunks merge in arrival order.
     Overlapped,
-}
-
-/// One rank's result of [`exchange`].
-#[derive(Debug, Clone)]
-pub struct Exchanged<T> {
-    /// This rank's received records, sorted.
-    pub data: Vec<T>,
-    /// Seconds from entry to the end of the all-to-all, memory check
-    /// included. Overlapped: the whole call minus `local_order_s`.
-    pub exchange_s: f64,
-    /// Seconds of final local ordering. Overlapped: the merging, wherever
-    /// in the exchange it ran.
-    pub local_order_s: f64,
-}
-
-impl<T> Exchanged<T> {
-    /// The sort's output: `data`, with the two durations added to `stats`'
-    /// exchange and ordering phases and `recv_count` set.
-    pub fn into_output(self, mut stats: SortStats) -> SortOutput<T> {
-        stats.exchange_s += self.exchange_s;
-        stats.local_order_s += self.local_order_s;
-        stats.recv_count = self.data.len();
-        SortOutput {
-            data: self.data,
-            stats,
-        }
-    }
 }
 
 /// A charge against this rank's memory budget, released on drop.
@@ -122,81 +93,23 @@ pub fn fail_together<R, C: Communicator>(
     }
 }
 
-/// The clock of steps 5–7, and their telemetry for a driver that records
-/// spans: it times the exchange and the ordering, closes the driver's
-/// "exchange" span where the exchange ends and covers the ordering with a
-/// "local-order" span. Whichever span is open closes on drop, so an error
-/// exit needs no bookkeeping.
-pub(crate) struct Phases<'a, C: Communicator> {
-    comm: &'a C,
-    span: Option<SpanId>,
-    start: f64,
-    ordering_from: f64,
-}
-
-impl<'a, C: Communicator> Phases<'a, C> {
-    /// Start timing the exchange; `span` is the caller's open span over it.
-    pub(crate) fn begin(comm: &'a C, span: Option<SpanId>) -> Self {
-        let start = comm.now();
-        Self {
-            comm,
-            span,
-            start,
-            ordering_from: start,
-        }
-    }
-
-    /// The exchange is over and the ordering begins. `new_phase` also
-    /// attributes the traffic and time from here on to a "local-order"
-    /// phase.
-    pub(crate) fn start_ordering(&mut self, new_phase: bool) {
-        if let Some(sp) = self.span.take() {
-            self.comm.span_end(sp);
-            if new_phase {
-                self.comm.trace_phase("local-order");
-            }
-            self.span = Some(self.comm.span_begin("local-order"));
-        }
-        self.ordering_from = self.comm.now();
-    }
-
-    /// The ordering is over: `data` with the two durations.
-    pub(crate) fn finish<T>(self, data: Vec<T>) -> Exchanged<T> {
-        Exchanged {
-            data,
-            exchange_s: self.ordering_from - self.start,
-            local_order_s: self.comm.now() - self.ordering_from,
-        }
-    }
-}
-
-impl<C: Communicator> Drop for Phases<'_, C> {
-    fn drop(&mut self) {
-        if let Some(sp) = self.span.take() {
-            self.comm.span_end(sp);
-        }
-    }
-}
-
 /// Steps 5–7: send `data`, partitioned by `scounts` (one contiguous sorted
 /// run per destination, in rank order), and return this rank's share of the
 /// global order, sorted.
 ///
 /// Fails on every rank of `comm` when any rank's receive buffer exceeds its
-/// memory budget. `charge` prices the merging. `span` is the caller's open
-/// telemetry span over the exchange, if it records spans: it is closed where
-/// the exchange ends (or fails), and a "local-order" span covers the
-/// ordering.
+/// memory budget. `charge` prices the merging. The exchange and the ordering
+/// are booked on `clock`.
 pub fn exchange<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     scounts: &[usize],
     delivery: Delivery,
     charge: ComputeCharge,
-    span: Option<SpanId>,
-) -> Result<Exchanged<T>, SortError> {
+    clock: &mut Clock<'_, C>,
+) -> Result<Vec<T>, SortError> {
     let p = comm.size();
-    let mut phases = Phases::begin(comm, span);
+    clock.enter(Step::Exchange);
     let rcounts = comm.alltoall(scounts);
     let m: usize = rcounts.iter().sum();
     // Step 5: every rank reserves its receive buffer, or the sort fails on
@@ -204,69 +117,57 @@ pub fn exchange<T: Sortable, C: Communicator>(
     let mine = Reservation::new(comm, m * std::mem::size_of::<T>());
     let _reservation = fail_together(comm, mine.map_err(SortError::Oom))?;
 
-    if delivery == Delivery::Overlapped {
-        let mut pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
-        let mut merge_s = 0.0;
-        // Binomial-counter progressive merging: every incoming chunk is a
-        // level-0 run; two runs merge only when they are at the same
-        // level. Total merged volume is then exactly the balanced
-        // cascade's (m·⌈log2 p⌉), independent of chunk-size variance and
-        // arrival order — overlapping adds no merge work over the
-        // synchronous path, it only moves it earlier.
-        let mut runs: Vec<(u32, Run<T>)> = Vec::new();
-        while let Some((_src, chunk)) = pending.wait_any_run(comm) {
-            runs.push((0, chunk));
-            while runs.len() >= 2 && runs[runs.len() - 1].0 == runs[runs.len() - 2].0 {
-                let (lvl, hi) = runs.pop().expect("len>=2");
-                let (_, lo) = runs.pop().expect("len>=2");
-                let tm = comm.now();
-                let merged = charge.charged(
+    let out = match delivery {
+        Delivery::Overlapped => {
+            let mut pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
+            let mut merge_s = 0.0;
+            // Binomial-counter progressive merging: every incoming chunk is
+            // a level-0 run; two runs merge only when they are at the same
+            // level. Total merged volume is then exactly the balanced
+            // cascade's (m·⌈log2 p⌉), independent of chunk-size variance
+            // and arrival order — overlapping adds no merge work over the
+            // synchronous path, it only moves it earlier.
+            let mut runs: Vec<(u32, Run<T>)> = Vec::new();
+            while let Some((_src, chunk)) = pending.wait_any_run(comm) {
+                runs.push((0, chunk));
+                while runs.len() >= 2 && runs[runs.len() - 1].0 == runs[runs.len() - 2].0 {
+                    let (lvl, hi) = runs.pop().expect("len>=2");
+                    let (_, lo) = runs.pop().expect("len>=2");
+                    let tm = comm.now();
+                    let merged = charge.charged(
+                        comm,
+                        |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
+                        || merge_two(&lo, &hi),
+                    );
+                    merge_s += comm.now() - tm;
+                    runs.push((lvl + 1, merged.into()));
+                }
+            }
+            // Overlap makes exchange and merge inseparable in wall order:
+            // the exchange step covers the overlapped region, the ordering
+            // step the final cascade, and the merging measured inside the
+            // region counts as ordering, so the phases still split the time
+            // exactly.
+            clock.enter(Step::LocalOrder);
+            clock.count_as_ordering(merge_s);
+            // Balanced cascade over whatever the stack still holds (free when
+            // the counter already collapsed everything into one run).
+            if runs.len() == 1 {
+                runs.pop().expect("len==1").1.into_vec()
+            } else {
+                let refs: Vec<&[T]> = runs.iter().map(|(_, r)| &r[..]).collect();
+                let left: usize = refs.iter().map(|r| r.len()).sum();
+                let k_left = refs.len();
+                charge.charged(
                     comm,
-                    |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
-                    || merge_two(&lo, &hi),
-                );
-                merge_s += comm.now() - tm;
-                runs.push((lvl + 1, merged.into()));
+                    |mo| mo.kway_merge_cost(left, k_left),
+                    || kway_merge(&refs),
+                )
             }
         }
-        // Overlap makes exchange and merge inseparable in wall order: the
-        // caller's span covers the overlapped region, "local-order" the
-        // final cascade, and the phase stays the exchange's. The durations
-        // still split the time exactly.
-        phases.start_ordering(false);
-        // Balanced cascade over whatever the stack still holds (free when
-        // the counter already collapsed everything into one run).
-        let out = if runs.len() == 1 {
-            runs.pop().expect("len==1").1.into_vec()
-        } else {
-            let tm = comm.now();
-            let refs: Vec<&[T]> = runs.iter().map(|(_, r)| &r[..]).collect();
-            let left: usize = refs.iter().map(|r| r.len()).sum();
-            let k_left = refs.len();
-            let out = charge.charged(
-                comm,
-                |mo| mo.kway_merge_cost(left, k_left),
-                || kway_merge(&refs),
-            );
-            merge_s += comm.now() - tm;
-            out
-        };
-        debug_assert_eq!(out.len(), m);
-        // The merging counts as ordering wherever it ran, the rest as
-        // exchange.
-        let elapsed = comm.now() - phases.start;
-        return Ok(Exchanged {
-            data: out,
-            exchange_s: (elapsed - merge_s).max(0.0),
-            local_order_s: merge_s,
-        });
-    }
-
-    let out = match delivery {
-        Delivery::Overlapped => unreachable!("the overlapped delivery returned above"),
         Delivery::Merge => {
             let runs = comm.alltoallv_runs(Arc::new(data), scounts, &rcounts);
-            phases.start_ordering(true);
+            clock.enter(Step::LocalOrder);
             let refs: Vec<&[T]> = runs.iter().map(|r| &r[..]).collect();
             charge.charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs))
         }
@@ -277,7 +178,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
         } => {
             let mut buf = comm.alltoallv_given_counts(&data, scounts, &rcounts);
             drop(data);
-            phases.start_ordering(true);
+            clock.enter(Step::LocalOrder);
             let report = charge.charged(
                 comm,
                 |mo| {
@@ -295,5 +196,5 @@ pub fn exchange<T: Sortable, C: Communicator>(
         }
     };
     debug_assert_eq!(out.len(), m);
-    Ok(phases.finish(out))
+    Ok(out)
 }

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod driver;
 pub mod exchange;
 pub mod external;
 pub mod histogram;

@@ -16,27 +16,27 @@ use crate::record::Sortable;
 use crate::sort::SortError;
 use comm::Communicator;
 
-/// The `τm` rule (paper line 3, `n/p ≤ τm`): whether the average all-to-all
-/// message of a rank holding `n` records of `T` among `p` ranks is at most
-/// `tau_m_bytes`.
-pub fn within_tau_m<T>(n: usize, p: usize, tau_m_bytes: usize) -> bool {
-    n / p.max(1) * std::mem::size_of::<T>() <= tau_m_bytes
+/// Bytes of the average all-to-all message of a rank holding `n` records of
+/// `T` among `p` ranks — what the `τm` rule (paper line 3, `n/p ≤ τm`)
+/// compares with the threshold.
+pub fn avg_message_bytes<T>(n: usize, p: usize) -> usize {
+    n / p.max(1) * std::mem::size_of::<T>()
 }
 
 /// The node-merging decision for a rank holding `local_n` records. It must
 /// be uniform across ranks, so it uses the global average local size (one
-/// allreduce, paid whether or not merging applies). Returns that average
-/// when the machine has more than one core per node and the average message
-/// is within `tau_m_bytes`.
+/// allreduce, paid whether or not merging applies). Returns the average
+/// message in bytes, and whether to merge: the machine has more than one
+/// core per node and that message is within `tau_m_bytes`.
 pub fn node_merge_applies<T: Sortable, C: Communicator>(
     comm: &C,
     local_n: usize,
     tau_m_bytes: usize,
-) -> Option<usize> {
+) -> (usize, bool) {
     let p = comm.size();
     let n_sum = comm.allreduce(local_n as u64, |a, b| a + b);
-    let n_avg = (n_sum / p as u64) as usize;
-    (comm.cores_per_node() > 1 && within_tau_m::<T>(n_avg, p, tau_m_bytes)).then_some(n_avg)
+    let avg_msg = avg_message_bytes::<T>((n_sum / p as u64) as usize, p);
+    (avg_msg, comm.cores_per_node() > 1 && avg_msg <= tau_m_bytes)
 }
 
 /// `SdssRefineComm` + `SdssNodeMerge`: merge each node's sorted data onto
@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn tau_m_threshold_uses_bytes() {
         // n/p = 100 u64 records = 800 B ≤ 1000 → merge
-        assert!(within_tau_m::<u64>(800, 8, 1000));
+        assert_eq!(avg_message_bytes::<u64>(800, 8), 800);
         // n/p = 200 u64 = 1600 B > 1000 → no merge
-        assert!(!within_tau_m::<u64>(1600, 8, 1000));
+        assert_eq!(avg_message_bytes::<u64>(1600, 8), 1600);
     }
 
     #[test]

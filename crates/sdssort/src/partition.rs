@@ -224,6 +224,32 @@ fn skew_aware_cuts<T: Sortable>(
     cuts
 }
 
+/// The `p+1` cut positions of sorted `data` for `p` destinations, by the
+/// sorter's rule `cut` applied to exactly `p-1` pivots. The two degenerate
+/// outcomes of pivot selection are settled here for every sorter: fewer than
+/// `p-1` pivots (tiny inputs) are padded by repeating the last one — the
+/// replicated-run machinery then spreads the padded range evenly, a classic
+/// rule sends the padded destinations nothing — and no pivot at all means
+/// no data anywhere beyond possibly ours, which all goes to destination 0.
+/// `pivots` is replicated, so every rank takes the same branch and `cut`
+/// may contain a collective.
+pub fn cuts_at<T: Sortable>(
+    data: &[T],
+    mut pivots: Vec<T::Key>,
+    p: usize,
+    cut: impl FnOnce(&[T::Key]) -> Vec<usize>,
+) -> Vec<usize> {
+    let Some(&last) = pivots.last() else {
+        let mut cuts = vec![data.len(); p + 1];
+        cuts[0] = 0;
+        return cuts;
+    };
+    if pivots.len() < p - 1 {
+        pivots.resize(p - 1, last);
+    }
+    cut(&pivots)
+}
+
 /// Convert cut positions to per-destination send counts.
 pub fn cuts_to_counts(cuts: &[usize]) -> Vec<usize> {
     cuts.windows(2).map(|w| w[1] - w[0]).collect()

@@ -25,17 +25,16 @@
 //! simple seek + bandwidth model.
 
 use crate::config::SdsConfig;
-use crate::exchange::{Exchanged, Phases, Reservation};
+use crate::driver::{Clock, Step};
+use crate::exchange::Reservation;
 use crate::external::{remove_run, write_run, RunFile, RunMerger};
 use crate::merge::kway_merge;
 use crate::record::Sortable;
 use crate::sort::{sds_sort_with, SortError, SortOutput};
-use crate::stats::SortStats;
 use comm::{AsyncExchange, Communicator, Run};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use telemetry::SpanId;
 
 /// Knobs for the resilient exchange.
 #[derive(Debug, Clone)]
@@ -80,8 +79,8 @@ pub fn sds_sort_resilient<T: Sortable, C: Communicator>(
     cfg: &SdsConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    sds_sort_with(comm, data, cfg, |comm, data, scounts, sp_ex, stats| {
-        spill_exchange(comm, data, scounts, cfg, rcfg, sp_ex, stats)
+    sds_sort_with(comm, data, cfg, |comm, data, scounts, clock| {
+        spill_exchange(comm, data, scounts, cfg, rcfg, clock)
     })
 }
 
@@ -99,12 +98,11 @@ fn spill_exchange<T: Sortable, C: Communicator>(
     scounts: &[usize],
     cfg: &SdsConfig,
     rcfg: &ResilienceConfig,
-    sp_ex: SpanId,
-    stats: &mut SortStats,
-) -> Result<Exchanged<T>, SortError> {
+    clock: &mut Clock<'_, C>,
+) -> Result<Vec<T>, SortError> {
     let p = comm.size();
     let rec = std::mem::size_of::<T>();
-    let mut phases = Phases::begin(comm, Some(sp_ex));
+    clock.enter(Step::Exchange);
     let rcounts = comm.alltoall(scounts);
     let m: usize = rcounts.iter().sum();
     let bytes = m * rec;
@@ -142,7 +140,7 @@ fn spill_exchange<T: Sortable, C: Communicator>(
         while let Some((src, chunk)) = pending.wait_any_run(comm) {
             chunks[src] = chunk;
         }
-        phases.start_ordering(true);
+        clock.enter(Step::LocalOrder);
         // Source-rank order with a stable k-way merge (ties to the
         // lowest run index) preserves global stability.
         let refs: Vec<&[T]> = chunks.iter().map(|c| &c[..]).collect();
@@ -150,11 +148,11 @@ fn spill_exchange<T: Sortable, C: Communicator>(
             .charge
             .charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs));
         debug_assert_eq!(out.len(), m);
-        return Ok(phases.finish(out));
+        return Ok(out);
     }
 
-    stats.spilled = true;
-    stats.spill_records = m;
+    clock.stats.spilled = true;
+    clock.stats.spill_records = m;
     if comm.recorder().enabled() {
         comm.event(
             "degrade.spill",
@@ -194,7 +192,7 @@ fn spill_exchange<T: Sortable, C: Communicator>(
         let _ = std::fs::remove_dir(&dir);
         return Err(e);
     }
-    phases.start_ordering(true);
+    clock.enter(Step::LocalOrder);
 
     runs.sort_by_key(|&(src, part, _)| (src, part));
     let run_files: Vec<RunFile> = runs.into_iter().map(|(_, _, rf)| rf).collect();
@@ -214,5 +212,5 @@ fn spill_exchange<T: Sortable, C: Communicator>(
         let msg = format!("{} records came back from {m} spilled", out.len());
         return Err(SortError::Io(msg));
     }
-    Ok(phases.finish(out))
+    Ok(out)
 }

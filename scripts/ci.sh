@@ -85,32 +85,60 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --records 5000
 
 # --trace smoke: the per-phase traffic table comes off the telemetry
-# snapshot on the simulator and on threads. Each run must print an
-# `exchange` row with messages in it, and because a send is counted under
-# its sender's phase the table is a function of the program: two simulator
-# runs must print it byte for byte the same.
+# snapshot on the simulator and on threads, and since every sorter runs
+# under the one driver (sdssort::driver) its rows are the driver's steps for
+# each of them. Each run must print every step's row, the `exchange` row
+# with messages in it, and at least the local-kernel decision; and because a
+# send is counted under its sender's phase the table is a function of the
+# program: two simulator runs must print it byte for byte the same.
 trace_table() {
-    local table
-    table="$("$@" | sed -n '/^traffic by phase:/,$p')"
-    if ! grep -Eq '^ *exchange +[1-9]' <<<"$table"; then
-        echo "ci: no exchange row with messages in the --trace table of: $*" >&2
+    local out table step
+    out="$("$@")"
+    table="$(sed -n '/^traffic by phase:/,/^decisions:/p' <<<"$out")"
+    for step in local-sort pivot-select partition 'exchange +[1-9][0-9]*' local-order; do
+        if ! grep -Eq "^ *$step " <<<"$table"; then
+            echo "ci: no '$step' row in the --trace table of: $*" >&2
+            return 1
+        fi
+    done
+    if ! grep -q '^  decision.local-kernel: ' <<<"$out"; then
+        echo "ci: no decision.local-kernel line under --trace of: $*" >&2
         return 1
     fi
     printf '%s\n' "$table"
 }
 trace=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
-    --sorter sds --workload zipf:1.4 --records 2000 --trace)
-echo "ci: ${trace[*]} --ranks 16 --cores 4 (twice), --backend threads --ranks 4 --cores 2"
-first="$(trace_table "${trace[@]}" --ranks 16 --cores 4)"
-second="$(trace_table "${trace[@]}" --ranks 16 --cores 4)"
-if [ "$first" != "$second" ]; then
-    printf 'ci: two simulator runs printed different --trace tables:\n%s\n%s\n' \
-        "$first" "$second" >&2
+    --workload zipf:1.4 --records 2000 --trace)
+for sorter in sds hyksort ams hss; do
+    echo "ci: ${trace[*]} --sorter $sorter --ranks 16 --cores 4 (twice), --backend threads --ranks 4 --cores 2"
+    first="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
+    second="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
+    if [ "$first" != "$second" ]; then
+        printf 'ci: two simulator runs of %s printed different --trace tables:\n%s\n%s\n' \
+            "$sorter" "$first" "$second" >&2
+        exit 1
+    fi
+    # (two nodes of two cores: with all four ranks on one node the single
+    # leader has nobody to exchange with)
+    trace_table "${trace[@]}" --sorter "$sorter" --backend threads --ranks 4 --cores 2 >/dev/null
+done
+
+# One of each: the phase clock, the spans and the local sort of a
+# distributed sorter are the driver's. A sorter that reads the clock, names
+# a phase, opens a span or sorts its input by itself has grown its own
+# prelude again. (bitonic.rs is not a sample sort and has no prelude to
+# share; resilience.rs orders run files, not records.)
+own_prelude="$(grep -nE 'comm\.now\(\)|trace_phase\(|span_begin\(' -r \
+    crates/baselines/src crates/algos/src \
+    crates/sdssort/src/sort.rs crates/sdssort/src/resilience.rs || true)"
+own_sort="$(grep -nE 'sort_unstable_by_key|sort_by_key' -r \
+    crates/baselines/src crates/algos/src crates/sdssort/src/sort.rs |
+    grep -v '^crates/baselines/src/bitonic.rs:' || true)"
+if [ -n "$own_prelude$own_sort" ]; then
+    printf 'ci: a distributed sorter does the driver'"'"'s work itself:\n%s\n%s\n' \
+        "$own_prelude" "$own_sort" >&2
     exit 1
 fi
-# (two nodes of two cores: with all four ranks on one node the single
-# leader has nobody to exchange with)
-trace_table "${trace[@]}" --backend threads --ranks 4 --cores 2 >/dev/null
 
 # The benchmark (benchmark/, a package of its own) is a consumer of the
 # crates' public API: its unit tests must build and pass against the

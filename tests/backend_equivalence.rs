@@ -654,6 +654,7 @@ fn exchange_cases(me: usize, p: usize) -> Vec<(Vec<Tagged<u32>>, Vec<usize>)> {
 /// merge record for record.
 fn owned_exchange_cases<C: comm::Communicator>(comm: &C, world_size: u64) -> OwnedExchangeOut {
     use comm::{AsyncExchange, Run};
+    use sdssort::driver::{Clock, Step};
     use sdssort::exchange::{exchange, Delivery};
     use std::sync::Arc;
     let (me, p) = (comm.rank(), comm.size());
@@ -694,13 +695,12 @@ fn owned_exchange_cases<C: comm::Communicator>(comm: &C, world_size: u64) -> Own
         let mut want = borrowed;
         want.sort_by_key(|r| r.key);
         let charge = SdsConfig::default().charge;
-        let merged = exchange(comm, data.clone(), &scounts, Delivery::Merge, charge, None)
-            .expect("no memory budget")
-            .data;
+        let clock = &mut Clock::start(comm, Step::Exchange);
+        let merged = exchange(comm, data.clone(), &scounts, Delivery::Merge, charge, clock)
+            .expect("no memory budget");
         assert_eq!(merged, want, "rank {me}: stable merge over runs");
-        let mut overlapped = exchange(comm, data, &scounts, Delivery::Overlapped, charge, None)
-            .expect("no memory budget")
-            .data;
+        let mut overlapped = exchange(comm, data, &scounts, Delivery::Overlapped, charge, clock)
+            .expect("no memory budget");
         assert!(overlapped.windows(2).all(|w| w[0].key <= w[1].key));
         overlapped.sort_by_key(|r| (r.key, r.payload));
         want.sort_by_key(|r| (r.key, r.payload));
