@@ -635,6 +635,14 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
                 fmt_bytes(snapshot.total_bytes() as usize)
             );
         }
+        // Only a buffer of at least one huge page is advised (`comm::pages`).
+        if let Some(advised) = snapshot.counter("mem.huge_advised_bytes") {
+            println!(
+                "huge-page advised (mem.huge_advised_bytes): {} of the {} of sort buffers",
+                fmt_bytes(advised as usize),
+                fmt_bytes(snapshot.counter("mem.sort_buffer_bytes").unwrap_or(0) as usize)
+            );
+        }
         // What the sorter chose and why (rank 0 records them, in program
         // order): τ decisions and the local-sort kernel gate.
         println!("decisions:");

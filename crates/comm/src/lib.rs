@@ -24,7 +24,9 @@
 //! exactly one copy, which is why the same seed yields bit-identical output
 //! on all three substrates. The real backends additionally share the
 //! [`mailbox`] module (the `(ctx, src, tag)` matching discipline) and
-//! [`Wire`], the zero-copy record codec.
+//! [`Wire`], the zero-copy record codec. [`pages`] is where every layer —
+//! the receive buffers here, the sockets' frame payloads, `sdssort`'s
+//! scratch and merge outputs — gets an `n`-record buffer from.
 //!
 //! The trait is MPI-flavoured: rank / topology queries, buffered
 //! point-to-point sends, the collectives the sort uses, the asynchronous
@@ -53,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod mailbox;
+pub mod pages;
 pub mod raw;
 pub mod run;
 pub mod wire;

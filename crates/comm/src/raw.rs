@@ -18,6 +18,7 @@
 //! backend maps them to world ranks (or socket peers) through its
 //! [`Group`].
 
+use crate::pages;
 use crate::run::Run;
 use crate::wire::Wire;
 use crate::{AsyncExchange, Communicator, OomError, MAX_USER_TAG};
@@ -264,7 +265,9 @@ pub trait RawComm: Sized {
     /// transport that lends keeps the window, since the peers' windows
     /// hold the buffer anyway.
     fn self_run_raw<T: Wire>(&self, run: Run<T>) -> Run<T> {
-        run.to_vec().into()
+        let mut copy = pages::with_capacity(run.len());
+        copy.extend_from_slice(&run);
+        copy.into()
     }
 
     /// Blocking receive of one run on `tag`, from communicator rank `src`
@@ -488,7 +491,7 @@ impl<C: RawComm> Communicator for C {
         }
         // One allocation for everything this rank receives; each chunk
         // lands at the end of it, in source order.
-        let mut out: Vec<T> = Vec::with_capacity(recv_counts.iter().sum());
+        let mut out: Vec<T> = pages::with_capacity(recv_counts.iter().sum());
         for (src, &rc) in recv_counts.iter().enumerate() {
             if src == me {
                 out.extend_from_slice(&data[offsets[me]..offsets[me + 1]]);

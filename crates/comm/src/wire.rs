@@ -32,6 +32,8 @@
 //! to the element-wise loop, which sidesteps padding bytes entirely; the
 //! loops reserve once from the size of their input.
 
+use crate::pages;
+
 /// A value that can cross a process boundary as bytes.
 ///
 /// Implementations must be self-consistent round-trips:
@@ -75,7 +77,7 @@ pub trait Wire: Clone + Send + Sync + 'static {
         let start = out.len();
         // A hint bounded by the buffer's own length, so a corrupt buffer
         // cannot over-allocate: exact for fixed-size types without padding.
-        out.reserve(src.len() / std::mem::size_of::<Self>().max(1));
+        pages::reserve(out, src.len() / std::mem::size_of::<Self>().max(1));
         let mut cursor = src;
         while !cursor.is_empty() {
             match Self::get(&mut cursor) {
@@ -146,7 +148,7 @@ macro_rules! wire_pod {
                     return false;
                 }
                 let n = src.len() / size;
-                out.reserve(n);
+                pages::reserve(out, n);
                 // SAFETY: every bit pattern of `$ty` is a valid value, the
                 // destination has spare capacity for `n` elements past its
                 // length (reserved above), and the source holds exactly

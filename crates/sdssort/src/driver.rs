@@ -25,7 +25,7 @@ use crate::radix::{RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP_INV};
 use crate::record::Sortable;
 use crate::sort::{SortError, SortOutput};
 use crate::stats::SortStats;
-use comm::Communicator;
+use comm::{pages, Communicator};
 use telemetry::SpanId;
 
 /// The steps of a distributed sort, in Fig. 1's order. A multi-level sorter
@@ -96,6 +96,8 @@ impl<'a, C: Communicator> Clock<'a, C> {
             since: comm.now(),
             span: None,
         };
+        // Whatever this thread reserved before the sort is not the sort's.
+        pages::take_tally();
         clock.open(step, clock.since);
         clock
     }
@@ -131,6 +133,17 @@ impl<'a, C: Communicator> Clock<'a, C> {
         self.since = now;
         if let Some(span) = self.span.take() {
             self.comm.recorder().span_end(span, now);
+        }
+        // The n-record buffers this rank obtained since the last reading
+        // (`comm::pages`), and how much of them is huge-page advised.
+        let buffers = pages::take_tally();
+        if buffers.reserved_bytes > 0 {
+            self.comm
+                .count("mem.sort_buffer_bytes", buffers.reserved_bytes);
+        }
+        if buffers.advised_bytes > 0 {
+            self.comm
+                .count("mem.huge_advised_bytes", buffers.advised_bytes);
         }
         now
     }

@@ -24,6 +24,14 @@
 //! nothing in between); on the simulator and over sockets a vector the
 //! transport filled. Only the re-sort needs its input contiguous and still
 //! receives into one buffer.
+//!
+//! Every `n`-record buffer these steps fill — the receive buffer of the
+//! re-sort, a copying transport's self run, payload and decoded chunk, each
+//! merge output — is reserved through [`comm::pages`] by the function that
+//! allocates it (`comm::raw`, `comm::wire`, `sockcomm::frame`,
+//! [`crate::merge`]), so from one huge page up it is faulted in 2 MiB at a
+//! time; the clock books what was reserved and advised as
+//! `mem.sort_buffer_bytes` / `mem.huge_advised_bytes`.
 
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::driver::{count_local_sort, Clock, Step};

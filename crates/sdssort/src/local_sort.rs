@@ -22,7 +22,10 @@
 //! then as the merge output, which is swapped into the caller's `Vec` —
 //! transient peak `2n` records, reported via
 //! [`LocalSortReport::scratch_bytes`] and counted in the driver's
-//! telemetry (`local_sort.scratch_bytes`).
+//! telemetry (`local_sort.scratch_bytes`). That buffer, like the
+//! sequential radix path's scratch and [`parallel_merge_into`]'s output,
+//! comes from [`comm::pages`]: written once, so what it costs is its first
+//! touch, and from one huge page up that is asked to be a 2 MiB one.
 
 use crate::config::LocalKernel;
 use crate::merge::{kway_merge_into, kway_merge_uninit};
@@ -124,7 +127,7 @@ pub fn local_sort_with<T: Sortable>(
     // capacity is the radix ping-pong scratch (disjoint per-chunk
     // subslices), then the same capacity receives the merged output, which
     // is swapped into `data`.
-    let mut buf: Vec<T> = Vec::with_capacity(n);
+    let mut buf: Vec<T> = comm::pages::with_capacity(n);
     let chunk_len = n.div_ceil(threads);
     {
         let mut rest: &mut [T] = data;
@@ -263,7 +266,7 @@ pub fn parallel_merge_into<T: Sortable>(
     let parts = threads;
     let cuts = merge_cuts(chunks, parts, strategy);
 
-    out.reserve(total);
+    comm::pages::reserve(out, total);
     std::thread::scope(|scope| {
         let mut rest: &mut [MaybeUninit<T>] = &mut out.spare_capacity_mut()[..total];
         for part in 0..parts {

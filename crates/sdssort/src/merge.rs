@@ -6,8 +6,15 @@
 //! them rather than re-sorting. Both kernels are *stable with respect to
 //! run order*: ties go to the earlier run, so merging chunks in source-rank
 //! order preserves global stability.
+//!
+//! An output these kernels allocate ([`merge_two_by_key`],
+//! [`kway_merge_into`]) is reserved through [`comm::pages`]: a merge writes
+//! its output exactly once, front to back (and back to front), so under an
+//! allocator that hands out fresh mappings over half of a 16 MiB merge was
+//! first-touch page faults until the buffer asked for huge pages.
 
 use crate::record::Sortable;
+use comm::pages;
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
@@ -20,7 +27,7 @@ pub fn merge_two<T: Sortable>(a: &[T], b: &[T]) -> Vec<T> {
 /// pivot-selection network merges bare keys, which need not be [`Sortable`].
 pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
     let total = a.len() + b.len();
-    let mut out = Vec::with_capacity(total);
+    let mut out = pages::with_capacity(total);
     merge_two_uninit(a, b, &mut out.spare_capacity_mut()[..total], key);
     // SAFETY: `merge_two_uninit` initialized all `total` reserved slots.
     unsafe {
@@ -319,7 +326,7 @@ pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUnin
 pub fn kway_merge_into<T: Sortable>(runs: &[&[T]], out: &mut Vec<T>) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     out.clear();
-    out.reserve(total);
+    pages::reserve(out, total);
     kway_merge_uninit(runs, &mut out.spare_capacity_mut()[..total]);
     // SAFETY: `kway_merge_uninit` initialized all `total` reserved slots.
     unsafe {

@@ -265,7 +265,7 @@ pub fn radix_sort<T: Sortable>(data: &mut [T]) -> usize {
     if data.len() < 2 {
         return 0;
     }
-    let mut scratch: Vec<MaybeUninit<T>> = Vec::with_capacity(data.len());
+    let mut scratch: Vec<MaybeUninit<T>> = comm::pages::with_capacity(data.len());
     // SAFETY: `MaybeUninit<T>` needs no initialization; len == capacity.
     unsafe {
         scratch.set_len(data.len());

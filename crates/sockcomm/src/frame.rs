@@ -292,8 +292,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let len = payload_len(&prefix).map_err(invalid)?;
     let mut frame = decode_header(&prefix[8..]).map_err(invalid)?;
-    frame.payload = vec![0u8; len];
-    r.read_exact(&mut frame.payload)?;
+    // Straight into the spare capacity: a zero-filled `Vec` would write the
+    // whole payload once before the first byte is read into it. (`std` still
+    // zeroes what it lends a reader without `read_buf`, but a window at a
+    // time — 256 KiB at most here — just ahead of the read.)
+    comm::pages::reserve(&mut frame.payload, len);
+    if r.take(len as u64).read_to_end(&mut frame.payload)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame (payload)",
+        ));
+    }
     Ok(Some(frame))
 }
 

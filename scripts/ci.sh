@@ -44,11 +44,13 @@ run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/chec
 # two-way kernel and its exhaustive oracle test — radix scatter passes and
 # gate, pivot sampling; the spill path has no unsafe) and over the pods'
 # `Wire` byte view, which every sockets send of a pod buffer now goes
-# through. Best effort: needs a nightly toolchain with the miri component,
-# which sealed containers may not have.
+# through, and over comm::pages, whose arithmetic runs there while its
+# `madvise` call is compiled out (`cfg(not(miri))`). Best effort: needs a
+# nightly toolchain with the miri component, which sealed containers may
+# not have.
 if cargo +nightly miri --version >/dev/null 2>&1; then
     run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- merge pivot radix
-    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p comm --lib -- wire
+    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p comm --lib -- wire pages
 else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
 fi
@@ -139,6 +141,45 @@ if [ -n "$own_prelude$own_sort" ]; then
         "$own_prelude" "$own_sort" >&2
     exit 1
 fi
+
+# One of each: a sort's n-record buffers come from comm::pages, the one place
+# that asks the kernel for huge pages (DESIGN.md §11.5). The foreign call is
+# nowhere else, and each of the functions that allocate such a buffer calls
+# `pages::` and builds no vector of its own beside it.
+elsewhere="$(grep -rnE --include='*.rs' 'madvise|extern "C"' crates src tests examples |
+    grep -v '^crates/comm/src/pages.rs:' || true)"
+if [ -n "$elsewhere" ]; then
+    printf 'ci: madvise / extern "C" outside crates/comm/src/pages.rs:\n%s\n' "$elsewhere" >&2
+    exit 1
+fi
+# (rustfmt's layout: a function ends at the first `}` at its own indent.)
+fn_body() {
+    awk -v name="$2" '
+        !on && match($0, "^ *(pub(\\([a-z]+\\))? )?fn " name "[<(]") {
+            on = 1; match($0, "^ *"); close_at = sprintf("%*s}", RLENGTH, "")
+        }
+        on { print FILENAME ":" FNR ": " $0 }
+        on && $0 == close_at { on = 0 }' "$1"
+}
+while read -r file name; do
+    body="$(fn_body "$file" "$name")"
+    own="$(grep -E 'Vec::with_capacity\(|vec!\[|[^:]reserve(_exact)?\(|\.to_vec\(\)' <<<"$body" || true)"
+    if ! grep -q 'pages::' <<<"$body" || [ -n "$own" ]; then
+        printf 'ci: %s in %s must get its buffer from comm::pages, and only there:\n%s\n' \
+            "$name" "$file" "${own:-$body}" >&2
+        exit 1
+    fi
+done <<'SITES'
+crates/sdssort/src/merge.rs merge_two_by_key
+crates/sdssort/src/merge.rs kway_merge_into
+crates/sdssort/src/radix.rs radix_sort
+crates/sdssort/src/local_sort.rs local_sort_with
+crates/sdssort/src/local_sort.rs parallel_merge_into
+crates/comm/src/raw.rs alltoallv_given_counts
+crates/comm/src/raw.rs self_run_raw
+crates/comm/src/wire.rs get_into
+crates/sockcomm/src/frame.rs read_frame
+SITES
 
 # The benchmark (benchmark/, a package of its own) is a consumer of the
 # crates' public API: its unit tests must build and pass against the

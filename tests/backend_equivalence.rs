@@ -135,6 +135,8 @@ const ENTRY_SORT_ALGO: &str = "equiv-sort-algo";
 const ENTRY_RECORDS_TAGGED: &str = "equiv-records-tagged";
 const ENTRY_RECORDS_WIDE: &str = "equiv-records-wide";
 const ENTRY_OWNED_EXCHANGE: &str = "equiv-owned-exchange";
+const ENTRY_BIG_U64: &str = "equiv-big-u64";
+const ENTRY_BIG_TAGGED: &str = "equiv-big-tagged";
 
 /// (workload, records per rank, seed, stable, force node merge).
 type U64Params = (String, u64, u64, bool, bool);
@@ -188,6 +190,8 @@ fn sockcomm_child_entry() {
     sockcomm::child_rank(ENTRY_RECORDS_TAGGED, sort_records::<Tagged<u32>, _>);
     sockcomm::child_rank(ENTRY_RECORDS_WIDE, sort_records::<Wide, _>);
     sockcomm::child_rank(ENTRY_OWNED_EXCHANGE, owned_exchange_cases);
+    sockcomm::child_rank(ENTRY_BIG_U64, sort_big::<u64, _>);
+    sockcomm::child_rank(ENTRY_BIG_TAGGED, sort_big::<Tagged<u64>, _>);
 }
 
 fn sockets_world(p: usize) -> sockcomm::SocketWorld {
@@ -597,6 +601,92 @@ fn field_wise_records_agree_on_every_backend_through_both_exchanges() {
         records_agree_everywhere::<Tagged<u32>>(p, transports);
         records_agree_everywhere::<Wide>(p, transports);
     }
+}
+
+// ---- buffers of several huge pages ----------------------------------------
+
+impl EquivRecord for u64 {
+    const ENTRY: &'static str = ENTRY_BIG_U64;
+    fn make(key: u32, _rank: usize, _i: usize) -> Self {
+        u64::from(key)
+    }
+}
+
+impl EquivRecord for Tagged<u64> {
+    const ENTRY: &'static str = ENTRY_BIG_TAGGED;
+    fn make(key: u32, rank: usize, i: usize) -> Self {
+        Record::new(u64::from(key), ((rank as u64) << 32) | i as u64)
+    }
+}
+
+/// Records per rank of the big-buffer row: 4 MiB of `u64`, 8 MiB of
+/// `Tagged<u64>`, so the receive buffers, frame payloads and merge outputs
+/// are each at least one 2 MiB huge page long (`comm::pages`).
+const BIG_N: usize = 1 << 19;
+
+/// (seed, stable).
+type BigParams = (u64, bool);
+
+fn big_input<T: EquivRecord>(seed: u64, rank: usize) -> Vec<T> {
+    uniform_u64(BIG_N, seed, rank)
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| T::make((k % 50_000) as u32, rank, i))
+        .collect()
+}
+
+fn sort_big<T: EquivRecord, C: comm::Communicator>(comm: &C, (seed, stable): BigParams) -> Vec<T> {
+    let data = big_input::<T>(seed, comm.rank());
+    sds_sort(comm, data, &cfg_for(stable))
+        .expect("no memory budget")
+        .data
+}
+
+/// `stable` must leave nothing arrival-dependent for `T`: always for bare
+/// keys, only when set for records with a payload.
+fn big_buffers_agree_everywhere<T: EquivRecord>(stable: bool) {
+    let p = 2;
+    let params: BigParams = (0xB16 + u64::from(stable), stable);
+    let what = format!("{} stable={stable}", std::any::type_name::<T>());
+    let sim = World::new(p)
+        .cores_per_node(4)
+        .net(NetModel::zero())
+        .run(|comm| sort_big::<T, _>(comm, params))
+        .results;
+    let mut want: Vec<T> = (0..p).flat_map(|r| big_input::<T>(params.0, r)).collect();
+    want.sort_by_key(Sortable::key);
+    assert!(
+        want == sim.concat(),
+        "{what}: not the stable sort of the input"
+    );
+    let thr = ThreadWorld::new(p)
+        .cores_per_node(4)
+        .telemetry(true)
+        .run(|comm| sort_big::<T, _>(comm, params));
+    assert!(sim == thr.results, "{what}: sim vs threads");
+    let advised = thr
+        .telemetry
+        .expect("telemetry enabled")
+        .counter("mem.huge_advised_bytes");
+    if std::path::Path::new("/sys/kernel/mm/transparent_hugepage/hpage_pmd_size").exists() {
+        assert!(
+            advised > Some(0),
+            "{what}: no buffer was advised on threads"
+        );
+    } else {
+        assert_eq!(advised, None, "{what}: advised without huge pages");
+    }
+    let sock = sockets_world(p)
+        .run::<BigParams, Vec<T>>(T::ENTRY, &params)
+        .expect("sockets world")
+        .results;
+    assert!(sim == sock, "{what}: sim vs sockets");
+}
+
+#[test]
+fn buffers_of_several_huge_pages_agree_on_every_backend() {
+    big_buffers_agree_everywhere::<u64>(false);
+    big_buffers_agree_everywhere::<Tagged<u64>>(true);
 }
 
 /// What [`owned_exchange_cases`] found on one rank: the stable merge's
