@@ -56,7 +56,9 @@
 //!                                  backend) and drive it with a stream of
 //!                                  Zipf-sized jobs of --workload keys,
 //!                                  --records per rank minimum; reports
-//!                                  jobs/sec and latency percentiles
+//!                                  jobs/sec, latency percentiles and the
+//!                                  median sort wall with the part of it
+//!                                  spent generating keys
 //!   --jobs     <n>                 (serve; default 32) jobs to submit
 //!   --clients  <n>                 (serve; default 4) concurrent client
 //!                                  handles submitting the jobs
@@ -767,6 +769,8 @@ fn serve_main(args: &Args) -> ExitCode {
         time("latency p99", "latency_p99_s", r.latency_p99_s),
         time("queue wait p50", "queue_wait_p50_s", r.queue_wait_p50_s),
         time("queue wait p99", "queue_wait_p99_s", r.queue_wait_p99_s),
+        time("sort wall p50", "sort_wall_p50_s", r.sort_wall_p50_s),
+        time("generate p50", "generate_p50_s", r.generate_p50_s),
         count("completed", "completed", c.completed),
         count("shed", "shed", c.shed),
         count("failed", "failed", c.failed),

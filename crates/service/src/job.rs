@@ -49,8 +49,17 @@ pub struct JobReport {
     pub records: u64,
     /// Seconds the job waited in the submission queue.
     pub queue_wait_s: f64,
-    /// Wall seconds the gang spent sorting (generation included).
+    /// Wall seconds the gang spent on the job, from dispatch until the
+    /// last rank finished: key generation, the sort phases and the gang's
+    /// wake-up, so `sort_wall_s ≥ generate_s + pivot_s + exchange_s +
+    /// local_order_s`. (Each of those is the slowest rank's; a rank that
+    /// waits at the first collective for a slower generator books the wait
+    /// as pivot time, so the sum can overshoot when ranks are very uneven.)
     pub sort_wall_s: f64,
+    /// The slowest rank's seconds generating its keys
+    /// ([`workloads::fill_keys_by_name`]) — inside `sort_wall_s`, before
+    /// any sort phase.
+    pub generate_s: f64,
     /// Per-phase maxima across ranks: pivot selection.
     pub pivot_s: f64,
     /// Per-phase maxima across ranks: all-to-all exchange.

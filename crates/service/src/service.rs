@@ -30,7 +30,7 @@ use crate::arena::Arena;
 use crate::config::ServiceConfig;
 use crate::job::{JobOutcome, JobReport, JobSpec, JobTicket, SubmitError, TrySubmitError};
 use crate::pressure::{Admission, PressureGauge};
-use crate::report::{percentile, ServiceCounters, ServiceReport};
+use crate::report::{LogHistogram, ServiceCounters, ServiceReport};
 use comm::Communicator;
 use sdssort::stats::phase_maxima;
 use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortStats};
@@ -56,10 +56,14 @@ struct Queued {
     reply: mpsc::Sender<JobOutcome>,
 }
 
+/// Lifetime aggregates: counters and fixed-memory histograms, so a resident
+/// service's metrics do not grow with the jobs it has run.
 struct Metrics {
     counters: ServiceCounters,
-    queue_waits: Vec<f64>,
-    latencies: Vec<f64>,
+    queue_waits: LogHistogram,
+    latencies: LogHistogram,
+    sort_walls: LogHistogram,
+    generates: LogHistogram,
 }
 
 struct Shared {
@@ -118,8 +122,10 @@ impl SortService {
             next_client: AtomicUsize::new(0),
             metrics: Mutex::new(Metrics {
                 counters: ServiceCounters::default(),
-                queue_waits: Vec::new(),
-                latencies: Vec::new(),
+                queue_waits: LogHistogram::new(),
+                latencies: LogHistogram::new(),
+                sort_walls: LogHistogram::new(),
+                generates: LogHistogram::new(),
             }),
         });
         let shared2 = Arc::clone(&shared);
@@ -182,7 +188,7 @@ impl SortService {
             let _ = h.join();
         }
         let wall_s = self.shared.now_s();
-        let mut m = self
+        let m = self
             .shared
             .metrics
             .lock()
@@ -194,10 +200,12 @@ impl SortService {
             counters,
             wall_s,
             jobs_per_sec: counters.completed as f64 / wall_s.max(1e-9),
-            queue_wait_p50_s: percentile(&mut m.queue_waits, 50.0),
-            queue_wait_p99_s: percentile(&mut m.queue_waits, 99.0),
-            latency_p50_s: percentile(&mut m.latencies, 50.0),
-            latency_p99_s: percentile(&mut m.latencies, 99.0),
+            queue_wait_p50_s: m.queue_waits.percentile(50.0),
+            queue_wait_p99_s: m.queue_waits.percentile(99.0),
+            latency_p50_s: m.latencies.percentile(50.0),
+            latency_p99_s: m.latencies.percentile(99.0),
+            sort_wall_p50_s: m.sort_walls.percentile(50.0),
+            generate_p50_s: m.generates.percentile(50.0),
         }
     }
 }
@@ -299,7 +307,7 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
             .lock()
             .expect("service metrics mutex poisoned");
         m.counters.shed += 1;
-        m.queue_waits.push(queue_wait_s);
+        m.queue_waits.record(queue_wait_s);
         drop(m);
         let _ = reply.send(JobOutcome::Shed {
             id,
@@ -346,8 +354,10 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
             if report.spilled {
                 m.counters.spilled += 1;
             }
-            m.queue_waits.push(report.queue_wait_s);
-            m.latencies.push(report.latency_s());
+            m.queue_waits.record(report.queue_wait_s);
+            m.latencies.record(report.latency_s());
+            m.sort_walls.record(report.sort_wall_s);
+            m.generates.record(report.generate_s);
         }
         JobOutcome::Failed { .. } => m.counters.failed += 1,
         JobOutcome::Shed { .. } => unreachable!("shed handled before dispatch"),
@@ -356,9 +366,9 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
     let _ = reply.send(outcome);
 }
 
-/// One rank's contribution to a job: its phase stats, plus its sorted
-/// output when the job asked for data back.
-type RankOutcome = Result<(SortStats, Option<Vec<u64>>), String>;
+/// One rank's contribution to a job: its generation seconds, its phase
+/// stats, and its sorted output when the job asked for data back.
+type RankOutcome = Result<(f64, SortStats, Option<Vec<u64>>), String>;
 
 /// Fold per-rank results into one outcome.
 fn assemble(
@@ -370,11 +380,13 @@ fn assemble(
     sort_wall_s: f64,
     admit_pressure: f64,
 ) -> JobOutcome {
+    let mut generate_s = 0.0f64;
     let mut stats = Vec::with_capacity(per_rank.len());
     let mut outputs = Vec::with_capacity(per_rank.len());
     for r in per_rank {
         match r {
-            Ok((s, o)) => {
+            Ok((g, s, o)) => {
+                generate_s = generate_s.max(g);
                 stats.push(s);
                 if let Some(o) = o {
                     outputs.push(o);
@@ -391,6 +403,7 @@ fn assemble(
             records,
             queue_wait_s,
             sort_wall_s,
+            generate_s,
             pivot_s: maxima.pivot_s,
             exchange_s: maxima.exchange_s,
             local_order_s: maxima.local_order_s,
@@ -412,6 +425,7 @@ fn rank_job(
     spill_dir: &Path,
 ) -> RankOutcome {
     let mut buf = arena.take(comm.rank());
+    let generating = Instant::now();
     // A generator error is deterministic in the workload name, so every
     // rank takes this early return together — nobody is left blocked in a
     // collective.
@@ -425,6 +439,7 @@ fn rank_job(
         arena.put(comm.rank(), buf);
         return Err(e);
     }
+    let generate_s = generating.elapsed().as_secs_f64();
     // Each job sorts on its own split context: fresh collective sequence
     // numbers, and any stray envelope from a failed job can never match.
     let sub = comm
@@ -444,11 +459,11 @@ fn rank_job(
         Ok(o) => {
             let stats = o.stats;
             if spec.return_output {
-                Ok((stats, Some(o.data)))
+                Ok((generate_s, stats, Some(o.data)))
             } else {
                 // Recycle the output buffer as a future input buffer.
                 arena.put(comm.rank(), o.data);
-                Ok((stats, None))
+                Ok((generate_s, stats, None))
             }
         }
         Err(e) => Err(e.to_string()),

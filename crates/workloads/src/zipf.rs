@@ -8,6 +8,23 @@
 //! number `H_{M,α}` must hit `1/δ`, which fixes the key-universe size `M`
 //! per α. [`ZipfGen::with_delta_target`] solves for `M` numerically, so
 //! our empirical δ reproduces the paper's table.
+//!
+//! ## The solve is one forward scan
+//!
+//! `H_{m,α}` is the running sum `acc += i^{-α}` from `i = 1` — the same
+//! sequential sum [`ZipfGen::new`] builds its CDF from — for
+//! `m ≤ EXACT = 200 000`. The solve keeps that sum and stops at the first
+//! `i` with `acc ≥ 100/δ`: about 10⁴ terms for Table 2's α. That `i` is
+//! exactly what the doubling-and-bisection solve it replaced returned,
+//! bit for bit: each of its probes re-summed this same sequence, a rounded
+//! sum never falls when a non-negative term is added (so the partial sums
+//! are monotone in `m`), and the bisection returned the smallest `m` that
+//! reaches the target. Only a target the exact prefix never reaches (α > 1
+//! with δ below `100/ζ(α)`, or a tiny δ) goes on to the tail regime:
+//! `H_{m,α} = H_{EXACT,α} + ∫_{EXACT+½}^{m+½} x^{-α} dx`, O(1) per `m`
+//! from the prefix already summed, bisected over `(EXACT, 2²²]`; a target
+//! still short at `2²²` gets the `2²²`-key universe, as before. Nothing is
+//! cached: every `zipf:<Table-2 α>` shard pays the scan and its CDF.
 
 use rand::prelude::*;
 
@@ -21,23 +38,51 @@ pub const PAPER_ALPHA_DELTA_TABLE2: [(f64, f64); 6] = [
     (0.9, 6.4),
 ];
 
-/// Generalized harmonic number `H_{M,α} = Σ_{i=1..M} i^{-α}`.
-fn harmonic(m: usize, alpha: f64) -> f64 {
-    // Exact sum for small M, integral-corrected tail beyond a threshold.
-    const EXACT: usize = 200_000;
-    let exact_upto = m.min(EXACT);
-    let mut h: f64 = (1..=exact_upto).map(|i| (i as f64).powf(-alpha)).sum();
-    if m > EXACT {
-        // ∫_{EXACT+0.5}^{M+0.5} x^{-α} dx (midpoint-corrected tail)
-        let a = EXACT as f64 + 0.5;
-        let b = m as f64 + 0.5;
-        if (alpha - 1.0).abs() < 1e-12 {
-            h += (b / a).ln();
-        } else {
-            h += (b.powf(1.0 - alpha) - a.powf(1.0 - alpha)) / (1.0 - alpha);
+/// Terms of `H_{m,α}` summed exactly; beyond them the sum is an integral
+/// tail.
+const EXACT: usize = 200_000;
+
+/// Largest universe [`ZipfGen::with_delta_target`] builds: beyond it the
+/// tail mass is folded into the last key, which changes δ negligibly.
+const MAX_UNIVERSE: usize = 1 << 22;
+
+/// `H_{m,α} − H_{EXACT,α}` for `m > EXACT`: the midpoint-corrected
+/// integral `∫_{EXACT+½}^{m+½} x^{-α} dx`.
+fn harmonic_tail(m: usize, alpha: f64) -> f64 {
+    let a = EXACT as f64 + 0.5;
+    let b = m as f64 + 0.5;
+    if (alpha - 1.0).abs() < 1e-12 {
+        (b / a).ln()
+    } else {
+        (b.powf(1.0 - alpha) - a.powf(1.0 - alpha)) / (1.0 - alpha)
+    }
+}
+
+/// Smallest `M` with `H_{M,α} ≥ target_h`, clamped to [`MAX_UNIVERSE`]:
+/// the first prefix of one forward scan that reaches the target, else a
+/// bisection of the O(1) tail over `(EXACT, MAX_UNIVERSE]`.
+fn universe_for(alpha: f64, target_h: f64) -> usize {
+    let mut h_exact = 0.0f64;
+    for i in 1..=EXACT {
+        h_exact += (i as f64).powf(-alpha);
+        if h_exact >= target_h {
+            return i;
         }
     }
-    h
+    let reaches = |m| h_exact + harmonic_tail(m, alpha) >= target_h;
+    if !reaches(MAX_UNIVERSE) {
+        return MAX_UNIVERSE;
+    }
+    let (mut lo, mut hi) = (EXACT + 1, MAX_UNIVERSE);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// A seedable Zipf sampler over keys `1..=M` via inverse-CDF lookup.
@@ -72,32 +117,12 @@ impl ZipfGen {
     }
 
     /// Sampler whose expected maximum replication ratio is
-    /// `delta_pct` percent: solves `1/H_{M,α} = δ` for the universe size
-    /// `M` by bisection, then builds the exact CDF (capped at 2²² distinct
-    /// keys; beyond that the tail mass is folded into the last key, which
-    /// changes δ negligibly).
+    /// `delta_pct` percent: the smallest universe `M` with
+    /// `1/H_{M,α} ≤ δ` (one forward scan, see the module docs), then the
+    /// exact CDF over it (capped at 2²² distinct keys).
     pub fn with_delta_target(alpha: f64, delta_pct: f64) -> Self {
         assert!(delta_pct > 0.0 && delta_pct < 100.0);
-        let target_h = 100.0 / delta_pct;
-        // find smallest M with H_{M,α} >= target_h
-        let mut lo = 1usize;
-        let mut hi = 1usize;
-        while harmonic(hi, alpha) < target_h {
-            if hi >= 1 << 40 {
-                break; // α > 1: H converges; δ below its floor is impossible
-            }
-            hi *= 2;
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if harmonic(mid, alpha) < target_h {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let m = lo.clamp(1, 1 << 22);
-        Self::new(alpha, m)
+        Self::new(alpha, universe_for(alpha, 100.0 / delta_pct))
     }
 
     /// Zipf exponent α.
@@ -166,6 +191,116 @@ pub fn zipf_keys(n: usize, alpha: f64, seed: u64, rank: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::replication_ratio_pct;
+
+    /// `H_{m,α}` as the solve before the one-pass scan evaluated it: the
+    /// exact prefix re-summed from `i = 1` on every call.
+    fn harmonic(m: usize, alpha: f64) -> f64 {
+        let mut h: f64 = (1..=m.min(EXACT)).map(|i| (i as f64).powf(-alpha)).sum();
+        if m > EXACT {
+            h += harmonic_tail(m, alpha);
+        }
+        h
+    }
+
+    /// The oracle: [`ZipfGen::with_delta_target`] as it was before the
+    /// one-pass scan — doubling, then bisection, every probe a full
+    /// [`harmonic`].
+    fn bisection_oracle(alpha: f64, delta_pct: f64) -> ZipfGen {
+        let target_h = 100.0 / delta_pct;
+        let mut lo = 1usize;
+        let mut hi = 1usize;
+        while harmonic(hi, alpha) < target_h {
+            if hi >= 1 << 40 {
+                break;
+            }
+            hi *= 2;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if harmonic(mid, alpha) < target_h {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        ZipfGen::new(alpha, lo.clamp(1, MAX_UNIVERSE))
+    }
+
+    /// Table 2, cosmology's pair, Table 1's two high-α pairs, and an
+    /// α × δ grid: 42 pairs covering the exact prefix, the tail bisection
+    /// (0.6 at 0.15 %, 0.9 at 4 %) and the 2²² clamp.
+    fn solve_pairs() -> Vec<(f64, f64)> {
+        let mut pairs = PAPER_ALPHA_DELTA_TABLE2.to_vec();
+        pairs.extend([(0.6, 0.73), (1.4, 32.0), (2.1, 63.0)]);
+        for alpha in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.3] {
+            for delta in [0.15, 4.0, 40.0] {
+                pairs.push((alpha, delta));
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn one_pass_solve_matches_the_bisection_oracle() {
+        let pairs = solve_pairs();
+        assert_eq!(pairs.len(), 42);
+        let mut regimes = [0usize; 3]; // exact prefix, tail bisection, clamp
+        for (alpha, delta) in pairs {
+            let got = ZipfGen::with_delta_target(alpha, delta);
+            let want = bisection_oracle(alpha, delta);
+            assert_eq!(got.universe(), want.universe(), "(α {alpha}, δ {delta})");
+            assert!(
+                got.cdf
+                    .iter()
+                    .zip(&want.cdf)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "(α {alpha}, δ {delta}): CDF bits differ"
+            );
+            assert_eq!(got.keys(1000, 7, 1), want.keys(1000, 7, 1));
+            regimes[match got.universe() {
+                m if m <= EXACT => 0,
+                MAX_UNIVERSE => 2,
+                _ => 1,
+            }] += 1;
+        }
+        assert!(
+            regimes.iter().all(|&n| n > 0),
+            "regimes covered: {regimes:?}"
+        );
+    }
+
+    #[test]
+    fn solved_universes_match_the_parents() {
+        // Recorded at the parent of the one-pass scan.
+        let golden = [
+            ((0.4, 0.2), 13_495),
+            ((0.5, 0.5), 10_147),
+            ((0.6, 1.0), 10_621),
+            ((0.7, 2.0), 9_968),
+            ((0.8, 3.7), 9_869),
+            ((0.9, 6.4), 9_749),
+            ((0.6, 0.73), 23_026),
+            ((1.4, 32.0), MAX_UNIVERSE),
+            ((2.1, 63.0), MAX_UNIVERSE),
+        ];
+        for ((alpha, delta), m) in golden {
+            assert_eq!(
+                universe_for(alpha, 100.0 / delta),
+                m,
+                "(α {alpha}, δ {delta})"
+            );
+        }
+    }
+
+    #[test]
+    fn zipf_keys_by_name_match_the_parents() {
+        // The first 16 keys of `zipf:0.8`, seed 7, rank 1, recorded at the
+        // parent of the one-pass scan.
+        assert_eq!(
+            crate::keys_by_name("zipf:0.8", 16, 7, 1).expect("valid name"),
+            [74, 66, 263, 1412, 63, 131, 19, 2780, 3877, 626, 240, 56, 1165, 445, 169, 447]
+        );
+    }
 
     #[test]
     fn harmonic_matches_known_values() {

@@ -241,6 +241,14 @@ test -s "$tmp/svc/BENCH_sortsvc.json" || {
     echo "ci: sortcli --serve did not write BENCH_sortsvc.json" >&2
     exit 1
 }
+# ... and it must say how much of a job's sort wall is key generation.
+python3 - "$tmp/svc/BENCH_sortsvc.json" <<'PY'
+import json, sys
+v = json.load(open(sys.argv[1]))["series"][0]["points"][0]["values"]
+g, w = v.get("generate_p50_s"), v.get("sort_wall_p50_s")
+if g is None or w is None or not 0 < g <= w:
+    sys.exit(f"ci: BENCH_sortsvc.json needs 0 < generate_p50_s <= sort_wall_p50_s: {g} vs {w}")
+PY
 
 # Faults smoke: the sort must survive heavy deterministic fault injection,
 # and graceful degradation must complete (spilling) where the plain driver
