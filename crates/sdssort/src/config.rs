@@ -177,8 +177,9 @@ pub enum LocalKernel {
     /// monotone `u64` embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], the
     /// sampled keys occupy at most [`crate::radix::RADIX_MAX_AUTO_DIGITS`]
     /// digit bytes and none of them holds an eighth of the sample
-    /// ([`crate::radix::RADIX_MAX_AUTO_DUP_INV`]); comparison sort
-    /// otherwise.
+    /// ([`crate::radix::RADIX_MAX_AUTO_DUP`]) — three quarters when the sort
+    /// is stable ([`crate::radix::RADIX_MAX_AUTO_DUP_STABLE`]); comparison
+    /// sort otherwise.
     #[default]
     Auto,
     /// Force the LSD radix kernel (falls back to comparison when the key

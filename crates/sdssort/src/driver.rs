@@ -21,7 +21,7 @@ use crate::config::{ComputeCharge, LocalKernel};
 use crate::exchange::{exchange, fail_together, Delivery};
 use crate::local_sort::{local_sort_with, LocalSortReport};
 use crate::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
-use crate::radix::{RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP_INV};
+use crate::radix::RADIX_MAX_AUTO_DIGITS;
 use crate::record::Sortable;
 use crate::sort::{SortError, SortOutput};
 use crate::stats::SortStats;
@@ -199,11 +199,15 @@ pub(crate) fn count_local_sort<C: Communicator>(comm: &C, n: usize, report: Loca
     }
     if comm.recorder().enabled() && comm.rank() == 0 {
         let why = match report.gate {
-            Some(g) => format!(
-                "sampled {}: {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
-                 δ̂ {}/{} (radix below 1/{RADIX_MAX_AUTO_DUP_INV})",
-                g.sampled, g.digits, g.longest_run, g.sampled
-            ),
+            Some(g) => {
+                let (num, den) = g.dup_bound();
+                let sort = if g.stable { "stable: " } else { "" };
+                format!(
+                    "sampled {}: {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
+                     δ̂ {}/{} ({sort}radix below {num}/{den})",
+                    g.sampled, g.digits, g.longest_run, g.sampled
+                )
+            }
             None => "not sampled: kernel forced, or radix does not apply".to_string(),
         };
         comm.event(

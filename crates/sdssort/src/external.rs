@@ -225,4 +225,33 @@ mod tests {
             .collect();
         round_trip("floats", &floats, 512);
     }
+
+    /// A spilled run of tagged records is the bytes it was before those
+    /// records became pods on the wire: key then tag, native-endian, record
+    /// after record (the hex was recorded from the field-wise encoder, on a
+    /// little-endian host).
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn tagged_run_file_bytes_match_the_recorded_field_wise_bytes() {
+        const GOLDEN: &str = "0200000000000000090000000000000002000000000000000300000000000000\
+                              0807060504030201010000000000000008070605040302010500000000000000\
+                              ffffffffffffffff0000000000000000";
+        let run: Vec<Tagged<u64>> = [
+            (2, 9),
+            (2, 3),
+            (0x0102_0304_0506_0708, 1),
+            (0x0102_0304_0506_0708, 5),
+            (u64::MAX, 0),
+        ]
+        .into_iter()
+        .map(|(key, tag)| Record::new(key, tag))
+        .collect();
+        let dir = std::env::temp_dir().join(format!("sdssort-golden-{}", std::process::id()));
+        let file = write_run(&run, &dir.join("run.bin")).expect("write");
+        let bytes = std::fs::read(&file.path).expect("read back");
+        remove_run(&file);
+        let _ = std::fs::remove_dir_all(&dir);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+    }
 }

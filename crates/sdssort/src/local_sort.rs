@@ -79,7 +79,8 @@ pub fn local_sort<T: Sortable>(data: &mut Vec<T>, threads: usize, stable: bool) 
 /// `LocalKernel::Auto` picks the LSD radix kernel when the key type has a
 /// monotone `u64` embedding, `n` amortizes its fixed passes, and a sample
 /// of at most 1 024 keys shows few enough digit bytes and little enough
-/// duplication for scatter passes to beat the comparison sort
+/// duplication for scatter passes to beat the comparison sort — the stable
+/// one when `stable`, which tolerates more duplication
 /// ([`GateSample::picks_radix`]; what it saw comes back in the report);
 /// `Radix` forces it whenever the key supports it (comparison fallback
 /// otherwise); `Comparison` always compares. Both
@@ -94,7 +95,7 @@ pub fn local_sort_with<T: Sortable>(
 ) -> LocalSortReport {
     let n = data.len();
     let gate = if kernel == LocalKernel::Auto {
-        GateSample::take(data)
+        GateSample::take(data, stable)
     } else {
         None
     };

@@ -24,12 +24,15 @@
 //!
 //! Whether it beats the comparison sorts depends on the input, not only
 //! on the key type: [`GateSample`] is what `LocalKernel::Auto` decides
-//! from — few digit bytes *and* little duplication.
+//! from — few digit bytes *and* little enough duplication, where "little
+//! enough" depends on whether the rival is the stable or the unstable
+//! comparison sort.
 //!
-//! Scatter passes ping-pong between the caller's slice and a caller-owned
-//! scratch buffer (one allocation for the whole sort, counted by
-//! [`crate::local_sort::LocalSortReport`]); an extra copy-back runs only
-//! when the number of active digits is odd.
+//! Scatter passes ping-pong between the caller's slice and a scratch
+//! buffer (one allocation for the whole sort, counted by
+//! [`crate::local_sort::LocalSortReport`]). When the number of active
+//! digits is odd the result lies in the scratch: [`radix_sort_slice`]
+//! copies it back, [`radix_sort`], which owns its scratch, swaps it in.
 
 use crate::record::Sortable;
 use std::mem::MaybeUninit;
@@ -72,21 +75,28 @@ pub const GATE_MAX_SAMPLE: usize = 1024;
 /// [`RADIX_MIN_N`] records are judged from 128 of them).
 const GATE_SAMPLE_EVERY: usize = 16;
 
-/// Reciprocal of the duplication bound: [`LocalKernel::Auto`] picks radix
-/// only while the sample's most frequent key holds less than one
-/// `1 / RADIX_MAX_AUTO_DUP_INV` of it (`δ̂ < 1/8`). The two measured sides
-/// (DESIGN.md §11.2): `zipf:0.8`, δ = 3.7 %, where LSD beats the
-/// comparison sorts 1.6–2.2×, and `zipf:1.4`, δ = 32 %, where it loses
+/// The duplication bound of an unstable sort, as `(num, den)`:
+/// [`LocalKernel::Auto`] picks radix only while the sample's most frequent
+/// key holds less than `num / den` of it (`δ̂ < 1/8`). The two measured
+/// sides (DESIGN.md §11.2): `zipf:0.8`, δ = 3.7 %, where LSD beats
+/// `sort_unstable` 1.6–2.2×, and `zipf:1.4`, δ = 32 %, where it loses
 /// 2.2–2.4× at every size — ipnsort retires a heavy key in a couple of
 /// partition levels, while the scatter pass gets *slower* with
 /// duplication (one bucket's offset becomes a store-to-load chain).
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
-pub const RADIX_MAX_AUTO_DUP_INV: usize = 8;
+pub const RADIX_MAX_AUTO_DUP: (usize, usize) = (1, 8);
+
+/// The duplication bound of a stable sort (`δ̂ < 3/4`). Its rival is the
+/// stable `sort_by_key`, which has no partition step to retire a heavy key
+/// in: LSD beat it at δ = 32 %, 50 % and 63 % in every measurement, while
+/// at 90 % one measurement had it losing and another winning (DESIGN.md
+/// §11.2), so the bound stays below where they disagree.
+pub const RADIX_MAX_AUTO_DUP_STABLE: (usize, usize) = (3, 4);
 
 /// What [`LocalKernel::Auto`] saw of an input before it chose a kernel:
 /// a fixed-stride sample of the keys, never more than [`GATE_MAX_SAMPLE`]
-/// of them.
+/// of them, and which sort the kernel stands in for.
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,18 +110,22 @@ pub struct GateSample {
     /// Longest run of equal keys in the sorted sample; over `sampled` it is
     /// δ̂, the estimate of the paper's maximum replication ratio δ (§2.2).
     pub longest_run: usize,
+    /// The sort is stable: radix competes with `sort_by_key`, under
+    /// [`RADIX_MAX_AUTO_DUP_STABLE`].
+    pub stable: bool,
 }
 
 impl GateSample {
-    /// Sample `data`, or `None` when the radix kernel does not apply to
-    /// `T` at this size at all ([`radix_applicable`]; nothing is read).
+    /// Sample `data` for a sort that is `stable` or not, or `None` when the
+    /// radix kernel does not apply to `T` at this size at all
+    /// ([`radix_applicable`]; nothing is read).
     ///
     /// Deterministic: every `n / sampled`-th key from the first on, no
     /// RNG. An input whose period matches the stride can therefore show
     /// the gate one key (or none of its heavy key); that costs time, never
     /// correctness — both kernels produce the same result.
     #[must_use]
-    pub fn take<T: Sortable>(data: &[T]) -> Option<Self> {
+    pub fn take<T: Sortable>(data: &[T], stable: bool) -> Option<Self> {
         let n = data.len();
         if !radix_applicable::<T>(n) {
             return None;
@@ -134,17 +148,29 @@ impl GateSample {
             sampled,
             digits: active_digit_positions(diff).count() as u32,
             longest_run,
+            stable,
         })
+    }
+
+    /// The duplication bound this sample is judged by, as `(num, den)`:
+    /// [`RADIX_MAX_AUTO_DUP_STABLE`] for a stable sort,
+    /// [`RADIX_MAX_AUTO_DUP`] otherwise.
+    #[must_use]
+    pub fn dup_bound(&self) -> (usize, usize) {
+        if self.stable {
+            RADIX_MAX_AUTO_DUP_STABLE
+        } else {
+            RADIX_MAX_AUTO_DUP
+        }
     }
 
     /// The gate's verdict: few enough digits for scatter passes to beat
     /// comparison levels ([`RADIX_MAX_AUTO_DIGITS`]) and no key heavy
-    /// enough to turn them into a dependent chain
-    /// ([`RADIX_MAX_AUTO_DUP_INV`]).
+    /// enough to turn them into a dependent chain ([`Self::dup_bound`]).
     #[must_use]
     pub fn picks_radix(&self) -> bool {
-        self.digits <= RADIX_MAX_AUTO_DIGITS
-            && self.longest_run * RADIX_MAX_AUTO_DUP_INV < self.sampled
+        let (num, den) = self.dup_bound();
+        self.digits <= RADIX_MAX_AUTO_DIGITS && self.longest_run * den < self.sampled * num
     }
 }
 
@@ -152,14 +178,6 @@ impl GateSample {
 /// first.
 fn active_digit_positions(diff: u64) -> impl Iterator<Item = u32> {
     (0..DIGITS).filter(move |d| (diff >> (8 * d)) & 0xFF != 0)
-}
-
-/// The automatic gate: [`radix_applicable`], and the sample favours
-/// scatter passes ([`GateSample::picks_radix`]). A pure function of the
-/// input that reads at most [`GATE_MAX_SAMPLE`] records.
-#[must_use]
-pub fn radix_profitable<T: Sortable>(data: &[T]) -> bool {
-    GateSample::take(data).is_some_and(|g| g.picks_radix())
 }
 
 /// Sort `data` by key with LSD counting passes. Stable. The result is
@@ -171,6 +189,24 @@ pub fn radix_profitable<T: Sortable>(data: &[T]) -> bool {
 /// If `T` has no monotone `u64` key embedding (`T::RADIX` is false) or
 /// `scratch` is shorter than `data`.
 pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) {
+    if scatter_passes(data, scratch) {
+        // Odd pass count: the sorted order lives in scratch; copy it back.
+        // SAFETY: the final pass initialized scratch[..n]; the regions do
+        // not overlap.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                scratch.as_ptr().cast::<T>(),
+                data.as_mut_ptr(),
+                data.len(),
+            );
+        }
+    }
+}
+
+/// The passes of [`radix_sort_slice`]: whether the sorted order ended up
+/// in `scratch[..n]` (an odd number of scatter passes ran) rather than in
+/// `data`.
+fn scatter_passes<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) -> bool {
     assert!(
         T::RADIX,
         "radix kernel requires a monotone u64 key embedding"
@@ -182,7 +218,7 @@ pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<
         scratch.len()
     );
     if n < 2 {
-        return;
+        return false;
     }
 
     // Pre-pass: which digit positions differ at all, and is there anything
@@ -200,7 +236,7 @@ pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<
         prev = k;
     }
     if sorted {
-        return;
+        return false;
     }
     let active: Vec<u32> = active_digit_positions(diff).collect();
 
@@ -248,36 +284,35 @@ pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<
         }
         in_data = !in_data;
     }
-
-    if !in_data {
-        // Odd pass count: the sorted order lives in scratch; copy it back.
-        // SAFETY: the final pass initialized scratch[..n]; the regions do
-        // not overlap.
-        unsafe {
-            std::ptr::copy_nonoverlapping(scratch.as_ptr().cast::<T>(), data.as_mut_ptr(), n);
-        }
-    }
+    !in_data
 }
 
-/// Convenience wrapper that owns the scratch buffer. Returns the scratch
-/// bytes it transiently allocated (0 when the input was trivially sorted).
-pub fn radix_sort<T: Sortable>(data: &mut [T]) -> usize {
-    if data.len() < 2 {
+/// [`radix_sort_slice`] with a scratch buffer of its own. Where an odd
+/// number of passes leaves the sorted order in the scratch, the scratch
+/// becomes `data` (and `data`'s old buffer is freed) instead of being
+/// copied back. Returns the scratch bytes it allocated (0 below two
+/// records).
+pub fn radix_sort<T: Sortable>(data: &mut Vec<T>) -> usize {
+    let n = data.len();
+    if n < 2 {
         return 0;
     }
-    let mut scratch: Vec<MaybeUninit<T>> = comm::pages::with_capacity(data.len());
-    // SAFETY: `MaybeUninit<T>` needs no initialization; len == capacity.
-    unsafe {
-        scratch.set_len(data.len());
+    let mut scratch: Vec<T> = comm::pages::with_capacity(n);
+    if scatter_passes(data, &mut scratch.spare_capacity_mut()[..n]) {
+        // SAFETY: the final scatter pass wrote every one of the scratch's
+        // first `n` slots, which its capacity holds.
+        unsafe {
+            scratch.set_len(n);
+        }
+        std::mem::swap(data, &mut scratch);
     }
-    radix_sort_slice(data, &mut scratch);
-    std::mem::size_of_val::<[T]>(data)
+    n * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{OrderedF32, Record};
+    use crate::record::{OrderedF32, Record, Tagged};
     use comm::Wire;
     use rand::prelude::*;
     use std::cell::Cell;
@@ -383,6 +418,33 @@ mod tests {
     }
 
     #[test]
+    fn radix_sort_swaps_the_scratch_in_after_an_odd_pass_count() {
+        let mut rng = StdRng::seed_from_u64(12);
+        const N: usize = 5000;
+        // Keys below 2^8, 2^16, 2^24: one, two and three scatter passes.
+        for (bits, odd) in [(8, true), (16, false), (24, true)] {
+            let input: Vec<Tagged<u64>> = (0..N as u64)
+                .map(|i| Record::new(rng.gen_range(0..1u64 << bits), i))
+                .collect();
+            let mut expect = input.clone();
+            expect.sort_by_key(|r| r.key);
+            let mut data = input;
+            let before = data.as_ptr();
+            assert_eq!(radix_sort(&mut data), N * 16, "{bits}-bit keys");
+            assert_eq!(data, expect, "{bits}-bit keys");
+            assert_eq!(data.as_ptr() != before, odd, "{bits}-bit keys: swapped?");
+        }
+        // Presorted: the pre-pass returns, nothing is swapped, and the
+        // scratch it allocated is still reported.
+        let asc: Vec<Tagged<u64>> = (0..N as u64).map(|i| Record::new(i / 3, i)).collect();
+        let mut data = asc.clone();
+        let before = data.as_ptr();
+        assert_eq!(radix_sort(&mut data), N * 16);
+        assert_eq!((data.as_ptr(), &data), (before, &asc));
+        assert_eq!(radix_sort(&mut vec![Record::new(1u64, 0u64)]), 0);
+    }
+
+    #[test]
     fn radix_gate_table() {
         let n = 1usize << 14;
         let mut rng = StdRng::seed_from_u64(11);
@@ -398,38 +460,61 @@ mod tests {
                 })
                 .collect()
         };
-        let table: Vec<(&str, Vec<u64>, bool)> = vec![
-            ("zipf:1.4-like, one key ~32 %", skewed(0.32, 1 << 20), false),
-            ("90 % one key", skewed(0.9, 1000), false),
-            ("all equal", vec![42; n], false),
-            ("0..n", (0..n as u64).collect(), true),
-            ("reversed", (0..n as u64).rev().collect(), true),
-            ("uniform, u32 range", skewed(0.0, 1 << 32), true),
-            ("zipf:0.8-like, one key ~4 %", skewed(0.04, 1 << 16), true),
-            ("uniform, full range", skewed(0.0, u64::MAX), false),
+        // (name, input, radix for an unstable sort, radix for a stable one)
+        let table: Vec<(&str, Vec<u64>, bool, bool)> = vec![
+            (
+                "zipf:1.4-like, one key ~32 %",
+                skewed(0.32, 1 << 20),
+                false,
+                true,
+            ),
+            (
+                "zipf:2.1-like, one key ~63 %",
+                skewed(0.63, 1 << 20),
+                false,
+                true,
+            ),
+            ("90 % one key", skewed(0.9, 1000), false, false),
+            ("all equal", vec![42; n], false, false),
+            ("0..n", (0..n as u64).collect(), true, true),
+            ("reversed", (0..n as u64).rev().collect(), true, true),
+            ("uniform, u32 range", skewed(0.0, 1 << 32), true, true),
+            (
+                "zipf:0.8-like, one key ~4 %",
+                skewed(0.04, 1 << 16),
+                true,
+                true,
+            ),
+            ("uniform, full range", skewed(0.0, u64::MAX), false, false),
         ];
-        for (name, data, radix) in &table {
-            let g = GateSample::take(data).expect(name);
-            assert_eq!(g.sampled, GATE_MAX_SAMPLE, "{name}");
-            assert_eq!(g.picks_radix(), *radix, "{name}: {g:?}");
-            assert_eq!(radix_profitable(data), *radix, "{name}");
+        for (name, data, unstable, stable) in &table {
+            for (is_stable, radix) in [(false, unstable), (true, stable)] {
+                let g = GateSample::take(data, is_stable).expect(name);
+                assert_eq!(g.sampled, GATE_MAX_SAMPLE, "{name}");
+                assert_eq!(g.stable, is_stable, "{name}");
+                assert_eq!(g.picks_radix(), *radix, "{name}: {g:?}");
+            }
         }
         // What the sample of `0..n` shows: stride 16 hides the low nibble
         // only, and no key repeats.
-        let g = GateSample::take(&table[3].1).unwrap();
+        let g = GateSample::take(&table[4].1, false).unwrap();
         assert_eq!((g.digits, g.longest_run), (2, 1));
-        let g = GateSample::take(&table[2].1).unwrap();
+        let g = GateSample::take(&table[3].1, false).unwrap();
         assert_eq!((g.digits, g.longest_run), (0, GATE_MAX_SAMPLE));
+        assert_eq!(g.dup_bound(), RADIX_MAX_AUTO_DUP);
+        let g = GateSample::take(&table[3].1, true).unwrap();
+        assert_eq!(g.dup_bound(), RADIX_MAX_AUTO_DUP_STABLE);
 
         // Below the size floor, and for keys with no `u64` embedding,
         // nothing is sampled at all.
         let narrow: Vec<u64> = (0..RADIX_MIN_N as u64).collect();
-        assert_eq!(GateSample::take(&narrow).map(|g| g.sampled), Some(128));
-        assert!(radix_profitable(&narrow));
-        assert_eq!(GateSample::take(&narrow[..RADIX_MIN_N - 1]), None);
-        assert!(!radix_profitable(&narrow[..RADIX_MIN_N - 1]));
+        let g = GateSample::take(&narrow, false).expect("at the floor");
+        assert_eq!(g.sampled, 128);
+        assert!(g.picks_radix());
+        assert_eq!(GateSample::take(&narrow[..RADIX_MIN_N - 1], false), None);
+        assert_eq!(GateSample::take(&narrow[..RADIX_MIN_N - 1], true), None);
         let wide: Vec<u128> = (0..n as u128).collect();
-        assert_eq!(GateSample::take(&wide), None);
+        assert_eq!(GateSample::take(&wide, true), None);
     }
 
     thread_local! {
@@ -467,7 +552,7 @@ mod tests {
         for n in [RADIX_MIN_N, 5000, 1 << 14, (1 << 16) + 17] {
             let data: Vec<CountedKey> = (0..n as u64).map(CountedKey).collect();
             KEY_READS.set(0);
-            let g = GateSample::take(&data).unwrap();
+            let g = GateSample::take(&data, false).unwrap();
             let reads = KEY_READS.get();
             assert_eq!(reads, g.sampled, "n={n}");
             assert_eq!(reads, (n / 16).min(1024), "n={n}");

@@ -10,6 +10,7 @@
 //! Floating-point keys (the PTF real-bogus scores are `f32`) are handled
 //! with [`OrderedF32`]/[`OrderedF64`], monotone total-order bit encodings.
 
+use comm::wire::Pod;
 use comm::Wire;
 
 /// A record that can be sorted by SDS-Sort and the baseline sorters.
@@ -166,6 +167,7 @@ pub fn f64_from_ordered_bits(bits: u64) -> f64 {
 
 /// An `f32` with a total order, usable as a sort key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(transparent)]
 pub struct OrderedF32(u32);
 
 impl OrderedF32 {
@@ -202,6 +204,10 @@ impl RadixKey for OrderedF32 {
 }
 
 impl Wire for OrderedF32 {
+    // SAFETY: `#[repr(transparent)]` over a `u32`, which is a pod, and `put`
+    // appends that `u32`'s bytes.
+    const POD: Option<Pod<Self>> = Some(unsafe { Pod::new() });
+
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
     }
@@ -225,6 +231,7 @@ impl Sortable for OrderedF32 {
 
 /// An `f64` with a total order, usable as a sort key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(transparent)]
 pub struct OrderedF64(u64);
 
 impl OrderedF64 {
@@ -261,6 +268,10 @@ impl RadixKey for OrderedF64 {
 }
 
 impl Wire for OrderedF64 {
+    // SAFETY: `#[repr(transparent)]` over a `u64`, which is a pod, and `put`
+    // appends that `u64`'s bytes.
+    const POD: Option<Pod<Self>> = Some(unsafe { Pod::new() });
+
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
     }
@@ -284,7 +295,12 @@ impl Sortable for OrderedF64 {
 
 /// A key/payload record. The payload is carried through the exchange but
 /// never compared — the paper's "non-key values".
+///
+/// `#[repr(C)]`: the key comes first in memory, as it does on the wire, so a
+/// record of pods with no padding between or after the fields is a pod
+/// itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C)]
 pub struct Record<K, P> {
     /// The sort key.
     pub key: K,
@@ -301,12 +317,27 @@ impl<K, P> Record<K, P> {
 }
 
 /// Field-wise encoding (key then payload) — any compiler-inserted padding
-/// between the fields never touches the wire.
+/// between the fields never touches the wire. Without padding, and with
+/// both fields pods, those bytes are the record's memory.
 impl<K, P> Wire for Record<K, P>
 where
     K: Wire + Copy,
     P: Wire + Copy,
 {
+    const POD: Option<Pod<Self>> = if K::POD.is_some()
+        && P::POD.is_some()
+        && std::mem::offset_of!(Self, payload) == std::mem::size_of::<K>()
+        && std::mem::size_of::<Self>() == std::mem::size_of::<K>() + std::mem::size_of::<P>()
+    {
+        // SAFETY: the payload starts where the key ends and the record is
+        // as large as the two together, so there is no padding and the
+        // record's bytes are the key's, then the payload's — what `put`
+        // appends. Both are pods, so every bit pattern of each is a value.
+        Some(unsafe { Pod::new() })
+    } else {
+        None
+    };
+
     fn put(&self, out: &mut Vec<u8>) {
         self.key.put(out);
         self.payload.put(out);
@@ -344,6 +375,7 @@ pub type Tagged<K> = Record<K, u64>;
 /// Fixed-size opaque payload of `N` bytes; models the paper's cosmology
 /// records (6 × f32 of position/velocity payload per particle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct Pad<const N: usize>(pub [u8; N]);
 
 impl<const N: usize> Default for Pad<N> {
@@ -353,6 +385,10 @@ impl<const N: usize> Default for Pad<N> {
 }
 
 impl<const N: usize> Wire for Pad<N> {
+    // SAFETY: `#[repr(transparent)]` over `[u8; N]`: no padding, every bit
+    // pattern a value, and `put` appends those `N` bytes.
+    const POD: Option<Pod<Self>> = Some(unsafe { Pod::new() });
+
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0);
     }
@@ -364,6 +400,7 @@ impl<const N: usize> Wire for Pad<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comm::wire::Payload;
 
     #[test]
     fn ordered_f32_sorts_like_f32() {
@@ -446,6 +483,56 @@ mod tests {
         assert_eq!(keys, vec![1, 2, 3]);
     }
 
+    /// The field-wise encoding, one `put` per record.
+    fn fieldwise<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for item in items {
+            item.put(&mut bytes);
+        }
+        bytes
+    }
+
+    /// `items`' bulk encoding is `wire_size` bytes a record, key then
+    /// payload, and decodes back onto the end of a buffer; a buffer cut
+    /// anywhere but at a record boundary is refused and leaves the buffer as
+    /// it was.
+    fn bulk_codec_round_trips<T: Wire + PartialEq + std::fmt::Debug>(
+        items: &[T],
+        wire_size: usize,
+    ) {
+        let mut bytes = Vec::new();
+        T::put_slice(items, &mut bytes);
+        assert_eq!(bytes, fieldwise(items), "put_slice is the field-wise bytes");
+        assert_eq!(bytes.len(), items.len() * wire_size);
+        let mut out = vec![items[1].clone()];
+        assert!(T::get_into(&bytes, &mut out));
+        assert_eq!(out[0], items[1]);
+        assert_eq!(out[1..], items[..]);
+        for cut in [1, wire_size - 1, wire_size + 1, bytes.len() - 1] {
+            assert!(!T::get_into(&bytes[..cut], &mut out), "cut at {cut}");
+            assert_eq!(
+                out.len(),
+                items.len() + 1,
+                "cut at {cut}: out left as it was"
+            );
+            assert_eq!(T::get_vec(&bytes[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(T::get_vec(&bytes).as_deref(), Some(items));
+    }
+
+    /// A pod record's memory is its field-wise encoding: the borrowed view
+    /// is the slice itself and equals what `put` appends record by record.
+    fn pod_wire_checks<T: Wire + PartialEq + std::fmt::Debug>(items: &[T]) {
+        let view = T::as_wire_bytes(items).expect("a pod exposes its memory");
+        assert_eq!(
+            view.as_ptr(),
+            items.as_ptr().cast::<u8>(),
+            "borrowed, not copied"
+        );
+        assert_eq!(view, &fieldwise(items)[..]);
+        bulk_codec_round_trips(items, std::mem::size_of::<T>());
+    }
+
     #[test]
     fn record_bulk_codec_appends_and_rolls_back_on_truncation() {
         type Wide = Record<OrderedF32, Pad<24>>;
@@ -455,7 +542,9 @@ mod tests {
         let mut bytes = Vec::new();
         Wide::put_slice(&recs, &mut bytes);
         assert_eq!(bytes.len(), 5 * 28, "field-wise: key then payload");
-        assert_eq!(Wide::as_wire_bytes(&recs), None);
+        assert_eq!(bytes, fieldwise(&recs));
+        // 4 + 24 bytes with no padding: the records' memory is their encoding.
+        assert_eq!(Wide::as_wire_bytes(&recs), Some(&bytes[..]));
 
         let mut out = vec![recs[4]];
         assert!(Wide::get_into(&bytes, &mut out));
@@ -465,7 +554,76 @@ mod tests {
             assert!(!Wide::get_into(&bytes[..cut], &mut out), "cut at {cut}");
             assert_eq!(out.len(), 6, "cut at {cut}: out must be left as it was");
         }
-        assert_eq!(Wide::get_vec(&bytes), Some(recs));
+        assert_eq!(Wide::get_vec(&bytes), Some(recs.clone()));
+        pod_wire_checks(&recs);
+    }
+
+    #[test]
+    fn padding_free_records_are_pods_on_the_wire() {
+        let tagged: Vec<Tagged<u64>> = (0..7u64)
+            .map(|i| Record::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 7 - i))
+            .collect();
+        pod_wire_checks(&tagged);
+        let pairs: Vec<Record<u64, u64>> = (0..5).map(|i| Record::new(u64::MAX - i, i)).collect();
+        pod_wire_checks(&pairs);
+        let f32s: Vec<OrderedF32> = [-1.5, 0.0, -0.0, f32::NAN, f32::INFINITY]
+            .into_iter()
+            .map(OrderedF32::new)
+            .collect();
+        pod_wire_checks(&f32s);
+        let f64s: Vec<OrderedF64> = [-1e300, -0.0, 2.5, f64::NEG_INFINITY]
+            .into_iter()
+            .map(OrderedF64::new)
+            .collect();
+        pod_wire_checks(&f64s);
+        pod_wire_checks(&[Pad([1u8, 2, 3]), Pad([4, 5, 6])]);
+    }
+
+    #[test]
+    fn padded_records_stay_field_wise() {
+        // 4 + 4 padding + 8 in memory, 12 on the wire.
+        let narrow: Vec<Record<u32, u64>> =
+            (0..5).map(|i| Record::new(i, u64::from(i) << 40)).collect();
+        assert!(Record::<u32, u64>::POD.is_none());
+        assert_eq!(Record::<u32, u64>::as_wire_bytes(&narrow), None);
+        bulk_codec_round_trips(&narrow, 12);
+        // 8 + 1 + 7 padding in memory, 9 on the wire.
+        let tail: Vec<Record<u64, u8>> = (0..5).map(|i| Record::new(i << 33, i as u8)).collect();
+        assert!(Record::<u64, u8>::POD.is_none());
+        assert_eq!(Record::<u64, u8>::as_wire_bytes(&tail), None);
+        bulk_codec_round_trips(&tail, 9);
+        // Fields that are not pods make no pod record, padding or not.
+        assert!(Record::<u64, (u32, u32)>::POD.is_none());
+    }
+
+    /// What a sockets receive does with a chunk: a payload of 16-byte
+    /// tagged records becomes the run where it lies; one of `u32`-keyed
+    /// records (alignment 4) is decoded by a copy.
+    #[test]
+    fn a_tagged_payload_becomes_the_records() {
+        let tagged: Vec<Tagged<u64>> = (0..100u64).map(|i| Record::new(i % 7, i)).collect();
+        let payload = Payload::from(Tagged::<u64>::as_wire_bytes(&tagged).expect("pod"));
+        let at = payload.as_bytes().as_ptr();
+        let mut out: Vec<Tagged<u64>> = Vec::new();
+        assert!(payload.decode_into(&mut out));
+        assert_eq!(out, tagged);
+        assert_eq!(
+            out.as_ptr().cast::<u8>(),
+            at,
+            "the payload's words are the run"
+        );
+
+        let narrow: Vec<Tagged<u32>> = (0..100u32)
+            .map(|i| Record::new(i % 7, u64::from(i)))
+            .collect();
+        let mut bytes = Vec::new();
+        Tagged::<u32>::put_slice(&narrow, &mut bytes);
+        let payload = Payload::from(&bytes[..]);
+        let at = payload.as_bytes().as_ptr();
+        let mut out: Vec<Tagged<u32>> = Vec::new();
+        assert!(payload.decode_into(&mut out));
+        assert_eq!(out, narrow);
+        assert_ne!(out.as_ptr().cast::<u8>(), at);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! `SockComm` supplies only `Wire` encoding/decoding at the send/recv
 //! boundary and mailbox matching: a send encodes once from the borrowed
 //! slice (pod slices not at all) and a receive decodes once, onto the end
-//! of the caller's buffer. The [`comm::Communicator`] impl, the
+//! of the caller's buffer (a chunk of 8-byte-aligned pods into a run of its
+//! own not at all: the received payload is the run). The
+//! [`comm::Communicator`] impl, the
 //! collective algorithm bodies, the reserved-tag allocator and `split`
 //! (with its stateless hash-derived child context id — a process-per-rank
 //! world cannot share a registry) are the single copy in [`comm::raw`] that
@@ -16,7 +18,9 @@
 use crate::frame::FrameKind;
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
+use ::comm::pages;
 use ::comm::raw::{Group, RawComm};
+use ::comm::wire::Payload;
 use ::comm::{Run, Wire};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -57,25 +61,26 @@ impl SockComm {
         }))
     }
 
-    /// Decode an envelope's payload bytes onto the end of `out`; the
-    /// sender's communicator rank.
+    /// Decode an envelope's payload onto the end of `out` — into an empty
+    /// `out`, a payload of 8-byte-aligned pods becomes it
+    /// ([`Payload::decode_into`]); the sender's communicator rank.
     fn open_envelope<T: Wire>(&self, env: Envelope, out: &mut Vec<T>) -> usize {
         let src_comm = self
             .group
             .rank_of_world(env.src)
             .expect("sender is a member of this communicator");
-        let bytes = env
+        let payload = env
             .data
-            .downcast::<Vec<u8>>()
+            .downcast::<Payload>()
             .unwrap_or_else(|_| panic!("non-byte payload in sockets mailbox (tag {})", env.tag));
         assert!(
-            T::get_into(&bytes, out),
+            payload.decode_into(out),
             "undecodable payload from world rank {} (ctx {}, tag {}, {} bytes): \
              sender and receiver disagree on the element type",
             env.src,
             env.ctx,
             env.tag,
-            bytes.len()
+            env.bytes
         );
         src_comm
     }
@@ -131,7 +136,7 @@ impl RawComm for SockComm {
         let payload = match T::as_wire_bytes(data) {
             Some(bytes) => Cow::Borrowed(bytes),
             None => {
-                let mut buf = Vec::new();
+                let mut buf = pages::with_capacity(std::mem::size_of_val(data));
                 T::put_slice(data, &mut buf);
                 Cow::Owned(buf)
             }
@@ -139,14 +144,13 @@ impl RawComm for SockComm {
         self.uni.recorder.on_send(src_w, dst_w, payload.len());
         if dst_w == src_w {
             // Self-send: straight into the local mailbox, no socket.
-            let payload = payload.into_owned();
             let delivered = self.uni.mailbox.push(
                 Envelope {
                     ctx: self.group.ctx(),
                     src: src_w,
                     tag,
                     bytes: payload.len(),
-                    data: Box::new(payload),
+                    data: Box::new(Payload::from(&*payload)),
                 },
                 &self.uni.aborted,
             );

@@ -22,8 +22,12 @@
 //! on the stack and write it and the payload *where it lies* with one
 //! vectored write (no frame buffer is assembled), and [`read_frame`] reads
 //! the prefix, rejects a bad length or kind before allocating anything,
-//! then reads the payload once into the `Vec` the [`Frame`] keeps.
+//! then reads the payload once into the `Vec` the [`Frame`] keeps. A rank's
+//! reader threads use [`read_data_frame`], the same reader with the payload
+//! read into 8-byte words ([`Payload`]), which a chunk of 8-byte-aligned
+//! pod records becomes without a decode pass.
 
+use comm::wire::Payload;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on a frame's payload size. Nothing in a sort exchange comes
@@ -78,9 +82,10 @@ impl FrameKind {
     }
 }
 
-/// One decoded frame.
+/// One decoded frame. Its payload is a byte vector, except on a rank's data
+/// connections, where [`read_data_frame`] reads it into a [`Payload`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+pub struct Frame<P = Vec<u8>> {
     /// What the frame means.
     pub kind: FrameKind,
     /// Communicator context id (0 for control frames).
@@ -90,7 +95,7 @@ pub struct Frame {
     /// Mailbox tag (0 for control frames).
     pub tag: u64,
     /// Frame payload.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
 impl Frame {
@@ -101,6 +106,19 @@ impl Frame {
             ctx: 0,
             src,
             tag: 0,
+            payload,
+        }
+    }
+}
+
+impl Frame<()> {
+    /// This header around `payload`.
+    fn carrying<P>(self, payload: P) -> Frame<P> {
+        Frame {
+            kind: self.kind,
+            ctx: self.ctx,
+            src: self.src,
+            tag: self.tag,
             payload,
         }
     }
@@ -181,16 +199,16 @@ fn payload_len(src: &[u8]) -> Result<usize, FrameError> {
         .ok_or(FrameError::BadLength(len))
 }
 
-/// Parse the header (what follows the length prefix) into a frame whose
-/// payload is still empty. The one place that reads the layout.
-fn decode_header(header: &[u8]) -> Result<Frame, FrameError> {
+/// Parse the header (what follows the length prefix) into a frame without
+/// its payload. The one place that reads the layout.
+fn decode_header(header: &[u8]) -> Result<Frame<()>, FrameError> {
     let kind_byte = *header.first().ok_or(FrameError::Truncated)?;
     Ok(Frame {
         kind: FrameKind::from_u8(kind_byte).ok_or(FrameError::BadKind(kind_byte))?,
         ctx: u64::from_ne_bytes(fixed(header, 1)?),
         src: u32::from_ne_bytes(fixed(header, 9)?),
         tag: u64::from_ne_bytes(fixed(header, 13)?),
-        payload: Vec::new(),
+        payload: (),
     })
 }
 
@@ -201,9 +219,8 @@ pub fn decode_frame(src: &[u8]) -> Result<(Frame, usize), FrameError> {
     if src.len() < end {
         return Err(FrameError::Truncated);
     }
-    let mut frame = decode_header(&src[8..PREFIX_BYTES])?;
-    frame.payload = src[PREFIX_BYTES..end].to_vec();
-    Ok((frame, end))
+    let header = decode_header(&src[8..PREFIX_BYTES])?;
+    Ok((header.carrying(src[PREFIX_BYTES..end].to_vec()), end))
 }
 
 /// The sender's half of the [`MAX_PAYLOAD`] contract: a payload the
@@ -271,6 +288,32 @@ pub fn write_parts(
 /// payload is read once, into the one allocation the frame keeps, and only
 /// after the length and kind in front of it were accepted.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+    read_frame_with(r, |r, len| {
+        // Straight into the spare capacity: a zero-filled `Vec` would write
+        // the whole payload once before the first byte is read into it.
+        // (`std` still zeroes what it lends a reader without `read_buf`,
+        // but a window at a time — 256 KiB at most here — just ahead of the
+        // read.)
+        let mut payload = comm::pages::with_capacity(len);
+        if r.take(len as u64).read_to_end(&mut payload)? < len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(payload)
+    })
+}
+
+/// [`read_frame`] for a rank's data connection: the payload is read into
+/// 8-byte words ([`Payload::read_from`]), so a chunk of 8-byte-aligned pod
+/// records is decoded by becoming the records.
+pub fn read_data_frame(r: &mut impl Read) -> io::Result<Option<Frame<Payload>>> {
+    read_frame_with(r, |r, len| Payload::read_from(r, len))
+}
+
+/// The one frame reader: prefix, checks, then `read_payload(r, len)`.
+fn read_frame_with<R: Read, P>(
+    r: &mut R,
+    read_payload: impl FnOnce(&mut R, usize) -> io::Result<P>,
+) -> io::Result<Option<Frame<P>>> {
     let mut prefix = [0u8; PREFIX_BYTES];
     // Hand-rolled so EOF-before-any-byte is distinguishable from EOF
     // mid-prefix.
@@ -291,19 +334,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     }
     let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let len = payload_len(&prefix).map_err(invalid)?;
-    let mut frame = decode_header(&prefix[8..]).map_err(invalid)?;
-    // Straight into the spare capacity: a zero-filled `Vec` would write the
-    // whole payload once before the first byte is read into it. (`std` still
-    // zeroes what it lends a reader without `read_buf`, but a window at a
-    // time — 256 KiB at most here — just ahead of the read.)
-    comm::pages::reserve(&mut frame.payload, len);
-    if r.take(len as u64).read_to_end(&mut frame.payload)? < len {
-        return Err(io::Error::new(
+    let header = decode_header(&prefix[8..]).map_err(invalid)?;
+    let payload = read_payload(r, len).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-frame (payload)",
-        ));
-    }
-    Ok(Some(frame))
+        ),
+        _ => e,
+    })?;
+    Ok(Some(header.carrying(payload)))
 }
 
 #[cfg(test)]

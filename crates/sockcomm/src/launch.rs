@@ -36,7 +36,7 @@
 //! dead rank. Nothing waits forever on a corpse.
 
 use crate::comm::{SockAborted, SockComm};
-use crate::frame::{read_frame, write_frame, Frame, FrameKind};
+use crate::frame::{read_data_frame, read_frame, write_frame, Frame, FrameKind};
 use crate::net::{connect, Listener, Stream, Transport};
 use crate::universe::{PeerLink, SockUniverse};
 use comm::mailbox::Envelope;
@@ -709,13 +709,13 @@ fn abort_and_exit(uni: &Arc<SockUniverse>, ctl: &mut Stream, me: usize, detail: 
     std::process::exit(ABORT_EXIT);
 }
 
-/// Per-peer socket reader: decodes frames and feeds the rank's mailbox
+/// Per-peer socket reader: reads frames and feeds the rank's mailbox
 /// until the peer says goodbye (clean) or the connection dies (peer
 /// death). Runs on its own thread; a full mailbox blocks it, which is the
 /// backpressure path.
 fn reader_loop(mut stream: Stream, peer: usize, uni: Arc<SockUniverse>) {
     loop {
-        match read_frame(&mut stream) {
+        match read_data_frame(&mut stream) {
             Ok(Some(frame)) if frame.kind == FrameKind::Data => {
                 // The link, not the header, says who is talking: a frame
                 // naming another source would be filed under that rank's
@@ -777,6 +777,8 @@ fn reader_loop(mut stream: Stream, peer: usize, uni: Arc<SockUniverse>) {
 mod tests {
     use super::*;
     use comm::mailbox::SrcSel;
+    use comm::raw::RawComm;
+    use comm::wire::Payload;
     use std::os::unix::net::UnixStream;
 
     const CTX: u64 = 0;
@@ -823,6 +825,49 @@ mod tests {
             .try_take(CTX, SrcSel::Exact(2), TAG)
             .expect("delivered under rank 2");
         assert_eq!(env.bytes, 3);
+    }
+
+    /// What a rank's receive makes of a chunk its reader thread read: `u64`s
+    /// and 16-byte pairs of them (the shape of a key/tag record) are the
+    /// payload buffer itself; `u32`s (alignment 4) are decoded by a copy.
+    #[test]
+    fn a_chunk_of_aligned_pods_is_received_in_the_payload_buffer() {
+        let keys: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let bytes = u64::as_wire_bytes(&keys).expect("pod").to_vec();
+        let chunk = |tag| Frame {
+            kind: FrameKind::Data,
+            ctx: CTX,
+            src: 2,
+            tag,
+            payload: bytes.clone(),
+        };
+        let goodbye = Frame::control(FrameKind::Goodbye, 2, Vec::new());
+        let uni = read_on_link_to_rank_2(&[chunk(1), chunk(2), chunk(3), goodbye]);
+        let comm = SockComm::new(Arc::clone(&uni), Group::new(CTX, (0..3).collect(), 0));
+        // Where the reader thread put a chunk's bytes (the envelope goes
+        // back for the receive under test).
+        let payload_at = |tag| {
+            let env = uni
+                .mailbox
+                .try_take(CTX, SrcSel::Exact(2), tag)
+                .expect("delivered");
+            let at = env.data.downcast_ref::<Payload>().expect("a payload");
+            let at = at.as_bytes().as_ptr();
+            assert!(uni.mailbox.push(env, &uni.aborted));
+            at
+        };
+
+        let at = payload_at(1);
+        let got: Vec<u64> = comm.recv_vec_raw(2, 1);
+        assert_eq!((got.as_ptr().cast::<u8>(), &got), (at, &keys));
+        let at = payload_at(2);
+        let (src, pairs) = comm.recv_run_raw::<[u64; 2]>(Some(2), 2);
+        assert_eq!((src, pairs.as_ptr().cast::<u8>()), (2, at));
+        assert_eq!(pairs.as_flattened(), &keys[..]);
+        let at = payload_at(3);
+        let halves: Vec<u32> = comm.recv_vec_raw(2, 3);
+        assert_ne!(halves.as_ptr().cast::<u8>(), at);
+        assert_eq!(Some(halves), u32::get_vec(&bytes));
     }
 
     #[test]

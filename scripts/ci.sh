@@ -41,15 +41,17 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
 # Miri over the unsafe-bearing modules (merge internals — the two-chain
-# two-way kernel and its exhaustive oracle test — radix scatter passes and
-# gate, pivot sampling; the spill path has no unsafe) and over the pods'
-# `Wire` byte view, which every sockets send of a pod buffer now goes
-# through, and over comm::pages, whose arithmetic runs there while its
-# `madvise` call is compiled out (`cfg(not(miri))`). Best effort: needs a
-# nightly toolchain with the miri component, which sealed containers may
-# not have.
+# two-way kernel and its exhaustive oracle test — radix scatter passes, the
+# scratch swap and the gate, pivot sampling, the pod records' `Pod` proofs
+# and their payload becoming a `Vec<Tagged<u64>>`; the spill path has no
+# unsafe) and over the pods' `Wire` byte view and bulk decode, which every
+# sockets send and receive of a pod buffer goes through, `Payload`'s read
+# window and its words becoming a `Vec<T>`, and over comm::pages, whose
+# arithmetic runs there while its `madvise` call is compiled out
+# (`cfg(not(miri))`). Best effort: needs a nightly toolchain with the miri
+# component, which sealed containers may not have.
 if cargo +nightly miri --version >/dev/null 2>&1; then
-    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- merge pivot radix
+    run cargo +nightly miri test "${CARGO_OPTS[@]}" -p sdssort --lib -- merge pivot radix record
     run cargo +nightly miri test "${CARGO_OPTS[@]}" -p comm --lib -- wire pages
 else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
@@ -178,7 +180,9 @@ crates/sdssort/src/local_sort.rs parallel_merge_into
 crates/comm/src/raw.rs alltoallv_given_counts
 crates/comm/src/raw.rs self_run_raw
 crates/comm/src/wire.rs get_into
+crates/comm/src/wire.rs read_from
 crates/sockcomm/src/frame.rs read_frame
+crates/sockcomm/src/comm.rs send_slice_raw
 SITES
 
 # The benchmark (benchmark/, a package of its own) is a consumer of the
@@ -218,6 +222,14 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --backend sockets --transport tcp --sorter sds --workload zipf:1.2 \
     --ranks 4 --records 5000
+# ... and the stable variant on both transports: stable local sort, stable
+# cuts, the synchronous exchange whose runs are the payloads the reader
+# threads read (the runs above overlap), then the k-way merge.
+for transport in uds tcp; do
+    run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+        --backend sockets --transport "$transport" --sorter sds-stable \
+        --workload zipf:1.2 --ranks 4 --records 5000
+done
 
 # Every table, figure, ablation and the shoot-out (EXPERIMENTS.md), from
 # the one registry: the run fails if any shape verdict is DIVERGED (~1-2
