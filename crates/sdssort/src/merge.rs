@@ -15,6 +15,7 @@
 
 use crate::record::Sortable;
 use comm::pages;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
@@ -28,12 +29,46 @@ pub fn merge_two<T: Sortable>(a: &[T], b: &[T]) -> Vec<T> {
 pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
     let total = a.len() + b.len();
     let mut out = pages::with_capacity(total);
-    merge_two_uninit(a, b, &mut out.spare_capacity_mut()[..total], key);
+    merge_two_uninit(a, b, &mut out.spare_capacity_mut()[..total], &key);
     // SAFETY: `merge_two_uninit` initialized all `total` reserved slots.
     unsafe {
         out.set_len(total);
     }
     out
+}
+
+/// How many records of `a` are among the first `t` of the stable merge of
+/// `a` and `b` (ties take `a`): the merge-path co-rank, by binary search.
+///
+/// The result `i` satisfies `t - b.len() <= i <= min(t, a.len())`, and
+/// `a[..i]` with `b[..t - i]` are exactly the first `t` records of the
+/// merge. Record `a[m]` is among them iff fewer than `t - m` records of `b`
+/// key strictly below it, i.e. iff `b[t - m - 1]` does not key below it
+/// (or `b` has no such record) — a predicate true up to `i` and false
+/// after.
+fn co_rank<T, K: Ord>(a: &[T], b: &[T], t: usize, key: &impl Fn(&T) -> K) -> usize {
+    let (mut lo, mut hi) = (t.saturating_sub(b.len()), t.min(a.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        // `t - b.len() <= mid < t`, so this record of `b` exists.
+        let jb = t
+            .checked_sub(mid + 1)
+            .expect("co-rank probes a record below the cut");
+        if key(&a[mid]) <= key(&b[jb]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Paired steps in the next round of one two-ended merge over `a[i..ie]`
+/// and `b[j..je]`: its two chains retire at most this many records twice
+/// over, so neither can drain a run inside the round.
+#[inline]
+fn round(i: usize, j: usize, ie: usize, je: usize) -> usize {
+    (ie - i).min(je - j) / 2
 }
 
 /// Two-way merge into uninitialized storage; writes every slot of `out`.
@@ -42,82 +77,122 @@ pub fn merge_two_by_key<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K
 /// arm and every cascade level of [`kway_merge_uninit`], and the overlapped
 /// exchange's binomial merges all end here (Figs. 5c and 6a time it).
 ///
-/// It merges from both ends at once. A *front* chain takes the smaller
-/// head into `out[k]` (ties take `a`), a *back* chain takes the larger
-/// tail into `out[kb - 1]` (ties take `b`: the later run's record goes
-/// last) — the same stable merge written from its two ends. Each chain is
-/// a dependent load → compare → index-bump sequence, branchless (select +
-/// unconditional bumps) so random interleavings pay no misprediction, and
-/// the two share nothing, so the CPU overlaps their latencies. A round
-/// runs `min(rem_a, rem_b) / 2` paired steps: two chains retire at most
-/// that many records twice over, so neither can drain a run inside a round
-/// and the loop body needs no exhaustion test. Rounds repeat until a run
-/// is within one record of empty; the plain forward loop and two block
-/// copies then fill the middle.
+/// Each merge runs from both ends at once. A *front* chain takes the
+/// smaller head into the lowest unwritten slot (ties take `a`), a *back*
+/// chain takes the larger tail into the highest (ties take `b`: the later
+/// run's record goes last) — the same stable merge written from its two
+/// ends. Each chain is a dependent load → compare → index-bump sequence,
+/// branchless (select + unconditional bumps) so random interleavings pay no
+/// misprediction, and chains share nothing, so the CPU overlaps their
+/// latencies. Thin records (≤ [`CASCADE_MAX_BYTES`]) first cut the output
+/// at its midpoint by [`co_rank`] and run both halves' two-ended merges in
+/// lockstep: four chains retire four records per iteration. Wider records
+/// stay one two-ended merge, whose two chains were measured faster than
+/// four bandwidth-bound write streams.
+///
+/// A round runs [`round`] steps (in lockstep, the smaller of the halves'
+/// two), so the loop body needs no exhaustion test. Rounds repeat until a
+/// run of some half is within one record of empty; each half then
+/// finishes with its own rounds, the plain forward loop and two block
+/// copies.
 fn merge_two_uninit<T: Copy, K: Ord>(
     a: &[T],
     b: &[T],
     out: &mut [MaybeUninit<T>],
-    key: impl Fn(&T) -> K,
+    key: &impl Fn(&T) -> K,
 ) {
     assert_eq!(out.len(), a.len() + b.len());
-    // The two-ended invariant: `a[i..ie]` and `b[j..je]` are unconsumed,
-    // `out[k..kb]` is unwritten, and `kb - k == (ie - i) + (je - j)` with
-    // `i <= ie`, `j <= je`, `k <= kb`. It holds here (asserted above) and
+    let t = if std::mem::size_of::<T>() <= CASCADE_MAX_BYTES {
+        out.len() / 2
+    } else {
+        out.len()
+    };
+    let ia = co_rank(a, b, t, key);
+    let jb = t.checked_sub(ia).expect("the co-rank is at most the cut");
+    assert!(ia <= a.len() && jb <= b.len());
+    // The halves are two two-ended merges that own disjoint runs and
+    // slots, split at `t`: the co-rank postcondition (`a[..ia]` and
+    // `b[..jb]` are the first `t` records of the stable merge) makes their
+    // outputs that merge's. A wide record's `t` is the whole output and
+    // its upper half empty. Each half keeps the two-ended invariant:
+    // `a[i..ie]` and `b[j..je]` are unconsumed and `out[i + j..ie + je]` is
+    // unwritten (indices into the whole runs and output), `i <= ie`,
+    // `j <= je`. It holds here (`ia + jb == t`, bounds asserted above) and
     // after every step, which consumes one record and writes one slot at
-    // the same end. Inside a round of `min(ie - i, je - j) / 2` paired
-    // steps at most `2 * (steps - 1)` records of either run are gone
-    // before a step, so at least two remain in each: the four reads are in
-    // bounds and the two chains never read the same record.
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    let (mut ie, mut je, mut kb) = (a.len(), b.len(), out.len());
-    // SAFETY: by the two-ended invariant (`k <= kb`, `i <= ie`, `j <= je`)
-    // every read is inside `a[i..ie]` or `b[j..je]` — the rounds by their
-    // trip count, the forward loop by its condition — and writes land in
-    // `[k, kb)` exactly once: fronts at `k` going up, backs at `kb - 1`
-    // going down, the two tail copies filling what is left. `T: Copy`, and
+    // the same end. Inside a round of at most `min(ie - i, je - j) / 2`
+    // paired steps at most `2 * (steps - 1)` records of either run are gone
+    // before a step, so at least two remain in each: the reads are in
+    // bounds and a half's two chains never read the same record.
+    let (mut i0, mut j0, mut ie0, mut je0) = (0, 0, ia, jb);
+    let (mut i1, mut j1, mut ie1, mut je1) = (ia, jb, a.len(), b.len());
+    // SAFETY: by the invariant every read is inside its half's `a[i..ie]`
+    // or `b[j..je]` — rounds by their trip count, the forward loop by its
+    // condition — and writes fill its `[i + j, ie + je)` once: fronts going
+    // up, backs going down, the two tail copies the rest. `T: Copy`, and
     // `out` is a `&mut` borrow, so it overlaps neither input.
     unsafe {
         let dst = out.as_mut_ptr().cast::<T>();
+        // One front step: the smaller head to slot `$k`.
+        macro_rules! front {
+            ($i:ident, $j:ident, $k:expr) => {
+                let x = *a.get_unchecked($i);
+                let y = *b.get_unchecked($j);
+                // `<=` keeps `a`'s element on ties: stability.
+                let take_a = key(&x) <= key(&y);
+                *dst.add($k) = if take_a { x } else { y };
+                $i += usize::from(take_a);
+                $j += usize::from(!take_a);
+            };
+        }
+        // One back step: the larger tail to slot `$kb`.
+        macro_rules! back {
+            ($ie:ident, $je:ident, $kb:expr) => {
+                let x = *a.get_unchecked($ie - 1);
+                let y = *b.get_unchecked($je - 1);
+                // From the back, `<=` gives the tie to `b`: same order.
+                let take_b = key(&x) <= key(&y);
+                *dst.add($kb) = if take_b { y } else { x };
+                $je -= usize::from(take_b);
+                $ie -= usize::from(!take_b);
+            };
+        }
         loop {
-            let steps = (ie - i).min(je - j) / 2;
+            let steps = round(i0, j0, ie0, je0).min(round(i1, j1, ie1, je1));
             if steps == 0 {
                 break;
             }
             for _ in 0..steps {
-                let fa = *a.get_unchecked(i);
-                let fb = *b.get_unchecked(j);
-                // `<=` keeps `a`'s element on ties: stability.
-                let take_a = key(&fa) <= key(&fb);
-                *dst.add(k) = if take_a { fa } else { fb };
-                i += usize::from(take_a);
-                j += usize::from(!take_a);
-                k += 1;
-
-                let ba = *a.get_unchecked(ie - 1);
-                let bb = *b.get_unchecked(je - 1);
-                // From the back, `<=` gives the tie to `b`: same order.
-                let take_b = key(&ba) <= key(&bb);
-                kb -= 1;
-                *dst.add(kb) = if take_b { bb } else { ba };
-                je -= usize::from(take_b);
-                ie -= usize::from(!take_b);
+                front!(i0, j0, i0 + j0);
+                front!(i1, j1, i1 + j1);
+                back!(ie0, je0, ie0 + je0 - 1);
+                back!(ie1, je1, ie1 + je1 - 1);
             }
         }
-        while i < ie && j < je {
-            let ea = *a.get_unchecked(i);
-            let eb = *b.get_unchecked(j);
-            let take_a = key(&ea) <= key(&eb);
-            *dst.add(k) = if take_a { ea } else { eb };
-            i += usize::from(take_a);
-            j += usize::from(!take_a);
-            k += 1;
+        for (mut i, mut j, mut ie, mut je) in [(i0, j0, ie0, je0), (i1, j1, ie1, je1)] {
+            loop {
+                let steps = round(i, j, ie, je);
+                if steps == 0 {
+                    break;
+                }
+                // Two chains: their slots counted, not summed (faster on
+                // wide records, which run only this loop).
+                let (mut k, mut kb) = (i + j, ie + je);
+                for _ in 0..steps {
+                    front!(i, j, k);
+                    k += 1;
+                    kb -= 1;
+                    back!(ie, je, kb);
+                }
+            }
+            while i < ie && j < je {
+                front!(i, j, i + j);
+            }
+            // What is left of the one run not exhausted, as one block
+            // copy: when the runs do not interleave (presorted or
+            // staircase input, an empty partner) that is the whole half.
+            std::ptr::copy_nonoverlapping(a.as_ptr().add(i), dst.add(i + j), ie - i);
+            std::ptr::copy_nonoverlapping(b.as_ptr().add(j), dst.add(ie + j), je - j);
         }
-        // What is left of the one run not exhausted, as one block copy:
-        // when the runs do not interleave (presorted or staircase input,
-        // an empty partner) that is the whole output.
-        std::ptr::copy_nonoverlapping(a.as_ptr().add(i), dst.add(k), ie - i);
-        std::ptr::copy_nonoverlapping(b.as_ptr().add(j), dst.add(k + (ie - i)), je - j);
     }
 }
 
@@ -253,21 +328,24 @@ impl<K: Ord + Copy> Ord for HeapEntry<K> {
 /// copies once. Measured on the weak-scaling driver (cold caller, one
 /// merge per sort): thin records at small `k` favour the cascade by
 /// ~15 ns/record; 32-byte records favour the tree 2.5–3× at every `k`.
+/// The same width bounds [`merge_two_uninit`]'s four-chain split: wider
+/// records make four write streams bandwidth-bound.
 const CASCADE_MAX_BYTES: usize = 16;
 const CASCADE_MAX_K: usize = 8;
 
 /// Small-`k`, thin-record cascade: pairwise [`merge_two`] levels with the
 /// final pass writing straight into `out` (at most one intermediate level
-/// is alive at a time, so peak extra memory stays ≈ n records).
+/// is alive at a time, so peak extra memory stays ≈ n records). An odd
+/// run is borrowed up the levels, never copied before a merge reads it.
 fn kway_merge_cascade_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUninit<T>]) {
     debug_assert!(runs.len() >= 3);
-    let mut level: Vec<Vec<T>> = runs
+    let mut level: Vec<Cow<[T]>> = runs
         .chunks(2)
         .map(|pair| {
             if pair.len() == 2 {
-                merge_two(pair[0], pair[1])
+                Cow::Owned(merge_two(pair[0], pair[1]))
             } else {
-                pair[0].to_vec()
+                Cow::Borrowed(pair[0])
             }
         })
         .collect();
@@ -276,14 +354,14 @@ fn kway_merge_cascade_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUninit<
         let mut iter = level.into_iter();
         while let Some(a) = iter.next() {
             match iter.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
+                Some(b) => next.push(Cow::Owned(merge_two(&a, &b))),
                 None => next.push(a),
             }
         }
         level = next;
     }
-    let last = level.get(1).map_or(&[][..], Vec::as_slice);
-    merge_two_uninit(&level[0], last, out, Sortable::key);
+    let last = level.get(1).map_or(&[][..], |run| &run[..]);
+    merge_two_uninit(&level[0], last, out, &Sortable::key);
 }
 
 /// Merge `k` sorted runs into uninitialized storage of exactly the total
@@ -305,7 +383,7 @@ pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUnin
                 slot.write(r);
             }
         }
-        2 => merge_two_uninit(runs[0], runs[1], out, Sortable::key),
+        2 => merge_two_uninit(runs[0], runs[1], out, &Sortable::key),
         k if k <= CASCADE_MAX_K && std::mem::size_of::<T>() <= CASCADE_MAX_BYTES => {
             kway_merge_cascade_uninit(runs, out);
         }
@@ -471,17 +549,21 @@ mod tests {
         v
     }
 
-    /// Every sorted run of `len` keys from {0, 1, 2}, tagged `tag0..`.
-    fn runs_over_three_keys(len: usize, tag0: u64) -> Vec<Vec<Tagged<u32>>> {
+    /// Every sorted run of `len` keys from `0..keys`, tagged `tag0..`.
+    fn sorted_runs(len: usize, keys: u32, tag0: u64) -> Vec<Vec<Tagged<u32>>> {
+        if len == 0 {
+            return vec![Vec::new()];
+        }
+        // A run is its first key followed by a run of keys not below it.
         let mut runs = Vec::new();
-        for zeros in 0..=len {
-            for ones in 0..=len - zeros {
-                let keys = (0..len).map(|i| u32::from(i >= zeros) + u32::from(i >= zeros + ones));
-                runs.push(
-                    keys.zip(tag0..)
-                        .map(|(key, tag)| Record::new(key, tag))
-                        .collect(),
+        for first in 0..keys {
+            for rest in sorted_runs(len - 1, keys - first, tag0 + 1) {
+                let mut run = vec![Record::new(first, tag0)];
+                run.extend(
+                    rest.into_iter()
+                        .map(|r| Record::new(r.key + first, r.payload)),
                 );
+                runs.push(run);
             }
         }
         runs
@@ -489,18 +571,46 @@ mod tests {
 
     #[test]
     fn merge_two_matches_stable_oracle_on_every_length_pair() {
-        // Both chains, the round boundary, the forward loop and each tail
-        // copy are all reached within lengths 0..=9; three keys give every
-        // tie pattern between and inside the runs.
-        for la in 0..=9 {
-            for lb in 0..=9 {
-                for a in runs_over_three_keys(la, 0) {
-                    for b in runs_over_three_keys(lb, 100) {
-                        assert_eq!(
-                            merge_two(&a, &b),
-                            concat_then_stable_sort(&a, &b),
-                            "a={a:?} b={b:?}"
-                        );
+        // Three keys up to length 9 give every tie pattern between and
+        // inside the runs; two keys up to length 16 reach the four-chain
+        // lockstep (it needs two records of each run in each half), a
+        // midpoint cut inside a tie block that spans both runs, each half's
+        // own rounds, its forward loop and each of its tail copies.
+        for (keys, max_len) in [(3, 9), (2, 16)] {
+            for la in 0..=max_len {
+                for lb in 0..=max_len {
+                    for a in sorted_runs(la, keys, 0) {
+                        for b in sorted_runs(lb, keys, 100) {
+                            assert_eq!(
+                                merge_two(&a, &b),
+                                concat_then_stable_sort(&a, &b),
+                                "a={a:?} b={b:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn co_rank_counts_the_first_records_of_the_stable_merge() {
+        // Every cut `t` of every run pair over keys {0, 1, 2} up to length
+        // 7: the co-rank is how many `a` records (tags below 100) the
+        // oracle's first `t` records hold.
+        for la in 0..=7 {
+            for lb in 0..=7 {
+                for a in sorted_runs(la, 3, 0) {
+                    for b in sorted_runs(lb, 3, 100) {
+                        let merged = concat_then_stable_sort(&a, &b);
+                        for t in 0..=la + lb {
+                            let from_a = merged[..t].iter().filter(|r| r.payload < 100).count();
+                            assert_eq!(
+                                co_rank(&a, &b, t, &Sortable::key),
+                                from_a,
+                                "t={t} a={a:?} b={b:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -534,6 +644,35 @@ mod tests {
                 // runs that do not interleave, `a` below `b` and above
                 3 => (run(long, 0, span, 0), run(long / 2, span, 2 * span, 1 << 32)),
                 _ => (run(long / 2, span, 2 * span, 0), run(long, 0, span, 1 << 32)),
+            };
+            prop_assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
+        }
+
+        #[test]
+        fn merge_two_matches_stable_oracle_on_few_key_runs(
+            shape in 0usize..6,
+            keys in 1u32..=4,
+            len_a in 0usize..=2000,
+            len_b in 0usize..=2000,
+            seed in any::<u64>(),
+        ) {
+            // Long ties on both sides of the midpoint cut, where the
+            // co-rank decides which run's equal keys each half gets.
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut run = |len: usize, lo: u32, tag0: u64| -> Vec<Tagged<u32>> {
+                let mut keys: Vec<u32> = (0..len).map(|_| rng.gen_range(lo..lo + keys)).collect();
+                keys.sort_unstable();
+                keys.into_iter().zip(tag0..).map(|(k, t)| Record::new(k, t)).collect()
+            };
+            let (a, b) = match shape {
+                // one empty side, either way round
+                0 => (run(0, 0, 0), run(len_b, 0, 1 << 32)),
+                1 => (run(len_a, 0, 0), run(0, 0, 1 << 32)),
+                // runs that do not interleave, `a` below `b` and above
+                2 => (run(len_a, 0, 0), run(len_b, keys, 1 << 32)),
+                3 => (run(len_a, keys, 0), run(len_b, 0, 1 << 32)),
+                _ => (run(len_a, 0, 0), run(len_b, 0, 1 << 32)),
             };
             prop_assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
         }

@@ -40,8 +40,9 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 # suites with vector-clock checking enabled for every simulated world.
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
-# Miri over the unsafe-bearing modules (merge internals — the two-chain
-# two-way kernel and its exhaustive oracle test — radix scatter passes, the
+# Miri over the unsafe-bearing modules (merge internals — the two-way
+# kernel's four-chain lockstep and two-chain rounds, its co-rank oracle and
+# exhaustive stable-oracle tests — radix scatter passes, the
 # scratch swap and the gate, pivot sampling, the pod records' `Pod` proofs
 # and their payload becoming a `Vec<Tagged<u64>>`; the spill path has no
 # unsafe) and over the pods' `Wire` byte view and bulk decode, which every
