@@ -33,7 +33,9 @@
 //!                                  inter-node messages, bytes) from the
 //!                                  telemetry snapshot; sim and threads
 //!                                  (threads adds how many of the bytes
-//!                                  were lent in place, not copied), then
+//!                                  were lent in place, not copied, and
+//!                                  how many records the merges moved as
+//!                                  replicated-key blocks), then
 //!                                  the sorter's decisions with their
 //!                                  inputs (τ choices, local-sort kernel)
 //!   --seed     <u64>               (default 42)
@@ -643,6 +645,18 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
                 "huge-page advised (mem.huge_advised_bytes): {} of the {} of sort buffers",
                 fmt_bytes(advised as usize),
                 fmt_bytes(snapshot.counter("mem.sort_buffer_bytes").unwrap_or(0) as usize)
+            );
+        }
+        // Only a merge that found a key filling a sample stride cuts it out.
+        // The simulator's overlapped merges pair chunks in host-arrival
+        // order, so there the count is not a function of the program and
+        // would break its two-run identical tables: real backends only.
+        let replicated = snapshot
+            .counter("merge.replicated_records")
+            .filter(|_| args.backend != "sim");
+        if let Some(records) = replicated {
+            println!(
+                "moved as replicated-key blocks (merge.replicated_records): {records} records"
             );
         }
         // What the sorter chose and why (rank 0 records them, in program

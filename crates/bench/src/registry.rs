@@ -244,12 +244,12 @@ const CALIBRATIONS: usize = 7;
 
 /// The host's compute model, robust to a cold start and a loaded host: one
 /// `ComputeModel::calibrate()` is ~10 ms of wall clock whose merge constant
-/// spreads 0.63–0.70 ns/key here (it times the product's two-way kernel
-/// into resident storage, on two runs that do not interleave, so the
-/// kernel's midpoint cut leaves two block copies), and Figs. 5a/7 follow
-/// it. Interference only adds time, so each constant is the minimum over
-/// [`CALIBRATIONS`] calls and the stable premium the ratio of the two
-/// minima.
+/// spread 1.43–2.09 ns/key over 45 minima on a 2-vCPU guest (it times the
+/// product's two-way kernel into resident storage, on two runs that
+/// interleave and share no key, so every record goes through the
+/// branchless loop), and Figs. 5a/7 follow it. Interference only adds
+/// time, so each constant is the minimum over [`CALIBRATIONS`] calls and
+/// the stable premium the ratio of the two minima.
 fn calibrate_best() -> ComputeModel {
     let runs: Vec<_> = (0..CALIBRATIONS)
         .map(|_| ComputeModel::calibrate())

@@ -20,6 +20,7 @@
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::exchange::{exchange, fail_together, Delivery};
 use crate::local_sort::{local_sort_with, LocalSortReport};
+use crate::merge::take_replicated_tally;
 use crate::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
 use crate::radix::RADIX_MAX_AUTO_DIGITS;
 use crate::record::Sortable;
@@ -96,8 +97,10 @@ impl<'a, C: Communicator> Clock<'a, C> {
             since: comm.now(),
             span: None,
         };
-        // Whatever this thread reserved before the sort is not the sort's.
+        // Whatever this thread reserved or merged before the sort is not
+        // the sort's.
         pages::take_tally();
+        take_replicated_tally();
         clock.open(step, clock.since);
         clock
     }
@@ -144,6 +147,11 @@ impl<'a, C: Communicator> Clock<'a, C> {
         if buffers.advised_bytes > 0 {
             self.comm
                 .count("mem.huge_advised_bytes", buffers.advised_bytes);
+        }
+        // The records its two-way merges moved as replicated-key blocks.
+        let replicated = take_replicated_tally();
+        if replicated > 0 {
+            self.comm.count("merge.replicated_records", replicated);
         }
         now
     }

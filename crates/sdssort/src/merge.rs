@@ -7,15 +7,26 @@
 //! run order*: ties go to the earlier run, so merging chunks in source-rank
 //! order preserves global stability.
 //!
+//! The two-way kernel is duplicate-aware, as the paper's merge is (§1, item
+//! 6). A key whose block fills more than a sample stride of either run is
+//! *replicated*; the kernel cuts both runs at each such key, merges the
+//! light records between the cuts with its branchless four-chain loop, and
+//! moves each replicated block with one copy — ties still go to `a`, so the
+//! output is the stable merge's. [`take_replicated_tally`] counts the
+//! records moved so; the sort's phase clock books them as
+//! `merge.replicated_records`.
+//!
 //! An output these kernels allocate ([`merge_two_by_key`],
 //! [`kway_merge_into`]) is reserved through [`comm::pages`]: a merge writes
 //! its output exactly once, front to back (and back to front), so under an
 //! allocator that hands out fresh mappings over half of a 16 MiB merge was
 //! first-touch page faults until the buffer asked for huge pages.
 
+use crate::radix::GATE_MAX_SAMPLE;
 use crate::record::Sortable;
 use comm::pages;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
@@ -71,11 +82,113 @@ fn round(i: usize, j: usize, ie: usize, je: usize) -> usize {
     (ie - i).min(je - j) / 2
 }
 
+thread_local! {
+    /// Records this thread's merges moved as replicated-key blocks.
+    static REPLICATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many records this thread's two-way merges moved as replicated-key
+/// blocks since the last call; the count restarts from zero. The sort's
+/// phase clock books it as `merge.replicated_records`.
+pub fn take_replicated_tally() -> u64 {
+    REPLICATED.take()
+}
+
+/// One record of each key whose block in the sorted `run` is longer than a
+/// stride, ascending. The run is read at a fixed stride,
+/// [`REPLICATED_MIN_STRIDE`] records or one [`GATE_MAX_SAMPLE`]-th of the
+/// run, whichever is longer, and a key is *replicated* when two
+/// consecutive samples hold it.
+fn replicated<'a, T, K: Ord>(
+    run: &'a [T],
+    key: &'a impl Fn(&T) -> K,
+) -> impl Iterator<Item = &'a T> {
+    let stride = (run.len() / GATE_MAX_SAMPLE).max(REPLICATED_MIN_STRIDE);
+    let mut samples = run.iter().step_by(stride).peekable();
+    std::iter::from_fn(move || loop {
+        let x = samples.next()?;
+        if samples.next_if(|y| key(x) == key(y)).is_some() {
+            // The key's other samples name the same block.
+            while samples.next_if(|y| key(x) == key(y)).is_some() {}
+            return Some(x);
+        }
+    })
+}
+
+/// The first index from `from` on whose record is not `below` (`run[from..]`
+/// is partitioned by `below`): a galloping probe from `from` brackets it,
+/// then a binary search inside the bracket. Probes near `from` are the
+/// records the merge wrote last.
+fn gallop<T>(run: &[T], from: usize, below: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    let hi = loop {
+        // `run[from..lo]` is all `below`.
+        match run.get(lo + step - 1) {
+            Some(r) if below(r) => {
+                lo += step;
+                step *= 2;
+            }
+            Some(_) => break lo + step - 1,
+            None => break run.len(),
+        }
+    };
+    lo + run[lo..hi].partition_point(below)
+}
+
 /// Two-way merge into uninitialized storage; writes every slot of `out`.
 ///
 /// The one two-way kernel: [`merge_two`], the pivot network, the `k = 2`
 /// arm and every cascade level of [`kway_merge_uninit`], and the overlapped
 /// exchange's binomial merges all end here (Figs. 5c and 6a time it).
+///
+/// It is duplicate-aware, as the paper's merge is. For each key that
+/// fills more than a sample stride of either run ([`replicated`]; the two
+/// runs' keys merged as they are read, nothing allocated), ascending, the
+/// kernel finds the key's block in `a` and in `b` ([`gallop`], from the
+/// previous cut), merges the light records before the two blocks
+/// ([`merge_interleaved`]), then copies `a`'s block and `b`'s block — the
+/// stable merge's order (ties to `a`), so the output is the same as
+/// without the cuts. With no replicated key the whole merge is one
+/// `merge_interleaved`, and the samples were all it added.
+fn merge_two_uninit<T: Copy, K: Ord>(
+    a: &[T],
+    b: &[T],
+    out: &mut [MaybeUninit<T>],
+    key: &impl Fn(&T) -> K,
+) {
+    assert_eq!(out.len(), a.len() + b.len());
+    let (mut heavy_a, mut heavy_b) = (replicated(a, key).peekable(), replicated(b, key).peekable());
+    let (mut i, mut j, mut moved) = (0, 0, 0);
+    // The two runs' replicated keys, merged: the smallest not yet cut.
+    while let Some(v) = [heavy_a.peek(), heavy_b.peek()]
+        .into_iter()
+        .flatten()
+        .map(|r| key(r))
+        .min()
+    {
+        heavy_a.next_if(|r| key(r) == v);
+        heavy_b.next_if(|r| key(r) == v);
+        // `a[..i]` and `b[..j]` key below `v`, and so do the light records
+        // up to each block; each block runs to the first record above `v`.
+        let (la, lb) = (gallop(a, i, |r| key(r) < v), gallop(b, j, |r| key(r) < v));
+        let (ea, eb) = (
+            gallop(a, la, |r| key(r) <= v),
+            gallop(b, lb, |r| key(r) <= v),
+        );
+        merge_interleaved(&a[i..la], &b[j..lb], &mut out[i + j..la + lb], key);
+        out[la + lb..ea + lb].write_copy_of_slice(&a[la..ea]);
+        out[ea + lb..ea + eb].write_copy_of_slice(&b[lb..eb]);
+        moved += ea + eb - (la + lb);
+        (i, j) = (ea, eb);
+    }
+    merge_interleaved(&a[i..], &b[j..], &mut out[i + j..], key);
+    if moved > 0 {
+        REPLICATED.set(REPLICATED.get() + moved as u64);
+    }
+}
+
+/// The branchless kernel under [`merge_two_uninit`]'s cuts; writes every
+/// slot of `out`.
 ///
 /// Each merge runs from both ends at once. A *front* chain takes the
 /// smaller head into the lowest unwritten slot (ties take `a`), a *back*
@@ -95,7 +208,7 @@ fn round(i: usize, j: usize, ie: usize, je: usize) -> usize {
 /// run of some half is within one record of empty; each half then
 /// finishes with its own rounds, the plain forward loop and two block
 /// copies.
-fn merge_two_uninit<T: Copy, K: Ord>(
+fn merge_interleaved<T: Copy, K: Ord>(
     a: &[T],
     b: &[T],
     out: &mut [MaybeUninit<T>],
@@ -332,6 +445,10 @@ impl<K: Ord + Copy> Ord for HeapEntry<K> {
 /// records make four write streams bandwidth-bound.
 const CASCADE_MAX_BYTES: usize = 16;
 const CASCADE_MAX_K: usize = 8;
+/// Shortest stride at which [`merge_two_uninit`] samples a run for
+/// replicated keys, so the shortest block it cuts out is this many records
+/// plus one.
+const REPLICATED_MIN_STRIDE: usize = 64;
 
 /// Small-`k`, thin-record cascade: pairwise [`merge_two`] levels with the
 /// final pass writing straight into `out` (at most one intermediate level
@@ -379,9 +496,7 @@ pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUnin
     match runs.len() {
         0 => {}
         1 => {
-            for (slot, &r) in out.iter_mut().zip(runs[0]) {
-                slot.write(r);
-            }
+            out.write_copy_of_slice(runs[0]);
         }
         2 => merge_two_uninit(runs[0], runs[1], out, &Sortable::key),
         k if k <= CASCADE_MAX_K && std::mem::size_of::<T>() <= CASCADE_MAX_BYTES => {
@@ -614,6 +729,85 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Tagged records `tag0..` with these keys, in order.
+    fn tagged(keys: impl IntoIterator<Item = u32>, tag0: u64) -> Vec<Tagged<u32>> {
+        keys.into_iter()
+            .zip(tag0..)
+            .map(|(k, t)| Record::new(k, t))
+            .collect()
+    }
+
+    #[test]
+    fn a_block_of_one_stride_is_merged_and_one_stride_plus_one_is_cut() {
+        // A block opening at sample 0 holds a second sample from one stride
+        // plus one record on; `b`'s copies of the key follow it as a block.
+        const S: usize = REPLICATED_MIN_STRIDE;
+        let b = tagged([0, 1, 1, 3], 1 << 32);
+        for (block, moved) in [(S, 0), (S + 1, S + 3)] {
+            let a = tagged(std::iter::repeat_n(1, block).chain(2..2 + S as u32), 0);
+            take_replicated_tally();
+            assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
+            assert_eq!(take_replicated_tally(), moved as u64, "block of {block}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn merge_two_matches_stable_oracle_around_replicated_keys(
+            blocks_a in vec(0usize..7, 1..7),
+            blocks_b in vec(0usize..7, 6..7),
+            light_a in vec(0u32..7, 0..400),
+            light_b in vec(0u32..7, 0..400),
+            shape in 0usize..4,
+        ) {
+            // Heavy key `10·(h + 1)` has a block of `LENS[..]` records in each
+            // run; light keys `10·g + 5` sit in the gaps around them. A block
+            // of `2S - 1` or more always holds two samples, one of `S + 1`
+            // only when a sample opens it, one of `S` never.
+            const S: usize = REPLICATED_MIN_STRIDE;
+            const LENS: [usize; 7] = [0, 1, S, S + 1, 2 * S - 1, 2 * S + 1, 3 * S + 7];
+            let heavy = blocks_a.len() as u32;
+            let run = |blocks: &[usize], light: &[u32], tag0: u64| {
+                let mut keys: Vec<u32> = light
+                    .iter()
+                    .filter(|&&g| match shape {
+                        // the first heavy key is the run's first record
+                        1 => g > 0,
+                        // the last heavy key is its last record
+                        2 => g < heavy,
+                        _ => true,
+                    })
+                    .map(|g| 10 * g + 5)
+                    .collect();
+                for (h, &len) in (0..heavy).zip(blocks) {
+                    keys.extend(std::iter::repeat_n(10 * (h + 1), LENS[len]));
+                }
+                keys.sort_unstable();
+                tagged(keys, tag0)
+            };
+            let mut blocks_a = blocks_a;
+            match shape {
+                1 => blocks_a[0] = 5,
+                2 => *blocks_a.last_mut().expect("one heavy key at least") = 5,
+                _ => {}
+            }
+            let a = run(&blocks_a, &light_a, 0);
+            // one empty run
+            let b = if shape == 3 { Vec::new() } else { run(&blocks_b, &light_b, 1 << 32) };
+            take_replicated_tally();
+            prop_assert_eq!(merge_two(&a, &b), concat_then_stable_sort(&a, &b));
+            // A key replicated in one run only is cut as one in both is.
+            let sure = |blocks: &[usize]| {
+                blocks[..blocks_a.len()].iter().any(|&len| LENS[len] >= 2 * S - 1)
+            };
+            let cut = sure(&blocks_a) || (!b.is_empty() && sure(&blocks_b));
+            prop_assert!(take_replicated_tally() > 0 || !cut, "a sure block was merged");
         }
     }
 

@@ -41,11 +41,11 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
 run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
 
 # Miri over the unsafe-bearing modules (merge internals — the two-way
-# kernel's four-chain lockstep and two-chain rounds, its co-rank oracle and
-# exhaustive stable-oracle tests — radix scatter passes, the
-# scratch swap and the gate, pivot sampling, the pod records' `Pod` proofs
-# and their payload becoming a `Vec<Tagged<u64>>`; the spill path has no
-# unsafe) and over the pods' `Wire` byte view and bulk decode, which every
+# kernel's four-chain lockstep and two-chain rounds, its co-rank oracle,
+# exhaustive stable-oracle tests and one bounded replicated-key cut —
+# radix scatter passes, the scratch swap and the gate, pivot sampling, the
+# pod records' `Pod` proofs and their payload becoming a `Vec<Tagged<u64>>`;
+# the spill path has no unsafe) and over the pods' `Wire` byte view and bulk decode, which every
 # sockets send and receive of a pod buffer goes through, `Payload`'s read
 # window and its words becoming a `Vec<T>`, and over comm::pages, whose
 # arithmetic runs there while its `madvise` call is compiled out
@@ -127,6 +127,24 @@ for sorter in sds hyksort ams hss; do
     # leader has nobody to exchange with)
     trace_table "${trace[@]}" --sorter "$sorter" --backend threads --ranks 4 --cores 2 >/dev/null
 done
+
+# A two-way merge cuts out the blocks of keys that fill a sample stride and
+# copies them (DESIGN.md §11.3): on zipf:1.4 the threads --trace must report
+# the records it moved so, on uniform keys there are none and no line.
+replicated=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend threads --ranks 2 --cores 1 --records 262144 --trace)
+line='^moved as replicated-key blocks (merge.replicated_records): [1-9][0-9]* records$'
+echo "ci: ${replicated[*]} --workload zipf:1.4 | uniform"
+out="$("${replicated[@]}" --workload zipf:1.4)"
+if ! grep -q "$line" <<<"$out"; then
+    echo "ci: no merge.replicated_records line under --trace on zipf:1.4" >&2
+    exit 1
+fi
+out="$("${replicated[@]}" --workload uniform)"
+if grep -q 'merge.replicated_records' <<<"$out"; then
+    echo "ci: a merge.replicated_records line under --trace on uniform keys" >&2
+    exit 1
+fi
 
 # One of each: the phase clock, the spans and the local sort of a
 # distributed sorter are the driver's. A sorter that reads the clock, names

@@ -689,6 +689,41 @@ fn buffers_of_several_huge_pages_agree_on_every_backend() {
     big_buffers_agree_everywhere::<Tagged<u64>>(true);
 }
 
+/// The phase clock books the records a rank's two-way merges moved as
+/// replicated-key blocks, and only when a merge cut one out: a key holding
+/// a tenth of every rank's share is, distinct keys are not.
+#[test]
+fn replicated_key_blocks_are_booked_only_when_a_merge_cuts_them() {
+    let n = 20_000u64;
+    let booked = |heavy: bool| {
+        ThreadWorld::new(2)
+            .cores_per_node(4)
+            .telemetry(true)
+            .run(|comm| {
+                let rank = comm.rank() as u64;
+                let data: Vec<u64> = (0..n)
+                    .map(|i| {
+                        if heavy && i % 10 == 0 {
+                            7
+                        } else {
+                            rank * n + i
+                        }
+                    })
+                    .collect();
+                sds_sort(comm, data, &cfg_for(false))
+                    .expect("no memory budget")
+                    .data
+            })
+            .telemetry
+            .expect("telemetry enabled")
+            .counter("merge.replicated_records")
+    };
+    // Both ranks' blocks of key 7 meet in one merge.
+    let heavy = booked(true);
+    assert!(heavy >= Some(2 * n / 10), "{heavy:?}");
+    assert_eq!(booked(false), None);
+}
+
 /// What [`owned_exchange_cases`] found on one rank: the stable merge's
 /// output per case, then how many non-empty self and remote runs there
 /// were and how many of each were read in place —
