@@ -18,12 +18,11 @@
 //! here goes through the simulated memory budget to reproduce exactly
 //! that.
 
-use crate::histogram::histogram_splitters;
 use comm::Communicator;
 use sdssort::config::ComputeCharge;
 use sdssort::driver::{self, group_step, Clock, Level, Prelude, Step};
 use sdssort::exchange::Delivery;
-use sdssort::histogram::choose_k;
+use sdssort::histogram::{choose_k, histogram_splitters};
 use sdssort::partition::{classic_cuts, cuts_at, cuts_to_counts};
 use sdssort::record::Sortable;
 use sdssort::sort::{SortError, SortOutput};

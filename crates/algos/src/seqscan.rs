@@ -6,8 +6,7 @@
 //! * **Sequential scan** — one linear pass over all `n` records
 //!   ([`full_scan_cuts`]), the traditional `O(n)` approach;
 //! * **HykSort-style** — a direct binary search over the whole array per
-//!   pivot, `O(p log n)` ([`binary_cuts`], equivalent to
-//!   [`sdssort::partition::classic_cuts`]);
+//!   pivot, `O(p log n)` ([`sdssort::partition::classic_cuts`]);
 //! * **local-pivot** — SDS-Sort's two-level search, `O(p log p + p log(n/p))`
 //!   (see [`sdssort::search::LocalPivotIndex`]).
 //!
@@ -38,15 +37,11 @@ pub fn full_scan_cuts<T: Sortable>(data: &[T], pivots: &[T::Key]) -> Vec<usize> 
     cuts
 }
 
-/// Cut positions by direct binary search per pivot (HykSort's method).
-pub fn binary_cuts<T: Sortable>(data: &[T], pivots: &[T::Key]) -> Vec<usize> {
-    sdssort::partition::classic_cuts(data, pivots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::prelude::*;
+    use sdssort::partition::classic_cuts;
 
     #[test]
     fn scan_matches_binary_cuts() {
@@ -60,7 +55,7 @@ mod tests {
             pivots.sort_unstable();
             assert_eq!(
                 full_scan_cuts(&data, &pivots),
-                binary_cuts(&data, &pivots),
+                classic_cuts(&data, &pivots),
                 "n={n} pivots={pivots:?}"
             );
         }

@@ -1,15 +1,16 @@
 //! Correctness suite for the peer algorithms on the virtual-time
-//! simulator: global sortedness, permutation (no record lost or
-//! invented), multi-level recursion, the `τm` node-merge path, the HSS
-//! `(1+ε)` part-size guarantee across the skew matrix, the splitters the
-//! shared refinement loop must keep producing, and collective OOM
-//! behavior. Cross-backend bit-equality lives in the workspace-level
+//! simulator: every row of the sorter table over the skew matrix (sorted
+//! permutation, stability where promised, the published load bound), then
+//! AMS and HSS in depth: multi-level recursion, the `τm` node-merge path,
+//! the HSS `(1+ε)` part-size guarantee, the splitters the shared
+//! refinement loop must keep producing, and collective OOM behavior.
+//! Cross-backend bit-equality lives in the workspace-level
 //! `backend_equivalence` suite.
 
-use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig};
+use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig, Sorter, Tuning};
 use mpisim::{Communicator, NetModel, World};
 use sdssort::histogram::histogram_splitters;
-use sdssort::{is_globally_sorted, SortError};
+use sdssort::{is_globally_sorted, Record, SortError, Tagged};
 use std::time::Duration;
 use workloads::keys_by_name;
 
@@ -43,6 +44,58 @@ fn assert_sorted_permutation(inputs: &[Vec<u64>], outputs: &[Vec<u64>]) {
     let mut expect: Vec<u64> = inputs.iter().flatten().copied().collect();
     expect.sort_unstable();
     assert_eq!(flat, expect, "permutation of the input");
+}
+
+/// Every row of the sorter table over the skew matrix, on records tagged
+/// with their global input position: the output is a sorted permutation,
+/// in input order among equal keys where the row is stable, and no rank
+/// holds more than the row's published load bound (plus Theorem 1's
+/// lower-order slack, `2N/p² + p`, for rounding at this small `N/p`).
+#[test]
+fn every_sorter_sorts_the_skew_matrix_within_its_published_bound() {
+    let (p, n) = (8, 600);
+    let mut tuning = Tuning::default();
+    // A node merge concentrates a node's output on its leader by design.
+    tuning.sds.tau_m_bytes = 0;
+    for sorter in Sorter::ALL {
+        for name in WORKLOADS {
+            let report = world(p).run(|comm| {
+                let first = (comm.rank() * n) as u64;
+                let keys = keys(name, n, 13, comm.rank()).into_iter();
+                let data: Vec<Tagged<u64>> =
+                    keys.zip(first..).map(|(k, i)| Record::new(k, i)).collect();
+                let out = sorter
+                    .sort(comm, data.clone(), &tuning)
+                    .expect("no budget set");
+                (data, out.data)
+            });
+            let (ins, outs): (Vec<_>, Vec<_>) = report.results.into_iter().unzip();
+            let got: Vec<Tagged<u64>> = outs.concat();
+            let mut want = ins.concat();
+            if sorter.stable() {
+                want.sort_by_key(|r| r.key);
+                assert_eq!(got, want, "{sorter:?} on {name}: stable order");
+            } else {
+                assert!(
+                    got.windows(2).all(|w| w[0].key <= w[1].key),
+                    "{sorter:?} on {name}"
+                );
+                let mut got = got;
+                got.sort_unstable_by_key(|r| (r.key, r.payload));
+                want.sort_unstable_by_key(|r| (r.key, r.payload));
+                assert_eq!(
+                    got, want,
+                    "{sorter:?} on {name}: a permutation of the input"
+                );
+            }
+            if let Some(bound) = sorter.load_bound(&tuning) {
+                let total = p * n;
+                let limit = bound * (total / p) as f64 + (2 * total / (p * p) + p) as f64;
+                let max = outs.iter().map(Vec::len).max().unwrap_or(0);
+                assert!(max as f64 <= limit, "{sorter:?} on {name}: {max} > {limit}");
+            }
+        }
+    }
 }
 
 #[test]

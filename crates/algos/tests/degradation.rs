@@ -3,7 +3,7 @@
 //! crashes with OOM, while the resilient SDS-Sort driver degrades to disk
 //! spilling and completes correctly.
 
-use baselines::{hyksort, HykSortConfig};
+use algos::{hyksort, HykSortConfig};
 use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, sds_sort_resilient, ComputeModel, ResilienceConfig, SdsConfig, SortError,
@@ -81,7 +81,7 @@ fn hyksort_group_level_oom_fails_every_rank() {
 
 #[test]
 fn resilient_sds_sort_survives_the_same_ramp() {
-    let dir = std::env::temp_dir().join(format!("baselines-degradation-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hyksort-degradation-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let rcfg = ResilienceConfig::new(dir.clone());
     let report = World::new(P)

@@ -1,8 +1,8 @@
 //! Histogram-based splitter selection: quality on uniform data, agreement
 //! across ranks, and the duplicate-blindness that dooms it on skew.
 
-use baselines::histogram_splitters;
 use mpisim::{Communicator, NetModel, World};
+use sdssort::histogram::histogram_splitters;
 use sdssort::search::upper_bound;
 use workloads::uniform_u64;
 

@@ -2,7 +2,7 @@
 //! sort — outputs, per-rank virtual clocks, makespan, or message totals
 //! are bit-identical with the recorder on or off. The recorder only reads
 //! clocks (through its callers) and never advances them. This holds for
-//! every sorter, since all seven run under the one `sdssort::driver` — and
+//! every sorter, since all of them run under the one `sdssort::driver` — and
 //! what the recorder then holds is the same for all of them: per rank, the
 //! driver's steps as gap-free spans whose durations are the `SortStats`
 //! phases.
@@ -13,15 +13,13 @@
 //! schedule-dependent; HykSort always overlaps and the resilient exchange
 //! is always asynchronous, so their clocks stay out of the comparison).
 
-use algos::{ams_sort, hss_sort, AmsConfig, HssConfig};
-use baselines::{hyksort, radix_sort, sample_sort, HykSortConfig, SampleSortConfig};
+use algos::Tuning;
+use mpisim::telemetry::SpanRecord;
 use mpisim::{Communicator, NetModel, World};
 use sdssort::{
-    sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, ResilienceConfig, SdsConfig,
-    SortOutput, SortStats,
+    sds_sort_resilient, ComputeCharge, ComputeModel, ResilienceConfig, SortOutput, SortStats,
 };
 use shmem::ThreadWorld;
-use telemetry::SpanRecord;
 
 /// Deterministic per-rank input: a mix of a shared heavy key (exercises
 /// the duplicate machinery) and rank-salted spread keys.
@@ -41,58 +39,26 @@ fn gen(rank: usize, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The seven distributed sorters.
+/// A row of the sorter table, or the resilient SDS driver beside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Sorter {
-    Sds(SdsConfig),
+    Row(algos::Sorter),
     SdsResilient,
-    HykSort,
-    SampleSort,
-    Radix,
-    Ams,
-    Hss,
 }
 
 impl Sorter {
-    fn all() -> [Sorter; 7] {
-        [
-            Sorter::Sds(unmerged_cfg()),
-            Sorter::SdsResilient,
-            Sorter::HykSort,
-            Sorter::SampleSort,
-            Sorter::Radix,
-            Sorter::Ams,
-            Sorter::Hss,
-        ]
+    fn all() -> impl Iterator<Item = Sorter> {
+        let rows = algos::Sorter::ALL.map(Sorter::Row);
+        rows.into_iter().chain([Sorter::SdsResilient])
     }
 
-    fn sort<C: Communicator>(self, comm: &C, data: Vec<u64>) -> SortOutput<u64> {
-        let charge = ComputeCharge::Modeled(ComputeModel::nominal());
+    fn sort<C: Communicator>(self, comm: &C, data: Vec<u64>, tuning: &Tuning) -> SortOutput<u64> {
         match self {
-            Sorter::Sds(cfg) => sds_sort(comm, data, &cfg),
+            Sorter::Row(row) => row.sort(comm, data, tuning),
             Sorter::SdsResilient => {
                 // No budget is set, so nothing spills.
                 let dir = std::env::temp_dir().join("sds-purity-never-written");
-                sds_sort_resilient(comm, data, &unmerged_cfg(), &ResilienceConfig::new(dir))
-            }
-            Sorter::HykSort => {
-                // k = 4 over p = 8: two stages.
-                let mut cfg = HykSortConfig::default();
-                (cfg.charge, cfg.k) = (charge, 4);
-                hyksort(comm, data, &cfg)
-            }
-            Sorter::SampleSort => sample_sort(comm, data, &SampleSortConfig { charge }),
-            Sorter::Radix => radix_sort(comm, data),
-            Sorter::Ams => {
-                // Four cores per node: one group per node, then 4 groups of 1.
-                let mut cfg = AmsConfig::default();
-                cfg.charge = charge;
-                ams_sort(comm, data, &cfg)
-            }
-            Sorter::Hss => {
-                let mut cfg = HssConfig::default();
-                cfg.charge = charge;
-                hss_sort(comm, data, &cfg)
+                sds_sort_resilient(comm, data, &tuning.sds, &ResilienceConfig::new(dir))
             }
         }
         .expect("no memory budget")
@@ -101,21 +67,25 @@ impl Sorter {
     /// Whether the sorter receives with `wait_any`, whose virtual clock
     /// depends on the host's arrival order.
     fn schedule_dependent(self) -> bool {
-        matches!(self, Sorter::HykSort | Sorter::SdsResilient)
+        matches!(
+            self,
+            Sorter::Row(algos::Sorter::HykSort) | Sorter::SdsResilient
+        )
     }
 
     /// The steps one rank passes through, in program order (without a node
     /// merge): the prelude, then splitters → partition → exchange → ordering
     /// once per exchange.
     fn steps(self) -> Vec<&'static str> {
+        use algos::Sorter::{Ams, Hss, HykSort, Sds, SdsStable};
         let (tau_m, exchanges) = match self {
-            Sorter::Sds(_) | Sorter::SdsResilient => (true, 1),
-            Sorter::SampleSort | Sorter::Radix | Sorter::Hss => (false, 1),
+            Sorter::Row(Sds | SdsStable) | Sorter::SdsResilient => (true, 1),
+            Sorter::Row(Hss) => (false, 1),
             // Two stages; the split that forms the groups opens the second
             // stage's splitter step.
-            Sorter::HykSort => (false, 2),
+            Sorter::Row(HykSort) => (false, 2),
             // Two levels, and the rebalance within the first level's groups.
-            Sorter::Ams => (true, 3),
+            Sorter::Row(Ams) => (true, 3),
         };
         let mut steps = vec!["local-sort"];
         steps.extend(tau_m.then_some("node-merge"));
@@ -143,8 +113,8 @@ fn world(telemetry: bool) -> World {
         .telemetry(telemetry)
 }
 
-fn run(telemetry: bool, sorter: Sorter) -> RunResult {
-    let report = world(telemetry).run(move |comm| sorter.sort(comm, gen(comm.rank(), 500)).data);
+fn run(telemetry: bool, sorter: Sorter, tuning: &Tuning) -> RunResult {
+    let report = world(telemetry).run(|comm| sorter.sort(comm, gen(comm.rank(), 500), tuning).data);
     // A schedule-dependent sorter's clocks are left out of the comparison.
     let clocks = !sorter.schedule_dependent();
     let bits = |t: f64| if clocks { t.to_bits() } else { 0 };
@@ -157,50 +127,47 @@ fn run(telemetry: bool, sorter: Sorter) -> RunResult {
     }
 }
 
-fn purity_case(sorter: Sorter) {
-    let off = run(false, sorter);
-    let on = run(true, sorter);
+fn purity_case(sorter: Sorter, tuning: &Tuning) {
+    let off = run(false, sorter, tuning);
+    let on = run(true, sorter, tuning);
     assert_eq!(on, off, "{sorter:?}: telemetry must be a pure observer");
     // And the baseline run itself is reproducible (guards against the test
     // comparing two equally-nondeterministic runs by luck).
     assert_eq!(
-        run(false, sorter),
+        run(false, sorter, tuning),
         off,
         "{sorter:?}: baseline run must be deterministic"
     );
 }
 
-fn base_cfg() -> SdsConfig {
-    let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
-    cfg.tau_o = 0; // overlapped exchange is schedule-dependent
-    cfg
-}
-
-fn unmerged_cfg() -> SdsConfig {
-    let mut cfg = base_cfg();
-    cfg.tau_m_bytes = 0; // no node merging
-    cfg
+/// Modelled compute, no node merging, and no overlapped SDS exchange
+/// (schedule-dependent); HykSort's `k = 4` over `p = 8` makes two stages,
+/// AMS's default `kmax` over four cores per node one group per node, then
+/// four groups of one.
+fn tuning() -> Tuning {
+    let mut t = Tuning::charged(ComputeCharge::Modeled(ComputeModel::nominal()));
+    (t.sds.tau_o, t.sds.tau_m_bytes) = (0, 0);
+    t.hyksort.k = 4;
+    t
 }
 
 #[test]
 fn identical_with_and_without_telemetry() {
     for sorter in Sorter::all() {
-        purity_case(sorter);
+        purity_case(sorter, &tuning());
     }
 }
 
 #[test]
 fn identical_when_node_merging_runs() {
-    let mut cfg = base_cfg();
-    cfg.tau_m_bytes = usize::MAX; // force the node-merge path
-    purity_case(Sorter::Sds(cfg));
+    let mut t = tuning();
+    t.sds.tau_m_bytes = usize::MAX; // force the node-merge path
+    purity_case(Sorter::Row(algos::Sorter::Sds), &t);
 }
 
 #[test]
 fn identical_for_stable_variant() {
-    let mut cfg = unmerged_cfg();
-    cfg.stable = true;
-    purity_case(Sorter::Sds(cfg));
+    purity_case(Sorter::Row(algos::Sorter::SdsStable), &tuning());
 }
 
 /// One rank's recorded spans against the steps it must have passed through
@@ -235,7 +202,7 @@ fn assert_spans_are_the_steps(
         ),
         (spent_in(&["node-merge"]), stats.other_s),
     ];
-    if sorter == Sorter::HykSort {
+    if sorter == Sorter::Row(algos::Sorter::HykSort) {
         // Paper footnote 4: its exchange contains its ordering.
         assert_eq!(stats.local_order_s, 0.0);
         phases.push((spent_in(&["exchange", "local-order"]), stats.exchange_s));
@@ -258,7 +225,8 @@ fn assert_spans_are_the_steps(
 #[test]
 fn telemetry_run_actually_recorded() {
     for sorter in Sorter::all() {
-        let report = world(true).run(move |comm| sorter.sort(comm, gen(comm.rank(), 500)).stats);
+        let report =
+            world(true).run(|comm| sorter.sort(comm, gen(comm.rank(), 500), &tuning()).stats);
         let snap = report.telemetry.expect("telemetry enabled");
         assert!(snap.total_messages() > 0, "recorder saw traffic");
         assert!(snap.phases.iter().any(|p| p.name == "exchange"));
@@ -275,7 +243,7 @@ fn every_sorter_records_its_steps_as_gap_free_spans_on_threads() {
         let report = ThreadWorld::new(8)
             .cores_per_node(4)
             .telemetry(true)
-            .run(move |comm| sorter.sort(comm, gen(comm.rank(), 500)).stats);
+            .run(|comm| sorter.sort(comm, gen(comm.rank(), 500), &tuning()).stats);
         let snap = report.telemetry.expect("telemetry enabled");
         for (rank, stats) in report.results.iter().enumerate() {
             assert_spans_are_the_steps(sorter, rank, &snap.spans, stats);

@@ -3,11 +3,11 @@
 //! ```text
 //! Usage: sortcli [OPTIONS]
 //!
-//!   --sorter   sds | sds-stable | hyksort | samplesort | bitonic | radix
-//!              | ams | hss        (`--algo` is an alias for `--sorter`;
-//!                                  `ams` is multi-level AMS-sort and `hss`
-//!                                  is Histogram Sort with Sampling, both
-//!                                  from crates/algos)
+//!   --sorter   sds | sds-stable | hyksort | ams | hss
+//!                                  (default sds; `--algo` is an alias).
+//!                                  The rows of `algos::Sorter`: `ams` is
+//!                                  multi-level AMS-sort and `hss` is
+//!                                  Histogram Sort with Sampling
 //!   --workload uniform | zipf:<alpha> | staircase[:<steps>] | ptf-like
 //!              | adversarial
 //!   --backend  sim | threads | sockets
@@ -67,15 +67,18 @@
 //! ```
 //!
 //! Prints: correctness verdict (globally sorted + permutation), modelled
-//! makespan, phase breakdown, RDFA, message/byte totals.
+//! makespan, phase breakdown, RDFA beside the sorter's published bound
+//! (none for HykSort and AMS, whose value splitters duplicates defeat),
+//! message/byte totals.
 
+use algos::{Sorter, Tuning};
 use bench::emit::{write_document, Emitter};
 use bench::{fmt_bytes, fmt_time, Table};
 use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta};
 use mpisim::{FaultSpec, World};
 use sdssort::{
-    is_globally_sorted, is_permutation_of, rdfa, sds_sort, sds_sort_resilient, ResilienceConfig,
-    SdsConfig, SortError,
+    is_globally_sorted, is_permutation_of, rdfa, sds_sort_resilient, ResilienceConfig, SdsConfig,
+    SortError,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -83,7 +86,7 @@ use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct Args {
-    sorter: String,
+    sorter: Sorter,
     workload: String,
     backend: String,
     transport: String,
@@ -112,7 +115,7 @@ fn num<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, v: String) -> R
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        sorter: "sds".into(),
+        sorter: Sorter::Sds,
         workload: "uniform".into(),
         backend: "sim".into(),
         transport: "uds".into(),
@@ -140,7 +143,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             v.ok_or_else(|| format!("missing value for {flag}"))
         };
         match flag.as_str() {
-            "--sorter" | "--algo" => args.sorter = take()?,
+            "--sorter" | "--algo" => {
+                let name = take()?;
+                args.sorter = Sorter::by_name(&name).ok_or(format!("unknown sorter {name}"))?;
+            }
             "--workload" => args.workload = take()?,
             "--backend" => args.backend = take()?,
             "--transport" => args.transport = take()?,
@@ -179,13 +185,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// Reject argument combinations no backend can run, before any world is
 /// built (a usage error exits 2; `World::new` and friends would assert).
 fn validate(a: &Args) -> Result<(), String> {
-    let known = matches!(
-        a.sorter.as_str(),
-        "sds" | "sds-stable" | "hyksort" | "samplesort" | "bitonic" | "radix" | "ams" | "hss"
-    );
-    if !known {
-        return Err(format!("unknown sorter {}", a.sorter));
-    }
     workloads::keys_by_name(&a.workload, 1, 0, 0)?;
     if a.ranks == 0 {
         return Err("--ranks must be at least 1".into());
@@ -253,40 +252,16 @@ fn validate(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The SDS configuration this invocation runs (None for baselines).
-fn sds_cfg(args: &Args) -> Option<SdsConfig> {
-    let mut cfg = match args.sorter.as_str() {
-        "sds" => SdsConfig::default(),
-        "sds-stable" => SdsConfig::stable(),
-        _ => return None,
-    };
-    cfg.oversample = args.oversample;
-    Some(cfg)
+/// Every sorter's defaults, with `--oversample` for SDS.
+fn tuning(args: &Args) -> Tuning {
+    let mut t = Tuning::default();
+    t.sds.oversample = args.oversample;
+    t
 }
 
-/// Dispatch `--sorter` on any backend ([`validate`] checked the name).
-fn run_generic<C: comm::Communicator>(
-    args: &Args,
-    comm: &C,
-    input: Vec<u64>,
-) -> Result<sdssort::SortOutput<u64>, SortError> {
-    if let Some(cfg) = sds_cfg(args) {
-        return sds_sort(comm, input, &cfg);
-    }
-    match args.sorter.as_str() {
-        "hyksort" => baselines::hyksort(comm, input, &baselines::HykSortConfig::default()),
-        "samplesort" => {
-            baselines::sample_sort(comm, input, &baselines::SampleSortConfig::default())
-        }
-        "radix" => baselines::radix_sort(comm, input),
-        "bitonic" => Ok(sdssort::SortOutput {
-            data: baselines::bitonic_sort(comm, input),
-            stats: sdssort::SortStats::default(),
-        }),
-        "ams" => algos::ams_sort(comm, input, &algos::AmsConfig::default()),
-        "hss" => algos::hss_sort(comm, input, &algos::HssConfig::default()),
-        other => panic!("unknown sorter {other} (validated before launch)"),
-    }
+/// The SDS configuration this invocation runs (None for the other sorters).
+fn sds_cfg(args: &Args) -> Option<SdsConfig> {
+    args.sorter.sds_config(&tuning(args))
 }
 
 /// What one rank reports, on every backend: the distributed correctness
@@ -350,7 +325,7 @@ fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome
             let cfg = sds_cfg(args).expect("--resilient is validated as sds-only");
             sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
         }
-        None => run_generic(args, comm, input.clone())?,
+        None => args.sorter.sort(comm, input.clone(), &tuning(args))?,
     };
     Ok(RankOutcome {
         sorted: is_globally_sorted(comm, &o.data),
@@ -548,7 +523,7 @@ fn main() -> ExitCode {
 
     println!(
         "sortcli: {} on {} | p = {}, {} records/rank, {} cores/node, {} backend{}",
-        args.sorter,
+        args.sorter.name(),
         args.workload,
         args.ranks,
         args.records,
@@ -606,6 +581,12 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         ("other (rank 0)", fmt_time(r0.other_s)),
         ("node merged (τm)", r0.node_merged.to_string()),
         ("RDFA", format!("{:.4}", rdfa(&loads))),
+        (
+            "RDFA bound (published)",
+            args.sorter
+                .load_bound(&tuning(args))
+                .map_or_else(|| "none".to_string(), |b| format!("{b}")),
+        ),
         ("messages", run.messages.to_string()),
         ("bytes", fmt_bytes(run.bytes as usize)),
     ];
@@ -695,7 +676,7 @@ fn write_metrics(
         loads.iter().map(|&l| l as u64).collect(),
     );
     report.config = [
-        ("sorter", Json::from(args.sorter.clone())),
+        ("sorter", Json::from(args.sorter.name())),
         ("workload", Json::from(args.workload.clone())),
         ("backend", Json::from(args.backend.clone())),
         ("git_rev", Json::from(bench::git_rev())),
@@ -851,7 +832,7 @@ mod tests {
             ("--serve --cores 0", "--cores must be at least 1"),
             ("--serve --clients 0", "--clients must be at least 1"),
             (
-                "--serve --sorter radix",
+                "--serve --sorter hyksort",
                 "--serve runs the sds sorters only",
             ),
             (

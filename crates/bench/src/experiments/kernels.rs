@@ -3,10 +3,10 @@
 
 use super::{contest, crossover};
 use crate::{best_of, time_best_of, Run, Table};
-use baselines::{binary_cuts, full_scan_cuts};
+use algos::full_scan_cuts;
 use sdssort::local_sort::merge_cuts;
 use sdssort::merge::kway_merge;
-use sdssort::partition::fast_cuts;
+use sdssort::partition::{classic_cuts, fast_cuts};
 use sdssort::sampling::regular_sample;
 use sdssort::search::LocalPivotIndex;
 use sdssort::{MergeStrategy, OrderedF32};
@@ -273,14 +273,14 @@ pub fn fig6b(r: &mut Run) -> bool {
 
         // All three methods must agree before we time anything.
         let scan = full_scan_cuts(&data, &pivots);
-        let binary = binary_cuts(&data, &pivots);
+        let binary = classic_cuts(&data, &pivots);
         let local = fast_cuts(&data, &pivots, Some(&index));
         assert_eq!(scan, binary, "scan vs binary disagree");
         assert_eq!(binary, local, "binary vs local-pivot disagree");
 
         vec![
             time_best_of(3, || full_scan_cuts(&data, &pivots)[p / 2]),
-            time_best_of(5, || binary_cuts(&data, &pivots)[p / 2]),
+            time_best_of(5, || classic_cuts(&data, &pivots)[p / 2]),
             time_best_of(5, || fast_cuts(&data, &pivots, Some(&index))[p / 2]),
         ]
     };

@@ -2,7 +2,8 @@
 //! the two science datasets (Figs. 9/10, Table 4). Every cell comes from
 //! [`Run::sweep`], so a table reports from the same runs its figures print.
 
-use crate::{fmt_opt_time, fmt_rdfa, fmt_time, Cells, Dataset, Run, RunOutcome, Sorter, Table};
+use crate::{fmt_opt_time, fmt_rdfa, fmt_time, Cells, Dataset, Run, RunOutcome, Table};
+use algos::Sorter;
 
 /// Process count of the PTF experiment (Fig. 9 / Table 4).
 const PTF_P: usize = 192;

@@ -4,8 +4,9 @@
 //! table and figure of the paper plus the ablations from one
 //! [`registry::REGISTRY`], and `sortcli`, which runs any sorter on any
 //! workload and backend. This library holds what they share: scaled
-//! experiment sizes, table printing, result emission, world construction,
-//! and sorter dispatch.
+//! experiment sizes, table printing, result emission and world
+//! construction. Both dispatch sorters through the one table,
+//! [`algos::Sorter`].
 //!
 //! Every experiment prints (a) the paper's rows/series at our reduced scale
 //! and (b) a `shape:` verdict line summarizing whether the qualitative
@@ -14,8 +15,9 @@
 //! Scale control: set `BENCH_SCALE=full` for larger sweeps (default
 //! `small` finishes in seconds per experiment).
 
+use algos::{Sorter, Tuning};
 use mpisim::{Comm, World};
-use sdssort::{sds_sort, ComputeCharge, ComputeModel, SdsConfig, SortError, SortOutput, Sortable};
+use sdssort::{ComputeCharge, ComputeModel, SortError, SortOutput, Sortable};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -60,34 +62,6 @@ impl Scale {
 /// `ComputeCharge::Modeled`).
 pub fn modeled_world(p: usize) -> World {
     World::new(p).compute_scale(0.0)
-}
-
-/// Which sorter an experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sorter {
-    /// SDS-Sort, fast (unstable) variant.
-    Sds,
-    /// SDS-Sort, stable variant.
-    SdsStable,
-    /// HykSort baseline.
-    HykSort,
-    /// Multi-level AMS-sort peer (`crates/algos`).
-    Ams,
-    /// Histogram Sort with Sampling peer (`crates/algos`).
-    Hss,
-}
-
-impl Sorter {
-    /// Display label matching the paper's figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Sorter::Sds => "SDS-Sort",
-            Sorter::SdsStable => "SDS-Sort/stable",
-            Sorter::HykSort => "HykSort",
-            Sorter::Ams => "AMS-sort",
-            Sorter::Hss => "HSS",
-        }
-    }
 }
 
 /// Short git revision of the checkout producing a report, or `"unknown"`
@@ -179,59 +153,21 @@ where
     G: Fn(usize) -> Vec<T> + Send + Sync,
 {
     use mpisim::Communicator;
-    run_world(p, budget, |comm| {
-        run_one(sorter, comm, gen(comm.rank()), model)
-    })
-}
-
-fn run_one<T: Sortable>(
-    sorter: Sorter,
-    comm: &mut Comm,
-    data: Vec<T>,
-    model: ComputeModel,
-) -> Result<SortOutput<T>, SortError> {
     // Node merging is disabled (τm = 0) in the comparative experiments: our
     // memory budget is per rank, while node merging concentrates a node's
     // data on its leader by design (the real machine's budget is per
-    // *node*). Fig. 5a studies node merging in isolation.
+    // *node*). Fig. 5a studies node merging in isolation. (AMS's τm is off
+    // by default.)
     //
     // τo and τs are machine-specific tuning knobs: the paper calibrates
     // 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c experiments locate
     // the crossovers near 16 and 8 on the simulated machine, so the
     // comparative runs use those.
-    match sorter {
-        Sorter::Sds | Sorter::SdsStable => {
-            let mut cfg = SdsConfig::modeled(model);
-            cfg.stable = sorter == Sorter::SdsStable; // stable never overlaps: τo is moot
-            cfg.tau_m_bytes = 0;
-            cfg.tau_o = 16;
-            cfg.tau_s = 8;
-            sds_sort(comm, data, &cfg)
-        }
-        Sorter::HykSort => {
-            let cfg = baselines::HykSortConfig {
-                charge: ComputeCharge::Modeled(model),
-                ..baselines::HykSortConfig::default()
-            };
-            baselines::hyksort(comm, data, &cfg)
-        }
-        Sorter::Ams => {
-            let cfg = algos::AmsConfig {
-                charge: ComputeCharge::Modeled(model),
-                // τm = 0 for the same per-rank-budget reason as SDS above.
-                tau_m_bytes: 0,
-                ..algos::AmsConfig::default()
-            };
-            algos::ams_sort(comm, data, &cfg)
-        }
-        Sorter::Hss => {
-            let cfg = algos::HssConfig {
-                charge: ComputeCharge::Modeled(model),
-                ..algos::HssConfig::default()
-            };
-            algos::hss_sort(comm, data, &cfg)
-        }
-    }
+    let mut tuning = Tuning::charged(ComputeCharge::Modeled(model));
+    (tuning.sds.tau_m_bytes, tuning.sds.tau_o, tuning.sds.tau_s) = (0, 16, 8);
+    run_world(p, budget, |comm| {
+        sorter.sort(comm, gen(comm.rank()), &tuning)
+    })
 }
 
 /// The smallest of `reps` draws of `f`.

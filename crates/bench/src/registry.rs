@@ -10,7 +10,8 @@
 
 use crate::emit::{outcome_values, Emitter};
 use crate::experiments::{kernels, scaling, skew, thresholds};
-use crate::{run_sorter, RunOutcome, Scale, Sorter};
+use crate::{run_sorter, RunOutcome, Scale};
+use algos::Sorter;
 use mpisim::telemetry::Json;
 use sdssort::ComputeModel;
 use std::collections::HashMap;

@@ -11,9 +11,9 @@
 //! 7. the final local ordering of the `p` received sorted runs.
 //!
 //! [`exchange`] is the only in-memory implementation of those steps:
-//! `sds_sort`, the `baselines` sorters and the `algos` sorters all deliver
-//! their data through it ([`crate::resilience`] has the one alternative,
-//! which spills to disk instead of failing). It owns the memory
+//! `sds_sort` and the `algos` sorters all deliver their data through it
+//! ([`crate::resilience`] has the one alternative, which spills to disk
+//! instead of failing). It owns the memory
 //! reservation — released on every exit — and books the exchange and the
 //! ordering on the sort's [`Clock`].
 //!

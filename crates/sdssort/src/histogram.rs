@@ -12,7 +12,7 @@
 //! global `upper_bound`, and `algos::hss` by the `[lower, upper]` interval
 //! of positions a tie split at it can realize.
 //!
-//! §2.4's caveat, reproduced by the `baselines` tests: the splitters
+//! §2.4's caveat, reproduced by the `algos` HykSort tests: the splitters
 //! [`histogram_splitters`] produces are *key values*, so when one key
 //! holds more than a bucket's worth of mass no splitter refinement can
 //! balance a duplicate-blind partition. SDS-Sort's skew-aware partition

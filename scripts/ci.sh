@@ -114,7 +114,8 @@ trace_table() {
 }
 trace=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --workload zipf:1.4 --records 2000 --trace)
-for sorter in sds hyksort ams hss; do
+# (the rows of algos::Sorter)
+for sorter in sds sds-stable hyksort ams hss; do
     echo "ci: ${trace[*]} --sorter $sorter --ranks 16 --cores 4 (twice), --backend threads --ranks 4 --cores 2"
     first="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
     second="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
@@ -149,14 +150,11 @@ fi
 # One of each: the phase clock, the spans and the local sort of a
 # distributed sorter are the driver's. A sorter that reads the clock, names
 # a phase, opens a span or sorts its input by itself has grown its own
-# prelude again. (bitonic.rs is not a sample sort and has no prelude to
-# share; resilience.rs orders run files, not records.)
+# prelude again. (resilience.rs orders run files, not records.)
 own_prelude="$(grep -nE 'comm\.now\(\)|trace_phase\(|span_begin\(' -r \
-    crates/baselines/src crates/algos/src \
-    crates/sdssort/src/sort.rs crates/sdssort/src/resilience.rs || true)"
+    crates/algos/src crates/sdssort/src/sort.rs crates/sdssort/src/resilience.rs || true)"
 own_sort="$(grep -nE 'sort_unstable_by_key|sort_by_key' -r \
-    crates/baselines/src crates/algos/src crates/sdssort/src/sort.rs |
-    grep -v '^crates/baselines/src/bitonic.rs:' || true)"
+    crates/algos/src crates/sdssort/src/sort.rs || true)"
 if [ -n "$own_prelude$own_sort" ]; then
     printf 'ci: a distributed sorter does the driver'"'"'s work itself:\n%s\n%s\n' \
         "$own_prelude" "$own_sort" >&2

@@ -4,14 +4,15 @@
 //!
 //! - [`mpisim`] — thread-based message-passing runtime (the MPI substitute),
 //! - [`sdssort`] — the SDS-Sort algorithm itself,
-//! - [`baselines`] — HykSort, classical sample sort, and bitonic sort,
+//! - [`algos`] — HykSort, AMS-sort and HSS, and `algos::Sorter`, the one
+//!   table of all five distributed sorters,
 //! - [`workloads`] — synthetic and science-inspired data generators.
 //!
 //! This crate only re-exports them so that the workspace-level integration
 //! tests in `tests/` and the runnable examples in `examples/` have a single
 //! dependency root.
 
-pub use baselines;
+pub use algos;
 pub use mpisim;
 pub use sdssort;
 pub use workloads;

@@ -56,23 +56,15 @@ fn gen_keys(workload: &str, n: usize, seed: u64, rank: usize) -> Vec<u64> {
     }
 }
 
-/// Dispatch one of the `crates/algos` peers (backend-generic, like
-/// `sds_sort`): both are deterministic end to end, so they join the
-/// bit-identical matrix below as first-class columns.
+/// Sort with the row of `algos::Sorter` named `algo` (backend-generic,
+/// like `sds_sort`). AMS and HSS are deterministic end to end, so they join
+/// the bit-identical matrix below as first-class columns.
 fn run_algo<C: comm::Communicator>(algo: &str, comm: &C, data: Vec<u64>) -> Vec<u64> {
-    match algo {
-        "ams" => {
-            algos::ams_sort(comm, data, &algos::AmsConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        "hss" => {
-            algos::hss_sort(comm, data, &algos::HssConfig::default())
-                .expect("no memory budget")
-                .data
-        }
-        other => panic!("unknown algo {other}"),
-    }
+    let sorter = algos::Sorter::by_name(algo).expect("a row of the sorter table");
+    sorter
+        .sort(comm, data, &algos::Tuning::default())
+        .expect("no memory budget")
+        .data
 }
 
 fn run_sim_algo(algo: &str, p: usize, workload: &str, n: usize, seed: u64) -> Vec<Vec<u64>> {

@@ -41,7 +41,7 @@ fn every_rule_fires_on_some_fixture() {
         ("banned_patterns.rs", "crates/workloads/src/fixture.rs"),
         ("wallclock_alias.rs", "crates/sdssort/src/fixture.rs"),
         ("divergent_collective.rs", "crates/sdssort/src/fixture.rs"),
-        ("unchecked_arith.rs", "crates/baselines/src/fixture.rs"),
+        ("unchecked_arith.rs", "crates/algos/src/fixture.rs"),
         ("tag_range.rs", "crates/sdssort/src/fixture.rs"),
         ("blocking_service.rs", "crates/service/src/fixture.rs"),
     ];
@@ -179,7 +179,7 @@ fn divergence_rule_skips_the_comm_substrate() {
 fn unchecked_arith_is_reported_at_exact_spans() {
     let spans = spans_of(
         "unchecked_arith.rs",
-        "crates/baselines/src/fixture.rs",
+        "crates/algos/src/fixture.rs",
         "unchecked-partition-arith",
     );
     assert_eq!(
@@ -193,10 +193,7 @@ fn unchecked_arith_is_reported_at_exact_spans() {
 fn checked_arith_passes() {
     // checked_*/expect chains, u128 widening, literal-scaled and
     // literal-offset index math, and min-clamped indices are all exempt.
-    let diags = xlint::scan_source(
-        "crates/baselines/src/fixture.rs",
-        &fixture("checked_arith.rs"),
-    );
+    let diags = xlint::scan_source("crates/algos/src/fixture.rs", &fixture("checked_arith.rs"));
     let arith: Vec<_> = diags
         .iter()
         .filter(|d| d.rule == "unchecked-partition-arith")
