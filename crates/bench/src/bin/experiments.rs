@@ -17,6 +17,8 @@
 //! experiment's verdict is REPRODUCED, 1 if any DIVERGED (or a metrics
 //! document could not be written), 2 on a usage error.
 
+#![forbid(unsafe_code)]
+
 use bench::{registry, Experiment, Run, Scale, REGISTRY};
 use std::path::PathBuf;
 use std::process::ExitCode;

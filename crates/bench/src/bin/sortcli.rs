@@ -71,6 +71,8 @@
 //! (none for HykSort and AMS, whose value splitters duplicates defeat),
 //! message/byte totals.
 
+#![forbid(unsafe_code)]
+
 use algos::{Sorter, Tuning};
 use bench::emit::{write_document, Emitter};
 use bench::{fmt_bytes, fmt_time, Table};

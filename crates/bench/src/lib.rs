@@ -15,6 +15,8 @@
 //! Scale control: set `BENCH_SCALE=full` for larger sweeps (default
 //! `small` finishes in seconds per experiment).
 
+#![forbid(unsafe_code)]
+
 use algos::{Sorter, Tuning};
 use mpisim::{Comm, World};
 use sdssort::{ComputeCharge, ComputeModel, SortError, SortOutput, Sortable};

@@ -28,6 +28,7 @@
 //! assert!(report.results.iter().all(|&s| s == 6));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;

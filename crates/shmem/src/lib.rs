@@ -40,6 +40,7 @@
 //! assert!(report.wall_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod comm;

@@ -49,6 +49,7 @@
 //! Unlike the simulator there is no virtual clock here — `now()` is real
 //! wall time (see EXPERIMENTS.md for why multi-process timings are
 //! reported separately from simulated makespans).
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod comm;

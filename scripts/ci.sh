@@ -27,9 +27,9 @@ run cargo build --release --workspace "${CARGO_OPTS[@]}"
 run cargo test -q --workspace "${CARGO_OPTS[@]}"
 
 # Workspace source lint: dependency-free AST-driven semantic pass (SPMD
-# rank-divergence, partition arithmetic, tag ranges, dispatcher blocking,
-# plus the hygiene rules — see DESIGN.md §13). Exceptions live in
-# xlint.allow with justifications; stale entries fail the run. Emits the
+# rank-divergence, partition arithmetic, tag ranges, and one table of banned
+# calls — see DESIGN.md §13). Exceptions live in xlint.allow with
+# justifications; stale entries and stale table scopes fail the run. Emits the
 # versioned JSON report for CI artifact upload, then gates on the exit
 # code (the --out report is written even when the run fails).
 XLINT_REPORT="${XLINT_REPORT:-target/xlint-report.json}"
@@ -146,61 +146,6 @@ if grep -q 'merge.replicated_records' <<<"$out"; then
     echo "ci: a merge.replicated_records line under --trace on uniform keys" >&2
     exit 1
 fi
-
-# One of each: the phase clock, the spans and the local sort of a
-# distributed sorter are the driver's. A sorter that reads the clock, names
-# a phase, opens a span or sorts its input by itself has grown its own
-# prelude again. (resilience.rs orders run files, not records.)
-own_prelude="$(grep -nE 'comm\.now\(\)|trace_phase\(|span_begin\(' -r \
-    crates/algos/src crates/sdssort/src/sort.rs crates/sdssort/src/resilience.rs || true)"
-own_sort="$(grep -nE 'sort_unstable_by_key|sort_by_key' -r \
-    crates/algos/src crates/sdssort/src/sort.rs || true)"
-if [ -n "$own_prelude$own_sort" ]; then
-    printf 'ci: a distributed sorter does the driver'"'"'s work itself:\n%s\n%s\n' \
-        "$own_prelude" "$own_sort" >&2
-    exit 1
-fi
-
-# One of each: a sort's n-record buffers come from comm::pages, the one place
-# that asks the kernel for huge pages (DESIGN.md §11.5). The foreign call is
-# nowhere else, and each of the functions that allocate such a buffer calls
-# `pages::` and builds no vector of its own beside it.
-elsewhere="$(grep -rnE --include='*.rs' 'madvise|extern "C"' crates src tests examples |
-    grep -v '^crates/comm/src/pages.rs:' || true)"
-if [ -n "$elsewhere" ]; then
-    printf 'ci: madvise / extern "C" outside crates/comm/src/pages.rs:\n%s\n' "$elsewhere" >&2
-    exit 1
-fi
-# (rustfmt's layout: a function ends at the first `}` at its own indent.)
-fn_body() {
-    awk -v name="$2" '
-        !on && match($0, "^ *(pub(\\([a-z]+\\))? )?fn " name "[<(]") {
-            on = 1; match($0, "^ *"); close_at = sprintf("%*s}", RLENGTH, "")
-        }
-        on { print FILENAME ":" FNR ": " $0 }
-        on && $0 == close_at { on = 0 }' "$1"
-}
-while read -r file name; do
-    body="$(fn_body "$file" "$name")"
-    own="$(grep -E 'Vec::with_capacity\(|vec!\[|[^:]reserve(_exact)?\(|\.to_vec\(\)' <<<"$body" || true)"
-    if ! grep -q 'pages::' <<<"$body" || [ -n "$own" ]; then
-        printf 'ci: %s in %s must get its buffer from comm::pages, and only there:\n%s\n' \
-            "$name" "$file" "${own:-$body}" >&2
-        exit 1
-    fi
-done <<'SITES'
-crates/sdssort/src/merge.rs merge_two_by_key
-crates/sdssort/src/merge.rs kway_merge_into
-crates/sdssort/src/radix.rs radix_sort
-crates/sdssort/src/local_sort.rs local_sort_with
-crates/sdssort/src/local_sort.rs parallel_merge_into
-crates/comm/src/raw.rs alltoallv_given_counts
-crates/comm/src/raw.rs self_run_raw
-crates/comm/src/wire.rs get_into
-crates/comm/src/wire.rs read_from
-crates/sockcomm/src/frame.rs read_frame
-crates/sockcomm/src/comm.rs send_slice_raw
-SITES
 
 # The benchmark (benchmark/, a package of its own) is a consumer of the
 # crates' public API: its unit tests must build and pass against the

@@ -17,3 +17,11 @@ fn poll_with_deadline(rx: &mpsc::Receiver<Outcome>) {
     let _ = rx.recv_timeout(std::time::Duration::from_secs(1)); // blocking-in-dispatcher
     std::thread::park(); // blocking-in-dispatcher
 }
+
+use std::thread::sleep as nap; // blocking-in-dispatcher: binding renames thread::sleep
+use std::thread::park; // blocking-in-dispatcher: binding of thread::park
+
+fn evasive_waits() {
+    nap(std::time::Duration::from_millis(10)); // blocking-in-dispatcher: resolves to thread::sleep
+    park(); // blocking-in-dispatcher: resolves to thread::park
+}

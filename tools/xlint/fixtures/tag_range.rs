@@ -19,3 +19,5 @@ fn raw_surface(comm: &Comm) {
     let _t = comm.next_coll_tag(); // user-tag-range: reserved-tag plumbing
     comm.send_raw(0, BASE_TAG, vec![1u64]); // user-tag-range: RawComm bypasses the check
 }
+
+const SHIFTED_TAG: u64 = 1 << 47 + 1; // user-tag-range: `+` binds first, so 1 << 48

@@ -38,13 +38,6 @@ pub struct UseBinding {
     pub col: u32,
 }
 
-impl UseBinding {
-    /// Canonical `::`-joined path, e.g. `std::time::Instant`.
-    pub fn canonical(&self) -> String {
-        self.path.join("::")
-    }
-}
-
 /// A parsed item.
 #[derive(Debug)]
 pub struct Item {
@@ -141,19 +134,26 @@ impl Ast {
     }
 }
 
-fn collect_aliases(items: &[Item], map: &mut HashMap<String, UseBinding>) {
-    for item in items {
-        if item.cfg_test {
-            continue;
+/// Every item of `items` and of the modules, `impl`s and traits among them,
+/// depth first; `#[cfg(test)]` subtrees only with `tests`.
+pub fn flat_items(items: &[Item], tests: bool) -> Vec<&Item> {
+    let mut out = Vec::new();
+    for item in items.iter().filter(|item| tests || !item.cfg_test) {
+        out.push(item);
+        if let ItemKind::Mod { items } | ItemKind::Container { items, .. } = &item.kind {
+            out.extend(flat_items(items, tests));
         }
+    }
+    out
+}
+
+fn collect_aliases(items: &[Item], map: &mut HashMap<String, UseBinding>) {
+    for item in flat_items(items, false) {
         match &item.kind {
             ItemKind::Use(bindings) => {
                 for b in bindings {
                     map.insert(b.name.clone(), b.clone());
                 }
-            }
-            ItemKind::Mod { items } | ItemKind::Container { items, .. } => {
-                collect_aliases(items, map);
             }
             ItemKind::Fn {
                 body: Some(block), ..
@@ -383,6 +383,10 @@ impl<'a> Parser<'a> {
                 Some(t) if t.is_punct('*') => {
                     self.bump(); // glob: introduces no named binding
                     break;
+                }
+                // A leading `::` (`use ::comm::pages`) adds no segment.
+                Some(t) if t.is_punct(':') => {
+                    self.bump();
                 }
                 Some(t) => {
                     let Some(seg) = t.ident() else { break };
@@ -845,12 +849,18 @@ mod tests {
     #[test]
     fn use_aliases_are_canonicalized() {
         let ast = parse_src(
-            "use std::time::Instant as T;\nuse std::time::{Duration, SystemTime as S};\nuse foo::bar::*;",
+            "use std::time::Instant as T;\nuse std::time::{Duration, SystemTime as S};\n\
+             use foo::bar::*;\nuse ::std::thread::sleep as nap;",
         );
         let aliases = ast.aliases();
-        assert_eq!(aliases["T"].canonical(), "std::time::Instant");
-        assert_eq!(aliases["S"].canonical(), "std::time::SystemTime");
-        assert_eq!(aliases["Duration"].canonical(), "std::time::Duration");
+        assert_eq!(aliases["T"].path.join("::"), "std::time::Instant");
+        assert_eq!(aliases["S"].path.join("::"), "std::time::SystemTime");
+        assert_eq!(aliases["Duration"].path.join("::"), "std::time::Duration");
+        assert_eq!(
+            aliases["nap"].path.join("::"),
+            "std::thread::sleep",
+            "leading `::`"
+        );
         assert!(!aliases.contains_key("bar"), "glob introduces no binding");
     }
 
@@ -858,9 +868,9 @@ mod tests {
     fn nested_use_groups_flatten() {
         let ast = parse_src("use a::{b::{c as X, d}, e};");
         let aliases = ast.aliases();
-        assert_eq!(aliases["X"].canonical(), "a::b::c");
-        assert_eq!(aliases["d"].canonical(), "a::b::d");
-        assert_eq!(aliases["e"].canonical(), "a::e");
+        assert_eq!(aliases["X"].path.join("::"), "a::b::c");
+        assert_eq!(aliases["d"].path.join("::"), "a::b::d");
+        assert_eq!(aliases["e"].path.join("::"), "a::e");
     }
 
     #[test]
@@ -956,7 +966,7 @@ mod tests {
             .filter(|n| matches!(n, Node::Item(_)))
             .count();
         assert_eq!(n_items, 2);
-        assert_eq!(ast.aliases()["C"].canonical(), "std::time::Instant");
+        assert_eq!(ast.aliases()["C"].path.join("::"), "std::time::Instant");
     }
 
     #[test]

@@ -76,6 +76,7 @@ fn push_json_str(out: &mut String, s: &str) {
 ///   "stale_allow_entries": [
 ///     {"rule": "...", "path_prefix": "...", "allow_line": 12}
 ///   ],
+///   "stale_scopes": ["..."],
 ///   "config_errors": ["..."]
 /// }
 /// ```
@@ -129,14 +130,20 @@ pub fn report_to_json(report: &crate::Report) -> String {
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    out.push_str("  \"config_errors\": [");
-    for (i, e) in report.config_errors.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    for (key, list, end) in [
+        ("stale_scopes", &report.stale_scopes, ","),
+        ("config_errors", &report.config_errors, ""),
+    ] {
+        out.push_str(&format!("  \"{key}\": ["));
+        for (i, e) in list.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_json_str(&mut out, e);
         }
-        push_json_str(&mut out, e);
+        out.push_str(&format!("]{end}\n"));
     }
-    out.push_str("]\n}\n");
+    out.push_str("}\n");
     out
 }
 

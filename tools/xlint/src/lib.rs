@@ -15,6 +15,8 @@
 //! (every external crate is a std-only stub), so the parser and JSON
 //! support live in-tree, sized to exactly what the passes need.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod config;
 pub mod diag;
@@ -39,6 +41,9 @@ pub struct Report {
     /// Allowlist entries that suppressed nothing (each is an error: the
     /// allowlist may only shrink).
     pub stale: Vec<AllowEntry>,
+    /// Path prefixes of the banned-call table that no scanned file is
+    /// under (each is an error, like a stale allowlist entry).
+    pub stale_scopes: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Allowlist parse diagnostics (fatal).
@@ -47,7 +52,10 @@ pub struct Report {
 
 impl Report {
     pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty() && self.stale.is_empty() && self.config_errors.is_empty()
+        self.diagnostics.is_empty()
+            && self.stale.is_empty()
+            && self.stale_scopes.is_empty()
+            && self.config_errors.is_empty()
     }
 
     /// The report in the versioned machine-readable schema.
@@ -86,6 +94,7 @@ pub fn scan_root(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
+    let mut rels = Vec::new();
 
     for path in files {
         let rel = path
@@ -107,6 +116,7 @@ pub fn scan_root(root: &Path) -> io::Result<Report> {
                 None => report.diagnostics.push(d),
             }
         }
+        rels.push(rel);
     }
 
     report.stale = allow
@@ -114,6 +124,7 @@ pub fn scan_root(root: &Path) -> io::Result<Report> {
         .zip(used)
         .filter_map(|(entry, was_used)| if was_used { None } else { Some(entry) })
         .collect();
+    report.stale_scopes = rules::calls::stale_scopes(&rels);
     Ok(report)
 }
 

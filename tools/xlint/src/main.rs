@@ -8,6 +8,8 @@
 //! file *in addition to* the exit code, so CI can archive the artifact
 //! even when the run fails.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -86,6 +88,9 @@ fn main() -> ExitCode {
             entry.line, entry.rule, entry.path_prefix
         );
     }
+    for scope in &report.stale_scopes {
+        eprintln!("xlint: stale scope: {scope} — fix the table in tools/xlint/src/rules/calls.rs");
+    }
 
     if report.is_clean() {
         if matches!(format, Format::Text) {
@@ -97,9 +102,10 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else if report.config_errors.is_empty() {
         eprintln!(
-            "xlint: {} diagnostic(s), {} stale allowlist entr(ies) across {} files",
+            "xlint: {} diagnostic(s), {} stale allowlist entr(ies), {} stale scope(s) across {} files",
             report.diagnostics.len(),
             report.stale.len(),
+            report.stale_scopes.len(),
             report.files_scanned
         );
         ExitCode::FAILURE

@@ -25,7 +25,7 @@
 //!   AST keeps as part of the flat call leaf, not as a Branch node.
 
 use super::{method_calls, FileCtx};
-use crate::ast::{Block, Item, ItemKind, Node};
+use crate::ast::{flat_items, Block, Item, ItemKind, Node};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 
@@ -62,23 +62,14 @@ const COLLECTIVES: [(&str, usize); 23] = [
 const RANK_IDENTS: [&str; 4] = ["rank", "my_rank", "world_rank", "me"];
 
 pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for item in &ctx.ast.items {
-        check_item(ctx, item, out);
-    }
+    check_items(ctx, &ctx.ast.items, out);
 }
 
-fn check_item(ctx: &FileCtx<'_>, item: &Item, out: &mut Vec<Diagnostic>) {
-    if item.cfg_test {
-        return;
-    }
-    match &item.kind {
-        ItemKind::Fn { body: Some(b), .. } => check_block(ctx, b, false, out),
-        ItemKind::Mod { items } | ItemKind::Container { items, .. } => {
-            for i in items {
-                check_item(ctx, i, out);
-            }
+fn check_items(ctx: &FileCtx<'_>, items: &[Item], out: &mut Vec<Diagnostic>) {
+    for item in flat_items(items, false) {
+        if let ItemKind::Fn { body: Some(b), .. } = &item.kind {
+            check_block(ctx, b, false, out);
         }
-        _ => {}
     }
 }
 
@@ -120,7 +111,7 @@ fn check_block(ctx: &FileCtx<'_>, block: &Block, divergent: bool, out: &mut Vec<
                 }
             }
             Node::Block(b) => check_block(ctx, b, divergent, out),
-            Node::Item(item) => check_item(ctx, item, out),
+            Node::Item(item) => check_items(ctx, std::slice::from_ref(item), out),
         }
     }
 }

@@ -1,28 +1,27 @@
 //! The rule catalog: every pass is named; names appear in diagnostics and
-//! in the `xlint.allow` allowlist.
+//! in the `xlint.allow` allowlist. The rules marked (table) are rows of
+//! [`calls::TABLE`], one table of banned calls; the rest are passes.
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `wallclock` | virtual-time lib code (`VIRTUAL_TIME_SRC`) | no `Instant`/`SystemTime`/`thread::sleep` — alias-proof via `use`-tree resolution. The real-execution backends (`shmem`, `sockcomm`) and the resident service are out of scope: wall clocks are their whole point |
-//! | `relaxed-ordering` | all lib code | no `Ordering::Relaxed` outside allowlisted fast paths: cross-rank state uses `SeqCst` |
+//! | `wallclock` (table) | virtual-time lib code (`mpisim`, `sdssort`, `algos`) | no `Instant`/`SystemTime`/`std::thread::sleep`. The real-execution backends (`shmem`, `sockcomm`) and the resident service are out of scope: wall clocks are their whole point |
+//! | `relaxed-ordering` (table) | all lib code | no `Ordering::Relaxed` outside allowlisted fast paths: cross-rank state uses `SeqCst` |
 //! | `safety-comment` | everywhere | every `unsafe` is preceded by a `// SAFETY:` comment (or a `# Safety` doc section) |
-//! | `no-unwrap` | library crates (incl. `algos`) | no bare `.unwrap()`; `.expect()` must carry a string-literal invariant message |
+//! | `no-unwrap` (table) | library crates (incl. `algos`) | no `.unwrap()`; `.expect()` must carry a string-literal invariant message |
 //! | `tag-discipline` | everything outside `mpisim` | message tags are named constants, not integer literals |
-//! | `workload-determinism` | `workloads` crate | generators are seeded: no `thread_rng`/`from_entropy`/entropy sources |
+//! | `workload-determinism` (table) | `workloads` crate, tests included | generators are seeded: no `thread_rng`/`from_entropy`/`rand::random`/entropy sources |
 //! | `rank-divergent-collective` | algorithm/driver code | no `Communicator` collective call lexically inside a branch/loop/match that depends on the caller's rank — the static shadow of mpisim's runtime deadlock detector |
 //! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix,exchange}`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
 //! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside the backends that implement `RawComm` |
-//! | `blocking-in-dispatcher` | `crates/service` | no `thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
+//! | `blocking-in-dispatcher` (table) | `crates/service` | no `std::thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
+//! | `driver-owns-prelude` (table) | `algos`, `sdssort::{sort,resilience}` | no `.now()`, `trace_phase` or `span_begin`, and (`resilience` aside, which orders run files) no `sort_by_key`/`sort_unstable_by_key`: the one driver owns Fig. 1's clock, spans and local sort |
+//! | `pages-owns-buffers` (table) | the workspace; eleven named `fn`s | `madvise` and `extern "C"` only in `comm/src/pages.rs`; each `fn` that allocates a sort's n-record buffer calls `comm::pages` and builds no vector of its own |
 
 pub mod arith;
-pub mod blocking;
-pub mod determinism;
+pub mod calls;
 pub mod divergence;
-pub mod ordering;
 pub mod safety;
 pub mod tags;
-pub mod unwrap;
-pub mod wallclock;
 
 use crate::ast::{self, Arm, Ast, Block, Item, ItemKind, Node, UseBinding};
 use crate::diag::Diagnostic;
@@ -31,7 +30,7 @@ use std::collections::HashMap;
 
 /// Stable names of every rule, in catalog order. `xlint.allow` entries must
 /// name one of these.
-pub const RULES: [&str; 10] = [
+pub const RULES: [&str; 12] = [
     "wallclock",
     "relaxed-ordering",
     "safety-comment",
@@ -42,30 +41,8 @@ pub const RULES: [&str; 10] = [
     "unchecked-partition-arith",
     "user-tag-range",
     "blocking-in-dispatcher",
-];
-
-/// Crates whose library code runs on *virtual* time and therefore must not
-/// read host clocks (`wallclock` rule). Scoped per-crate on purpose: the
-/// real shared-memory backend (`crates/shmem`), the sockets backend
-/// (`crates/sockcomm`), the resident sort service (`crates/service`), and
-/// the harnesses measure wall-clock time by design and are not listed.
-const VIRTUAL_TIME_SRC: [&str; 3] = [
-    "crates/mpisim/src/",
-    "crates/sdssort/src/",
-    "crates/algos/src/",
-];
-
-/// Library crates covered by the `no-unwrap` rule.
-const LIB_CRATE_SRC: [&str; 9] = [
-    "crates/mpisim/src/",
-    "crates/sdssort/src/",
-    "crates/telemetry/src/",
-    "crates/workloads/src/",
-    "crates/algos/src/",
-    "crates/comm/src/",
-    "crates/shmem/src/",
-    "crates/service/src/",
-    "crates/sockcomm/src/",
+    "driver-owns-prelude",
+    "pages-owns-buffers",
 ];
 
 /// Files covered by `unchecked-partition-arith`: the partition/carve
@@ -98,10 +75,13 @@ pub struct FileCtx<'a> {
 }
 
 impl FileCtx<'_> {
-    /// The canonical path a bare identifier resolves to through the
-    /// file's `use` declarations, if any.
-    pub fn resolve(&self, name: &str) -> Option<String> {
-        self.aliases.get(name).map(UseBinding::canonical)
+    /// A spelled path with its first segment expanded through the file's
+    /// `use` declarations.
+    pub fn resolve(&self, spelled: &[String]) -> Vec<String> {
+        match spelled.first().and_then(|s| self.aliases.get(s)) {
+            Some(b) => b.path.iter().chain(&spelled[1..]).cloned().collect(),
+            None => spelled.to_vec(),
+        }
     }
 }
 
@@ -120,8 +100,7 @@ pub fn check_file(path: &str, src: &str) -> Vec<Diagnostic> {
     };
     let mut out = Vec::new();
 
-    let is_test_path = path.contains("/tests/") || path.starts_with("tests/");
-    let in_lib = |prefixes: &[&str]| prefixes.iter().any(|p| path.starts_with(p)) && !is_test_path;
+    let is_test_path = is_test_path(path);
     let in_backend_substrate = [
         "crates/comm/",
         "crates/mpisim/",
@@ -131,40 +110,28 @@ pub fn check_file(path: &str, src: &str) -> Vec<Diagnostic> {
     .iter()
     .any(|p| path.starts_with(p));
 
-    if in_lib(&VIRTUAL_TIME_SRC) {
-        wallclock::check(&ctx, &mut out);
-    }
-    if (path.starts_with("crates/") && path.contains("/src/") || path.starts_with("src/"))
-        && !path.starts_with("tools/")
-        && !is_test_path
-    {
-        ordering::check(&ctx, &mut out);
-    }
+    calls::check(&ctx, &mut out);
     safety::check(&ctx, &mut out);
-    if in_lib(&LIB_CRATE_SRC) {
-        unwrap::check(&ctx, &mut out);
-    }
     if !path.starts_with("crates/mpisim/") && !path.starts_with("tools/") {
         tags::check_discipline(&ctx, &mut out);
-    }
-    if path.starts_with("crates/workloads/") {
-        determinism::check(&ctx, &mut out);
     }
     if !in_backend_substrate && !path.starts_with("tools/") && !is_test_path {
         divergence::check(&ctx, &mut out);
     }
-    if in_lib(&PARTITION_ARITH_SRC) {
+    if PARTITION_ARITH_SRC.iter().any(|p| path.starts_with(p)) && !is_test_path {
         arith::check(&ctx, &mut out);
     }
     if !in_backend_substrate && !path.starts_with("tools/") {
         tags::check_user_range(&ctx, &mut out);
     }
-    if path.starts_with("crates/service/src/") {
-        blocking::check(&ctx, &mut out);
-    }
 
     out.sort_by_key(|d| (d.line, d.col));
     out
+}
+
+/// Files under a `tests/` directory: integration tests, never library code.
+fn is_test_path(path: &str) -> bool {
+    path.contains("/tests/") || path.starts_with("tests/")
 }
 
 // ---- shared walking utilities ---------------------------------------------
@@ -178,12 +145,9 @@ pub fn walk_runs<'a>(ast: &'a Ast, include_tests: bool, f: &mut dyn FnMut(&'a [T
 }
 
 fn walk_items<'a>(items: &'a [Item], include_tests: bool, f: &mut dyn FnMut(&'a [Tok])) {
-    for item in items {
-        if item.cfg_test && !include_tests {
-            continue;
-        }
+    for item in ast::flat_items(items, include_tests) {
         match &item.kind {
-            ItemKind::Use(_) => {}
+            ItemKind::Use(_) | ItemKind::Mod { .. } => {}
             ItemKind::Fn { sig, body, .. } => {
                 f(sig);
                 if let Some(b) = body {
@@ -191,11 +155,7 @@ fn walk_items<'a>(items: &'a [Item], include_tests: bool, f: &mut dyn FnMut(&'a 
                 }
             }
             ItemKind::Const { value, .. } => f(value),
-            ItemKind::Mod { items } => walk_items(items, include_tests, f),
-            ItemKind::Container { header, items } => {
-                f(header);
-                walk_items(items, include_tests, f);
-            }
+            ItemKind::Container { header, .. } => f(header),
             ItemKind::Verbatim(toks) => f(toks),
         }
     }
@@ -227,26 +187,6 @@ fn walk_block<'a>(block: &'a Block, include_tests: bool, f: &mut dyn FnMut(&'a [
             Node::Item(item) => walk_items(std::slice::from_ref(item), include_tests, f),
         }
     }
-}
-
-/// Every `fn` body in the AST (skipping `#[cfg(test)]` subtrees), for
-/// rules that need block *structure* rather than flat runs.
-pub fn walk_fn_bodies<'a>(ast: &'a Ast, f: &mut dyn FnMut(&'a Block)) {
-    fn items<'a>(list: &'a [Item], f: &mut dyn FnMut(&'a Block)) {
-        for item in list {
-            if item.cfg_test {
-                continue;
-            }
-            match &item.kind {
-                ItemKind::Fn { body: Some(b), .. } => f(b),
-                ItemKind::Mod { items: inner } | ItemKind::Container { items: inner, .. } => {
-                    items(inner, f);
-                }
-                _ => {}
-            }
-        }
-    }
-    items(&ast.items, f);
 }
 
 /// A method call extracted from a flat token run: `.name::<T>(args)`.
@@ -344,29 +284,19 @@ pub fn method_calls<'a>(run: &'a [Tok]) -> Vec<MethodCall<'a>> {
 
 /// Collect every statically-evaluable integer const in non-test code.
 /// Supports literals, references to earlier consts, `MAX_USER_TAG`, unary
-/// parens, `as` casts, and the operators `<< + - * |` (left-associative,
-/// no precedence — tag constants are written as `BASE + k` / `1 << 48`
-/// shapes where this is exact).
+/// parens, `as` casts, and the operators `<< + - * |`, left-associative
+/// with Rust's precedence (`*` > `+ -` > `<<` > `|`): `1 << 47 + 1` is
+/// 2^48.
 pub fn const_table(ast: &Ast) -> HashMap<String, u128> {
     let mut env: HashMap<String, u128> = HashMap::new();
     env.insert("MAX_USER_TAG".to_string(), MAX_USER_TAG);
-    fn walk(items: &[Item], env: &mut HashMap<String, u128>) {
-        for item in items {
-            if item.cfg_test {
-                continue;
-            }
-            match &item.kind {
-                ItemKind::Const { name, value, .. } => {
-                    if let Some(v) = const_eval(value, env) {
-                        env.insert(name.clone(), v);
-                    }
-                }
-                ItemKind::Mod { items } | ItemKind::Container { items, .. } => walk(items, env),
-                _ => {}
+    for item in ast::flat_items(&ast.items, false) {
+        if let ItemKind::Const { name, value, .. } = &item.kind {
+            if let Some(v) = const_eval(value, &env) {
+                env.insert(name.clone(), v);
             }
         }
     }
-    walk(&ast.items, &mut env);
     env
 }
 
@@ -374,7 +304,7 @@ pub fn const_table(ast: &Ast) -> HashMap<String, u128> {
 /// expression this mini-evaluator understands.
 pub fn const_eval(toks: &[Tok], env: &HashMap<String, u128>) -> Option<u128> {
     let mut i = 0usize;
-    let v = eval_expr(toks, &mut i, env)?;
+    let v = eval_expr(toks, &mut i, env, 0)?;
     if i == toks.len() {
         Some(v)
     } else {
@@ -382,40 +312,46 @@ pub fn const_eval(toks: &[Tok], env: &HashMap<String, u128>) -> Option<u128> {
     }
 }
 
-fn eval_expr(toks: &[Tok], i: &mut usize, env: &HashMap<String, u128>) -> Option<u128> {
+/// Precedence climbing over the operators binding at least as tightly as
+/// `min` (`|` 0, `<<` 1, `+ -` 2, `*` 3).
+fn eval_expr(toks: &[Tok], i: &mut usize, env: &HashMap<String, u128>, min: u8) -> Option<u128> {
     let mut acc = eval_primary(toks, i, env)?;
     loop {
-        // `as <ty>` casts keep the value (tags are u64-sized).
-        if toks.get(*i).and_then(Tok::ident) == Some("as") {
-            *i += 1;
-            *i += 1; // type name
-            continue;
-        }
-        let op = match toks.get(*i).map(|t| &t.kind) {
-            Some(TokKind::Punct(c @ ('+' | '-' | '*' | '|'))) => {
-                *i += 1;
-                *c
-            }
+        let (op, prec, len) = match toks.get(*i).map(|t| &t.kind) {
+            Some(TokKind::Punct('*')) => ('*', 3, 1),
+            Some(TokKind::Punct(c @ ('+' | '-'))) => (*c, 2, 1),
             Some(TokKind::Punct('<')) if toks.get(*i + 1).is_some_and(|t| t.is_punct('<')) => {
-                *i += 2;
-                '«'
+                ('«', 1, 2)
             }
+            Some(TokKind::Punct('|')) => ('|', 0, 1),
             _ => break,
         };
-        let rhs = eval_primary(toks, i, env)?;
+        if prec < min {
+            break;
+        }
+        *i += len;
+        let rhs = eval_expr(toks, i, env, prec + 1)?;
         acc = match op {
             '+' => acc.checked_add(rhs)?,
             '-' => acc.checked_sub(rhs)?,
             '*' => acc.checked_mul(rhs)?,
             '|' => acc | rhs,
-            '«' => acc.checked_shl(u32::try_from(rhs).ok()?)?,
-            _ => return None,
+            _ => acc.checked_shl(u32::try_from(rhs).ok()?)?,
         };
     }
     Some(acc)
 }
 
 fn eval_primary(toks: &[Tok], i: &mut usize, env: &HashMap<String, u128>) -> Option<u128> {
+    let v = eval_operand(toks, i, env)?;
+    // `as <ty>` casts keep the value (tags are u64-sized).
+    while toks.get(*i).and_then(Tok::ident) == Some("as") {
+        *i += 2;
+    }
+    Some(v)
+}
+
+fn eval_operand(toks: &[Tok], i: &mut usize, env: &HashMap<String, u128>) -> Option<u128> {
     match toks.get(*i).map(|t| &t.kind) {
         Some(TokKind::Int(Some(v))) => {
             *i += 1;
@@ -423,7 +359,7 @@ fn eval_primary(toks: &[Tok], i: &mut usize, env: &HashMap<String, u128>) -> Opt
         }
         Some(TokKind::Punct('(')) => {
             *i += 1;
-            let v = eval_expr(toks, i, env)?;
+            let v = eval_expr(toks, i, env, 0)?;
             if toks.get(*i).is_some_and(|t| t.is_punct(')')) {
                 *i += 1;
                 Some(v)

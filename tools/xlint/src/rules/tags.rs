@@ -10,7 +10,7 @@
 //! at the declaration and at the call site even when no literal appears.
 
 use super::{const_eval, method_calls, walk_runs, FileCtx, MAX_USER_TAG};
-use crate::ast::{Item, ItemKind};
+use crate::ast::{flat_items, ItemKind};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 
@@ -70,7 +70,7 @@ pub fn check_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// `*_raw` surface is not called outside the backend substrate crates.
 pub fn check_user_range(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     // Const declarations whose name marks them as tags.
-    check_const_items(ctx, &ctx.ast.items, out);
+    check_const_items(ctx, out);
 
     walk_runs(ctx.ast, false, &mut |run| {
         for call in method_calls(run) {
@@ -129,40 +129,31 @@ pub fn check_user_range(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// Flag `const`/`static` declarations whose name contains `TAG` and whose
 /// initializer evaluates at or above the reserved boundary. The name
 /// filter keeps hash mixers and sign masks (large by nature) out of scope.
-fn check_const_items(ctx: &FileCtx<'_>, items: &[Item], out: &mut Vec<Diagnostic>) {
-    for item in items {
-        if item.cfg_test {
+fn check_const_items(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    for item in flat_items(&ctx.ast.items, false) {
+        let ItemKind::Const {
+            name,
+            value,
+            line,
+            col,
+        } = &item.kind
+        else {
             continue;
-        }
-        match &item.kind {
-            ItemKind::Const {
-                name,
-                value,
-                line,
-                col,
-            } if name.contains("TAG") => {
-                if let Some(v) = const_eval(value, &ctx.consts) {
-                    if v >= MAX_USER_TAG {
-                        out.push(Diagnostic {
-                            path: ctx.path.to_string(),
-                            line: *line,
-                            col: *col,
-                            rule: "user-tag-range",
-                            msg: format!(
-                                "`const {name}` = {v} is in the reserved collective tag \
-                                 space (>= MAX_USER_TAG = 2^48)"
-                            ),
-                            suggestion: Some(
-                                "user tag constants must stay below `comm::MAX_USER_TAG`"
-                                    .to_string(),
-                            ),
-                        });
-                    }
-                }
-            }
-            ItemKind::Mod { items } | ItemKind::Container { items, .. } => {
-                check_const_items(ctx, items, out);
-            }
+        };
+        match const_eval(value, &ctx.consts) {
+            Some(v) if v >= MAX_USER_TAG && name.contains("TAG") => out.push(Diagnostic {
+                path: ctx.path.to_string(),
+                line: *line,
+                col: *col,
+                rule: "user-tag-range",
+                msg: format!(
+                    "`const {name}` = {v} is in the reserved collective tag space \
+                     (>= MAX_USER_TAG = 2^48)"
+                ),
+                suggestion: Some(
+                    "user tag constants must stay below `comm::MAX_USER_TAG`".to_string(),
+                ),
+            }),
             _ => {}
         }
     }

@@ -44,6 +44,8 @@ fn every_rule_fires_on_some_fixture() {
         ("unchecked_arith.rs", "crates/algos/src/fixture.rs"),
         ("tag_range.rs", "crates/sdssort/src/fixture.rs"),
         ("blocking_service.rs", "crates/service/src/fixture.rs"),
+        ("prelude.rs", "crates/algos/src/fixture.rs"),
+        ("own_buffers.rs", "crates/sdssort/src/merge.rs"),
     ];
     let mut hit = BTreeSet::new();
     for (fixture_name, path) in sweep {
@@ -229,9 +231,17 @@ fn reserved_tags_are_reported_at_exact_spans() {
     );
     assert_eq!(
         spans,
-        vec![(7, 7), (8, 7), (11, 22), (15, 22), (19, 19), (20, 10)],
+        vec![
+            (7, 7),
+            (8, 7),
+            (11, 22),
+            (15, 22),
+            (19, 19),
+            (20, 10),
+            (23, 7)
+        ],
         "PROBE_TAG decl, STEAL_TAG decl, reserved literal, const-chain \
-         call site, next_coll_tag, send_raw"
+         call site, next_coll_tag, send_raw, SHIFTED_TAG decl (`+` before `<<`)"
     );
     // The reserved literal is also an unnamed tag: both rules fire there.
     let spans = spans_of(
@@ -273,8 +283,18 @@ fn blocking_calls_in_service_are_reported_at_exact_spans() {
     );
     assert_eq!(
         spans,
-        vec![(8, 22), (13, 8), (17, 16), (18, 18)],
-        "thread::sleep, .recv(), .recv_timeout(), thread::park"
+        vec![
+            (8, 22),
+            (13, 8),
+            (17, 16),
+            (18, 18),
+            (21, 18),
+            (22, 18),
+            (25, 5),
+            (26, 5)
+        ],
+        "thread::sleep, .recv(), .recv_timeout(), thread::park, the bindings \
+         of sleep-as-nap and park, and their calls: the `use` tree resolves them"
     );
 }
 
@@ -303,6 +323,75 @@ fn blocking_rule_is_scoped_to_the_service() {
     assert!(
         !diags.iter().any(|d| d.rule == "blocking-in-dispatcher"),
         "blocking rule leaked outside crates/service: {diags:?}"
+    );
+}
+
+// ---- driver-owns-prelude ---------------------------------------------------
+
+#[test]
+fn driver_prelude_is_reported_at_exact_spans() {
+    for path in ["crates/algos/src/fixture.rs", "crates/sdssort/src/sort.rs"] {
+        let spans = spans_of("prelude.rs", path, "driver-owns-prelude");
+        assert_eq!(
+            spans,
+            vec![(7, 19), (8, 10), (9, 27), (10, 10)],
+            "comm.now(), trace_phase, span_begin, sort_unstable_by_key under {path}"
+        );
+    }
+}
+
+#[test]
+fn sanctioned_sorter_rule_passes() {
+    for path in ["crates/algos/src/fixture.rs", "crates/sdssort/src/sort.rs"] {
+        let diags = xlint::scan_source(path, &fixture("prelude_ok.rs"));
+        assert!(diags.is_empty(), "flagged under {path}: {diags:?}");
+    }
+    // The driver itself is where the clock, the spans and the sort live.
+    let diags = xlint::scan_source("crates/sdssort/src/driver.rs", &fixture("prelude.rs"));
+    assert!(
+        !diags.iter().any(|d| d.rule == "driver-owns-prelude"),
+        "driver-owns-prelude leaked into the driver: {diags:?}"
+    );
+}
+
+// ---- pages-owns-buffers ----------------------------------------------------
+
+#[test]
+fn own_buffers_are_reported_at_exact_spans() {
+    let spans = spans_of(
+        "own_buffers.rs",
+        "crates/sdssort/src/merge.rs",
+        "pages-owns-buffers",
+    );
+    assert_eq!(
+        spans,
+        vec![
+            (6, 5),
+            (7, 24),
+            (14, 21),
+            (15, 9),
+            (16, 25),
+            (20, 5),
+            (23, 5)
+        ],
+        "merge_two_by_key calls no comm::pages, Vec::with_capacity, vec!, \
+         .reserve(), .to_vec(), extern \"C\", madvise"
+    );
+}
+
+#[test]
+fn buffers_from_pages_pass() {
+    let diags = xlint::scan_source("crates/sdssort/src/merge.rs", &fixture("own_buffers_ok.rs"));
+    assert!(
+        diags.is_empty(),
+        "sanctioned buffers were flagged: {diags:?}"
+    );
+    // pages.rs is the one place the foreign call belongs, and none of its
+    // functions is a named buffer site.
+    let diags = xlint::scan_source("crates/comm/src/pages.rs", &fixture("own_buffers.rs"));
+    assert!(
+        !diags.iter().any(|d| d.rule == "pages-owns-buffers"),
+        "pages-owns-buffers fired inside comm::pages: {diags:?}"
     );
 }
 
@@ -375,6 +464,61 @@ fn stale_allowlist_entries_are_reported() {
     );
     assert_eq!(report.stale[0].rule, "wallclock");
     assert!(!report.is_clean(), "stale entries fail the run");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stale_scopes_are_reported() {
+    let dir = scratch_dir("xlint-stale-scope-test");
+    let file = dir.join("crates/sdssort/src/radix.rs");
+    fs::create_dir_all(file.parent().expect("radix.rs has a parent")).expect("create scratch dirs");
+    fs::write(
+        &file,
+        "pub fn radix_sort(v: &mut Vec<u64>) { comm::pages::reserve(v, 1); }\n",
+    )
+    .expect("write scratch source");
+
+    // The tree reaches one file of the banned-call table: every path
+    // prefix that no file is under is stale, and fails the run.
+    let report = xlint::scan_root(&dir).expect("scan scratch dir");
+    assert!(report.diagnostics.is_empty(), "{report:?}");
+    assert!(!report.is_clean(), "stale scopes fail the run");
+    let stale = report.stale_scopes.join("\n");
+    assert!(
+        stale.contains("no scanned file is under `crates/algos/src/`"),
+        "{stale}"
+    );
+    assert!(
+        stale.contains("under `crates/sdssort/src/merge.rs`"),
+        "{stale}"
+    );
+    assert!(
+        !stale.contains("radix.rs") && !stale.contains("`crates/sdssort/src/`"),
+        "{stale}"
+    );
+
+    // Renaming a named function would turn its row into a no-op: it is a
+    // finding in the file the table names.
+    fs::write(
+        &file,
+        "pub fn radix_sort_v2(v: &mut Vec<u64>) { comm::pages::reserve(v, 1); }\n",
+    )
+    .expect("rewrite scratch source");
+    let report = xlint::scan_root(&dir).expect("rescan scratch dir");
+    let missing: Vec<_> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.rule, d.path.as_str(), d.msg.as_str()))
+        .collect();
+    assert_eq!(
+        missing,
+        vec![(
+            "pages-owns-buffers",
+            "crates/sdssort/src/radix.rs",
+            "no `fn radix_sort` here, which the table names"
+        )]
+    );
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -476,6 +620,12 @@ fn workspace_tree_scans_clean() {
                 "xlint.allow:{}: stale entry `{} {}`",
                 e.line, e.rule, e.path_prefix
             )))
+            .chain(
+                report
+                    .stale_scopes
+                    .iter()
+                    .map(|s| format!("stale scope: {s}"))
+            )
             .chain(report.config_errors.iter().cloned())
             .collect::<Vec<_>>()
             .join("\n")
