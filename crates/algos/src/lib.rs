@@ -35,7 +35,8 @@
 //! synchronous rank-order exchanges, tie-to-lower-run merging — so the
 //! `backend_equivalence` suite proves bit-identical per-rank output across
 //! all three backends. HykSort overlaps its exchange with merging in
-//! arrival order: its output is deterministic, its simulator clock is not.
+//! arrival order: its output is deterministic, and so is its simulator
+//! clock wherever compute is modelled (chunks go by virtual arrival).
 //!
 //! Divergence from SDS-Sort's partition strategy is discussed in
 //! DESIGN.md §14.

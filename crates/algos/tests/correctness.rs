@@ -11,7 +11,6 @@ use algos::{ams_sort, hss_sort, hss_splitters, AmsConfig, HssConfig, Sorter, Tun
 use mpisim::{Communicator, NetModel, World};
 use sdssort::histogram::histogram_splitters;
 use sdssort::{is_globally_sorted, Record, SortError, Tagged};
-use std::time::Duration;
 use workloads::keys_by_name;
 
 fn world(p: usize) -> World {
@@ -389,7 +388,6 @@ fn ams_group_level_oom_fails_every_rank() {
     let report = World::new(16)
         .cores_per_node(4)
         .memory_budget(100_000)
-        .collective_timeout(Duration::from_secs(10))
         .run(|comm| {
             let data = keys("zipf:1.4", 4000, 42, comm.rank());
             ams_sort(comm, data, &AmsConfig::default())

@@ -8,7 +8,6 @@ use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::{
     is_globally_sorted, sds_sort_resilient, ComputeModel, ResilienceConfig, SdsConfig, SortError,
 };
-use std::time::Duration;
 
 const P: usize = 6;
 const N: usize = 300;
@@ -58,7 +57,6 @@ fn hyksort_group_level_oom_fails_every_rank() {
     let report = World::new(16)
         .cores_per_node(4)
         .memory_budget(100_000)
-        .collective_timeout(Duration::from_secs(10))
         .run(|comm| {
             let cfg = HykSortConfig {
                 k: 4,

@@ -40,12 +40,9 @@
 //!                                  inputs (τ choices, local-sort kernel)
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
-//!                                  e.g. seed=7,delay=0.5:1e-4,reorder=0.3:8,
+//!                                  e.g. seed=7,delay=0.5:1e-4,
 //!                                  stall=2:0.3:1e-3,sendbuf=0.2:3:1e-5,
 //!                                  ramp=0:0.01:0.5 (see mpisim::FaultSpec)
-//!   --collective-timeout <secs>    wall-clock deadlock detector: if every
-//!                                  rank blocks with no message progress for
-//!                                  this long, abort with a diagnostic report
 //!   --resilient <spill-dir>        sds only: degrade gracefully under
 //!                                  memory pressure by spilling received
 //!                                  chunks to <spill-dir> instead of aborting
@@ -84,7 +81,6 @@ use sdssort::{
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -101,7 +97,6 @@ struct Args {
     seed: u64,
     faults: Option<FaultSpec>,
     faults_text: Option<String>,
-    collective_timeout: Option<Duration>,
     resilient: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     validate_metrics: Option<PathBuf>,
@@ -130,7 +125,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed: 42,
         faults: None,
         faults_text: None,
-        collective_timeout: None,
         resilient: None,
         metrics_out: std::env::var_os("BENCH_METRICS_OUT").map(PathBuf::from),
         validate_metrics: None,
@@ -163,13 +157,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let spec = take()?;
                 args.faults = Some(FaultSpec::parse(&spec).map_err(|e| format!("--faults: {e}"))?);
                 args.faults_text = Some(spec);
-            }
-            "--collective-timeout" => {
-                let secs: f64 = num(flag, take()?)?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--collective-timeout: must be a positive number".into());
-                }
-                args.collective_timeout = Some(Duration::from_secs_f64(secs));
             }
             "--resilient" => args.resilient = Some(PathBuf::from(take()?)),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(take()?)),
@@ -230,7 +217,6 @@ fn validate(a: &Args) -> Result<(), String> {
         }
         let simulator_only = [
             (a.faults.is_some(), "--faults"),
-            (a.collective_timeout.is_some(), "--collective-timeout"),
             (a.budget.is_some(), "--budget"),
             (a.resilient.is_some(), "--resilient"),
         ];
@@ -386,9 +372,6 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
     }
     if let Some(spec) = a.faults {
         world = world.faults(spec);
-    }
-    if let Some(window) = a.collective_timeout {
-        world = world.collective_timeout(window);
     }
     let report = world.run(|comm| sort_rank(a, &*comm));
     let high_water = &report.per_rank_memory_high_water;
@@ -631,9 +614,10 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
             );
         }
         // Only a merge that found a key filling a sample stride cuts it out.
-        // The simulator's overlapped merges pair chunks in host-arrival
-        // order, so there the count is not a function of the program and
-        // would break its two-run identical tables: real backends only.
+        // The simulator's overlapped merges pair chunks by virtual arrival,
+        // which follows the measured host compute charged here, so there
+        // the count is not a function of the program and would break its
+        // two-run identical tables: real backends only.
         let replicated = snapshot
             .counter("merge.replicated_records")
             .filter(|_| args.backend != "sim");
@@ -865,10 +849,6 @@ mod tests {
             (
                 "--backend sockets --trace",
                 "--trace needs a telemetry snapshot, which only sim and threads return (remove --backend sockets",
-            ),
-            (
-                "--backend sockets --collective-timeout 5",
-                "--collective-timeout is",
             ),
             (
                 "--backend threads --resilient /tmp/s",

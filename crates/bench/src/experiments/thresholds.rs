@@ -3,7 +3,7 @@
 //! ablations, and the communication-matrix trace. All on the simulator.
 
 use super::{contest, crossover};
-use crate::{best_of, fmt_bytes, modeled_world, Run, Table};
+use crate::{fmt_bytes, modeled_world, Run, Table};
 use mpisim::{Communicator, NetModel, World};
 use sdssort::node_merge::node_merge;
 use sdssort::partition::{cuts_to_counts, fast_cuts};
@@ -16,8 +16,6 @@ use workloads::uniform_u64;
 /// node has 24 cores).
 const CORES: usize = 24;
 const NODES: usize = 4;
-/// Schedule draws behind every overlapped cell of Fig. 5b.
-const OVERLAP_DRAWS: usize = 5;
 
 /// Modelled time of the exchange phase over `NODES` nodes of `CORES`
 /// ranks under `net`, with `n_rank` u64 records per rank, with or without
@@ -156,15 +154,8 @@ pub fn fig5b(r: &mut Run) -> bool {
         });
         report.makespan
     };
-    // The simulator hands an overlapped rank its chunks in *host* arrival
-    // order, so an overlapped makespan is a draw (a synchronous one is not):
-    // at a fixed model the p = 4 cell lands between a 1.4 % win and a 0.03 %
-    // loss, the loss in a third of draws (EXPERIMENTS.md). A hand-over out
-    // of virtual order forfeits hiding the modelled machine would get, so
-    // the overlapped cell is the best of OVERLAP_DRAWS draws.
-    let best_overlap = |p: usize| best_of(OVERLAP_DRAWS, || run(p, true));
     let names = ["overlapping", "no-overlapping"];
-    let time = |_: &Run, p: usize| vec![best_overlap(p), run(p, false)];
+    let time = |_: &Run, p: usize| vec![run(p, true), run(p, false)];
     let rows = contest(r, "sds", "p", &names, &ps, |p| p.to_string(), time);
     if let Some(c) = crossover(&ps, &rows) {
         println!("crossover: overlapping stops paying off near p = {c} (paper: ~4096 on Edison)");

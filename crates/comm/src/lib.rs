@@ -111,8 +111,10 @@ pub trait AsyncExchange<T: Clone, C: Communicator> {
     /// Retrieve the next completed chunk as `(source_rank, run)`, blocking
     /// if none has arrived yet. Returns `None` once all chunks have been
     /// delivered. The local (self) chunk is delivered first — it is
-    /// "complete" immediately — then remote chunks in arrival order. On a
-    /// transport that lends, the run is a window of the sender's buffer.
+    /// "complete" immediately — then remote chunks in the transport's
+    /// arrival order (first to land on a real transport, earliest virtual
+    /// arrival in the simulator). On a transport that lends, the run is a
+    /// window of the sender's buffer.
     fn wait_any_run(&mut self, comm: &C) -> Option<(usize, Run<T>)>;
 
     /// [`AsyncExchange::wait_any_run`] with the chunk as a vector of its

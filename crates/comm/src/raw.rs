@@ -270,16 +270,17 @@ pub trait RawComm: Sized {
         copy.into()
     }
 
-    /// Blocking receive of one run on `tag`, from communicator rank `src`
-    /// or, with `None`, from *any* member; returns the sender's
-    /// communicator rank with the payload (a vector of its own unless the
-    /// sender lent a window). Only [`RawAsync`] receives from any source,
-    /// and it keys chunks by source and hard-asserts against duplicates,
-    /// so the match order cannot change a result.
-    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>);
-
-    /// Non-blocking, any-source variant of [`RawComm::recv_run_raw`].
-    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)>;
+    /// Blocking receive of one run on `tag` from one of the communicator
+    /// ranks `from` (ascending, non-empty; each has one run to send);
+    /// returns the sender's communicator rank with the payload (a vector
+    /// of its own unless the sender lent a window). With one rank it is an
+    /// exact-source receive. With several it is the transport's one
+    /// any-source receive, and which run comes first is the transport's
+    /// arrival order: the first to land on a real transport, the earliest
+    /// virtual arrival in a simulator. [`RawAsync`] keys the runs by source
+    /// and hard-asserts against duplicates, so the order cannot change a
+    /// result.
+    fn recv_run_raw<T: Wire>(&self, from: &[usize], tag: u64) -> (usize, Run<T>);
 
     /// Called by [`RawAsync`]'s `wait_any_run` with the number of chunks
     /// still pending, before it looks for one: the `MPI_Test` sweep over
@@ -662,17 +663,14 @@ fn post_chunks<T, C: RawComm>(
     // already under way while this rank copies its own.
     let self_run = (send_counts[me] > 0).then(|| keep(chunk(me)));
 
-    let pending: Vec<bool> = (0..p)
-        .map(|src| src != me && recv_counts[src] > 0)
+    let pending = (0..p)
+        .filter(|&src| src != me && recv_counts[src] > 0)
         .collect();
-    let remaining =
-        pending.iter().filter(|&&waiting| waiting).count() + usize::from(self_run.is_some());
     RawAsync {
         tag,
         pending,
         recv_counts,
         self_run,
-        remaining,
     }
 }
 
@@ -700,14 +698,14 @@ fn post_runs<T: Wire, C: RawComm>(
 /// Handle to an in-flight asynchronous `alltoallv` — the paper's
 /// `SdssAlltoallvAsync` / `SdssFinished` pair (§2.6). Buffered sends make
 /// the send side trivially asynchronous; the receive side surfaces the self
-/// chunk first, then remote chunks in true arrival order, keyed by source
-/// with a hard duplicate check.
+/// chunk first, then remote chunks in the transport's arrival order (see
+/// [`RawComm::recv_run_raw`]), keyed by source with a hard duplicate check.
 pub struct RawAsync<T> {
     tag: u64,
-    pending: Vec<bool>,
+    /// Remote sources whose chunk has not been received, ascending.
+    pending: Vec<usize>,
     recv_counts: Vec<usize>,
     self_run: Option<Run<T>>,
-    remaining: usize,
 }
 
 impl<T> RawAsync<T> {
@@ -716,7 +714,7 @@ impl<T> RawAsync<T> {
     /// every [`RawComm`] backend, so monomorphic call sites would otherwise
     /// need a turbofish to pick one.
     pub fn remaining(&self) -> usize {
-        self.remaining
+        self.pending.len() + usize::from(self.self_run.is_some())
     }
 
     /// Per-source receive counts (inherent mirror, see
@@ -738,12 +736,12 @@ impl<T: Wire> RawAsync<T> {
     /// sent) with no request sweep in between.
     fn into_source_order<C: RawComm>(mut self, comm: &C) -> Vec<Run<T>> {
         let me = comm.rank();
-        (0..self.pending.len())
+        (0..self.recv_counts.len())
             .map(|src| {
                 if src == me {
                     self.self_run.take().unwrap_or_default()
-                } else if self.pending[src] {
-                    let (_, run) = comm.recv_run_raw::<T>(Some(src), self.tag);
+                } else if self.recv_counts[src] > 0 {
+                    let (_, run) = comm.recv_run_raw::<T>(&[src], self.tag);
                     assert_eq!(
                         run.len(),
                         self.recv_counts[src],
@@ -760,36 +758,32 @@ impl<T: Wire> RawAsync<T> {
 
 impl<T: Wire, C: RawComm> AsyncExchange<T, C> for RawAsync<T> {
     fn wait_any_run(&mut self, comm: &C) -> Option<(usize, Run<T>)> {
-        if self.remaining == 0 {
+        let remaining = self.remaining();
+        if remaining == 0 {
             return None;
         }
-        comm.async_test_sweep(self.remaining);
+        comm.async_test_sweep(remaining);
         if let Some(run) = self.self_run.take() {
-            self.remaining -= 1;
             return Some((comm.rank(), run));
         }
-        // Prefer a chunk that already arrived; otherwise block for any.
-        let (src, run) = match comm.try_recv_run_raw::<T>(self.tag) {
-            Some(hit) => hit,
-            None => comm.recv_run_raw::<T>(None, self.tag),
-        };
+        let (src, run) = comm.recv_run_raw::<T>(&self.pending, self.tag);
         // A hard check, not a debug assert: a duplicate or foreign chunk
         // here means the exchange protocol was violated (e.g. a tag
         // collision) and would otherwise corrupt the output silently.
-        assert!(
-            self.pending[src],
-            "async alltoallv protocol violation: unexpected chunk from rank {src} \
-             on tag {} ({} records); bookkeeping already marked it delivered",
-            self.tag,
-            run.len()
-        );
-        self.pending[src] = false;
-        self.remaining -= 1;
+        let Ok(i) = self.pending.binary_search(&src) else {
+            panic!(
+                "async alltoallv protocol violation: unexpected chunk from rank {src} \
+                 on tag {} ({} records); bookkeeping already marked it delivered",
+                self.tag,
+                run.len()
+            )
+        };
+        self.pending.remove(i);
         Some((src, run))
     }
 
     fn remaining(&self) -> usize {
-        self.remaining
+        RawAsync::remaining(self)
     }
 
     fn recv_counts(&self) -> &[usize] {

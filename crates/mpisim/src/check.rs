@@ -29,12 +29,14 @@
 //! Reports name world ranks, decoded tags (collective tags are decoded into
 //! operation/round like the deadlock report), and the last phase each
 //! involved rank entered via
-//! [`trace_phase`](::comm::Communicator::trace_phase).
+//! [`trace_phase`](::comm::Communicator::trace_phase), read from the same
+//! per-rank slot the deadlock report reads.
 
 use crate::comm::describe_tag;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Panic payload raised by [`crate::World::run`] when the happens-before
 /// checker recorded findings. Carries a human-readable report.
@@ -83,8 +85,6 @@ struct SharedState {
 struct CheckState {
     /// Per-world-rank vector clocks.
     vc: Vec<Vec<u64>>,
-    /// Last phase each rank entered via `trace_phase`.
-    phase: Vec<String>,
     /// In-flight messages keyed by `(dst_world, ctx, tag)`, FIFO per key.
     inflight: HashMap<(usize, u64, u64), Vec<InFlight>>,
     /// Completed any-source receives keyed by `(dst_world, ctx, tag)`.
@@ -105,6 +105,8 @@ const FINDINGS_CAP: usize = 64;
 /// The world's happens-before tracker. One branch per hook when disabled.
 pub(crate) struct Checker {
     state: Option<Mutex<CheckState>>,
+    /// The universe's per-rank last-phase slots (written by `trace_phase`).
+    phases: Arc<[Mutex<String>]>,
 }
 
 fn vc_leq(a: &[u64], b: &[u64]) -> bool {
@@ -112,12 +114,12 @@ fn vc_leq(a: &[u64], b: &[u64]) -> bool {
 }
 
 impl Checker {
-    pub fn new(world_size: usize, enabled: bool) -> Self {
+    pub fn new(world_size: usize, enabled: bool, phases: Arc<[Mutex<String>]>) -> Self {
         Self {
+            phases,
             state: enabled.then(|| {
                 Mutex::new(CheckState {
                     vc: vec![vec![0; world_size]; world_size],
-                    phase: vec![String::new(); world_size],
                     inflight: HashMap::new(),
                     wild_hist: HashMap::new(),
                     shared: HashMap::new(),
@@ -128,17 +130,16 @@ impl Checker {
         }
     }
 
-    /// Record a phase change on `rank` (mirrors the deadlock watch).
-    pub fn on_phase(&self, rank: usize, name: &str) {
-        let Some(state) = &self.state else { return };
-        let mut s = state.lock();
-        s.phase[rank] = name.to_string();
+    /// The last phase `rank` entered.
+    fn phase(&self, rank: usize) -> String {
+        self.phases[rank].lock().clone()
     }
 
     /// Record a send from `src` to `dst` on `(ctx, tag)`. Returns the stamp
     /// to attach to the envelope (`None` when checking is off).
     pub fn on_send(&self, src: usize, dst: usize, ctx: u64, tag: u64) -> Option<Stamp> {
         let state = self.state.as_ref()?;
+        let phase = self.phase(src);
         let mut s = state.lock();
         s.vc[src][src] += 1;
         let stamp: Stamp = s.vc[src].clone().into_boxed_slice();
@@ -160,7 +161,7 @@ impl Checker {
                         describe_tag(tag),
                         w.matched_src,
                         fmt_phase(&w.phase),
-                        fmt_phase(&s.phase[src]),
+                        fmt_phase(&phase),
                     )
                 })
         });
@@ -168,7 +169,6 @@ impl Checker {
             s.record(format!("wild:{dst}:{ctx}:{tag}"), msg);
         }
 
-        let phase = s.phase[src].clone();
         s.inflight
             .entry(key)
             .or_default()
@@ -190,6 +190,7 @@ impl Checker {
         wildcard: bool,
     ) {
         let Some(state) = &self.state else { return };
+        let phase = self.phase(dst);
         let mut s = state.lock();
         let key = (dst, ctx, tag);
 
@@ -224,7 +225,7 @@ impl Checker {
                              any-source matching (phase {}) — replies cannot be attributed to \
                              operations",
                             describe_tag(tag),
-                            fmt_phase(&s.phase[dst]),
+                            fmt_phase(&phase),
                         ),
                     ));
                 }
@@ -255,7 +256,6 @@ impl Checker {
 
         if wildcard {
             let vc_after = s.vc[dst].clone();
-            let phase = s.phase[dst].clone();
             let hist = s.wild_hist.entry(key).or_default();
             if hist.len() < WILD_HIST_CAP {
                 hist.push(WildRecv {
@@ -272,10 +272,10 @@ impl Checker {
     /// message path between them are never vector-ordered.
     pub fn on_shared_read(&self, rank: usize, name: &str) {
         let Some(state) = &self.state else { return };
+        let my_phase = self.phase(rank);
         let mut s = state.lock();
         s.vc[rank][rank] += 1;
         let my_vc = s.vc[rank].clone();
-        let my_phase = s.phase[rank].clone();
         let entry = s.shared.entry(name.to_string()).or_default();
         let mut conflict = None;
         if let Some((w_rank, w_vc, w_phase)) = &entry.last_write {
@@ -299,10 +299,10 @@ impl Checker {
     /// rank's clock like [`Checker::on_shared_read`].
     pub fn on_shared_write(&self, rank: usize, name: &str) {
         let Some(state) = &self.state else { return };
+        let my_phase = self.phase(rank);
         let mut s = state.lock();
         s.vc[rank][rank] += 1;
         let my_vc = s.vc[rank].clone();
-        let my_phase = s.phase[rank].clone();
         let entry = s.shared.entry(name.to_string()).or_default();
         let mut conflicts: Vec<String> = Vec::new();
         if let Some((w_rank, w_vc, w_phase)) = &entry.last_write {
@@ -370,9 +370,14 @@ fn fmt_phase(phase: &str) -> &str {
 mod tests {
     use super::*;
 
+    fn checker(world_size: usize, enabled: bool) -> Checker {
+        let phases = (0..world_size).map(|_| Mutex::default()).collect();
+        Checker::new(world_size, enabled, phases)
+    }
+
     #[test]
     fn disabled_checker_is_inert() {
-        let c = Checker::new(4, false);
+        let c = checker(4, false);
         assert!(c.on_send(0, 1, 0, 5).is_none());
         c.on_recv(1, 0, 5, 0, None, true);
         c.on_shared_write(0, "x");
@@ -381,7 +386,7 @@ mod tests {
 
     #[test]
     fn exact_receives_are_never_racy() {
-        let c = Checker::new(2, true);
+        let c = checker(2, true);
         let s = c.on_send(0, 1, 0, 5);
         c.on_recv(1, 0, 5, 0, s.as_ref(), false);
         assert!(c.take_report().is_none());
@@ -389,7 +394,7 @@ mod tests {
 
     #[test]
     fn concurrent_wildcard_alternatives_are_flagged() {
-        let c = Checker::new(3, true);
+        let c = checker(3, true);
         let s1 = c.on_send(1, 0, 0, 5);
         let _s2 = c.on_send(2, 0, 0, 5);
         // Rank 0 matches rank 1's message while rank 2's is also in flight.
@@ -400,7 +405,7 @@ mod tests {
 
     #[test]
     fn racing_send_after_wildcard_completion_is_flagged() {
-        let c = Checker::new(3, true);
+        let c = checker(3, true);
         let s1 = c.on_send(1, 0, 0, 5);
         c.on_recv(0, 0, 5, 1, s1.as_ref(), true);
         // Rank 2 sends the same tag with no knowledge of rank 0's receive.
@@ -411,7 +416,7 @@ mod tests {
 
     #[test]
     fn causally_ordered_wildcards_are_clean() {
-        let c = Checker::new(3, true);
+        let c = checker(3, true);
         const DATA: u64 = 5;
         const GO: u64 = 6;
         let s1 = c.on_send(1, 0, 0, DATA);
@@ -427,7 +432,7 @@ mod tests {
 
     #[test]
     fn same_source_tag_reuse_under_wildcard_is_flagged() {
-        let c = Checker::new(2, true);
+        let c = checker(2, true);
         let s1 = c.on_send(1, 0, 0, 9);
         let _s2 = c.on_send(1, 0, 0, 9);
         c.on_recv(0, 0, 9, 1, s1.as_ref(), true);
@@ -437,7 +442,7 @@ mod tests {
 
     #[test]
     fn unsynchronized_shared_writes_are_flagged() {
-        let c = Checker::new(2, true);
+        let c = checker(2, true);
         c.on_shared_write(0, "splitters");
         c.on_shared_write(1, "splitters");
         let rep = c.take_report().expect("write-write race must be flagged");
@@ -446,7 +451,7 @@ mod tests {
 
     #[test]
     fn message_ordered_shared_writes_are_clean() {
-        let c = Checker::new(2, true);
+        let c = checker(2, true);
         c.on_shared_write(0, "splitters");
         let s = c.on_send(0, 1, 0, 3);
         c.on_recv(1, 0, 3, 0, s.as_ref(), false);
@@ -456,7 +461,7 @@ mod tests {
 
     #[test]
     fn unsynchronized_read_of_write_is_flagged() {
-        let c = Checker::new(2, true);
+        let c = checker(2, true);
         c.on_shared_write(0, "histogram");
         c.on_shared_read(1, "histogram");
         let rep = c.take_report().expect("read-write race must be flagged");
@@ -465,7 +470,7 @@ mod tests {
 
     #[test]
     fn findings_are_deduplicated() {
-        let c = Checker::new(3, true);
+        let c = checker(3, true);
         for _ in 0..5 {
             let s1 = c.on_send(1, 0, 0, 5);
             let _s2 = c.on_send(2, 0, 0, 5);

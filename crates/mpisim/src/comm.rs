@@ -9,11 +9,11 @@
 //! Everything the simulator models happens on the raw send/receive path in
 //! this file: the virtual clock, the `netmodel` inject/transit charge,
 //! `faults` perturbation, recorder accounting, happens-before stamps and
-//! the deadlock watchdog. The [`Communicator`](::comm::Communicator)
+//! the deadlock predicate. The [`Communicator`](::comm::Communicator)
 //! surface on top — collectives, the asynchronous all-to-all, `split` — is
 //! the single implementation in [`::comm::raw`] that the real backends run
-//! too; only the simulator-specific operations (`recv_any`,
-//! `try_recv_any`, `clock`, `universe`) are inherent methods.
+//! too; only the simulator-specific operations (`recv_any`, `clock`,
+//! `universe`) are inherent methods.
 //!
 //! Tags: user code may use any tag below [`Comm::MAX_USER_TAG`]. Collectives
 //! use a reserved high tag space keyed by a per-communicator operation
@@ -23,13 +23,11 @@
 use crate::clock::VirtualClock;
 use crate::error::OomError;
 use crate::mailbox::{Envelope, SrcSel, TakeResult};
-use crate::universe::{DeadlockError, Universe, WaitDesc};
+use crate::universe::Universe;
 use ::comm::raw::{append_moved, assert_user_tag, Group, RawComm};
 use ::comm::{Run, Wire};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Human-readable description of a tag: collective tags are decoded into
 /// their operation sequence number and round. Shared by the deadlock
@@ -104,129 +102,20 @@ impl Comm {
         }
     }
 
-    /// Block until an envelope matching any of `specs` arrives. Registers
-    /// the wait with the deadlock watch when a collective timeout is
-    /// configured.
-    fn blocking_take(&self, specs: &[(SrcSel, u64)]) -> Envelope {
+    /// Block until the envelope `(src, tag)` selects can be taken. If this
+    /// wait leaves every rank idle, file the deadlock report; either way a
+    /// wait that cannot complete unwinds with [`AbortedPanic`].
+    fn blocking_take(&self, src: SrcSel<'_>, tag: u64) -> Envelope {
         let me_w = self.group.world_rank();
-        let mb = &self.uni.mailboxes[me_w];
-        let dl = &self.uni.deadlock;
-        let result = match dl.timeout {
-            None => mb.take_any_of(self.group.ctx(), specs, &self.uni.aborted, None),
-            Some(window) => {
-                {
-                    let (src, tag) = specs[0];
-                    *dl.waits[me_w].lock() = Some(WaitDesc {
-                        ctx: self.group.ctx(),
-                        src: match src {
-                            SrcSel::Exact(s) => Some(s),
-                            SrcSel::Any => None,
-                        },
-                        tag,
-                    });
-                }
-                dl.blocked.fetch_add(1, Ordering::SeqCst);
-                let r = self.take_watched(specs, window);
-                dl.blocked.fetch_sub(1, Ordering::SeqCst);
-                *dl.waits[me_w].lock() = None;
-                r
-            }
-        };
-        match result {
-            TakeResult::Got(env) => {
-                if dl.timeout.is_some() {
-                    dl.progress.fetch_add(1, Ordering::SeqCst);
-                }
-                env
-            }
-            TakeResult::Aborted | TakeResult::TimedOut => std::panic::panic_any(AbortedPanic {
-                rank: self.group.rank(),
-            }),
+        let uni = &self.uni;
+        match uni.mailboxes[me_w].take(self.group.ctx(), src, tag, &uni.aborted, &uni.idle) {
+            TakeResult::Got(env) => return env,
+            TakeResult::Deadlock => uni.declare_deadlock(me_w),
+            TakeResult::Aborted => {}
         }
-    }
-
-    /// Deadline-probing take used by the collective-timeout detector: if
-    /// every rank in the world stays blocked in a receive and no envelope
-    /// is delivered or taken for a full `window`, the run is provably
-    /// deadlocked — raise a diagnostic instead of hanging forever.
-    fn take_watched(&self, specs: &[(SrcSel, u64)], window: Duration) -> TakeResult {
-        let mb = &self.uni.mailboxes[self.group.world_rank()];
-        let dl = &self.uni.deadlock;
-        let mut progress_snapshot = dl.progress.load(Ordering::SeqCst);
-        loop {
-            let deadline = Instant::now() + window;
-            match mb.take_any_of(self.group.ctx(), specs, &self.uni.aborted, Some(deadline)) {
-                TakeResult::TimedOut => {
-                    let progress_now = dl.progress.load(Ordering::SeqCst);
-                    let all_blocked =
-                        dl.blocked.load(Ordering::SeqCst) == self.uni.topology().world_size();
-                    if all_blocked && progress_now == progress_snapshot {
-                        self.raise_deadlock(window);
-                    }
-                    progress_snapshot = progress_now;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Build and raise the deadlock report. Only the first detecting rank
-    /// raises [`DeadlockError`]; the abort it triggers unwinds the rest
-    /// with [`AbortedPanic`], so the diagnostic surfaces from the runtime.
-    #[cold]
-    fn raise_deadlock(&self, window: Duration) -> ! {
-        use std::fmt::Write as _;
-        let dl = &self.uni.deadlock;
-        let mut slot = dl.report.lock();
-        if slot.is_some() {
-            drop(slot);
-            std::panic::panic_any(AbortedPanic {
-                rank: self.group.rank(),
-            });
-        }
-        let p = self.uni.topology().world_size();
-        let mut rep = String::new();
-        let _ = writeln!(
-            rep,
-            "all {p} ranks blocked with no message progress for {window:?} \
-             (detected by world rank {})",
-            self.group.world_rank()
-        );
-        for r in 0..p {
-            let wait = dl.waits[r].lock().clone();
-            let phase = dl.last_phase[r].lock().clone();
-            let pending = self.uni.mailboxes[r].snapshot();
-            let wait_s = match wait {
-                Some(w) => format!(
-                    "waiting on ctx {} for {} from {}",
-                    w.ctx,
-                    describe_tag(w.tag),
-                    w.src
-                        .map_or_else(|| "any source".to_string(), |s| format!("world rank {s}")),
-                ),
-                None => "not blocked in a receive (finished, or outside messaging)".to_string(),
-            };
-            let _ = writeln!(
-                rep,
-                "  rank {r}: {wait_s}; last phase: {}; {} pending envelope(s)",
-                if phase.is_empty() { "<none>" } else { &phase },
-                pending.len()
-            );
-            for &(ctx, src, tag, bytes) in pending.iter().take(8) {
-                let _ = writeln!(
-                    rep,
-                    "    pending: ctx {ctx} from rank {src}, {} ({bytes} B)",
-                    describe_tag(tag)
-                );
-            }
-            if pending.len() > 8 {
-                let _ = writeln!(rep, "    ... and {} more", pending.len() - 8);
-            }
-        }
-        *slot = Some(rep.clone());
-        drop(slot);
-        self.uni.abort();
-        std::panic::panic_any(DeadlockError { report: rep });
+        std::panic::panic_any(AbortedPanic {
+            rank: self.group.rank(),
+        })
     }
 
     /// Complete a receive: record it with the happens-before checker,
@@ -260,31 +149,14 @@ impl Comm {
     /// with the message arrival, not with polling.
     fn recv_sel<T: Send + 'static>(
         &self,
-        src: SrcSel,
+        src: SrcSel<'_>,
         tag: u64,
         wildcard: bool,
     ) -> (usize, Vec<T>) {
         self.check_alive();
         self.inject_op_stall();
-        let env = self.blocking_take(&[(src, tag)]);
+        let env = self.blocking_take(src, tag);
         self.open_envelope(env, wildcard)
-    }
-
-    /// Non-blocking receive of one envelope matching `(src, tag)`.
-    fn try_recv_sel<T: Send + 'static>(
-        &self,
-        src: SrcSel,
-        tag: u64,
-        wildcard: bool,
-    ) -> Option<(usize, Vec<T>)> {
-        self.check_alive();
-        self.uni.mailboxes[self.group.world_rank()]
-            .try_take(self.group.ctx(), src, tag)
-            .map(|env| self.open_envelope(env, wildcard))
-    }
-
-    fn exact(&self, src: usize) -> SrcSel {
-        SrcSel::Exact(self.group.world_rank_of(src))
     }
 
     // ---- simulator-only point-to-point ------------------------------------
@@ -297,12 +169,6 @@ impl Comm {
     pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
         assert_user_tag(tag);
         self.recv_sel(SrcSel::Any, tag, true)
-    }
-
-    /// Non-blocking receive attempt from any source.
-    pub fn try_recv_any<T: Send + 'static>(&self, tag: u64) -> Option<(usize, Vec<T>)> {
-        assert_user_tag(tag);
-        self.try_recv_sel(SrcSel::Any, tag, true)
     }
 }
 
@@ -357,14 +223,11 @@ impl RawComm for Comm {
     }
 
     /// Attributes this rank's subsequent sends to the named phase, and
-    /// tells the deadlock watchdog and the checker where this rank is.
+    /// records it for the deadlock report and the checker.
     fn trace_phase(&self, name: &str) {
         let me_w = self.group.world_rank();
         self.uni.recorder.set_phase(me_w, name);
-        if self.uni.deadlock.timeout.is_some() {
-            *self.uni.deadlock.last_phase[me_w].lock() = name.to_string();
-        }
-        self.uni.checker().on_phase(me_w, name);
+        name.clone_into(&mut self.uni.phases[me_w].lock());
     }
 
     /// Two ranks touching the same key with no synchronization edge between
@@ -435,55 +298,44 @@ impl RawComm for Comm {
         let ctx = self.group.ctx();
         let topo = self.uni.topology();
         let net = self.uni.net();
-        let (inject, transit, reorder_depth) = match self.uni.faults().message(src_w, dst_w) {
-            Some(mf) => {
-                let (i, t) = net.perturbed_times(topo, src_w, dst_w, bytes, &mf);
-                (i, t, mf.reorder_depth)
-            }
+        let (inject, transit) = match self.uni.faults().message(src_w, dst_w) {
+            Some(mf) => net.perturbed_times(topo, src_w, dst_w, bytes, &mf),
             None => (
                 net.inject_time(topo, src_w, dst_w, bytes),
                 net.transit_time(topo, src_w, dst_w, bytes),
-                0,
             ),
         };
         self.charge_comm(inject);
         let arrival = self.clock.now() + transit;
         self.uni.recorder.on_send(src_w, dst_w, bytes);
         let stamp = self.uni.checker().on_send(src_w, dst_w, ctx, tag);
-        self.uni.mailboxes[dst_w].push_reordered(
-            Envelope {
-                ctx,
-                src: src_w,
-                tag,
-                data: Box::new(data),
-                bytes,
-                arrival,
-                stamp,
-            },
-            reorder_depth,
-        );
-        if self.uni.deadlock.timeout.is_some() {
-            self.uni.deadlock.progress.fetch_add(1, Ordering::SeqCst);
-        }
+        let env = Envelope {
+            ctx,
+            src: src_w,
+            tag,
+            data: Box::new(data),
+            bytes,
+            arrival,
+            stamp,
+        };
+        self.uni.mailboxes[dst_w].push(env, &self.uni.idle);
     }
 
     fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
-        append_moved(self.recv_sel(self.exact(src), tag, false).1, out);
+        let src_w = self.group.world_rank_of(src);
+        append_moved(self.recv_sel(SrcSel::Each(&[src_w]), tag, false).1, out);
     }
 
-    // The asynchronous all-to-all's any-source matching is
-    // order-insensitive by protocol (chunks are keyed by source and
-    // duplicates hard-asserted), so the happens-before edges are recorded
-    // but the wildcard-nondeterminism finding is suppressed.
-    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
-        let sel = src.map_or(SrcSel::Any, |s| self.exact(s));
-        let (src, data) = self.recv_sel(sel, tag, false);
+    /// Waits until every source in `from` has its run queued, then takes
+    /// the earliest virtual arrival (ties to the lower world rank): the
+    /// order chunks are handed over is a function of the virtual clocks.
+    /// The matching is therefore not wildcard nondeterminism, so the
+    /// happens-before edges are recorded but that finding is suppressed.
+    fn recv_run_raw<T: Wire>(&self, from: &[usize], tag: u64) -> (usize, Run<T>) {
+        let mut srcs: Vec<usize> = from.iter().map(|&r| self.group.world_rank_of(r)).collect();
+        srcs.sort_unstable();
+        let (src, data) = self.recv_sel(SrcSel::Each(&srcs), tag, false);
         (src, data.into())
-    }
-
-    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
-        self.try_recv_sel(SrcSel::Any, tag, false)
-            .map(|(src, data)| (src, data.into()))
     }
 
     /// Progress cost of testing the outstanding requests (`MPI_Test`

@@ -1,8 +1,8 @@
 //! Deterministic, seed-driven fault injection.
 //!
 //! A [`FaultSpec`] describes *system* misbehaviour — per-message delay
-//! jitter, per-peer reordering, rank stalls and slowdowns, transient
-//! send-buffer exhaustion, and memory-pressure ramps — and the [`Faults`]
+//! jitter, rank stalls and slowdowns, transient send-buffer exhaustion,
+//! and memory-pressure ramps — and the [`Faults`]
 //! policy object threads those decisions through the send/receive paths.
 //! Like the telemetry `Recorder`, the object is a pure policy: when no
 //! spec is installed every hook is one relaxed atomic load and the
@@ -12,9 +12,11 @@
 //! peer, sequence number)`, where the sequence numbers are per-sender
 //! counters advanced in the sender's own program order. Two runs of a
 //! deterministic program under the same spec therefore inject identical
-//! faults, regardless of thread scheduling. (The *consequences* of
-//! reordering can still be schedule-dependent wherever the program itself
-//! is — e.g. any-source receives — exactly as without faults.)
+//! faults, regardless of thread scheduling.
+//!
+//! There is no reordering fault: a receive from known sources takes each
+//! source's messages in send order and picks among sources by virtual
+//! arrival (see [`crate::mailbox`]), so only a delay changes what it takes.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -29,12 +31,6 @@ pub struct FaultSpec {
     pub delay_prob: f64,
     /// Maximum extra in-flight seconds (uniform in `[0, delay_max_s)`).
     pub delay_max_s: f64,
-    /// Probability that a delivered message is inserted out of order.
-    pub reorder_prob: f64,
-    /// Maximum number of already-queued envelopes a reordered message may
-    /// overtake (same-sender order is always preserved — MPI's
-    /// non-overtaking guarantee).
-    pub reorder_depth: usize,
     /// Stall injection applies to ranks where `rank % stall_every == 0`
     /// (0 disables).
     pub stall_every: usize,
@@ -68,8 +64,6 @@ impl FaultSpec {
             seed: 0,
             delay_prob: 0.0,
             delay_max_s: 0.0,
-            reorder_prob: 0.0,
-            reorder_depth: 0,
             stall_every: 0,
             stall_prob: 0.0,
             stall_s: 0.0,
@@ -87,7 +81,6 @@ impl FaultSpec {
     /// Whether any fault class can actually fire.
     pub fn is_active(&self) -> bool {
         (self.delay_prob > 0.0 && self.delay_max_s > 0.0)
-            || (self.reorder_prob > 0.0 && self.reorder_depth > 0)
             || (self.stall_every > 0 && self.stall_prob > 0.0 && self.stall_s > 0.0)
             || (self.slow_every > 0 && self.slow_factor != 1.0)
             || (self.sendbuf_prob > 0.0 && self.sendbuf_retries > 0 && self.sendbuf_backoff_s > 0.0)
@@ -95,10 +88,9 @@ impl FaultSpec {
     }
 
     /// Parse a compact spec string of comma-separated clauses, e.g.
-    /// `seed=7,delay=0.3:2e-6,reorder=0.2:4,stall=2:0.1:5e-5,slow=3:1.5,sendbuf=0.1:3:1e-5,ramp=0:0.01:0.9`.
+    /// `seed=7,delay=0.3:2e-6,stall=2:0.1:5e-5,slow=3:1.5,sendbuf=0.1:3:1e-5,ramp=0:0.01:0.9`.
     ///
-    /// Clauses: `seed=N`, `delay=PROB:MAX_S`, `reorder=PROB:DEPTH`,
-    /// `stall=EVERY:PROB:SECONDS`, `slow=EVERY:FACTOR`,
+    /// Clauses: `seed=N`, `delay=PROB:MAX_S`, `stall=EVERY:PROB:SECONDS`, `slow=EVERY:FACTOR`,
     /// `sendbuf=PROB:RETRIES:BACKOFF_S`, `ramp=START_S:FULL_S:FRAC`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut spec = Self::none();
@@ -126,10 +118,6 @@ impl FaultSpec {
                 "delay" => {
                     spec.delay_prob = f(0)?;
                     spec.delay_max_s = f(1)?;
-                }
-                "reorder" => {
-                    spec.reorder_prob = f(0)?;
-                    spec.reorder_depth = n(1)? as usize;
                 }
                 "stall" => {
                     spec.stall_every = n(0)? as usize;
@@ -180,8 +168,6 @@ pub(crate) struct MessageFaults {
     pub send_backoff_s: f64,
     /// Extra in-flight time from delay jitter (seconds).
     pub extra_transit_s: f64,
-    /// How many queued envelopes this message may overtake on delivery.
-    pub reorder_depth: usize,
 }
 
 /// splitmix64 finalizer — a pure, well-mixed hash of the decision key.
@@ -254,12 +240,6 @@ impl Faults {
             let h = mix(key ^ 0x01);
             if unit(h) < s.delay_prob {
                 out.extra_transit_s = unit(mix(h)) * s.delay_max_s;
-            }
-        }
-        if s.reorder_prob > 0.0 && s.reorder_depth > 0 {
-            let h = mix(key ^ 0x02);
-            if unit(h) < s.reorder_prob {
-                out.reorder_depth = 1 + (mix(h) % s.reorder_depth as u64) as usize;
             }
         }
         if s.sendbuf_prob > 0.0 && s.sendbuf_retries > 0 && s.sendbuf_backoff_s > 0.0 {
@@ -368,8 +348,6 @@ mod tests {
             seed: 42,
             delay_prob: 0.5,
             delay_max_s: 1e-5,
-            reorder_prob: 0.5,
-            reorder_depth: 4,
             sendbuf_prob: 0.3,
             sendbuf_retries: 3,
             sendbuf_backoff_s: 1e-6,
@@ -430,12 +408,12 @@ mod tests {
 
     #[test]
     fn parse_round_trips_all_clauses() {
-        let s = "seed=7,delay=0.3:2e-6,reorder=0.2:4,stall=2:0.1:5e-5,slow=3:1.5,sendbuf=0.1:3:1e-5,ramp=0:0.01:0.9";
+        let s =
+            "seed=7,delay=0.3:2e-6,stall=2:0.1:5e-5,slow=3:1.5,sendbuf=0.1:3:1e-5,ramp=0:0.01:0.9";
         let spec = FaultSpec::parse(s).expect("parses");
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.delay_prob, 0.3);
         assert_eq!(spec.delay_max_s, 2e-6);
-        assert_eq!(spec.reorder_depth, 4);
         assert_eq!(spec.stall_every, 2);
         assert_eq!(spec.slow_factor, 1.5);
         assert_eq!(spec.sendbuf_retries, 3);
@@ -446,6 +424,11 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultSpec::parse("bogus=1").is_err());
+        assert_eq!(
+            FaultSpec::parse("reorder=0.5:6"),
+            Err("unknown fault clause `reorder`".to_string()),
+            "delivery by arrival leaves no reordering to inject"
+        );
         assert!(FaultSpec::parse("delay").is_err());
         assert!(FaultSpec::parse("delay=x:y").is_err());
         assert!(FaultSpec::parse("delay=0.5").is_err(), "missing field");

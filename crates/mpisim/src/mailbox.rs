@@ -3,15 +3,25 @@
 //! Every world rank owns one `Mailbox`. A message is an `Envelope`
 //! carrying a type-erased payload plus the metadata needed for matching and
 //! for the virtual-time model (byte count and arrival timestamp). Receives
-//! match on communicator context, source world rank (or any source), and
+//! match on communicator context, source world rank(s) (or any source), and
 //! tag — the same matching semantics MPI provides, which is all the sorting
 //! algorithms rely on.
+//!
+//! A receive from a set of sources is the simulator's delivery rule: it
+//! waits until every listed source has a matching envelope queued, then
+//! takes the one with the smallest `(virtual arrival, source)`. Which
+//! chunk a rank gets is then a function of the virtual clocks, not of host
+//! thread scheduling.
+//!
+//! A blocked receive registers its wait in the mailbox, under the mailbox
+//! lock; the push that satisfies it clears it under the same lock. Both
+//! keep the world's [`Idle`] count, which is how deadlock is detected
+//! without a timeout.
 
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A message in flight: type-erased payload plus matching metadata.
 pub(crate) struct Envelope {
@@ -34,163 +44,205 @@ pub(crate) struct Envelope {
 
 /// Source selector for a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SrcSel {
-    /// Match only this world rank.
-    Exact(usize),
-    /// Match any source (MPI_ANY_SOURCE).
+pub(crate) enum SrcSel<'a> {
+    /// Match any source (MPI_ANY_SOURCE), first queued first.
     Any,
+    /// One envelope from each of these world ranks (ascending) must be
+    /// queued; the earliest `(arrival, source)` of them is taken.
+    Each(&'a [usize]),
 }
 
-/// Outcome of a blocking take with a deadline.
+/// What a blocked rank is waiting for (deadlock diagnostics).
+#[derive(Debug, Clone)]
+pub(crate) struct Wait {
+    pub ctx: u64,
+    pub tag: u64,
+    /// `None` = any source; otherwise the world ranks (ascending) with no
+    /// matching envelope queued yet.
+    pub missing: Option<Vec<usize>>,
+}
+
+/// Outcome of a blocking take.
 pub(crate) enum TakeResult {
     /// A matching envelope was removed from the queue.
     Got(Envelope),
     /// The world aborted while waiting.
     Aborted,
-    /// The deadline elapsed with no match (deadlock-detector probe).
-    TimedOut,
+    /// This wait made every rank of the world idle: nothing can ever be
+    /// pushed again, and the wait stays registered for the report.
+    Deadlock,
+}
+
+/// Ranks that are finished or blocked on a registered wait. A rank that
+/// is neither can still push, so the world is deadlocked exactly when the
+/// count reaches the world size with a wait registered.
+pub(crate) struct Idle {
+    count: AtomicUsize,
+    world: usize,
+}
+
+impl Idle {
+    pub fn new(world: usize) -> Self {
+        Self {
+            count: AtomicUsize::new(0),
+            world,
+        }
+    }
+
+    /// One more rank is idle; true if that makes every rank idle.
+    pub fn enter(&self) -> bool {
+        self.count.fetch_add(1, Ordering::SeqCst) + 1 == self.world
+    }
+
+    fn leave(&self) {
+        self.count.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Envelope>,
+    wait: Option<Wait>,
 }
 
 /// A single rank's incoming-message queue.
+#[derive(Default)]
 pub(crate) struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
+    inbox: Mutex<Inbox>,
     cv: Condvar,
 }
 
-impl Default for Mailbox {
-    fn default() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
 impl Mailbox {
-    /// Deposit an envelope and wake any waiting receiver.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn push(&self, env: Envelope) {
-        self.push_reordered(env, 0);
-    }
-
-    /// Deposit an envelope, letting it overtake up to `depth` already-queued
-    /// envelopes. Messages from the same `(ctx, src)` are never overtaken —
-    /// MPI's non-overtaking guarantee holds under reordering faults too.
-    pub fn push_reordered(&self, env: Envelope, depth: usize) {
-        let mut q = self.queue.lock();
-        let mut pos = q.len();
-        let mut crossed = 0;
-        while pos > 0 && crossed < depth {
-            let behind = &q[pos - 1];
-            if behind.ctx == env.ctx && behind.src == env.src {
-                break;
-            }
-            pos -= 1;
-            crossed += 1;
+    /// Deposit an envelope. If it satisfies the owner's registered wait,
+    /// clear the wait, count the owner busy again and wake it.
+    pub fn push(&self, env: Envelope, idle: &Idle) {
+        let mut inbox = self.inbox.lock();
+        let satisfied = inbox.wait.as_mut().is_some_and(|w| {
+            w.ctx == env.ctx
+                && w.tag == env.tag
+                && w.missing.as_mut().is_none_or(|m| {
+                    if let Ok(i) = m.binary_search(&env.src) {
+                        m.remove(i);
+                    }
+                    m.is_empty()
+                })
+        });
+        inbox.queue.push_back(env);
+        if satisfied {
+            inbox.wait = None;
+            idle.leave();
+            self.cv.notify_one();
         }
-        q.insert(pos, env);
-        drop(q);
-        self.cv.notify_all();
     }
 
-    fn matches(e: &Envelope, ctx: u64, src: SrcSel, tag: u64) -> bool {
-        e.ctx == ctx
-            && e.tag == tag
-            && match src {
-                SrcSel::Exact(s) => e.src == s,
-                SrcSel::Any => true,
-            }
-    }
-
-    /// Position of the first envelope matching ANY of `specs` (FIFO order).
-    fn match_pos_any(
+    /// Position of the envelope a receive of `(ctx, src, tag)` takes, or
+    /// the sources it still misses (`None` for an any-source receive).
+    fn find(
         queue: &VecDeque<Envelope>,
         ctx: u64,
-        specs: &[(SrcSel, u64)],
-    ) -> Option<usize> {
-        queue.iter().position(|e| {
-            specs
-                .iter()
-                .any(|&(src, tag)| Self::matches(e, ctx, src, tag))
-        })
-    }
-
-    /// Non-blocking take of the first matching envelope.
-    pub fn try_take(&self, ctx: u64, src: SrcSel, tag: u64) -> Option<Envelope> {
-        let mut q = self.queue.lock();
-        Self::match_pos_any(&q, ctx, &[(src, tag)]).and_then(|i| q.remove(i))
-    }
-
-    /// Blocking take. Returns `None` if `aborted` becomes set while waiting
-    /// (another rank panicked and the world is shutting down).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn take(&self, ctx: u64, src: SrcSel, tag: u64, aborted: &AtomicBool) -> Option<Envelope> {
-        match self.take_any_of(ctx, &[(src, tag)], aborted, None) {
-            TakeResult::Got(e) => Some(e),
-            TakeResult::Aborted => None,
-            TakeResult::TimedOut => unreachable!("no deadline was set"),
+        src: SrcSel<'_>,
+        tag: u64,
+    ) -> Result<usize, Option<Vec<usize>>> {
+        let mut matching = queue
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.ctx == ctx && e.tag == tag);
+        let srcs = match src {
+            SrcSel::Any => return matching.next().map(|(i, _)| i).ok_or(None),
+            SrcSel::Each(srcs) => srcs,
+        };
+        // Only each source's first envelope is a candidate: messages from
+        // one sender are never overtaken.
+        let mut seen = vec![false; srcs.len()];
+        let mut found = 0;
+        let mut best = (f64::INFINITY, usize::MAX, 0);
+        for (i, e) in matching {
+            let Ok(k) = srcs.binary_search(&e.src) else {
+                continue;
+            };
+            if std::mem::replace(&mut seen[k], true) {
+                continue;
+            }
+            if (e.arrival, e.src) < (best.0, best.1) {
+                best = (e.arrival, e.src, i);
+            }
+            found += 1;
+            if found == srcs.len() {
+                return Ok(best.2);
+            }
         }
+        Err(Some(
+            srcs.iter()
+                .zip(&seen)
+                .filter(|&(_, &s)| !s)
+                .map(|(&w, _)| w)
+                .collect(),
+        ))
     }
 
-    /// Blocking take of the first envelope matching any of `specs`,
-    /// optionally bounded by a wall-clock deadline (used by the deadlock
-    /// detector to probe for global stalls).
-    pub fn take_any_of(
+    /// Blocking take of the envelope `(ctx, src, tag)` selects. Registers
+    /// the wait while blocked; returns [`TakeResult::Deadlock`] if that
+    /// made every rank idle.
+    pub fn take(
         &self,
         ctx: u64,
-        specs: &[(SrcSel, u64)],
+        src: SrcSel<'_>,
+        tag: u64,
         aborted: &AtomicBool,
-        deadline: Option<std::time::Instant>,
+        idle: &Idle,
     ) -> TakeResult {
-        let mut q = self.queue.lock();
+        let mut inbox = self.inbox.lock();
         loop {
-            if let Some(i) = Self::match_pos_any(&q, ctx, specs) {
-                return TakeResult::Got(q.remove(i).expect("matched position exists"));
-            }
+            let missing = match Self::find(&inbox.queue, ctx, src, tag) {
+                Ok(i) => {
+                    let env = inbox.queue.remove(i).expect("matched position exists");
+                    return TakeResult::Got(env);
+                }
+                Err(missing) => missing,
+            };
             if aborted.load(Ordering::SeqCst) {
                 return TakeResult::Aborted;
             }
-            // Timed wait so an abort raised while we hold no notification
-            // still wakes us promptly.
-            let mut wait = Duration::from_millis(25);
-            if let Some(d) = deadline {
-                let now = std::time::Instant::now();
-                if now >= d {
-                    return TakeResult::TimedOut;
+            if inbox.wait.is_none() {
+                inbox.wait = Some(Wait { ctx, tag, missing });
+                if idle.enter() {
+                    return TakeResult::Deadlock;
                 }
-                wait = wait.min(d - now);
             }
-            self.cv.wait_for(&mut q, wait);
+            self.cv.wait(&mut inbox);
         }
+    }
+
+    /// The owner's registered wait, if it is blocked.
+    pub fn wait(&self) -> Option<Wait> {
+        self.inbox.lock().wait.clone()
     }
 
     /// Metadata snapshot of every queued envelope: `(ctx, src, tag, bytes)`.
     /// Used for deadlock diagnostics.
     pub fn snapshot(&self) -> Vec<(u64, usize, u64, usize)> {
-        self.queue
+        self.inbox
             .lock()
+            .queue
             .iter()
             .map(|e| (e.ctx, e.src, e.tag, e.bytes))
             .collect()
     }
 
-    /// Wake all waiters (used on world abort).
+    /// Wake the owner (used on world abort). Taking the lock orders the
+    /// wake-up after the abort-flag store for an owner between its check
+    /// and its wait.
     pub fn interrupt(&self) {
+        drop(self.inbox.lock());
         self.cv.notify_all();
-    }
-
-    /// Number of queued envelopes (diagnostics only).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.queue.lock().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn env(ctx: u64, src: usize, tag: u64, payload: Vec<u32>) -> Envelope {
         let bytes = payload.len() * 4;
@@ -205,41 +257,93 @@ mod tests {
         }
     }
 
+    fn at(arrival: f64, src: usize) -> Envelope {
+        Envelope {
+            arrival,
+            ..env(0, src, 7, vec![src as u32])
+        }
+    }
+
+    /// Non-blocking take: the envelope a receive would get right now.
+    fn try_take(mb: &Mailbox, ctx: u64, src: SrcSel<'_>, tag: u64) -> Option<Envelope> {
+        let mut inbox = mb.inbox.lock();
+        let i = Mailbox::find(&inbox.queue, ctx, src, tag).ok()?;
+        inbox.queue.remove(i)
+    }
+
+    fn take(mb: &Mailbox, src: SrcSel<'_>, aborted: &AtomicBool) -> TakeResult {
+        mb.take(0, src, 9, aborted, &Idle::new(2))
+    }
+
     #[test]
     fn try_take_matches_ctx_src_tag() {
         let mb = Mailbox::default();
-        mb.push(env(1, 0, 7, vec![1]));
-        mb.push(env(1, 2, 7, vec![2]));
-        mb.push(env(2, 2, 7, vec![3]));
+        let idle = Idle::new(1);
+        mb.push(env(1, 0, 7, vec![1]), &idle);
+        mb.push(env(1, 2, 7, vec![2]), &idle);
+        mb.push(env(2, 2, 7, vec![3]), &idle);
 
-        assert!(mb.try_take(1, SrcSel::Exact(5), 7).is_none());
-        let e = mb.try_take(1, SrcSel::Exact(2), 7).unwrap();
+        assert!(try_take(&mb, 1, SrcSel::Each(&[5]), 7).is_none());
+        let e = try_take(&mb, 1, SrcSel::Each(&[2]), 7).unwrap();
         assert_eq!(*e.data.downcast::<Vec<u32>>().unwrap(), vec![2]);
         // ctx 2 message must not match ctx 1 receives
-        assert!(mb.try_take(1, SrcSel::Exact(2), 7).is_none());
-        assert_eq!(mb.len(), 2);
+        assert!(try_take(&mb, 1, SrcSel::Each(&[2]), 7).is_none());
+        assert_eq!(mb.snapshot().len(), 2);
     }
 
     #[test]
     fn any_source_takes_fifo_first_match() {
         let mb = Mailbox::default();
-        mb.push(env(0, 3, 1, vec![30]));
-        mb.push(env(0, 1, 1, vec![10]));
-        let e = mb.try_take(0, SrcSel::Any, 1).unwrap();
+        let idle = Idle::new(1);
+        mb.push(at(2.0, 3), &idle);
+        mb.push(at(1.0, 1), &idle);
+        let e = try_take(&mb, 0, SrcSel::Any, 7).unwrap();
         assert_eq!(e.src, 3, "FIFO order for any-source matching");
+    }
+
+    #[test]
+    fn each_source_waits_for_all_then_takes_earliest_arrival() {
+        let mb = Mailbox::default();
+        let idle = Idle::new(1);
+        mb.push(at(3.0, 1), &idle);
+        mb.push(at(1.0, 4), &idle);
+        assert!(
+            try_take(&mb, 0, SrcSel::Each(&[1, 2, 4]), 7).is_none(),
+            "rank 2's envelope is not queued yet"
+        );
+        // A later envelope from rank 4 is not a candidate before its first.
+        mb.push(at(0.5, 4), &idle);
+        mb.push(at(2.0, 2), &idle);
+        let next = |srcs: &[usize]| {
+            let e = try_take(&mb, 0, SrcSel::Each(srcs), 7).unwrap();
+            (e.src, e.arrival)
+        };
+        assert_eq!(next(&[1, 2, 4]), (4, 1.0));
+        assert_eq!(next(&[1, 2, 4]), (4, 0.5));
+        assert_eq!(next(&[1, 2]), (2, 2.0));
+        // Ties on arrival go to the lower source.
+        mb.push(at(3.0, 0), &idle);
+        assert_eq!(try_take(&mb, 0, SrcSel::Each(&[0, 1]), 7).unwrap().src, 0);
     }
 
     #[test]
     fn blocking_take_wakes_on_push() {
         let mb = Arc::new(Mailbox::default());
-        let aborted = Arc::new(AtomicBool::new(false));
+        let idle = Arc::new(Idle::new(2));
         let mb2 = Arc::clone(&mb);
-        let ab2 = Arc::clone(&aborted);
-        let h = std::thread::spawn(move || mb2.take(0, SrcSel::Exact(1), 9, &ab2));
+        let idle2 = Arc::clone(&idle);
+        let h = std::thread::spawn(move || {
+            mb2.take(0, SrcSel::Each(&[1, 2]), 9, &AtomicBool::new(false), &idle2)
+        });
         std::thread::sleep(Duration::from_millis(10));
-        mb.push(env(0, 1, 9, vec![42]));
-        let e = h.join().unwrap().expect("should receive");
-        assert_eq!(e.src, 1);
+        mb.push(env(0, 2, 9, vec![42]), &idle);
+        mb.push(env(0, 1, 9, vec![41]), &idle);
+        match h.join().unwrap() {
+            TakeResult::Got(e) => assert_eq!(e.src, 1, "equal arrivals: lower source"),
+            _ => panic!("expected envelope"),
+        }
+        assert!(mb.wait().is_none(), "the satisfying push cleared the wait");
+        assert!(!idle.enter(), "the receiver is counted busy again");
     }
 
     #[test]
@@ -248,80 +352,37 @@ mod tests {
         let aborted = Arc::new(AtomicBool::new(false));
         let mb2 = Arc::clone(&mb);
         let ab2 = Arc::clone(&aborted);
-        let h = std::thread::spawn(move || mb2.take(0, SrcSel::Exact(1), 9, &ab2));
+        let h = std::thread::spawn(move || take(&mb2, SrcSel::Each(&[1]), &ab2));
         std::thread::sleep(Duration::from_millis(5));
         aborted.store(true, Ordering::SeqCst);
         mb.interrupt();
-        assert!(h.join().unwrap().is_none());
+        assert!(matches!(h.join().unwrap(), TakeResult::Aborted));
     }
 
     #[test]
     fn tag_mismatch_not_taken() {
         let mb = Mailbox::default();
-        mb.push(env(0, 0, 5, vec![1]));
-        assert!(mb.try_take(0, SrcSel::Exact(0), 6).is_none());
-        assert!(mb.try_take(0, SrcSel::Exact(0), 5).is_some());
+        mb.push(env(0, 0, 5, vec![1]), &Idle::new(1));
+        assert!(try_take(&mb, 0, SrcSel::Each(&[0]), 6).is_none());
+        assert!(try_take(&mb, 0, SrcSel::Each(&[0]), 5).is_some());
     }
 
     #[test]
-    fn reordered_push_overtakes_other_sources_only() {
+    fn last_idle_rank_reports_deadlock() {
         let mb = Mailbox::default();
-        mb.push(env(0, 1, 7, vec![1]));
-        mb.push(env(0, 2, 7, vec![2]));
-        // src 3 may overtake both queued envelopes (different sources)
-        mb.push_reordered(env(0, 3, 7, vec![3]), 8);
-        let e = mb.try_take(0, SrcSel::Any, 7).unwrap();
-        assert_eq!(e.src, 3, "reordered envelope jumped the queue");
-
-        // but a second message from src 1 must NOT overtake the first
-        mb.push_reordered(env(0, 1, 7, vec![11]), 8);
-        let a = mb.try_take(0, SrcSel::Exact(1), 7).unwrap();
-        assert_eq!(*a.data.downcast::<Vec<u32>>().unwrap(), vec![1]);
-        let b = mb.try_take(0, SrcSel::Exact(1), 7).unwrap();
-        assert_eq!(*b.data.downcast::<Vec<u32>>().unwrap(), vec![11]);
-    }
-
-    #[test]
-    fn reorder_depth_bounds_overtaking() {
-        let mb = Mailbox::default();
-        mb.push(env(0, 1, 7, vec![1]));
-        mb.push(env(0, 2, 7, vec![2]));
-        mb.push(env(0, 3, 7, vec![3]));
-        // depth 1: overtakes only the last envelope
-        mb.push_reordered(env(0, 4, 7, vec![4]), 1);
-        let order: Vec<usize> = (0..4)
-            .map(|_| mb.try_take(0, SrcSel::Any, 7).unwrap().src)
-            .collect();
-        assert_eq!(order, vec![1, 2, 4, 3]);
-    }
-
-    #[test]
-    fn take_any_of_matches_multiple_specs() {
-        let mb = Mailbox::default();
-        let aborted = AtomicBool::new(false);
-        mb.push(env(0, 2, 9, vec![2]));
-        let specs = [(SrcSel::Exact(1), 8), (SrcSel::Exact(2), 9)];
-        match mb.take_any_of(0, &specs, &aborted, None) {
-            TakeResult::Got(e) => assert_eq!((e.src, e.tag), (2, 9)),
-            _ => panic!("expected envelope"),
+        let idle = Idle::new(1);
+        match mb.take(0, SrcSel::Each(&[3]), 9, &AtomicBool::new(false), &idle) {
+            TakeResult::Deadlock => {}
+            _ => panic!("expected deadlock"),
         }
-    }
-
-    #[test]
-    fn take_any_of_times_out() {
-        let mb = Mailbox::default();
-        let aborted = AtomicBool::new(false);
-        let deadline = std::time::Instant::now() + Duration::from_millis(30);
-        match mb.take_any_of(0, &[(SrcSel::Any, 1)], &aborted, Some(deadline)) {
-            TakeResult::TimedOut => {}
-            _ => panic!("expected timeout"),
-        }
+        let w = mb.wait().expect("the wait stays registered");
+        assert_eq!((w.ctx, w.tag, w.missing), (0, 9, Some(vec![3])));
     }
 
     #[test]
     fn snapshot_reports_queue_metadata() {
         let mb = Mailbox::default();
-        mb.push(env(3, 1, 7, vec![1, 2]));
+        mb.push(env(3, 1, 7, vec![1, 2]), &Idle::new(1));
         assert_eq!(mb.snapshot(), vec![(3, 1, 7, 8)]);
     }
 }

@@ -30,7 +30,6 @@ pub struct World {
     stack_size: usize,
     telemetry: bool,
     faults: Option<FaultSpec>,
-    collective_timeout: Option<Duration>,
     check: bool,
 }
 
@@ -50,7 +49,6 @@ impl World {
             stack_size: 1 << 21, // 2 MiB: worlds may have thousands of ranks
             telemetry: false,
             faults: None,
-            collective_timeout: None,
             check: cfg!(feature = "check"),
         }
     }
@@ -116,18 +114,6 @@ impl World {
         self
     }
 
-    /// Enable the collective-timeout deadlock detector: if every rank stays
-    /// blocked in a receive with no message progress for `window` of wall
-    /// time, the run aborts with a [`crate::DeadlockError`] naming each
-    /// stuck rank, what it was waiting for, its pending mailbox contents,
-    /// and the last phase it entered — instead of hanging forever on a
-    /// mismatched collective or lost wakeup. Use a window comfortably above
-    /// scheduling noise (hundreds of milliseconds or more).
-    pub fn collective_timeout(mut self, window: Duration) -> Self {
-        self.collective_timeout = Some(window);
-        self
-    }
-
     /// Enable the happens-before determinism/race checker (see
     /// [`crate::check`]): vector clocks track send/receive/collective
     /// edges, and wildcard-receive nondeterminism, tag reuse in flight, and
@@ -165,7 +151,6 @@ impl World {
             self.memory_budget,
             self.telemetry,
             self.faults,
-            self.collective_timeout,
             self.check,
         ));
         let members: Arc<[usize]> = (0..self.size).collect();
@@ -192,12 +177,8 @@ impl World {
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                         match out {
                             Ok(r) => {
-                                // A finished rank can never make message
-                                // progress again: count it as permanently
-                                // blocked so the deadlock detector still
-                                // fires when the *other* ranks wait on it.
-                                uni.deadlock_mark_finished();
                                 *slot = Some((r, clock.now()));
+                                uni.rank_finished(rank);
                                 None
                             }
                             Err(payload) => {
@@ -218,6 +199,11 @@ impl World {
                 .collect()
         });
 
+        // A deadlock aborted the world: every rank unwound with
+        // AbortedPanic or finished, and the report is the failure.
+        if let Some(deadlock) = uni.take_deadlock() {
+            std::panic::panic_any(deadlock);
+        }
         let mut panics: Vec<_> = panics.into_iter().flatten().collect();
         if !panics.is_empty() {
             // Prefer the original failure over secondary AbortedPanic

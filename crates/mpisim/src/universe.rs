@@ -2,63 +2,23 @@
 //! memory tracker, and abort flag.
 
 use crate::check::Checker;
+use crate::comm::describe_tag;
 use crate::faults::{FaultSpec, Faults};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Idle, Mailbox};
 use crate::memory::MemoryTracker;
 use crate::netmodel::NetModel;
 use crate::topology::Topology;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use telemetry::Recorder;
 
-/// What a blocked rank is waiting for (deadlock diagnostics).
-#[derive(Debug, Clone)]
-pub(crate) struct WaitDesc {
-    pub ctx: u64,
-    /// `None` = any source; `Some(w)` = world rank w.
-    pub src: Option<usize>,
-    pub tag: u64,
-}
-
-/// Collective-timeout detector state. Tracks global delivery progress and
-/// how many ranks are blocked in a receive; when every rank is blocked and
-/// no envelope moves for a full timeout window, the world is provably
-/// deadlocked and a diagnostic report is raised instead of hanging forever.
-pub(crate) struct DeadlockWatch {
-    /// Wall-clock window; `None` disables the detector entirely.
-    pub timeout: Option<Duration>,
-    /// Bumped on every mailbox delivery and successful take.
-    pub progress: AtomicU64,
-    /// Ranks currently blocked in a receive.
-    pub blocked: AtomicUsize,
-    /// What each blocked rank is waiting for.
-    pub waits: Vec<Mutex<Option<WaitDesc>>>,
-    /// Last phase name each rank entered via `trace_phase`.
-    pub last_phase: Vec<Mutex<String>>,
-    /// The report, filled once by whichever rank detects the deadlock.
-    pub report: Mutex<Option<String>>,
-}
-
-impl DeadlockWatch {
-    fn new(size: usize, timeout: Option<Duration>) -> Self {
-        let tracked = if timeout.is_some() { size } else { 0 };
-        Self {
-            timeout,
-            progress: AtomicU64::new(0),
-            blocked: AtomicUsize::new(0),
-            waits: (0..tracked).map(|_| Mutex::new(None)).collect(),
-            last_phase: (0..tracked).map(|_| Mutex::new(String::new())).collect(),
-            report: Mutex::new(None),
-        }
-    }
-}
-
-/// Panic payload raised when the collective-timeout detector proves a
-/// deadlock. Carries a human-readable report naming the stuck ranks, what
-/// each is waiting for, its pending mailbox contents, and the last phase
-/// it completed.
+/// Panic payload raised by [`crate::World::run`] when every rank is
+/// finished or blocked in a receive that no remaining rank can satisfy.
+/// Carries a human-readable report naming the stuck ranks, what each is
+/// waiting for, its pending mailbox contents, and the last phase it
+/// entered.
 #[derive(Debug, Clone)]
 pub struct DeadlockError {
     /// Multi-line diagnostic report.
@@ -82,7 +42,13 @@ pub struct Universe {
     pub(crate) aborted: AtomicBool,
     pub(crate) recorder: Recorder,
     pub(crate) faults: Faults,
-    pub(crate) deadlock: DeadlockWatch,
+    /// Ranks finished or blocked on a registered wait (see [`Idle`]).
+    pub(crate) idle: Idle,
+    /// Last phase each rank entered via `trace_phase`: read by the
+    /// deadlock report and the happens-before checker.
+    pub(crate) phases: Arc<[Mutex<String>]>,
+    /// The deadlock report, filled once when every rank went idle.
+    deadlock: Mutex<Option<String>>,
     pub(crate) checker: Checker,
 }
 
@@ -95,17 +61,19 @@ impl Universe {
         memory_budget: Option<usize>,
         telemetry: bool,
         faults: Option<FaultSpec>,
-        collective_timeout: Option<Duration>,
         check: bool,
     ) -> Self {
         let size = topology.world_size();
+        let phases: Arc<[Mutex<String>]> = (0..size).map(|_| Mutex::default()).collect();
         Self {
             memory: MemoryTracker::new(size, memory_budget),
             mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
             recorder: Recorder::new(topology.node_map(), telemetry),
             faults: Faults::new(size, faults),
-            deadlock: DeadlockWatch::new(size, collective_timeout),
-            checker: Checker::new(size, check),
+            idle: Idle::new(size),
+            checker: Checker::new(size, check, Arc::clone(&phases)),
+            phases,
+            deadlock: Mutex::new(None),
             topology,
             net,
             aborted: AtomicBool::new(false),
@@ -122,12 +90,71 @@ impl Universe {
         &self.checker
     }
 
-    /// Count a rank whose closure returned as permanently blocked: it will
-    /// never take another envelope, so ranks still waiting on it deadlock.
-    pub(crate) fn deadlock_mark_finished(&self) {
-        if self.deadlock.timeout.is_some() {
-            self.deadlock.blocked.fetch_add(1, Ordering::SeqCst);
+    /// Count a rank whose closure returned as idle for good: it will never
+    /// push another envelope, so ranks still waiting on it may deadlock.
+    pub(crate) fn rank_finished(&self, rank: usize) {
+        if self.idle.enter() {
+            self.declare_deadlock(rank);
         }
+    }
+
+    /// Every rank is idle. Unless all of them finished, none can make
+    /// progress again: file the report (which the runtime raises as a
+    /// [`DeadlockError`]) and abort the world. Called once, by the rank
+    /// that went idle last, while no other rank runs.
+    #[cold]
+    pub(crate) fn declare_deadlock(&self, detector: usize) {
+        use std::fmt::Write as _;
+        let waits: Vec<_> = self.mailboxes.iter().map(Mailbox::wait).collect();
+        if waits.iter().all(Option::is_none) {
+            return;
+        }
+        let p = waits.len();
+        let mut rep = format!(
+            "all {p} ranks finished or blocked with no message progress possible \
+             (detected by world rank {detector})\n"
+        );
+        for (r, wait) in waits.into_iter().enumerate() {
+            let wait_s = match wait {
+                Some(w) => format!(
+                    "waiting on ctx {} for {} from {}",
+                    w.ctx,
+                    describe_tag(w.tag),
+                    match w.missing.as_deref() {
+                        None => "any source".to_string(),
+                        Some([s]) => format!("world rank {s}"),
+                        Some(m) => format!("world ranks {m:?}"),
+                    },
+                ),
+                None => "not blocked in a receive (finished)".to_string(),
+            };
+            let phase = self.phases[r].lock().clone();
+            let pending = self.mailboxes[r].snapshot();
+            let _ = writeln!(
+                rep,
+                "  rank {r}: {wait_s}; last phase: {}; {} pending envelope(s)",
+                if phase.is_empty() { "<none>" } else { &phase },
+                pending.len()
+            );
+            for &(ctx, src, tag, bytes) in pending.iter().take(8) {
+                let _ = writeln!(
+                    rep,
+                    "    pending: ctx {ctx} from rank {src}, {} ({bytes} B)",
+                    describe_tag(tag)
+                );
+            }
+            if pending.len() > 8 {
+                let _ = writeln!(rep, "    ... and {} more", pending.len() - 8);
+            }
+        }
+        *self.deadlock.lock() = Some(rep);
+        self.abort();
+    }
+
+    /// The deadlock report, if the world deadlocked.
+    pub(crate) fn take_deadlock(&self) -> Option<DeadlockError> {
+        let report = self.deadlock.lock().take()?;
+        Some(DeadlockError { report })
     }
 
     /// Mark the world as aborted and wake every blocked receiver.
@@ -176,7 +203,6 @@ mod tests {
             NetModel::zero(),
             None,
             false,
-            None,
             None,
             false,
         )

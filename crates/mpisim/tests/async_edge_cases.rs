@@ -2,6 +2,7 @@
 //! chunks, single-rank worlds, all-empty counts, sparse patterns, and
 //! handles interleaved with collectives.
 use mpisim::{AsyncExchange, Communicator, NetModel, World};
+use std::time::Duration;
 
 #[test]
 fn single_rank_nonempty() {
@@ -163,4 +164,31 @@ fn two_handles_in_flight() {
         assert_eq!(got_a.len(), p);
         0u8
     });
+}
+
+#[test]
+fn chunks_are_handed_over_in_virtual_arrival_order() {
+    // Rank 1 posts first in host time, but a modelled compute charge makes
+    // its chunk arrive late in virtual time; rank 2 sleeps in host time
+    // before posting, yet its chunk arrives first in virtual time.
+    let report = World::new(3).net(NetModel::edison()).run(|comm| {
+        let me = comm.rank();
+        match me {
+            1 => comm.charge_compute(1e-3),
+            2 => std::thread::sleep(Duration::from_millis(50)),
+            _ => {}
+        }
+        // One key from each of ranks 1 and 2 to rank 0, nothing else.
+        let send = [usize::from(me != 0), 0, 0];
+        let recv = if me == 0 { vec![0, 1, 1] } else { vec![0; 3] };
+        let data = vec![me as u64; send[0]];
+        let mut h = comm.alltoallv_async_given_counts(&data, &send, recv);
+        let mut order = Vec::new();
+        while let Some((src, chunk)) = h.wait_any(comm) {
+            assert_eq!(chunk, [src as u64]);
+            order.push(src);
+        }
+        order
+    });
+    assert_eq!(report.results[0], [2, 1]);
 }

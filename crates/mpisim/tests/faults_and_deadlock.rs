@@ -90,17 +90,12 @@ fn expect_deadlock(world: World, f: impl Fn(&mut Comm) + Send + Sync) -> String 
 
 #[test]
 fn silent_deadlock_becomes_diagnostic_report() {
-    let report = expect_deadlock(
-        World::new(3)
-            .net(NetModel::zero())
-            .collective_timeout(Duration::from_millis(250)),
-        |comm| {
-            comm.trace_phase("exchange");
-            // Everyone waits for a message nobody sends.
-            let peer = (comm.rank() + 1) % comm.size();
-            let _ = comm.recv_vec::<u8>(peer, 9);
-        },
-    );
+    let report = expect_deadlock(World::new(3).net(NetModel::zero()), |comm| {
+        comm.trace_phase("exchange");
+        // Everyone waits for a message nobody sends.
+        let peer = (comm.rank() + 1) % comm.size();
+        let _ = comm.recv_vec::<u8>(peer, 9);
+    });
     for r in 0..3 {
         assert!(
             report.contains(&format!("rank {r}")),
@@ -123,16 +118,11 @@ fn deadlock_detected_when_one_rank_exits_early() {
     // Rank 2 returns without joining the barrier: a mismatched collective.
     // A finished rank makes no further progress, so the others are provably
     // stuck — the detector must fire rather than hang.
-    let report = expect_deadlock(
-        World::new(3)
-            .net(NetModel::zero())
-            .collective_timeout(Duration::from_millis(250)),
-        |comm| {
-            if comm.rank() != 2 {
-                comm.barrier();
-            }
-        },
-    );
+    let report = expect_deadlock(World::new(3).net(NetModel::zero()), |comm| {
+        if comm.rank() != 2 {
+            comm.barrier();
+        }
+    });
     assert!(
         report.contains("collective #"),
         "barrier wait decodes as a collective tag:\n{report}"
@@ -145,34 +135,55 @@ fn deadlock_detected_when_one_rank_exits_early() {
 
 #[test]
 fn no_false_positive_under_load() {
-    // A healthy all-to-all with a short window: progress keeps happening,
-    // the detector must stay silent even though single waits exceed the
-    // window occasionally under scheduling noise.
-    let report = World::new(4)
-        .net(NetModel::edison())
-        .collective_timeout(Duration::from_millis(200))
-        .run(|comm| {
-            let p = comm.size();
-            let me = comm.rank();
-            for round in 0..20u64 {
-                let data: Vec<u64> = (0..p).map(|d| me as u64 * 100 + d as u64 + round).collect();
-                let got = comm.alltoall(&data);
-                assert_eq!(got.len(), p);
-                comm.barrier();
+    // A healthy all-to-all in which one rank sleeps 300 ms of host time
+    // mid-round while its peers wait on it: a busy rank can still send, so
+    // the detector must stay silent however long the others wait.
+    let report = World::new(4).net(NetModel::edison()).run(|comm| {
+        let p = comm.size();
+        let me = comm.rank();
+        for round in 0..20u64 {
+            let data: Vec<u64> = (0..p).map(|d| me as u64 * 100 + d as u64 + round).collect();
+            if me == 3 && round == 10 {
+                std::thread::sleep(Duration::from_millis(300));
             }
-            1u8
-        });
+            let got = comm.alltoall(&data);
+            assert_eq!(got.len(), p);
+            comm.barrier();
+        }
+        1u8
+    });
     assert_eq!(report.results, vec![1; 4]);
+}
+
+#[test]
+fn async_exchange_missing_a_chunk_is_a_deadlock() {
+    // Rank 1 never posts its half of the exchange: rank 0 waits for a
+    // chunk that cannot come, and the run must end in a report naming the
+    // waiting rank rather than hang.
+    let report = expect_deadlock(World::new(2).net(NetModel::zero()), |comm| {
+        comm.trace_phase("exchange");
+        if comm.rank() == 0 {
+            let mut pending = comm.alltoallv_async_given_counts(&[5u64], &[1, 0], vec![1, 1]);
+            while pending.wait_any(comm).is_some() {}
+        }
+    });
+    assert!(
+        report.contains("rank 0: waiting on ctx 0 for collective #0 round 0 from world rank 1"),
+        "report names the waiting rank and its missing source:\n{report}"
+    );
+    assert!(
+        report.contains("rank 1: not blocked in a receive (finished)"),
+        "{report}"
+    );
+    assert!(report.contains("last phase: exchange"), "{report}");
 }
 
 // ---- fault injection at the mpisim level -------------------------------
 
 #[test]
 fn faulted_collectives_still_correct() {
-    let spec = FaultSpec::parse(
-        "seed=21,delay=0.5:1e-4,reorder=0.5:8,stall=1:0.2:1e-4,sendbuf=0.3:2:1e-5",
-    )
-    .expect("spec");
+    let spec = FaultSpec::parse("seed=21,delay=0.5:1e-4,stall=1:0.2:1e-4,sendbuf=0.3:2:1e-5")
+        .expect("spec");
     let report = World::new(5)
         .net(NetModel::edison())
         .faults(spec)
@@ -186,7 +197,7 @@ fn faulted_collectives_still_correct() {
             let data: Vec<u64> = (0..p).flat_map(|d| vec![(me * 10 + d) as u64; 2]).collect();
             let (got, rcounts) = comm.alltoallv(&data, &counts);
             let expect: Vec<u64> = (0..p).flat_map(|s| vec![(s * 10 + me) as u64; 2]).collect();
-            assert_eq!(got, expect, "per-source chunks survive reordering faults");
+            assert_eq!(got, expect, "per-source chunks survive message faults");
             assert_eq!(rcounts, vec![2; p]);
             comm.barrier();
             1u8

@@ -76,10 +76,6 @@ fn specs() -> Vec<(&'static str, FaultSpec)> {
             FaultSpec::parse("seed=1,delay=0.4:5e-5").expect("spec"),
         ),
         (
-            "reorder",
-            FaultSpec::parse("seed=2,reorder=0.5:6").expect("spec"),
-        ),
-        (
             "stall+slow",
             FaultSpec::parse("seed=3,stall=2:0.2:2e-4,slow=3:1.5").expect("spec"),
         ),
@@ -89,10 +85,8 @@ fn specs() -> Vec<(&'static str, FaultSpec)> {
         ),
         (
             "combined",
-            FaultSpec::parse(
-                "seed=5,delay=0.2:2e-5,reorder=0.3:4,stall=3:0.1:1e-4,sendbuf=0.2:2:1e-5",
-            )
-            .expect("spec"),
+            FaultSpec::parse("seed=5,delay=0.2:2e-5,stall=3:0.1:1e-4,sendbuf=0.2:2:1e-5")
+                .expect("spec"),
         ),
     ]
 }
@@ -146,9 +140,8 @@ fn matrix_sorts_under_every_fault_spec() {
 fn same_seed_reproduces_clocks_and_outputs() {
     // The synchronous path receives from exact sources, so fault decisions
     // (per-sender program order) make the whole run deterministic.
-    let spec =
-        FaultSpec::parse("seed=9,delay=0.5:4e-5,reorder=0.4:5,stall=2:0.3:1e-4,sendbuf=0.2:2:1e-5")
-            .expect("spec");
+    let spec = FaultSpec::parse("seed=9,delay=0.5:4e-5,stall=2:0.3:1e-4,sendbuf=0.2:2:1e-5")
+        .expect("spec");
     let a = run_cell(Some(spec), "zipf", false);
     let b = run_cell(Some(spec), "zipf", false);
     assert_eq!(a.outputs, b.outputs);

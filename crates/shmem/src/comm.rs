@@ -62,10 +62,6 @@ impl ThreadComm {
         }
     }
 
-    fn my_mailbox(&self) -> &crate::mailbox::Mailbox {
-        &self.uni.mailboxes[self.group.world_rank()]
-    }
-
     /// Enqueue `data` (`bytes` of payload) for communicator rank `dst`:
     /// the one send path, and its one accounting call.
     fn push(&self, dst: usize, tag: u64, data: Box<dyn Any + Send>, bytes: usize) {
@@ -93,7 +89,7 @@ impl ThreadComm {
     fn take(&self, src: Option<usize>, tag: u64) -> Envelope {
         self.check_alive();
         let sel = src.map_or(SrcSel::Any, |s| SrcSel::Exact(self.group.world_rank_of(s)));
-        self.my_mailbox()
+        self.uni.mailboxes[self.group.world_rank()]
             .take(self.group.ctx(), sel, tag, &self.uni.aborted)
             .unwrap_or_else(|| self.abort_unwind())
     }
@@ -176,14 +172,12 @@ impl RawComm for ThreadComm {
         }
     }
 
-    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
+    /// Several sources: the first run to land.
+    fn recv_run_raw<T: Wire>(&self, from: &[usize], tag: u64) -> (usize, Run<T>) {
+        let src = match *from {
+            [src] => Some(src),
+            _ => None,
+        };
         self.open_run(self.take(src, tag))
-    }
-
-    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
-        self.check_alive();
-        self.my_mailbox()
-            .try_take(self.group.ctx(), SrcSel::Any, tag)
-            .map(|env| self.open_run(env))
     }
 }

@@ -185,16 +185,12 @@ impl RawComm for SockComm {
         self.open_envelope(self.take_envelope(sel, tag), out);
     }
 
-    fn recv_run_raw<T: Wire>(&self, src: Option<usize>, tag: u64) -> (usize, Run<T>) {
-        let sel = src.map_or(SrcSel::Any, |s| SrcSel::Exact(self.group.world_rank_of(s)));
+    /// Several sources: the first run to land.
+    fn recv_run_raw<T: Wire>(&self, from: &[usize], tag: u64) -> (usize, Run<T>) {
+        let sel = match *from {
+            [src] => SrcSel::Exact(self.group.world_rank_of(src)),
+            _ => SrcSel::Any,
+        };
         self.open_envelope_new(self.take_envelope(sel, tag))
-    }
-
-    fn try_recv_run_raw<T: Wire>(&self, tag: u64) -> Option<(usize, Run<T>)> {
-        self.check_alive();
-        self.uni
-            .mailbox
-            .try_take(self.group.ctx(), SrcSel::Any, tag)
-            .map(|env| self.open_envelope_new(env))
     }
 }

@@ -861,7 +861,7 @@ mod tests {
         let got: Vec<u64> = comm.recv_vec_raw(2, 1);
         assert_eq!((got.as_ptr().cast::<u8>(), &got), (at, &keys));
         let at = payload_at(2);
-        let (src, pairs) = comm.recv_run_raw::<[u64; 2]>(Some(2), 2);
+        let (src, pairs) = comm.recv_run_raw::<[u64; 2]>(&[2], 2);
         assert_eq!((src, pairs.as_ptr().cast::<u8>()), (2, at));
         assert_eq!(pairs.as_flattened(), &keys[..]);
         let at = payload_at(3);

@@ -229,8 +229,7 @@ PY
 # would OOM under the memory-pressure ramp.
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --sorter sds --workload zipf:1.2 --ranks 8 --records 3000 \
-    --faults seed=7,delay=0.5:1e-4,reorder=0.3:8,stall=2:0.3:1e-4 \
-    --collective-timeout 60
+    --faults seed=7,delay=0.5:1e-4,stall=2:0.3:1e-4
 run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --sorter sds --workload adversarial --ranks 6 --cores 1 \
     --records 4000 --budget 60000 --faults seed=7,ramp=0:0:0.5 \

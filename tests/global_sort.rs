@@ -6,7 +6,8 @@ mod common;
 
 use common::assert_global_sort;
 use mpisim::{Communicator, NetModel, World};
-use sdssort::{sds_sort, Record, SdsConfig, SortOutput};
+use sdssort::{sds_sort, ComputeModel, Record, SdsConfig, SortOutput};
+use std::collections::HashSet;
 use workloads::{cosmology_particles, ptf_scores, uniform_u64, zipf_keys};
 
 fn run_sort<T, G>(p: usize, cores: usize, cfg: SdsConfig, gen: G) -> (Vec<Vec<T>>, Vec<Vec<T>>)
@@ -232,4 +233,35 @@ fn presplit_exchange_volume_is_minimal() {
         r < 1.2,
         "presplit data should balance near-perfectly: {r} ({loads:?})"
     );
+}
+
+#[test]
+fn overlapped_virtual_clocks_are_reproducible() {
+    // With modelled compute and no measured host time, an overlapped sort's
+    // clocks depend only on the inputs: the simulator hands each rank its
+    // chunks by virtual arrival, never in host-thread order.
+    let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
+    cfg.tau_m_bytes = 0;
+    cfg.tau_o = usize::MAX;
+    for p in [4usize, 16] {
+        let world = World::new(p).cores_per_node(1).compute_scale(0.0);
+        let clocks: HashSet<Vec<u64>> = (0..10)
+            .map(|_| {
+                let report = world.run(|comm| {
+                    let data = uniform_u64(20_000, 0x5B, comm.rank());
+                    sds_sort(comm, data, &cfg)
+                        .expect("no memory budget")
+                        .data
+                        .len()
+                });
+                report.per_rank_time.iter().map(|t| t.to_bits()).collect()
+            })
+            .collect();
+        assert_eq!(
+            clocks.len(),
+            1,
+            "p = {p}: {} distinct clock vectors",
+            clocks.len()
+        );
+    }
 }

@@ -14,7 +14,6 @@ use sdssort::{
     SortError, SortStats, Tagged,
 };
 use std::path::Path;
-use std::time::Duration;
 use workloads::{uniform_u64, zipf_keys};
 
 #[test]
@@ -218,7 +217,6 @@ fn one_gate(
             .cores_per_node(CORES)
             .net(NetModel::zero())
             .memory_budget(budget)
-            .collective_timeout(Duration::from_secs(20))
             .run(|comm| {
                 let data = uniform_u64(n, 5, comm.rank());
                 let result = sort(comm, data, dir);
