@@ -8,10 +8,10 @@
 //! phases.
 //!
 //! Determinism preconditions: modeled compute charging (no wall-clock
-//! measurement), `compute_scale(0.0)` (no measured residue), and `τo = 0`
-//! (the overlapped exchange consumes chunks in arrival order, which is
-//! schedule-dependent; HykSort always overlaps and the resilient exchange
-//! is always asynchronous, so their clocks stay out of the comparison).
+//! measurement) and `compute_scale(0.0)` (no measured residue); SDS runs
+//! its synchronous exchange (`τo = 0`). HykSort's
+//! and the resilient exchange's asynchronous receives take chunks by
+//! virtual arrival, so their clocks are compared like everyone else's.
 
 use algos::Tuning;
 use mpisim::telemetry::SpanRecord;
@@ -64,15 +64,6 @@ impl Sorter {
         .expect("no memory budget")
     }
 
-    /// Whether the sorter receives with `wait_any`, whose virtual clock
-    /// depends on the host's arrival order.
-    fn schedule_dependent(self) -> bool {
-        matches!(
-            self,
-            Sorter::Row(algos::Sorter::HykSort) | Sorter::SdsResilient
-        )
-    }
-
     /// The steps one rank passes through, in program order (without a node
     /// merge): the prelude, then splitters → partition → exchange → ordering
     /// once per exchange.
@@ -115,13 +106,10 @@ fn world(telemetry: bool) -> World {
 
 fn run(telemetry: bool, sorter: Sorter, tuning: &Tuning) -> RunResult {
     let report = world(telemetry).run(|comm| sorter.sort(comm, gen(comm.rank(), 500), tuning).data);
-    // A schedule-dependent sorter's clocks are left out of the comparison.
-    let clocks = !sorter.schedule_dependent();
-    let bits = |t: f64| if clocks { t.to_bits() } else { 0 };
     RunResult {
         outputs: report.results.clone(),
-        per_rank_time_bits: report.per_rank_time.iter().map(|&t| bits(t)).collect(),
-        makespan_bits: bits(report.makespan),
+        per_rank_time_bits: report.per_rank_time.iter().map(|&t| t.to_bits()).collect(),
+        makespan_bits: report.makespan.to_bits(),
         messages: report.messages,
         bytes: report.bytes,
     }
@@ -140,8 +128,8 @@ fn purity_case(sorter: Sorter, tuning: &Tuning) {
     );
 }
 
-/// Modelled compute, no node merging, and no overlapped SDS exchange
-/// (schedule-dependent); HykSort's `k = 4` over `p = 8` makes two stages,
+/// Modelled compute, no node merging, and no overlapped SDS exchange;
+/// HykSort's `k = 4` over `p = 8` makes two stages,
 /// AMS's default `kmax` over four cores per node one group per node, then
 /// four groups of one.
 fn tuning() -> Tuning {

@@ -613,6 +613,19 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
                 fmt_bytes(snapshot.counter("mem.sort_buffer_bytes").unwrap_or(0) as usize)
             );
         }
+        // Every step's first touches, counted on each rank's own thread
+        // (`driver::Clock`). They follow the host's allocator and page
+        // sizes, not the program, so the simulator's two-run identical
+        // tables leave them out: real backends only.
+        let faults = snapshot
+            .counter("mem.page_faults")
+            .filter(|_| args.backend != "sim");
+        if let Some(faults) = faults {
+            println!(
+                "page faults in the sort (mem.page_faults): {faults}, {} per rank",
+                faults / args.ranks as u64
+            );
+        }
         // Only a merge that found a key filling a sample stride cuts it out.
         // The simulator's overlapped merges pair chunks by virtual arrival,
         // which follows the measured host compute charged here, so there

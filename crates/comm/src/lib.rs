@@ -319,9 +319,10 @@ pub trait Communicator: Sized {
     /// where nothing was sent), instead of concatenating them. A transport
     /// that shares an address space lends each run as a window of `data` —
     /// the receiver reads the sender's memory in place and `data` lives
-    /// until its last window drops; any other transport copies out of
-    /// `data` exactly as the borrowed form does and frees it once every
-    /// send is posted.
+    /// until its last window drops; any other transport copies each
+    /// remote chunk out of `data` exactly as the borrowed form does, and
+    /// once every send is posted keeps `data` itself, cut down to the self
+    /// run ([`Run::try_into_owned`]).
     fn alltoallv_runs<T: Wire>(
         &self,
         data: Arc<Vec<T>>,

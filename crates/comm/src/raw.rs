@@ -260,14 +260,21 @@ pub trait RawComm: Sized {
     }
 
     /// The run a rank delivers to itself out of the buffer it is sending
-    /// from. The default copies it, so that nothing holds the buffer once
-    /// the sends are posted and it is freed before the receives; a
-    /// transport that lends keeps the window, since the peers' windows
-    /// hold the buffer anyway.
+    /// from, once every remote chunk has been sent. The default takes the
+    /// buffer back, cut down to the run ([`Run::try_into_owned`]): a
+    /// transport that copies holds no window by then, so the rest of the
+    /// buffer is given back before the receives and the run costs no
+    /// fresh pages. Only while the buffer is still shared is the run
+    /// copied. A transport that lends keeps the window, since the peers'
+    /// windows hold the buffer anyway.
     fn self_run_raw<T: Wire>(&self, run: Run<T>) -> Run<T> {
-        let mut copy = pages::with_capacity(run.len());
-        copy.extend_from_slice(&run);
-        copy.into()
+        run.try_into_owned()
+            .unwrap_or_else(|shared| {
+                let mut copy = pages::with_capacity(shared.len());
+                copy.extend_from_slice(&shared);
+                copy
+            })
+            .into()
     }
 
     /// Blocking receive of one run on `tag` from one of the communicator
@@ -659,8 +666,10 @@ fn post_chunks<T, C: RawComm>(
             send(dst, tag, chunk(dst));
         }
     }
-    // After the sends: where keeping means copying, the peers' chunks are
-    // already under way while this rank copies its own.
+    // After the sends, and with whatever `send` holds let go: the peers'
+    // chunks are already under way while this rank keeps its own, and
+    // where nothing was lent the self chunk's window is the last.
+    drop(send);
     let self_run = (send_counts[me] > 0).then(|| keep(chunk(me)));
 
     let pending = (0..p)
@@ -676,22 +685,24 @@ fn post_chunks<T, C: RawComm>(
 
 /// [`post_chunks`] out of a buffer the caller gave up: each chunk leaves as
 /// a window of `data`, which the transport lends or copies
-/// ([`RawComm::send_run_raw`], [`RawComm::self_run_raw`]). `data` is let go
-/// before this returns, so where nothing was lent it is freed here.
+/// ([`RawComm::send_run_raw`]), and the self chunk is `data` itself,
+/// windowed ([`RawComm::self_run_raw`]). `data` is let go before this
+/// returns: where nothing was lent and this rank keeps no chunk it is freed
+/// here.
 fn post_runs<T: Wire, C: RawComm>(
     comm: &C,
     data: Arc<Vec<T>>,
     send_counts: &[usize],
     recv_counts: Vec<usize>,
 ) -> RawAsync<T> {
-    let window = |chunk| Run::new(Arc::clone(&data), chunk);
+    let sending = Arc::clone(&data);
     post_chunks(
         comm,
         data.len(),
         send_counts,
         recv_counts,
-        |mine| comm.self_run_raw(window(mine)),
-        |dst, tag, chunk| comm.send_run_raw(dst, tag, window(chunk)),
+        move |mine| comm.self_run_raw(Run::new(data, mine)),
+        move |dst, tag, chunk| comm.send_run_raw(dst, tag, Run::new(Arc::clone(&sending), chunk)),
     )
 }
 

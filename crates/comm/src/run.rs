@@ -8,7 +8,8 @@
 //! when its last window drops — the `Arc` is the lifetime, there is no
 //! closing barrier and no `unsafe`. A transport that has to copy (the
 //! simulator's `to_vec`, the sockets' encode) copies out of the window and
-//! lets it go.
+//! lets it go — or, for the run a rank keeps for itself, takes the buffer
+//! back once that run is its last window ([`Run::try_into_owned`]).
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -39,19 +40,39 @@ impl<T> Run<T> {
         }
     }
 
-    /// The records as a vector of their own: the buffer itself, moved, when
-    /// this run is the only window over all of it, and a copy otherwise.
+    /// The records as a vector of their own: the buffer itself when this
+    /// run is its last window ([`Run::try_into_owned`]), a copy otherwise.
     pub fn into_vec(self) -> Vec<T>
     where
         T: Clone,
     {
-        if self.start == 0 && self.end == self.buf.len() {
-            Arc::try_unwrap(self.buf).unwrap_or_else(|shared| shared.to_vec())
-        } else {
-            self.to_vec()
+        self.try_into_owned()
+            .unwrap_or_else(|shared| shared.to_vec())
+    }
+
+    /// The buffer itself, cut down to this window, when this run is the
+    /// last window over it; the run, untouched, while the buffer is shared.
+    ///
+    /// The records after the window are dropped and those before it are
+    /// drained, which moves the window to the buffer's front (no move for a
+    /// window that starts the buffer). A slack of a base page or more is
+    /// then given back: glibc's `realloc` shrinks a block in place, an
+    /// allocation of its own by `mremap`.
+    pub fn try_into_owned(self) -> Result<Vec<T>, Self> {
+        let Self { buf, start, end } = self;
+        let mut buf = Arc::try_unwrap(buf).map_err(|buf| Self { buf, start, end })?;
+        buf.truncate(end);
+        buf.drain(..start);
+        if (buf.capacity() - buf.len()) * std::mem::size_of::<T>() >= SHRINK_FROM {
+            buf.shrink_to_fit();
         }
+        Ok(buf)
     }
 }
+
+/// Spare capacity, in bytes, from which [`Run::try_into_owned`] gives the
+/// slack back: less than a base page is not worth a `realloc`.
+const SHRINK_FROM: usize = 4096;
 
 impl<T> Deref for Run<T> {
     type Target = [T];
@@ -101,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_moves_a_sole_whole_window_and_copies_any_other() {
+    fn into_vec_takes_a_sole_window_back_and_copies_a_shared_one() {
         let v = vec![1u64, 2, 3, 4];
         let ptr = v.as_ptr();
         let back = Run::from(v).into_vec();
@@ -116,10 +137,47 @@ mod tests {
         let copied = whole.into_vec();
         assert_eq!(copied, [1, 2, 3, 4]);
         assert_ne!(copied.as_ptr(), ptr);
-        // Sole but partial: a copy of the window.
-        let copied = part.into_vec();
-        assert_eq!(copied, [2, 3]);
-        assert_ne!(copied.as_ptr(), ptr.wrapping_add(1));
+        // Sole but partial: the buffer, cut down to the window.
+        let back = part.into_vec();
+        assert_eq!((back.as_slice(), back.as_ptr()), (&[2, 3][..], ptr));
+    }
+
+    #[test]
+    fn a_last_window_takes_its_buffer_back_and_a_shared_one_stays_a_run() {
+        // At the front: the same allocation, nothing moved.
+        let buf = Arc::new((0..8u64).collect::<Vec<_>>());
+        let at = buf.as_ptr();
+        let front = Run::new(buf, 0..3);
+        let owned = front.try_into_owned().expect("the last window");
+        assert_eq!((owned.as_slice(), owned.as_ptr()), (&[0, 1, 2][..], at));
+
+        // In the middle: the window's records, drained to the front.
+        let buf = Arc::new((0..8u64).collect::<Vec<_>>());
+        let middle = Run::new(buf, 2..6);
+        assert_eq!(
+            middle.try_into_owned().expect("the last window"),
+            [2, 3, 4, 5]
+        );
+
+        // Shared: the run comes back as it was, and still reads.
+        let buf = Arc::new((0..8u64).collect::<Vec<_>>());
+        let at = buf.as_ptr();
+        let other = Run::new(Arc::clone(&buf), 0..2);
+        let shared = Run::new(buf, 5..8).try_into_owned().expect_err("shared");
+        assert_eq!(
+            (&*shared, shared.as_ptr()),
+            (&[5, 6, 7][..], at.wrapping_add(5))
+        );
+        drop(other);
+        assert_eq!(shared.try_into_owned().expect("now the last"), [5, 6, 7]);
+    }
+
+    #[test]
+    fn a_large_slack_is_given_back() {
+        let buf = Arc::new(vec![9u64; 4096]);
+        let owned = Run::new(buf, 100..200).try_into_owned().expect("sole");
+        assert_eq!((owned.len(), owned.capacity()), (100, 100));
+        assert!(owned.iter().all(|&x| x == 9));
     }
 
     #[test]

@@ -83,6 +83,9 @@ pub struct Clock<'a, C: Communicator> {
     step: Step,
     since: f64,
     span: Option<SpanId>,
+    /// This thread's minor page faults when the open step began; read only
+    /// while the recorder is on.
+    faults: Option<u64>,
 }
 
 impl<'a, C: Communicator> Clock<'a, C> {
@@ -96,11 +99,13 @@ impl<'a, C: Communicator> Clock<'a, C> {
             step,
             since: comm.now(),
             span: None,
+            faults: None,
         };
-        // Whatever this thread reserved or merged before the sort is not
-        // the sort's.
+        // Whatever this thread reserved, merged or faulted before the sort
+        // is not the sort's.
         pages::take_tally();
         take_replicated_tally();
+        clock.faults = clock.minor_faults();
         clock.open(step, clock.since);
         clock
     }
@@ -153,7 +158,22 @@ impl<'a, C: Communicator> Clock<'a, C> {
         if replicated > 0 {
             self.comm.count("merge.replicated_records", replicated);
         }
+        // The first touches this rank's thread took in the step.
+        let faults = self.minor_faults();
+        if let Some((now, then)) = faults.zip(self.faults) {
+            self.comm.count("mem.page_faults", now - then);
+        }
+        self.faults = faults;
         now
+    }
+
+    /// This thread's minor page faults so far, while the recorder is on.
+    fn minor_faults(&self) -> Option<u64> {
+        self.comm
+            .recorder()
+            .enabled()
+            .then(pages::minor_faults)
+            .flatten()
     }
 }
 

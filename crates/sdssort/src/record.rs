@@ -626,6 +626,34 @@ mod tests {
         assert_ne!(out.as_ptr().cast::<u8>(), at);
     }
 
+    /// The same hand-over at the sizes a sort receives: `comm::pages`
+    /// rounds a payload of several huge pages to whole huge pages less the
+    /// allocator's header, and 16- and 32-byte pods must still divide it.
+    #[test]
+    fn a_payload_of_several_huge_pages_still_becomes_the_records() {
+        fn becomes<T: Wire + PartialEq + std::fmt::Debug>(records: &[T]) {
+            let payload = Payload::from(T::as_wire_bytes(records).expect("pod"));
+            let at = payload.as_bytes().as_ptr();
+            let mut out: Vec<T> = Vec::new();
+            assert!(payload.decode_into(&mut out));
+            assert_eq!(out, records);
+            assert_eq!(
+                out.as_ptr().cast::<u8>(),
+                at,
+                "the payload's words are the run"
+            );
+        }
+        let huge_pages = |size: usize| (5 << 20) / size + 3;
+        let tagged: Vec<Tagged<u64>> = (0..huge_pages(16) as u64)
+            .map(|i| Record::new(i % 7, i))
+            .collect();
+        becomes(&tagged);
+        let wide: Vec<Record<u64, Pad<24>>> = (0..huge_pages(32) as u64)
+            .map(|i| Record::new(i, Pad([i as u8; 24])))
+            .collect();
+        becomes(&wide);
+    }
+
     #[test]
     fn pad_default_is_zeroed() {
         let p: Pad<16> = Pad::default();

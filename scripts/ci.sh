@@ -58,6 +58,23 @@ else
     echo "ci: miri unavailable (no nightly toolchain with miri component); skipping"
 fi
 
+# AddressSanitizer over the unsafe-bearing crates' unit tests (sdssort's
+# merge, radix, record and local-sort kernels; comm's wire codec, payload
+# and pages) and over backend_equivalence, which drives every exchange
+# path through all three backends — sockets ranks included, as re-execs of
+# the instrumented test binary. Out-of-bounds reads and writes, use after
+# free and double frees fail it; a read of an uninitialised slot does not
+# (the stable-sort oracles stay the check for that). Gates whenever the
+# nightly toolchain is installed, which the sanitizer flag needs.
+if cargo +nightly --version >/dev/null 2>&1; then
+    asan=(env RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q "${CARGO_OPTS[@]}"
+        --target x86_64-unknown-linux-gnu)
+    run "${asan[@]}" -p sdssort -p comm --lib
+    run "${asan[@]}" -p sds-sort-suite --test backend_equivalence
+else
+    echo "ci: AddressSanitizer step skipped: no nightly toolchain installed"
+fi
+
 # Smoke: sortcli must emit a metrics report that it can itself validate.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

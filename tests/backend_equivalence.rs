@@ -25,8 +25,9 @@
 //!   what the borrowed one does on every backend — through both deliveries
 //!   of `sdssort::exchange`, with empty self chunks, empty remote chunks,
 //!   fewer records than ranks and nothing but ties — and only the threads
-//!   backend lends: there every run is read in its sender's buffer, on the
-//!   simulator and over sockets none is.
+//!   backend lends: there every run is read in its sender's buffer. On the
+//!   simulator and over sockets a rank's own run is its send buffer, taken
+//!   back and cut down to the run, and no remote run is read in place.
 //!
 //! Also runs the Theorem 1 `O(4N/p)` skew-bound assertions on the threads
 //! and sockets backends: the bound is a property of the partition, not the
@@ -718,8 +719,10 @@ fn replicated_key_blocks_are_booked_only_when_a_merge_cuts_them() {
 
 /// What [`owned_exchange_cases`] found on one rank: the stable merge's
 /// output per case, then how many non-empty self and remote runs there
-/// were and how many of each were read in place —
-/// `[self, self in place, remote, remote in place]`.
+/// were, how many self runs lay where their window lies in the send buffer
+/// and how many at the buffer's first byte, and how many remote runs were
+/// read in place — `[self, self in place, self at the buffer's start,
+/// remote, remote in place]`.
 type OwnedExchangeOut = (Vec<Vec<Tagged<u32>>>, Vec<u64>);
 
 /// One rank's sorted data and send counts for each edge of the exchange:
@@ -780,22 +783,31 @@ fn owned_exchange_cases<C: comm::Communicator>(comm: &C, world_size: u64) -> Own
         runs.iter().flat_map(|r| r.iter().copied()).collect()
     };
     let mut merged_per_case = Vec::new();
-    let mut found = vec![0u64; 4];
+    let mut found = vec![0u64; 5];
     for (data, scounts) in exchange_cases(me, p) {
         let rcounts = comm.alltoall(&scounts);
         let borrowed = comm.alltoallv_given_counts(&data, &scounts, &rcounts);
 
         let lent = Arc::new(data.clone());
         let mine = lent.as_ptr_range();
+        let window = lent[..scounts[..me].iter().sum::<usize>()]
+            .as_ptr_range()
+            .end;
         let spans = comm.allgather(&[mine.start as usize, mine.end as usize]);
         let runs = comm.alltoallv_runs(lent, &scounts, &rcounts);
         assert_eq!(runs.iter().map(|r| r.len()).collect::<Vec<_>>(), rcounts);
         assert_eq!(flat(&runs), borrowed, "rank {me}: synchronous runs");
         for (src, run) in runs.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
-            let slot = if src == me { 0 } else { 2 };
-            found[slot] += 1;
-            let at = run.as_ptr() as usize;
-            found[slot + 1] += u64::from((spans[2 * src]..spans[2 * src + 1]).contains(&at));
+            let at = run.as_ptr();
+            if src == me {
+                found[0] += 1;
+                found[1] += u64::from(at == window);
+                found[2] += u64::from(at == mine.start);
+            } else {
+                found[3] += 1;
+                let at = at as usize;
+                found[4] += u64::from((spans[2 * src]..spans[2 * src + 1]).contains(&at));
+            }
         }
         drop(runs);
 
@@ -850,8 +862,8 @@ fn owned_exchange_agrees_everywhere_and_only_threads_lend() {
                 sim[rank].0, sock[rank].0,
                 "p={p} rank {rank}: sim vs sockets"
             );
-            let [own, own_in_place, remote, remote_in_place] = thr[rank].1[..] else {
-                panic!("four counts");
+            let [own, own_in_place, heads, remote, remote_in_place] = thr[rank].1[..] else {
+                panic!("five counts");
             };
             assert_eq!(
                 (own_in_place, remote_in_place),
@@ -859,17 +871,25 @@ fn owned_exchange_agrees_everywhere_and_only_threads_lend() {
                 "p={p} rank {rank}: threads must read every run in its sender's buffer"
             );
             assert!(
-                own > 0 && (p == 1 || remote > 0),
+                heads > 0 && (rank == 0 || own > heads) && (p == 1 || remote > 0),
                 "the cases have runs to find"
             );
-            // The simulator shares the address space and copies anyway;
-            // a sockets rank can only see that its own chunk was copied.
+            // The simulator shares the address space and copies every
+            // remote run anyway; a sockets rank can only see its own run.
+            // On both a rank's own run is its send buffer, taken back: in
+            // place where its window heads the buffer, moved to the front
+            // where it does not.
+            for (backend, found) in [("sim", &sim[rank].1), ("sockets", &sock[rank].1)] {
+                assert_eq!(
+                    found[..3],
+                    [own, heads, own],
+                    "p={p} rank {rank}: {backend} must take its send buffer back"
+                );
+            }
             assert_eq!(
-                (sim[rank].1[1], sim[rank].1[3]),
-                (0, 0),
-                "p={p} rank {rank}: sim"
+                sim[rank].1[4], 0,
+                "p={p} rank {rank}: sim copies remote runs"
             );
-            assert_eq!(sock[rank].1[1], 0, "p={p} rank {rank}: sockets self chunk");
         }
     }
 }
