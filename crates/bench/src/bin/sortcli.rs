@@ -17,17 +17,21 @@
 //!                                  thread (crates/shmem); `sockets` runs
 //!                                  each rank as a real OS *process*
 //!                                  connected by sockets (crates/sockcomm).
-//!                                  Every sorter runs on every backend;
+//!                                  Every sorter, memory budget and
+//!                                  resilient run works on every backend;
 //!                                  both real backends report wall-clock
-//!                                  times. Fault injection, memory
-//!                                  budgets and resilience are
+//!                                  times. Fault injection is
 //!                                  simulator-only
 //!   --transport uds | tcp          (default uds; sockets backend only)
 //!                                  socket family for rank-to-rank links
 //!   --ranks    <p>                 (default 8)
 //!   --records  <n per rank>        (default 20000)
 //!   --cores    <cores per node>    (default 24)
-//!   --budget   <bytes per rank>    (default unlimited)
+//!   --budget   <bytes per rank>    (default unlimited; with --serve the
+//!                                  service's, default 256 MiB split over
+//!                                  the ranks) every backend charges the
+//!                                  sort's reservations against it, and
+//!                                  a rank over it ends the run in OOM
 //!   --oversample <s>               (default 1; sds only)
 //!   --trace                        print traffic by phase (messages,
 //!                                  inter-node messages, bytes) from the
@@ -215,18 +219,13 @@ fn validate(a: &Args) -> Result<(), String> {
         if a.oversample != 1 && !sds {
             return Err("--oversample applies to the sds sorters only".into());
         }
-        let simulator_only = [
-            (a.faults.is_some(), "--faults"),
-            (a.budget.is_some(), "--budget"),
-            (a.resilient.is_some(), "--resilient"),
-        ];
         let real = if a.serve {
             "--serve"
         } else {
             &format!("--backend {backend}")
         };
-        if let Some((_, flag)) = simulator_only.iter().find(|(set, _)| *set) {
-            return Err(format!("{flag} is simulator-only (remove {real})"));
+        if a.faults.is_some() {
+            return Err(format!("--faults is simulator-only (remove {real})"));
         }
         // The table is read off the run's telemetry snapshot, which a
         // process-per-rank world and the service do not return.
@@ -332,7 +331,6 @@ fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome
 
 /// What a backend hands the one report path: the per-rank outcomes plus
 /// the world-level numbers whose meaning differs by backend.
-#[derive(Default)]
 struct BackendRun {
     ranks: Vec<RankOutcome>,
     /// The two leading table rows — what this backend's clocks measure. The
@@ -341,7 +339,7 @@ struct BackendRun {
     wall_s: f64,
     messages: u64,
     bytes: u64,
-    /// Simulated memory (simulator only).
+    /// The budget and each rank's peak reservation.
     memory: MemoryReport,
     snapshot: Option<Snapshot>,
 }
@@ -374,7 +372,6 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
         world = world.faults(spec);
     }
     let report = world.run(|comm| sort_rank(a, &*comm));
-    let high_water = &report.per_rank_memory_high_water;
     Ok(BackendRun {
         times: [
             ("modelled makespan", report.makespan),
@@ -383,43 +380,48 @@ fn run_sim(a: &Args) -> Result<BackendRun, String> {
         wall_s: report.wall.as_secs_f64(),
         messages: report.messages,
         bytes: report.bytes,
-        memory: MemoryReport {
-            budget: report.memory_budget.map(|b| b as u64),
-            max_high_water: report.max_memory_high_water as u64,
-            per_rank_high_water: high_water.iter().map(|&b| b as u64).collect(),
-        },
+        memory: report.memory,
         snapshot: report.telemetry,
-        ranks: report
-            .results
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(|e| {
-                let why = "the paper's imbalance-induced crash, reproduced under the memory budget";
-                format!("{e}\n({why})")
-            })?,
+        ranks: sorted_ranks(report.results)?,
     })
+}
+
+/// Every rank's outcome, or the failure that ended the run: the rank's own
+/// OOM before the peers that abandoned the sort with it.
+fn sorted_ranks(results: Vec<Result<RankOutcome, SortError>>) -> Result<Vec<RankOutcome>, String> {
+    let failure = results
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .min_by_key(|e| **e == SortError::PeerOom);
+    match failure {
+        None => Ok(results.into_iter().flatten().collect()),
+        Some(e @ SortError::Io(_)) => Err(e.to_string()),
+        Some(e) => {
+            let why = "the paper's imbalance-induced crash, reproduced under the memory budget";
+            Err(format!("{e}\n({why})"))
+        }
+    }
 }
 
 /// One OS thread per rank (`crates/shmem`). Every duration is wall-clock
 /// seconds, so the makespan *is* the world's wall clock.
 fn run_threads(a: &Args) -> Result<BackendRun, String> {
-    let report = shmem::ThreadWorld::new(a.ranks)
+    let mut world = shmem::ThreadWorld::new(a.ranks)
         .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some() || a.trace)
-        .run(|comm| sort_rank(a, comm));
+        .telemetry(a.metrics_out.is_some() || a.trace);
+    if let Some(b) = a.budget {
+        world = world.memory_budget(b);
+    }
+    let report = world.run(|comm| sort_rank(a, comm));
     let slowest = report.per_rank_wall.iter().copied().fold(0.0, f64::max);
     Ok(BackendRun {
         times: [("wall clock", report.wall_s), ("slowest rank", slowest)],
         wall_s: report.wall_s,
         messages: report.messages,
         bytes: report.bytes,
+        memory: report.memory,
         snapshot: report.telemetry,
-        ranks: report
-            .results
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(|e: SortError| e.to_string())?,
-        ..BackendRun::default()
+        ranks: sorted_ranks(report.results)?,
     })
 }
 
@@ -429,10 +431,10 @@ const SOCKETS_SORT_ENTRY: &str = "sortcli-sort";
 /// One rank process of a `--backend sockets` run. The child re-parses its
 /// own argv (the launcher re-execs sortcli with identical arguments), so
 /// no configuration needs to travel through the params payload.
-fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> RankOutcome {
+fn sockets_rank_entry(comm: &sockcomm::SockComm, _params: u64) -> Result<RankOutcome, SortError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).expect("parent validated this argv before launching");
-    sort_rank(&args, comm).expect("sort failed on sockets rank")
+    sort_rank(&args, comm)
 }
 
 /// One OS process per rank over real sockets (`crates/sockcomm`). Wall-clock
@@ -443,14 +445,18 @@ fn run_sockets(a: &Args) -> Result<BackendRun, String> {
     let transport =
         sockcomm::Transport::parse(&a.transport).expect("transport validated before launch");
     println!("transport: {} (process per rank)", transport.as_str());
-    let report = sockcomm::SocketWorld::new(a.ranks)
+    let mut world = sockcomm::SocketWorld::new(a.ranks)
         .cores_per_node(a.cores)
-        .transport(transport)
-        .run::<u64, RankOutcome>(SOCKETS_SORT_ENTRY, &0)
+        .transport(transport);
+    if let Some(b) = a.budget {
+        world = world.memory_budget(b);
+    }
+    let report = world
+        .run::<u64, Result<RankOutcome, SortError>>(SOCKETS_SORT_ENTRY, &0)
         .map_err(|e| e.to_string())?;
     let slowest = report.per_rank_wall.iter().copied().fold(0.0, f64::max);
     Ok(BackendRun {
-        ranks: report.results,
+        ranks: sorted_ranks(report.results)?,
         times: [
             ("wall clock (launch + sort)", report.wall_s),
             ("slowest rank", slowest),
@@ -458,7 +464,8 @@ fn run_sockets(a: &Args) -> Result<BackendRun, String> {
         wall_s: report.wall_s,
         messages: report.messages,
         bytes: report.bytes,
-        ..BackendRun::default()
+        memory: report.memory,
+        snapshot: None,
     })
 }
 
@@ -575,16 +582,14 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         ("messages", run.messages.to_string()),
         ("bytes", fmt_bytes(run.bytes as usize)),
     ];
-    if args.backend == "sim" {
-        let peak = run.memory.max_high_water as usize;
-        rows.push(("peak simulated memory", fmt_bytes(peak)));
-    }
+    let peak = run.memory.max_high_water as usize;
+    rows.push(("peak reserved (any rank)", fmt_bytes(peak)));
     print_metric_table(rows);
-    if r0.spilled {
+    if run.ranks.iter().any(|r| r.spilled) {
         println!(
             "note: memory pressure tripped graceful degradation — {} received\n\
              records were spilled through disk runs instead of aborting.",
-            r0.spill_records
+            run.ranks.iter().map(|r| r.spill_records).sum::<u64>()
         );
     }
     if r0.node_merged {
@@ -725,6 +730,9 @@ fn write_metrics(
 fn serve_main(args: &Args) -> ExitCode {
     let mut cfg = service::ServiceConfig::new(args.ranks);
     cfg.cores_per_node = args.cores;
+    if let Some(b) = args.budget {
+        cfg.memory_budget = b;
+    }
     cfg.sort = sds_cfg(args).expect("validated: --serve runs sds only");
     let load = service::LoadGen::new(args.workload.clone(), args.records, args.seed);
     println!(
@@ -816,6 +824,9 @@ mod tests {
             "--trace",
             "--backend threads --trace",
             "--serve --ranks 4 --jobs 12 --workload adversarial",
+            "--backend sockets --budget 1",
+            "--backend threads --resilient /tmp/s",
+            "--serve --budget 100000",
         ] {
             assert_eq!(check(line), Ok(()), "{line}");
         }
@@ -858,14 +869,9 @@ mod tests {
                 "--backend threads --faults seed=1",
                 "--faults is simulator-only",
             ),
-            ("--backend sockets --budget 1", "--budget is simulator-only"),
             (
                 "--backend sockets --trace",
                 "--trace needs a telemetry snapshot, which only sim and threads return (remove --backend sockets",
-            ),
-            (
-                "--backend threads --resilient /tmp/s",
-                "--resilient is simulator-only",
             ),
         ] {
             let err = check(line).expect_err("must be rejected");
@@ -911,5 +917,21 @@ mod tests {
         sent.put(&mut bytes);
         assert_eq!(RankOutcome::get(&mut &bytes[..]), Some(sent));
         assert_eq!(RankOutcome::get(&mut &bytes[..bytes.len() - 1]), None);
+        let oom = comm::OomError {
+            rank: 3,
+            requested: 800,
+            available: 100,
+            budget: 500,
+        };
+        for sent in [
+            Ok(sent),
+            Err(SortError::Oom(oom)),
+            Err(SortError::PeerOom),
+            Err(SortError::Io("disk full".into())),
+        ] {
+            let mut bytes = Vec::new();
+            sent.put(&mut bytes);
+            assert_eq!(Wire::get(&mut &bytes[..]), Some(sent));
+        }
     }
 }

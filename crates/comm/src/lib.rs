@@ -5,9 +5,8 @@
 //! algorithm code runs over three very different substrates:
 //!
 //! * **`mpisim`** — the deterministic virtual-time simulator: single
-//!   logical timeline per rank, LogGP network cost model, per-rank memory
-//!   budgets, fault injection, happens-before checking. This is where
-//!   correctness is proved.
+//!   logical timeline per rank, LogGP network cost model, fault injection,
+//!   happens-before checking. This is where correctness is proved.
 //! * **`shmem`** — a real OS-thread backend: one thread per rank, bounded
 //!   in-memory mailboxes, wall-clock [`std::time::Instant`] timing. This is
 //!   where real elapsed time is measured.
@@ -17,7 +16,8 @@
 //!   serialization boundaries and process death are real.
 //!
 //! Each backend is a *transport*: it implements [`raw::RawComm`] (raw
-//! send/receive on any tag, a clock, memory accounting) and nothing else.
+//! send/receive on any tag, a clock, its world's [`Budget`]) and nothing
+//! else.
 //! [`Communicator`] is implemented for every `RawComm` once, in [`raw`]:
 //! the communicator bookkeeping, the reserved-tag allocator, `split`, the
 //! collective algorithm bodies and the asynchronous all-to-all exist in
@@ -55,11 +55,13 @@
 #![warn(missing_docs)]
 
 pub mod mailbox;
+pub mod memory;
 pub mod pages;
 pub mod raw;
 pub mod run;
 pub mod wire;
 
+pub use memory::Budget;
 pub use run::Run;
 pub use wire::Wire;
 
@@ -76,9 +78,8 @@ pub const MAX_USER_TAG: u64 = 1 << 48;
 ///
 /// The SDS-Sort paper reports HykSort crashing with out-of-memory errors on
 /// skewed inputs because load imbalance concentrates most of the data on a
-/// few ranks. `mpisim` reproduces that failure mode with a per-rank byte
-/// budget; backends without budget enforcement (the threads backend) simply
-/// never return it.
+/// few ranks. Every backend reproduces that failure mode with a per-rank
+/// byte [`Budget`]; a world built without a limit never returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OomError {
     /// Rank (in the world communicator) whose budget was exceeded.
@@ -95,7 +96,7 @@ impl fmt::Display for OomError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "simulated OOM on rank {}: requested {} B, {} B available of {} B budget",
+            "OOM on rank {}: requested {} B, {} B available of {} B budget",
             self.rank, self.requested, self.available, self.budget
         )
     }
@@ -236,8 +237,8 @@ pub trait Communicator: Sized {
 
     // ---- memory accounting ------------------------------------------------
 
-    /// Reserve `bytes` against this rank's memory budget. Backends without
-    /// budget enforcement always succeed.
+    /// Reserve `bytes` against this rank's memory [`Budget`]; always
+    /// succeeds in a world built without a limit.
     fn try_alloc(&self, bytes: usize) -> Result<(), OomError>;
 
     /// Release a memory reservation.

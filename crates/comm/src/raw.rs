@@ -4,9 +4,10 @@
 //! A transport says how a raw envelope is sent and taken (virtual time +
 //! faults + happens-before stamps in `mpisim`, a bounded mailbox in
 //! `shmem`, `Wire` + frame + socket in `sockcomm`), what its clock reads,
-//! and how memory is accounted. Everything that is the same on every
-//! substrate lives in this module: the communicator bookkeeping
-//! ([`Group`]), the reserved collective tag allocator, the user-tag check,
+//! and where its world's [`Budget`] is. Everything that is the same on
+//! every substrate lives in this module: the communicator bookkeeping
+//! ([`Group`]), the memory reservations against the budget, the reserved
+//! collective tag allocator, the user-tag check,
 //! `split`, the collective algorithm bodies (dissemination barrier,
 //! binomial broadcast, rank-order gatherv, staggered `alltoallv`) and the
 //! async self-first exchange protocol ([`RawAsync`]). Because all three
@@ -21,7 +22,7 @@
 use crate::pages;
 use crate::run::Run;
 use crate::wire::Wire;
-use crate::{AsyncExchange, Communicator, OomError, MAX_USER_TAG};
+use crate::{AsyncExchange, Budget, Communicator, OomError, MAX_USER_TAG};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -146,7 +147,7 @@ fn split_ctx(parent: u64, split_seq: u64, color: i64) -> u64 {
 /// What a backend supplies: raw point-to-point operations on any tag
 /// (tags passed here may be at or above [`MAX_USER_TAG`] — these entry
 /// points are exactly the ones that bypass the user-tag check), its
-/// [`Group`], its clock, and its memory accounting. In exchange it gets
+/// [`Group`], its clock, and its world's [`Budget`]. In exchange it gets
 /// the whole [`Communicator`] surface from the blanket impl below.
 ///
 /// Do not bring both traits into scope where you call the handful of
@@ -204,18 +205,14 @@ pub trait RawComm: Sized {
     /// See [`Communicator::check_shared_write`].
     fn check_shared_write(&self, _key: &str) {}
 
-    /// Reserve `bytes` against this rank's memory budget. The default has
-    /// no budget: host RAM is the limit.
-    fn try_alloc(&self, _bytes: usize) -> Result<(), OomError> {
-        Ok(())
-    }
+    /// The world's memory account, indexed by world rank.
+    fn budget(&self) -> &Budget;
 
-    /// Release a memory reservation.
-    fn free(&self, _bytes: usize) {}
-
-    /// See [`Communicator::memory_pressure_with`].
-    fn memory_pressure_with(&self, _extra: usize) -> f64 {
-        0.0
+    /// Bytes of the budget withheld from this rank right now: zero on a
+    /// real transport; the simulator's memory-pressure fault ramp
+    /// withholds a share that grows with virtual time.
+    fn withheld(&self) -> usize {
+        0
     }
 
     /// Send an owned vector to communicator rank `dst` on any tag
@@ -351,16 +348,32 @@ impl<C: RawComm> Communicator for C {
         RawComm::check_shared_write(self, key);
     }
 
+    /// Charges this rank's account in the world's [`Budget`], and with
+    /// telemetry on books `mem.high_water` and each refusal as `mem.oom`.
     fn try_alloc(&self, bytes: usize) -> Result<(), OomError> {
-        RawComm::try_alloc(self, bytes)
+        let me = self.world_rank();
+        let res = self.budget().try_alloc(me, bytes, self.withheld());
+        let recorder = RawComm::recorder(self);
+        if recorder.enabled() {
+            if let Err(e) = &res {
+                recorder.count("mem.oom", 1);
+                let detail = format!("requested {} with {} available", e.requested, e.available);
+                recorder.event(me, "oom", &detail, RawComm::now(self));
+            }
+            recorder.gauge_max("mem.high_water", self.budget().high_water(me) as f64);
+        }
+        res
     }
 
     fn free(&self, bytes: usize) {
-        RawComm::free(self, bytes);
+        self.budget().free(self.world_rank(), bytes);
     }
 
+    /// The pressure of the effective budget: the limit less what the
+    /// transport withholds.
     fn memory_pressure_with(&self, extra: usize) -> f64 {
-        RawComm::memory_pressure_with(self, extra)
+        self.budget()
+            .pressure_with(self.world_rank(), extra, self.withheld())
     }
 
     fn send_vec<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {

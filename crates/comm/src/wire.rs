@@ -305,6 +305,30 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// One variant byte, then the value or the error.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(v) => {
+                out.push(0);
+                v.put(out);
+            }
+            Err(e) => {
+                out.push(1);
+                e.put(out);
+            }
+        }
+    }
+
+    fn get(src: &mut &[u8]) -> Option<Self> {
+        match u8::get(src)? {
+            0 => Some(Ok(T::get(src)?)),
+            1 => Some(Err(E::get(src)?)),
+            _ => None,
+        }
+    }
+}
+
 /// Fixed-count element sequence (no length prefix; the count is the type).
 impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
     const POD: Option<Pod<Self>> = if T::POD.is_some() {

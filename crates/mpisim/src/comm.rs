@@ -21,11 +21,10 @@
 //! each other even when interleaved.
 
 use crate::clock::VirtualClock;
-use crate::error::OomError;
 use crate::mailbox::{Envelope, SrcSel, TakeResult};
 use crate::universe::Universe;
 use ::comm::raw::{append_moved, assert_user_tag, Group, RawComm};
-use ::comm::{Run, Wire};
+use ::comm::{Budget, Run, Wire};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -245,45 +244,17 @@ impl RawComm for Comm {
             .on_shared_write(self.group.world_rank(), key);
     }
 
-    /// Reserve `bytes` of simulated memory on this rank. Under a
-    /// memory-pressure fault ramp, part of the budget is withheld and the
-    /// effective headroom shrinks over virtual time.
-    fn try_alloc(&self, bytes: usize) -> Result<(), OomError> {
-        let me_w = self.group.world_rank();
-        let withheld =
-            self.uni
-                .faults()
-                .withheld(me_w, self.clock.now(), self.uni.memory().budget());
-        let res = self.uni.memory().try_alloc_reserved(me_w, bytes, withheld);
-        let recorder = &self.uni.recorder;
-        if recorder.enabled() {
-            if let Err(e) = &res {
-                recorder.count("mem.oom", 1);
-                let detail = format!("requested {} with {} available", e.requested, e.available);
-                recorder.event(me_w, "oom", &detail, self.clock.now());
-            }
-            recorder.gauge_max("mem.high_water", self.uni.memory().high_water(me_w) as f64);
-        }
-        res
+    fn budget(&self) -> &Budget {
+        &self.uni.budget
     }
 
-    fn free(&self, bytes: usize) {
-        self.uni.memory().free(self.group.world_rank(), bytes);
-    }
-
-    /// Fraction of this rank's *effective* memory budget (budget minus any
-    /// fault-withheld bytes) that would be in use after reserving `extra`
-    /// more bytes. Drivers use this to detect memory pressure and degrade
-    /// gracefully before an allocation actually fails.
-    fn memory_pressure_with(&self, extra: usize) -> f64 {
-        let me_w = self.group.world_rank();
-        let budget = self.uni.memory().budget();
-        if budget == usize::MAX {
-            return 0.0;
-        }
-        let withheld = self.uni.faults().withheld(me_w, self.clock.now(), budget);
-        let effective = budget.saturating_sub(withheld).max(1);
-        self.uni.memory().used(me_w).saturating_add(extra) as f64 / effective as f64
+    /// Under a memory-pressure fault ramp, part of the budget is withheld
+    /// and the effective headroom shrinks over virtual time.
+    fn withheld(&self) -> usize {
+        let limit = self.uni.budget.limit();
+        self.uni
+            .faults()
+            .withheld(self.group.world_rank(), self.clock.now(), limit)
     }
 
     /// Buffered: returns as soon as the envelope is enqueued. The sender's

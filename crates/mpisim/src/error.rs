@@ -2,13 +2,8 @@
 
 use std::fmt;
 
-/// Error returned when a rank exceeds its simulated memory budget.
-///
-/// The SDS-Sort paper reports HykSort crashing with out-of-memory errors on
-/// skewed inputs because load imbalance concentrates most of the data on a
-/// few ranks. We reproduce that failure mode with a per-rank byte budget
-/// (see [`crate::memory`]); an allocation request that would exceed the
-/// budget yields this error instead of actually exhausting host RAM.
+/// Error returned when a rank exceeds its memory budget
+/// ([`::comm::Budget`]).
 ///
 /// The type itself lives in the backend-neutral `comm` crate so algorithm
 /// code generic over [`::comm::Communicator`] can name it without depending

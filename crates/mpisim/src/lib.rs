@@ -4,17 +4,14 @@
 //! This crate is the substrate substitution for that environment: every
 //! *rank* is an OS thread, communicators provide the MPI operations the
 //! sorting algorithms use (point-to-point, `alltoallv`, splits,
-//! node-local communicators, an asynchronous all-to-all), and two
-//! simulation facilities reproduce the hardware-dependent aspects of the
-//! evaluation:
-//!
-//! * **virtual clocks + a LogGP-style network model** ([`NetModel`]):
-//!   computation advances only the local clock; messages carry timestamps
-//!   and advance the receiver, so the maximum clock at the end of a run is
-//!   the modelled makespan on the configured machine;
-//! * **per-rank memory budgets** ([`memory::MemoryTracker`]): reproduce
-//!   the out-of-memory failures the paper reports for HykSort on skewed
-//!   data, without exhausting host RAM.
+//! node-local communicators, an asynchronous all-to-all), and virtual
+//! clocks with a LogGP-style network model ([`NetModel`]) reproduce the
+//! hardware-dependent aspects of the evaluation: computation advances only
+//! the local clock; messages carry timestamps and advance the receiver, so
+//! the maximum clock at the end of a run is the modelled makespan on the
+//! configured machine. The per-rank memory budget that reproduces the
+//! paper's out-of-memory failures is `comm::Budget`, the same account the
+//! real backends keep.
 //!
 //! ## Quick example
 //!
@@ -37,7 +34,6 @@ pub mod comm;
 pub mod error;
 pub mod faults;
 pub mod mailbox;
-pub mod memory;
 pub mod netmodel;
 pub mod runtime;
 pub mod topology;

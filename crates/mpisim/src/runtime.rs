@@ -85,7 +85,7 @@ impl World {
         self
     }
 
-    /// Enforce a per-rank simulated memory budget in bytes.
+    /// Enforce a per-rank memory budget in bytes (see [`::comm::Budget`]).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
         self
@@ -230,8 +230,6 @@ impl World {
         }
         let makespan = per_rank_time.iter().copied().fold(0.0f64, f64::max);
         let telemetry = self.telemetry.then(|| uni.recorder().snapshot());
-        let per_rank_memory_high_water =
-            (0..self.size).map(|r| uni.memory().high_water(r)).collect();
         WorldReport {
             results,
             per_rank_time,
@@ -239,9 +237,7 @@ impl World {
             wall: started.elapsed(),
             messages: uni.recorder().messages(),
             bytes: uni.recorder().bytes(),
-            max_memory_high_water: uni.memory().max_high_water(),
-            per_rank_memory_high_water,
-            memory_budget: self.memory_budget,
+            memory: uni.budget().report(),
             topology: uni.topology().clone(),
             telemetry,
         }
@@ -263,12 +259,9 @@ pub struct WorldReport<R> {
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Peak simulated memory usage on any rank.
-    pub max_memory_high_water: usize,
-    /// Peak simulated memory usage per rank.
-    pub per_rank_memory_high_water: Vec<usize>,
-    /// The per-rank memory budget the world ran under, if any.
-    pub memory_budget: Option<usize>,
+    /// The per-rank memory budget the world ran under and each rank's
+    /// peak reservation.
+    pub memory: telemetry::MemoryReport,
     /// The rank→node topology the world ran on.
     pub topology: Topology,
     /// Recorder snapshot (`None` unless telemetry was enabled).

@@ -1,13 +1,13 @@
 //! Shared state of one simulated world: mailboxes, topology, network model,
-//! memory tracker, and abort flag.
+//! memory budget, and abort flag.
 
 use crate::check::Checker;
 use crate::comm::describe_tag;
 use crate::faults::{FaultSpec, Faults};
 use crate::mailbox::{Idle, Mailbox};
-use crate::memory::MemoryTracker;
 use crate::netmodel::NetModel;
 use crate::topology::Topology;
+use ::comm::Budget;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +37,7 @@ impl std::error::Error for DeadlockError {}
 pub struct Universe {
     pub(crate) topology: Topology,
     pub(crate) net: NetModel,
-    pub(crate) memory: MemoryTracker,
+    pub(crate) budget: Budget,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) aborted: AtomicBool,
     pub(crate) recorder: Recorder,
@@ -66,7 +66,7 @@ impl Universe {
         let size = topology.world_size();
         let phases: Arc<[Mutex<String>]> = (0..size).map(|_| Mutex::default()).collect();
         Self {
-            memory: MemoryTracker::new(size, memory_budget),
+            budget: Budget::new(size, memory_budget),
             mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
             recorder: Recorder::new(topology.node_map(), telemetry),
             faults: Faults::new(size, faults),
@@ -180,9 +180,9 @@ impl Universe {
         &self.net
     }
 
-    /// The per-rank memory tracker.
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.memory
+    /// The per-rank memory budget.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
     }
 
     /// The telemetry recorder: the world's one traffic observer. Message

@@ -127,7 +127,7 @@ fn memory_budget_enforced() {
         assert!(a);
         assert!(!b, "second allocation must exceed the budget");
     }
-    assert!(report.max_memory_high_water >= 800);
+    assert!(report.memory.max_high_water >= 800);
 }
 
 #[test]

@@ -27,13 +27,13 @@ use crate::pivots::{select_global_pivots, PivotMethod};
 use crate::record::Sortable;
 use crate::search::LocalPivotIndex;
 use crate::stats::SortStats;
-use comm::{Communicator, OomError};
+use comm::{Communicator, OomError, Wire};
 
 /// Errors from a distributed sort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SortError {
-    /// This rank's simulated memory budget was exceeded while allocating
-    /// the receive buffer.
+    /// This rank's memory budget was exceeded while reserving the receive
+    /// buffer.
     Oom(OomError),
     /// Another rank hit its memory budget; the collective sort was
     /// abandoned everywhere (the paper's whole-job crash).
@@ -53,6 +53,37 @@ impl std::fmt::Display for SortError {
 }
 
 impl std::error::Error for SortError {}
+
+/// How a rank's failure crosses a process boundary (the sockets backend).
+impl Wire for SortError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            SortError::Oom(e) => (0u8, e.rank, e.requested, e.available, e.budget).put(out),
+            SortError::PeerOom => out.push(1),
+            SortError::Io(msg) => {
+                out.push(2);
+                msg.put(out);
+            }
+        }
+    }
+
+    fn get(src: &mut &[u8]) -> Option<Self> {
+        Some(match u8::get(src)? {
+            0 => {
+                let (rank, requested, available, budget) = Wire::get(src)?;
+                SortError::Oom(OomError {
+                    rank,
+                    requested,
+                    available,
+                    budget,
+                })
+            }
+            1 => SortError::PeerOom,
+            2 => SortError::Io(String::get(src)?),
+            _ => return None,
+        })
+    }
+}
 
 /// Result of one rank's participation in a distributed sort.
 #[derive(Debug, Clone)]

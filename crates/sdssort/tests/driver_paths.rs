@@ -154,8 +154,8 @@ fn output_memory_reservation_is_released() {
         sds_sort(comm, data, &cfg).expect("fits");
         let uni = comm.universe();
         (
-            uni.memory().used(comm.world_rank()),
-            uni.memory().high_water(comm.world_rank()),
+            uni.budget().used(comm.world_rank()),
+            uni.budget().high_water(comm.world_rank()),
         )
     });
     for (used, high) in report.results {

@@ -1,6 +1,5 @@
 //! Service configuration.
 
-use crate::pressure::PressureConfig;
 use sdssort::SdsConfig;
 use std::path::PathBuf;
 
@@ -17,20 +16,23 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Sort configuration applied to every job.
     pub sort: SdsConfig,
-    /// Directory for spilled run files when a job degrades to the
+    /// Directory for spilled run files when a job runs through the
     /// resilient disk-spilling exchange (a per-job subdirectory is
     /// created).
     pub spill_dir: PathBuf,
+    /// Per-rank memory budget in bytes of the resident world
+    /// ([`comm::Budget`]). Admission measures each job against it, and it
+    /// is hard: a receive buffer over it fails the job with the OOM.
+    pub memory_budget: usize,
     /// Buffers the arena keeps pooled per rank; surplus returns to the
     /// allocator.
     pub arena_buffers_per_rank: usize,
-    /// Admission-control thresholds and fault injection.
-    pub pressure: PressureConfig,
 }
 
 impl ServiceConfig {
     /// Defaults for a pool of `ranks` ranks: 16-job queue, default sort
-    /// thresholds, spill under `$TMPDIR`, 4 pooled buffers per rank.
+    /// thresholds, spill under `$TMPDIR`, 256 MiB of memory split evenly
+    /// over the ranks, 4 pooled buffers per rank.
     pub fn new(ranks: usize) -> Self {
         Self {
             ranks,
@@ -38,8 +40,8 @@ impl ServiceConfig {
             queue_capacity: 16,
             sort: SdsConfig::default(),
             spill_dir: std::env::temp_dir().join("sds-service-spill"),
+            memory_budget: (256 << 20) / ranks.max(1),
             arena_buffers_per_rank: 4,
-            pressure: PressureConfig::default(),
         }
     }
 }

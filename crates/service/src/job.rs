@@ -70,7 +70,8 @@ pub struct JobReport {
     pub spilled: bool,
     /// Records routed through the spill path, summed over ranks.
     pub spill_records: u64,
-    /// Gauge pressure at admission time.
+    /// Memory pressure at admission: the fraction of the per-rank budget
+    /// the job's records per rank would take.
     pub admit_pressure: f64,
 }
 
@@ -98,7 +99,7 @@ pub enum JobOutcome {
     Shed {
         /// Service-assigned job id.
         id: u64,
-        /// Gauge pressure that triggered the shed.
+        /// Memory pressure that triggered the shed.
         pressure: f64,
         /// Seconds the job waited in the queue before being shed.
         queue_wait_s: f64,

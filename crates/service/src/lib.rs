@@ -16,12 +16,14 @@
 //!   per-rank buffers and sorted output buffers are returned to the
 //!   [`Arena`], so the steady state allocates from the pool instead of the
 //!   OS.
-//! * **Overload-graceful degradation** — a [`PressureGauge`] (with a
-//!   fault-injectable synthetic pressure ramp) classifies each job:
-//!   in-memory, *spill* (the job runs through
-//!   [`sdssort::sds_sort_resilient`]'s disk-spilling exchange), or *shed*
-//!   (the job is refused with an explicit [`JobOutcome::Shed`] — never a
-//!   silent drop).
+//! * **Overload-graceful degradation** — admission measures each job
+//!   against the resident world's per-rank memory budget
+//!   ([`ServiceConfig::memory_budget`]): a job runs in memory, runs
+//!   through [`sdssort::sds_sort_resilient`], whose own gate spills what
+//!   does not fit, or is *shed* (refused with an explicit
+//!   [`JobOutcome::Shed`] — never a silent drop). A job whose exchange
+//!   still overruns the budget fails with the OOM as
+//!   [`JobOutcome::Failed`], and the next job runs as usual.
 //! * **Per-job telemetry** — every completed job reports queue wait and
 //!   the sort phase breakdown ([`JobReport`]); the service aggregates
 //!   throughput and p50/p99 latency into a [`ServiceReport`].
@@ -51,7 +53,6 @@ pub mod arena;
 pub mod config;
 pub mod job;
 pub mod loadgen;
-pub mod pressure;
 pub mod report;
 mod service;
 
@@ -59,6 +60,5 @@ pub use arena::Arena;
 pub use config::ServiceConfig;
 pub use job::{JobOutcome, JobReport, JobSpec, JobTicket, SubmitError, TrySubmitError};
 pub use loadgen::LoadGen;
-pub use pressure::{Admission, PressureConfig, PressureGauge};
 pub use report::{percentile, ServiceCounters, ServiceReport};
 pub use service::{ServiceClient, SortService};

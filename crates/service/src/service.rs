@@ -8,9 +8,10 @@
 //!  ServiceClient ──submit──▶    │   (ctx QUEUE_CTX, src client, tag JOB)
 //!       ...                     ▼
 //!                      dispatcher thread ──gang──▶ ResidentWorld
-//!                        │  admission:                (persistent rank
-//!                        │  in-memory / spill / shed   threads, parked
-//!                        ▼                             between jobs)
+//!                        │  admission against the     (persistent rank
+//!                        │  world's Budget: in-memory  threads, parked
+//!                        │  / resilient / shed         between jobs)
+//!                        ▼
 //!                  JobOutcome over the ticket channel
 //! ```
 //!
@@ -21,6 +22,17 @@
 //! full mailbox blocks submitters — the same backpressure discipline the
 //! backend applies to rank traffic.
 //!
+//! Admission reads the resident world's per-rank [`comm::Budget`], the
+//! same account every reservation of the sort charges. A job's pressure
+//! is the share of the budget its records per rank would take (nothing is
+//! held between gangs, so that is the whole of it): at [`SHED_AT`] or
+//! above the job is shed; above the resilient sort's spill threshold
+//! ([`ResilienceConfig::pressure_threshold`]) it runs through
+//! [`sds_sort_resilient`], whose own gate decides, rank by rank and
+//! against the same budget, what spills; below, it runs [`sds_sort`]. The
+//! budget is hard either way: a skewed exchange that overruns it fails the
+//! job with the OOM, and the next job runs on the same world.
+//!
 //! Every accepted job resolves its ticket exactly once. Shutdown first
 //! stops admission (pushes fail), then drains the queue (the mailbox
 //! returns already-queued envelopes even with the stop flag set), so
@@ -29,14 +41,12 @@
 use crate::arena::Arena;
 use crate::config::ServiceConfig;
 use crate::job::{JobOutcome, JobReport, JobSpec, JobTicket, SubmitError, TrySubmitError};
-use crate::pressure::{Admission, PressureGauge};
 use crate::report::{LogHistogram, ServiceCounters, ServiceReport};
 use comm::Communicator;
 use sdssort::stats::phase_maxima;
-use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortStats};
+use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortError, SortStats};
 use shmem::mailbox::{Envelope, Mailbox, SrcSel};
 use shmem::{ResidentWorld, ThreadComm, ThreadWorld};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -46,6 +56,8 @@ use std::time::Instant;
 const QUEUE_CTX: u64 = 0;
 /// Tag carried by job-submission envelopes.
 const JOB_TAG: u64 = 1;
+/// Memory pressure at or above which a job is shed.
+const SHED_AT: f64 = 0.95;
 
 /// What travels through the submission mailbox.
 struct Queued {
@@ -71,7 +83,6 @@ struct Shared {
     /// Doubles as the mailbox abort flag: once set, pushes fail and a
     /// draining take returns `None` when the queue is empty.
     stopping: AtomicBool,
-    gauge: PressureGauge,
     arena: Arc<Arena>,
     epoch: Instant,
     next_job: AtomicU64,
@@ -111,11 +122,11 @@ impl SortService {
     pub fn start(cfg: ServiceConfig) -> Self {
         let mut world = ThreadWorld::new(cfg.ranks)
             .cores_per_node(cfg.cores_per_node)
+            .memory_budget(cfg.memory_budget)
             .resident();
         let shared = Arc::new(Shared {
             queue: Mailbox::new(cfg.queue_capacity),
             stopping: AtomicBool::new(false),
-            gauge: PressureGauge::new(cfg.pressure),
             arena: Arc::new(Arena::new(cfg.ranks, cfg.arena_buffers_per_rank)),
             epoch: Instant::now(),
             next_job: AtomicU64::new(0),
@@ -298,10 +309,13 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
     } = q;
     let queue_wait_s = shared.now_s() - submitted_s;
     let records = spec.records_per_rank as u64 * cfg.ranks as u64;
-    let bytes = records as usize * std::mem::size_of::<u64>();
 
-    let (admission, admit_pressure) = shared.gauge.admit(bytes);
-    if admission == Admission::Shed {
+    let budget = world.universe().budget();
+    let bytes = spec.records_per_rank * std::mem::size_of::<u64>();
+    let admit_pressure = (0..cfg.ranks)
+        .map(|r| budget.pressure_with(r, bytes, 0))
+        .fold(0.0, f64::max);
+    if admit_pressure >= SHED_AT {
         let mut m = shared
             .metrics
             .lock()
@@ -317,17 +331,16 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
         return;
     }
 
-    let spill = admission == Admission::Spill;
+    let resilience = ResilienceConfig::new(cfg.spill_dir.join(format!("job{id}")));
+    let resilience = (admit_pressure > resilience.pressure_threshold).then_some(resilience);
     let spec = Arc::new(spec);
     let gang_spec = Arc::clone(&spec);
     let arena = Arc::clone(&shared.arena);
     let sort_cfg = cfg.sort;
-    let spill_dir = cfg.spill_dir.join(format!("job{id}"));
     let t0 = shared.now_s();
     let gang =
-        world.run(move |comm| rank_job(comm, &gang_spec, &arena, &sort_cfg, spill, &spill_dir));
+        world.run(move |comm| rank_job(comm, &gang_spec, &arena, &sort_cfg, resilience.as_ref()));
     let sort_wall_s = shared.now_s() - t0;
-    shared.gauge.release(bytes);
 
     let outcome = match gang {
         Err(e) => JobOutcome::Failed {
@@ -380,20 +393,24 @@ fn assemble(
     sort_wall_s: f64,
     admit_pressure: f64,
 ) -> JobOutcome {
+    // A rank's own failure names the cause; the ranks that only abandoned
+    // the sort with it report `PeerOom`.
+    let peer = SortError::PeerOom.to_string();
+    let failure = per_rank
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .min_by_key(|e| **e == peer);
+    if let Some(error) = failure {
+        let error = error.clone();
+        return JobOutcome::Failed { id, error };
+    }
     let mut generate_s = 0.0f64;
     let mut stats = Vec::with_capacity(per_rank.len());
     let mut outputs = Vec::with_capacity(per_rank.len());
-    for r in per_rank {
-        match r {
-            Ok((g, s, o)) => {
-                generate_s = generate_s.max(g);
-                stats.push(s);
-                if let Some(o) = o {
-                    outputs.push(o);
-                }
-            }
-            Err(error) => return JobOutcome::Failed { id, error },
-        }
+    for (g, s, o) in per_rank.into_iter().flatten() {
+        generate_s = generate_s.max(g);
+        stats.push(s);
+        outputs.extend(o);
     }
     let maxima = phase_maxima(&stats);
     JobOutcome::Sorted {
@@ -415,14 +432,15 @@ fn assemble(
     }
 }
 
-/// One rank's share of a job, running on its persistent thread.
+/// One rank's share of a job, running on its persistent thread: through
+/// the resilient sort when the job was admitted with a `resilience`
+/// configuration.
 fn rank_job(
     comm: &ThreadComm,
     spec: &JobSpec,
     arena: &Arena,
     sort_cfg: &SdsConfig,
-    spill: bool,
-    spill_dir: &Path,
+    resilience: Option<&ResilienceConfig>,
 ) -> RankOutcome {
     let mut buf = arena.take(comm.rank());
     let generating = Instant::now();
@@ -445,15 +463,9 @@ fn rank_job(
     let sub = comm
         .split(Some(0), comm.rank() as i64)
         .expect("every rank passes the same color");
-    let out = if spill {
-        let mut rcfg = ResilienceConfig::new(spill_dir);
-        // The threads backend reports zero simulated memory pressure, so
-        // an impossible threshold is what forces every rank onto the
-        // disk-spilling exchange.
-        rcfg.pressure_threshold = -1.0;
-        sds_sort_resilient(&sub, buf, sort_cfg, &rcfg)
-    } else {
-        sds_sort(&sub, buf, sort_cfg)
+    let out = match resilience {
+        Some(rcfg) => sds_sort_resilient(&sub, buf, sort_cfg, rcfg),
+        None => sds_sort(&sub, buf, sort_cfg),
     };
     match out {
         Ok(o) => {

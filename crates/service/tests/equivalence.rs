@@ -24,7 +24,7 @@ fn reference_run(spec: &JobSpec) -> Vec<Vec<u64>> {
         )
         .expect("known workload");
         sds_sort(comm, keys, &SdsConfig::default())
-            .expect("no memory budget on the threads backend")
+            .expect("no memory budget set")
             .data
     });
     report.results

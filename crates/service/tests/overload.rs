@@ -1,25 +1,28 @@
-//! Overload behavior: under a fault-injected memory ramp and a saturated
-//! queue, the service degrades (spills, then sheds) and applies
-//! backpressure — and every accepted job still resolves explicitly.
+//! Overload behavior: jobs sized against the resident world's memory
+//! budget run in memory, spill, or shed; a saturated queue applies
+//! backpressure; a job whose exchange overruns the budget fails with the
+//! OOM — and every accepted job still resolves explicitly.
 
-use service::{JobOutcome, JobSpec, PressureConfig, ServiceConfig, SortService, TrySubmitError};
+use sdssort::PartitionStrategy;
+use service::{JobOutcome, JobSpec, ServiceConfig, SortService, TrySubmitError};
+
+/// Per-rank budget of the services below, in records of 8 bytes.
+const BUDGET_RECORDS: usize = 10_000;
 
 #[test]
-fn injected_pressure_ramp_degrades_gracefully_without_silent_drops() {
+fn budget_sized_jobs_degrade_gracefully_without_silent_drops() {
     let spill_dir = std::env::temp_dir().join("sds-service-overload-test");
     let mut cfg = ServiceConfig::new(2);
     cfg.queue_capacity = 4;
     cfg.spill_dir = spill_dir.clone();
-    // Fault injection: synthetic pressure climbs 0.12 per completed job
-    // against real byte pressure made negligible by a huge budget. The
-    // service must walk in-memory → spill (≥ 0.75) → shed (≥ 0.95).
-    cfg.pressure = PressureConfig {
-        soft_budget_bytes: 1 << 40,
-        injected_ramp_per_job: 0.12,
-        ..PressureConfig::default()
-    };
+    cfg.memory_budget = BUDGET_RECORDS * 8;
     let svc = SortService::start(cfg);
 
+    // Each client submits one job of each regime, sized as a share of the
+    // per-rank budget: 0.3 runs in memory, 0.9 is over the resilient
+    // sort's 0.8 and spills on the ranks that receive at least their
+    // share, 1.0 is over 0.95 and sheds.
+    let sizes = [3_000, 9_000, 10_000];
     let tickets: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|c| {
@@ -29,9 +32,8 @@ fn injected_pressure_ramp_degrades_gracefully_without_silent_drops() {
                         .map(|i| {
                             // Blocking submit: a full queue parks this
                             // thread instead of dropping the job.
-                            client
-                                .submit(JobSpec::new("zipf:0.8", 4_000, c * 10 + i))
-                                .expect("service accepting")
+                            let spec = JobSpec::new("zipf:0.8", sizes[i as usize], c * 10 + i);
+                            client.submit(spec).expect("service accepting")
                         })
                         .collect::<Vec<_>>()
                 })
@@ -53,6 +55,13 @@ fn injected_pressure_ramp_degrades_gracefully_without_silent_drops() {
                     spilled += 1;
                     assert!(report.spill_records > 0, "spilling moved records");
                 }
+                assert_eq!(
+                    report.spilled,
+                    report.admit_pressure > 0.8,
+                    "job {} admitted at {}",
+                    report.id,
+                    report.admit_pressure
+                );
             }
             JobOutcome::Shed { pressure, .. } => {
                 shed += 1;
@@ -64,20 +73,56 @@ fn injected_pressure_ramp_degrades_gracefully_without_silent_drops() {
             }
         }
     }
-    // Ramp arithmetic: completions 0..=6 run in memory (injected < 0.75),
-    // 7 and on spill until 0.96 is reached at the 8th completion, after
-    // which everything sheds. Every ticket resolved above — nothing was
-    // silently dropped.
+    // Every ticket resolved above — nothing was silently dropped.
     assert_eq!(failed, 0);
-    assert_eq!(completed, 8, "8 jobs complete before the ramp sheds");
-    assert_eq!(shed, 4, "the last 4 jobs shed");
-    assert!(spilled >= 1, "the ramp's middle regime must spill");
+    assert_eq!(completed, 8, "the in-memory and the spilling jobs complete");
+    assert_eq!(shed, 4, "the 4 jobs of the whole budget shed");
+    assert_eq!(spilled, 4, "the 4 jobs over the spill threshold spill");
 
     let report = svc.shutdown();
     assert!(report.counters.balanced(), "{:?}", report.counters);
     assert_eq!(report.counters.submitted, 12);
     assert_eq!(report.counters.spilled, spilled);
     let _ = std::fs::remove_dir_all(spill_dir);
+}
+
+#[test]
+fn a_job_over_the_hard_budget_fails_with_the_oom_and_the_next_one_sorts() {
+    let mut cfg = ServiceConfig::new(4);
+    cfg.memory_budget = BUDGET_RECORDS * 8;
+    // The duplicate-blind partition ablation sends every copy of a pivot
+    // value to one rank: on zipf:3, whose most frequent key holds over 80 %
+    // of the records, that rank receives far more than its share.
+    cfg.sort.partition = PartitionStrategy::Classic;
+    let svc = SortService::start(cfg);
+    let client = svc.client();
+
+    // Admitted in memory at 0.5 of the budget ...
+    let skewed = client
+        .submit(JobSpec::new("zipf:3", BUDGET_RECORDS / 2, 7))
+        .expect("service accepting");
+    match skewed.wait() {
+        JobOutcome::Failed { error, .. } => {
+            assert!(error.contains("OOM on rank"), "{error}");
+        }
+        other => panic!("the skewed exchange must overrun the budget: {other:?}"),
+    }
+    // ... and the world it failed on serves the next job.
+    let next = client
+        .submit(JobSpec::new("uniform", BUDGET_RECORDS / 2, 8).with_output())
+        .expect("service accepting");
+    match next.wait() {
+        JobOutcome::Sorted { report, output } => {
+            assert!(!report.spilled);
+            let keys: Vec<u64> = output.expect("asked for").concat();
+            assert_eq!(keys.len(), 4 * BUDGET_RECORDS / 2);
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        }
+        other => panic!("the next job must sort: {other:?}"),
+    }
+    let report = svc.shutdown();
+    assert_eq!((report.counters.failed, report.counters.completed), (1, 1));
+    assert!(report.counters.balanced(), "{:?}", report.counters);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use crate::mailbox::{Envelope, SrcSel};
 use crate::universe::Universe;
 use ::comm::raw::{append_moved, Group, RawComm};
-use ::comm::{Run, Wire};
+use ::comm::{Budget, Run, Wire};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -144,6 +144,10 @@ impl RawComm for ThreadComm {
 
     fn recorder(&self) -> &telemetry::Recorder {
         &self.uni.recorder
+    }
+
+    fn budget(&self) -> &Budget {
+        &self.uni.budget
     }
 
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {

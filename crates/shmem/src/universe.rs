@@ -1,8 +1,9 @@
 //! Shared state of one threads-backend world: mailboxes, topology labels,
-//! the recorder (traffic totals and telemetry), the wall-clock epoch, and
-//! the abort flag.
+//! the recorder (traffic totals and telemetry), the memory budget, the
+//! wall-clock epoch, and the abort flag.
 
 use crate::mailbox::Mailbox;
+use comm::Budget;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 use telemetry::Recorder;
@@ -14,6 +15,7 @@ pub struct Universe {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) aborted: AtomicBool,
     pub(crate) recorder: Recorder,
+    pub(crate) budget: Budget,
     /// Wall-clock epoch: `Communicator::now` reports seconds since this.
     pub(crate) start: Instant,
 }
@@ -24,6 +26,7 @@ impl Universe {
         cores_per_node: usize,
         mailbox_capacity: usize,
         telemetry: bool,
+        memory_budget: Option<usize>,
     ) -> Self {
         let node_of: Vec<usize> = (0..size).map(|r| r / cores_per_node).collect();
         Self {
@@ -32,6 +35,7 @@ impl Universe {
             mailboxes: (0..size).map(|_| Mailbox::new(mailbox_capacity)).collect(),
             aborted: AtomicBool::new(false),
             recorder: Recorder::new(node_of, telemetry),
+            budget: Budget::new(size, memory_budget),
             start: Instant::now(),
         }
     }
@@ -59,5 +63,10 @@ impl Universe {
     /// unless telemetry was enabled at world build.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// The per-rank memory budget.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
     }
 }

@@ -6,7 +6,7 @@ use crate::universe::Universe;
 use comm::raw::Group;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use telemetry::Snapshot;
+use telemetry::{MemoryReport, Snapshot};
 
 /// Builder for a threads-backend world.
 ///
@@ -24,6 +24,7 @@ pub struct ThreadWorld {
     cores_per_node: usize,
     mailbox_capacity: usize,
     telemetry: bool,
+    memory_budget: Option<usize>,
 }
 
 /// What a completed threads-backend run produced.
@@ -41,6 +42,8 @@ pub struct ThreadReport<R> {
     pub bytes: u64,
     /// Telemetry snapshot, if telemetry was enabled on the builder.
     pub telemetry: Option<Snapshot>,
+    /// The per-rank memory budget and each rank's peak reservation.
+    pub memory: MemoryReport,
 }
 
 impl ThreadWorld {
@@ -53,6 +56,7 @@ impl ThreadWorld {
             cores_per_node: 1,
             mailbox_capacity: (8 * size).max(256),
             telemetry: false,
+            memory_budget: None,
         }
     }
 
@@ -82,18 +86,30 @@ impl ThreadWorld {
         self
     }
 
+    /// Enforce a per-rank memory budget in bytes (see [`comm::Budget`]):
+    /// a sort whose receive buffer would exceed it fails with `Oom` on
+    /// that rank, exactly as under the simulator.
+    pub fn memory_budget(mut self, bytes: usize) -> Self {
+        self.memory_budget = Some(bytes);
+        self
+    }
+
+    fn universe(&self) -> Arc<Universe> {
+        Arc::new(Universe::new(
+            self.size,
+            self.cores_per_node,
+            self.mailbox_capacity,
+            self.telemetry,
+            self.memory_budget,
+        ))
+    }
+
     /// Convert the builder into a [`crate::ResidentWorld`]: the rank
     /// threads spawn now, park between jobs, and serve gang-scheduled
     /// closures until the world is dropped. This is the substrate of
     /// `crates/service`'s long-lived `SortService`.
     pub fn resident(&self) -> crate::ResidentWorld {
-        let uni = Arc::new(Universe::new(
-            self.size,
-            self.cores_per_node,
-            self.mailbox_capacity,
-            self.telemetry,
-        ));
-        crate::ResidentWorld::start(uni)
+        crate::ResidentWorld::start(self.universe())
     }
 
     /// Run `f` on every rank concurrently and collect the results.
@@ -108,12 +124,7 @@ impl ThreadWorld {
         R: Send,
         F: Fn(&ThreadComm) -> R + Sync,
     {
-        let uni = Arc::new(Universe::new(
-            self.size,
-            self.cores_per_node,
-            self.mailbox_capacity,
-            self.telemetry,
-        ));
+        let uni = self.universe();
         let members: Arc<[usize]> = (0..self.size).collect();
         let f = &f;
 
@@ -184,6 +195,7 @@ impl ThreadWorld {
             messages: uni.recorder().messages(),
             bytes: uni.recorder().bytes(),
             telemetry: self.telemetry.then(|| uni.recorder().snapshot()),
+            memory: uni.budget().report(),
         }
     }
 }

@@ -21,7 +21,7 @@ use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::pages;
 use ::comm::raw::{Group, RawComm};
 use ::comm::wire::Payload;
-use ::comm::{Run, Wire};
+use ::comm::{Budget, Run, Wire};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -121,6 +121,10 @@ impl RawComm for SockComm {
 
     fn recorder(&self) -> &telemetry::Recorder {
         &self.uni.recorder
+    }
+
+    fn budget(&self) -> &Budget {
+        &self.uni.budget
     }
 
     fn send_raw<T: Wire>(&self, dst: usize, tag: u64, data: Vec<T>) {

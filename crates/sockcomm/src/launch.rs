@@ -59,6 +59,11 @@ const ENV_TRANSPORT: &str = "SOCKCOMM_TRANSPORT";
 const ENV_DIR: &str = "SOCKCOMM_DIR";
 const ENV_CORES: &str = "SOCKCOMM_CORES";
 const ENV_MBCAP: &str = "SOCKCOMM_MBCAP";
+const ENV_BUDGET: &str = "SOCKCOMM_BUDGET";
+
+/// What a rank ships back in its `Result` frame: the entry's result, its
+/// messages and bytes sent, its wall seconds and its peak reservation.
+type RankResult<R> = (R, u64, u64, f64, u64);
 
 /// Exit code a child uses after reporting an abort.
 const ABORT_EXIT: i32 = 101;
@@ -115,6 +120,8 @@ pub struct SockReport<R> {
     pub messages: u64,
     /// Total encoded payload bytes sent across all ranks.
     pub bytes: u64,
+    /// The per-rank memory budget and each rank's peak reservation.
+    pub memory: telemetry::MemoryReport,
 }
 
 /// Builder + launcher for a process-per-rank world.
@@ -123,6 +130,7 @@ pub struct SocketWorld {
     transport: Transport,
     cores_per_node: usize,
     mailbox_capacity: usize,
+    memory_budget: Option<usize>,
     child_args: Option<Vec<String>>,
     launch_timeout: Duration,
 }
@@ -138,6 +146,7 @@ impl SocketWorld {
             transport: Transport::Uds,
             cores_per_node: size.max(1),
             mailbox_capacity: (8 * size).max(256),
+            memory_budget: None,
             child_args: None,
             launch_timeout: Duration::from_secs(60),
         }
@@ -161,6 +170,13 @@ impl SocketWorld {
     /// same shape as the threads backend).
     pub fn mailbox_capacity(mut self, cap: usize) -> Self {
         self.mailbox_capacity = cap;
+        self
+    }
+
+    /// Enforce a per-rank memory budget in bytes (see [`comm::Budget`]),
+    /// held by each rank process for itself.
+    pub fn memory_budget(mut self, bytes: usize) -> Self {
+        self.memory_budget = Some(bytes);
         self
     }
 
@@ -248,6 +264,10 @@ impl SocketWorld {
                 .env(ENV_DIR, dir)
                 .env(ENV_CORES, self.cores_per_node.to_string())
                 .env(ENV_MBCAP, self.mailbox_capacity.to_string())
+                .env(
+                    ENV_BUDGET,
+                    self.memory_budget.unwrap_or(usize::MAX).to_string(),
+                )
                 .stdin(Stdio::null())
                 .spawn();
             match spawned {
@@ -378,7 +398,7 @@ impl SocketWorld {
         }
         drop(tx);
 
-        let mut results: Vec<Option<(R, u64, u64, f64)>> = (0..p).map(|_| None).collect();
+        let mut results: Vec<Option<RankResult<R>>> = (0..p).map(|_| None).collect();
         let mut done = 0usize;
         let failure: Option<SockError> = loop {
             if done == p {
@@ -388,7 +408,7 @@ impl SocketWorld {
                 Ok(CtlEvent::Frame(rank, frame)) => match frame.kind {
                     FrameKind::Result => {
                         let mut src = &frame.payload[..];
-                        match <(R, u64, u64, f64)>::get(&mut src) {
+                        match RankResult::<R>::get(&mut src) {
                             Some(tuple) if results[rank].is_none() => {
                                 results[rank] = Some(tuple);
                                 done += 1;
@@ -482,13 +502,15 @@ impl SocketWorld {
         }
         let mut out_results = Vec::with_capacity(p);
         let mut per_rank_wall = Vec::with_capacity(p);
+        let mut high_water = Vec::with_capacity(p);
         let (mut messages, mut bytes) = (0u64, 0u64);
         for slot in results {
-            let (r, m, b, w) = slot.expect("all results collected");
+            let (r, m, b, w, h) = slot.expect("all results collected");
             out_results.push(r);
             per_rank_wall.push(w);
             messages += m;
             bytes += b;
+            high_water.push(h);
         }
         Ok(SockReport {
             results: out_results,
@@ -496,6 +518,11 @@ impl SocketWorld {
             per_rank_wall,
             messages,
             bytes,
+            memory: telemetry::MemoryReport {
+                budget: self.memory_budget.map(|b| b as u64),
+                max_high_water: high_water.iter().copied().max().unwrap_or(0),
+                per_rank_high_water: high_water,
+            },
         })
     }
 }
@@ -510,6 +537,7 @@ struct ChildEnv {
     dir: PathBuf,
     cores_per_node: usize,
     mailbox_capacity: usize,
+    memory_budget: usize,
 }
 
 fn child_env() -> Option<ChildEnv> {
@@ -524,6 +552,7 @@ fn child_env() -> Option<ChildEnv> {
         dir: PathBuf::from(parse(ENV_DIR)?),
         cores_per_node: parse(ENV_CORES)?.parse().ok()?,
         mailbox_capacity: parse(ENV_MBCAP)?.parse().ok()?,
+        memory_budget: parse(ENV_BUDGET)?.parse().ok()?,
     })
 }
 
@@ -635,6 +664,7 @@ fn run_child<P: Wire, R: Wire>(
         me,
         env.cores_per_node,
         env.mailbox_capacity,
+        env.memory_budget,
         links,
     ));
     let mut readers = Vec::with_capacity(read_halves.len());
@@ -665,7 +695,9 @@ fn run_child<P: Wire, R: Wire>(
                 }
                 let wall = uni.start.elapsed().as_secs_f64();
                 let mut payload = Vec::new();
-                (result, uni.recorder.messages(), uni.recorder.bytes(), wall).put(&mut payload);
+                let high_water = uni.budget.high_water(me) as u64;
+                let (messages, bytes) = (uni.recorder.messages(), uni.recorder.bytes());
+                (result, messages, bytes, wall, high_water).put(&mut payload);
                 write_frame(
                     &mut ctl,
                     &Frame::control(FrameKind::Result, me as u32, payload),
@@ -788,7 +820,14 @@ mod tests {
     /// to rank 2: the universe after the reader thread has returned.
     fn read_on_link_to_rank_2(frames: &[Frame]) -> Arc<SockUniverse> {
         let (mut tx, rx) = UnixStream::pair().expect("socketpair");
-        let uni = Arc::new(SockUniverse::new(3, 0, 1, 16, vec![None, None, None]));
+        let uni = Arc::new(SockUniverse::new(
+            3,
+            0,
+            1,
+            16,
+            usize::MAX,
+            vec![None, None, None],
+        ));
         let reader = {
             let uni = Arc::clone(&uni);
             std::thread::spawn(move || reader_loop(Stream::Uds(rx), 2, uni))

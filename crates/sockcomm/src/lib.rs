@@ -23,7 +23,7 @@
 //!   header; pure codec + stream IO.
 //! - `net`: `Stream`/`Listener` over TCP-loopback or Unix-domain sockets.
 //! - `universe`: per-process rank state — mailbox, peer links, abort flag,
-//!   close-barrier bookkeeping, traffic counters.
+//!   close-barrier bookkeeping, traffic counters, memory budget.
 //! - `comm`: [`SockComm`], the `comm::raw::RawComm` transport (the
 //!   `Communicator` impl and its algorithms live in `comm::raw`).
 //! - `launch`: [`SocketWorld`] (rendezvous launcher) and [`child_rank`]

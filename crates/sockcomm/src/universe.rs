@@ -3,12 +3,14 @@
 //! Where the threads backend has one `Universe` shared by every rank, the
 //! sockets backend has one [`SockUniverse`] *per OS process*: this rank's
 //! mailbox, its links to every peer, the abort flag its socket-reader
-//! threads trip when a peer dies, and the recorder whose traffic totals it
-//! ships back to the launcher with its result.
+//! threads trip when a peer dies, and the recorder and memory budget whose
+//! traffic totals and high-water mark it ships back to the launcher with
+//! its result.
 
 use crate::frame::{write_parts, FrameKind};
 use crate::net::Stream;
 use comm::mailbox::Mailbox;
+use comm::Budget;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -60,6 +62,8 @@ pub struct SockUniverse {
     /// included) and their encoded payload bytes; never enabled, so nothing
     /// else is recorded in a rank process.
     pub(crate) recorder: telemetry::Recorder,
+    /// The world's budget; this process charges only its own rank.
+    pub(crate) budget: Budget,
     pub(crate) start: Instant,
     /// Count of goodbye frames received; the close barrier waits for
     /// `size - 1` of them before tearing sockets down.
@@ -73,6 +77,7 @@ impl SockUniverse {
         my_world_rank: usize,
         cores_per_node: usize,
         mailbox_capacity: usize,
+        memory_budget: usize,
         peers: Vec<Option<PeerLink>>,
     ) -> Self {
         let node_of: Vec<usize> = (0..size).map(|r| r / cores_per_node).collect();
@@ -85,6 +90,7 @@ impl SockUniverse {
             aborted: AtomicBool::new(false),
             dead_peer: Mutex::new(None),
             recorder: telemetry::Recorder::new(node_of, false),
+            budget: Budget::new(size, Some(memory_budget)),
             start: Instant::now(),
             goodbyes: Mutex::new(0),
             goodbye_or_abort: Condvar::new(),

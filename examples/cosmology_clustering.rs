@@ -73,8 +73,8 @@ fn main() {
     );
     println!("modelled sort time:   {:.2} ms", report.makespan * 1e3);
     println!(
-        "peak simulated mem:   {} on any rank",
-        bytes(report.max_memory_high_water)
+        "peak reserved:        {} on any rank",
+        bytes(report.memory.max_high_water as usize)
     );
 }
 

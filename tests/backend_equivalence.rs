@@ -329,9 +329,10 @@ fn run_sim_tagged(p: usize, cfg: &SdsConfig, n: usize, seed: u64) -> (RankRecord
     report.results.into_iter().unzip()
 }
 
-/// With `spill_dir`, every rank is forced onto the disk-spilling exchange
-/// the way the service forces it: the threads backend reports no memory
-/// pressure, so only an impossible threshold spills.
+/// With `spill_dir`, the sort runs through the resilient exchange under a
+/// per-rank budget of one input share: the fullest rank receives at least
+/// a share, which puts it over the spill threshold, and every staged chunk
+/// (at most a sender's share) fits, so that rank spills.
 fn run_threads_tagged(
     p: usize,
     cfg: &SdsConfig,
@@ -340,21 +341,24 @@ fn run_threads_tagged(
     spill_dir: Option<&std::path::Path>,
 ) -> (RankRecords, RankRecords) {
     use comm::Communicator;
-    let report = ThreadWorld::new(p).cores_per_node(4).run(|comm| {
+    let mut world = ThreadWorld::new(p).cores_per_node(4);
+    if spill_dir.is_some() {
+        world = world.memory_budget(n * std::mem::size_of::<Tagged<u32>>());
+    }
+    let report = world.run(|comm| {
         let data = tagged_input(n, 64, seed, comm.rank());
         let out = match spill_dir {
             None => sds_sort(comm, data.clone(), cfg).expect("no memory budget"),
             Some(dir) => {
-                let mut rcfg = ResilienceConfig::new(dir);
-                rcfg.pressure_threshold = -1.0;
-                let out = sds_sort_resilient(comm, data.clone(), cfg, &rcfg).expect("spills");
-                assert!(out.stats.spilled, "a negative threshold must spill");
-                out
+                let rcfg = ResilienceConfig::new(dir);
+                sds_sort_resilient(comm, data.clone(), cfg, &rcfg).expect("spills")
             }
         };
-        (data, out.data)
+        (data, out.data, out.stats.spilled)
     });
-    report.results.into_iter().unzip()
+    let spilled = report.results.iter().any(|r| r.2);
+    assert_eq!(spilled, spill_dir.is_some(), "the fullest rank must spill");
+    report.results.into_iter().map(|(d, o, _)| (d, o)).unzip()
 }
 
 #[test]

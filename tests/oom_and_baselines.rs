@@ -1,8 +1,13 @@
 //! The headline qualitative reproduction: under a per-rank memory budget,
 //! HykSort fails with OOM on highly skewed data because its duplicate-blind
-//! partition concentrates load, while SDS-Sort completes — plus HykSort's
+//! partition concentrates load, while SDS-Sort completes — on the
+//! simulator, on threads and over sockets alike — plus HykSort's
 //! correctness on benign inputs, and the memory gate and phase accounting
 //! every row of the sorter table (`algos::Sorter`) shares.
+//!
+//! Sockets worlds re-exec this test binary for their rank processes,
+//! targeting the [`sockcomm_child_entry`] test by exact name; in a normal
+//! parent test run that test is a no-op.
 
 mod common;
 
@@ -13,6 +18,8 @@ use sdssort::{
     sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, Record, ResilienceConfig, SdsConfig,
     SortError, SortStats, Tagged,
 };
+use shmem::ThreadWorld;
+use sockcomm::SocketWorld;
 use std::path::Path;
 use workloads::{uniform_u64, zipf_keys};
 
@@ -199,6 +206,118 @@ fn every_sorter_fails_together_and_releases_its_reservation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Ranks, records per rank and cores per node of the cross-backend crash
+/// (one core per node: no sorter merges a node's data onto its leader).
+const FIG6C_P: usize = 8;
+const FIG6C_N: usize = 4000;
+const FIG6C_CORES: usize = 1;
+/// Per-rank budget: holds SDS-Sort's fullest receive buffer on zipf:1.4
+/// (5112 records, 40.9 kB), not HykSort's (10 221 records), and puts that
+/// SDS rank over the resilient sort's 0.8 spill threshold.
+const FIG6C_BUDGET: usize = 48_000;
+const FIG6C_ENTRY: &str = "fig6c";
+
+/// One rank's end of a case: its share of the output and whether it
+/// spilled, or how its sort failed.
+type Fig6cRank = Result<(Vec<u64>, bool), SortError>;
+
+/// Case `case` of the cross-backend crash on one rank: a row of the sorter
+/// table, or, past its end, the resilient SDS-Sort spilling under `dir`.
+fn fig6c_rank<C: Communicator>(comm: &C, (case, dir): (u64, String)) -> Fig6cRank {
+    let data = zipf_keys(FIG6C_N, 1.4, 42, comm.rank());
+    let out = match Sorter::ALL.get(case as usize) {
+        Some(sorter) => sorter.sort(comm, data, &Tuning::default()),
+        None => sds_sort_resilient(
+            comm,
+            data,
+            &SdsConfig::default(),
+            &ResilienceConfig::new(dir),
+        ),
+    };
+    out.map(|o| (o.data, o.stats.spilled))
+}
+
+/// Rank processes of the sockets worlds below re-enter this binary with
+/// `sockcomm_child_entry --exact` and divert inside this `child_rank` call
+/// (which never returns). In a parent test run no `SOCKCOMM_*` environment
+/// is set, the call is a no-op, and the test trivially passes.
+#[test]
+fn sockcomm_child_entry() {
+    sockcomm::child_rank(FIG6C_ENTRY, fig6c_rank);
+}
+
+/// Fig. 6c on every backend: under one per-rank budget HykSort crashes on
+/// zipf:1.4 — `Oom` on the overloaded ranks, `PeerOom` on the rest — while
+/// SDS-Sort finishes, and the resilient SDS-Sort finishes by spilling with
+/// plain SDS-Sort's output record for record. Reservations are counted
+/// from records, so every sorter's per-rank verdict (down to the sizes in
+/// an `Oom`), output and spill flags are the same on the simulator, on
+/// threads and over sockets.
+#[test]
+fn fig6c_crash_is_the_same_on_every_backend() {
+    let dir = std::env::temp_dir().join(format!("sds-fig6c-{}", std::process::id()));
+    let mut cases = Vec::new();
+    for case in 0..=Sorter::ALL.len() as u64 {
+        let name = Sorter::ALL
+            .get(case as usize)
+            .map_or("sds_sort_resilient", |s| s.name());
+        let on = |backend: &str| (case, dir.join(backend).display().to_string());
+        let sim = World::new(FIG6C_P)
+            .cores_per_node(FIG6C_CORES)
+            .net(NetModel::zero())
+            .memory_budget(FIG6C_BUDGET)
+            .run(|comm| fig6c_rank(&*comm, on("sim")))
+            .results;
+        let threads = ThreadWorld::new(FIG6C_P)
+            .cores_per_node(FIG6C_CORES)
+            .memory_budget(FIG6C_BUDGET)
+            .run(|comm| fig6c_rank(comm, on("threads")))
+            .results;
+        let sockets = SocketWorld::new(FIG6C_P)
+            .cores_per_node(FIG6C_CORES)
+            .memory_budget(FIG6C_BUDGET)
+            .child_args(["sockcomm_child_entry", "--exact"])
+            .run::<(u64, String), Fig6cRank>(FIG6C_ENTRY, &on("sockets"))
+            .expect("sockets world")
+            .results;
+        assert_eq!(sim, threads, "{name}: threads differ from the simulator");
+        assert_eq!(sim, sockets, "{name}: sockets differ from the simulator");
+        cases.push(sim);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let case = |s: Sorter| &cases[Sorter::ALL.iter().position(|&r| r == s).expect("a row")];
+    let hyksort = case(Sorter::HykSort);
+    let overloaded = |r: &Fig6cRank| match r {
+        Err(SortError::Oom(e)) => e.requested > FIG6C_BUDGET,
+        _ => false,
+    };
+    assert!(
+        hyksort.iter().any(overloaded),
+        "HykSort must crash: {hyksort:?}"
+    );
+    assert!(
+        hyksort
+            .iter()
+            .all(|r| overloaded(r) || *r == Err(SortError::PeerOom)),
+        "HykSort: every rank not over the budget abandons the sort: {hyksort:?}"
+    );
+    let sds = case(Sorter::Sds);
+    assert!(sds.iter().all(Result::is_ok), "SDS-Sort must fit: {sds:?}");
+    let resilient = &cases[Sorter::ALL.len()];
+    assert!(
+        resilient.iter().any(|r| matches!(r, Ok((_, true)))),
+        "the resilient sort must spill"
+    );
+    for (rank, (plain, spilled)) in sds.iter().zip(resilient).enumerate() {
+        let (plain, spilled) = (plain.as_ref().unwrap(), spilled.as_ref().unwrap());
+        assert_eq!(
+            plain.0, spilled.0,
+            "rank {rank}: spilling changed the output"
+        );
+    }
+}
+
 /// One case of the test above: `name` under a budget that holds nothing and
 /// under one that holds everything.
 fn one_gate(
@@ -220,7 +339,7 @@ fn one_gate(
             .run(|comm| {
                 let data = uniform_u64(n, 5, comm.rank());
                 let result = sort(comm, data, dir);
-                let memory = comm.universe().memory();
+                let memory = comm.universe().budget();
                 let rank = comm.world_rank();
                 (result, memory.used(rank), memory.high_water(rank))
             });
