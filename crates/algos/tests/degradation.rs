@@ -5,9 +5,7 @@
 
 use algos::{hyksort, HykSortConfig};
 use mpisim::{Communicator, FaultSpec, NetModel, World};
-use sdssort::{
-    is_globally_sorted, sds_sort_resilient, ComputeModel, ResilienceConfig, SdsConfig, SortError,
-};
+use sdssort::{is_globally_sorted, sds_sort_resilient, ComputeModel, SdsConfig, SortError};
 
 const P: usize = 6;
 const N: usize = 300;
@@ -81,7 +79,7 @@ fn hyksort_group_level_oom_fails_every_rank() {
 fn resilient_sds_sort_survives_the_same_ramp() {
     let dir = std::env::temp_dir().join(format!("hyksort-degradation-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let rcfg = ResilienceConfig::new(dir.clone());
+    let spill_dir = dir.clone();
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
@@ -92,7 +90,7 @@ fn resilient_sds_sort_survives_the_same_ramp() {
             let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
             cfg.tau_m_bytes = 0;
             cfg.tau_o = 0;
-            let out = sds_sort_resilient(comm, input(comm.rank()), &cfg, &rcfg)
+            let out = sds_sort_resilient(comm, input(comm.rank()), &cfg, &spill_dir)
                 .expect("resilient driver survives the ramp HykSort dies under");
             (
                 is_globally_sorted(comm, &out.data),

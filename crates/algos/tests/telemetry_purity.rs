@@ -16,9 +16,7 @@
 use algos::Tuning;
 use mpisim::telemetry::SpanRecord;
 use mpisim::{Communicator, NetModel, World};
-use sdssort::{
-    sds_sort_resilient, ComputeCharge, ComputeModel, ResilienceConfig, SortOutput, SortStats,
-};
+use sdssort::{sds_sort_resilient, ComputeCharge, ComputeModel, SortOutput, SortStats};
 use shmem::ThreadWorld;
 
 /// Deterministic per-rank input: a mix of a shared heavy key (exercises
@@ -58,7 +56,7 @@ impl Sorter {
             Sorter::SdsResilient => {
                 // No budget is set, so nothing spills.
                 let dir = std::env::temp_dir().join("sds-purity-never-written");
-                sds_sort_resilient(comm, data, &tuning.sds, &ResilienceConfig::new(dir))
+                sds_sort_resilient(comm, data, &tuning.sds, &dir)
             }
         }
         .expect("no memory budget")

@@ -80,8 +80,7 @@ use bench::{fmt_bytes, fmt_time, Table};
 use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta};
 use mpisim::{FaultSpec, World};
 use sdssort::{
-    is_globally_sorted, is_permutation_of, rdfa, sds_sort_resilient, ResilienceConfig, SdsConfig,
-    SortError,
+    is_globally_sorted, is_permutation_of, rdfa, sds_sort_resilient, SdsConfig, SortError,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -310,7 +309,7 @@ fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome
     let o = match &args.resilient {
         Some(dir) => {
             let cfg = sds_cfg(args).expect("--resilient is validated as sds-only");
-            sds_sort_resilient(comm, input.clone(), &cfg, &ResilienceConfig::new(dir))?
+            sds_sort_resilient(comm, input.clone(), &cfg, dir)?
         }
         None => args.sorter.sort(comm, input.clone(), &tuning(args))?,
     };

@@ -227,14 +227,6 @@ pub trait Communicator: Sized {
         self.recorder().count(name, n);
     }
 
-    /// Declare a read of rank-shared host state to a happens-before checker,
-    /// if the backend has one. Default: no-op.
-    fn check_shared_read(&self, _key: &str) {}
-
-    /// Declare a write of rank-shared host state to a happens-before
-    /// checker, if the backend has one. Default: no-op.
-    fn check_shared_write(&self, _key: &str) {}
-
     // ---- memory accounting ------------------------------------------------
 
     /// Reserve `bytes` against this rank's memory [`Budget`]; always

@@ -199,12 +199,6 @@ pub trait RawComm: Sized {
         self.recorder().set_phase(self.group().world_rank(), name);
     }
 
-    /// See [`Communicator::check_shared_read`].
-    fn check_shared_read(&self, _key: &str) {}
-
-    /// See [`Communicator::check_shared_write`].
-    fn check_shared_write(&self, _key: &str) {}
-
     /// The world's memory account, indexed by world rank.
     fn budget(&self) -> &Budget;
 
@@ -338,14 +332,6 @@ impl<C: RawComm> Communicator for C {
 
     fn recorder(&self) -> &Recorder {
         RawComm::recorder(self)
-    }
-
-    fn check_shared_read(&self, key: &str) {
-        RawComm::check_shared_read(self, key);
-    }
-
-    fn check_shared_write(&self, key: &str) {
-        RawComm::check_shared_write(self, key);
     }
 
     /// Charges this rank's account in the world's [`Budget`], and with

@@ -9,7 +9,7 @@
 //! a pure observer — a world built without it is bit-identical, and the only
 //! cost when disabled is one branch per hook.
 //!
-//! Three classes of MPI-semantics races are flagged at world exit (raising
+//! Two classes of MPI-semantics races are flagged at world exit (raising
 //! [`RaceError`] from [`crate::World::run`], the same way the deadlock
 //! detector raises [`crate::DeadlockError`]):
 //!
@@ -19,12 +19,7 @@
 //!   scheduling-dependent, so results can differ run to run;
 //! * **tag reuse in flight** — an any-source receive found two or more
 //!   in-flight messages from the *same* source on one `(ctx, tag)`: the
-//!   receiver cannot attribute replies to operations by tag alone;
-//! * **shared-state races** — code that touches rank-shared host state can
-//!   declare it via [`Communicator::check_shared_read`](::comm::Communicator::check_shared_read) /
-//!   [`check_shared_write`](::comm::Communicator::check_shared_write); accesses by two ranks with no
-//!   happens-before edge between them are flagged (write-write and
-//!   read-write).
+//!   receiver cannot attribute replies to operations by tag alone.
 //!
 //! Reports name world ranks, decoded tags (collective tags are decoded into
 //! operation/round like the deadlock report), and the last phase each
@@ -73,15 +68,6 @@ struct WildRecv {
     phase: String,
 }
 
-/// Last-access bookkeeping for one declared shared-state key.
-#[derive(Default)]
-struct SharedState {
-    /// `(writer_rank, writer_vc, phase)` of the most recent write.
-    last_write: Option<(usize, Vec<u64>, String)>,
-    /// Per-rank vector clocks of reads since the last write.
-    reads: HashMap<usize, Vec<u64>>,
-}
-
 struct CheckState {
     /// Per-world-rank vector clocks.
     vc: Vec<Vec<u64>>,
@@ -89,8 +75,6 @@ struct CheckState {
     inflight: HashMap<(usize, u64, u64), Vec<InFlight>>,
     /// Completed any-source receives keyed by `(dst_world, ctx, tag)`.
     wild_hist: HashMap<(usize, u64, u64), Vec<WildRecv>>,
-    /// Declared shared-state keys.
-    shared: HashMap<String, SharedState>,
     /// Deduplicated findings, in discovery order.
     findings: Vec<String>,
     /// Dedup keys of findings already recorded.
@@ -122,7 +106,6 @@ impl Checker {
                     vc: vec![vec![0; world_size]; world_size],
                     inflight: HashMap::new(),
                     wild_hist: HashMap::new(),
-                    shared: HashMap::new(),
                     findings: Vec::new(),
                     seen: std::collections::HashSet::new(),
                 })
@@ -267,72 +250,6 @@ impl Checker {
         }
     }
 
-    /// Record a declared read of shared key `name` by `rank`. The access is
-    /// itself an event (the rank's clock ticks), so two accesses with no
-    /// message path between them are never vector-ordered.
-    pub fn on_shared_read(&self, rank: usize, name: &str) {
-        let Some(state) = &self.state else { return };
-        let my_phase = self.phase(rank);
-        let mut s = state.lock();
-        s.vc[rank][rank] += 1;
-        let my_vc = s.vc[rank].clone();
-        let entry = s.shared.entry(name.to_string()).or_default();
-        let mut conflict = None;
-        if let Some((w_rank, w_vc, w_phase)) = &entry.last_write {
-            if *w_rank != rank && !vc_leq(w_vc, &my_vc) {
-                conflict = Some(format!(
-                    "shared-state race on \"{name}\": rank {rank} read (phase {}) with no \
-                     happens-before edge from rank {w_rank}'s write (phase {}) — add a \
-                     message or collective between them",
-                    fmt_phase(&my_phase),
-                    fmt_phase(w_phase),
-                ));
-            }
-        }
-        entry.reads.insert(rank, my_vc);
-        if let Some(msg) = conflict {
-            s.record(format!("shared-rw:{name}"), msg);
-        }
-    }
-
-    /// Record a declared write of shared key `name` by `rank`. Ticks the
-    /// rank's clock like [`Checker::on_shared_read`].
-    pub fn on_shared_write(&self, rank: usize, name: &str) {
-        let Some(state) = &self.state else { return };
-        let my_phase = self.phase(rank);
-        let mut s = state.lock();
-        s.vc[rank][rank] += 1;
-        let my_vc = s.vc[rank].clone();
-        let entry = s.shared.entry(name.to_string()).or_default();
-        let mut conflicts: Vec<String> = Vec::new();
-        if let Some((w_rank, w_vc, w_phase)) = &entry.last_write {
-            if *w_rank != rank && !vc_leq(w_vc, &my_vc) {
-                conflicts.push(format!(
-                    "shared-state race on \"{name}\": ranks {w_rank} and {rank} both wrote \
-                     (phases {} and {}) with no happens-before edge between the writes — \
-                     the final value is scheduling-dependent",
-                    fmt_phase(w_phase),
-                    fmt_phase(&my_phase),
-                ));
-            }
-        }
-        for (r_rank, r_vc) in &entry.reads {
-            if *r_rank != rank && !vc_leq(r_vc, &my_vc) {
-                conflicts.push(format!(
-                    "shared-state race on \"{name}\": rank {rank} wrote (phase {}) with no \
-                     happens-before edge from rank {r_rank}'s read — the read may see \
-                     either value",
-                    fmt_phase(&my_phase),
-                ));
-            }
-        }
-        entry.last_write = Some((rank, my_vc, my_phase));
-        entry.reads.clear();
-        for msg in conflicts {
-            s.record(format!("shared-ww:{name}"), msg);
-        }
-    }
-
     /// Take the final report, if any findings were recorded. Called once by
     /// the runtime after all ranks joined cleanly.
     pub fn take_report(&self) -> Option<String> {
@@ -380,7 +297,6 @@ mod tests {
         let c = checker(4, false);
         assert!(c.on_send(0, 1, 0, 5).is_none());
         c.on_recv(1, 0, 5, 0, None, true);
-        c.on_shared_write(0, "x");
         assert!(c.take_report().is_none());
     }
 
@@ -438,34 +354,6 @@ mod tests {
         c.on_recv(0, 0, 9, 1, s1.as_ref(), true);
         let rep = c.take_report().expect("tag reuse must be flagged");
         assert!(rep.contains("tag reuse in flight"), "{rep}");
-    }
-
-    #[test]
-    fn unsynchronized_shared_writes_are_flagged() {
-        let c = checker(2, true);
-        c.on_shared_write(0, "splitters");
-        c.on_shared_write(1, "splitters");
-        let rep = c.take_report().expect("write-write race must be flagged");
-        assert!(rep.contains("shared-state race"), "{rep}");
-    }
-
-    #[test]
-    fn message_ordered_shared_writes_are_clean() {
-        let c = checker(2, true);
-        c.on_shared_write(0, "splitters");
-        let s = c.on_send(0, 1, 0, 3);
-        c.on_recv(1, 0, 3, 0, s.as_ref(), false);
-        c.on_shared_write(1, "splitters");
-        assert!(c.take_report().is_none());
-    }
-
-    #[test]
-    fn unsynchronized_read_of_write_is_flagged() {
-        let c = checker(2, true);
-        c.on_shared_write(0, "histogram");
-        c.on_shared_read(1, "histogram");
-        let rep = c.take_report().expect("read-write race must be flagged");
-        assert!(rep.contains("shared-state race"), "{rep}");
     }
 
     #[test]

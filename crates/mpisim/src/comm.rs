@@ -229,21 +229,6 @@ impl RawComm for Comm {
         name.clone_into(&mut self.uni.phases[me_w].lock());
     }
 
-    /// Two ranks touching the same key with no synchronization edge between
-    /// them (a message path or collective) are reported as a race at world
-    /// exit. No-op unless the world was built with [`crate::World::check`].
-    fn check_shared_read(&self, key: &str) {
-        self.uni
-            .checker()
-            .on_shared_read(self.group.world_rank(), key);
-    }
-
-    fn check_shared_write(&self, key: &str) {
-        self.uni
-            .checker()
-            .on_shared_write(self.group.world_rank(), key);
-    }
-
     fn budget(&self) -> &Budget {
         &self.uni.budget
     }

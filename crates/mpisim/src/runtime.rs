@@ -116,8 +116,8 @@ impl World {
 
     /// Enable the happens-before determinism/race checker (see
     /// [`crate::check`]): vector clocks track send/receive/collective
-    /// edges, and wildcard-receive nondeterminism, tag reuse in flight, and
-    /// declared shared-state races are reported at exit by raising
+    /// edges, and wildcard-receive nondeterminism and tag reuse in flight
+    /// are reported at exit by raising
     /// [`crate::RaceError`] from [`World::run`]. Defaults to on when the
     /// crate is built with the `check` cargo feature, off otherwise. Like
     /// the faults layer, the checker never alters results or clocks.

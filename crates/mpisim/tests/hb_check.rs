@@ -34,6 +34,7 @@ fn racy_wildcard_receive_is_flagged() {
     // which interleaving the scheduler picks.
     let world = World::new(3).net(NetModel::zero()).check(true);
     let report = race_report(world, |comm| {
+        comm.trace_phase("gather-results");
         if comm.rank() == 0 {
             let mut got = Vec::new();
             for _ in 0..2 {
@@ -54,6 +55,10 @@ fn racy_wildcard_receive_is_flagged() {
     assert!(
         report.contains("user tag 5"),
         "tag must be decoded:\n{report}"
+    );
+    assert!(
+        report.contains("gather-results"),
+        "phase must be named:\n{report}"
     );
 }
 
@@ -109,32 +114,22 @@ fn tag_reuse_in_flight_is_flagged() {
 }
 
 #[test]
-fn unsynchronized_shared_state_is_flagged() {
-    let world = World::new(2).net(NetModel::zero()).check(true);
-    let report = race_report(world, |comm| {
-        comm.trace_phase("splitter-install");
-        comm.check_shared_write("global-splitters");
-    });
-    let report = report.expect("unsynchronized shared writes must raise RaceError");
-    assert!(report.contains("shared-state race"), "{report}");
-    assert!(
-        report.contains("splitter-install"),
-        "phase must be named:\n{report}"
-    );
-}
-
-#[test]
-fn barrier_ordered_shared_state_is_clean() {
+fn barrier_ordered_wildcards_are_clean() {
     // The collective edge (barrier is built on sends/receives, which the
-    // checker tracks) orders rank 0's write before rank 1's.
+    // checker tracks) orders rank 0's first any-source receive before rank
+    // 2's send: without the barrier that send would race with it.
     let world = World::new(4).net(NetModel::zero()).check(true);
     let report = race_report(world, |comm| {
-        if comm.rank() == 0 {
-            comm.check_shared_write("global-splitters");
+        match comm.rank() {
+            0 => assert_eq!(comm.recv_any::<u64>(DATA_TAG).0, 1),
+            1 => comm.send_val(0, DATA_TAG, 100u64),
+            _ => {}
         }
         comm.barrier();
-        if comm.rank() == 1 {
-            comm.check_shared_read("global-splitters");
+        match comm.rank() {
+            0 => assert_eq!(comm.recv_any::<u64>(DATA_TAG).0, 2),
+            2 => comm.send_val(0, DATA_TAG, 200u64),
+            _ => {}
         }
     });
     assert_eq!(report, None, "barrier creates the happens-before edge");

@@ -332,7 +332,7 @@ pub struct Level<'a> {
     /// number of groups and divides the communicator's size.
     pub to_group: &'a [usize],
     /// How the level's exchange delivers and orders.
-    pub delivery: Delivery,
+    pub delivery: Delivery<'a>,
     /// Compute charging.
     pub charge: ComputeCharge,
     /// Whether this is the level the sort started on. Below it the memory

@@ -10,12 +10,22 @@
 //!    incremental merging;
 //! 7. the final local ordering of the `p` received sorted runs.
 //!
-//! [`exchange`] is the only in-memory implementation of those steps:
-//! `sds_sort` and the `algos` sorters all deliver their data through it
-//! ([`crate::resilience`] has the one alternative, which spills to disk
-//! instead of failing). It owns the memory
-//! reservation — released on every exit — and books the exchange and the
-//! ordering on the sort's [`Clock`].
+//! [`exchange`] is the only implementation of those steps: `sds_sort`,
+//! `sds_sort_resilient` and the `algos` sorters all deliver their data
+//! through it, and differ only in the [`Delivery`] they ask for. It owns
+//! step 5's one reservation — released on every exit — and its one
+//! allreduce, and books the exchange and the ordering on the sort's
+//! [`Clock`].
+//!
+//! Step 5 gives every rank one verdict: its receive buffer *fits*; or, when
+//! the delivery carries a spill directory ([`Delivery::Spill`]), it
+//! *stages* — reserves only its largest incoming chunk and writes the
+//! chunks through [`crate::external`] as they arrive; or it is *out of
+//! memory*. The allreduce shares the worst verdict, and only an
+//! out-of-memory one fails the sort, on every rank. A rank that fits takes
+//! [`Delivery::Merge`] while a peer stages: the synchronous and the
+//! asynchronous all-to-all post the same runs on one collective tag, so the
+//! two interoperate.
 //!
 //! The sorted buffer is given up to the collective, and what comes back is
 //! one [`comm::Run`] per source: on the threads backend a window of the
@@ -35,16 +45,23 @@
 
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::driver::{count_local_sort, Clock, Step};
+use crate::external::Staged;
 use crate::local_sort::local_sort_with;
 use crate::merge::{kway_merge, merge_two};
 use crate::record::Sortable;
 use crate::sort::SortError;
 use comm::{AsyncExchange, Communicator, OomError, Run};
+use std::path::Path;
 use std::sync::Arc;
+
+/// Memory pressure (the share of a rank's budget in use) above which a
+/// delivery that can spill stages its receive buffer through disk even
+/// though it would fit. The service's admission reads it too.
+pub const SPILL_PRESSURE: f64 = 0.8;
 
 /// How steps 6–7 deliver and order the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
+pub enum Delivery<'a> {
     /// Synchronous all-to-all, then one k-way merge of the runs, each read
     /// where the transport left it (ties to the lower source rank, so
     /// stability is preserved).
@@ -63,16 +80,26 @@ pub enum Delivery {
     /// the chunks as they arrive (`SdssAlltoallvAsync` + `SdssMergeTwo`).
     /// Unstable: chunks merge in arrival order.
     Overlapped,
+    /// [`Delivery::Merge`] on a rank whose receive buffer fits its budget
+    /// below [`SPILL_PRESSURE`]. Any other rank stages: it writes each
+    /// chunk as it arrives as runs under its own `rank{NNNN}` subdirectory
+    /// of this one, then merges them back from disk, stably.
+    Spill(&'a Path),
 }
 
+/// A rank's step-5 verdict, ordered by severity for the allreduce.
+const FITS: u8 = 0;
+const STAGE: u8 = 1;
+const OUT_OF_MEMORY: u8 = 2;
+
 /// A charge against this rank's memory budget, released on drop.
-pub(crate) struct Reservation<'a, C: Communicator> {
+struct Reservation<'a, C: Communicator> {
     comm: &'a C,
     bytes: usize,
 }
 
 impl<'a, C: Communicator> Reservation<'a, C> {
-    pub(crate) fn new(comm: &'a C, bytes: usize) -> Result<Self, OomError> {
+    fn new(comm: &'a C, bytes: usize) -> Result<Self, OomError> {
         comm.try_alloc(bytes).map(|()| Self { comm, bytes })
     }
 }
@@ -85,8 +112,8 @@ impl<C: Communicator> Drop for Reservation<'_, C> {
 
 /// Make a failure collective: if `result` is an error on any rank of `comm`,
 /// the ranks where it is not return [`SortError::PeerOom`] (the paper's
-/// whole-job crash). Besides the memory check below, this is for a
-/// multi-level sorter, whose deeper levels check memory on each group's
+/// whole-job crash). This is for a multi-level sorter, whose deeper levels
+/// check memory on each group's
 /// sub-communicator, so one group can fail while the others finish: called
 /// on the communicator the sort was started on, with the result of the
 /// levels below, it makes every rank fail when any group did.
@@ -106,24 +133,34 @@ pub fn fail_together<R, C: Communicator>(
 /// global order, sorted.
 ///
 /// Fails on every rank of `comm` when any rank's receive buffer exceeds its
-/// memory budget. `charge` prices the merging. The exchange and the ordering
-/// are booked on `clock`.
+/// memory budget and, under [`Delivery::Spill`], so does its largest
+/// incoming chunk. `charge` prices the merging. The exchange and the
+/// ordering are booked on `clock`.
 pub fn exchange<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     scounts: &[usize],
-    delivery: Delivery,
+    delivery: Delivery<'_>,
     charge: ComputeCharge,
     clock: &mut Clock<'_, C>,
 ) -> Result<Vec<T>, SortError> {
     let p = comm.size();
+    let rec = std::mem::size_of::<T>();
     clock.enter(Step::Exchange);
     let rcounts = comm.alltoall(scounts);
     let m: usize = rcounts.iter().sum();
-    // Step 5: every rank reserves its receive buffer, or the sort fails on
-    // every rank, with `Oom` where the budget is exceeded.
-    let mine = Reservation::new(comm, m * std::mem::size_of::<T>());
-    let _reservation = fail_together(comm, mine.map_err(SortError::Oom))?;
+    // Step 5: every rank's verdict, and the worst of them on every rank.
+    // The pressure is read only where the delivery can spill.
+    let pressure =
+        matches!(delivery, Delivery::Spill(_)).then(|| comm.memory_pressure_with(m * rec));
+    let largest_chunk = rcounts.iter().copied().max().unwrap_or(0);
+    let (verdict, mine) = step_5(comm, m * rec, largest_chunk * rec, pressure);
+    let worst = comm.allreduce(verdict, |a, b| a.max(b));
+    let _reservation = match mine {
+        Err(e) => return Err(SortError::Oom(e)),
+        Ok(_) if worst == OUT_OF_MEMORY => return Err(SortError::PeerOom),
+        Ok(r) => r,
+    };
 
     let out = match delivery {
         Delivery::Overlapped => {
@@ -173,7 +210,25 @@ pub fn exchange<T: Sortable, C: Communicator>(
                 )
             }
         }
-        Delivery::Merge => {
+        Delivery::Spill(dir) if verdict == STAGE => {
+            clock.stats.spilled = true;
+            clock.stats.spill_records = m;
+            if comm.recorder().enabled() {
+                let pressure = pressure.unwrap_or_default();
+                comm.event(
+                    "degrade.spill",
+                    &format!(
+                        "pressure {pressure:.2} over threshold {SPILL_PRESSURE}; spilling {m} records"
+                    ),
+                );
+            }
+            let dir = dir.join(format!("rank{:04}", comm.world_rank()));
+            let pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
+            let staged = Staged::write(comm, pending, &dir)?;
+            clock.enter(Step::LocalOrder);
+            staged.read_back(comm, m, charge)?
+        }
+        Delivery::Merge | Delivery::Spill(_) => {
             let runs = comm.alltoallv_runs(Arc::new(data), scounts, &rcounts);
             clock.enter(Step::LocalOrder);
             let refs: Vec<&[T]> = runs.iter().map(|r| &r[..]).collect();
@@ -205,4 +260,27 @@ pub fn exchange<T: Sortable, C: Communicator>(
     };
     debug_assert_eq!(out.len(), m);
     Ok(out)
+}
+
+/// Step 5 on this rank: its verdict, and the reservation it keeps for the
+/// exchange — the whole receive buffer of `bytes` when it fits (under a
+/// `pressure` of at most [`SPILL_PRESSURE`], where one was read), else,
+/// where the delivery can spill, one chunk of `chunk_bytes`.
+fn step_5<C: Communicator>(
+    comm: &C,
+    bytes: usize,
+    chunk_bytes: usize,
+    pressure: Option<f64>,
+) -> (u8, Result<Reservation<'_, C>, OomError>) {
+    if pressure.is_none_or(|p| p <= SPILL_PRESSURE) {
+        match Reservation::new(comm, bytes) {
+            Ok(whole) => return (FITS, Ok(whole)),
+            Err(e) if pressure.is_none() => return (OUT_OF_MEMORY, Err(e)),
+            Err(_) => {}
+        }
+    }
+    match Reservation::new(comm, chunk_bytes) {
+        Ok(chunk) => (STAGE, Ok(chunk)),
+        Err(e) => (OUT_OF_MEMORY, Err(e)),
+    }
 }

@@ -2,10 +2,18 @@
 //!
 //! The paper's related work separates in-memory sorters (SDS-Sort,
 //! HykSort) from disk-based ones (TritonSort, NTOSort) and assumes "enough
-//! memory to hold data in core". [`crate::resilience`] removes that
-//! assumption for the receive side of the exchange: every received chunk is
-//! already sorted, so it is spilled as ready-made runs with [`write_run`]
-//! and [`RunMerger`] streams their merge back.
+//! memory to hold data in core". [`crate::exchange`]'s
+//! [`Delivery::Spill`](crate::exchange::Delivery::Spill) removes that
+//! assumption for the receive side of the exchange: a rank whose receive
+//! buffer does not fit its budget (or would push it over
+//! [`crate::exchange::SPILL_PRESSURE`]) reserves only its largest incoming
+//! chunk, and [`Staged::write`] writes every chunk as it arrives — already
+//! sorted, so as ready-made runs — then drops it. [`Staged::read_back`]
+//! streams their merge back through [`RunMerger`]. That read-back collects
+//! all `m` records into one `Vec`, which the budget does not charge: a rank
+//! that spilled because `m` records did not fit ends up holding them
+//! anyway. Disk time is charged to the rank's clock through a seek +
+//! bandwidth model (`DISK_SEEK_S`, `DISK_BW`).
 //!
 //! A run's bytes are the records' [`comm::Wire`] encoding — the one record
 //! codec, so whatever can be sorted can be spilled — in blocks of 1 024
@@ -13,9 +21,11 @@
 //! short or does not decode to its records is an error naming the file,
 //! never a shorter output.
 
-use crate::merge::{is_sorted_by_key, HeapEntry};
+use crate::config::ComputeCharge;
+use crate::merge::{is_sorted_by_key, LoserTree};
 use crate::record::Sortable;
-use std::collections::BinaryHeap;
+use crate::sort::SortError;
+use comm::{AsyncExchange, Communicator};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -23,6 +33,15 @@ use std::path::{Path, PathBuf};
 /// Records per block of a run file: what one run keeps decoded during a
 /// merge.
 const BLOCK_RECORDS: usize = 1024;
+
+/// Maximum records per spilled run file; a larger incoming chunk is split
+/// into consecutive runs of at most this size.
+const RUN_RECORDS: usize = 1 << 16;
+
+/// Modelled disk streaming bandwidth in bytes/second (500 MB/s).
+const DISK_BW: f64 = 5e8;
+/// Modelled per-file seek/open latency in seconds (100 µs).
+const DISK_SEEK_S: f64 = 1e-4;
 
 /// A sorted run spilled to disk.
 #[derive(Debug)]
@@ -41,11 +60,34 @@ impl RunFile {
             format!("run file {path}: {what}"),
         )
     }
+
+    /// Read this run's next block from `file` into `cursor`: the block's
+    /// first key, or `None` once the run has no block left.
+    fn next_block<T: Sortable>(
+        &self,
+        file: &mut File,
+        cursor: &mut Cursor<T>,
+        bytes: &mut Vec<u8>,
+    ) -> io::Result<Option<T::Key>> {
+        let read = cursor.read;
+        let Some(&len) = self.block_bytes.get(read) else {
+            return Ok(None);
+        };
+        let want = (self.records - read * BLOCK_RECORDS).min(BLOCK_RECORDS);
+        bytes.resize(len, 0);
+        file.read_exact(bytes).map_err(|e| self.corrupt(e))?;
+        cursor.block = T::get_vec(bytes)
+            .filter(|b| b.len() == want)
+            .ok_or_else(|| self.corrupt(format_args!("block {read} is not its {want} records")))?;
+        cursor.head = 0;
+        cursor.read += 1;
+        Ok(Some(cursor.block[0].key()))
+    }
 }
 
 /// Write one *already sorted* chunk as a run file at `path`. It is never
 /// re-sorted, so a stably sorted chunk keeps its order on disk — the
-/// resilient exchange relies on this to stay stable when it spills.
+/// spilling exchange relies on this to stay stable.
 pub fn write_run<T: Sortable>(records: &[T], path: &Path) -> io::Result<RunFile> {
     debug_assert!(is_sorted_by_key(records), "run must be pre-sorted");
     if let Some(parent) = path.parent() {
@@ -72,66 +114,139 @@ pub fn remove_run(run: &RunFile) {
     let _ = std::fs::remove_file(&run.path);
 }
 
+/// The runs one rank staged under its spill directory, by source rank;
+/// dropping them removes their files and the directory.
+pub(crate) struct Staged {
+    dir: PathBuf,
+    by_source: Vec<Vec<RunFile>>,
+}
+
+impl Staged {
+    /// Receive every chunk of `pending` and write it under `dir` as runs of
+    /// at most `RUN_RECORDS`, then drop it, so the resident set stays one
+    /// chunk deep. A chunk is a contiguous slice of its sender's sorted
+    /// share, so it is already a run; kept in (source, part) order, the
+    /// runs replay the stable merge order. Each file is charged a seek plus
+    /// its streaming time.
+    pub(crate) fn write<T: Sortable, C: Communicator>(
+        comm: &C,
+        mut pending: impl AsyncExchange<T, C>,
+        dir: &Path,
+    ) -> Result<Self, SortError> {
+        let mut staged = Self {
+            dir: dir.to_path_buf(),
+            by_source: (0..comm.size()).map(|_| Vec::new()).collect(),
+        };
+        while let Some((src, chunk)) = pending.wait_any_run(comm) {
+            for (part, piece) in chunk.chunks(RUN_RECORDS).enumerate() {
+                let path = dir.join(format!("src{src:06}-part{part:04}.bin"));
+                match write_run(piece, &path) {
+                    Ok(run) => staged.by_source[src].push(run),
+                    Err(e) => {
+                        // Drain the exchange so peers' sends are consumed;
+                        // dropping `staged` removes what was written.
+                        while pending.wait_any_run(comm).is_some() {}
+                        return Err(io_error(e));
+                    }
+                }
+                comm.charge_compute(DISK_SEEK_S + std::mem::size_of_val(piece) as f64 / DISK_BW);
+            }
+        }
+        Ok(staged)
+    }
+
+    /// Merge the `m` staged records back, stably, into one vector (which
+    /// the budget does not charge), charging a seek per run plus one
+    /// streaming pass, and remove the runs.
+    pub(crate) fn read_back<T: Sortable, C: Communicator>(
+        self,
+        comm: &C,
+        m: usize,
+        charge: ComputeCharge,
+    ) -> Result<Vec<T>, SortError> {
+        let runs: Vec<&RunFile> = self.by_source.iter().flatten().collect();
+        let bytes = m * std::mem::size_of::<T>();
+        comm.charge_compute(runs.len() as f64 * DISK_SEEK_S + bytes as f64 / DISK_BW);
+        let merged = charge.charged(
+            comm,
+            |mo| mo.kway_merge_cost(m, runs.len().max(2)),
+            || -> io::Result<Vec<T>> { RunMerger::new(runs.iter().copied())?.collect() },
+        );
+        let out = merged.map_err(io_error)?;
+        if out.len() != m {
+            let msg = format!("{} records came back from {m} spilled", out.len());
+            return Err(SortError::Io(msg));
+        }
+        Ok(out)
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        for run in self.by_source.iter().flatten() {
+            remove_run(run);
+        }
+        let _ = std::fs::remove_dir(&self.dir);
+    }
+}
+
+fn io_error(e: io::Error) -> SortError {
+    SortError::Io(e.to_string())
+}
+
+/// One run's place in a merge: its decoded block, where the run's head is
+/// in it, and how many of the run's blocks were read.
+struct Cursor<T> {
+    block: Vec<T>,
+    head: usize,
+    read: usize,
+}
+
 /// Streaming k-way merge over sorted runs, stable across them: ties go to
-/// the run that comes first in `runs`. Memory: one decoded block per run.
+/// the run that comes first. Memory: one decoded block per run, ordered by
+/// a [`LoserTree`] over the blocks' head keys.
 pub struct RunMerger<'a, T: Sortable> {
-    runs: &'a [RunFile],
+    runs: Vec<&'a RunFile>,
     files: Vec<File>,
-    /// Each run's current block, and how many of its blocks were read.
-    blocks: Vec<(Vec<T>, usize)>,
-    /// One entry per run with records left; `pos` indexes its block.
-    heap: BinaryHeap<HeapEntry<T::Key>>,
+    cursors: Vec<Cursor<T>>,
+    tree: LoserTree<T::Key>,
     remaining: usize,
     bytes: Vec<u8>,
 }
 
 impl<'a, T: Sortable> RunMerger<'a, T> {
-    /// Open every run and read its first block.
-    pub fn new(runs: &'a [RunFile]) -> io::Result<Self> {
-        let files = runs.iter().map(|run| File::open(&run.path));
-        let mut merger = Self {
-            runs,
-            files: files.collect::<io::Result<_>>()?,
-            blocks: runs.iter().map(|_| (Vec::new(), 0)).collect(),
-            heap: BinaryHeap::with_capacity(runs.len()),
+    /// Open every run, in merge order, and read its first block.
+    pub fn new(runs: impl IntoIterator<Item = &'a RunFile>) -> io::Result<Self> {
+        let runs: Vec<&RunFile> = runs.into_iter().collect();
+        let mut files: Vec<File> = runs
+            .iter()
+            .map(|run| File::open(&run.path))
+            .collect::<io::Result<_>>()?;
+        let mut cursors: Vec<Cursor<T>> = runs
+            .iter()
+            .map(|_| Cursor {
+                block: Vec::new(),
+                head: 0,
+                read: 0,
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let heads = (0..runs.len())
+            .map(|i| runs[i].next_block(&mut files[i], &mut cursors[i], &mut bytes))
+            .collect::<io::Result<_>>()?;
+        Ok(Self {
             remaining: runs.iter().map(|run| run.records).sum(),
-            bytes: Vec::new(),
-        };
-        for run in 0..runs.len() {
-            merger.next_block(run)?;
-        }
-        Ok(merger)
+            runs,
+            files,
+            cursors,
+            tree: LoserTree::new(heads),
+            bytes,
+        })
     }
 
     /// Records left to emit.
     pub fn remaining(&self) -> usize {
         self.remaining
-    }
-
-    /// Replace `run`'s block by its next one and queue that block's first
-    /// record; a run with no block left leaves the merge.
-    fn next_block(&mut self, run: usize) -> io::Result<()> {
-        let runs = self.runs;
-        let rf = &runs[run];
-        let (block, read) = &mut self.blocks[run];
-        let Some(&len) = rf.block_bytes.get(*read) else {
-            return Ok(());
-        };
-        let want = (rf.records - *read * BLOCK_RECORDS).min(BLOCK_RECORDS);
-        self.bytes.resize(len, 0);
-        self.files[run]
-            .read_exact(&mut self.bytes)
-            .map_err(|e| rf.corrupt(e))?;
-        *block = T::get_vec(&self.bytes)
-            .filter(|b| b.len() == want)
-            .ok_or_else(|| rf.corrupt(format_args!("block {read} is not its {want} records")))?;
-        *read += 1;
-        self.heap.push(HeapEntry {
-            key: block[0].key(),
-            run,
-            pos: 0,
-        });
-        Ok(())
     }
 }
 
@@ -139,21 +254,24 @@ impl<T: Sortable> Iterator for RunMerger<'_, T> {
     type Item = io::Result<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let HeapEntry { run, pos, .. } = self.heap.pop()?;
-        let block = &self.blocks[run].0;
-        let record = block[pos];
-        match block.get(pos + 1) {
-            Some(next) => self.heap.push(HeapEntry {
-                key: next.key(),
-                run,
-                pos: pos + 1,
-            }),
+        let run = self.tree.winner()?;
+        let cursor = &mut self.cursors[run];
+        let record = cursor.block[cursor.head];
+        cursor.head += 1;
+        let head = match cursor.block.get(cursor.head) {
+            Some(next) => Some(next.key()),
             None => {
-                if let Err(e) = self.next_block(run) {
-                    return Some(Err(e));
+                match self.runs[run].next_block(&mut self.files[run], cursor, &mut self.bytes) {
+                    Ok(head) => head,
+                    Err(e) => {
+                        // A run that fails to read leaves the merge.
+                        self.tree.replace_head(run, None);
+                        return Some(Err(e));
+                    }
                 }
             }
-        }
+        };
+        self.tree.replace_head(run, head);
         self.remaining -= 1;
         Some(Ok(record))
     }
@@ -165,41 +283,51 @@ mod tests {
     use crate::record::{OrderedF32, Pad, Record, Tagged};
     use rand::prelude::*;
 
-    /// Cut `data` into runs of `run_records`, each stably sorted and written
-    /// with `write_run`, merge them back with `RunMerger`, and hold the
-    /// result against the stable in-memory sort.
+    /// Write each of `runs` (each sorted) with `write_run`, merge them back
+    /// with `RunMerger`, and hold the result against the stable in-memory
+    /// sort of their concatenation.
+    fn merge_back<T: Sortable + PartialEq + std::fmt::Debug>(tag: &str, runs: &[Vec<T>]) {
+        let dir =
+            std::env::temp_dir().join(format!("sdssort-external-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let files: Vec<RunFile> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| write_run(run, &dir.join(format!("run-{i}.bin"))).expect("write"))
+            .collect();
+        let mut merger = RunMerger::<T>::new(&files).expect("open");
+        let mut expect: Vec<T> = runs.concat();
+        assert_eq!(merger.remaining(), expect.len());
+        expect.sort_by_key(Sortable::key);
+        // Streaming: the count goes down one record at a time.
+        if let Some(first) = merger.next() {
+            assert_eq!(first.expect("io"), expect[0]);
+            assert_eq!(merger.remaining(), expect.len() - 1);
+        }
+        let rest: Vec<T> = merger.collect::<io::Result<_>>().expect("io");
+        assert_eq!(rest, expect.get(1..).unwrap_or_default(), "{tag}");
+        for file in &files {
+            remove_run(file);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// [`merge_back`] over `data` cut into runs of `run_records`, each
+    /// stably sorted.
     fn round_trip<T: Sortable + PartialEq + std::fmt::Debug>(
         tag: &str,
         data: &[T],
         run_records: usize,
     ) {
-        let dir =
-            std::env::temp_dir().join(format!("sdssort-external-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let runs: Vec<RunFile> = data
+        let runs: Vec<Vec<T>> = data
             .chunks(run_records)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let mut chunk = chunk.to_vec();
-                chunk.sort_by_key(Sortable::key);
-                write_run(&chunk, &dir.join(format!("run-{i}.bin"))).expect("write")
+            .map(|chunk| {
+                let mut run = chunk.to_vec();
+                run.sort_by_key(Sortable::key);
+                run
             })
             .collect();
-        let mut merger = RunMerger::<T>::new(&runs).expect("open");
-        assert_eq!(merger.remaining(), data.len());
-        let mut expect = data.to_vec();
-        expect.sort_by_key(Sortable::key);
-        // Streaming: the count goes down one record at a time.
-        if let Some(first) = merger.next() {
-            assert_eq!(first.expect("io"), expect[0]);
-            assert_eq!(merger.remaining(), data.len() - 1);
-        }
-        let rest: Vec<T> = merger.collect::<io::Result<_>>().expect("io");
-        assert_eq!(rest, expect.get(1..).unwrap_or_default());
-        for run in &runs {
-            remove_run(run);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        merge_back(tag, &runs);
     }
 
     #[test]
@@ -211,6 +339,34 @@ mod tests {
         round_trip("blocks", &ints[..3 * BLOCK_RECORDS], BLOCK_RECORDS + 1);
         round_trip("aligned", &ints[..4 * BLOCK_RECORDS], 2 * BLOCK_RECORDS);
         round_trip::<u64>("empty", &[], 100);
+        // One run past a power of two: the tree pads 17 leaves to 32.
+        round_trip("k17", &ints[..17 * 300], 300);
+        // Empty runs among full ones, first and last included.
+        let full = |from: usize| {
+            let mut run = ints[from..from + 2000].to_vec();
+            run.sort_unstable();
+            run
+        };
+        let holes = [
+            vec![],
+            full(0),
+            vec![],
+            vec![],
+            full(2000),
+            full(4000),
+            vec![],
+        ];
+        merge_back("holes", &holes);
+        // Stretches of one key that cross block boundaries in every run:
+        // equal keys still come out run by run, in order within each.
+        let ties: Vec<Vec<Tagged<u32>>> = (0..5u64)
+            .map(|run| {
+                let len = 3 * BLOCK_RECORDS as u64 + 100;
+                let tagged = (0..len).map(|i| Record::new((i / 1500) as u32, run << 32 | i));
+                tagged.collect()
+            })
+            .collect();
+        merge_back("ties", &ties);
         // Payloads travel with their keys, padded layouts included, and
         // equal keys stay in run order.
         let tagged: Vec<Tagged<u32>> = (0..3000)

@@ -46,7 +46,6 @@ pub mod partition;
 pub mod pivots;
 pub mod radix;
 pub mod record;
-pub mod resilience;
 pub mod sampling;
 pub mod search;
 pub mod selection;
@@ -57,14 +56,14 @@ pub mod validate;
 pub use config::{
     ComputeCharge, ComputeModel, LocalKernel, PartitionStrategy, PivotSource, SdsConfig,
 };
+pub use exchange::SPILL_PRESSURE;
 pub use local_sort::{local_sort, local_sort_with, parallel_merge, LocalSortReport, MergeStrategy};
 pub use radix::{
     radix_applicable, radix_sort, GateSample, RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP,
     RADIX_MAX_AUTO_DUP_STABLE, RADIX_MIN_N,
 };
 pub use record::{OrderedF32, OrderedF64, RadixKey, Record, Sortable, Tagged};
-pub use resilience::{sds_sort_resilient, ResilienceConfig};
 pub use selection::kth_smallest_key;
-pub use sort::{sds_sort, SortError, SortOutput};
+pub use sort::{sds_sort, sds_sort_resilient, SortError, SortOutput};
 pub use stats::{rdfa, SortStats};
 pub use validate::{is_globally_sorted, is_permutation_of, load_stats};

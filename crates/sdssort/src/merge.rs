@@ -27,7 +27,6 @@ use crate::record::Sortable;
 use comm::pages;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
 /// Merge two sorted runs. Stable: ties take from `a` first.
@@ -309,41 +308,39 @@ fn merge_interleaved<T: Copy, K: Ord>(
     }
 }
 
-/// Tournament loser tree over `k` sorted runs: the winner (smallest
-/// `(key, run)` pair) is at `ls[0]`, every internal node holds the loser of
-/// its match, so replacing the winner costs exactly `⌈log₂ k⌉` comparisons
-/// with one tree-node load each — half the loads of a binary heap's
-/// sift-down and with no per-record allocation or branchy sift logic.
+/// Tournament loser tree over the head keys of `k` sorted sources: the
+/// winner (smallest `(key, leaf)` pair) is at `ls[0]`, every internal node
+/// holds the loser of its match, so replacing the winner's head costs
+/// exactly `⌈log₂ k⌉` comparisons with one tree-node load each — half the
+/// loads of a binary heap's sift-down and with no per-record allocation or
+/// branchy sift logic.
+///
+/// The tree holds keys only: its caller owns the records and hands it the
+/// winner's next head with [`LoserTree::replace_head`].
+/// [`kway_merge_uninit`] drives it over slices, and
+/// [`crate::external::RunMerger`] over the decoded blocks of run files.
 ///
 /// Leaves are padded to the next power of two; virtual leaves (index ≥ k)
-/// and exhausted runs compare as +∞ with run-index tie-breaks, so ties
-/// always go to the lowest-indexed *live* run — the same stability rule as
-/// the pairwise kernels.
-struct LoserTree<'a, T: Sortable> {
-    runs: &'a [&'a [T]],
-    /// Padded leaf count (power of two, ≥ runs.len()).
+/// and exhausted sources compare as +∞ with leaf-index tie-breaks, so ties
+/// always go to the lowest-indexed *live* source — the same stability rule
+/// as the pairwise kernels.
+pub(crate) struct LoserTree<K> {
+    /// Padded leaf count (power of two, ≥ k).
     m: usize,
     /// Head key of each (possibly virtual) leaf; `None` = exhausted.
-    heads: Vec<Option<T::Key>>,
-    /// Next position within each real run.
-    pos: Vec<usize>,
+    heads: Vec<Option<K>>,
     /// `ls[0]` = winner leaf; `ls[1..m]` = loser leaf at internal nodes.
     ls: Vec<usize>,
 }
 
-impl<'a, T: Sortable> LoserTree<'a, T> {
-    fn new(runs: &'a [&'a [T]]) -> Self {
-        let k = runs.len();
-        debug_assert!(k >= 1);
-        let m = k.next_power_of_two();
-        let mut heads: Vec<Option<T::Key>> = Vec::with_capacity(m);
-        heads.extend(runs.iter().map(|r| r.first().map(Sortable::key)));
+impl<K: Ord + Copy> LoserTree<K> {
+    /// A tree over sources whose first keys are `heads` (`None`: empty).
+    pub(crate) fn new(mut heads: Vec<Option<K>>) -> Self {
+        let m = heads.len().next_power_of_two();
         heads.resize(m, None);
         let mut lt = Self {
-            runs,
             m,
             heads,
-            pos: vec![0; k],
             ls: vec![0; m],
         };
         // Full bottom-up tournament over the complete tree [internal
@@ -369,68 +366,34 @@ impl<'a, T: Sortable> LoserTree<'a, T> {
     #[inline]
     fn wins(&self, a: usize, b: usize) -> bool {
         match (self.heads[a], self.heads[b]) {
-            (Some(ka), Some(kb)) => ka < kb || (ka == kb && a < b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
+            (ka, kb) => ka.is_some() || (kb.is_none() && a < b),
         }
     }
 
-    /// Replay the path from leaf `s` to the root after its head changed.
+    /// The source whose head comes next in merged order, or `None` when
+    /// every source is exhausted. A live winner is always a real source
+    /// (virtual leaves are permanently exhausted).
     #[inline]
-    fn adjust(&mut self, mut s: usize) {
-        let mut t = (self.m + s) / 2;
+    pub(crate) fn winner(&self) -> Option<usize> {
+        let w = self.ls[0];
+        self.heads[w].map(|_| w)
+    }
+
+    /// Give the winning `leaf` its next head (`None`: it is exhausted) and
+    /// replay its path to the root.
+    #[inline]
+    pub(crate) fn replace_head(&mut self, mut leaf: usize, head: Option<K>) {
+        debug_assert_eq!(leaf, self.ls[0], "only the winner's head moves");
+        self.heads[leaf] = head;
+        let mut t = (self.m + leaf) / 2;
         while t > 0 {
-            if self.wins(self.ls[t], s) {
-                std::mem::swap(&mut self.ls[t], &mut s);
+            if self.wins(self.ls[t], leaf) {
+                std::mem::swap(&mut self.ls[t], &mut leaf);
             }
             t /= 2;
         }
-        self.ls[0] = s;
-    }
-
-    /// Take the next record in merged order, or `None` when every run is
-    /// exhausted.
-    #[inline]
-    fn pop(&mut self) -> Option<T> {
-        let w = self.ls[0];
-        self.heads[w]?;
-        // A winning leaf with a live head is always a real run (virtual
-        // leaves are permanently exhausted).
-        let rec = self.runs[w][self.pos[w]];
-        self.pos[w] += 1;
-        self.heads[w] = self.runs[w].get(self.pos[w]).map(Sortable::key);
-        self.adjust(w);
-        Some(rec)
-    }
-}
-
-/// Heap entry for a k-way merge — the streaming merge of
-/// [`crate::external`], and the heap oracle of this module's tests: ordered
-/// by (key, run index) so that the
-/// smallest key wins and ties go to the lowest run index (stability).
-pub(crate) struct HeapEntry<K: Copy> {
-    pub(crate) key: K,
-    pub(crate) run: usize,
-    /// Where in its run the entry's record is.
-    pub(crate) pos: usize,
-}
-
-impl<K: Ord + Copy> PartialEq for HeapEntry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
-    }
-}
-impl<K: Ord + Copy> Eq for HeapEntry<K> {}
-impl<K: Ord + Copy> PartialOrd for HeapEntry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord + Copy> Ord for HeapEntry<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min entry on top.
-        (other.key, other.run).cmp(&(self.key, self.run))
+        self.ls[0] = leaf;
     }
 }
 
@@ -503,13 +466,17 @@ pub(crate) fn kway_merge_uninit<T: Sortable>(runs: &[&[T]], out: &mut [MaybeUnin
             kway_merge_cascade_uninit(runs, out);
         }
         _ => {
-            let mut lt = LoserTree::new(runs);
-            let mut i = 0usize;
-            while let Some(rec) = lt.pop() {
-                out[i].write(rec);
-                i += 1;
+            let mut lt =
+                LoserTree::new(runs.iter().map(|r| r.first().map(Sortable::key)).collect());
+            let mut pos = vec![0usize; runs.len()];
+            for slot in out.iter_mut() {
+                let w = lt.winner().expect("a record is left for every slot");
+                let run = runs[w];
+                slot.write(run[pos[w]]);
+                pos[w] += 1;
+                lt.replace_head(w, run.get(pos[w]).map(Sortable::key));
             }
-            debug_assert_eq!(i, out.len());
+            debug_assert_eq!(lt.winner(), None);
         }
     }
 }
@@ -579,35 +546,25 @@ fn kway_merge_cascade<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
     }
 }
 
-/// Merge `k` sorted runs with a binary heap (`O(n log k)` with heap
-/// constants): a second independent oracle; the loser tree in
-/// [`kway_merge`] does about half the memory traffic per record.
+/// Merge `k` sorted runs with a binary heap of `Reverse((key, run, pos))`
+/// (`O(n log k)` with heap constants): a second independent oracle; the
+/// loser tree in [`kway_merge`] does about half the memory traffic per
+/// record.
 #[cfg(test)]
 fn kway_merge_heap<T: Sortable>(runs: &[&[T]]) -> Vec<T> {
-    if runs.len() < 3 {
-        return kway_merge(runs);
-    }
+    use std::cmp::Reverse;
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
     let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
     for (run, data) in runs.iter().enumerate() {
         if let Some(first) = data.first() {
-            heap.push(HeapEntry {
-                key: first.key(),
-                run,
-                pos: 0,
-            });
+            heap.push(Reverse((first.key(), run, 0)));
         }
     }
-    while let Some(HeapEntry { run, pos, .. }) = heap.pop() {
+    while let Some(Reverse((_, run, pos))) = heap.pop() {
         out.push(runs[run][pos]);
-        let next = pos + 1;
-        if next < runs[run].len() {
-            heap.push(HeapEntry {
-                key: runs[run][next].key(),
-                run,
-                pos: next,
-            });
+        if let Some(next) = runs[run].get(pos + 1) {
+            heap.push(Reverse((next.key(), run, pos + 1)));
         }
     }
     out
@@ -983,11 +940,14 @@ mod tests {
             // 16-byte records at k ≤ 8 dispatch to the small-k cascade
             // above; drive the LoserTree itself at every k too so the
             // tournament path keeps small-k tie-order coverage.
-            let total: usize = refs.iter().map(|r| r.len()).sum();
-            let mut out: Vec<Record<u32, u64>> = Vec::with_capacity(total);
-            let mut lt = LoserTree::new(&refs);
-            while let Some(rec) = lt.pop() {
-                out.push(rec);
+            let heads = refs.iter().map(|r| r.first().map(Sortable::key));
+            let mut lt = LoserTree::new(heads.collect());
+            let mut pos = vec![0usize; k];
+            let mut out: Vec<Record<u32, u64>> = Vec::new();
+            while let Some(w) = lt.winner() {
+                out.push(refs[w][pos[w]]);
+                pos[w] += 1;
+                lt.replace_head(w, refs[w].get(pos[w]).map(Sortable::key));
             }
             assert_eq!(out, loser, "k={k} tree vs dispatch");
         }

@@ -11,7 +11,9 @@
 //! and the two adaptive choices of how [`crate::exchange`] finishes the
 //! sort (steps 5–7): asynchronous and overlapped with incremental merging
 //! when `p < τo` and the sort is unstable, and otherwise a k-way merge below
-//! `τs`, an adaptive re-sort above.
+//! `τs`, an adaptive re-sort above. [`sds_sort_resilient`] makes neither
+//! choice: it delivers through [`Delivery::Spill`], so a rank short of
+//! memory spills to disk instead of failing the sort.
 //!
 //! Every rank returns its slice of the globally sorted sequence (ascending
 //! with rank) plus a [`SortStats`] phase breakdown.
@@ -28,6 +30,7 @@ use crate::record::Sortable;
 use crate::search::LocalPivotIndex;
 use crate::stats::SortStats;
 use comm::{Communicator, OomError, Wire};
+use std::path::Path;
 
 /// Errors from a distributed sort.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,52 +112,39 @@ pub fn sds_sort<T: Sortable, C: Communicator>(
     data: Vec<T>,
     cfg: &SdsConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    sds_sort_with(comm, data, cfg, |comm, data, scounts, clock| {
-        let p = comm.size();
-        let overlap = cfg.should_overlap(p);
-        clock.stats.overlapped = overlap;
-        let (delivery, order) = match (overlap, cfg.should_merge_local(p)) {
-            (true, _) => (Delivery::Overlapped, "merged as the chunks arrive"),
-            (false, true) => (Delivery::Merge, "k-way merge"),
-            (false, false) => {
-                let resort = Delivery::Resort {
-                    threads: cfg.local_threads,
-                    stable: cfg.stable,
-                    kernel: cfg.local_kernel,
-                };
-                (resort, "re-sort")
-            }
-        };
-        if comm.recorder().enabled() && comm.rank() == 0 {
-            let (tau_o, tau_s, stable) = (cfg.tau_o, cfg.tau_s, cfg.stable);
-            let how = if overlap { "overlapped" } else { "synchronous" };
-            comm.event(
-                "decision.overlap",
-                &format!("p {p} vs τo {tau_o}, stable {stable}: {how}"),
-            );
-            comm.event(
-                "decision.local-order",
-                &format!("p {p} vs τs {tau_s}: {order}"),
-            );
-        }
-        exchange(comm, data, scounts, delivery, cfg.charge, clock)
-    })
+    sds_sort_with(comm, data, cfg, None)
 }
 
-/// SDS-Sort with `steps_5_to_7` finishing it: called on the (possibly
-/// refined) communicator with the sorted data, its per-destination send
-/// counts and the clock, it returns this rank's slice of the global order.
-pub(crate) fn sds_sort_with<T, C, X>(
+/// [`sds_sort`] with graceful degradation: a rank whose receive buffer
+/// would not fit its memory budget, or would push it over
+/// [`SPILL_PRESSURE`](crate::exchange::SPILL_PRESSURE), spills the incoming
+/// chunks as run files under `spill_dir` and merges them back from disk
+/// ([`Delivery::Spill`]) instead of failing the whole job. Only a rank that
+/// cannot hold even its largest incoming chunk still fails it.
+///
+/// Takes every record type `sds_sort` takes (a spilled run is the records'
+/// `Wire` encoding). Every rank merges its chunks in source-rank order, so
+/// below `τs` and without overlap the output equals `sds_sort`'s record for
+/// record; ranks that degraded report it in [`SortStats::spilled`] /
+/// `spill_records`.
+pub fn sds_sort_resilient<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     cfg: &SdsConfig,
-    steps_5_to_7: X,
-) -> Result<SortOutput<T>, SortError>
-where
-    T: Sortable,
-    C: Communicator,
-    X: FnOnce(&C, Vec<T>, &[usize], &mut Clock<'_, C>) -> Result<Vec<T>, SortError>,
-{
+    spill_dir: &Path,
+) -> Result<SortOutput<T>, SortError> {
+    sds_sort_with(comm, data, cfg, Some(spill_dir))
+}
+
+/// SDS-Sort, delivering through [`Delivery::Spill`] under `spill_dir` when
+/// one is given and otherwise as `cfg` and the (possibly refined)
+/// communicator's size choose.
+fn sds_sort_with<T: Sortable, C: Communicator>(
+    comm: &C,
+    data: Vec<T>,
+    cfg: &SdsConfig,
+    spill_dir: Option<&Path>,
+) -> Result<SortOutput<T>, SortError> {
     let prelude = Prelude {
         stable: cfg.stable,
         threads: cfg.local_threads,
@@ -212,6 +202,47 @@ where
         debug_assert_eq!(scounts.len(), p);
 
         // Steps 5–7: collective memory check, exchange, final local ordering.
-        steps_5_to_7(comm, data, &scounts, clock)
+        let delivery = match spill_dir {
+            Some(dir) => Delivery::Spill(dir),
+            None => delivery(comm, cfg, clock),
+        };
+        exchange(comm, data, &scounts, delivery, cfg.charge, clock)
     })
+}
+
+/// SDS-Sort's two adaptive choices for steps 6–7: overlapped below `τo`
+/// when unstable, else a k-way merge below `τs` and a re-sort above.
+fn delivery<C: Communicator>(
+    comm: &C,
+    cfg: &SdsConfig,
+    clock: &mut Clock<'_, C>,
+) -> Delivery<'static> {
+    let p = comm.size();
+    let overlap = cfg.should_overlap(p);
+    clock.stats.overlapped = overlap;
+    let (delivery, order) = match (overlap, cfg.should_merge_local(p)) {
+        (true, _) => (Delivery::Overlapped, "merged as the chunks arrive"),
+        (false, true) => (Delivery::Merge, "k-way merge"),
+        (false, false) => {
+            let resort = Delivery::Resort {
+                threads: cfg.local_threads,
+                stable: cfg.stable,
+                kernel: cfg.local_kernel,
+            };
+            (resort, "re-sort")
+        }
+    };
+    if comm.recorder().enabled() && comm.rank() == 0 {
+        let (tau_o, tau_s, stable) = (cfg.tau_o, cfg.tau_s, cfg.stable);
+        let how = if overlap { "overlapped" } else { "synchronous" };
+        comm.event(
+            "decision.overlap",
+            &format!("p {p} vs τo {tau_o}, stable {stable}: {how}"),
+        );
+        comm.event(
+            "decision.local-order",
+            &format!("p {p} vs τs {tau_s}: {order}"),
+        );
+    }
+    delivery
 }

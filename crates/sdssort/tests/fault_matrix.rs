@@ -8,7 +8,7 @@ use sdssort::external::{write_run, RunMerger};
 use sdssort::record::Pad;
 use sdssort::{
     is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, ComputeModel, OrderedF32,
-    Record, ResilienceConfig, SdsConfig, SortError, SortStats, Sortable, Tagged,
+    Record, SdsConfig, SortError, SortStats, Sortable, Tagged, SPILL_PRESSURE,
 };
 use std::path::PathBuf;
 
@@ -209,7 +209,7 @@ fn memory_ramp_kills_plain_sort_but_resilient_survives() {
     // The resilient driver under the identical ramp spills and completes.
     let cfg = base_cfg(false);
     let dir = spill_dir("ramp");
-    let rcfg = ResilienceConfig::new(dir.clone());
+    let spill_dir = dir.clone();
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
@@ -218,7 +218,7 @@ fn memory_ramp_kills_plain_sort_but_resilient_survives() {
         .faults(ramp)
         .run(move |comm| {
             let input = workload("uniform", comm.rank());
-            let out = sds_sort_resilient(comm, input.clone(), &cfg, &rcfg)
+            let out = sds_sort_resilient(comm, input.clone(), &cfg, &spill_dir)
                 .expect("resilient driver must survive the ramp");
             let sorted = is_globally_sorted(comm, &out.data);
             let perm = is_permutation_of(comm, &input, &out.data, |&k| k);
@@ -278,8 +278,9 @@ impl Spillable for Record<OrderedF32, Pad<24>> {
 }
 
 /// One scenario of the resilient driver: `n` records of `kind` per rank on
-/// `p` ranks, under a budget of `budget_records` records (`None`: unlimited)
-/// and the given pressure threshold.
+/// `p` ranks, under a budget of `budget_records` records (`None`: unlimited).
+/// A rank spills when its receive buffer would not fit or would put it over
+/// [`SPILL_PRESSURE`] of that budget.
 #[derive(Clone, Copy)]
 struct SpillCase {
     tag: &'static str,
@@ -287,7 +288,6 @@ struct SpillCase {
     n: usize,
     kind: &'static str,
     budget_records: Option<usize>,
-    pressure_threshold: f64,
 }
 
 /// Run `case` on records of `T`, fast or stable, and hold it to the plain
@@ -317,15 +317,14 @@ fn resilient_equals_plain<T: Spillable>(
             .compute_scale(0.0)
     };
     let dir = spill_dir(case.tag);
-    let mut rcfg = ResilienceConfig::new(dir.clone());
-    rcfg.pressure_threshold = case.pressure_threshold;
+    let spill_dir = dir.clone();
     let budgeted = match case.budget_records {
         Some(records) => world().memory_budget(records * std::mem::size_of::<T>()),
         None => world(),
     };
     let resilient = budgeted.run(move |comm| {
         let data = input(comm.rank());
-        let out = sds_sort_resilient(comm, data.clone(), &cfg, &rcfg).expect("survives");
+        let out = sds_sort_resilient(comm, data.clone(), &cfg, &spill_dir).expect("survives");
         assert!(is_globally_sorted(comm, &out.data));
         assert!(is_permutation_of(comm, &data, &out.data, T::hash));
         if out.stats.spilled {
@@ -375,20 +374,24 @@ fn for_every_shape(case: SpillCase, check: fn(&str, &[SortStats])) {
 
 #[test]
 fn pressure_threshold_triggers_spill_without_faults() {
-    // No fault layer at all: a tight budget alone pushes the projected
-    // high-water over the threshold and the resilient driver degrades.
+    // No fault layer at all: a budget that still holds a rank's whole
+    // receive buffer, but not under `SPILL_PRESSURE`, makes the resilient
+    // driver degrade.
+    const BUDGET: usize = 9 * N / 8;
     let case = SpillCase {
         tag: "threshold",
         p: P,
         n: N,
         kind: "uniform",
-        budget_records: Some(5 * N / 4),
-        pressure_threshold: 0.5, // receive buffer lands at ~0.8 of budget
+        budget_records: Some(BUDGET),
     };
     for_every_shape(case, |shape, stats| {
         assert!(
-            stats.iter().any(|s| s.spilled),
-            "{shape}: threshold must trip"
+            stats.iter().any(|s| {
+                let pressure = s.recv_count as f64 / BUDGET as f64;
+                s.spilled && pressure > SPILL_PRESSURE && pressure <= 1.0
+            }),
+            "{shape}: the threshold must trip on a buffer that fits"
         );
     });
 }
@@ -404,7 +407,6 @@ fn resilient_matches_plain_when_memory_is_ample() {
         n: N,
         kind: "zipf",
         budget_records: None,
-        pressure_threshold: 0.8,
     };
     for_every_shape(case, |shape, stats| {
         assert!(
@@ -417,7 +419,7 @@ fn resilient_matches_plain_when_memory_is_ample() {
 #[test]
 fn spill_path_preserves_stability() {
     // Duplicate-heavy keys forced through the spill path, with chunks longer
-    // than a run file holds (resilience.rs cuts them every 2^16 records), so
+    // than a run file holds (external.rs cuts them every 2^16 records), so
     // one source's records come back from several runs: equal keys must
     // keep global input order (rank, then local position).
     const RUN_RECORDS: usize = 1 << 16;
@@ -426,14 +428,14 @@ fn spill_path_preserves_stability() {
         p: 2,
         n: 3 * RUN_RECORDS,
         kind: "eight-keys",
-        // a finite budget makes pressure nonzero, tripping the threshold
-        budget_records: Some(4 * RUN_RECORDS),
-        pressure_threshold: 0.0, // any nonzero pressure spills
+        // the ranks receive 3.75 and 2.25 × 2^16 records, each in two
+        // chunks: every chunk fits, no whole receive buffer does
+        budget_records: Some(2 * RUN_RECORDS),
     };
     for_every_shape(case, |shape, stats| {
         assert!(
             stats.iter().all(|s| s.spilled),
-            "{shape}: threshold 0 must force the spill path"
+            "{shape}: the budget must force every rank through the spill path"
         );
         let most = stats.iter().map(|s| s.spill_records).max();
         assert!(most > Some(2 * RUN_RECORDS), "{shape}: no chunk was cut");

@@ -26,9 +26,9 @@
 //! same account every reservation of the sort charges. A job's pressure
 //! is the share of the budget its records per rank would take (nothing is
 //! held between gangs, so that is the whole of it): at [`SHED_AT`] or
-//! above the job is shed; above the resilient sort's spill threshold
-//! ([`ResilienceConfig::pressure_threshold`]) it runs through
-//! [`sds_sort_resilient`], whose own gate decides, rank by rank and
+//! above the job is shed; above [`SPILL_PRESSURE`], the pressure at which
+//! the exchange's memory gate spills, it runs through
+//! [`sds_sort_resilient`], whose gate then decides, rank by rank and
 //! against the same budget, what spills; below, it runs [`sds_sort`]. The
 //! budget is hard either way: a skewed exchange that overruns it fails the
 //! job with the OOM, and the next job runs on the same world.
@@ -44,9 +44,10 @@ use crate::job::{JobOutcome, JobReport, JobSpec, JobTicket, SubmitError, TrySubm
 use crate::report::{LogHistogram, ServiceCounters, ServiceReport};
 use comm::Communicator;
 use sdssort::stats::phase_maxima;
-use sdssort::{sds_sort, sds_sort_resilient, ResilienceConfig, SdsConfig, SortError, SortStats};
+use sdssort::{sds_sort, sds_sort_resilient, SdsConfig, SortError, SortStats, SPILL_PRESSURE};
 use shmem::mailbox::{Envelope, Mailbox, SrcSel};
 use shmem::{ResidentWorld, ThreadComm, ThreadWorld};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -331,15 +332,15 @@ fn run_one(shared: &Arc<Shared>, cfg: &ServiceConfig, world: &mut ResidentWorld,
         return;
     }
 
-    let resilience = ResilienceConfig::new(cfg.spill_dir.join(format!("job{id}")));
-    let resilience = (admit_pressure > resilience.pressure_threshold).then_some(resilience);
+    let spill_dir =
+        (admit_pressure > SPILL_PRESSURE).then(|| cfg.spill_dir.join(format!("job{id}")));
     let spec = Arc::new(spec);
     let gang_spec = Arc::clone(&spec);
     let arena = Arc::clone(&shared.arena);
     let sort_cfg = cfg.sort;
     let t0 = shared.now_s();
     let gang =
-        world.run(move |comm| rank_job(comm, &gang_spec, &arena, &sort_cfg, resilience.as_ref()));
+        world.run(move |comm| rank_job(comm, &gang_spec, &arena, &sort_cfg, spill_dir.as_deref()));
     let sort_wall_s = shared.now_s() - t0;
 
     let outcome = match gang {
@@ -433,14 +434,13 @@ fn assemble(
 }
 
 /// One rank's share of a job, running on its persistent thread: through
-/// the resilient sort when the job was admitted with a `resilience`
-/// configuration.
+/// the resilient sort when the job was admitted with a `spill_dir`.
 fn rank_job(
     comm: &ThreadComm,
     spec: &JobSpec,
     arena: &Arena,
     sort_cfg: &SdsConfig,
-    resilience: Option<&ResilienceConfig>,
+    spill_dir: Option<&Path>,
 ) -> RankOutcome {
     let mut buf = arena.take(comm.rank());
     let generating = Instant::now();
@@ -463,8 +463,8 @@ fn rank_job(
     let sub = comm
         .split(Some(0), comm.rank() as i64)
         .expect("every rank passes the same color");
-    let out = match resilience {
-        Some(rcfg) => sds_sort_resilient(&sub, buf, sort_cfg, rcfg),
+    let out = match spill_dir {
+        Some(dir) => sds_sort_resilient(&sub, buf, sort_cfg, dir),
         None => sds_sort(&sub, buf, sort_cfg),
     };
     match out {

@@ -26,6 +26,13 @@ run cargo clippy --workspace --all-targets "${CARGO_OPTS[@]}" -- -D warnings
 run cargo build --release --workspace "${CARGO_OPTS[@]}"
 run cargo test -q --workspace "${CARGO_OPTS[@]}"
 
+# The benchmark (benchmark/, a package of its own) is a consumer of the
+# crates' public API: it must build, and its unit tests pass, against the
+# workspace as it is now, so an API change that breaks it fails here and
+# not in the benchmark pipeline.
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 # Workspace source lint: dependency-free AST-driven semantic pass (SPMD
 # rank-divergence, partition arithmetic, tag ranges, and one table of banned
 # calls — see DESIGN.md §13). Exceptions live in xlint.allow with
@@ -164,13 +171,10 @@ if grep -q 'merge.replicated_records' <<<"$out"; then
     exit 1
 fi
 
-# The benchmark (benchmark/, a package of its own) is a consumer of the
-# crates' public API: its unit tests must build and pass against the
-# workspace as it is now, and one short traced run on the simulator must
-# end in a result line that parses and reports no failed operation
-run cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
-# ... and one untraced on threads, where the exchange lends its runs: the
-# benchmark's own per-repetition digest check must pass on them.
+# One short traced benchmark run on the simulator must end in a result
+# line that parses and reports no failed operation, and so must one
+# untraced on threads, where the exchange lends its runs: the benchmark's
+# own per-repetition digest check must pass on them.
 benchmark_smoke() {
     echo "ci: benchmark/run.sh measure $* (smoke)"
     bash benchmark/run.sh measure "$@" --seed 1 --seconds 2 |

@@ -39,9 +39,7 @@
 
 use mpisim::{Communicator, NetModel, World};
 use sdssort::record::Pad;
-use sdssort::{
-    sds_sort, sds_sort_resilient, OrderedF32, Record, ResilienceConfig, SdsConfig, Sortable, Tagged,
-};
+use sdssort::{sds_sort, sds_sort_resilient, OrderedF32, Record, SdsConfig, Sortable, Tagged};
 use shmem::ThreadWorld;
 use workloads::{heavy_hitters, staircase, uniform_u64, zipf_keys};
 
@@ -349,10 +347,7 @@ fn run_threads_tagged(
         let data = tagged_input(n, 64, seed, comm.rank());
         let out = match spill_dir {
             None => sds_sort(comm, data.clone(), cfg).expect("no memory budget"),
-            Some(dir) => {
-                let rcfg = ResilienceConfig::new(dir);
-                sds_sort_resilient(comm, data.clone(), cfg, &rcfg).expect("spills")
-            }
+            Some(dir) => sds_sort_resilient(comm, data.clone(), cfg, dir).expect("spills"),
         };
         (data, out.data, out.stats.spilled)
     });

@@ -15,8 +15,8 @@ use algos::{hyksort, HykSortConfig, Sorter, Tuning};
 use common::assert_global_sort;
 use mpisim::{Comm, Communicator, NetModel, World};
 use sdssort::{
-    sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, Record, ResilienceConfig, SdsConfig,
-    SortError, SortStats, Tagged,
+    sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, Record, SdsConfig, SortError,
+    SortStats, Tagged,
 };
 use shmem::ThreadWorld;
 use sockcomm::SocketWorld;
@@ -186,18 +186,15 @@ fn every_sorter_fails_together_and_releases_its_reservation() {
     }
     let resilient: [(&str, Resilient); 3] = [
         ("sds_sort_resilient", |c, d, dir| {
-            sds_sort_resilient(c, d, &sds_cfg(false), &ResilienceConfig::new(dir))
-                .map(|o| o.data.len())
+            sds_sort_resilient(c, d, &sds_cfg(false), dir).map(|o| o.data.len())
         }),
         ("sds_sort_resilient Tagged<u32>", |c, d, dir| {
             let tagged = d.iter().zip(0u64..).map(|(&k, i)| Record::new(k as u32, i));
             let data: Vec<Tagged<u32>> = tagged.collect();
-            sds_sort_resilient(c, data, &sds_cfg(true), &ResilienceConfig::new(dir))
-                .map(|o| o.data.len())
+            sds_sort_resilient(c, data, &sds_cfg(true), dir).map(|o| o.data.len())
         }),
         ("sds_sort_resilient τm", |c, d, dir| {
-            sds_sort_resilient(c, d, &SdsConfig::default(), &ResilienceConfig::new(dir))
-                .map(|o| o.data.len())
+            sds_sort_resilient(c, d, &SdsConfig::default(), dir).map(|o| o.data.len())
         }),
     ];
     for (name, sort) in resilient {
@@ -227,12 +224,7 @@ fn fig6c_rank<C: Communicator>(comm: &C, (case, dir): (u64, String)) -> Fig6cRan
     let data = zipf_keys(FIG6C_N, 1.4, 42, comm.rank());
     let out = match Sorter::ALL.get(case as usize) {
         Some(sorter) => sorter.sort(comm, data, &Tuning::default()),
-        None => sds_sort_resilient(
-            comm,
-            data,
-            &SdsConfig::default(),
-            &ResilienceConfig::new(dir),
-        ),
+        None => sds_sort_resilient(comm, data, &SdsConfig::default(), Path::new(&dir)),
     };
     out.map(|o| (o.data, o.stats.spilled))
 }
@@ -405,7 +397,7 @@ fn every_sorters_phases_sum_to_its_time_with_the_local_sort_under_pivot() {
     // A budget no receive buffer of the 4000 records fits, and every staged
     // chunk of one does.
     phases_sum("sds-resilient", Some(24_000), &dir, |c, d, dir| {
-        sds_sort_resilient(c, d, &unmerged.sds, &ResilienceConfig::new(dir)).map(|o| o.stats)
+        sds_sort_resilient(c, d, &unmerged.sds, dir).map(|o| o.stats)
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

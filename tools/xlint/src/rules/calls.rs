@@ -64,7 +64,7 @@ rule blocking-in-dispatcher
     help the client side under an xlint.allow justification
 
 rule driver-owns-prelude
-    in crates/algos/src/ crates/sdssort/src/sort.rs crates/sdssort/src/resilience.rs +tests
+    in crates/algos/src/ crates/sdssort/src/sort.rs crates/sdssort/src/external.rs +tests
     ban .now() trace_phase span_begin
     help the phase clock and the spans are the one driver's (`sdssort::driver`): enter a
     help `Step` on the `Clock` the driver hands the rule
@@ -73,7 +73,7 @@ rule driver-owns-prelude
     in crates/algos/src/ crates/sdssort/src/sort.rs +tests
     ban sort_unstable_by_key sort_by_key
     help the driver's one `local_sort_with` call sorts a sorter's input with the kernel `Auto`
-    help picks: the rule receives it sorted (resilience.rs sorts run files, not records)
+    help picks: the rule receives it sorted
 
 rule pages-owns-buffers
     in crates/ src/ tests/ examples/ !crates/comm/src/pages.rs +tests
