@@ -70,7 +70,10 @@
 //! Prints: correctness verdict (globally sorted + permutation), modelled
 //! makespan, phase breakdown, RDFA beside the sorter's published bound
 //! (none for HykSort and AMS, whose value splitters duplicates defeat),
-//! message/byte totals.
+//! message/byte totals. Exits 1 on output that is not a sorted
+//! permutation, and on an RDFA over the published bound (`result: OVER
+//! BOUND`) unless node merging ran, whose RDFA counts the empty
+//! non-leaders.
 
 #![forbid(unsafe_code)]
 
@@ -557,11 +560,8 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
     let all_ok = run.ranks.iter().all(|r| r.sorted && r.permutation);
     let loads: Vec<usize> = run.ranks.iter().map(|r| r.len as usize).collect();
     let r0 = run.ranks[0];
-    let verdict = if all_ok {
-        "OK (sorted, permutation)"
-    } else {
-        "CORRUPT"
-    };
+    let bound = args.sorter.load_bound(&tuning(args));
+    let (verdict, passed) = verdict(all_ok, &loads, bound, r0.node_merged);
     println!("\nresult: {verdict}");
     let mut rows: Vec<(&str, String)> = vec![
         (run.times[0].0, fmt_time(run.times[0].1)),
@@ -574,9 +574,7 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         ("RDFA", format!("{:.4}", rdfa(&loads))),
         (
             "RDFA bound (published)",
-            args.sorter
-                .load_bound(&tuning(args))
-                .map_or_else(|| "none".to_string(), |b| format!("{b}")),
+            bound.map_or_else(|| "none".to_string(), |b| format!("{b}")),
         ),
         ("messages", run.messages.to_string()),
         ("bytes", fmt_bytes(run.bytes as usize)),
@@ -660,7 +658,25 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
             return ExitCode::from(1);
         }
     }
-    ExitCode::from(u8::from(!all_ok))
+    ExitCode::from(u8::from(!passed))
+}
+
+/// A completed run's `result:` verdict and whether it passes. Output that
+/// is not a sorted permutation fails, and so does an RDFA over the sorter's
+/// published bound, unless node merging ran: its RDFA counts the empty
+/// non-leaders by design.
+fn verdict(all_ok: bool, loads: &[usize], bound: Option<f64>, node_merged: bool) -> (String, bool) {
+    if !all_ok {
+        return ("CORRUPT".to_string(), false);
+    }
+    let load = rdfa(loads);
+    match bound {
+        Some(bound) if load > bound && !node_merged => (
+            format!("OVER BOUND (RDFA {load:.4} > bound {bound})"),
+            false,
+        ),
+        _ => ("OK (sorted, permutation)".to_string(), true),
+    }
 }
 
 /// Assemble and write the telemetry [`RunReport`] of a completed run (a
@@ -811,6 +827,23 @@ mod tests {
     fn check(line: &str) -> Result<(), String> {
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
         validate(&parse_args(&argv)?)
+    }
+
+    #[test]
+    fn a_load_over_the_published_bound_fails_the_run() {
+        let over = [5, 0, 0, 0, 0]; // RDFA 5
+        let under = [2, 1, 1, 0]; // RDFA 2
+        assert_eq!(
+            verdict(true, &over, Some(4.0), false),
+            ("OVER BOUND (RDFA 5.0000 > bound 4)".to_string(), false)
+        );
+        let ok = ("OK (sorted, permutation)".to_string(), true);
+        assert_eq!(verdict(true, &under, Some(4.0), false), ok);
+        // Node merging concentrates the output on leaders by design.
+        assert_eq!(verdict(true, &over, Some(4.0), true), ok);
+        // HykSort and AMS publish no bound.
+        assert_eq!(verdict(true, &over, None, false), ok);
+        assert!(!verdict(false, &under, Some(4.0), false).1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! attach the 24-byte kinematic payload. Key skew and payload weight are
 //! the two properties the evaluation exercises.
 
-use crate::zipf::ZipfGen;
+use crate::zipf::{with_shared, Table, ZipfGen};
 use rand::prelude::*;
 use sdssort::Record;
 
@@ -57,8 +57,9 @@ fn scramble(x: u64) -> u64 {
 pub fn cosmology_particles(n: usize, seed: u64, rank: usize) -> Vec<Particle> {
     // α = 0.6 keeps the solved universe small (~25k clusters) while the
     // head cluster holds δ = 0.73 % of particles.
-    let gen = ZipfGen::with_delta_target(0.6, COSMOLOGY_DELTA_PCT);
-    particles_with_gen(&gen, n, seed, rank)
+    with_shared(Table::Delta(0.6, COSMOLOGY_DELTA_PCT), |gen| {
+        particles_with_gen(gen, n, seed, rank)
+    })
 }
 
 /// Generator variant with an explicit cluster-size distribution.

@@ -23,10 +23,21 @@
 //! with δ below `100/ζ(α)`, or a tiny δ) goes on to the tail regime:
 //! `H_{m,α} = H_{EXACT,α} + ∫_{EXACT+½}^{m+½} x^{-α} dx`, O(1) per `m`
 //! from the prefix already summed, bisected over `(EXACT, 2²²]`; a target
-//! still short at `2²²` gets the `2²²`-key universe, as before. Nothing is
-//! cached: every `zipf:<Table-2 α>` shard pays the scan and its CDF.
+//! still short at `2²²` gets the `2²²`-key universe, as before.
+//!
+//! ## One table per process while it is drawn from
+//!
+//! [`zipf_keys`], [`zipf_keys_into`] (so `keys_by_name`) and
+//! [`crate::cosmology_particles`] draw through [`with_shared`]. It keeps a
+//! registry of the tables currently being drawn from, keyed by the
+//! constructor's parameters, and holds only `Weak` handles: the first caller
+//! builds the table, callers that arrive for the same parameters while it is
+//! being built wait for it, and the last caller to finish drawing frees it.
+//! A simulated world's `p` ranks therefore build one 2²⁰-entry CDF, not `p`,
+//! and nothing is retained between runs: a table never outlives its draws.
 
 use rand::prelude::*;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// α→δ pairs published in Table 2 of the paper (δ in percent).
 pub const PAPER_ALPHA_DELTA_TABLE2: [(f64, f64); 6] = [
@@ -164,27 +175,79 @@ impl ZipfGen {
     }
 }
 
+/// The constructor a table is built by, with its arguments: the key of
+/// the shared-table registry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Table {
+    /// [`ZipfGen::new`]`(alpha, universe)`.
+    Universe(f64, usize),
+    /// [`ZipfGen::with_delta_target`]`(alpha, delta_pct)`.
+    Delta(f64, f64),
+}
+
+impl Table {
+    /// `zipf:<alpha>`'s table: Table 2's δ where α matches a table entry,
+    /// else a default 2²⁰-key universe.
+    fn for_alpha(alpha: f64) -> Self {
+        PAPER_ALPHA_DELTA_TABLE2
+            .iter()
+            .find(|(a, _)| (*a - alpha).abs() < 1e-9)
+            .map_or(Self::Universe(alpha, 1 << 20), |&(a, d)| Self::Delta(a, d))
+    }
+
+    fn build(self) -> ZipfGen {
+        match self {
+            Self::Universe(alpha, universe) => ZipfGen::new(alpha, universe),
+            Self::Delta(alpha, delta_pct) => ZipfGen::with_delta_target(alpha, delta_pct),
+        }
+    }
+}
+
+/// The tables being drawn from now. Only `Weak` handles: the callers inside
+/// [`with_shared`] own each table, and an entry whose table is gone is
+/// pruned by the next lookup.
+static LIVE: Mutex<Vec<(Table, Weak<OnceLock<ZipfGen>>)>> = Mutex::new(Vec::new());
+
+/// Run `draw` on `table`'s generator, shared with every caller drawing from
+/// the same table at the same time (module docs). The one that registers
+/// the table builds it; the others block in `get_or_init` until it is
+/// built. The table is freed when the last of them returns.
+pub(crate) fn with_shared<R>(table: Table, draw: impl FnOnce(&ZipfGen) -> R) -> R {
+    let cell = {
+        // A panic while the lock is held leaves a valid list of handles.
+        let mut live = LIVE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        live.retain(|(_, held)| held.strong_count() > 0);
+        match live
+            .iter()
+            .filter(|(t, _)| *t == table)
+            .find_map(|(_, held)| held.upgrade())
+        {
+            Some(cell) => cell,
+            None => {
+                let cell = Arc::new(OnceLock::new());
+                live.push((table, Arc::downgrade(&cell)));
+                cell
+            }
+        }
+    };
+    draw(cell.get_or_init(|| table.build()))
+}
+
 /// Buffer-filling variant of [`zipf_keys`]: appends to `buf` instead of
 /// allocating (identical key stream).
 pub fn zipf_keys_into(buf: &mut Vec<u64>, n: usize, alpha: f64, seed: u64, rank: usize) {
-    zipf_gen_for(alpha).keys_into(buf, n, seed, rank);
-}
-
-fn zipf_gen_for(alpha: f64) -> ZipfGen {
-    PAPER_ALPHA_DELTA_TABLE2
-        .iter()
-        .find(|(a, _)| (*a - alpha).abs() < 1e-9)
-        .map_or_else(
-            || ZipfGen::new(alpha, 1 << 20),
-            |&(a, d)| ZipfGen::with_delta_target(a, d),
-        )
+    with_shared(Table::for_alpha(alpha), |gen| {
+        gen.keys_into(buf, n, seed, rank);
+    });
 }
 
 /// Convenience: `n` Zipf keys with exponent `alpha` calibrated to the
 /// paper's Table 2 δ where α matches a table entry, else over a default
 /// 2²⁰-key universe.
 pub fn zipf_keys(n: usize, alpha: f64, seed: u64, rank: usize) -> Vec<u64> {
-    zipf_gen_for(alpha).keys(n, seed, rank)
+    with_shared(Table::for_alpha(alpha), |gen| gen.keys(n, seed, rank))
 }
 
 #[cfg(test)]
@@ -300,6 +363,65 @@ mod tests {
             crate::keys_by_name("zipf:0.8", 16, 7, 1).expect("valid name"),
             [74, 66, 263, 1412, 63, 131, 19, 2780, 3877, 626, 240, 56, 1165, 445, 169, 447]
         );
+    }
+
+    /// Whether the registry holds a live `table`. Other tests of this
+    /// binary draw from their own tables concurrently, so a check that the
+    /// whole registry is empty could race with them.
+    fn is_live(table: Table) -> bool {
+        LIVE.lock()
+            .expect("registry lock")
+            .iter()
+            .any(|(t, held)| *t == table && held.strong_count() > 0)
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_table_and_keep_none() {
+        const CALLERS: usize = 16;
+        let (n, seed, rank) = (2000, 11, 5);
+        let table = Table::for_alpha(1.4);
+        assert_eq!(table, Table::Universe(1.4, 1 << 20));
+        let lone = zipf_keys(n, 1.4, seed, rank);
+        assert_eq!(lone, ZipfGen::new(1.4, 1 << 20).keys(n, seed, rank));
+        assert!(!is_live(table), "a lone caller keeps no table");
+
+        // Every caller starts at once: the same keys as the lone caller.
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        zipf_keys(n, 1.4, seed, rank)
+                    })
+                })
+                .collect();
+            for caller in callers {
+                assert!(caller.join().expect("caller thread") == lone);
+            }
+        });
+        assert!(!is_live(table), "no table outlives its draws");
+
+        // All of them inside their draws at once hold one table.
+        let inside = std::sync::Barrier::new(CALLERS);
+        let tables: Vec<usize> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        with_shared(table, |gen| {
+                            inside.wait();
+                            std::ptr::from_ref(gen) as usize
+                        })
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().expect("caller thread"))
+                .collect()
+        });
+        assert!(tables.iter().all(|&t| t == tables[0]), "{tables:?}");
+        assert!(!is_live(table), "the last caller frees the table");
     }
 
     #[test]

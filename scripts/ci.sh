@@ -278,6 +278,24 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --records 4000 --budget 60000 --faults seed=7,ramp=0:0:0.5 \
     --resilient "$tmp/spill"
 
+# Memory guard: a process builds one Zipf table for all of its ranks and
+# keeps none after they have drawn (`workloads::zipf`), so 512 simulated
+# ranks on zipf:1.1 (RDFA 1.74, within the bound) must peak under 1 GiB.
+# A table per rank peaked at 1.6–4 GiB.
+guard=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend sim --ranks 512 --records 512 --cores 1 --workload zipf:1.1)
+echo "ci: ${guard[*]} (peak RSS must stay under 1 GiB)"
+python3 - "${guard[@]}" <<'PY'
+import resource, subprocess, sys
+run = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, text=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+if run.returncode != 0 or "result: OK" not in run.stdout:
+    sys.exit(f"ci: the memory-guard run failed:\n{run.stdout}")
+if peak > 1 << 30:
+    sys.exit(f"ci: the memory-guard run peaked at {peak / 2**30:.2f} GiB (limit 1 GiB)")
+print(f"ci: memory guard peak RSS {peak / 2**20:.0f} MiB")
+PY
+
 # Node-merging smokes (4 cores/node, so only the 4 leaders exchange): a
 # budget the leaders' receive buffers do not fit must end the run with the
 # out-of-memory report on every rank — it used to hang — and the same run
