@@ -4,8 +4,8 @@
 //! distributed sorts. This crate holds the sorters that claim is tested
 //! against, generic over the [`comm::Communicator`] transport like
 //! `sdssort` itself, so all three backends (virtual-time simulator, OS
-//! threads, OS processes over sockets), the happens-before checker, fault
-//! injection, memory budgets, and telemetry come for free:
+//! threads, OS processes over sockets), fault injection, memory budgets,
+//! and telemetry come for free:
 //!
 //! * [`hyksort()`](hyksort::hyksort) — **HykSort** (Sundar, Malhotra,
 //!   Biros — ICS'13), the paper's baseline: k-way hypercube sample sort

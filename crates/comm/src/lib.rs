@@ -6,7 +6,9 @@
 //!
 //! * **`mpisim`** — the deterministic virtual-time simulator: single
 //!   logical timeline per rank, LogGP network cost model, fault injection,
-//!   happens-before checking. This is where correctness is proved.
+//!   deterministic by construction (every receive names its sources, and
+//!   a set of them is taken in virtual-arrival order). This is where
+//!   correctness is proved.
 //! * **`shmem`** — a real OS-thread backend: one thread per rank, bounded
 //!   in-memory mailboxes, wall-clock [`std::time::Instant`] timing. This is
 //!   where real elapsed time is measured.

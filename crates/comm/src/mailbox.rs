@@ -12,7 +12,8 @@
 //! capacity must therefore exceed the largest number of envelopes a
 //! correct protocol can leave undrained in one mailbox — for the
 //! collectives used here that is `p - 1` data messages per in-flight
-//! collective; the backends' world defaults leave a wide margin.
+//! collective; [`world_capacity`], which both backends' worlds use, leaves
+//! a wide margin.
 //!
 //! This module lives in `comm` (not a specific backend) because three
 //! consumers share it:
@@ -64,6 +65,13 @@ fn matches(env: &Envelope, ctx: u64, src: SrcSel, tag: u64) -> bool {
             SrcSel::Exact(s) => env.src == s,
             SrcSel::Any => true,
         }
+}
+
+/// Per-rank mailbox capacity, in envelopes, of a `p`-rank threads or
+/// sockets world: `max(8·p, 256)`, a wide margin over the `p − 1`
+/// undrained envelopes a correct collective can park in one mailbox.
+pub fn world_capacity(p: usize) -> usize {
+    (8 * p).max(256)
 }
 
 /// A bounded, abort-aware mailbox.

@@ -2,7 +2,7 @@
 //! and [`crate::Communicator`] is implemented for all of them here, once.
 //!
 //! A transport says how a raw envelope is sent and taken (virtual time +
-//! faults + happens-before stamps in `mpisim`, a bounded mailbox in
+//! faults in `mpisim`, a bounded mailbox in
 //! `shmem`, `Wire` + frame + socket in `sockcomm`), what its clock reads,
 //! and where its world's [`Budget`] is. Everything that is the same on
 //! every substrate lives in this module: the communicator bookkeeping
@@ -116,7 +116,7 @@ impl Group {
 }
 
 /// Reject tags that would collide with the reserved collective tag space.
-/// An in-flight asynchronous collective receives with any-source matching
+/// An in-flight asynchronous collective receives from a set of sources
 /// on its reserved tag; a user message forged into that space could be
 /// stolen by it and silently corrupt the exchange.
 #[track_caller]
@@ -273,7 +273,7 @@ pub trait RawComm: Sized {
     /// returns the sender's communicator rank with the payload (a vector
     /// of its own unless the sender lent a window). With one rank it is an
     /// exact-source receive. With several it is the transport's one
-    /// any-source receive, and which run comes first is the transport's
+    /// multi-source receive, and which run comes first is the transport's
     /// arrival order: the first to land on a real transport, the earliest
     /// virtual arrival in a simulator. [`RawAsync`] keys the runs by source
     /// and hard-asserts against duplicates, so the order cannot change a

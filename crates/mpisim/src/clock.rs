@@ -2,7 +2,7 @@
 //!
 //! Every rank in the simulated world carries a virtual clock measured in
 //! seconds. Local computation advances only the local clock; messages carry
-//! their completion timestamp, and a receive advances the receiver's clock
+//! their arrival time, and a receive advances the receiver's clock
 //! to at least the message arrival time. The maximum clock value across
 //! ranks at the end of a run is therefore a conservative estimate of the
 //! parallel makespan under the configured [`crate::netmodel::NetModel`] —
@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::time::Instant;
 
 /// A single rank's virtual clock. Not shared across threads: each rank
-/// thread owns its clock and communicates timestamps through envelopes.
+/// thread owns its clock and communicates arrival times through envelopes.
 #[derive(Debug)]
 pub struct VirtualClock {
     now: Cell<f64>,

@@ -8,12 +8,16 @@
 //!
 //! Everything the simulator models happens on the raw send/receive path in
 //! this file: the virtual clock, the `netmodel` inject/transit charge,
-//! `faults` perturbation, recorder accounting, happens-before stamps and
-//! the deadlock predicate. The [`Communicator`](::comm::Communicator)
-//! surface on top — collectives, the asynchronous all-to-all, `split` — is
-//! the single implementation in [`::comm::raw`] that the real backends run
-//! too; only the simulator-specific operations (`recv_any`, `clock`,
-//! `universe`) are inherent methods.
+//! `faults` perturbation, recorder accounting and the deadlock predicate.
+//! The [`Communicator`](::comm::Communicator) surface on top — collectives,
+//! the asynchronous all-to-all, `split` — is the single implementation in
+//! [`::comm::raw`] that the real backends run too; only the
+//! simulator-specific accessors (`clock`, `universe`) are inherent methods.
+//!
+//! Every receive names its sources: an exact-source receive
+//! (`recv_into_raw`) or an arrival-ordered set receive (`recv_run_raw`).
+//! Neither lets host thread scheduling pick a message, so a simulated run
+//! is deterministic by construction.
 //!
 //! Tags: user code may use any tag below [`Comm::MAX_USER_TAG`]. Collectives
 //! use a reserved high tag space keyed by a per-communicator operation
@@ -21,16 +25,15 @@
 //! each other even when interleaved.
 
 use crate::clock::VirtualClock;
-use crate::mailbox::{Envelope, SrcSel, TakeResult};
+use crate::mailbox::{Envelope, TakeResult};
 use crate::universe::Universe;
-use ::comm::raw::{append_moved, assert_user_tag, Group, RawComm};
+use ::comm::raw::{append_moved, Group, RawComm};
 use ::comm::{Budget, Run, Wire};
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// Human-readable description of a tag: collective tags are decoded into
-/// their operation sequence number and round. Shared by the deadlock
-/// detector and the happens-before checker's reports.
+/// their operation sequence number and round, for the deadlock report.
 pub(crate) fn describe_tag(tag: u64) -> String {
     if tag >= Comm::MAX_USER_TAG {
         let seq = (tag - Comm::MAX_USER_TAG) >> 12;
@@ -101,13 +104,13 @@ impl Comm {
         }
     }
 
-    /// Block until the envelope `(src, tag)` selects can be taken. If this
+    /// Block until the envelope `(srcs, tag)` selects can be taken. If this
     /// wait leaves every rank idle, file the deadlock report; either way a
     /// wait that cannot complete unwinds with [`AbortedPanic`].
-    fn blocking_take(&self, src: SrcSel<'_>, tag: u64) -> Envelope {
+    fn blocking_take(&self, srcs: &[usize], tag: u64) -> Envelope {
         let me_w = self.group.world_rank();
         let uni = &self.uni;
-        match uni.mailboxes[me_w].take(self.group.ctx(), src, tag, &uni.aborted, &uni.idle) {
+        match uni.mailboxes[me_w].take(self.group.ctx(), srcs, tag, &uni.aborted, &uni.idle) {
             TakeResult::Got(env) => return env,
             TakeResult::Deadlock => uni.declare_deadlock(me_w),
             TakeResult::Aborted => {}
@@ -117,19 +120,9 @@ impl Comm {
         })
     }
 
-    /// Complete a receive: record it with the happens-before checker,
-    /// advance the clock to the arrival time and unbox the payload.
-    /// `wildcard` marks any-source matching whose order nondeterminism is a
-    /// real program property (see [`crate::check`]).
-    fn open_envelope<T: Send + 'static>(&self, env: Envelope, wildcard: bool) -> (usize, Vec<T>) {
-        self.uni.checker().on_recv(
-            self.group.world_rank(),
-            env.ctx,
-            env.tag,
-            env.src,
-            env.stamp.as_ref(),
-            wildcard,
-        );
+    /// Complete a receive: advance the clock to the arrival time and unbox
+    /// the payload.
+    fn open_envelope<T: Send + 'static>(&self, env: Envelope) -> (usize, Vec<T>) {
         self.clock.advance_to(env.arrival);
         let src_comm = self
             .group
@@ -143,31 +136,14 @@ impl Comm {
         (src_comm, *data)
     }
 
-    /// The one blocking receive: the first envelope matching `(src, tag)`,
-    /// as `(src_comm_rank, data)`. A true blocking wait: idle time advances
-    /// with the message arrival, not with polling.
-    fn recv_sel<T: Send + 'static>(
-        &self,
-        src: SrcSel<'_>,
-        tag: u64,
-        wildcard: bool,
-    ) -> (usize, Vec<T>) {
+    /// The one blocking receive: the envelope `(srcs, tag)` selects (world
+    /// ranks, ascending), as `(src_comm_rank, data)`. A true blocking wait:
+    /// idle time advances with the message arrival, not with polling.
+    fn recv_sel<T: Send + 'static>(&self, srcs: &[usize], tag: u64) -> (usize, Vec<T>) {
         self.check_alive();
         self.inject_op_stall();
-        let env = self.blocking_take(src, tag);
-        self.open_envelope(env, wildcard)
-    }
-
-    // ---- simulator-only point-to-point ------------------------------------
-
-    /// Blocking receive from any source; returns `(src_comm_rank, data)`.
-    /// Any-source matching only considers members of this communicator
-    /// (ctx filtering in the mailbox guarantees that).
-    ///
-    /// `tag` must be below [`Comm::MAX_USER_TAG`].
-    pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, Vec<T>) {
-        assert_user_tag(tag);
-        self.recv_sel(SrcSel::Any, tag, true)
+        let env = self.blocking_take(srcs, tag);
+        self.open_envelope(env)
     }
 }
 
@@ -222,7 +198,7 @@ impl RawComm for Comm {
     }
 
     /// Attributes this rank's subsequent sends to the named phase, and
-    /// records it for the deadlock report and the checker.
+    /// records it for the deadlock report.
     fn trace_phase(&self, name: &str) {
         let me_w = self.group.world_rank();
         self.uni.recorder.set_phase(me_w, name);
@@ -264,7 +240,6 @@ impl RawComm for Comm {
         self.charge_comm(inject);
         let arrival = self.clock.now() + transit;
         self.uni.recorder.on_send(src_w, dst_w, bytes);
-        let stamp = self.uni.checker().on_send(src_w, dst_w, ctx, tag);
         let env = Envelope {
             ctx,
             src: src_w,
@@ -272,25 +247,22 @@ impl RawComm for Comm {
             data: Box::new(data),
             bytes,
             arrival,
-            stamp,
         };
         self.uni.mailboxes[dst_w].push(env, &self.uni.idle);
     }
 
     fn recv_into_raw<T: Wire>(&self, src: usize, tag: u64, out: &mut Vec<T>) {
         let src_w = self.group.world_rank_of(src);
-        append_moved(self.recv_sel(SrcSel::Each(&[src_w]), tag, false).1, out);
+        append_moved(self.recv_sel(&[src_w], tag).1, out);
     }
 
     /// Waits until every source in `from` has its run queued, then takes
     /// the earliest virtual arrival (ties to the lower world rank): the
     /// order chunks are handed over is a function of the virtual clocks.
-    /// The matching is therefore not wildcard nondeterminism, so the
-    /// happens-before edges are recorded but that finding is suppressed.
     fn recv_run_raw<T: Wire>(&self, from: &[usize], tag: u64) -> (usize, Run<T>) {
         let mut srcs: Vec<usize> = from.iter().map(|&r| self.group.world_rank_of(r)).collect();
         srcs.sort_unstable();
-        let (src, data) = self.recv_sel(SrcSel::Each(&srcs), tag, false);
+        let (src, data) = self.recv_sel(&srcs, tag);
         (src, data.into())
     }
 

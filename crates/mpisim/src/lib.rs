@@ -7,7 +7,7 @@
 //! node-local communicators, an asynchronous all-to-all), and virtual
 //! clocks with a LogGP-style network model ([`NetModel`]) reproduce the
 //! hardware-dependent aspects of the evaluation: computation advances only
-//! the local clock; messages carry timestamps and advance the receiver, so
+//! the local clock; messages carry arrival times and advance the receiver, so
 //! the maximum clock at the end of a run is the modelled makespan on the
 //! configured machine. The per-rank memory budget that reproduces the
 //! paper's out-of-memory failures is `comm::Budget`, the same account the
@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod clock;
 pub mod comm;
 pub mod error;
@@ -39,7 +38,6 @@ pub mod runtime;
 pub mod topology;
 pub mod universe;
 
-pub use check::RaceError;
 pub use clock::VirtualClock;
 pub use comm::Comm;
 pub use error::{CommError, OomError};

@@ -2,16 +2,15 @@
 //!
 //! Every world rank owns one `Mailbox`. A message is an `Envelope`
 //! carrying a type-erased payload plus the metadata needed for matching and
-//! for the virtual-time model (byte count and arrival timestamp). Receives
-//! match on communicator context, source world rank(s) (or any source), and
-//! tag — the same matching semantics MPI provides, which is all the sorting
-//! algorithms rely on.
+//! for the virtual-time model (byte count and arrival time). Receives
+//! match on communicator context, a set of source world ranks, and tag.
+//! There is no any-source receive.
 //!
 //! A receive from a set of sources is the simulator's delivery rule: it
 //! waits until every listed source has a matching envelope queued, then
 //! takes the one with the smallest `(virtual arrival, source)`. Which
 //! chunk a rank gets is then a function of the virtual clocks, not of host
-//! thread scheduling.
+//! thread scheduling; an exact-source receive is the one-source case.
 //!
 //! A blocked receive registers its wait in the mailbox, under the mailbox
 //! lock; the push that satisfies it clears it under the same lock. Both
@@ -37,19 +36,6 @@ pub(crate) struct Envelope {
     pub bytes: usize,
     /// Virtual time at which the message is available to the receiver.
     pub arrival: f64,
-    /// Sender's vector clock when the happens-before checker is on
-    /// (`None` otherwise; see [`crate::check`]).
-    pub stamp: Option<crate::check::Stamp>,
-}
-
-/// Source selector for a receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SrcSel<'a> {
-    /// Match any source (MPI_ANY_SOURCE), first queued first.
-    Any,
-    /// One envelope from each of these world ranks (ascending) must be
-    /// queued; the earliest `(arrival, source)` of them is taken.
-    Each(&'a [usize]),
 }
 
 /// What a blocked rank is waiting for (deadlock diagnostics).
@@ -57,9 +43,8 @@ pub(crate) enum SrcSel<'a> {
 pub(crate) struct Wait {
     pub ctx: u64,
     pub tag: u64,
-    /// `None` = any source; otherwise the world ranks (ascending) with no
-    /// matching envelope queued yet.
-    pub missing: Option<Vec<usize>>,
+    /// The world ranks (ascending) with no matching envelope queued yet.
+    pub missing: Vec<usize>,
 }
 
 /// Outcome of a blocking take.
@@ -118,14 +103,12 @@ impl Mailbox {
     pub fn push(&self, env: Envelope, idle: &Idle) {
         let mut inbox = self.inbox.lock();
         let satisfied = inbox.wait.as_mut().is_some_and(|w| {
-            w.ctx == env.ctx
-                && w.tag == env.tag
-                && w.missing.as_mut().is_none_or(|m| {
-                    if let Ok(i) = m.binary_search(&env.src) {
-                        m.remove(i);
-                    }
-                    m.is_empty()
-                })
+            w.ctx == env.ctx && w.tag == env.tag && {
+                if let Ok(i) = w.missing.binary_search(&env.src) {
+                    w.missing.remove(i);
+                }
+                w.missing.is_empty()
+            }
         });
         inbox.queue.push_back(env);
         if satisfied {
@@ -135,22 +118,18 @@ impl Mailbox {
         }
     }
 
-    /// Position of the envelope a receive of `(ctx, src, tag)` takes, or
-    /// the sources it still misses (`None` for an any-source receive).
+    /// Position of the envelope a receive of `(ctx, srcs, tag)` takes, or
+    /// the sources it still misses. `srcs` are world ranks, ascending.
     fn find(
         queue: &VecDeque<Envelope>,
         ctx: u64,
-        src: SrcSel<'_>,
+        srcs: &[usize],
         tag: u64,
-    ) -> Result<usize, Option<Vec<usize>>> {
-        let mut matching = queue
+    ) -> Result<usize, Vec<usize>> {
+        let matching = queue
             .iter()
             .enumerate()
             .filter(|(_, e)| e.ctx == ctx && e.tag == tag);
-        let srcs = match src {
-            SrcSel::Any => return matching.next().map(|(i, _)| i).ok_or(None),
-            SrcSel::Each(srcs) => srcs,
-        };
         // Only each source's first envelope is a candidate: messages from
         // one sender are never overtaken.
         let mut seen = vec![false; srcs.len()];
@@ -171,29 +150,28 @@ impl Mailbox {
                 return Ok(best.2);
             }
         }
-        Err(Some(
-            srcs.iter()
-                .zip(&seen)
-                .filter(|&(_, &s)| !s)
-                .map(|(&w, _)| w)
-                .collect(),
-        ))
+        Err(srcs
+            .iter()
+            .zip(&seen)
+            .filter(|&(_, &s)| !s)
+            .map(|(&w, _)| w)
+            .collect())
     }
 
-    /// Blocking take of the envelope `(ctx, src, tag)` selects. Registers
+    /// Blocking take of the envelope `(ctx, srcs, tag)` selects. Registers
     /// the wait while blocked; returns [`TakeResult::Deadlock`] if that
     /// made every rank idle.
     pub fn take(
         &self,
         ctx: u64,
-        src: SrcSel<'_>,
+        srcs: &[usize],
         tag: u64,
         aborted: &AtomicBool,
         idle: &Idle,
     ) -> TakeResult {
         let mut inbox = self.inbox.lock();
         loop {
-            let missing = match Self::find(&inbox.queue, ctx, src, tag) {
+            let missing = match Self::find(&inbox.queue, ctx, srcs, tag) {
                 Ok(i) => {
                     let env = inbox.queue.remove(i).expect("matched position exists");
                     return TakeResult::Got(env);
@@ -253,7 +231,6 @@ mod tests {
             data: Box::new(payload),
             bytes,
             arrival: 0.0,
-            stamp: None,
         }
     }
 
@@ -265,14 +242,17 @@ mod tests {
     }
 
     /// Non-blocking take: the envelope a receive would get right now.
-    fn try_take(mb: &Mailbox, ctx: u64, src: SrcSel<'_>, tag: u64) -> Option<Envelope> {
+    fn try_take(mb: &Mailbox, ctx: u64, srcs: &[usize], tag: u64) -> Option<Envelope> {
         let mut inbox = mb.inbox.lock();
-        let i = Mailbox::find(&inbox.queue, ctx, src, tag).ok()?;
+        let i = Mailbox::find(&inbox.queue, ctx, srcs, tag).ok()?;
         inbox.queue.remove(i)
     }
 
-    fn take(mb: &Mailbox, src: SrcSel<'_>, aborted: &AtomicBool) -> TakeResult {
-        mb.take(0, src, 9, aborted, &Idle::new(2))
+    #[test]
+    fn envelope_stays_small() {
+        // One queued envelope per message: at p = 4 096 every 8 B more
+        // costs about 0.13 GiB of mailbox slots.
+        assert!(std::mem::size_of::<Envelope>() <= 56);
     }
 
     #[test]
@@ -283,22 +263,12 @@ mod tests {
         mb.push(env(1, 2, 7, vec![2]), &idle);
         mb.push(env(2, 2, 7, vec![3]), &idle);
 
-        assert!(try_take(&mb, 1, SrcSel::Each(&[5]), 7).is_none());
-        let e = try_take(&mb, 1, SrcSel::Each(&[2]), 7).unwrap();
+        assert!(try_take(&mb, 1, &[5], 7).is_none());
+        let e = try_take(&mb, 1, &[2], 7).unwrap();
         assert_eq!(*e.data.downcast::<Vec<u32>>().unwrap(), vec![2]);
         // ctx 2 message must not match ctx 1 receives
-        assert!(try_take(&mb, 1, SrcSel::Each(&[2]), 7).is_none());
+        assert!(try_take(&mb, 1, &[2], 7).is_none());
         assert_eq!(mb.snapshot().len(), 2);
-    }
-
-    #[test]
-    fn any_source_takes_fifo_first_match() {
-        let mb = Mailbox::default();
-        let idle = Idle::new(1);
-        mb.push(at(2.0, 3), &idle);
-        mb.push(at(1.0, 1), &idle);
-        let e = try_take(&mb, 0, SrcSel::Any, 7).unwrap();
-        assert_eq!(e.src, 3, "FIFO order for any-source matching");
     }
 
     #[test]
@@ -308,14 +278,14 @@ mod tests {
         mb.push(at(3.0, 1), &idle);
         mb.push(at(1.0, 4), &idle);
         assert!(
-            try_take(&mb, 0, SrcSel::Each(&[1, 2, 4]), 7).is_none(),
+            try_take(&mb, 0, &[1, 2, 4], 7).is_none(),
             "rank 2's envelope is not queued yet"
         );
         // A later envelope from rank 4 is not a candidate before its first.
         mb.push(at(0.5, 4), &idle);
         mb.push(at(2.0, 2), &idle);
         let next = |srcs: &[usize]| {
-            let e = try_take(&mb, 0, SrcSel::Each(srcs), 7).unwrap();
+            let e = try_take(&mb, 0, srcs, 7).unwrap();
             (e.src, e.arrival)
         };
         assert_eq!(next(&[1, 2, 4]), (4, 1.0));
@@ -323,7 +293,7 @@ mod tests {
         assert_eq!(next(&[1, 2]), (2, 2.0));
         // Ties on arrival go to the lower source.
         mb.push(at(3.0, 0), &idle);
-        assert_eq!(try_take(&mb, 0, SrcSel::Each(&[0, 1]), 7).unwrap().src, 0);
+        assert_eq!(try_take(&mb, 0, &[0, 1], 7).unwrap().src, 0);
     }
 
     #[test]
@@ -332,9 +302,8 @@ mod tests {
         let idle = Arc::new(Idle::new(2));
         let mb2 = Arc::clone(&mb);
         let idle2 = Arc::clone(&idle);
-        let h = std::thread::spawn(move || {
-            mb2.take(0, SrcSel::Each(&[1, 2]), 9, &AtomicBool::new(false), &idle2)
-        });
+        let h =
+            std::thread::spawn(move || mb2.take(0, &[1, 2], 9, &AtomicBool::new(false), &idle2));
         std::thread::sleep(Duration::from_millis(10));
         mb.push(env(0, 2, 9, vec![42]), &idle);
         mb.push(env(0, 1, 9, vec![41]), &idle);
@@ -352,7 +321,7 @@ mod tests {
         let aborted = Arc::new(AtomicBool::new(false));
         let mb2 = Arc::clone(&mb);
         let ab2 = Arc::clone(&aborted);
-        let h = std::thread::spawn(move || take(&mb2, SrcSel::Each(&[1]), &ab2));
+        let h = std::thread::spawn(move || mb2.take(0, &[1], 9, &ab2, &Idle::new(2)));
         std::thread::sleep(Duration::from_millis(5));
         aborted.store(true, Ordering::SeqCst);
         mb.interrupt();
@@ -363,20 +332,20 @@ mod tests {
     fn tag_mismatch_not_taken() {
         let mb = Mailbox::default();
         mb.push(env(0, 0, 5, vec![1]), &Idle::new(1));
-        assert!(try_take(&mb, 0, SrcSel::Each(&[0]), 6).is_none());
-        assert!(try_take(&mb, 0, SrcSel::Each(&[0]), 5).is_some());
+        assert!(try_take(&mb, 0, &[0], 6).is_none());
+        assert!(try_take(&mb, 0, &[0], 5).is_some());
     }
 
     #[test]
     fn last_idle_rank_reports_deadlock() {
         let mb = Mailbox::default();
         let idle = Idle::new(1);
-        match mb.take(0, SrcSel::Each(&[3]), 9, &AtomicBool::new(false), &idle) {
+        match mb.take(0, &[3], 9, &AtomicBool::new(false), &idle) {
             TakeResult::Deadlock => {}
             _ => panic!("expected deadlock"),
         }
         let w = mb.wait().expect("the wait stays registered");
-        assert_eq!((w.ctx, w.tag, w.missing), (0, 9, Some(vec![3])));
+        assert_eq!((w.ctx, w.tag, w.missing), (0, 9, vec![3]));
     }
 
     #[test]

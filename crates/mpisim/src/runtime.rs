@@ -18,6 +18,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Per-rank thread stack size, 2 MiB: worlds may have thousands of ranks.
+const STACK_SIZE: usize = 1 << 21;
+
 /// Builder for a simulated world.
 #[derive(Debug, Clone)]
 pub struct World {
@@ -27,10 +30,8 @@ pub struct World {
     net: NetModel,
     memory_budget: Option<usize>,
     compute_scale: f64,
-    stack_size: usize,
     telemetry: bool,
     faults: Option<FaultSpec>,
-    check: bool,
 }
 
 impl World {
@@ -46,10 +47,8 @@ impl World {
             net: NetModel::edison(),
             memory_budget: None,
             compute_scale: 1.0,
-            stack_size: 1 << 21, // 2 MiB: worlds may have thousands of ranks
             telemetry: false,
             faults: None,
-            check: cfg!(feature = "check"),
         }
     }
 
@@ -99,30 +98,12 @@ impl World {
         self
     }
 
-    /// Per-rank thread stack size in bytes.
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
     /// Install a deterministic fault-injection policy (see
     /// [`crate::faults`]). Like telemetry, the layer is a pure policy
     /// object: an inert spec (or none at all) leaves every clock and result
     /// bit-identical to a world built without it.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
-        self
-    }
-
-    /// Enable the happens-before determinism/race checker (see
-    /// [`crate::check`]): vector clocks track send/receive/collective
-    /// edges, and wildcard-receive nondeterminism and tag reuse in flight
-    /// are reported at exit by raising
-    /// [`crate::RaceError`] from [`World::run`]. Defaults to on when the
-    /// crate is built with the `check` cargo feature, off otherwise. Like
-    /// the faults layer, the checker never alters results or clocks.
-    pub fn check(mut self, on: bool) -> Self {
-        self.check = on;
         self
     }
 
@@ -151,7 +132,6 @@ impl World {
             self.memory_budget,
             self.telemetry,
             self.faults,
-            self.check,
         ));
         let members: Arc<[usize]> = (0..self.size).collect();
         let started = Instant::now();
@@ -168,7 +148,7 @@ impl World {
                 let compute_scale = self.compute_scale;
                 let builder = std::thread::Builder::new()
                     .name(format!("mpisim-rank-{rank}"))
-                    .stack_size(self.stack_size);
+                    .stack_size(STACK_SIZE);
                 let handle = builder
                     .spawn_scoped(scope, move || {
                         let clock = Rc::new(VirtualClock::new(compute_scale));
@@ -213,12 +193,6 @@ impl World {
                 .position(|p| !p.is::<crate::comm::AbortedPanic>())
                 .unwrap_or(0);
             std::panic::resume_unwind(panics.swap_remove(original));
-        }
-
-        // All ranks completed: surface any races the happens-before checker
-        // recorded, the same way the deadlock detector surfaces hangs.
-        if let Some(report) = uni.checker().take_report() {
-            std::panic::panic_any(crate::check::RaceError { report });
         }
 
         let mut results = Vec::with_capacity(self.size);
@@ -266,11 +240,4 @@ pub struct WorldReport<R> {
     pub topology: Topology,
     /// Recorder snapshot (`None` unless telemetry was enabled).
     pub telemetry: Option<telemetry::Snapshot>,
-}
-
-impl<R> WorldReport<R> {
-    /// Consume the report, returning only the per-rank results.
-    pub fn into_results(self) -> Vec<R> {
-        self.results
-    }
 }

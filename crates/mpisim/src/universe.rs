@@ -1,7 +1,6 @@
 //! Shared state of one simulated world: mailboxes, topology, network model,
 //! memory budget, and abort flag.
 
-use crate::check::Checker;
 use crate::comm::describe_tag;
 use crate::faults::{FaultSpec, Faults};
 use crate::mailbox::{Idle, Mailbox};
@@ -11,7 +10,6 @@ use ::comm::Budget;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use telemetry::Recorder;
 
 /// Panic payload raised by [`crate::World::run`] when every rank is
@@ -44,12 +42,11 @@ pub struct Universe {
     pub(crate) faults: Faults,
     /// Ranks finished or blocked on a registered wait (see [`Idle`]).
     pub(crate) idle: Idle,
-    /// Last phase each rank entered via `trace_phase`: read by the
-    /// deadlock report and the happens-before checker.
-    pub(crate) phases: Arc<[Mutex<String>]>,
+    /// Last phase each rank entered via `trace_phase`, for the deadlock
+    /// report.
+    pub(crate) phases: Box<[Mutex<String>]>,
     /// The deadlock report, filled once when every rank went idle.
     deadlock: Mutex<Option<String>>,
-    pub(crate) checker: Checker,
 }
 
 impl Universe {
@@ -61,18 +58,15 @@ impl Universe {
         memory_budget: Option<usize>,
         telemetry: bool,
         faults: Option<FaultSpec>,
-        check: bool,
     ) -> Self {
         let size = topology.world_size();
-        let phases: Arc<[Mutex<String>]> = (0..size).map(|_| Mutex::default()).collect();
         Self {
             budget: Budget::new(size, memory_budget),
             mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
             recorder: Recorder::new(topology.node_map(), telemetry),
             faults: Faults::new(size, faults),
             idle: Idle::new(size),
-            checker: Checker::new(size, check, Arc::clone(&phases)),
-            phases,
+            phases: (0..size).map(|_| Mutex::default()).collect(),
             deadlock: Mutex::new(None),
             topology,
             net,
@@ -83,11 +77,6 @@ impl Universe {
     /// The installed fault policy.
     pub(crate) fn faults(&self) -> &Faults {
         &self.faults
-    }
-
-    /// The happens-before checker (inert unless the world enabled it).
-    pub(crate) fn checker(&self) -> &Checker {
-        &self.checker
     }
 
     /// Count a rank whose closure returned as idle for good: it will never
@@ -120,10 +109,9 @@ impl Universe {
                     "waiting on ctx {} for {} from {}",
                     w.ctx,
                     describe_tag(w.tag),
-                    match w.missing.as_deref() {
-                        None => "any source".to_string(),
-                        Some([s]) => format!("world rank {s}"),
-                        Some(m) => format!("world ranks {m:?}"),
+                    match w.missing.as_slice() {
+                        [s] => format!("world rank {s}"),
+                        m => format!("world ranks {m:?}"),
                     },
                 ),
                 None => "not blocked in a receive (finished)".to_string(),
@@ -198,14 +186,7 @@ mod tests {
     use super::*;
 
     fn uni(p: usize) -> Universe {
-        Universe::new(
-            Topology::new(p, 4),
-            NetModel::zero(),
-            None,
-            false,
-            None,
-            false,
-        )
+        Universe::new(Topology::new(p, 4), NetModel::zero(), None, false, None)
     }
 
     #[test]

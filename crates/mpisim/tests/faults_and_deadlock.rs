@@ -178,6 +178,23 @@ fn async_exchange_missing_a_chunk_is_a_deadlock() {
     assert!(report.contains("last phase: exchange"), "{report}");
 }
 
+#[test]
+fn deadlock_report_names_every_missing_source() {
+    // Ranks 1 and 2 never post their chunks: rank 0's set receive waits on
+    // both, and the report must list them both.
+    let report = expect_deadlock(World::new(3).net(NetModel::zero()), |comm| {
+        if comm.rank() == 0 {
+            let mut pending = comm.alltoallv_async_given_counts(&[5u64], &[1, 0, 0], vec![1, 1, 1]);
+            while pending.wait_any(comm).is_some() {}
+        }
+    });
+    assert!(
+        report
+            .contains("rank 0: waiting on ctx 0 for collective #0 round 0 from world ranks [1, 2]"),
+        "report names both missing sources:\n{report}"
+    );
+}
+
 // ---- fault injection at the mpisim level -------------------------------
 
 #[test]

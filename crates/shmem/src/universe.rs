@@ -2,7 +2,7 @@
 //! the recorder (traffic totals and telemetry), the memory budget, the
 //! wall-clock epoch, and the abort flag.
 
-use crate::mailbox::Mailbox;
+use comm::mailbox::{world_capacity, Mailbox};
 use comm::Budget;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -24,7 +24,6 @@ impl Universe {
     pub(crate) fn new(
         size: usize,
         cores_per_node: usize,
-        mailbox_capacity: usize,
         telemetry: bool,
         memory_budget: Option<usize>,
     ) -> Self {
@@ -32,7 +31,9 @@ impl Universe {
         Self {
             size,
             cores_per_node,
-            mailboxes: (0..size).map(|_| Mailbox::new(mailbox_capacity)).collect(),
+            mailboxes: (0..size)
+                .map(|_| Mailbox::new(world_capacity(size)))
+                .collect(),
             aborted: AtomicBool::new(false),
             recorder: Recorder::new(node_of, telemetry),
             budget: Budget::new(size, memory_budget),

@@ -22,7 +22,6 @@ use telemetry::{MemoryReport, Snapshot};
 pub struct ThreadWorld {
     size: usize,
     cores_per_node: usize,
-    mailbox_capacity: usize,
     telemetry: bool,
     memory_budget: Option<usize>,
 }
@@ -54,7 +53,6 @@ impl ThreadWorld {
         Self {
             size,
             cores_per_node: 1,
-            mailbox_capacity: (8 * size).max(256),
             telemetry: false,
             memory_budget: None,
         }
@@ -65,15 +63,6 @@ impl ThreadWorld {
     pub fn cores_per_node(mut self, c: usize) -> Self {
         assert!(c > 0, "cores_per_node must be positive");
         self.cores_per_node = c;
-        self
-    }
-
-    /// Per-rank mailbox capacity in envelopes. A full mailbox blocks the
-    /// sender (real backpressure); the default `max(256, 8·p)` leaves a
-    /// wide margin over the `p − 1` undrained envelopes a correct
-    /// collective can park in one mailbox.
-    pub fn mailbox_capacity(mut self, cap: usize) -> Self {
-        self.mailbox_capacity = cap;
         self
     }
 
@@ -98,7 +87,6 @@ impl ThreadWorld {
         Arc::new(Universe::new(
             self.size,
             self.cores_per_node,
-            self.mailbox_capacity,
             self.telemetry,
             self.memory_budget,
         ))

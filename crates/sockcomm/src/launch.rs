@@ -58,7 +58,6 @@ const ENV_CTL: &str = "SOCKCOMM_CTL";
 const ENV_TRANSPORT: &str = "SOCKCOMM_TRANSPORT";
 const ENV_DIR: &str = "SOCKCOMM_DIR";
 const ENV_CORES: &str = "SOCKCOMM_CORES";
-const ENV_MBCAP: &str = "SOCKCOMM_MBCAP";
 const ENV_BUDGET: &str = "SOCKCOMM_BUDGET";
 
 /// What a rank ships back in its `Result` frame: the entry's result, its
@@ -129,7 +128,6 @@ pub struct SocketWorld {
     size: usize,
     transport: Transport,
     cores_per_node: usize,
-    mailbox_capacity: usize,
     memory_budget: Option<usize>,
     child_args: Option<Vec<String>>,
     launch_timeout: Duration,
@@ -145,7 +143,6 @@ impl SocketWorld {
             size,
             transport: Transport::Uds,
             cores_per_node: size.max(1),
-            mailbox_capacity: (8 * size).max(256),
             memory_budget: None,
             child_args: None,
             launch_timeout: Duration::from_secs(60),
@@ -163,13 +160,6 @@ impl SocketWorld {
     pub fn cores_per_node(mut self, c: usize) -> Self {
         assert!(c > 0, "cores_per_node must be at least 1");
         self.cores_per_node = c;
-        self
-    }
-
-    /// Per-rank mailbox capacity in envelopes (default `max(8p, 256)`,
-    /// same shape as the threads backend).
-    pub fn mailbox_capacity(mut self, cap: usize) -> Self {
-        self.mailbox_capacity = cap;
         self
     }
 
@@ -263,7 +253,6 @@ impl SocketWorld {
                 .env(ENV_TRANSPORT, self.transport.as_str())
                 .env(ENV_DIR, dir)
                 .env(ENV_CORES, self.cores_per_node.to_string())
-                .env(ENV_MBCAP, self.mailbox_capacity.to_string())
                 .env(
                     ENV_BUDGET,
                     self.memory_budget.unwrap_or(usize::MAX).to_string(),
@@ -536,7 +525,6 @@ struct ChildEnv {
     transport: Transport,
     dir: PathBuf,
     cores_per_node: usize,
-    mailbox_capacity: usize,
     memory_budget: usize,
 }
 
@@ -551,7 +539,6 @@ fn child_env() -> Option<ChildEnv> {
         transport: Transport::parse(&parse(ENV_TRANSPORT)?)?,
         dir: PathBuf::from(parse(ENV_DIR)?),
         cores_per_node: parse(ENV_CORES)?.parse().ok()?,
-        mailbox_capacity: parse(ENV_MBCAP)?.parse().ok()?,
         memory_budget: parse(ENV_BUDGET)?.parse().ok()?,
     })
 }
@@ -663,7 +650,6 @@ fn run_child<P: Wire, R: Wire>(
         p,
         me,
         env.cores_per_node,
-        env.mailbox_capacity,
         env.memory_budget,
         links,
     ));
@@ -824,7 +810,6 @@ mod tests {
             3,
             0,
             1,
-            16,
             usize::MAX,
             vec![None, None, None],
         ));

@@ -9,7 +9,7 @@
 
 use crate::frame::{write_parts, FrameKind};
 use crate::net::Stream;
-use comm::mailbox::Mailbox;
+use comm::mailbox::{world_capacity, Mailbox};
 use comm::Budget;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -76,7 +76,6 @@ impl SockUniverse {
         size: usize,
         my_world_rank: usize,
         cores_per_node: usize,
-        mailbox_capacity: usize,
         memory_budget: usize,
         peers: Vec<Option<PeerLink>>,
     ) -> Self {
@@ -85,7 +84,7 @@ impl SockUniverse {
             size,
             my_world_rank,
             cores_per_node,
-            mailbox: Mailbox::new(mailbox_capacity),
+            mailbox: Mailbox::new(world_capacity(size)),
             peers,
             aborted: AtomicBool::new(false),
             dead_peer: Mutex::new(None),

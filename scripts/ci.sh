@@ -43,10 +43,6 @@ XLINT_REPORT="${XLINT_REPORT:-target/xlint-report.json}"
 run cargo run --release -q "${CARGO_OPTS[@]}" -p xlint -- \
     --format json --out "$XLINT_REPORT"
 
-# Happens-before determinism/race checker: re-run the runtime and sorter
-# suites with vector-clock checking enabled for every simulated world.
-run cargo test -q "${CARGO_OPTS[@]}" -p mpisim -p sdssort --features mpisim/check
-
 # Miri over the unsafe-bearing modules (merge internals — the two-way
 # kernel's four-chain lockstep and two-chain rounds, its co-rank oracle,
 # exhaustive stable-oracle tests and one bounded replicated-key cut —

@@ -25,7 +25,7 @@ fn unwraps(x: Option<u8>, msg: &str) {
 
 fn literal_tag(comm: &Comm) {
     comm.send_val(1, 7, 0u64); // tag-discipline
-    let _ = comm.recv_any::<u64>(3); // tag-discipline
+    let _ = comm.recv_vec::<u64>(0, 3); // tag-discipline
     comm.send_val(0, 281474976710656, 0u64); // tag-discipline: 2^48 is reserved
 }
 

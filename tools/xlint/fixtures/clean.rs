@@ -25,7 +25,7 @@ fn expect_with_invariant(x: Option<u8>) {
 
 fn named_tag(comm: &Comm) {
     comm.send_val(1, PIVOT_TAG, 0u64);
-    let _ = comm.recv_any::<u64>(PIVOT_TAG);
+    let _ = comm.recv_vec::<u64>(0, PIVOT_TAG);
 }
 
 fn seeded(seed: u64) {

@@ -13,7 +13,7 @@ const SIGN_MASK: u64 = 0x8000_0000_0000_0000;
 fn user_space_tags(comm: &Comm) {
     comm.send_val(1, PIVOT_TAG, 9u64);
     let _: u64 = comm.recv_val(0, CARVE_TAG);
-    let _ = comm.recv_any::<u64>(BASE_TAG);
+    let _ = comm.recv_vec::<u64>(0, BASE_TAG);
 }
 
 fn runtime_tags(comm: &Comm, round: u64) {

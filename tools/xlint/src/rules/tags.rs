@@ -17,20 +17,17 @@ use crate::lexer::TokKind;
 /// Comm methods whose tag argument must be a named constant, with the
 /// zero-based position of the tag argument. Covers both the user-facing
 /// `Communicator` surface and the `RawComm` substrate methods.
-const TAGGED_METHODS: [(&str, usize); 13] = [
+const TAGGED_METHODS: [(&str, usize); 10] = [
     ("send_vec", 1),
     ("send_slice", 1),
     ("send_val", 1),
     ("recv_vec", 1),
     ("recv_val", 1),
-    ("recv_any", 0),
     ("send_raw", 1),
     ("send_slice_raw", 1),
     ("recv_into_raw", 1),
     ("recv_vec_raw", 1),
     ("recv_val_raw", 1),
-    ("recv_any_raw", 0),
-    ("try_recv_any_raw", 0),
 ];
 
 /// `tag-discipline`: tags passed to comm methods must be named constants,
