@@ -184,6 +184,10 @@ pub fn exchange<T: Sortable, C: Communicator>(
                         |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
                         || merge_two(&lo, &hi),
                     );
+                    // Releasing the merged runs is ordering too: on threads
+                    // the rank that merges last drops the send buffers'
+                    // last lent windows here and so unmaps them.
+                    drop((lo, hi));
                     merge_s += comm.now() - tm;
                     runs.push((lvl + 1, merged.into()));
                 }

@@ -25,6 +25,35 @@
 //! from the prefix already summed, bisected over `(EXACT, 2²²]`; a target
 //! still short at `2²²` gets the `2²²`-key universe, as before.
 //!
+//! ## A draw searches the head of the CDF first
+//!
+//! [`ZipfGen::sample`] inverts the CDF: it draws `u` in `[0, 1)` and takes
+//! the first index `i` with `cdf[i] ≥ u`. A binary search of a whole
+//! 2²⁰-entry (8 MiB) CDF makes 20 dependent probes, and the deep ones miss
+//! cache. Zipf mass sits at the front, though: the first [`HEAD`] = 4 096
+//! entries (32 KiB) hold 97.4 % of `zipf:1.4`'s draws, 77 % of
+//! `zipf:1.1`'s, 97.3–99.99 % of Table 1's 2²²-entry tables, 49–87 % of
+//! Table 2's and 49 % of cosmology's. So the search compares `u` once with
+//! `cdf[HEAD − 1]` and then binary-searches only the head or only the
+//! tail. Tables of 10⁴–2·10⁴ entries fit in cache whole; there the
+//! comparison gains nothing, and where it goes either way about as often
+//! (α = 0.4–0.6) it costs a few ns per key.
+//!
+//! The result is exactly the whole-table search's, so every key stream is
+//! unchanged. The CDF never falls: each running sum adds a non-negative
+//! term, a rounded sum never falls when one is added, and dividing every
+//! entry by the same positive total keeps that order. So `c < u` is true on
+//! a prefix of the table and false after it, and "the first index with
+//! `cdf[i] ≥ u`" is one index. If `cdf[HEAD − 1] ≥ u`, that index is in
+//! the head, and the head's search finds it: on the head the predicate has
+//! the same prefix. Otherwise every head entry is below `u`, the index is
+//! in the tail, and the tail's search returns it less `HEAD` (or the tail's
+//! length if no entry reaches `u`, as the whole-table search returns the
+//! table's length). A table of at most `HEAD` entries is all head. Nothing
+//! is built or stored for this: the two slices are cut from the CDF on
+//! every draw. `tests::head_first_search_is_exact` compares the two
+//! searches on every table the workspace draws from.
+//!
 //! ## One table per process while it is drawn from
 //!
 //! [`zipf_keys`], [`zipf_keys_into`] (so `keys_by_name`) and
@@ -56,6 +85,11 @@ const EXACT: usize = 200_000;
 /// Largest universe [`ZipfGen::with_delta_target`] builds: beyond it the
 /// tail mass is folded into the last key, which changes δ negligibly.
 const MAX_UNIVERSE: usize = 1 << 22;
+
+/// Entries of the CDF [`ZipfGen::sample`] searches first: 32 KiB, which
+/// stays in cache across draws and holds most of the mass of every table
+/// the workspace draws from (module docs).
+const HEAD: usize = 4096;
 
 /// `H_{m,α} − H_{EXACT,α}` for `m > EXACT`: the midpoint-corrected
 /// integral `∫_{EXACT+½}^{m+½} x^{-α} dx`.
@@ -153,9 +187,20 @@ impl ZipfGen {
 
     /// Draw one key in `1..=universe` (key 1 is the most popular).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        let idx = self.cdf.partition_point(|&c| c < u);
+        let idx = self.search(rng.gen());
         (idx.min(self.universe - 1) + 1) as u64
+    }
+
+    /// The first index `i` with `cdf[i] ≥ u` (`universe` if there is
+    /// none): one comparison with the last entry of the [`HEAD`], then a
+    /// binary search of the head or of the tail only (module docs).
+    fn search(&self, u: f64) -> usize {
+        let head = HEAD.min(self.cdf.len());
+        if self.cdf[head - 1] >= u {
+            self.cdf[..head].partition_point(|&c| c < u)
+        } else {
+            head + self.cdf[head..].partition_point(|&c| c < u)
+        }
     }
 
     /// Draw `n` keys for `rank` deterministically.
@@ -363,6 +408,60 @@ mod tests {
             crate::keys_by_name("zipf:0.8", 16, 7, 1).expect("valid name"),
             [74, 66, 263, 1412, 63, 131, 19, 2780, 3877, 626, 240, 56, 1165, 445, 169, 447]
         );
+    }
+
+    /// Every table the workspace draws from: Table 2's six, cosmology's,
+    /// `zipf:1.1` and `zipf:1.4` (2²⁰ keys each), Table 1's two high-α
+    /// tables (clamped to 2²²), and the service load generator's size
+    /// tables (the benchmark's 16 multipliers and the default 64), both
+    /// smaller than the head.
+    fn drawn_tables() -> Vec<ZipfGen> {
+        let mut tables: Vec<ZipfGen> = PAPER_ALPHA_DELTA_TABLE2
+            .iter()
+            .chain(&[(0.6, crate::cosmology::COSMOLOGY_DELTA_PCT)])
+            .map(|&(alpha, delta)| Table::Delta(alpha, delta).build())
+            .collect();
+        tables.extend([1.1, 1.4].map(|alpha| Table::for_alpha(alpha).build()));
+        tables.extend([(1.4, 32.0), (2.1, 63.0)].map(|(a, d)| ZipfGen::with_delta_target(a, d)));
+        tables.extend([16, 64].map(|m| ZipfGen::new(1.1, m)));
+        tables
+    }
+
+    #[test]
+    fn head_first_search_is_exact() {
+        let tables = drawn_tables();
+        assert_eq!(tables.len(), 13);
+        assert_eq!(
+            tables
+                .iter()
+                .filter(|g| g.universe() == MAX_UNIVERSE)
+                .count(),
+            2
+        );
+        assert_eq!(tables.iter().filter(|g| g.universe() < HEAD).count(), 2);
+        let mut rng = StdRng::seed_from_u64(0x5EA4C4);
+        for gen in &tables {
+            let cdf = &gen.cdf;
+            let mut us: Vec<f64> = (0..100_000).map(|_| rng.gen()).collect();
+            us.push(0.0);
+            for edge in [cdf[0], cdf[HEAD.min(cdf.len()) - 1], cdf[cdf.len() - 1]] {
+                us.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            let mut in_tail = 0;
+            for u in us {
+                let want = cdf.partition_point(|&c| c < u);
+                assert_eq!(
+                    gen.search(u),
+                    want,
+                    "(α {}, M {}): u = {u:e}",
+                    gen.alpha(),
+                    gen.universe()
+                );
+                in_tail += usize::from(want >= HEAD);
+            }
+            // Both arms run on every table larger than the head.
+            assert_eq!(in_tail > 0, gen.universe() > HEAD, "M {}", gen.universe());
+        }
     }
 
     /// Whether the registry holds a live `table`. Other tests of this

@@ -183,6 +183,10 @@ benchmark_smoke --workload threads-presorted --trace 0
 # ... and on the skewed input, where `Auto`'s sampled gate leaves the radix
 # kernel for the comparison sort: same digest check, other kernel.
 benchmark_smoke --workload threads-zipf --trace 0
+# ... and on sockets, where every rank is a process of its own that builds
+# its own Zipf table and draws its own keys: the only run of the digest
+# check over a backend with rank processes.
+benchmark_smoke --workload sockets-stable-tagged --trace 0
 
 # Sockets-backend smoke: the distributed process-per-rank backend (one OS
 # process per rank over Unix-domain sockets) must rendezvous, sort,
