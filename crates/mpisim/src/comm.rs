@@ -1,4 +1,5 @@
-//! The communicator handle: the simulator as a [`RawComm`] transport.
+//! The communicator handle: the simulator as a transport, implementing the
+//! [`Communicator`] primitives.
 //!
 //! A [`Comm`] is a single rank's view of a communicator, analogous to an
 //! `MPI_Comm` plus the calling rank. It is deliberately `!Send`: a rank's
@@ -9,10 +10,10 @@
 //! Everything the simulator models happens on the raw send/receive path in
 //! this file: the virtual clock, the `netmodel` inject/transit charge,
 //! `faults` perturbation, recorder accounting and the deadlock predicate.
-//! The [`Communicator`](::comm::Communicator) surface on top — collectives,
-//! the asynchronous all-to-all, `split` — is the single implementation in
-//! [`::comm::raw`] that the real backends run too; only the
-//! simulator-specific accessors (`clock`, `universe`) are inherent methods.
+//! The rest of the [`Communicator`] surface — collectives, the asynchronous
+//! all-to-all, `split` — is the trait's provided methods, the single
+//! implementation the real backends run too; only the simulator-specific
+//! accessors (`clock`, `universe`) are inherent methods.
 //!
 //! Every receive names its sources: an exact-source receive
 //! (`recv_into_raw`) or an arrival-ordered set receive (`recv_run_raw`).
@@ -27,8 +28,8 @@
 use crate::clock::VirtualClock;
 use crate::mailbox::{Envelope, TakeResult};
 use crate::universe::Universe;
-use ::comm::raw::{append_moved, Group, RawComm};
-use ::comm::{Budget, Run, Wire};
+use ::comm::raw::{append_moved, Group};
+use ::comm::{Aborted, Budget, Communicator, Run, Wire};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -42,15 +43,6 @@ pub(crate) fn describe_tag(tag: u64) -> String {
     } else {
         format!("user tag {tag}")
     }
-}
-
-/// Panic payload used when a rank unwinds *because another rank panicked*
-/// (the world was aborted). The runtime filters these out so the original
-/// failure is the one re-raised to the caller.
-#[derive(Debug)]
-pub struct AbortedPanic {
-    /// Communicator rank that was interrupted.
-    pub rank: usize,
 }
 
 /// A rank-local handle to a communicator.
@@ -90,9 +82,7 @@ impl Comm {
 
     fn check_alive(&self) {
         if self.uni.is_aborted() {
-            std::panic::panic_any(AbortedPanic {
-                rank: self.group.rank(),
-            });
+            Aborted::raise(self.group.rank());
         }
     }
 
@@ -106,7 +96,7 @@ impl Comm {
 
     /// Block until the envelope `(srcs, tag)` selects can be taken. If this
     /// wait leaves every rank idle, file the deadlock report; either way a
-    /// wait that cannot complete unwinds with [`AbortedPanic`].
+    /// wait that cannot complete unwinds with [`Aborted`].
     fn blocking_take(&self, srcs: &[usize], tag: u64) -> Envelope {
         let me_w = self.group.world_rank();
         let uni = &self.uni;
@@ -115,9 +105,7 @@ impl Comm {
             TakeResult::Deadlock => uni.declare_deadlock(me_w),
             TakeResult::Aborted => {}
         }
-        std::panic::panic_any(AbortedPanic {
-            rank: self.group.rank(),
-        })
+        Aborted::raise(self.group.rank())
     }
 
     /// Complete a receive: advance the clock to the arrival time and unbox
@@ -147,7 +135,7 @@ impl Comm {
     }
 }
 
-impl RawComm for Comm {
+impl Communicator for Comm {
     fn group(&self) -> &Group {
         &self.group
     }

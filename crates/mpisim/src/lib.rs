@@ -51,6 +51,6 @@ pub use universe::{DeadlockError, Universe};
 // without a direct dependency.
 pub use telemetry;
 
-// The backend-neutral surface every `Comm` gets from `comm::raw`'s blanket
-// impl, re-exported so tests and drivers can bring it into scope from here.
+// The backend-neutral surface `Comm` implements, re-exported so tests and
+// drivers can bring it into scope from here.
 pub use ::comm::{AsyncExchange, Communicator};

@@ -180,17 +180,17 @@ impl World {
         });
 
         // A deadlock aborted the world: every rank unwound with
-        // AbortedPanic or finished, and the report is the failure.
+        // `comm::Aborted` or finished, and the report is the failure.
         if let Some(deadlock) = uni.take_deadlock() {
             std::panic::panic_any(deadlock);
         }
         let mut panics: Vec<_> = panics.into_iter().flatten().collect();
         if !panics.is_empty() {
-            // Prefer the original failure over secondary AbortedPanic
+            // Prefer the original failure over secondary `comm::Aborted`
             // unwinds raised on ranks that were merely interrupted.
             let original = panics
                 .iter()
-                .position(|p| !p.is::<crate::comm::AbortedPanic>())
+                .position(|p| !p.is::<::comm::Aborted>())
                 .unwrap_or(0);
             std::panic::resume_unwind(panics.swap_remove(original));
         }

@@ -94,7 +94,7 @@ proptest! {
     ) {
         let report = world(p).run(move |comm| {
             let v = (seed as u64).wrapping_mul(comm.rank() as u64 + 1) % 1000;
-            let inc = comm.scan(v, |a, b| a + b);
+            let inc: u64 = comm.allgather(&[v])[..=comm.rank()].iter().sum();
             let exc = comm.exscan(v, |a, b| a + b);
             (v, inc, exc)
         });

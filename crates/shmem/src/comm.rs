@@ -1,29 +1,19 @@
-//! The threads-backend communicator: [`ThreadComm`] is a
-//! [`comm::raw::RawComm`] transport over bounded mailboxes and real
-//! wall-clock time.
+//! The threads-backend communicator: [`ThreadComm`] implements the
+//! [`comm::Communicator`] transport primitives over bounded mailboxes and
+//! real wall-clock time, and lends the runs of an owned exchange.
 //!
-//! Everything above raw send/receive — the [`comm::Communicator`] impl,
-//! the collective algorithm bodies, the reserved-tag allocator, `split` —
-//! is the single copy in [`comm::raw`], the same code the simulator and the
-//! sockets backend run. That keeps the backends' collective *results*
-//! (including deterministic rank-order reduction folds) bit-identical; only
-//! arrival timing differs.
+//! Everything above raw send/receive — the collective algorithm bodies,
+//! the reserved-tag allocator, `split` — is the trait's provided methods,
+//! the same code the simulator and the sockets backend run. That keeps the
+//! backends' collective *results* (including deterministic rank-order
+//! reduction folds) bit-identical; only arrival timing differs.
 
 use crate::mailbox::{Envelope, SrcSel};
 use crate::universe::Universe;
-use ::comm::raw::{append_moved, Group, RawComm};
-use ::comm::{Budget, Run, Wire};
+use ::comm::raw::{append_moved, Group};
+use ::comm::{Aborted, Budget, Communicator, Run, Wire};
 use std::any::Any;
 use std::sync::Arc;
-
-/// Panic payload used when a rank unwinds *because another rank panicked*
-/// (the world was aborted). The runtime filters these out so the original
-/// failure is the one re-raised to the caller.
-#[derive(Debug)]
-pub struct ShmemAborted {
-    /// Communicator rank that was interrupted.
-    pub rank: usize,
-}
 
 /// What an envelope carries.
 enum Payload<T> {
@@ -51,9 +41,7 @@ impl ThreadComm {
     }
 
     fn abort_unwind(&self) -> ! {
-        std::panic::panic_any(ShmemAborted {
-            rank: self.group.rank(),
-        })
+        Aborted::raise(self.group.rank())
     }
 
     fn check_alive(&self) {
@@ -125,7 +113,7 @@ impl ThreadComm {
     }
 }
 
-impl RawComm for ThreadComm {
+impl Communicator for ThreadComm {
     fn group(&self) -> &Group {
         &self.group
     }

@@ -7,8 +7,8 @@
 //! epoch — so telemetry spans and the resulting `RunReport`s carry *real*
 //! times, not modeled ones.
 //!
-//! This is the second [`RawComm`](::comm::raw::RawComm) transport under
-//! the [`Communicator`](::comm::Communicator) trait; the first is `mpisim`,
+//! This is the second transport implementing the
+//! [`Communicator`](::comm::Communicator) trait; the first is `mpisim`,
 //! the deterministic virtual-time simulator. The sort in `sdssort` is
 //! generic over the trait, so the same algorithm code runs on both:
 //!
@@ -18,10 +18,10 @@
 //!   stay correct under true concurrency?"* — real threads, real races on
 //!   arrival order, real seconds.
 //!
-//! Both run the same collective bodies (`comm::raw`) with deterministic
-//! rank-order reduction folds, so for a given seed both backends produce
-//! bit-identical sorted output; see the workspace's `backend_equivalence`
-//! tests.
+//! Both run the same collective bodies (the trait's provided methods) with
+//! deterministic rank-order reduction folds, so for a given seed both
+//! backends produce bit-identical sorted output; see the workspace's
+//! `backend_equivalence` and `transport_conformance` tests.
 //!
 //! ## Quick start
 //!
@@ -49,7 +49,7 @@ mod resident;
 mod universe;
 mod world;
 
-pub use crate::comm::{ShmemAborted, ThreadComm};
+pub use crate::comm::ThreadComm;
 pub use resident::{GangError, ResidentWorld};
 pub use universe::Universe;
 pub use world::{ThreadReport, ThreadWorld};

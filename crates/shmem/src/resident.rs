@@ -14,12 +14,12 @@
 //!
 //! Failure semantics are fail-fast-forever: if any rank's closure panics,
 //! the universe aborts (waking every blocked send/receive, which unwind
-//! with [`ShmemAborted`]), the gang completes with an error, and the world
+//! with [`comm::Aborted`]), the gang completes with an error, and the world
 //! is poisoned — every later [`ResidentWorld::run`] returns the same error
 //! without dispatching. A poisoned universe cannot be revived because
 //! in-flight envelopes from the failed gang may still sit in mailboxes.
 
-use crate::comm::{ShmemAborted, ThreadComm};
+use crate::comm::ThreadComm;
 use crate::universe::Universe;
 use comm::raw::Group;
 use std::any::Any;
@@ -62,8 +62,8 @@ impl Latch {
         let mut st = self.state.lock().expect("latch mutex poisoned");
         if let Some(p) = payload {
             // Keep the original failure: a real payload beats the
-            // secondary ShmemAborted unwinds of interrupted ranks.
-            if st.poison.is_none() || st.poison.as_ref().is_some_and(|q| q.is::<ShmemAborted>()) {
+            // secondary `comm::Aborted` unwinds of interrupted ranks.
+            if st.poison.is_none() || st.poison.as_ref().is_some_and(|q| q.is::<comm::Aborted>()) {
                 st.poison = Some(p);
             }
         }
@@ -106,7 +106,7 @@ fn describe_panic(payload: &(dyn Any + Send)) -> String {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
-    } else if let Some(a) = payload.downcast_ref::<ShmemAborted>() {
+    } else if let Some(a) = payload.downcast_ref::<comm::Aborted>() {
         format!("rank {} interrupted by a peer failure", a.rank)
     } else {
         "non-string panic payload".to_owned()

@@ -1,7 +1,7 @@
 //! World builder and runtime: spawns one OS thread per rank, runs the
 //! user's rank function on each, and joins the results in rank order.
 
-use crate::comm::{ShmemAborted, ThreadComm};
+use crate::comm::ThreadComm;
 use crate::universe::Universe;
 use comm::raw::Group;
 use std::panic::AssertUnwindSafe;
@@ -105,7 +105,7 @@ impl ThreadWorld {
     /// Each rank runs on its own OS thread (named `shmem-rank-{r}`). If a
     /// rank panics, the world aborts: every blocked send/receive wakes and
     /// unwinds, and the *original* panic payload is re-raised here (the
-    /// secondary `ShmemAborted` unwinds of interrupted ranks are
+    /// secondary [`comm::Aborted`] unwinds of interrupted ranks are
     /// swallowed).
     pub fn run<R, F>(&self, f: F) -> ThreadReport<R>
     where
@@ -164,7 +164,7 @@ impl ThreadWorld {
                     per_rank_wall.push(w);
                 }
                 RankOutcome::Panicked(payload) => {
-                    if payload.is::<ShmemAborted>() {
+                    if payload.is::<comm::Aborted>() {
                         secondary = Some(payload);
                     } else {
                         std::panic::resume_unwind(payload);

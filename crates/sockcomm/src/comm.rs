@@ -1,38 +1,28 @@
-//! The sockets-backend communicator: [`SockComm`] is a
-//! [`comm::raw::RawComm`] transport over per-peer socket links and the
-//! shared bounded-mailbox matching discipline.
+//! The sockets-backend communicator: [`SockComm`] implements the
+//! [`comm::Communicator`] transport primitives over per-peer socket links
+//! and the shared bounded-mailbox matching discipline.
 //!
 //! `SockComm` supplies only `Wire` encoding/decoding at the send/recv
 //! boundary and mailbox matching: a send encodes once from the borrowed
 //! slice (pod slices not at all) and a receive decodes once, onto the end
 //! of the caller's buffer (a chunk of 8-byte-aligned pods into a run of its
-//! own not at all: the received payload is the run). The
-//! [`comm::Communicator`] impl, the
-//! collective algorithm bodies, the reserved-tag allocator and `split`
-//! (with its stateless hash-derived child context id — a process-per-rank
-//! world cannot share a registry) are the single copy in [`comm::raw`] that
-//! the simulator and the threads backend run too, so collective *results*
-//! (including deterministic rank-order reduction folds) are bit-identical
-//! across all three backends.
+//! own not at all: the received payload is the run). The collective
+//! algorithm bodies, the reserved-tag allocator and `split` (with its
+//! stateless hash-derived child context id — a process-per-rank world
+//! cannot share a registry) are the trait's provided methods, the single
+//! copy the simulator and the threads backend run too, so collective
+//! *results* (including deterministic rank-order reduction folds) are
+//! bit-identical across all three backends.
 
 use crate::frame::FrameKind;
 use crate::universe::SockUniverse;
 use ::comm::mailbox::{Envelope, SrcSel};
 use ::comm::pages;
-use ::comm::raw::{Group, RawComm};
+use ::comm::raw::Group;
 use ::comm::wire::Payload;
-use ::comm::{Budget, Run, Wire};
+use ::comm::{Aborted, Budget, Communicator, Run, Wire};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Panic payload used when a rank unwinds because the world aborted
-/// (typically: a peer process died). The child runtime catches it and
-/// turns the recorded [`crate::DeadPeer`] into the diagnostic.
-#[derive(Debug)]
-pub struct SockAborted {
-    /// Communicator rank that was interrupted.
-    pub rank: usize,
-}
 
 /// A rank-local handle to a sockets-backend communicator; it lives on that
 /// rank process's main thread.
@@ -52,13 +42,11 @@ impl SockComm {
         }
     }
 
+    /// Unwind with [`Aborted`] (typically: a peer process died); the
+    /// child runtime catches it and turns the recorded
+    /// [`crate::DeadPeer`] into the diagnostic.
     fn abort_unwind(&self) -> ! {
-        // resume_unwind, not panic_any: this is deliberate control flow to
-        // the catch_unwind in the rank runtime (which reports the dead
-        // peer), so the panic hook's backtrace would be pure noise.
-        std::panic::resume_unwind(Box::new(SockAborted {
-            rank: self.group.rank(),
-        }))
+        Aborted::raise(self.group.rank())
     }
 
     /// Decode an envelope's payload onto the end of `out` — into an empty
@@ -102,7 +90,7 @@ impl SockComm {
     }
 }
 
-impl RawComm for SockComm {
+impl Communicator for SockComm {
     fn group(&self) -> &Group {
         &self.group
     }

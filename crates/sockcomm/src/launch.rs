@@ -35,7 +35,7 @@
 //! remaining children and surfaces [`SockError::PeerDeath`] naming the
 //! dead rank. Nothing waits forever on a corpse.
 
-use crate::comm::{SockAborted, SockComm};
+use crate::comm::SockComm;
 use crate::frame::{read_data_frame, read_frame, write_frame, Frame, FrameKind};
 use crate::net::{connect, Listener, Stream, Transport};
 use crate::universe::{PeerLink, SockUniverse};
@@ -694,7 +694,7 @@ fn run_child<P: Wire, R: Wire>(
             }
         }
         Err(panic_payload) => {
-            let detail = if panic_payload.downcast_ref::<SockAborted>().is_some() {
+            let detail = if panic_payload.is::<comm::Aborted>() {
                 "aborted while a collective or receive was in flight".to_string()
             } else if let Some(s) = panic_payload.downcast_ref::<&str>() {
                 (*s).to_string()
@@ -795,8 +795,8 @@ fn reader_loop(mut stream: Stream, peer: usize, uni: Arc<SockUniverse>) {
 mod tests {
     use super::*;
     use comm::mailbox::SrcSel;
-    use comm::raw::RawComm;
     use comm::wire::Payload;
+    use comm::Communicator;
     use std::os::unix::net::UnixStream;
 
     const CTX: u64 = 0;

@@ -24,8 +24,9 @@
 //! - `net`: `Stream`/`Listener` over TCP-loopback or Unix-domain sockets.
 //! - `universe`: per-process rank state — mailbox, peer links, abort flag,
 //!   close-barrier bookkeeping, traffic counters, memory budget.
-//! - `comm`: [`SockComm`], the `comm::raw::RawComm` transport (the
-//!   `Communicator` impl and its algorithms live in `comm::raw`).
+//! - `comm`: [`SockComm`], the sockets transport: it implements the
+//!   `comm::Communicator` primitives, and the trait's provided methods are
+//!   the collectives.
 //! - `launch`: [`SocketWorld`] (rendezvous launcher) and [`child_rank`]
 //!   (re-exec'd child entry); peer-death detection and teardown.
 //!
@@ -58,7 +59,7 @@ mod launch;
 mod net;
 mod universe;
 
-pub use crate::comm::{SockAborted, SockComm};
+pub use crate::comm::SockComm;
 pub use launch::{child_rank, SockError, SockReport, SocketWorld, ENV_RANK};
 pub use net::Transport;
 pub use universe::DeadPeer;

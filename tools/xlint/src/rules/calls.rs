@@ -87,7 +87,7 @@ rule pages-owns-buffers
     in crates/sdssort/src/radix.rs#radix_sort
     in crates/sdssort/src/local_sort.rs#local_sort_with
     in crates/sdssort/src/local_sort.rs#parallel_merge_into
-    in crates/comm/src/raw.rs#alltoallv_given_counts crates/comm/src/raw.rs#self_run_raw
+    in crates/comm/src/lib.rs#alltoallv_given_counts crates/comm/src/lib.rs#self_run_raw
     in crates/comm/src/wire.rs#get_into crates/comm/src/wire.rs#read_from
     in crates/sockcomm/src/frame.rs#read_frame crates/sockcomm/src/comm.rs#send_slice_raw
     ban std::vec::Vec::with_capacity vec! .reserve(..) .reserve_exact(..) .to_vec()

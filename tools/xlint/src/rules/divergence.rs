@@ -13,9 +13,8 @@
 //! * collective names are matched together with their arity, so
 //!   `str::split(',')` (1 arg) is not `Communicator::split(color, key)`
 //!   (2 args) and `Iterator::reduce(f)` (1 arg) is not
-//!   `Communicator::reduce(root, v, op)` (3 args). `scan` is excluded
-//!   outright — `Iterator::scan` is too common and the comm variant is
-//!   unused in this workspace;
+//!   `Communicator::reduce(root, v, op)` (3 args). `Communicator` has no
+//!   `scan`, so `Iterator::scan` needs no exclusion;
 //! * rank mentions *inside the arguments of a `split` call* do not make
 //!   a condition divergent: `split(if rank == r { Some(0) } else { None },
 //!   ..)` is the sanctioned color-by-rank idiom — every rank still
@@ -32,11 +31,10 @@ use crate::lexer::{Tok, TokKind};
 /// Collective `Communicator` methods with their argument counts
 /// (receiver excluded). Arity disambiguates from std methods of the same
 /// name.
-const COLLECTIVES: [(&str, usize); 23] = [
+const COLLECTIVES: [(&str, usize); 19] = [
     ("barrier", 0),
     ("bcast", 2),
     ("gatherv", 2),
-    ("gather", 2),
     ("alltoall", 1),
     ("alltoallv", 2),
     ("alltoallv_async", 2),
@@ -49,12 +47,9 @@ const COLLECTIVES: [(&str, usize); 23] = [
     ("reduce", 3),
     ("allreduce", 2),
     ("exscan", 2),
-    ("scatter", 2),
     ("scatterv", 2),
-    ("reduce_scatter", 2),
     ("split", 2),
     ("split_shared_node", 0),
-    ("split_node_leaders", 0),
     ("refine_comm", 0),
 ];
 

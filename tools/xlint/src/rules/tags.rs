@@ -1,6 +1,7 @@
 //! Tag rules: `tag-discipline` (tags are named constants) and
 //! `user-tag-range` (user tags stay below `comm::MAX_USER_TAG`, and the
-//! reserved-tag `RawComm` surface stays inside the backend substrate).
+//! reserved-tag `*_raw` transport methods of `Communicator` stay inside
+//! the backend substrate).
 //!
 //! The collective tag space at and above 2^48 is how PR 5's layered
 //! collectives keep protocol traffic from colliding with user messages;
@@ -16,7 +17,7 @@ use crate::lexer::TokKind;
 
 /// Comm methods whose tag argument must be a named constant, with the
 /// zero-based position of the tag argument. Covers both the user-facing
-/// `Communicator` surface and the `RawComm` substrate methods.
+/// point-to-point methods and the `*_raw` transport methods.
 const TAGGED_METHODS: [(&str, usize); 10] = [
     ("send_vec", 1),
     ("send_slice", 1),
@@ -78,13 +79,14 @@ pub fn check_user_range(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                     col: call.tok.col,
                     rule: "user-tag-range",
                     msg: format!(
-                        "`{}` call outside the comm backend substrate: `RawComm` bypasses \
-                         the user-tag check and may collide with collective protocol traffic",
+                        "`{}` call outside the comm backend substrate: the `*_raw` transport \
+                         methods bypass the user-tag check and may collide with collective \
+                         protocol traffic",
                         call.name
                     ),
                     suggestion: Some(
-                        "use the `Communicator` surface; reserved-tag plumbing belongs in \
-                         `crates/comm` and the backends that implement `RawComm`"
+                        "use the user-tag `Communicator` surface; reserved-tag plumbing \
+                         belongs in `crates/comm` and the three backend transports"
                             .to_string(),
                     ),
                 });
