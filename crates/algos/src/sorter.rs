@@ -23,7 +23,7 @@ pub enum Sorter {
     Sds,
     /// SDS-Sort, stable variant.
     SdsStable,
-    /// HykSort, the paper's baseline ([`hyksort`]).
+    /// HykSort, the paper's baseline ([`hyksort()`]).
     HykSort,
     /// Multi-level AMS-sort ([`ams_sort`]).
     Ams,

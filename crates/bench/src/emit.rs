@@ -125,7 +125,7 @@ fn resolve_out(out: &Path, experiment: &str) -> PathBuf {
 }
 
 /// Write `json` as `experiment`'s document under the `--metrics-out`
-/// destination `out` (see [`resolve_out`]), creating missing directories.
+/// destination `out` (see `resolve_out`), creating missing directories.
 /// Prints the output path so logs record where the metrics went.
 pub fn write_document(out: &Path, experiment: &str, json: &str) -> std::io::Result<PathBuf> {
     let path = resolve_out(out, experiment);

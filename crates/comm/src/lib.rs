@@ -350,21 +350,18 @@ pub trait Communicator: Sized {
 
     // ---- observability ----------------------------------------------------
 
-    /// Attribute subsequent traffic and time to the named phase. No-op when
-    /// telemetry is disabled.
-    fn trace_phase(&self, name: &str) {
-        self.recorder().set_phase(self.world_rank(), name);
+    /// Open a telemetry span named `name` on this rank at time `at`
+    /// (normally `self.now()`; a caller that ends one span and opens the
+    /// next passes both the same reading, so they touch). Until it ends,
+    /// this rank's sends are counted under `name`: a span is the rank's
+    /// phase.
+    fn span_begin(&self, name: &str, at: f64) -> SpanId {
+        self.recorder().span_begin(self.world_rank(), name, at)
     }
 
-    /// Open a telemetry span on this rank at the current time.
-    fn span_begin(&self, name: &str) -> SpanId {
-        self.recorder()
-            .span_begin(self.world_rank(), name, self.now())
-    }
-
-    /// Close a telemetry span at the current time.
-    fn span_end(&self, id: SpanId) {
-        self.recorder().span_end(id, self.now());
+    /// End a telemetry span at time `at`.
+    fn span_end(&self, id: SpanId, at: f64) {
+        self.recorder().span_end(id, at);
     }
 
     /// Record a telemetry point event on this rank at the current time.

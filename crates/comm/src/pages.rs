@@ -7,13 +7,13 @@
 //! backs private anonymous memory with the large pages when the mapping
 //! asked for them, so [`reserve`] asks. From one huge page up it rounds the
 //! capacity to whole huge pages less the allocator's header
-//! ([`capacity`]), which glibc serves with a mapping of exactly that many
+//! (`capacity`), which glibc serves with a mapping of exactly that many
 //! huge pages; the kernel places such a mapping on a huge-page boundary.
 //! Where the allocation did start on one — checked, never assumed — the
 //! pages the records fill are advised `MADV_HUGEPAGE` from the first byte,
 //! and the first huge page, which the allocator's header has already
 //! faulted as a 4 KiB page, is collapsed into a huge one. Anywhere else the
-//! base pages wholly inside the allocation are advised ([`advice`]).
+//! base pages wholly inside the allocation are advised (`advice`).
 //! Nothing is pooled, pre-faulted or kept: the buffer is an ordinary `Vec`
 //! of the global allocator, freed as one.
 //!
@@ -65,8 +65,8 @@ pub fn take_tally() -> Tally {
 }
 
 /// `Vec::reserve_exact`, rounded up to whole huge pages from one huge page
-/// on ([`capacity`]), with the allocation it makes (if it makes one)
-/// advised to be backed by huge pages ([`advice`]). Length and contents of
+/// on (`capacity`), with the allocation it makes (if it makes one)
+/// advised to be backed by huge pages (`advice`). Length and contents of
 /// `v` are untouched, as with `reserve_exact`.
 pub fn reserve<T>(v: &mut Vec<T>, additional: usize) {
     // Room is there already — always so for a zero-sized `T`, whose

@@ -185,12 +185,12 @@ impl Communicator for Comm {
         self.uni.recorder.add_compute(me_w, seconds);
     }
 
-    /// Attributes this rank's subsequent sends to the named phase, and
-    /// records it for the deadlock report.
-    fn trace_phase(&self, name: &str) {
+    /// Opens the span, and records its name as this rank's phase for the
+    /// deadlock report whether or not telemetry is on.
+    fn span_begin(&self, name: &str, at: f64) -> telemetry::SpanId {
         let me_w = self.group.world_rank();
-        self.uni.recorder.set_phase(me_w, name);
         name.clone_into(&mut self.uni.phases[me_w].lock());
+        self.uni.recorder.span_begin(me_w, name, at)
     }
 
     fn budget(&self) -> &Budget {

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultSpec`] describes *system* misbehaviour — per-message delay
 //! jitter, rank stalls and slowdowns, transient send-buffer exhaustion,
-//! and memory-pressure ramps — and the [`Faults`]
+//! and memory-pressure ramps — and the `Faults`
 //! policy object threads those decisions through the send/receive paths.
 //! Like the telemetry `Recorder`, the object is a pure policy: when no
 //! spec is installed every hook is one relaxed atomic load and the

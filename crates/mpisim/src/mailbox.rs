@@ -14,7 +14,7 @@
 //!
 //! A blocked receive registers its wait in the mailbox, under the mailbox
 //! lock; the push that satisfies it clears it under the same lock. Both
-//! keep the world's [`Idle`] count, which is how deadlock is detected
+//! keep the world's `Idle` count, which is how deadlock is detected
 //! without a timeout.
 
 use parking_lot::{Condvar, Mutex};

@@ -42,8 +42,7 @@ pub struct Universe {
     pub(crate) faults: Faults,
     /// Ranks finished or blocked on a registered wait (see [`Idle`]).
     pub(crate) idle: Idle,
-    /// Last phase each rank entered via `trace_phase`, for the deadlock
-    /// report.
+    /// The span each rank opened last, for the deadlock report.
     pub(crate) phases: Box<[Mutex<String>]>,
     /// The deadlock report, filled once when every rank went idle.
     deadlock: Mutex<Option<String>>,

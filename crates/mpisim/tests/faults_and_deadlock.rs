@@ -91,7 +91,7 @@ fn expect_deadlock(world: World, f: impl Fn(&mut Comm) + Send + Sync) -> String 
 #[test]
 fn silent_deadlock_becomes_diagnostic_report() {
     let report = expect_deadlock(World::new(3).net(NetModel::zero()), |comm| {
-        comm.trace_phase("exchange");
+        comm.span_begin("exchange", comm.now());
         // Everyone waits for a message nobody sends.
         let peer = (comm.rank() + 1) % comm.size();
         let _ = comm.recv_vec::<u8>(peer, 9);
@@ -161,7 +161,7 @@ fn async_exchange_missing_a_chunk_is_a_deadlock() {
     // chunk that cannot come, and the run must end in a report naming the
     // waiting rank rather than hang.
     let report = expect_deadlock(World::new(2).net(NetModel::zero()), |comm| {
-        comm.trace_phase("exchange");
+        comm.span_begin("exchange", comm.now());
         if comm.rank() == 0 {
             let mut pending = comm.alltoallv_async_given_counts(&[5u64], &[1, 0], vec![1, 1]);
             while pending.wait_any(comm).is_some() {}

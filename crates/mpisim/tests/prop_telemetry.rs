@@ -53,7 +53,7 @@ proptest! {
                 .net(NetModel::zero())
                 .telemetry(telemetry)
                 .run(move |comm| {
-                    comm.trace_phase("bulk");
+                    let bulk = comm.span_begin("bulk", comm.now());
                     let me = comm.rank();
                     let counts: Vec<usize> =
                         (0..p).map(|dst| count_for(seed, p, me, dst)).collect();
@@ -62,6 +62,7 @@ proptest! {
                         data.extend(std::iter::repeat_n((me * 100 + dst) as u64, c));
                     }
                     comm.alltoallv(&data, &counts);
+                    comm.span_end(bulk, comm.now());
                 });
             // The totals are counted with telemetry on or off.
             prop_assert_eq!((report.messages, report.bytes), (want.messages, want.bytes));
@@ -99,11 +100,12 @@ proptest! {
             .net(NetModel::zero())
             .telemetry(true)
             .run(move |comm| {
-                comm.trace_phase("ring");
+                let ring = comm.span_begin("ring", comm.now());
                 let dst = (comm.rank() + 1) % p;
                 let src = (comm.rank() + p - 1) % p;
                 comm.send_vec(dst, 7, vec![comm.rank() as u64]);
                 let _ = comm.recv_vec::<u64>(src, 7);
+                comm.span_end(ring, comm.now());
             });
         let snapshot = report.telemetry.as_ref().expect("telemetry enabled");
         // Reference count straight off the ring structure.

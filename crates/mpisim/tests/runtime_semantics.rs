@@ -174,15 +174,17 @@ fn tracing_captures_phased_traffic() {
         .net(NetModel::zero())
         .telemetry(true)
         .run(|comm| {
-            comm.trace_phase("warmup");
+            let warmup = comm.span_begin("warmup", comm.now());
             comm.send_val((comm.rank() + 1) % 4, 1, 1u8);
             let _: u8 = comm.recv_val((comm.rank() + 3) % 4, 1);
+            comm.span_end(warmup, comm.now());
             // No barrier: a send belongs to its sender's phase, so a fast
             // rank entering "bulk" cannot claim a slow rank's warmup send.
-            comm.trace_phase("bulk");
+            let bulk = comm.span_begin("bulk", comm.now());
             let counts = vec![2usize; 4];
             let data = vec![comm.rank() as u64; 8];
             comm.alltoallv(&data, &counts);
+            comm.span_end(bulk, comm.now());
         });
     let phases = report.telemetry.expect("telemetry enabled").phases;
     let got: Vec<_> = phases
@@ -206,7 +208,7 @@ fn tracing_captures_phased_traffic() {
 #[test]
 fn tracing_disabled_by_default() {
     let report = World::new(2).net(NetModel::zero()).run(|comm| {
-        comm.trace_phase("ping");
+        comm.span_begin("ping", comm.now());
         if comm.rank() == 0 {
             comm.send_val(1, 0, 1u8);
         } else {

@@ -129,9 +129,7 @@ impl<'a, C: Communicator> Clock<'a, C> {
 
     fn open(&mut self, step: Step, now: f64) {
         self.step = step;
-        self.comm.trace_phase(step.name());
-        let recorder = self.comm.recorder();
-        self.span = Some(recorder.span_begin(self.comm.world_rank(), step.name(), now));
+        self.span = Some(self.comm.span_begin(step.name(), now));
     }
 
     /// Book the open step up to now and close its span.
@@ -140,7 +138,7 @@ impl<'a, C: Communicator> Clock<'a, C> {
         *self.step.phase(&mut self.stats) += now - self.since;
         self.since = now;
         if let Some(span) = self.span.take() {
-            self.comm.recorder().span_end(span, now);
+            self.comm.span_end(span, now);
         }
         // The n-record buffers this rank obtained since the last reading
         // (`comm::pages`), and how much of them is huge-page advised.

@@ -7,8 +7,8 @@
 //! assumption for the receive side of the exchange: a rank whose receive
 //! buffer does not fit its budget (or would push it over
 //! [`crate::exchange::SPILL_PRESSURE`]) reserves only its largest incoming
-//! chunk, and [`Staged::write`] writes every chunk as it arrives — already
-//! sorted, so as ready-made runs — then drops it. [`Staged::read_back`]
+//! chunk, and `Staged::write` writes every chunk as it arrives — already
+//! sorted, so as ready-made runs — then drops it. `Staged::read_back`
 //! streams their merge back through [`RunMerger`]. That read-back collects
 //! all `m` records into one `Vec`, which the budget does not charge: a rank
 //! that spilled because `m` records did not fit ends up holding them
@@ -204,7 +204,7 @@ struct Cursor<T> {
 
 /// Streaming k-way merge over sorted runs, stable across them: ties go to
 /// the run that comes first. Memory: one decoded block per run, ordered by
-/// a [`LoserTree`] over the blocks' head keys.
+/// a `LoserTree` over the blocks' head keys.
 pub struct RunMerger<'a, T: Sortable> {
     runs: Vec<&'a RunFile>,
     files: Vec<File>,

@@ -18,8 +18,7 @@ use comm::Communicator;
 /// True iff the concatenation of all ranks' `data` (in rank order) is
 /// sorted by key. Collective: every rank returns the same answer.
 pub fn is_globally_sorted<T: Sortable, C: Communicator>(comm: &C, data: &[T]) -> bool {
-    comm.trace_phase("validate");
-    let sp = comm.span_begin("validate");
+    let sp = comm.span_begin("validate", comm.now());
     let locally = data.windows(2).all(|w| w[0].key() <= w[1].key());
     // Exchange boundary keys: every rank publishes (has_data, min, max).
     let snapshot = (
@@ -42,7 +41,7 @@ pub fn is_globally_sorted<T: Sortable, C: Communicator>(comm: &C, data: &[T]) ->
         last_max = max;
     }
     let all_local = comm.allreduce(locally as u8, |a, b| a.min(b)) == 1;
-    comm.span_end(sp);
+    comm.span_end(sp, comm.now());
     all_local && boundaries_ok
 }
 
@@ -78,8 +77,7 @@ pub fn is_permutation_of<T: Sortable, H: Fn(&T) -> u64, C: Communicator>(
     output: &[T],
     hash: H,
 ) -> bool {
-    comm.trace_phase("validate");
-    let sp = comm.span_begin("validate");
+    let sp = comm.span_begin("validate", comm.now());
     let in_ck = content_checksum(input, &hash);
     let out_ck = content_checksum(output, &hash);
     let contribution = (
@@ -101,7 +99,7 @@ pub fn is_permutation_of<T: Sortable, H: Fn(&T) -> u64, C: Communicator>(
         )
     });
     let ok = total.0 == total.1 && total.2 == total.4 && total.3 == total.5;
-    comm.span_end(sp);
+    comm.span_end(sp, comm.now());
     ok
 }
 

@@ -477,9 +477,9 @@ fn nested_split_contexts_do_not_cross_talk() {
 fn wall_clock_advances_and_is_reported() {
     let rep = ThreadWorld::new(3).telemetry(true).run(|comm| {
         let t0 = comm.now();
-        let sp = comm.span_begin("spin");
+        let sp = comm.span_begin("spin", comm.now());
         let x = comm.compute(|| (0..200_000u64).sum::<u64>());
-        comm.span_end(sp);
+        comm.span_end(sp, comm.now());
         comm.barrier();
         let t1 = comm.now();
         assert!(t1 >= t0);
@@ -503,11 +503,12 @@ fn wall_clock_advances_and_is_reported() {
 fn a_send_is_attributed_to_its_senders_phase() {
     const TAG_GO: u64 = 102;
     let rep = ThreadWorld::new(2).telemetry(true).run(|comm| {
-        comm.trace_phase("a");
+        let a = comm.span_begin("a", comm.now());
         if comm.rank() == 0 {
             // Rank 1 is in "a" for certain before this rank moves on.
             let _: u8 = comm.recv_val(1, TAG_PING);
-            comm.trace_phase("b");
+            comm.span_end(a, comm.now());
+            comm.span_begin("b", comm.now());
             comm.send_val(1, TAG_GO, 0u8);
             for _ in 0..3 {
                 let _: u8 = comm.recv_val(1, TAG_PONG);
@@ -520,7 +521,8 @@ fn a_send_is_attributed_to_its_senders_phase() {
             for _ in 0..3 {
                 comm.send_val(0, TAG_PONG, 0u8);
             }
-            comm.trace_phase("b");
+            comm.span_end(a, comm.now());
+            comm.span_begin("b", comm.now());
         }
     });
     let phases = rep.telemetry.expect("telemetry enabled").phases;

@@ -258,6 +258,10 @@ impl SocketWorld {
                     self.memory_budget.unwrap_or(usize::MAX).to_string(),
                 )
                 .stdin(Stdio::null())
+                // A rank's stdout is not the launcher's: a test harness
+                // re-exec'd as a rank prints its banner before
+                // `child_rank` takes over, so it goes to stderr.
+                .stdout(std::io::stderr())
                 .spawn();
             match spawned {
                 Ok(child) => children.borrow_mut().push((rank, child)),

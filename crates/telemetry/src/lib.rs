@@ -2,11 +2,13 @@
 //!
 //! Three layers:
 //!
-//! * [`metrics`] — counters, max-gauges, and log₂-bucket histograms, all
-//!   lock-free atomics behind a name registry.
-//! * [`recorder`] — the per-run [`Recorder`] sink: phase-attributed
-//!   communication totals (with inter-node splits from a rank→node map),
-//!   per-rank span timelines and events, and compute/comm time ledgers.
+//! * [`metrics`] — counters and max-gauges, lock-free atomics behind a
+//!   name registry.
+//! * [`recorder`] — the per-run [`Recorder`] sink: per-rank stacks of
+//!   open spans, whose names are the phases; per-phase communication
+//!   totals (a send counts under its sender's innermost open span, with
+//!   inter-node splits from a rank→node map); the closed spans and point
+//!   events as timelines; and compute/comm time ledgers.
 //!   Disabled recorders cost one relaxed atomic load per operation, and a
 //!   recorder never reads or advances virtual clocks, so simulation
 //!   results are bit-identical with telemetry on or off.
@@ -15,8 +17,9 @@
 //!   memory high-water marks, loads, RDFA).
 //!
 //! JSON support is hand-rolled in [`json`] (the workspace builds without
-//! serde_json); the dialect is standard JSON plus bare `NaN`/`Infinity`
-//! tokens so floats round-trip bit-exactly.
+//! serde_json), and it is the workspace's one JSON codec (`xlint`'s report
+//! goes through it too); the dialect is standard JSON plus bare
+//! `NaN`/`Infinity` tokens so floats round-trip bit-exactly.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +30,7 @@ pub mod report;
 pub mod timeline;
 
 pub use json::{Json, ParseError};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Registry};
 pub use recorder::{PhaseComm, Recorder, Snapshot, SpanId};
 pub use report::{Decisions, MemoryReport, RunReport, WorldMeta, SCHEMA_VERSION};
 pub use timeline::{phases_from_spans, EventRecord, PhaseTimes, SpanRecord};

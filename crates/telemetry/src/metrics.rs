@@ -1,12 +1,10 @@
-//! Metric primitives: monotonic counters, max-tracking gauges, and
-//! histograms with fixed log₂ buckets. All updates are lock-free atomics;
-//! the registry mutex is touched only on first registration of a name.
+//! Metric primitives: monotonic counters and max-tracking gauges. All
+//! updates are lock-free atomics; the registry mutex is touched only on
+//! first registration of a name.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::json::Json;
 
 /// Monotonic counter.
 #[derive(Debug, Default)]
@@ -42,89 +40,12 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets: bucket 0 holds value 0, bucket `i` (1..=64)
-/// holds values with `floor(log2(v)) == i - 1`, i.e. `[2^(i-1), 2^i)`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Histogram over `u64` values with fixed log₂ buckets.
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// Bucket index for a value: 0 for 0, else `floor(log2(v)) + 1`.
-pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// Inclusive lower bound of a bucket (0 for bucket 0, else `2^(i-1)`).
-pub fn bucket_low(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::SeqCst);
-        self.count.fetch_add(1, Ordering::SeqCst);
-        self.sum.fetch_add(v, Ordering::SeqCst);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::SeqCst)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::SeqCst)
-    }
-
-    /// Sparse snapshot: `(bucket_index, count)` for non-empty buckets.
-    pub fn nonempty_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::SeqCst);
-                (c > 0).then_some((i, c))
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish()
-    }
-}
-
 /// Name → metric registry. Hot paths hold an `Arc` handle; lookups by name
 /// lock only a registration map.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 fn intern<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -146,10 +67,6 @@ impl Registry {
         intern(&self.gauges, name)
     }
 
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        intern(&self.histograms, name)
-    }
-
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         let map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         map.iter().map(|(k, c)| (k.clone(), c.get())).collect()
@@ -159,110 +76,11 @@ impl Registry {
         let map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
         map.iter().map(|(k, g)| (k.clone(), g.get())).collect()
     }
-
-    pub fn histogram_values(&self) -> Vec<HistogramSnapshot> {
-        let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.iter()
-            .map(|(k, h)| HistogramSnapshot {
-                name: k.clone(),
-                count: h.count(),
-                sum: h.sum(),
-                buckets: h.nonempty_buckets(),
-            })
-            .collect()
-    }
-}
-
-/// Frozen histogram state (sparse buckets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    pub name: String,
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: Vec<(usize, u64)>,
-}
-
-impl HistogramSnapshot {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::from(self.name.clone())),
-            ("count", Json::from(self.count)),
-            ("sum", Json::from(self.sum)),
-            (
-                "buckets",
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(i, c)| {
-                            Json::obj(vec![
-                                ("bucket", Json::from(i)),
-                                ("low", Json::from(bucket_low(i))),
-                                ("count", Json::from(c)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    pub fn from_json(v: &Json) -> Option<Self> {
-        Some(Self {
-            name: v.get("name")?.as_str()?.to_string(),
-            count: v.get("count")?.as_u64()?,
-            sum: v.get("sum")?.as_u64()?,
-            buckets: v
-                .get("buckets")?
-                .as_arr()?
-                .iter()
-                .map(|b| {
-                    Some((
-                        b.get("bucket")?.as_u64()? as usize,
-                        b.get("count")?.as_u64()?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log2_bucket_edges() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn bucket_low_is_inclusive_lower_edge() {
-        for i in 1..HISTOGRAM_BUCKETS {
-            assert_eq!(bucket_index(bucket_low(i)), i);
-            if bucket_low(i) > 1 {
-                assert_eq!(bucket_index(bucket_low(i) - 1), i - 1);
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_counts_and_sums() {
-        let h = Histogram::default();
-        for v in [0u64, 1, 1, 7, 8, 1 << 40] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 17 + (1 << 40));
-        let sparse = h.nonempty_buckets();
-        assert_eq!(sparse, vec![(0, 1), (1, 2), (3, 1), (4, 1), (41, 1)]);
-    }
 
     #[test]
     fn registry_interns_by_name() {

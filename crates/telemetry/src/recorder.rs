@@ -2,24 +2,33 @@
 //! to. A `Recorder` is a *pure observer* — it never reads or advances
 //! virtual clocks, so simulation results are identical with recording on
 //! or off. It is also the only traffic observer: every transport's send
-//! path calls [`Recorder::on_send`] once. The two whole-run totals
-//! ([`Recorder::messages`], [`Recorder::bytes`]) are always counted; phases,
-//! spans, events, metrics and ledgers cost one atomic load when disabled.
+//! path calls [`Recorder::on_send`] once, and a send is counted under the
+//! innermost span its sender has open: a span *is* a phase. The two
+//! whole-run totals ([`Recorder::messages`], [`Recorder::bytes`]) are
+//! always counted; phases, spans, events, metrics and ledgers cost one
+//! atomic load when disabled.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::json::Json;
-use crate::metrics::{HistogramSnapshot, Registry};
+use crate::metrics::Registry;
 use crate::timeline::{EventRecord, SpanRecord};
 
-/// Handle for an open span. Obtained from [`Recorder::span_begin`];
-/// harmless to end when recording was disabled at begin time.
+/// Handle for an open span: its rank and its depth in that rank's stack.
+/// Obtained from [`Recorder::span_begin`]; harmless to end when recording
+/// is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(usize);
+pub struct SpanId {
+    rank: usize,
+    depth: usize,
+}
 
 impl SpanId {
-    const DISABLED: SpanId = SpanId(usize::MAX);
+    const DISABLED: SpanId = SpanId {
+        rank: usize::MAX,
+        depth: usize::MAX,
+    };
 }
 
 /// Per-phase communication totals, with inter-node splits computed from
@@ -56,22 +65,23 @@ impl PhaseComm {
 }
 
 struct OpenSpan {
-    rank: usize,
     name: String,
+    /// Index into `Inner::phases` of the phase named `name`.
+    phase: usize,
     start_v: f64,
 }
 
 #[derive(Default)]
 struct Inner {
-    /// In first-entered order. `phases[0]` is the unnamed phase every rank
-    /// starts in; a snapshot leaves it out while it is empty.
+    /// In first-opened order. `phases[0]` is the unnamed phase of a rank
+    /// with no span open; a snapshot leaves it out while it is empty.
     phases: Vec<PhaseComm>,
-    /// `current[rank]` indexes `phases`: a send is attributed to the phase
-    /// its *sender* is in, so the per-phase table is a function of the
-    /// program, not of which rank reached a phase boundary first.
-    current: Vec<usize>,
+    /// `open[rank]` is the rank's stack of open spans, innermost last. A
+    /// send is attributed to the innermost span open on its *sender*, so
+    /// the per-phase table is a function of the program, not of which rank
+    /// reached a phase boundary first.
+    open: Vec<Vec<OpenSpan>>,
     spans: Vec<SpanRecord>,
-    open: Vec<Option<OpenSpan>>,
     events: Vec<EventRecord>,
 }
 
@@ -110,7 +120,7 @@ impl Recorder {
             comm_v: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             inner: Mutex::new(Inner {
                 phases: vec![PhaseComm::default()],
-                current: vec![0; ranks],
+                open: (0..ranks).map(|_| Vec::new()).collect(),
                 ..Inner::default()
             }),
         }
@@ -143,25 +153,6 @@ impl Recorder {
         self.bytes.load(Ordering::SeqCst)
     }
 
-    /// Switch the phase world rank `rank`'s sends are attributed to.
-    pub fn set_phase(&self, rank: usize, name: &str) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        let phase = match inner.phases.iter().position(|p| p.name == name) {
-            Some(i) => i,
-            None => {
-                inner.phases.push(PhaseComm {
-                    name: name.to_string(),
-                    ..PhaseComm::default()
-                });
-                inner.phases.len() - 1
-            }
-        };
-        inner.current[rank] = phase;
-    }
-
     /// Record one message on the wire, world rank `src` to world rank
     /// `dst`: the one accounting call of every transport's send path.
     pub fn on_send(&self, src: usize, dst: usize, bytes: usize) {
@@ -172,7 +163,7 @@ impl Recorder {
         }
         let internode = self.node_of[src] != self.node_of[dst];
         let mut inner = self.lock();
-        let current = inner.current[src];
+        let current = inner.open[src].last().map_or(0, |span| span.phase);
         let phase = &mut inner.phases[current];
         phase.messages += 1;
         phase.bytes += bytes as u64;
@@ -196,13 +187,6 @@ impl Recorder {
         self.registry.gauge(name).set_max(v);
     }
 
-    pub fn observe(&self, name: &str, v: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.registry.histogram(name).record(v);
-    }
-
     /// Record a point event at the caller-supplied virtual time.
     pub fn event(&self, rank: usize, name: &str, detail: &str, v_time: f64) {
         if !self.enabled() {
@@ -216,39 +200,53 @@ impl Recorder {
         });
     }
 
-    /// Open a span at the caller-supplied virtual time. Returns a sentinel
-    /// id when disabled, which [`Recorder::span_end`] ignores.
+    /// Open a span on world rank `rank` at the caller-supplied time,
+    /// inside the spans the rank has open. Until it ends, the rank's sends
+    /// are counted under its name. Returns a sentinel id when disabled,
+    /// which [`Recorder::span_end`] ignores.
     pub fn span_begin(&self, rank: usize, name: &str, v_now: f64) -> SpanId {
         if !self.enabled() {
             return SpanId::DISABLED;
         }
         let mut inner = self.lock();
-        let slot = OpenSpan {
-            rank,
-            name: name.to_string(),
-            start_v: v_now,
+        let phase = match inner.phases.iter().position(|p| p.name == name) {
+            Some(i) => i,
+            None => {
+                inner.phases.push(PhaseComm {
+                    name: name.to_string(),
+                    ..PhaseComm::default()
+                });
+                inner.phases.len() - 1
+            }
         };
-        if let Some(i) = inner.open.iter().position(Option::is_none) {
-            inner.open[i] = Some(slot);
-            SpanId(i)
-        } else {
-            inner.open.push(Some(slot));
-            SpanId(inner.open.len() - 1)
+        let stack = &mut inner.open[rank];
+        stack.push(OpenSpan {
+            name: name.to_string(),
+            phase,
+            start_v: v_now,
+        });
+        SpanId {
+            rank,
+            depth: stack.len() - 1,
         }
     }
 
+    /// End span `id` at the caller-supplied time, and with it any span
+    /// still open inside it.
     pub fn span_end(&self, id: SpanId, v_now: f64) {
         if id == SpanId::DISABLED || !self.enabled() {
             return;
         }
-        let mut inner = self.lock();
-        if let Some(open) = inner.open.get_mut(id.0).and_then(Option::take) {
-            inner.spans.push(SpanRecord {
-                rank: open.rank,
+        let inner = &mut *self.lock();
+        let stack = &mut inner.open[id.rank];
+        if id.depth < stack.len() {
+            let ended = stack.drain(id.depth..).map(|open| SpanRecord {
+                rank: id.rank,
                 name: open.name,
                 start_v: open.start_v,
                 end_v: v_now,
             });
+            inner.spans.extend(ended);
         }
     }
 
@@ -288,7 +286,6 @@ impl Recorder {
             events: inner.events.clone(),
             counters: self.registry.counter_values(),
             gauges: self.registry.gauge_values(),
-            histograms: self.registry.histogram_values(),
             compute_v: self
                 .compute_v
                 .iter()
@@ -321,7 +318,6 @@ pub struct Snapshot {
     pub events: Vec<EventRecord>,
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<HistogramSnapshot>,
     pub compute_v: Vec<f64>,
     pub comm_v: Vec<f64>,
 }
@@ -390,15 +386,6 @@ impl Snapshot {
                         .collect(),
                 ),
             ),
-            (
-                "histograms",
-                Json::Arr(
-                    self.histograms
-                        .iter()
-                        .map(HistogramSnapshot::to_json)
-                        .collect(),
-                ),
-            ),
             ("compute_v", Json::from(self.compute_v.clone())),
             ("comm_v", Json::from(self.comm_v.clone())),
         ])
@@ -455,12 +442,6 @@ impl Snapshot {
                     ))
                 })
                 .collect::<Option<Vec<_>>>()?,
-            histograms: v
-                .get("histograms")?
-                .as_arr()?
-                .iter()
-                .map(HistogramSnapshot::from_json)
-                .collect::<Option<Vec<_>>>()?,
             compute_v: f64s(v.get("compute_v")?)?,
             comm_v: f64s(v.get("comm_v")?)?,
         })
@@ -474,14 +455,12 @@ mod tests {
     #[test]
     fn disabled_recorder_counts_only_the_totals() {
         let r = Recorder::disabled(4);
-        r.set_phase(0, "pivot");
+        let id = r.span_begin(0, "s", 0.0);
         r.on_send(0, 3, 100);
         assert_eq!((r.messages(), r.bytes()), (1, 100));
         r.count("c", 1);
         r.gauge_max("g", 5.0);
-        r.observe("h", 9);
         r.event(0, "e", "", 1.0);
-        let id = r.span_begin(0, "s", 0.0);
         r.span_end(id, 1.0);
         r.add_compute(0, 1.0);
         r.add_comm(0, 1.0);
@@ -489,7 +468,6 @@ mod tests {
         assert!(snap.phases.is_empty());
         assert!(snap.spans.is_empty() && snap.events.is_empty());
         assert!(snap.counters.is_empty() && snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
         assert_eq!(snap.compute_v, vec![0.0; 4]);
     }
 
@@ -498,7 +476,7 @@ mod tests {
         // Custom (non-block) map: ranks 0,2 on node 0; ranks 1,3 on node 1.
         let r = Recorder::new(vec![0, 1, 0, 1], true);
         for rank in 0..4 {
-            r.set_phase(rank, "exchange");
+            r.span_begin(rank, "exchange", 0.0);
         }
         r.on_send(0, 2, 10); // intra-node
         r.on_send(0, 1, 20); // inter-node
@@ -515,13 +493,15 @@ mod tests {
     #[test]
     fn a_send_is_counted_under_its_senders_phase() {
         let r = Recorder::new(vec![0, 0], true);
-        r.on_send(1, 0, 1); // before any phase: the unnamed one
-        r.set_phase(0, "a");
-        r.set_phase(1, "a");
-        r.set_phase(0, "b");
+        r.on_send(1, 0, 1); // before any span: the unnamed phase
+        let a0 = r.span_begin(0, "a", 0.0);
+        let a1 = r.span_begin(1, "a", 0.0);
+        r.span_end(a0, 1.0);
+        r.span_begin(0, "b", 1.0);
         r.on_send(1, 0, 8); // rank 1 is still in "a"
         r.on_send(0, 1, 16);
-        r.set_phase(1, "b");
+        r.span_end(a1, 2.0);
+        r.span_begin(1, "b", 2.0);
         r.on_send(1, 0, 32);
         let got: Vec<(String, u64, u64)> = r
             .snapshot()
@@ -540,7 +520,7 @@ mod tests {
         let b = r.span_begin(1, "pivot", 1.5);
         r.span_end(a, 2.0);
         r.span_end(b, 4.0);
-        // Slot reuse after both closed.
+        // Both ended: rank 0 opens its next span at depth 0 again.
         let c = r.span_begin(0, "exchange", 4.0);
         r.span_end(c, 6.0);
         r.add_compute(0, 0.5);
@@ -555,18 +535,52 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_json() {
         let r = Recorder::new(vec![0, 0, 1], true);
-        r.set_phase(0, "pivot");
+        let pivot = r.span_begin(0, "pivot", 0.0);
         r.on_send(0, 2, 64);
+        r.span_end(pivot, 1.0);
         r.count("coll.barrier", 3);
         r.gauge_max("mem.hw", 1024.0);
-        r.observe("msg.bytes", 64);
         r.event(2, "oom", "requested 1 MiB", 7.5);
         let id = r.span_begin(1, "pivot", 0.0);
         r.span_end(id, 2.5);
         r.add_compute(1, 0.125);
         let snap = r.snapshot();
+        assert_eq!(snap.spans.len(), 2);
         let json = snap.to_json();
         let parsed = Snapshot::from_json(&Json::parse(&json.to_string_pretty()).unwrap()).unwrap();
         assert_eq!(parsed, snap);
+    }
+
+    #[test]
+    fn a_send_is_counted_under_the_innermost_open_span() {
+        let r = Recorder::new(vec![0, 0], true);
+        let outer = r.span_begin(0, "outer", 0.0);
+        r.on_send(0, 1, 1);
+        let inner = r.span_begin(0, "inner", 1.0);
+        r.on_send(0, 1, 2);
+        r.span_end(inner, 2.0);
+        r.on_send(0, 1, 4); // back in "outer"
+        r.span_end(outer, 3.0);
+        r.on_send(0, 1, 8); // no span open: the unnamed phase
+        let got: Vec<(String, u64, u64)> = r
+            .snapshot()
+            .phases
+            .into_iter()
+            .map(|p| (p.name, p.messages, p.bytes))
+            .collect();
+        let want = [("", 1, 8), ("outer", 2, 5), ("inner", 1, 2)];
+        assert_eq!(got, want.map(|(n, m, b)| (n.to_string(), m, b)));
+        // Ending a span ends the spans still open inside it.
+        let outer = r.span_begin(1, "outer", 4.0);
+        r.span_begin(1, "inner", 5.0);
+        r.span_end(outer, 6.0);
+        r.on_send(1, 0, 16);
+        let snap = r.snapshot();
+        let ended: Vec<(&str, f64)> = snap.spans[2..]
+            .iter()
+            .map(|s| (s.name.as_str(), s.end_v))
+            .collect();
+        assert_eq!(ended, [("outer", 6.0), ("inner", 6.0)]);
+        assert_eq!(snap.phases[0].bytes, 8 + 16);
     }
 }

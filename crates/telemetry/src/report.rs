@@ -3,13 +3,14 @@
 //! high-water marks, loads, and RDFA — plus the full recorder snapshot.
 //!
 //! The schema is versioned; `from_json` refuses documents with a newer
-//! major schema than it understands.
+//! major schema than it understands. Schema 2 dropped the snapshot's
+//! `histograms` list; a schema-1 document still parses, the list ignored.
 
 use crate::json::Json;
 use crate::recorder::Snapshot;
 use crate::timeline::{phases_from_spans, PhaseTimes};
 
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// World shape the run executed on.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -256,14 +257,14 @@ mod tests {
 
     fn sample_report() -> RunReport {
         let rec = Recorder::new(vec![0, 0, 1, 1], true);
-        rec.set_phase(0, "pivot");
+        let s0 = rec.span_begin(0, "pivot", 0.0);
         rec.on_send(0, 1, 10);
         rec.on_send(0, 2, 30);
-        rec.set_phase(3, "exchange");
-        rec.on_send(3, 0, 100);
-        rec.count("coll.alltoallv", 1);
-        let s0 = rec.span_begin(0, "pivot", 0.0);
         rec.span_end(s0, 1.5);
+        let s3 = rec.span_begin(3, "exchange", 1.5);
+        rec.on_send(3, 0, 100);
+        rec.span_end(s3, 2.0);
+        rec.count("coll.alltoallv", 1);
         let s1 = rec.span_begin(0, "exchange", 1.5);
         rec.span_end(s1, 2.0);
         rec.event(3, "tau", "node-merge off", 0.5);
@@ -330,5 +331,32 @@ mod tests {
             ("kind", Json::from("experiment")),
         ]);
         assert!(RunReport::from_json(&not_run).is_err());
+    }
+
+    #[test]
+    fn schema_1_with_histograms_still_parses() {
+        let report = sample_report();
+        let mut json = report.to_json();
+        let Json::Obj(pairs) = &mut json else {
+            unreachable!("a report is an object")
+        };
+        pairs[0].1 = Json::from(1u64);
+        let Some(Json::Obj(telemetry)) = pairs
+            .iter_mut()
+            .find(|(k, _)| k == "telemetry")
+            .map(|(_, v)| v)
+        else {
+            unreachable!("a report has a telemetry object")
+        };
+        let histogram = Json::obj(vec![
+            ("name", Json::from("msg.bytes")),
+            ("count", Json::from(1u64)),
+            ("sum", Json::from(64u64)),
+            ("buckets", Json::Arr(Vec::new())),
+        ]);
+        telemetry.push(("histograms".to_string(), Json::Arr(vec![histogram])));
+        let text = json.to_string_pretty();
+        assert!(text.contains("\"schema_version\": 1,") && text.contains("\"histograms\""));
+        assert_eq!(RunReport::from_json_str(&text), Ok(report));
     }
 }

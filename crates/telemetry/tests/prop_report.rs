@@ -15,13 +15,16 @@ fn seeded_report(seed: u64, ranks: usize, phases: usize, spans: usize) -> RunRep
         z ^ (z >> 31)
     };
     for ph in 0..phases {
-        for rank in 0..ranks {
-            rec.set_phase(rank, &format!("phase-{ph}"));
-        }
+        let open: Vec<_> = (0..ranks)
+            .map(|rank| rec.span_begin(rank, &format!("phase-{ph}"), ph as f64))
+            .collect();
         for i in 0..(mix(ph as u64) % 5) {
             let src = (mix(i) % ranks as u64) as usize;
             let dst = (mix(i + 100) % ranks as u64) as usize;
             rec.on_send(src, dst, (mix(i + 200) % 10_000) as usize);
+        }
+        for id in open {
+            rec.span_end(id, ph as f64 + 1.0);
         }
     }
     for s in 0..spans {
@@ -31,7 +34,6 @@ fn seeded_report(seed: u64, ranks: usize, phases: usize, spans: usize) -> RunRep
         rec.span_end(id, start + (mix(s as u64 + 500) % 100) as f64 / 64.0);
     }
     rec.count("coll.alltoallv", mix(600) % 40);
-    rec.observe("msg.bytes", mix(700) % 100_000);
     rec.gauge_max("mem.high_water", (mix(800) % 1_000_000) as f64);
     rec.event(0, "tau", "decision detail", 0.25);
     rec.add_compute(0, (mix(900) % 1000) as f64 / 997.0);

@@ -30,7 +30,7 @@
 //! [`ZipfGen::sample`] inverts the CDF: it draws `u` in `[0, 1)` and takes
 //! the first index `i` with `cdf[i] ≥ u`. A binary search of a whole
 //! 2²⁰-entry (8 MiB) CDF makes 20 dependent probes, and the deep ones miss
-//! cache. Zipf mass sits at the front, though: the first [`HEAD`] = 4 096
+//! cache. Zipf mass sits at the front, though: the first `HEAD` = 4 096
 //! entries (32 KiB) hold 97.4 % of `zipf:1.4`'s draws, 77 % of
 //! `zipf:1.1`'s, 97.3–99.99 % of Table 1's 2²²-entry tables, 49–87 % of
 //! Table 2's and 49 % of cosmology's. So the search compares `u` once with
@@ -57,7 +57,7 @@
 //! ## One table per process while it is drawn from
 //!
 //! [`zipf_keys`], [`zipf_keys_into`] (so `keys_by_name`) and
-//! [`crate::cosmology_particles`] draw through [`with_shared`]. It keeps a
+//! [`crate::cosmology_particles`] draw through `with_shared`. It keeps a
 //! registry of the tables currently being drawn from, keyed by the
 //! constructor's parameters, and holds only `Weak` handles: the first caller
 //! builds the table, callers that arrive for the same parameters while it is

@@ -24,13 +24,14 @@ fn main() {
         let p = comm.size();
 
         // -- point-to-point ring ------------------------------------------
-        comm.trace_phase("ring");
+        let ring = comm.span_begin("ring", comm.now());
         comm.send_val((rank + 1) % p, RING_TAG, rank as u64);
         let from_left: u64 = comm.recv_val((rank + p - 1) % p, RING_TAG);
         assert_eq!(from_left as usize, (rank + p - 1) % p);
+        comm.span_end(ring, comm.now());
 
         // -- collectives ---------------------------------------------------
-        comm.trace_phase("collectives");
+        let collectives = comm.span_begin("collectives", comm.now());
         let sum = comm.allreduce(rank as u64, |a, b| a + b);
         let prefix = comm.exscan(1u64, |a, b| a + b).unwrap_or(0);
         let everyone = comm.allgather(&[rank as u32]);
@@ -55,6 +56,7 @@ fn main() {
         // No budget configured here, so reservations always succeed.
         comm.try_alloc(1 << 20).expect("unlimited");
         comm.free(1 << 20);
+        comm.span_end(collectives, comm.now());
 
         (sum, prefix, node_sum, leader_count, now)
     });

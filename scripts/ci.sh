@@ -23,6 +23,8 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets "${CARGO_OPTS[@]}" -- -D warnings
+# A doc link to a private or ambiguous item renders as dead text.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${CARGO_OPTS[@]}"
 run cargo build --release --workspace "${CARGO_OPTS[@]}"
 run cargo test -q --workspace "${CARGO_OPTS[@]}"
 
@@ -33,7 +35,7 @@ run cargo test -q --workspace "${CARGO_OPTS[@]}"
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-# Workspace source lint: dependency-free AST-driven semantic pass (SPMD
+# Workspace source lint: AST-driven semantic pass with no external crate (SPMD
 # rank-divergence, partition arithmetic, tag ranges, and one table of banned
 # calls — see DESIGN.md §13). Exceptions live in xlint.allow with
 # justifications; stale entries and stale table scopes fail the run. Emits the

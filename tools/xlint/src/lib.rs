@@ -1,4 +1,4 @@
-//! xlint: a dependency-free, AST-driven semantic linter for this
+//! xlint: an AST-driven semantic linter for this
 //! workspace's simulation and SPMD-protocol invariants.
 //!
 //! The pipeline is [`lexer`] (tokens with `line:col` spans) → [`ast`] (a
@@ -11,9 +11,10 @@
 //! streams cannot express. See [`rules`] for the catalog and [`config`]
 //! for the `xlint.allow` format.
 //!
-//! The tool is dependency-free on purpose: this workspace builds offline
-//! (every external crate is a std-only stub), so the parser and JSON
-//! support live in-tree, sized to exactly what the passes need.
+//! The tool needs no external crate: this workspace builds offline (every
+//! external crate is a std-only stub), so the parser lives in-tree, sized
+//! to exactly what the passes need, and the JSON report is written with
+//! the workspace's own codec, `telemetry::Json`.
 
 #![forbid(unsafe_code)]
 

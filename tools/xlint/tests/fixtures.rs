@@ -7,6 +7,7 @@
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use telemetry::Json;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -541,7 +542,7 @@ fn json_report_round_trips_the_schema() {
     .expect("write scratch allowlist");
 
     let report = xlint::scan_root(&dir).expect("scan scratch dir");
-    let doc = xlint::diag::json::parse(&report.to_json()).expect("report emits valid JSON");
+    let doc = Json::parse(&report.to_json()).expect("report emits valid JSON");
 
     assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(
@@ -578,10 +579,7 @@ fn json_report_round_trips_the_schema() {
             d_json.get("suggestion").and_then(|v| v.as_str()),
             Some(s.as_str())
         ),
-        None => assert_eq!(
-            d_json.get("suggestion"),
-            Some(&xlint::diag::json::Value::Null)
-        ),
+        None => assert_eq!(d_json.get("suggestion"), Some(&Json::Null)),
     }
 
     let stale = doc
