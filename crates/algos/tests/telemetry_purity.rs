@@ -5,7 +5,8 @@
 //! every sorter, since all of them run under the one `sdssort::driver` — and
 //! what the recorder then holds is the same for all of them: per rank, the
 //! driver's steps as gap-free spans whose durations are the `SortStats`
-//! phases.
+//! phases, and a histogram sorter's refinement rounds as spans nested in
+//! its splitter step.
 //!
 //! Determinism preconditions: modeled compute charging (no wall-clock
 //! measurement) and `compute_scale(0.0)` (no measured residue); SDS runs
@@ -16,6 +17,7 @@
 use algos::Tuning;
 use mpisim::telemetry::SpanRecord;
 use mpisim::{Communicator, NetModel, World};
+use sdssort::histogram::ROUND_SPAN;
 use sdssort::{sds_sort_resilient, ComputeCharge, ComputeModel, SortOutput, SortStats};
 use shmem::ThreadWorld;
 
@@ -63,22 +65,23 @@ impl Sorter {
     }
 
     /// The steps one rank passes through, in program order (without a node
-    /// merge): the prelude, then splitters → partition → exchange → ordering
-    /// once per exchange.
+    /// merge): the prelude, then [sampling →] splitters → partition →
+    /// exchange → ordering once per exchange.
     fn steps(self) -> Vec<&'static str> {
         use algos::Sorter::{Ams, Hss, HykSort, Sds, SdsStable};
-        let (tau_m, exchanges) = match self {
-            Sorter::Row(Sds | SdsStable) | Sorter::SdsResilient => (true, 1),
-            Sorter::Row(Hss) => (false, 1),
+        let (tau_m, exchanges, samples) = match self {
+            Sorter::Row(Sds | SdsStable) | Sorter::SdsResilient => (true, 1, true),
+            Sorter::Row(Hss) => (false, 1, false),
             // Two stages; the split that forms the groups opens the second
             // stage's splitter step.
-            Sorter::Row(HykSort) => (false, 2),
+            Sorter::Row(HykSort) => (false, 2, false),
             // Two levels, and the rebalance within the first level's groups.
-            Sorter::Row(Ams) => (true, 3),
+            Sorter::Row(Ams) => (true, 3, false),
         };
         let mut steps = vec!["local-sort"];
         steps.extend(tau_m.then_some("node-merge"));
         for _ in 0..exchanges {
+            steps.extend(samples.then_some("sample"));
             steps.extend(["pivot-select", "partition", "exchange", "local-order"]);
         }
         steps
@@ -164,8 +167,25 @@ fn assert_spans_are_the_steps(
     spans: &[SpanRecord],
     stats: &SortStats,
 ) {
-    let mut mine: Vec<&SpanRecord> = spans.iter().filter(|s| s.rank == rank).collect();
+    let (rounds, mut mine): (Vec<&SpanRecord>, Vec<&SpanRecord>) = spans
+        .iter()
+        .filter(|s| s.rank == rank)
+        .partition(|s| s.name == ROUND_SPAN);
     mine.sort_by(|a, b| a.start_v.total_cmp(&b.start_v));
+    // Each refinement round lies inside a splitter step.
+    let refines = matches!(
+        sorter,
+        Sorter::Row(algos::Sorter::Hss | algos::Sorter::HykSort)
+    );
+    assert_eq!(!rounds.is_empty(), refines, "{sorter:?} rank {rank}");
+    for round in &rounds {
+        assert!(
+            mine.iter().any(|s| s.name == "pivot-select"
+                && s.start_v <= round.start_v
+                && round.end_v <= s.end_v),
+            "{sorter:?} rank {rank}: a refinement round outside pivot-select"
+        );
+    }
     let names: Vec<&str> = mine.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, sorter.steps(), "{sorter:?} rank {rank}");
     for pair in mine.windows(2) {
@@ -183,11 +203,18 @@ fn assert_spans_are_the_steps(
     };
     let mut phases = vec![
         (
-            spent_in(&["local-sort", "pivot-select", "partition"]),
+            spent_in(&["local-sort", "sample", "pivot-select", "partition"]),
             stats.pivot_s,
         ),
+        (spent_in(&["local-sort"]), stats.local_sort_s),
+        (spent_in(&["sample"]), stats.sample_s),
+        (spent_in(&["pivot-select"]), stats.select_s),
+        (spent_in(&["partition"]), stats.partition_s),
         (spent_in(&["node-merge"]), stats.other_s),
     ];
+    if !names.contains(&"sample") {
+        assert_eq!(stats.sample_s, 0.0, "{sorter:?} rank {rank}");
+    }
     if sorter == Sorter::Row(algos::Sorter::HykSort) {
         // Paper footnote 4: its exchange contains its ordering.
         assert_eq!(stats.local_order_s, 0.0);

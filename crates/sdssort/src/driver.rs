@@ -11,11 +11,12 @@
 //! directly, or once per level through [`group_step`].
 //!
 //! One [`Clock`] accompanies the sort. Each [`Step`] has one name — its
-//! telemetry span and its traffic phase — and one [`SortStats`] phase, and
+//! telemetry span and its traffic phase — and one [`SortStats`] field, and
 //! [`Clock::enter`] books the time since the previous `enter` into the
-//! phase of the step that ends. A rank's phases therefore sum to its time
-//! in the call, and every sorter emits the same kind of span sequence on
-//! every backend.
+//! field of the step that ends (and, for steps 1, 3 and 4, into the pivot
+//! phase they make up). A rank's phases therefore sum to its time in the
+//! call, and every sorter emits the same kind of span sequence on every
+//! backend.
 
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::exchange::{exchange, fail_together, Delivery};
@@ -33,15 +34,20 @@ use telemetry::SpanId;
 /// passes through `Splitters`..`LocalOrder` once per level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// Step 1, the initial local sort. Booked under `pivot_s` (the paper's
-    /// "initial ordering" footnote).
+    /// Step 1, the initial local sort. `local_sort_s`, part of `pivot_s`
+    /// (the paper's "initial ordering" footnote).
     LocalSort,
     /// Step 2, the `τm` decision and, when it fires, the merge onto the
     /// node leaders. Booked under `other_s`.
     NodeMerge,
-    /// Step 3, sampling and splitter selection. `pivot_s`.
+    /// Step 3's local sampling, for a sorter that samples before it
+    /// selects (SDS's regular samples). `sample_s`, part of `pivot_s`.
+    Sample,
+    /// Step 3, splitter selection (with whatever sampling the sorter does
+    /// inside it). `select_s`, part of `pivot_s`.
     Splitters,
-    /// Step 4, cutting the local data at the splitters. `pivot_s`.
+    /// Step 4, cutting the local data at the splitters. `partition_s`,
+    /// part of `pivot_s`.
     Partition,
     /// Steps 5–6, the memory check and the all-to-all. `exchange_s`.
     Exchange,
@@ -55,6 +61,7 @@ impl Step {
         match self {
             Step::LocalSort => "local-sort",
             Step::NodeMerge => "node-merge",
+            Step::Sample => "sample",
             Step::Splitters => "pivot-select",
             Step::Partition => "partition",
             Step::Exchange => "exchange",
@@ -62,13 +69,25 @@ impl Step {
         }
     }
 
-    fn phase(self, stats: &mut SortStats) -> &mut f64 {
+    /// The step's own field of `stats`.
+    fn field(self, stats: &mut SortStats) -> &mut f64 {
         match self {
-            Step::LocalSort | Step::Splitters | Step::Partition => &mut stats.pivot_s,
+            Step::LocalSort => &mut stats.local_sort_s,
             Step::NodeMerge => &mut stats.other_s,
+            Step::Sample => &mut stats.sample_s,
+            Step::Splitters => &mut stats.select_s,
+            Step::Partition => &mut stats.partition_s,
             Step::Exchange => &mut stats.exchange_s,
             Step::LocalOrder => &mut stats.local_order_s,
         }
+    }
+
+    /// Whether the step's time is also the pivot phase's.
+    fn in_pivot_phase(self) -> bool {
+        matches!(
+            self,
+            Step::LocalSort | Step::Sample | Step::Splitters | Step::Partition
+        )
     }
 }
 
@@ -78,7 +97,7 @@ impl Step {
 pub struct Clock<'a, C: Communicator> {
     comm: &'a C,
     /// The sort's statistics so far. Steps note what they did here; the
-    /// four phase fields are the clock's to write.
+    /// time fields are the clock's to write.
     pub stats: SortStats,
     step: Step,
     since: f64,
@@ -135,7 +154,11 @@ impl<'a, C: Communicator> Clock<'a, C> {
     /// Book the open step up to now and close its span.
     fn close(&mut self) -> f64 {
         let now = self.comm.now();
-        *self.step.phase(&mut self.stats) += now - self.since;
+        let spent = now - self.since;
+        *self.step.field(&mut self.stats) += spent;
+        if self.step.in_pivot_phase() {
+            self.stats.pivot_s += spent;
+        }
         self.since = now;
         if let Some(span) = self.span.take() {
             self.comm.span_end(span, now);

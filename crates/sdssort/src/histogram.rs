@@ -43,6 +43,10 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
+/// The span each [`refine`] round opens, inside the caller's (the
+/// driver's `pivot-select`): the round's collectives count under it.
+pub const ROUND_SPAN: &str = "refine-round";
+
 /// What one [`refine`] call aims at and how hard it tries.
 #[derive(Debug, Clone, Copy)]
 pub struct Refinement<'a> {
@@ -61,7 +65,8 @@ pub struct Refinement<'a> {
 /// The histogram-refinement loop over the distributed, locally sorted
 /// `data`: sample → allgather → dedup → one allreduce of every
 /// candidate's `measure` → keep the best candidate per target by `err` →
-/// stop when every target is within `plan.tol`. Returns, per target, the
+/// stop when every target is within `plan.tol`. Each round is one
+/// [`ROUND_SPAN`] span. Returns, per target, the
 /// best candidate and its global measure — `None` only when no candidate
 /// was ever ranked (no data, or no rounds) — identically on all ranks.
 pub fn refine<T: Sortable, C: Communicator, const W: usize>(
@@ -75,45 +80,50 @@ pub fn refine<T: Sortable, C: Communicator, const W: usize>(
     let mut rng_state = (plan.seed ^ ((comm.rank() as u64) << 17)) | 1;
 
     for round in 0..plan.max_rounds {
-        // Sample candidate keys from local data (plus the extremes on the
-        // first round so empty-ish ranks still contribute structure).
-        let mut mine: Vec<T::Key> = Vec::with_capacity(plan.samples_per_round + 2);
-        if !data.is_empty() {
-            for _ in 0..plan.samples_per_round {
-                let idx = (xorshift(&mut rng_state) % data.len() as u64) as usize;
-                mine.push(data[idx].key());
-            }
-            if round == 0 {
-                mine.push(data[0].key());
-                mine.push(data[data.len() - 1].key());
-            }
-        }
-        let (mut candidates, _) = comm.allgatherv(&mine);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            break;
-        }
-        // One reduction gives every candidate's global measure.
-        let local: Vec<u64> = candidates.iter().flat_map(|&c| measure(c)).collect();
-        let global = comm.allreduce(local, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
-        let measures = global
-            .chunks_exact(W)
-            .map(|m| <[u64; W]>::try_from(m).expect("chunks_exact(W) yields W words"));
-        let ranked: Vec<(T::Key, [u64; W])> = candidates.into_iter().zip(measures).collect();
-
-        for (slot, &target) in best.iter_mut().zip(plan.targets) {
-            for &(cand, m) in &ranked {
-                if slot.is_none_or(|(_, b)| err(&m, target) < err(&b, target)) {
-                    *slot = Some((cand, m));
+        let span = comm.span_begin(ROUND_SPAN, comm.now());
+        let stop = 'round: {
+            // Sample candidate keys from local data (plus the extremes on
+            // the first round so empty-ish ranks still contribute
+            // structure).
+            let mut mine: Vec<T::Key> = Vec::with_capacity(plan.samples_per_round + 2);
+            if !data.is_empty() {
+                for _ in 0..plan.samples_per_round {
+                    let idx = (xorshift(&mut rng_state) % data.len() as u64) as usize;
+                    mine.push(data[idx].key());
+                }
+                if round == 0 {
+                    mine.push(data[0].key());
+                    mine.push(data[data.len() - 1].key());
                 }
             }
-        }
-        let done = best
-            .iter()
-            .zip(plan.targets)
-            .all(|(b, &t)| matches!(b, Some((_, m)) if err(m, t) <= plan.tol));
-        if done {
+            let (mut candidates, _) = comm.allgatherv(&mine);
+            candidates.sort_unstable();
+            candidates.dedup();
+            if candidates.is_empty() {
+                break 'round true;
+            }
+            // One reduction gives every candidate's global measure.
+            let local: Vec<u64> = candidates.iter().flat_map(|&c| measure(c)).collect();
+            let global =
+                comm.allreduce(local, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
+            let measures = global
+                .chunks_exact(W)
+                .map(|m| <[u64; W]>::try_from(m).expect("chunks_exact(W) yields W words"));
+            let ranked: Vec<(T::Key, [u64; W])> = candidates.into_iter().zip(measures).collect();
+
+            for (slot, &target) in best.iter_mut().zip(plan.targets) {
+                for &(cand, m) in &ranked {
+                    if slot.is_none_or(|(_, b)| err(&m, target) < err(&b, target)) {
+                        *slot = Some((cand, m));
+                    }
+                }
+            }
+            best.iter()
+                .zip(plan.targets)
+                .all(|(b, &t)| matches!(b, Some((_, m)) if err(m, t) <= plan.tol))
+        };
+        comm.span_end(span, comm.now());
+        if stop {
             break;
         }
     }

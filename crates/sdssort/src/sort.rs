@@ -156,8 +156,9 @@ fn sds_sort_with<T: Sortable, C: Communicator>(
         let p = comm.size();
 
         // Step 3: sampling + global pivot selection.
-        clock.enter(Step::Splitters);
+        clock.enter(Step::Sample);
         let index = LocalPivotIndex::build(&data, cfg.oversample.max(1) * (p - 1));
+        clock.enter(Step::Splitters);
         let pivots = match cfg.pivot_source {
             PivotSource::Sampling => {
                 let local_pivots = index.keys().to_vec();

@@ -9,8 +9,19 @@
 /// Per-rank timing breakdown of one sort (virtual seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SortStats {
-    /// Initial local sort + sampling + pivot selection + partition.
+    /// Initial local sort + sampling + pivot selection + partition: the
+    /// sum of the next four fields (accumulated step by step beside them,
+    /// so equal to their sum up to rounding).
     pub pivot_s: f64,
+    /// The initial local sort (Fig. 1 step 1).
+    pub local_sort_s: f64,
+    /// Local sampling before splitter selection (SDS's regular samples);
+    /// 0 for a sorter that samples inside its selection.
+    pub sample_s: f64,
+    /// Splitter selection (step 3).
+    pub select_s: f64,
+    /// Cutting the local data at the splitters (step 4).
+    pub partition_s: f64,
     /// All-to-all exchange (including count exchange and waiting).
     pub exchange_s: f64,
     /// Final local ordering (merge or sort).
@@ -54,6 +65,10 @@ pub fn phase_maxima(all: &[SortStats]) -> SortStats {
     let mut out = SortStats::default();
     for s in all {
         out.pivot_s = out.pivot_s.max(s.pivot_s);
+        out.local_sort_s = out.local_sort_s.max(s.local_sort_s);
+        out.sample_s = out.sample_s.max(s.sample_s);
+        out.select_s = out.select_s.max(s.select_s);
+        out.partition_s = out.partition_s.max(s.partition_s);
         out.exchange_s = out.exchange_s.max(s.exchange_s);
         out.local_order_s = out.local_order_s.max(s.local_order_s);
         out.other_s = out.other_s.max(s.other_s);

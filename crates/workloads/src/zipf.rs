@@ -25,6 +25,15 @@
 //! from the prefix already summed, bisected over `(EXACT, 2²²]`; a target
 //! still short at `2²²` gets the `2²²`-key universe, as before.
 //!
+//! The pairs the workspace draws from — Table 2's six, cosmology's
+//! (0.6, 0.73) and Table 1's (1.4, 32) and (2.1, 63) — have their solved
+//! universes in a constant table, `SOLVED`, which
+//! [`ZipfGen::with_delta_target`] consults before it scans. The scan was
+//! about half the cost of building a Table 2 table (0.20 of 0.42 ms for
+//! `zipf:0.8`), and a service job builds one per shard. Any other pair is
+//! scanned as before, and the tests re-solve every constant with the scan,
+//! so the table cannot drift from it.
+//!
 //! ## A draw searches the head of the CDF first
 //!
 //! [`ZipfGen::sample`] inverts the CDF: it draws `u` in `[0, 1)` and takes
@@ -54,6 +63,37 @@
 //! every draw. `tests::head_first_search_is_exact` compares the two
 //! searches on every table the workspace draws from.
 //!
+//! ## A batch of draws is searched in lockstep
+//!
+//! One draw's search is a chain of dependent loads: each probe waits for
+//! the one before it. [`ZipfGen::keys_into`] therefore draws `LANES` = 8
+//! uniforms from the stream, in the stream's order, and runs their eight
+//! searches together: each halving step loads one probe per lane and moves
+//! the lane's base with `std::hint::select_unpredictable`, so eight chains
+//! are in flight at once and no step branches on the data. Each search is
+//! the standard branch-free lower bound (the answer stays in
+//! `[base, base + size]`; a last comparison settles it), which returns the
+//! one index a monotone predicate allows — the index `ZipfGen::search`
+//! returns — so the key stream is the one-at-a-time stream, bit for bit.
+//! Nothing is built or stored for it.
+//! `tests::lane_draws_match_one_at_a_time_draws` compares the two streams
+//! on every table the workspace draws from.
+//!
+//! How the lanes meet the table depends on its size, measured on every
+//! table the workspace draws from (EXPERIMENTS.md):
+//! - Up to `SPLIT_ABOVE` = 2¹⁷ entries (1 MiB) each run of eight draws is
+//!   searched over the whole table, and the last `n mod 8` draws one at a
+//!   time. Table 2's tables draw in about half the time they took one
+//!   draw at a time.
+//! - Above it, a draw first takes the head-or-tail comparison, and waits in
+//!   its part's batch; a full batch of eight is searched over that part
+//!   only and its keys are written at their places in the stream. So a
+//!   batch of head draws stays in cache, and the deep tail probes overlap
+//!   each other. The draws still waiting at the end go through `search`.
+//!   On the 2²⁰-entry tables this beats lanes over the whole table (whose
+//!   deep probes miss cache for every lane) by 20–40 %; on smaller tables
+//!   the batching costs more than it saves.
+//!
 //! ## One table per process while it is drawn from
 //!
 //! [`zipf_keys`], [`zipf_keys_into`] (so `keys_by_name`) and
@@ -78,6 +118,23 @@ pub const PAPER_ALPHA_DELTA_TABLE2: [(f64, f64); 6] = [
     (0.9, 6.4),
 ];
 
+/// The universes [`universe_for`] solves for the (α, δ) pairs the
+/// workspace draws from: Table 2's six, cosmology's, and Table 1's two
+/// high-α pairs (both clamped to [`MAX_UNIVERSE`]).
+/// [`ZipfGen::with_delta_target`] looks a pair up here before it scans;
+/// `tests::solved_universes_match_the_parents` re-solves every row.
+const SOLVED: [(f64, f64, usize); 9] = [
+    (0.4, 0.2, 13_495),
+    (0.5, 0.5, 10_147),
+    (0.6, 1.0, 10_621),
+    (0.7, 2.0, 9_968),
+    (0.8, 3.7, 9_869),
+    (0.9, 6.4, 9_749),
+    (0.6, crate::cosmology::COSMOLOGY_DELTA_PCT, 23_026),
+    (1.4, 32.0, MAX_UNIVERSE),
+    (2.1, 63.0, MAX_UNIVERSE),
+];
+
 /// Terms of `H_{m,α}` summed exactly; beyond them the sum is an integral
 /// tail.
 const EXACT: usize = 200_000;
@@ -90,6 +147,15 @@ const MAX_UNIVERSE: usize = 1 << 22;
 /// stays in cache across draws and holds most of the mass of every table
 /// the workspace draws from (module docs).
 const HEAD: usize = 4096;
+
+/// Draws [`ZipfGen::keys_into`] searches for in lockstep (module docs).
+const LANES: usize = 8;
+
+/// Entries (1 MiB of CDF) above which [`ZipfGen::keys_into`] batches the
+/// head's draws and the tail's apart instead of searching the whole table:
+/// measured, the whole-table search is faster up to 2¹⁷ entries and the
+/// split one from 2¹⁸ (module docs).
+const SPLIT_ABOVE: usize = 1 << 17;
 
 /// `H_{m,α} − H_{EXACT,α}` for `m > EXACT`: the midpoint-corrected
 /// integral `∫_{EXACT+½}^{m+½} x^{-α} dx`.
@@ -130,6 +196,29 @@ fn universe_for(alpha: f64, target_h: f64) -> usize {
     lo
 }
 
+/// The random stream `rank`'s keys are drawn from.
+fn stream(seed: u64, rank: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0xD134_2543_DE82_EF95))
+}
+
+/// The first index `i` with `cdf[i] ≥ us[l]` for each lane `l` (`cdf.len()`
+/// if there is none), by [`LANES`] branch-free binary searches run in
+/// lockstep: each halving step loads one probe per lane, so the lanes' load
+/// chains overlap (module docs).
+fn search_lanes(cdf: &[f64], us: [f64; LANES]) -> [usize; LANES] {
+    let mut base = [0usize; LANES];
+    let mut size = cdf.len();
+    while size > 1 {
+        let half = size / 2;
+        for (b, &u) in base.iter_mut().zip(&us) {
+            let probe = *b + half;
+            *b = std::hint::select_unpredictable(cdf[probe] < u, probe, *b);
+        }
+        size -= half;
+    }
+    std::array::from_fn(|l| base[l] + usize::from(cdf[base[l]] < us[l]))
+}
+
 /// A seedable Zipf sampler over keys `1..=M` via inverse-CDF lookup.
 #[derive(Debug, Clone)]
 pub struct ZipfGen {
@@ -163,11 +252,16 @@ impl ZipfGen {
 
     /// Sampler whose expected maximum replication ratio is
     /// `delta_pct` percent: the smallest universe `M` with
-    /// `1/H_{M,α} ≤ δ` (one forward scan, see the module docs), then the
-    /// exact CDF over it (capped at 2²² distinct keys).
+    /// `1/H_{M,α} ≤ δ` (looked up for the pairs the workspace draws from,
+    /// else one forward scan; see the module docs), then the exact CDF
+    /// over it (capped at 2²² distinct keys).
     pub fn with_delta_target(alpha: f64, delta_pct: f64) -> Self {
         assert!(delta_pct > 0.0 && delta_pct < 100.0);
-        Self::new(alpha, universe_for(alpha, 100.0 / delta_pct))
+        let universe = SOLVED
+            .iter()
+            .find(|&&(a, d, _)| (a, d) == (alpha, delta_pct))
+            .map_or_else(|| universe_for(alpha, 100.0 / delta_pct), |&(.., m)| m);
+        Self::new(alpha, universe)
     }
 
     /// Zipf exponent α.
@@ -187,7 +281,12 @@ impl ZipfGen {
 
     /// Draw one key in `1..=universe` (key 1 is the most popular).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let idx = self.search(rng.gen());
+        self.key_at(self.search(rng.gen()))
+    }
+
+    /// The key of CDF index `idx` (a search past the last entry, which
+    /// rounding can allow, is the last key).
+    fn key_at(&self, idx: usize) -> u64 {
         (idx.min(self.universe - 1) + 1) as u64
     }
 
@@ -213,10 +312,66 @@ impl ZipfGen {
     /// Append `n` keys for `rank` to `buf` — the same stream as
     /// [`Self::keys`], but into a caller-owned (typically arena-recycled)
     /// buffer so steady-state generation causes no fresh allocation.
+    ///
+    /// The keys are [`Self::sample`]'s, drawn from one seeded stream in
+    /// order; their searches run eight at a time (module docs).
     pub fn keys_into(&self, buf: &mut Vec<u64>, n: usize, seed: u64, rank: usize) {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0xD134_2543_DE82_EF95));
-        buf.extend((0..n).map(|_| self.sample(&mut rng)));
+        let mut rng = stream(seed, rank);
+        let start = buf.len();
+        buf.resize(start + n, 0);
+        let out = &mut buf[start..];
+        if self.cdf.len() > SPLIT_ABOVE {
+            self.fill_by_part(out, &mut rng);
+        } else {
+            self.fill_whole(out, &mut rng);
+        }
+    }
+
+    /// Fill `out` with draws, each run of [`LANES`] searched over the
+    /// whole table at once and the last `out.len() mod LANES` one by one.
+    fn fill_whole(&self, out: &mut [u64], rng: &mut StdRng) {
+        let mut runs = out.chunks_exact_mut(LANES);
+        for run in &mut runs {
+            let us: [f64; LANES] = std::array::from_fn(|_| rng.gen());
+            for (key, idx) in run.iter_mut().zip(search_lanes(&self.cdf, us)) {
+                *key = self.key_at(idx);
+            }
+        }
+        for key in runs.into_remainder() {
+            *key = self.sample(rng);
+        }
+    }
+
+    /// Fill `out` with draws, the head's and the tail's searched in
+    /// separate batches: a draw waits in its part's batch, and when the
+    /// batch holds [`LANES`] draws they are searched over that part at once
+    /// and their keys written at their places in the stream. The draws
+    /// still waiting at the end are searched one by one. Only for a table
+    /// larger than [`SPLIT_ABOVE`], so neither part is empty.
+    fn fill_by_part(&self, out: &mut [u64], rng: &mut StdRng) {
+        let cdf = self.cdf.as_slice();
+        let parts = [(0, HEAD), (HEAD, cdf.len())];
+        let mut waiting = [([0usize; LANES], [0f64; LANES], 0usize); 2];
+        for place in 0..out.len() {
+            let u: f64 = rng.gen();
+            let part = usize::from(cdf[HEAD - 1] < u);
+            let (places, us, len) = &mut waiting[part];
+            places[*len] = place;
+            us[*len] = u;
+            *len += 1;
+            if *len == LANES {
+                *len = 0;
+                let (lo, hi) = parts[part];
+                for (&place, idx) in places.iter().zip(search_lanes(&cdf[lo..hi], *us)) {
+                    out[place] = self.key_at(lo + idx);
+                }
+            }
+        }
+        for (places, us, len) in &waiting {
+            for (&place, &u) in places.iter().zip(us).take(*len) {
+                out[place] = self.key_at(self.search(u));
+            }
+        }
     }
 }
 
@@ -398,6 +553,13 @@ mod tests {
                 "(α {alpha}, δ {delta})"
             );
         }
+        // The constants `with_delta_target` looks up are these solves.
+        assert_eq!(SOLVED.len(), golden.len());
+        for (&(alpha, delta, m), want) in SOLVED.iter().zip(golden) {
+            assert_eq!(((alpha, delta), m), want);
+            assert_eq!(universe_for(alpha, 100.0 / delta), m);
+            assert_eq!(ZipfGen::with_delta_target(alpha, delta).universe(), m);
+        }
     }
 
     #[test]
@@ -443,10 +605,7 @@ mod tests {
         for gen in &tables {
             let cdf = &gen.cdf;
             let mut us: Vec<f64> = (0..100_000).map(|_| rng.gen()).collect();
-            us.push(0.0);
-            for edge in [cdf[0], cdf[HEAD.min(cdf.len()) - 1], cdf[cdf.len() - 1]] {
-                us.extend([edge.next_down(), edge, edge.next_up()]);
-            }
+            us.extend(edges(cdf));
             let mut in_tail = 0;
             for u in us {
                 let want = cdf.partition_point(|&c| c < u);
@@ -461,6 +620,73 @@ mod tests {
             }
             // Both arms run on every table larger than the head.
             assert_eq!(in_tail > 0, gen.universe() > HEAD, "M {}", gen.universe());
+        }
+    }
+
+    /// Uniforms at a table's edges: zero, and the neighbours of its first
+    /// entry, of the head's last and of its last.
+    fn edges(cdf: &[f64]) -> Vec<f64> {
+        let mut us = vec![0.0];
+        for edge in [cdf[0], cdf[HEAD.min(cdf.len()) - 1], cdf[cdf.len() - 1]] {
+            us.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        us
+    }
+
+    #[test]
+    fn lane_search_is_exact_at_the_edges() {
+        let mut rng = StdRng::seed_from_u64(0x1A4E5);
+        for gen in drawn_tables() {
+            let cdf = gen.cdf.as_slice();
+            let mut us = edges(cdf);
+            us.extend((0..4000).map(|_| rng.gen::<f64>()));
+            // Every lane at every offset: each batch rotates the edges.
+            for start in 0..us.len() {
+                let lanes: [f64; LANES] = std::array::from_fn(|l| us[(start + l) % us.len()]);
+                let whole = search_lanes(cdf, lanes);
+                for (u, idx) in lanes.into_iter().zip(whole) {
+                    assert_eq!(idx, cdf.partition_point(|&c| c < u), "M {}", cdf.len());
+                }
+                // The parts `fill_by_part` searches, on tables that have a tail.
+                if cdf.len() > HEAD {
+                    for (lo, hi) in [(0, HEAD), (HEAD, cdf.len())] {
+                        let part = search_lanes(&cdf[lo..hi], lanes);
+                        for (u, idx) in lanes.into_iter().zip(part) {
+                            assert_eq!(idx, cdf[lo..hi].partition_point(|&c| c < u));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_draws_match_one_at_a_time_draws() {
+        let tables = drawn_tables();
+        // Both fills run: whole-table lanes and head/tail batches.
+        assert!(tables.iter().any(|g| g.universe() > SPLIT_ABOVE));
+        assert!(tables.iter().any(|g| g.universe() <= SPLIT_ABOVE));
+        for gen in &tables {
+            let m = gen.universe() as u64;
+            for (seed, rank) in [(0, 0), (7, 1), (u64::MAX, 3)] {
+                for n in (0..=17).chain([100_003]) {
+                    let mut rng = stream(seed, rank);
+                    let want: Vec<u64> = (0..n).map(|_| gen.sample(&mut rng)).collect();
+                    // Appended after what the buffer already holds.
+                    let mut buf = vec![u64::MAX; 3];
+                    gen.keys_into(&mut buf, n, seed, rank);
+                    assert_eq!(buf[..3], [u64::MAX; 3]);
+                    assert!(buf[3..] == want[..], "(α {}, M {m}): n {n}", gen.alpha());
+                    if n == 100_003 {
+                        // The stream reaches the first key, the tail where
+                        // there is one, and the last key of a small table.
+                        let top = want.iter().max().copied();
+                        assert!(want.contains(&1), "M {m}");
+                        assert!(m <= HEAD as u64 || top > Some(HEAD as u64), "M {m}");
+                        assert!(m > 64 || top == Some(m), "M {m}");
+                    }
+                }
+            }
         }
     }
 

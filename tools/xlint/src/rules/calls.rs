@@ -65,7 +65,7 @@ rule blocking-in-dispatcher
 
 rule driver-owns-prelude
     in crates/algos/src/ crates/sdssort/src/sort.rs crates/sdssort/src/external.rs +tests
-    ban .now() trace_phase span_begin
+    ban .now() span_begin
     help the phase clock and the spans are the one driver's (`sdssort::driver`): enter a
     help `Step` on the `Clock` the driver hands the rule
 

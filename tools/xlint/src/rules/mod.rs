@@ -14,7 +14,7 @@
 //! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix,exchange}`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
 //! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside `crates/comm` and the three backend transports |
 //! | `blocking-in-dispatcher` (table) | `crates/service` | no `std::thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
-//! | `driver-owns-prelude` (table) | `algos`, `sdssort::{sort,external}` | no `.now()`, `trace_phase` or `span_begin`, and (`external` aside, whose tests sort runs to write) no `sort_by_key`/`sort_unstable_by_key`: the one driver owns Fig. 1's clock, spans and local sort |
+//! | `driver-owns-prelude` (table) | `algos`, `sdssort::{sort,external}` | no `.now()` or `span_begin`, and (`external` aside, whose tests sort runs to write) no `sort_by_key`/`sort_unstable_by_key`: the one driver owns Fig. 1's clock, spans and local sort |
 //! | `pages-owns-buffers` (table) | the workspace; eleven named `fn`s | `madvise` and `extern "C"` only in `comm/src/pages.rs`; each `fn` that allocates a sort's n-record buffer calls `comm::pages` and builds no vector of its own |
 
 pub mod arith;

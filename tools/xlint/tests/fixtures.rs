@@ -335,8 +335,8 @@ fn driver_prelude_is_reported_at_exact_spans() {
         let spans = spans_of("prelude.rs", path, "driver-owns-prelude");
         assert_eq!(
             spans,
-            vec![(7, 19), (8, 10), (9, 27), (10, 10)],
-            "comm.now(), trace_phase, span_begin, sort_unstable_by_key under {path}"
+            vec![(7, 19), (8, 27), (9, 10)],
+            "comm.now(), span_begin, sort_unstable_by_key under {path}"
         );
     }
 }
