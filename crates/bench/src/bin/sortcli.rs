@@ -262,6 +262,10 @@ struct RankOutcome {
     permutation: bool,
     len: u64,
     pivot_s: f64,
+    local_sort_s: f64,
+    sample_s: f64,
+    select_s: f64,
+    partition_s: f64,
     exchange_s: f64,
     local_order_s: f64,
     other_s: f64,
@@ -281,6 +285,13 @@ impl comm::Wire for RankOutcome {
             self.other_s,
         )
             .put(out);
+        (
+            self.local_sort_s,
+            self.sample_s,
+            self.select_s,
+            self.partition_s,
+        )
+            .put(out);
         (self.node_merged, self.overlapped, self.spilled).put(out);
         self.spill_records.put(out);
     }
@@ -288,12 +299,17 @@ impl comm::Wire for RankOutcome {
     fn get(src: &mut &[u8]) -> Option<Self> {
         let (sorted, permutation, len) = comm::Wire::get(src)?;
         let (pivot_s, exchange_s, local_order_s, other_s) = comm::Wire::get(src)?;
+        let (local_sort_s, sample_s, select_s, partition_s) = comm::Wire::get(src)?;
         let (node_merged, overlapped, spilled) = comm::Wire::get(src)?;
         Some(Self {
             sorted,
             permutation,
             len,
             pivot_s,
+            local_sort_s,
+            sample_s,
+            select_s,
+            partition_s,
             exchange_s,
             local_order_s,
             other_s,
@@ -321,6 +337,10 @@ fn sort_rank<C: comm::Communicator>(args: &Args, comm: &C) -> Result<RankOutcome
         permutation: is_permutation_of(comm, &input, &o.data, |&k| k),
         len: o.data.len() as u64,
         pivot_s: o.stats.pivot_s,
+        local_sort_s: o.stats.local_sort_s,
+        sample_s: o.stats.sample_s,
+        select_s: o.stats.select_s,
+        partition_s: o.stats.partition_s,
         exchange_s: o.stats.exchange_s,
         local_order_s: o.stats.local_order_s,
         other_s: o.stats.other_s,
@@ -567,6 +587,10 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         (run.times[0].0, fmt_time(run.times[0].1)),
         (run.times[1].0, fmt_time(run.times[1].1)),
         ("pivot phase (rank 0)", fmt_time(r0.pivot_s)),
+        ("pivot: local sort", fmt_time(r0.local_sort_s)),
+        ("pivot: sample", fmt_time(r0.sample_s)),
+        ("pivot: select", fmt_time(r0.select_s)),
+        ("pivot: partition", fmt_time(r0.partition_s)),
         ("exchange phase (rank 0)", fmt_time(r0.exchange_s)),
         ("ordering phase (rank 0)", fmt_time(r0.local_order_s)),
         ("other (rank 0)", fmt_time(r0.other_s)),
@@ -937,6 +961,10 @@ mod tests {
             permutation: false,
             len: 12_345,
             pivot_s: 1.5e-3,
+            local_sort_s: 1.0e-3,
+            sample_s: 1.0e-4,
+            select_s: 3.0e-4,
+            partition_s: 1.0e-4,
             exchange_s: 2.5e-4,
             local_order_s: 0.0,
             other_s: 3.0e-6,

@@ -177,12 +177,15 @@ pub enum PartitionStrategy {
 pub enum LocalKernel {
     /// Decide per call, from a fixed-stride sample of at most 1 024 keys
     /// ([`crate::radix::GateSample`]): LSD radix when the key has a
-    /// monotone `u64` embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], the
-    /// sampled keys occupy at most [`crate::radix::RADIX_MAX_AUTO_DIGITS`]
-    /// digit bytes and none of them holds an eighth of the sample
-    /// ([`crate::radix::RADIX_MAX_AUTO_DUP`]) — three quarters when the sort
-    /// is stable ([`crate::radix::RADIX_MAX_AUTO_DUP_STABLE`]); comparison
-    /// sort otherwise.
+    /// monotone `u64` embedding, `n ≥` [`crate::radix::RADIX_MIN_N`], and
+    /// either the keys span few enough bits for one counting pass
+    /// ([`crate::radix::counts_in_one_pass`], checked on the sample, then
+    /// on the whole input), or the sampled keys occupy at most
+    /// [`crate::radix::RADIX_MAX_AUTO_DIGITS`] digit bytes and none of them
+    /// holds an eighth of the sample ([`crate::radix::RADIX_MAX_AUTO_DUP`])
+    /// — three quarters when the sort is stable
+    /// ([`crate::radix::RADIX_MAX_AUTO_DUP_STABLE`]); comparison sort
+    /// otherwise.
     #[default]
     Auto,
     /// Force the LSD radix kernel (falls back to comparison when the key

@@ -23,7 +23,7 @@ use crate::exchange::{exchange, fail_together, Delivery};
 use crate::local_sort::{local_sort_with, LocalSortReport};
 use crate::merge::take_replicated_tally;
 use crate::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
-use crate::radix::RADIX_MAX_AUTO_DIGITS;
+use crate::radix::{counts_in_one_pass, RADIX_MAX_AUTO_DIGITS, RADIX_MIN_N};
 use crate::record::Sortable;
 use crate::sort::{SortError, SortOutput};
 use crate::stats::SortStats;
@@ -236,33 +236,56 @@ impl Prelude {
 }
 
 /// Record which local-sort kernel ran (and its transient scratch) in the
-/// telemetry counters, and on rank 0 what made `Auto` choose it.
-pub(crate) fn count_local_sort<C: Communicator>(comm: &C, n: usize, report: LocalSortReport) {
-    let (name, kernel) = match report.kernel {
-        LocalKernel::Radix => ("local_sort.kernel.radix", "radix"),
-        _ => ("local_sort.kernel.comparison", "comparison"),
+/// telemetry counters, and on rank 0 the form it took and what made `Auto`
+/// choose it. `requested` is the kernel the caller asked for.
+pub(crate) fn count_local_sort<C: Communicator>(
+    comm: &C,
+    n: usize,
+    requested: LocalKernel,
+    report: LocalSortReport,
+) {
+    let name = match report.kernel {
+        LocalKernel::Radix => "local_sort.kernel.radix",
+        _ => "local_sort.kernel.comparison",
     };
     comm.count(name, 1);
     if report.scratch_bytes > 0 {
         comm.count("local_sort.scratch_bytes", report.scratch_bytes as u64);
     }
     if comm.recorder().enabled() && comm.rank() == 0 {
+        let what = match report.radix {
+            Some(run) => format!("radix, {run}"),
+            None => format!("comparison (n {n})"),
+        };
         let why = match report.gate {
             Some(g) => {
                 let (num, den) = g.dup_bound();
                 let sort = if g.stable { "stable: " } else { "" };
-                format!(
-                    "sampled {}: {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
+                let sampled = format!(
+                    "sampled {}: span {} bits, {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
                      δ̂ {}/{} ({sort}radix below {num}/{den})",
-                    g.sampled, g.digits, g.longest_run, g.sampled
-                )
+                    g.sampled, g.span, g.digits, g.longest_run, g.sampled
+                );
+                match report.exact_span {
+                    Some(b) if report.radix.is_some_and(|r| counts_in_one_pass(b, r.n)) => {
+                        format!("{sampled}; exact span {b} bits fits one counting pass, whatever δ̂")
+                    }
+                    Some(b) => format!(
+                        "{sampled}; exact span {b} bits needs more buckets than records, \
+                         so digits and δ̂ decide"
+                    ),
+                    None => format!(
+                        "{sampled}; that span needs more buckets than records, \
+                         so digits and δ̂ decide"
+                    ),
+                }
             }
-            None => "not sampled: kernel forced, or radix does not apply".to_string(),
+            None if requested != LocalKernel::Auto => "not sampled: kernel forced".to_string(),
+            None => format!(
+                "not sampled: radix does not apply to this key, or n is below {RADIX_MIN_N}"
+            ),
         };
-        comm.event(
-            "decision.local-kernel",
-            &format!("{kernel} for n {n}; {why}"),
-        );
+        comm.event("decision.local-kernel", &format!("{what}; {why}"));
     }
 }
 
@@ -294,7 +317,7 @@ where
         |m| m.sort_cost_with(n0, prelude.stable),
         || local_sort_with(&mut data, prelude.threads, prelude.stable, prelude.kernel),
     );
-    count_local_sort(comm, n0, report);
+    count_local_sort(comm, n0, prelude.kernel, report);
 
     // Step 2: adaptive node-level merging; the sort then continues among
     // the node leaders only.

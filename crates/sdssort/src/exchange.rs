@@ -258,7 +258,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
                 },
                 || local_sort_with(&mut buf, threads, stable, kernel),
             );
-            count_local_sort(comm, m, report);
+            count_local_sort(comm, m, kernel, report);
             buf
         }
     };

@@ -59,8 +59,8 @@ pub use config::{
 pub use exchange::SPILL_PRESSURE;
 pub use local_sort::{local_sort, local_sort_with, parallel_merge, LocalSortReport, MergeStrategy};
 pub use radix::{
-    radix_applicable, radix_sort, GateSample, RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP,
-    RADIX_MAX_AUTO_DUP_STABLE, RADIX_MIN_N,
+    counts_in_one_pass, radix_applicable, radix_sort, GateSample, KeySpan, RadixForm, RadixRun,
+    RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP, RADIX_MAX_AUTO_DUP_STABLE, RADIX_MAX_N, RADIX_MIN_N,
 };
 pub use record::{OrderedF32, OrderedF64, RadixKey, Record, Sortable, Tagged};
 pub use selection::kth_smallest_key;

@@ -33,7 +33,9 @@ use crate::partition::{
     classic_cuts, cuts_to_counts, fast_cuts, local_dup_counts, replicated_runs, shares_for_source,
     stable_cuts,
 };
-use crate::radix::{radix_sort, radix_sort_slice, GateSample};
+use crate::radix::{
+    counts_in_one_pass, radix_sort, radix_sort_slice, GateSample, KeySpan, RadixRun, RADIX_MAX_N,
+};
 use crate::record::Sortable;
 use crate::sampling::regular_sample;
 use std::mem::MaybeUninit;
@@ -57,11 +59,18 @@ pub struct LocalSortReport {
     /// [`LocalKernel::Comparison`] (never `Auto`).
     pub kernel: LocalKernel,
     /// Bytes of scratch transiently allocated (the `2n` peak; 0 when the
-    /// input was sorted in place by the sequential comparison path).
+    /// input was sorted in place by the sequential comparison path, or
+    /// counted in place or found in order by the sequential radix path).
     pub scratch_bytes: usize,
     /// What `LocalKernel::Auto` sampled to choose `kernel`; `None` when the
     /// kernel was forced or radix does not apply to this type and size.
     pub gate: Option<GateSample>,
+    /// The exact key span ([`KeySpan::bits`]) when the sample's span fit
+    /// one counting pass, so `Auto` ran the pre-pass and let it decide.
+    pub exact_span: Option<u32>,
+    /// The form the radix kernel took (the first chunk's, on the parallel
+    /// path); `None` when the comparison kernel ran.
+    pub radix: Option<RadixRun>,
 }
 
 /// Sort `data` by key using up to `threads` threads. Stable iff `stable`.
@@ -78,15 +87,18 @@ pub fn local_sort<T: Sortable>(data: &mut Vec<T>, threads: usize, stable: bool) 
 ///
 /// `LocalKernel::Auto` picks the LSD radix kernel when the key type has a
 /// monotone `u64` embedding, `n` amortizes its fixed passes, and a sample
-/// of at most 1 024 keys shows few enough digit bytes and little enough
-/// duplication for scatter passes to beat the comparison sort — the stable
-/// one when `stable`, which tolerates more duplication
-/// ([`GateSample::picks_radix`]; what it saw comes back in the report);
-/// `Radix` forces it whenever the key supports it (comparison fallback
-/// otherwise); `Comparison` always compares. Both
-/// kernels are stable when `stable` is set, and both produce output
-/// bit-identical to `std`'s stable sort in that mode — kernel choice never
-/// changes the result, only the time (and the transient scratch).
+/// of at most 1 024 keys ([`GateSample`]; what it saw comes back in the
+/// report) shows one of two things. Either the keys span few enough bits
+/// for one counting pass, which the exact pre-pass over the whole input
+/// then confirms ([`counts_in_one_pass`]), whatever the duplication; or
+/// few enough digit bytes and little enough duplication for byte passes
+/// to beat the comparison sort — the stable one when `stable`, which
+/// tolerates more duplication ([`GateSample::picks_radix`]). `Radix`
+/// forces it whenever the key supports it (comparison fallback
+/// otherwise); `Comparison` always compares. Both kernels are stable when
+/// `stable` is set, and both produce output bit-identical to `std`'s
+/// stable sort in that mode — kernel choice never changes the result,
+/// only the time (and the transient scratch).
 pub fn local_sort_with<T: Sortable>(
     data: &mut Vec<T>,
     threads: usize,
@@ -94,34 +106,49 @@ pub fn local_sort_with<T: Sortable>(
     kernel: LocalKernel,
 ) -> LocalSortReport {
     let n = data.len();
+    let sequential = threads <= 1 || n < threads * 4 || n < 1024;
+    // What one radix sort runs on: the whole input, or a thread's chunk.
+    let chunk_len = if sequential { n } else { n.div_ceil(threads) };
     let gate = if kernel == LocalKernel::Auto {
         GateSample::take(data, stable)
     } else {
         None
     };
+    // A sample narrow enough for one counting pass earns the exact
+    // pre-pass, and the sequential radix sort reuses it.
+    let span = gate
+        .filter(|g| counts_in_one_pass(g.span, chunk_len))
+        .map(|_| KeySpan::scan(data));
     let use_radix = match kernel {
-        LocalKernel::Auto => gate.is_some_and(|g| g.picks_radix()),
-        LocalKernel::Radix => T::RADIX && n >= 2,
+        LocalKernel::Auto => gate.is_some_and(|g| {
+            span.is_some_and(|s| counts_in_one_pass(s.bits(), chunk_len)) || g.picks_radix()
+        }),
+        LocalKernel::Radix => T::RADIX && (2..=RADIX_MAX_N).contains(&n),
         LocalKernel::Comparison => false,
     };
-    let kernel_used = if use_radix {
-        LocalKernel::Radix
-    } else {
-        LocalKernel::Comparison
+    let mut report = LocalSortReport {
+        kernel: if use_radix {
+            LocalKernel::Radix
+        } else {
+            LocalKernel::Comparison
+        },
+        scratch_bytes: 0,
+        gate,
+        exact_span: span.map(|s| s.bits()),
+        radix: None,
     };
 
-    if threads <= 1 || n < threads * 4 || n < 1024 {
-        let scratch_bytes = if use_radix {
-            radix_sort(data)
+    if sequential {
+        if use_radix {
+            let run = radix_sort(data, span);
+            if run.scatters() {
+                report.scratch_bytes = n * std::mem::size_of::<T>();
+            }
+            report.radix = Some(run);
         } else {
             sequential_sort(data, stable);
-            0
-        };
-        return LocalSortReport {
-            kernel: kernel_used,
-            scratch_bytes,
-            gate,
-        };
+        }
+        return report;
     }
 
     // One n-record buffer serves the whole parallel path: its spare
@@ -129,11 +156,11 @@ pub fn local_sort_with<T: Sortable>(
     // subslices), then the same capacity receives the merged output, which
     // is swapped into `data`.
     let mut buf: Vec<T> = comm::pages::with_capacity(n);
-    let chunk_len = n.div_ceil(threads);
     {
         let mut rest: &mut [T] = data;
         let mut scratch_rest: &mut [MaybeUninit<T>] = &mut buf.spare_capacity_mut()[..n];
-        std::thread::scope(|scope| {
+        report.radix = std::thread::scope(|scope| {
+            let mut radix_runs = Vec::new();
             while !rest.is_empty() {
                 let take = chunk_len.min(rest.len());
                 let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
@@ -141,11 +168,16 @@ pub fn local_sort_with<T: Sortable>(
                 if use_radix {
                     let (shead, stail) = std::mem::take(&mut scratch_rest).split_at_mut(take);
                     scratch_rest = stail;
-                    scope.spawn(move || radix_sort_slice(head, shead));
+                    radix_runs.push(scope.spawn(move || radix_sort_slice(head, shead)));
                 } else {
                     scope.spawn(move || sequential_sort_slice(head, stable));
                 }
             }
+            radix_runs.into_iter().next().map(|first| {
+                first
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
         });
     }
     let chunks: Vec<&[T]> = data.chunks(chunk_len).collect();
@@ -157,11 +189,8 @@ pub fn local_sort_with<T: Sortable>(
     parallel_merge_into(&chunks, threads, strategy, &mut buf);
     drop(chunks);
     std::mem::swap(data, &mut buf);
-    LocalSortReport {
-        kernel: kernel_used,
-        scratch_bytes: n * std::mem::size_of::<T>(),
-        gate,
-    }
+    report.scratch_bytes = n * std::mem::size_of::<T>();
+    report
 }
 
 /// Sequential sort of a `Vec` (key comparisons only).
@@ -316,6 +345,7 @@ pub fn merge_part_sizes<T: Sortable>(
 mod tests {
     use super::*;
     use crate::merge::is_sorted_by_key;
+    use crate::radix::RadixForm;
     use crate::record::Record;
     use rand::prelude::*;
 
@@ -544,6 +574,55 @@ mod tests {
             assert_eq!(via_radix, expect, "threads={threads}");
             assert_eq!(via_cmp, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn auto_counts_zipf_keys_in_one_pass_when_the_span_fits() {
+        // `zipf:1.4` keys span 20 bits and one key holds ~32 %: δ̂ alone
+        // keeps them off byte passes. At 2^21 keys a rank's span fits one
+        // counting pass, so the exact span decides.
+        let keys = workloads::keys_by_name("zipf:1.4", 1 << 21, 7, 0).expect("a workload");
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        let mut got = keys.clone();
+        let r = local_sort_with(&mut got, 1, false, LocalKernel::Auto);
+        let g = r.gate.expect("sampled");
+        assert!(!g.picks_radix() && g.span <= 20, "{g:?}");
+        assert_eq!((r.kernel, r.exact_span), (LocalKernel::Radix, Some(20)));
+        let run = r.radix.expect("radix ran");
+        assert_eq!(
+            (run.form, run.span, run.n),
+            (RadixForm::Counted, 20, 1 << 21)
+        );
+        assert_eq!(r.scratch_bytes, 0, "counted in place");
+        assert_eq!(got, expect);
+
+        // Records scatter once, and stay bit-identical to the stable sort.
+        let tagged: Vec<Record<u64, u64>> = keys[..1 << 20]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Record::new(k, i as u64))
+            .collect();
+        let mut expect = tagged.clone();
+        expect.sort_by_key(|r| r.key);
+        let mut got = tagged;
+        let r = local_sort_with(&mut got, 1, true, LocalKernel::Auto);
+        let run = r.radix.expect("radix ran");
+        assert_eq!((run.form, run.span), (RadixForm::OnePass, 20));
+        assert_eq!(r.scratch_bytes, (1 << 20) * 16);
+        assert_eq!(got, expect);
+
+        // At 2^16 keys (`sim-zipf-p16`'s ranks) the sample's span already
+        // needs more buckets than records: no pre-pass, and δ̂ keeps the
+        // comparison sort.
+        let mut small = workloads::keys_by_name("zipf:1.4", 1 << 16, 7, 0).expect("a workload");
+        let r = local_sort_with(&mut small, 1, false, LocalKernel::Auto);
+        assert!(r.gate.is_some_and(|g| !counts_in_one_pass(g.span, 1 << 16)));
+        assert_eq!(
+            (r.kernel, r.exact_span, r.radix),
+            (LocalKernel::Comparison, None, None)
+        );
+        assert!(small.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! LSD radix local-sort kernel (`SdssLocalSort`'s fast path).
 //!
-//! Counting sort over 8-bit digits of the key's monotone `u64` embedding
+//! Counting sort over digits of the key's monotone `u64` embedding
 //! ([`crate::record::RadixKey`], surfaced per record as
 //! [`Sortable::radix_u64`]), least-significant digit first. The kernel is
 //! the technique *Practical Massively Parallel Sorting* uses for the local
@@ -16,30 +16,38 @@
 //!   the output order of equal-key records is exactly the input order —
 //!   bit-identical to `std`'s stable sort (stability determines the
 //!   permutation uniquely). One kernel serves `stable` and fast.
-//! * **Adaptive over occupied bytes.** A pre-pass ORs together the XOR of
-//!   every key against the first and only scatters the digit positions
-//!   that actually differ: 32-bit-range keys cost 4 passes. The same
-//!   pre-pass notices input that is already in key order (a constant
-//!   array included) and stops there.
+//! * **Sized to the key span.** A pre-pass ([`KeySpan::scan`]) ORs together
+//!   the XOR of every key against the first. Its bit length `b` is the
+//!   span: every key agrees with the first above bit `b`. The pre-pass
+//!   decides the [`RadixForm`]:
+//!   - input already in key order (a constant array included) stops there;
+//!   - when `2^b ≤ n`, one counting pass over `2^b` buckets sorts it all.
+//!     Records are scattered once through the scratch; key-only records
+//!     ([`Sortable::KEY_ONLY`], the primitive integers) are their own key,
+//!     so each key's run is written back in place from its count, with no
+//!     scratch at all;
+//!   - otherwise one 8-bit scatter pass runs per digit position that
+//!     differs anywhere: 32-bit-range keys cost 4 passes.
 //!
 //! Whether it beats the comparison sorts depends on the input, not only
 //! on the key type: [`GateSample`] is what `LocalKernel::Auto` decides
-//! from — few digit bytes *and* little enough duplication, where "little
-//! enough" depends on whether the rival is the stable or the unstable
-//! comparison sort.
+//! from — a span that fits one counting pass, or else few digit bytes
+//! *and* little enough duplication, where "little enough" depends on
+//! whether the rival is the stable or the unstable comparison sort.
 //!
 //! Scatter passes ping-pong between the caller's slice and a scratch
 //! buffer (one allocation for the whole sort, counted by
-//! [`crate::local_sort::LocalSortReport`]). When the number of active
-//! digits is odd the result lies in the scratch: [`radix_sort_slice`]
-//! copies it back, [`radix_sort`], which owns its scratch, swaps it in.
+//! [`crate::local_sort::LocalSortReport`]). When the number of passes is
+//! odd the result lies in the scratch: [`radix_sort_slice`] copies it
+//! back, [`radix_sort`], which owns its scratch, swaps it in.
 
 use crate::record::Sortable;
+use std::fmt;
 use std::mem::MaybeUninit;
 
 /// Number of 8-bit digits in the `u64` embedding.
 const DIGITS: u32 = 8;
-/// Bucket count per digit.
+/// Bucket count per 8-bit digit.
 const BUCKETS: usize = 256;
 
 /// Input size below which the comparison sort wins: the radix kernel pays
@@ -48,16 +56,28 @@ const BUCKETS: usize = 256;
 /// benchmark's `sdssort.local_sort.ms` row is where a change to it shows).
 pub const RADIX_MIN_N: usize = 1 << 11;
 
+/// Most records the kernel sorts: its bucket counts and offsets are
+/// `u32`, half the cache footprint of `usize` ones (measured on the
+/// `2^20`-bucket counting pass, DESIGN.md §11.2).
+pub const RADIX_MAX_N: usize = u32::MAX as usize;
+
 /// Whether the radix kernel applies to `T` at input size `n`: the key must
 /// have a monotone `u64` embedding and `n` must be large enough to
-/// amortize the fixed passes.
+/// amortize the fixed passes, and no larger than [`RADIX_MAX_N`].
 #[must_use]
 pub fn radix_applicable<T: Sortable>(n: usize) -> bool {
-    T::RADIX && n >= RADIX_MIN_N
+    T::RADIX && (RADIX_MIN_N..=RADIX_MAX_N).contains(&n)
+}
+
+/// Whether keys spanning `bits` bits sort in one counting pass at input
+/// size `n`: the `2^bits` buckets are no more than the records.
+#[must_use]
+pub fn counts_in_one_pass(bits: u32, n: usize) -> bool {
+    bits < usize::BITS && 1usize << bits <= n
 }
 
 /// Most active digits *in the sample* for which [`LocalKernel::Auto`]
-/// still picks the radix kernel. A scatter pass (random writes across 256
+/// still picks byte passes. A scatter pass (random writes across 256
 /// buckets) costs more per record than a comparison-sort level, and
 /// measured break-evens against `slice::sort{,_unstable}` sit between
 /// ~4.5 and ~6.5 active bytes depending on `n`, stability, and cache size.
@@ -76,13 +96,14 @@ pub const GATE_MAX_SAMPLE: usize = 1024;
 const GATE_SAMPLE_EVERY: usize = 16;
 
 /// The duplication bound of an unstable sort, as `(num, den)`:
-/// [`LocalKernel::Auto`] picks radix only while the sample's most frequent
-/// key holds less than `num / den` of it (`δ̂ < 1/8`). The two measured
-/// sides (DESIGN.md §11.2): `zipf:0.8`, δ = 3.7 %, where LSD beats
-/// `sort_unstable` 1.6–2.2×, and `zipf:1.4`, δ = 32 %, where it loses
-/// 2.2–2.4× at every size — ipnsort retires a heavy key in a couple of
-/// partition levels, while the scatter pass gets *slower* with
-/// duplication (one bucket's offset becomes a store-to-load chain).
+/// [`LocalKernel::Auto`] picks byte passes only while the sample's most
+/// frequent key holds less than `num / den` of it (`δ̂ < 1/8`). The two
+/// measured sides (DESIGN.md §11.2): `zipf:0.8`, δ = 3.7 %, where LSD
+/// beats `sort_unstable` 1.6–2.2×, and `zipf:1.4`, δ = 32 %, where it
+/// loses 2.2–2.4× at every size — ipnsort retires a heavy key in a couple
+/// of partition levels, while the scatter pass gets *slower* with
+/// duplication (one bucket's offset becomes a store-to-load chain). One
+/// counting pass over the whole span is not held to this bound.
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
 pub const RADIX_MAX_AUTO_DUP: (usize, usize) = (1, 8);
@@ -103,6 +124,11 @@ pub const RADIX_MAX_AUTO_DUP_STABLE: (usize, usize) = (3, 4);
 pub struct GateSample {
     /// Keys read: `min(n / 16, 1024)`.
     pub sampled: usize,
+    /// Bit length of the sample's XOR-difference: a lower bound on the
+    /// span of the whole input ([`KeySpan::bits`]). When it fits one
+    /// counting pass ([`counts_in_one_pass`]), `Auto` runs the pre-pass
+    /// and the exact span decides.
+    pub span: u32,
     /// 8-bit digit positions of the key embedding that differ anywhere in
     /// the sample — a lower bound on the scatter passes a radix sort of
     /// the whole input would run.
@@ -146,6 +172,7 @@ impl GateSample {
             .unwrap_or(0);
         Some(Self {
             sampled,
+            span: span_bits(diff),
             digits: active_digit_positions(diff).count() as u32,
             longest_run,
             stable,
@@ -164,9 +191,11 @@ impl GateSample {
         }
     }
 
-    /// The gate's verdict: few enough digits for scatter passes to beat
-    /// comparison levels ([`RADIX_MAX_AUTO_DIGITS`]) and no key heavy
-    /// enough to turn them into a dependent chain ([`Self::dup_bound`]).
+    /// The gate's verdict for byte passes: few enough digits for scatter
+    /// passes to beat comparison levels ([`RADIX_MAX_AUTO_DIGITS`]) and no
+    /// key heavy enough to turn them into a dependent chain
+    /// ([`Self::dup_bound`]). `Auto` asks it when the span does not fit
+    /// one counting pass.
     #[must_use]
     pub fn picks_radix(&self) -> bool {
         let (num, den) = self.dup_bound();
@@ -180,6 +209,122 @@ fn active_digit_positions(diff: u64) -> impl Iterator<Item = u32> {
     (0..DIGITS).filter(move |d| (diff >> (8 * d)) & 0xFF != 0)
 }
 
+/// The bit length of a XOR-difference mask.
+fn span_bits(diff: u64) -> u32 {
+    u64::BITS - diff.leading_zeros()
+}
+
+/// What the kernel's pre-pass reads off a whole input: every key's
+/// embedding XORed against the first's and ORed together, and whether the
+/// keys are already in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySpan {
+    n: usize,
+    first: u64,
+    diff: u64,
+    in_order: bool,
+}
+
+impl KeySpan {
+    /// One read pass over `data`'s keys.
+    #[must_use]
+    pub fn scan<T: Sortable>(data: &[T]) -> Self {
+        let first = data.first().map_or(0, Sortable::radix_u64);
+        let mut diff = 0u64;
+        let mut prev = first;
+        let mut in_order = true;
+        for r in data {
+            let k = r.radix_u64();
+            diff |= k ^ first;
+            in_order &= prev <= k;
+            prev = k;
+        }
+        Self {
+            n: data.len(),
+            first,
+            diff,
+            in_order,
+        }
+    }
+
+    /// The span `b`: the bit length of the XOR-difference. Every key
+    /// agrees with the first above bit `b`, so the low `b` bits order them.
+    #[must_use]
+    pub fn bits(&self) -> u32 {
+        span_bits(self.diff)
+    }
+
+    /// What a radix sort of the scanned input runs.
+    fn run<T: Sortable>(&self) -> RadixRun {
+        let span = self.bits();
+        let form = if self.in_order {
+            RadixForm::InOrder
+        } else if counts_in_one_pass(span, self.n) {
+            if T::KEY_ONLY {
+                RadixForm::Counted
+            } else {
+                RadixForm::OnePass
+            }
+        } else {
+            RadixForm::BytePasses(active_digit_positions(self.diff).count() as u32)
+        };
+        RadixRun {
+            n: self.n,
+            span,
+            form,
+        }
+    }
+}
+
+/// The form a radix sort took, as its pre-pass decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RadixForm {
+    /// The keys were already in order: the pre-pass was the whole sort.
+    InOrder,
+    /// One stable counting pass over `2^span` buckets, scattering the
+    /// records once through the scratch.
+    OnePass,
+    /// Key-only records counted over `2^span` buckets, each key's run
+    /// written back in place from its count: no scratch.
+    Counted,
+    /// This many 8-bit scatter passes: `2^span` buckets would outnumber
+    /// the records.
+    BytePasses(u32),
+}
+
+/// What one radix sort did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RadixRun {
+    /// Records sorted.
+    pub n: usize,
+    /// The key span in bits ([`KeySpan::bits`]).
+    pub span: u32,
+    /// The form it took.
+    pub form: RadixForm,
+}
+
+impl RadixRun {
+    /// Whether the sort scattered through a scratch buffer.
+    #[must_use]
+    pub fn scatters(&self) -> bool {
+        matches!(self.form, RadixForm::OnePass | RadixForm::BytePasses(_))
+    }
+}
+
+impl fmt::Display for RadixRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = self.span;
+        match self.form {
+            RadixForm::InOrder => write!(f, "already in key order, pre-pass only")?,
+            RadixForm::OnePass => write!(f, "one counting pass over 2^{b} buckets")?,
+            RadixForm::Counted => write!(f, "keys counted in place over 2^{b} buckets")?,
+            RadixForm::BytePasses(1) => write!(f, "one byte pass")?,
+            RadixForm::BytePasses(k) => write!(f, "{k} byte passes")?,
+        }
+        write!(f, " (span {b} bits, n {})", self.n)
+    }
+}
+
 /// Sort `data` by key with LSD counting passes. Stable. The result is
 /// always left in `data`; `scratch` is the ping-pong buffer and its
 /// contents are unspecified afterwards.
@@ -188,8 +333,16 @@ fn active_digit_positions(diff: u64) -> impl Iterator<Item = u32> {
 ///
 /// If `T` has no monotone `u64` key embedding (`T::RADIX` is false) or
 /// `scratch` is shorter than `data`.
-pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) {
-    if scatter_passes(data, scratch) {
+pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) -> RadixRun {
+    assert!(
+        scratch.len() >= data.len(),
+        "scratch ({}) must hold the whole input ({})",
+        scratch.len(),
+        data.len()
+    );
+    let span = scanned(data, None);
+    let run = span.run::<T>();
+    if sort_scanned(data, scratch, &span, run.form) {
         // Odd pass count: the sorted order lives in scratch; copy it back.
         // SAFETY: the final pass initialized scratch[..n]; the regions do
         // not overlap.
@@ -201,68 +354,76 @@ pub fn radix_sort_slice<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<
             );
         }
     }
+    run
 }
 
-/// The passes of [`radix_sort_slice`]: whether the sorted order ended up
-/// in `scratch[..n]` (an odd number of scatter passes ran) rather than in
-/// `data`.
-fn scatter_passes<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) -> bool {
+/// `span` when the caller scanned `data` already, else the pre-pass now.
+fn scanned<T: Sortable>(data: &[T], span: Option<KeySpan>) -> KeySpan {
     assert!(
         T::RADIX,
         "radix kernel requires a monotone u64 key embedding"
     );
-    let n = data.len();
     assert!(
-        scratch.len() >= n,
-        "scratch ({}) must hold the whole input ({n})",
-        scratch.len()
+        data.len() <= RADIX_MAX_N,
+        "radix kernel sorts at most {RADIX_MAX_N} records"
     );
-    if n < 2 {
-        return false;
-    }
+    let span = span.unwrap_or_else(|| KeySpan::scan(data));
+    assert_eq!(
+        span.n,
+        data.len(),
+        "the key span was scanned from this input"
+    );
+    span
+}
 
-    // Pre-pass: which digit positions differ at all, and is there anything
-    // to do? Input already in key order (all keys equal included) is the
-    // stable sort's own output, so it costs this one scan, as it does
-    // `std`'s sorts.
-    let first = data[0].radix_u64();
-    let mut diff = 0u64;
-    let mut prev = first;
-    let mut sorted = true;
-    for r in data.iter() {
-        let k = r.radix_u64();
-        diff |= k ^ first;
-        sorted &= prev <= k;
-        prev = k;
-    }
-    if sorted {
-        return false;
-    }
-    let active: Vec<u32> = active_digit_positions(diff).collect();
-
-    // One read pass builds the histogram of every active digit.
-    let mut hist = vec![[0usize; BUCKETS]; active.len()];
-    for r in data.iter() {
-        let k = r.radix_u64();
-        for (h, &d) in hist.iter_mut().zip(&active) {
-            h[(k >> (8 * d)) as usize & 0xFF] += 1;
+/// Sort `data` in `form`, which `span` (its pre-pass) chose: whether the
+/// sorted order ended up in `scratch[..n]` (an odd number of scatter
+/// passes ran) rather than in `data`. Only a scattering form reads
+/// `scratch`.
+fn sort_scanned<T: Sortable>(
+    data: &mut [T],
+    scratch: &mut [MaybeUninit<T>],
+    span: &KeySpan,
+    form: RadixForm,
+) -> bool {
+    let n = data.len();
+    // The bucket counts, in one read pass: of the one digit of `span` bits
+    // (`2^span` buckets), or of each active byte (256 buckets each, as
+    // `(shift, counts)`).
+    let mut one_pass = None;
+    let mut bytes = Vec::new();
+    match form {
+        RadixForm::InOrder => return false,
+        RadixForm::Counted => {
+            count_in_place(data, span);
+            return false;
+        }
+        RadixForm::OnePass => {
+            let mask = (1u64 << span.bits()) - 1;
+            let mut counts = vec![0u32; mask as usize + 1];
+            for r in data.iter() {
+                counts[(r.radix_u64() & mask) as usize] += 1;
+            }
+            one_pass = Some((mask, counts));
+        }
+        RadixForm::BytePasses(_) => {
+            bytes = active_digit_positions(span.diff)
+                .map(|d| (8 * d, [0u32; BUCKETS]))
+                .collect();
+            for r in data.iter() {
+                let k = r.radix_u64();
+                for (shift, h) in &mut bytes {
+                    h[(k >> *shift) as usize & 0xFF] += 1;
+                }
+            }
         }
     }
 
-    // Scatter passes, least-significant active digit first, ping-ponging
-    // between `data` and `scratch`.
-    let mut in_data = true;
-    for (h, &d) in hist.iter().zip(&active) {
-        // Exclusive prefix sum: offs[b] = start of bucket b.
-        let mut offs = [0usize; BUCKETS];
-        let mut acc = 0usize;
-        for (o, &c) in offs.iter_mut().zip(h.iter()) {
-            *o = acc;
-            acc += c;
-        }
-        debug_assert_eq!(acc, n);
-
-        let (src, dst) = if in_data {
+    // One stable scatter by the digit `(key >> shift) & mask`, from `data`
+    // into `scratch` or back; `offs[d]` holds digit d's first slot and is
+    // consumed.
+    let mut scatter = |to_scratch: bool, shift: u32, mask: u64, offs: &mut [u32]| {
+        let (src, dst) = if to_scratch {
             (data.as_ptr(), scratch.as_mut_ptr().cast::<T>())
         } else {
             (scratch.as_ptr().cast::<T>(), data.as_mut_ptr())
@@ -276,29 +437,86 @@ fn scatter_passes<T: Sortable>(data: &mut [T], scratch: &mut [MaybeUninit<T>]) -
         unsafe {
             for i in 0..n {
                 let rec = *src.add(i);
-                let b = (rec.radix_u64() >> (8 * d)) as usize & 0xFF;
+                let b = ((rec.radix_u64() >> shift) & mask) as usize;
                 let o = offs[b];
-                *dst.add(o) = rec;
+                *dst.add(o as usize) = rec;
                 offs[b] = o + 1;
             }
         }
+    };
+    if let Some((mask, offs)) = &mut one_pass {
+        exclusive_prefix_sum(offs, n);
+        scatter(true, 0, *mask, offs);
+        return true;
+    }
+    // Least-significant byte first, ping-ponging between `data` and
+    // `scratch`.
+    let mut in_data = true;
+    for (shift, offs) in &mut bytes {
+        exclusive_prefix_sum(offs, n);
+        scatter(in_data, *shift, 0xFF, offs);
         in_data = !in_data;
     }
     !in_data
 }
 
-/// [`radix_sort_slice`] with a scratch buffer of its own. Where an odd
-/// number of passes leaves the sorted order in the scratch, the scratch
-/// becomes `data` (and `data`'s old buffer is freed) instead of being
-/// copied back. Returns the scratch bytes it allocated (0 below two
-/// records).
-pub fn radix_sort<T: Sortable>(data: &mut Vec<T>) -> usize {
-    let n = data.len();
-    if n < 2 {
-        return 0;
+/// Turn bucket counts into each bucket's first slot, in place.
+fn exclusive_prefix_sum(counts: &mut [u32], n: usize) {
+    let mut acc = 0u32;
+    for c in counts {
+        let here = *c;
+        *c = acc;
+        acc += here;
     }
+    debug_assert_eq!(acc as usize, n);
+}
+
+/// The key-only form: count every key's low `span` bits over `2^span`
+/// buckets, then write each key's run back in order from its count. Equal
+/// keys are equal records, so this is the stable sort's output too.
+fn count_in_place<T: Sortable>(data: &mut [T], span: &KeySpan) {
+    let mask = (1u64 << span.bits()) - 1;
+    let high = span.first & !mask;
+    let mut counts = vec![0u32; mask as usize + 1];
+    for r in data.iter() {
+        counts[(r.radix_u64() & mask) as usize] += 1;
+    }
+    let mut at = 0;
+    for (low, &c) in counts.iter().enumerate() {
+        let c = c as usize;
+        if c > 0 {
+            data[at..at + c].fill(T::from_radix_u64(high | low as u64));
+            at += c;
+        }
+    }
+}
+
+/// [`radix_sort_slice`] with a scratch buffer of its own, allocated only
+/// when the form scatters. Where an odd number of passes leaves the sorted
+/// order in the scratch, the scratch becomes `data` (and `data`'s old
+/// buffer is freed) instead of being copied back. `span` is `data`'s
+/// pre-pass when the caller already ran it ([`KeySpan::scan`]); `None`
+/// runs it here.
+///
+/// # Panics
+///
+/// If `T` has no monotone `u64` key embedding, or `span` was scanned from
+/// an input of another length.
+pub fn radix_sort<T: Sortable>(data: &mut Vec<T>, span: Option<KeySpan>) -> RadixRun {
+    let span = scanned(data, span);
+    let run = span.run::<T>();
+    if !run.scatters() {
+        sort_scanned(data, &mut [], &span, run.form);
+        return run;
+    }
+    let n = data.len();
     let mut scratch: Vec<T> = comm::pages::with_capacity(n);
-    if scatter_passes(data, &mut scratch.spare_capacity_mut()[..n]) {
+    if sort_scanned(
+        data,
+        &mut scratch.spare_capacity_mut()[..n],
+        &span,
+        run.form,
+    ) {
         // SAFETY: the final scatter pass wrote every one of the scratch's
         // first `n` slots, which its capacity holds.
         unsafe {
@@ -306,19 +524,19 @@ pub fn radix_sort<T: Sortable>(data: &mut Vec<T>) -> usize {
         }
         std::mem::swap(data, &mut scratch);
     }
-    n * std::mem::size_of::<T>()
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{OrderedF32, Record, Tagged};
+    use crate::record::{OrderedF32, OrderedF64, Record, Tagged};
     use comm::Wire;
     use rand::prelude::*;
     use std::cell::Cell;
 
     fn sorted_by_radix<T: Sortable>(mut v: Vec<T>) -> Vec<T> {
-        radix_sort(&mut v);
+        radix_sort(&mut v, None);
         v
     }
 
@@ -421,8 +639,13 @@ mod tests {
     fn radix_sort_swaps_the_scratch_in_after_an_odd_pass_count() {
         let mut rng = StdRng::seed_from_u64(12);
         const N: usize = 5000;
-        // Keys below 2^8, 2^16, 2^24: one, two and three scatter passes.
-        for (bits, odd) in [(8, true), (16, false), (24, true)] {
+        // Keys below 2^8 (one counting pass over 256 buckets), 2^16 and
+        // 2^24 (more buckets than records: two and three byte passes).
+        for (bits, form, odd) in [
+            (8, RadixForm::OnePass, true),
+            (16, RadixForm::BytePasses(2), false),
+            (24, RadixForm::BytePasses(3), true),
+        ] {
             let input: Vec<Tagged<u64>> = (0..N as u64)
                 .map(|i| Record::new(rng.gen_range(0..1u64 << bits), i))
                 .collect();
@@ -430,18 +653,26 @@ mod tests {
             expect.sort_by_key(|r| r.key);
             let mut data = input;
             let before = data.as_ptr();
-            assert_eq!(radix_sort(&mut data), N * 16, "{bits}-bit keys");
+            let run = radix_sort(&mut data, None);
+            assert_eq!(
+                (run.n, run.span, run.form),
+                (N, bits, form),
+                "{bits}-bit keys"
+            );
+            assert!(run.scatters(), "{bits}-bit keys");
             assert_eq!(data, expect, "{bits}-bit keys");
             assert_eq!(data.as_ptr() != before, odd, "{bits}-bit keys: swapped?");
         }
-        // Presorted: the pre-pass returns, nothing is swapped, and the
-        // scratch it allocated is still reported.
+        // Presorted: the pre-pass returns before any scratch is allocated,
+        // and nothing is swapped.
         let asc: Vec<Tagged<u64>> = (0..N as u64).map(|i| Record::new(i / 3, i)).collect();
         let mut data = asc.clone();
         let before = data.as_ptr();
-        assert_eq!(radix_sort(&mut data), N * 16);
+        let run = radix_sort(&mut data, None);
+        assert_eq!((run.form, run.scatters()), (RadixForm::InOrder, false));
         assert_eq!((data.as_ptr(), &data), (before, &asc));
-        assert_eq!(radix_sort(&mut vec![Record::new(1u64, 0u64)]), 0);
+        let one = radix_sort(&mut vec![Record::new(1u64, 0u64)], None);
+        assert_eq!((one.form, one.span), (RadixForm::InOrder, 0));
     }
 
     #[test]
@@ -515,6 +746,150 @@ mod tests {
         assert_eq!(GateSample::take(&narrow[..RADIX_MIN_N - 1], true), None);
         let wide: Vec<u128> = (0..n as u128).collect();
         assert_eq!(GateSample::take(&wide, true), None);
+    }
+
+    #[test]
+    fn one_pass_records_match_std_stable_sort() {
+        // 12-bit keys, one of them holding ~40 %, above shared high bits:
+        // 10 000 records fit 2^12 buckets, so one stable counting pass.
+        let mut rng = StdRng::seed_from_u64(13);
+        let keys: Vec<u64> = (0..10_000)
+            .map(|_| {
+                if rng.gen_bool(0.4) {
+                    1 << 11
+                } else {
+                    rng.gen_range(0..1 << 12)
+                }
+            })
+            .collect();
+        let tagged: Vec<Tagged<u64>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Record::new((7 << 40) | k, i as u64))
+            .collect();
+        let mut expect = tagged.clone();
+        expect.sort_by_key(|r| r.key);
+        let mut got = tagged;
+        let run = radix_sort(&mut got, None);
+        assert_eq!((run.span, run.form), (12, RadixForm::OnePass));
+        assert_eq!(got, expect);
+
+        // `u32` keys (padded records), through a caller's scratch.
+        let narrow: Vec<Record<u32, u64>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Record::new(k as u32, i as u64))
+            .collect();
+        let mut expect = narrow.clone();
+        expect.sort_by_key(|r| r.key);
+        let mut got = narrow;
+        let mut scratch = vec![MaybeUninit::uninit(); got.len()];
+        let run = radix_sort_slice(&mut got, &mut scratch);
+        assert_eq!((run.span, run.form), (12, RadixForm::OnePass));
+        assert_eq!(got, expect);
+    }
+
+    /// `input` sorts in the counted form over `2^bits` buckets, to what
+    /// `sort_unstable` makes of it, by both entry points.
+    fn counts_like_sort_unstable<T: Sortable + Ord + std::fmt::Debug>(input: &[T], bits: u32) {
+        let mut expect = input.to_vec();
+        expect.sort_unstable();
+        let mut got = input.to_vec();
+        let run = radix_sort(&mut got, None);
+        assert_eq!(
+            (run.span, run.form, run.scatters()),
+            (bits, RadixForm::Counted, false)
+        );
+        assert_eq!(got, expect);
+        let mut got = input.to_vec();
+        let run = radix_sort_slice(&mut got, &mut vec![MaybeUninit::uninit(); input.len()]);
+        assert_eq!(run.form, RadixForm::Counted);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn counted_keys_match_sort_unstable() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let bytes: Vec<u8> = (0..5000).map(|_| rng.gen()).collect();
+        counts_like_sort_unstable(&bytes, 8);
+        let u32s: Vec<u32> = (0..8192)
+            .map(|_| (1 << 30) + rng.gen_range(0..1 << 12))
+            .collect();
+        counts_like_sort_unstable(&u32s, 12);
+        // Just below `u64::MAX`, a third of them one key: the high bits
+        // come back from the first key.
+        let u64s: Vec<u64> = (0..8192)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    u64::MAX - 5
+                } else {
+                    u64::MAX - rng.gen_range(0..1 << 13)
+                }
+            })
+            .collect();
+        counts_like_sort_unstable(&u64s, 13);
+        // All negative: the sign-flip embedding and its inverse.
+        let negative: Vec<i64> = (0..6000).map(|_| rng.gen_range(-3000..-1000)).collect();
+        counts_like_sort_unstable(&negative, 12);
+        let floats: Vec<OrderedF64> = (0..5000)
+            .map(|_| OrderedF64::new(f64::from_bits(1f64.to_bits() + rng.gen_range(0..1 << 12))))
+            .collect();
+        counts_like_sort_unstable(&floats, 12);
+    }
+
+    #[test]
+    fn one_pass_exactly_when_the_buckets_fit() {
+        assert!(counts_in_one_pass(12, 4096) && !counts_in_one_pass(12, 4095));
+        assert!(counts_in_one_pass(0, 1) && !counts_in_one_pass(64, usize::MAX));
+        let mut rng = StdRng::seed_from_u64(15);
+        // 12-bit keys: 2^12 = n takes one pass, 2^12 = 2n two byte passes.
+        for (n, records, keys) in [
+            (4096, RadixForm::OnePass, RadixForm::Counted),
+            (2048, RadixForm::BytePasses(2), RadixForm::BytePasses(2)),
+        ] {
+            let mut input: Vec<u64> = (0..n).map(|_| rng.gen_range(1..(1 << 12) - 1)).collect();
+            input[7] = (1 << 12) - 1;
+            let tagged: Vec<Tagged<u64>> = (0..n as u64)
+                .map(|i| Record::new(input[i as usize], i))
+                .collect();
+            let mut expect = tagged.clone();
+            expect.sort_by_key(|r| r.key);
+            let mut got = tagged;
+            let run = radix_sort(&mut got, None);
+            assert_eq!((run.span, run.form), (12, records), "n {n}");
+            assert_eq!(got, expect, "n {n}");
+
+            let mut expect = input.clone();
+            expect.sort_unstable();
+            let run = radix_sort(&mut input, None);
+            assert_eq!((run.span, run.form), (12, keys), "n {n}");
+            assert_eq!(input, expect, "n {n}");
+        }
+    }
+
+    #[test]
+    fn a_run_names_its_form_and_inputs() {
+        let run = |form, span| RadixRun {
+            n: 2_097_152,
+            span,
+            form,
+        };
+        assert_eq!(
+            run(RadixForm::OnePass, 20).to_string(),
+            "one counting pass over 2^20 buckets (span 20 bits, n 2097152)"
+        );
+        assert_eq!(
+            run(RadixForm::Counted, 20).to_string(),
+            "keys counted in place over 2^20 buckets (span 20 bits, n 2097152)"
+        );
+        assert_eq!(
+            run(RadixForm::BytePasses(3), 24).to_string(),
+            "3 byte passes (span 24 bits, n 2097152)"
+        );
+        assert_eq!(
+            run(RadixForm::InOrder, 30).to_string(),
+            "already in key order, pre-pass only (span 30 bits, n 2097152)"
+        );
     }
 
     thread_local! {

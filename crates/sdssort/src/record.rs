@@ -43,6 +43,20 @@ pub trait Sortable: Copy + Send + Sync + 'static + Wire {
     fn radix_u64(&self) -> u64 {
         0
     }
+
+    /// True when a record *is* its key: equal keys are equal records, bit
+    /// for bit, and [`Sortable::from_radix_u64`] inverts
+    /// [`Sortable::radix_u64`]. The radix kernel then sorts by counting
+    /// alone, writing each key's run back from its count with no scratch.
+    /// Implies [`Sortable::RADIX`].
+    const KEY_ONLY: bool = false;
+
+    /// The record whose [`Sortable::radix_u64`] is `bits`. Only called when
+    /// [`Sortable::KEY_ONLY`] is true.
+    #[inline]
+    fn from_radix_u64(bits: u64) -> Self {
+        unreachable!("{bits:#x}: only a key-only record is rebuilt from its embedding")
+    }
 }
 
 /// A key with an order-preserving mapping to `u64`:
@@ -60,6 +74,9 @@ pub trait RadixKey: Copy {
 
     /// The monotone unsigned mapping.
     fn radix_u64(&self) -> u64;
+
+    /// Its inverse: the key whose `radix_u64` is `bits`.
+    fn from_radix_u64(bits: u64) -> Self;
 }
 
 macro_rules! impl_radix_uint {
@@ -68,6 +85,10 @@ macro_rules! impl_radix_uint {
             #[inline]
             fn radix_u64(&self) -> u64 {
                 *self as u64
+            }
+            #[inline]
+            fn from_radix_u64(bits: u64) -> Self {
+                bits as $t
             }
         }
     )*};
@@ -84,6 +105,10 @@ macro_rules! impl_radix_int {
                 // 0..=u64::MAX.
                 (*self as i64 as u64) ^ (1u64 << 63)
             }
+            #[inline]
+            fn from_radix_u64(bits: u64) -> Self {
+                (bits ^ (1u64 << 63)) as i64 as $t
+            }
         }
     )*};
 }
@@ -95,6 +120,10 @@ macro_rules! impl_radix_unusable {
             const USABLE: bool = false;
             #[inline]
             fn radix_u64(&self) -> u64 {
+                0
+            }
+            #[inline]
+            fn from_radix_u64(_: u64) -> Self {
                 0
             }
         }
@@ -114,6 +143,11 @@ macro_rules! impl_sortable_prim {
             #[inline]
             fn radix_u64(&self) -> u64 {
                 RadixKey::radix_u64(self)
+            }
+            const KEY_ONLY: bool = <$t as RadixKey>::USABLE;
+            #[inline]
+            fn from_radix_u64(bits: u64) -> $t {
+                RadixKey::from_radix_u64(bits)
             }
         }
     )*};
@@ -201,6 +235,10 @@ impl RadixKey for OrderedF32 {
     fn radix_u64(&self) -> u64 {
         self.ordered_bits() as u64
     }
+    #[inline]
+    fn from_radix_u64(bits: u64) -> Self {
+        Self(bits as u32)
+    }
 }
 
 impl Wire for OrderedF32 {
@@ -226,6 +264,11 @@ impl Sortable for OrderedF32 {
     #[inline]
     fn radix_u64(&self) -> u64 {
         RadixKey::radix_u64(self)
+    }
+    const KEY_ONLY: bool = true;
+    #[inline]
+    fn from_radix_u64(bits: u64) -> Self {
+        RadixKey::from_radix_u64(bits)
     }
 }
 
@@ -265,6 +308,10 @@ impl RadixKey for OrderedF64 {
     fn radix_u64(&self) -> u64 {
         self.ordered_bits()
     }
+    #[inline]
+    fn from_radix_u64(bits: u64) -> Self {
+        Self(bits)
+    }
 }
 
 impl Wire for OrderedF64 {
@@ -290,6 +337,11 @@ impl Sortable for OrderedF64 {
     #[inline]
     fn radix_u64(&self) -> u64 {
         RadixKey::radix_u64(self)
+    }
+    const KEY_ONLY: bool = true;
+    #[inline]
+    fn from_radix_u64(bits: u64) -> Self {
+        RadixKey::from_radix_u64(bits)
     }
 }
 

@@ -60,8 +60,19 @@ pub struct JobReport {
     /// ([`workloads::fill_keys_by_name`]) — inside `sort_wall_s`, before
     /// any sort phase.
     pub generate_s: f64,
-    /// Per-phase maxima across ranks: pivot selection.
+    /// Per-phase maxima across ranks: pivot selection — the initial local
+    /// sort, sampling, splitter selection and partition, which the next
+    /// four fields split it into.
     pub pivot_s: f64,
+    /// The initial local sort of the rank whose `pivot_s` is the maximum
+    /// (so the four parts sum to `pivot_s`).
+    pub local_sort_s: f64,
+    /// That rank's local sampling.
+    pub sample_s: f64,
+    /// That rank's splitter selection.
+    pub select_s: f64,
+    /// That rank's partition at the splitters.
+    pub partition_s: f64,
     /// Per-phase maxima across ranks: all-to-all exchange.
     pub exchange_s: f64,
     /// Per-phase maxima across ranks: final local ordering.

@@ -414,6 +414,13 @@ fn assemble(
         outputs.extend(o);
     }
     let maxima = phase_maxima(&stats);
+    // The pivot phase's parts come from one rank, the slowest there, so
+    // they sum to `pivot_s`.
+    let slowest = stats
+        .iter()
+        .max_by(|a, b| a.pivot_s.total_cmp(&b.pivot_s))
+        .copied()
+        .unwrap_or_default();
     JobOutcome::Sorted {
         report: JobReport {
             id,
@@ -423,6 +430,10 @@ fn assemble(
             sort_wall_s,
             generate_s,
             pivot_s: maxima.pivot_s,
+            local_sort_s: slowest.local_sort_s,
+            sample_s: slowest.sample_s,
+            select_s: slowest.select_s,
+            partition_s: slowest.partition_s,
             exchange_s: maxima.exchange_s,
             local_order_s: maxima.local_order_s,
             spilled: maxima.spilled,

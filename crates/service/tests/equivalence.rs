@@ -73,6 +73,13 @@ fn concurrent_service_jobs_match_sequential_oneshot_runs() {
             match t.wait() {
                 JobOutcome::Sorted { output, report } => {
                     assert!(report.sort_wall_s >= 0.0);
+                    // The pivot phase's parts are one rank's: they sum to it.
+                    let parts = report.local_sort_s
+                        + report.sample_s
+                        + report.select_s
+                        + report.partition_s;
+                    assert!((parts - report.pivot_s).abs() < 1e-9, "{report:?}");
+                    assert!(report.local_sort_s > 0.0, "{report:?}");
                     (id, output.expect("with_output jobs return data"))
                 }
                 other => panic!("job {id} did not sort: {other:?}"),

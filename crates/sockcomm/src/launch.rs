@@ -258,10 +258,11 @@ impl SocketWorld {
                     self.memory_budget.unwrap_or(usize::MAX).to_string(),
                 )
                 .stdin(Stdio::null())
-                // A rank's stdout is not the launcher's: a test harness
-                // re-exec'd as a rank prints its banner before
-                // `child_rank` takes over, so it goes to stderr.
-                .stdout(std::io::stderr())
+                // A rank has no stdout: what it reports travels home in its
+                // `Result` frame, and its diagnostics go to stderr. A test
+                // harness re-exec'd as a rank prints its banner (`running 1
+                // test`) before `child_rank` takes over; that goes nowhere.
+                .stdout(Stdio::null())
                 .spawn();
             match spawned {
                 Ok(child) => children.borrow_mut().push((rank, child)),

@@ -184,13 +184,17 @@ sys.exit(None if r["attempted"] > 0 and r["failed"] == 0 else f"ci: benchmark sm
 }
 benchmark_smoke --workload sim-zipf-p16 --trace 1
 benchmark_smoke --workload threads-presorted --trace 0
-# ... and on the skewed input, where `Auto`'s sampled gate leaves the radix
-# kernel for the comparison sort: same digest check, other kernel.
+# ... and on the skewed input, whose 20-bit key span fits one counting pass
+# of a rank's 2^21 keys: same digest check, the radix kernel's in-place
+# counted form.
 benchmark_smoke --workload threads-zipf --trace 0
 # ... and on sockets, where every rank is a process of its own that builds
 # its own Zipf table and draws its own keys: the only run of the digest
 # check over a backend with rank processes.
 benchmark_smoke --workload sockets-stable-tagged --trace 0
+# ... and on the resident service, whose trials end by checking the output
+# of their last jobs.
+benchmark_smoke --workload service-closed-loop --trace 0
 
 # Sockets-backend smoke: the distributed process-per-rank backend (one OS
 # process per rank over Unix-domain sockets) must rendezvous, sort,

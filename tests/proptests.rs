@@ -11,7 +11,9 @@ use sdssort::partition::{
     cuts_to_counts, fast_cuts, replicated_runs, shares_for_source, stable_cuts, PivotRun,
 };
 use sdssort::search::{lower_bound, upper_bound, LocalPivotIndex};
-use sdssort::{local_sort_with, sds_sort, LocalKernel, Record, SdsConfig, RADIX_MIN_N};
+use sdssort::{
+    counts_in_one_pass, local_sort_with, sds_sort, LocalKernel, Record, SdsConfig, RADIX_MIN_N,
+};
 
 /// Reference implementation of the paper's per-pivot `SdssReplicated` scan.
 fn replicated_reference<K: Ord + Copy>(pivots: &[K]) -> Vec<PivotRun<K>> {
@@ -131,10 +133,11 @@ proptest! {
 // Local-sort matrix: threads × {stable, unstable} × workload shape ×
 // kernel, with sizes straddling the radix/comparison boundary
 // (RADIX_MIN_N = 2048) and, above it, shapes on both sides of `Auto`'s
-// sampled gate (few digit bytes and no key holding 1/8 of the sample, 3/4
-// when stable → radix; a heavier key → comparison). Stable runs must equal
-// std's stable sort exactly; unstable runs must be a key-sorted
-// permutation.
+// sampled gate (a key span that fits one counting pass of a thread's
+// chunk, or few digit bytes and no key holding 1/8 of the sample, 3/4
+// when stable → radix; a heavier key over a wider span → comparison).
+// Stable runs must equal std's stable sort exactly; unstable runs must be
+// a key-sorted permutation.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -175,9 +178,14 @@ proptest! {
         let report = local_sort_with(&mut got, threads, stable, kernel);
         if kernel == LocalKernel::Auto && n >= RADIX_MIN_N {
             // A heavy key is the comparison sorts' case: one holding ~24 %
-            // (shape 4) against `sort_unstable`, only one holding 90 %
-            // (shape 1) against the stable `sort_by_key`.
-            let expect = if shape == 1 || (shape == 4 && !stable) {
+            // (shape 4, 13-bit span) against `sort_unstable`, only one
+            // holding 90 % (shape 1) against the stable `sort_by_key` —
+            // unless shape 1's 10-bit span fits one counting pass of what
+            // each thread sorts.
+            let sequential = threads <= 1 || n < threads * 4 || n < 1024;
+            let chunk = if sequential { n } else { n.div_ceil(threads) };
+            let heavy_wide = shape == 1 && !counts_in_one_pass(10, chunk);
+            let expect = if heavy_wide || (shape == 4 && !stable) {
                 LocalKernel::Comparison
             } else {
                 LocalKernel::Radix
