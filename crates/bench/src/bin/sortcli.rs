@@ -42,6 +42,12 @@
 //!                                  replicated-key blocks), then
 //!                                  the sorter's decisions with their
 //!                                  inputs (τ choices, local-sort kernel)
+//!   --trace-out <path>             write every rank's phase spans (nested
+//!                                  refine-round spans included) as
+//!                                  Chrome-trace JSON: one complete event
+//!                                  per span, tid = rank, µs; its
+//!                                  otherData.clock is "virtual" on sim and
+//!                                  "wall" on threads; sim and threads only
 //!   --seed     <u64>               (default 42)
 //!   --faults   <spec>              inject deterministic message faults,
 //!                                  e.g. seed=7,delay=0.5:1e-4,
@@ -80,7 +86,9 @@
 use algos::{Sorter, Tuning};
 use bench::emit::{write_document, Emitter};
 use bench::{fmt_bytes, fmt_time, Table};
-use mpisim::telemetry::{Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta};
+use mpisim::telemetry::{
+    chrome_trace, Decisions, Json, MemoryReport, RunReport, Snapshot, WorldMeta,
+};
 use mpisim::{FaultSpec, World};
 use sdssort::{
     is_globally_sorted, is_permutation_of, rdfa, sds_sort_resilient, SdsConfig, SortError,
@@ -100,6 +108,7 @@ struct Args {
     budget: Option<usize>,
     oversample: usize,
     trace: bool,
+    trace_out: Option<PathBuf>,
     seed: u64,
     faults: Option<FaultSpec>,
     faults_text: Option<String>,
@@ -109,6 +118,14 @@ struct Args {
     serve: bool,
     jobs: u64,
     clients: usize,
+}
+
+impl Args {
+    /// Whether the run records telemetry: a metrics report, the `--trace`
+    /// table and the `--trace-out` spans all come off its snapshot.
+    fn wants_telemetry(&self) -> bool {
+        self.metrics_out.is_some() || self.trace || self.trace_out.is_some()
+    }
 }
 
 /// Parse the value of numeric option `flag`.
@@ -128,6 +145,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         budget: None,
         oversample: 1,
         trace: false,
+        trace_out: None,
         seed: 42,
         faults: None,
         faults_text: None,
@@ -158,6 +176,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--budget" => args.budget = Some(num(flag, take()?)?),
             "--oversample" => args.oversample = num(flag, take()?)?,
             "--trace" => args.trace = true,
+            "--trace-out" => args.trace_out = Some(PathBuf::from(take()?)),
             "--seed" => args.seed = num(flag, take()?)?,
             "--faults" => {
                 let spec = take()?;
@@ -229,13 +248,16 @@ fn validate(a: &Args) -> Result<(), String> {
         if a.faults.is_some() {
             return Err(format!("--faults is simulator-only (remove {real})"));
         }
-        // The table is read off the run's telemetry snapshot, which a
-        // process-per-rank world and the service do not return.
-        if a.trace && (a.serve || backend == "sockets") {
-            return Err(format!(
-                "--trace needs a telemetry snapshot, which only sim and threads \
-                 return (remove {real})"
-            ));
+        // The table and the spans are read off the run's telemetry
+        // snapshot, which a process-per-rank world and the service do not
+        // return.
+        for (flag, set) in [("--trace", a.trace), ("--trace-out", a.trace_out.is_some())] {
+            if set && (a.serve || backend == "sockets") {
+                return Err(format!(
+                    "{flag} needs a telemetry snapshot, which only sim and threads \
+                     return (remove {real})"
+                ));
+            }
         }
     }
     Ok(())
@@ -386,7 +408,7 @@ fn trace_table(snapshot: &Snapshot) -> Table {
 fn run_sim(a: &Args) -> Result<BackendRun, String> {
     let mut world = World::new(a.ranks)
         .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some() || a.trace);
+        .telemetry(a.wants_telemetry());
     if let Some(b) = a.budget {
         world = world.memory_budget(b);
     }
@@ -430,7 +452,7 @@ fn sorted_ranks(results: Vec<Result<RankOutcome, SortError>>) -> Result<Vec<Rank
 fn run_threads(a: &Args) -> Result<BackendRun, String> {
     let mut world = shmem::ThreadWorld::new(a.ranks)
         .cores_per_node(a.cores)
-        .telemetry(a.metrics_out.is_some() || a.trace);
+        .telemetry(a.wants_telemetry());
     if let Some(b) = a.budget {
         world = world.memory_budget(b);
     }
@@ -676,6 +698,21 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
             println!("  {}: {}", e.name, e.detail);
         }
     }
+    if let Some(path) = &args.trace_out {
+        let snapshot = run
+            .snapshot
+            .as_ref()
+            .expect("--trace-out turns telemetry on");
+        if let Err(e) = write_trace(path, &args.backend, snapshot) {
+            eprintln!("error writing {}: {e}", path.display());
+            return ExitCode::from(1);
+        }
+        println!(
+            "trace: {} spans written to {}",
+            snapshot.spans.len(),
+            path.display()
+        );
+    }
     if let Some(out) = &args.metrics_out {
         if let Err(e) = write_metrics(out, args, run, &loads) {
             eprintln!("error writing metrics: {e}");
@@ -683,6 +720,16 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
         }
     }
     ExitCode::from(u8::from(!passed))
+}
+
+/// `--trace-out`: the snapshot's spans as Chrome-trace JSON. The
+/// simulator's spans are virtual time, the threads backend's wall clock.
+fn write_trace(path: &Path, backend: &str, snapshot: &Snapshot) -> std::io::Result<()> {
+    let clock = if backend == "sim" { "virtual" } else { "wall" };
+    std::fs::write(
+        path,
+        chrome_trace(&snapshot.spans, clock).to_string_compact(),
+    )
 }
 
 /// A completed run's `result:` verdict and whether it passes. Output that
@@ -879,6 +926,7 @@ mod tests {
             "--budget 60000 --faults seed=7,ramp=0:0:0.5 --resilient /tmp/s",
             "--trace",
             "--backend threads --trace",
+            "--backend threads --trace-out /tmp/t.json",
             "--serve --ranks 4 --jobs 12 --workload adversarial",
             "--backend sockets --budget 1",
             "--backend threads --resilient /tmp/s",
@@ -929,6 +977,14 @@ mod tests {
                 "--backend sockets --trace",
                 "--trace needs a telemetry snapshot, which only sim and threads return (remove --backend sockets",
             ),
+            (
+                "--backend sockets --trace-out /tmp/t.json",
+                "--trace-out needs a telemetry snapshot, which only sim and threads return (remove --backend sockets",
+            ),
+            (
+                "--serve --trace-out /tmp/t.json",
+                "--trace-out needs a telemetry snapshot, which only sim and threads return (remove --serve",
+            ),
         ] {
             let err = check(line).expect_err("must be rejected");
             assert!(err.contains(want), "{line}: {err:?} lacks {want:?}");
@@ -951,6 +1007,89 @@ mod tests {
             assert_eq!(sum(|p| p.bytes), run.bytes);
             assert!(sum(|p| p.internode_messages) < run.messages);
         }
+    }
+
+    #[test]
+    fn trace_out_writes_one_event_per_span_with_each_ranks_steps_in_order() {
+        let dir = std::env::temp_dir().join(format!("sortcli-trace-out-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("a temp dir");
+        for (backend, clock) in [("sim", "virtual"), ("threads", "wall")] {
+            let path = dir.join(format!("{backend}.json"));
+            let line = format!(
+                "--backend {backend} --sorter hss --ranks 4 --cores 2 --records 500 \
+                 --workload zipf:1.4 --trace-out {}",
+                path.display()
+            );
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let args = parse_args(&argv).expect("parses");
+            assert_eq!(validate(&args), Ok(()));
+            let run = if backend == "sim" {
+                run_sim(&args)
+            } else {
+                run_threads(&args)
+            };
+            let run = run.expect("sorts");
+            let snapshot = run.snapshot.as_ref().expect("--trace-out records");
+            write_trace(&path, backend, snapshot).expect("writes");
+            let text = std::fs::read_to_string(&path).expect("reads back");
+            let doc = Json::parse(&text).expect("parses back");
+            assert_eq!(
+                doc.get("otherData").and_then(|d| d.get("clock")),
+                Some(&Json::from(clock))
+            );
+            let events = doc
+                .get("traceEvents")
+                .and_then(Json::as_arr)
+                .expect("events");
+            assert_eq!(events.len(), snapshot.spans.len(), "{backend}");
+            fn name(e: &Json) -> &str {
+                e.get("name").and_then(Json::as_str).expect("a name")
+            }
+            let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).expect("a number");
+            for rank in 0..args.ranks {
+                let mut mine: Vec<&Json> = events
+                    .iter()
+                    .filter(|e| e.get("tid").and_then(Json::as_u64) == Some(rank as u64))
+                    .collect();
+                assert!(mine.iter().all(|e| e.get("ph") == Some(&Json::from("X"))));
+                mine.sort_by(|a, b| field(a, "ts").total_cmp(&field(b, "ts")));
+                let steps: Vec<&str> = mine
+                    .iter()
+                    .map(|e| name(e))
+                    .filter(|n| *n != "refine-round")
+                    .collect();
+                // The driver's steps, then sortcli's own output checks.
+                let driver = [
+                    "local-sort",
+                    "pivot-select",
+                    "partition",
+                    "exchange",
+                    "local-order",
+                ];
+                assert_eq!(steps[..driver.len()], driver, "{backend} rank {rank}");
+                assert!(
+                    steps[driver.len()..].iter().all(|n| *n == "validate"),
+                    "{backend} rank {rank}: {steps:?}"
+                );
+                // Each histogram round nests in its rank's pivot selection.
+                let select = mine
+                    .iter()
+                    .find(|e| name(e) == "pivot-select")
+                    .expect("a step");
+                let (from, to) = (
+                    field(select, "ts"),
+                    field(select, "ts") + field(select, "dur"),
+                );
+                for round in mine.iter().filter(|e| name(e) == "refine-round") {
+                    let (a, b) = (field(round, "ts"), field(round, "ts") + field(round, "dur"));
+                    assert!(
+                        from <= a && b <= to,
+                        "{backend} rank {rank}: {a}..{b} outside {from}..{to}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("cleans up");
     }
 
     #[test]

@@ -181,7 +181,9 @@ pub enum LocalKernel {
     /// either the keys span few enough bits for one counting pass
     /// ([`crate::radix::counts_in_one_pass`], checked on the sample, then
     /// on the whole input), or the sampled keys occupy at most
-    /// [`crate::radix::RADIX_MAX_AUTO_DIGITS`] digit bytes and none of them
+    /// [`crate::radix::RADIX_MAX_AUTO_DIGITS`] digit bytes
+    /// ([`crate::radix::RADIX_MAX_AUTO_DIGITS_VS_VECTOR`] for plain `u64`
+    /// keys where [`crate::vsort`] runs) and none of them
     /// holds an eighth of the sample ([`crate::radix::RADIX_MAX_AUTO_DUP`])
     /// — three quarters when the sort is stable
     /// ([`crate::radix::RADIX_MAX_AUTO_DUP_STABLE`]); comparison sort
@@ -191,8 +193,9 @@ pub enum LocalKernel {
     /// Force the LSD radix kernel (falls back to comparison when the key
     /// has no monotone `u64` embedding).
     Radix,
-    /// Force the comparison kernel (`slice::sort_unstable_by_key` /
-    /// `sort_by_key`).
+    /// Force the comparison kernel: [`crate::vsort`]'s AVX-512 quicksort
+    /// for plain `u64` keys where the CPU has it, `slice::sort_unstable_by_key`
+    /// / `sort_by_key` otherwise.
     Comparison,
 }
 

@@ -20,10 +20,10 @@
 
 use crate::config::{ComputeCharge, LocalKernel};
 use crate::exchange::{exchange, fail_together, Delivery};
-use crate::local_sort::{local_sort_with, LocalSortReport};
+use crate::local_sort::{local_sort_with, ComparisonKernel, LocalSortReport};
 use crate::merge::take_replicated_tally;
 use crate::node_merge::{leaders_verdict, merge_onto_leaders, node_merge_applies};
-use crate::radix::{counts_in_one_pass, RADIX_MAX_AUTO_DIGITS, RADIX_MIN_N};
+use crate::radix::{counts_in_one_pass, RADIX_MIN_N};
 use crate::record::Sortable;
 use crate::sort::{SortError, SortOutput};
 use crate::stats::SortStats;
@@ -253,18 +253,29 @@ pub(crate) fn count_local_sort<C: Communicator>(
         comm.count("local_sort.scratch_bytes", report.scratch_bytes as u64);
     }
     if comm.recorder().enabled() && comm.rank() == 0 {
-        let what = match report.radix {
-            Some(run) => format!("radix, {run}"),
-            None => format!("comparison (n {n})"),
+        let what = match (report.radix, report.comparison) {
+            (Some(run), _) => format!("radix, {run}"),
+            (None, Some(ComparisonKernel::Avx512)) => {
+                format!("comparison (avx512 quicksort, n {n})")
+            }
+            (None, Some(ComparisonKernel::StdNoAvx512)) => {
+                format!("comparison (std, n {n}; no avx512)")
+            }
+            (None, _) => format!("comparison (std, n {n}; not u64)"),
         };
         let why = match report.gate {
             Some(g) => {
                 let (num, den) = g.dup_bound();
                 let sort = if g.stable { "stable: " } else { "" };
                 let sampled = format!(
-                    "sampled {}: span {} bits, {} digits (radix up to {RADIX_MAX_AUTO_DIGITS}), \
+                    "sampled {}: span {} bits, {} digits (radix up to {}), \
                      δ̂ {}/{} ({sort}radix below {num}/{den})",
-                    g.sampled, g.span, g.digits, g.longest_run, g.sampled
+                    g.sampled,
+                    g.span,
+                    g.digits,
+                    g.max_digits(),
+                    g.longest_run,
+                    g.sampled
                 );
                 match report.exact_span {
                     Some(b) if report.radix.is_some_and(|r| counts_in_one_pass(b, r.n)) => {

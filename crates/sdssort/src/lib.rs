@@ -52,15 +52,19 @@ pub mod selection;
 pub mod sort;
 pub mod stats;
 pub mod validate;
+pub mod vsort;
 
 pub use config::{
     ComputeCharge, ComputeModel, LocalKernel, PartitionStrategy, PivotSource, SdsConfig,
 };
 pub use exchange::SPILL_PRESSURE;
-pub use local_sort::{local_sort, local_sort_with, parallel_merge, LocalSortReport, MergeStrategy};
+pub use local_sort::{
+    local_sort, local_sort_with, parallel_merge, ComparisonKernel, LocalSortReport, MergeStrategy,
+};
 pub use radix::{
     counts_in_one_pass, radix_applicable, radix_sort, GateSample, KeySpan, RadixForm, RadixRun,
-    RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DUP, RADIX_MAX_AUTO_DUP_STABLE, RADIX_MAX_N, RADIX_MIN_N,
+    RADIX_MAX_AUTO_DIGITS, RADIX_MAX_AUTO_DIGITS_VS_VECTOR, RADIX_MAX_AUTO_DUP,
+    RADIX_MAX_AUTO_DUP_STABLE, RADIX_MAX_N, RADIX_MIN_N,
 };
 pub use record::{OrderedF32, OrderedF64, RadixKey, Record, Sortable, Tagged};
 pub use selection::kth_smallest_key;

@@ -52,6 +52,33 @@ pub enum MergeStrategy {
     SkewAwareStable,
 }
 
+/// Which comparison sort sorted the chunks: [`crate::vsort`]'s vector
+/// quicksort where it applies, `std`'s sorts otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ComparisonKernel {
+    /// The AVX-512 quicksort: the records are plain `u64` keys and the CPU
+    /// has `avx512f` and `popcnt`.
+    Avx512,
+    /// `std`'s sort of plain `u64` keys: the CPU lacks AVX-512 (or this is
+    /// not x86-64, or Miri).
+    StdNoAvx512,
+    /// `std`'s sort: the records are not plain `u64` keys.
+    StdNotU64,
+}
+
+impl ComparisonKernel {
+    /// The kernel the comparison arm runs on `T`'s records on this CPU
+    /// (asked of an empty slice: the hook depends on the type alone).
+    #[must_use]
+    pub fn for_records<T: Sortable>() -> Self {
+        match T::as_u64_keys(&mut []) {
+            None => Self::StdNotU64,
+            Some(_) if crate::vsort::available() => Self::Avx512,
+            Some(_) => Self::StdNoAvx512,
+        }
+    }
+}
+
 /// What [`local_sort_with`] actually did, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalSortReport {
@@ -71,6 +98,8 @@ pub struct LocalSortReport {
     /// The form the radix kernel took (the first chunk's, on the parallel
     /// path); `None` when the comparison kernel ran.
     pub radix: Option<RadixRun>,
+    /// The comparison sort that ran; `None` when the radix kernel ran.
+    pub comparison: Option<ComparisonKernel>,
 }
 
 /// Sort `data` by key using up to `threads` threads. Stable iff `stable`.
@@ -136,6 +165,7 @@ pub fn local_sort_with<T: Sortable>(
         gate,
         exact_span: span.map(|s| s.bits()),
         radix: None,
+        comparison: (!use_radix).then(ComparisonKernel::for_records::<T>),
     };
 
     if sequential {
@@ -198,8 +228,12 @@ pub fn sequential_sort<T: Sortable>(data: &mut [T], stable: bool) {
     sequential_sort_slice(data, stable);
 }
 
+/// The comparison kernel: [`crate::vsort`] for plain `u64` keys (whose
+/// stable and unstable sorts are the same bits), `std`'s sorts otherwise.
 fn sequential_sort_slice<T: Sortable>(data: &mut [T], stable: bool) {
-    if stable {
+    if let Some(keys) = T::as_u64_keys(data) {
+        crate::vsort::sort(keys);
+    } else if stable {
         data.sort_by_key(|r| r.key());
     } else {
         data.sort_unstable_by_key(|r| r.key());

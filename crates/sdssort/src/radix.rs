@@ -41,6 +41,7 @@
 //! odd the result lies in the scratch: [`radix_sort_slice`] copies it
 //! back, [`radix_sort`], which owns its scratch, swaps it in.
 
+use crate::local_sort::ComparisonKernel;
 use crate::record::Sortable;
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -88,6 +89,16 @@ pub fn counts_in_one_pass(bits: u32, n: usize) -> bool {
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
 pub const RADIX_MAX_AUTO_DIGITS: u32 = 4;
+
+/// Most active digits for which [`LocalKernel::Auto`] still picks byte
+/// passes when the rival is [`crate::vsort`]'s AVX-512 quicksort: plain
+/// `u64` keys on a CPU that has it. Measured on one thread of the 2-vCPU
+/// guest from 2¹⁶ to 2²¹ keys (DESIGN.md §11.2): 4 byte passes lose
+/// 1.8–2.7× and 3 passes 1.1–2.1×, while 2 passes win 1.1–1.6× at 3 000–
+/// 20 000 keys, the size of `service-closed-loop`'s `zipf:0.8` jobs.
+///
+/// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
+pub const RADIX_MAX_AUTO_DIGITS_VS_VECTOR: u32 = 2;
 
 /// Most keys [`GateSample::take`] reads, whatever `n` is.
 pub const GATE_MAX_SAMPLE: usize = 1024;
@@ -139,6 +150,10 @@ pub struct GateSample {
     /// The sort is stable: radix competes with `sort_by_key`, under
     /// [`RADIX_MAX_AUTO_DUP_STABLE`].
     pub stable: bool,
+    /// Radix competes with [`crate::vsort`]'s AVX-512 quicksort (plain
+    /// `u64` keys on a CPU that has it), under
+    /// [`RADIX_MAX_AUTO_DIGITS_VS_VECTOR`].
+    pub vector_rival: bool,
 }
 
 impl GateSample {
@@ -176,7 +191,20 @@ impl GateSample {
             digits: active_digit_positions(diff).count() as u32,
             longest_run,
             stable,
+            vector_rival: ComparisonKernel::for_records::<T>() == ComparisonKernel::Avx512,
         })
+    }
+
+    /// The most active digits this sample may show for byte passes:
+    /// [`RADIX_MAX_AUTO_DIGITS_VS_VECTOR`] against the vector quicksort,
+    /// [`RADIX_MAX_AUTO_DIGITS`] against `std`'s sorts.
+    #[must_use]
+    pub fn max_digits(&self) -> u32 {
+        if self.vector_rival {
+            RADIX_MAX_AUTO_DIGITS_VS_VECTOR
+        } else {
+            RADIX_MAX_AUTO_DIGITS
+        }
     }
 
     /// The duplication bound this sample is judged by, as `(num, den)`:
@@ -192,14 +220,14 @@ impl GateSample {
     }
 
     /// The gate's verdict for byte passes: few enough digits for scatter
-    /// passes to beat comparison levels ([`RADIX_MAX_AUTO_DIGITS`]) and no
+    /// passes to beat comparison levels ([`Self::max_digits`]) and no
     /// key heavy enough to turn them into a dependent chain
     /// ([`Self::dup_bound`]). `Auto` asks it when the span does not fit
     /// one counting pass.
     #[must_use]
     pub fn picks_radix(&self) -> bool {
         let (num, den) = self.dup_bound();
-        self.digits <= RADIX_MAX_AUTO_DIGITS && self.longest_run * den < self.sampled * num
+        self.digits <= self.max_digits() && self.longest_run * den < self.sampled * num
     }
 }
 
@@ -691,38 +719,65 @@ mod tests {
                 })
                 .collect()
         };
-        // (name, input, radix for an unstable sort, radix for a stable one)
-        let table: Vec<(&str, Vec<u64>, bool, bool)> = vec![
+        // (name, input, radix for an unstable sort and for a stable one
+        // against `std`'s sorts, then both against the vector quicksort,
+        // which takes byte passes of at most two digits)
+        type Row = (&'static str, Vec<u64>, [bool; 2], [bool; 2]);
+        let table: Vec<Row> = vec![
             (
                 "zipf:1.4-like, one key ~32 %",
                 skewed(0.32, 1 << 20),
-                false,
-                true,
+                [false, true],
+                [false, false],
             ),
             (
                 "zipf:2.1-like, one key ~63 %",
                 skewed(0.63, 1 << 20),
-                false,
-                true,
+                [false, true],
+                [false, false],
             ),
-            ("90 % one key", skewed(0.9, 1000), false, false),
-            ("all equal", vec![42; n], false, false),
-            ("0..n", (0..n as u64).collect(), true, true),
-            ("reversed", (0..n as u64).rev().collect(), true, true),
-            ("uniform, u32 range", skewed(0.0, 1 << 32), true, true),
+            ("90 % one key", skewed(0.9, 1000), [false; 2], [false; 2]),
+            ("all equal", vec![42; n], [false; 2], [false; 2]),
+            ("0..n", (0..n as u64).collect(), [true; 2], [true; 2]),
+            (
+                "reversed",
+                (0..n as u64).rev().collect(),
+                [true; 2],
+                [true; 2],
+            ),
+            (
+                "uniform, u32 range",
+                skewed(0.0, 1 << 32),
+                [true; 2],
+                [false; 2],
+            ),
             (
                 "zipf:0.8-like, one key ~4 %",
                 skewed(0.04, 1 << 16),
-                true,
-                true,
+                [true; 2],
+                [true; 2],
             ),
-            ("uniform, full range", skewed(0.0, u64::MAX), false, false),
+            (
+                "uniform, full range",
+                skewed(0.0, u64::MAX),
+                [false; 2],
+                [false; 2],
+            ),
         ];
-        for (name, data, unstable, stable) in &table {
-            for (is_stable, radix) in [(false, unstable), (true, stable)] {
+        let vector = crate::vsort::available();
+        for (name, data, vs_std, vs_vector) in &table {
+            // The same keys as `usize`: not plain `u64`, so `std`'s rival.
+            let as_usize: Vec<usize> = data.iter().map(|&k| k as usize).collect();
+            for (is_stable, radix) in [false, true].into_iter().zip(vs_std) {
+                let g = GateSample::take(&as_usize, is_stable).expect(name);
+                assert!(!g.vector_rival, "{name}");
+                assert_eq!(g.picks_radix(), *radix, "{name}: {g:?}");
+            }
+            let vs_u64 = if vector { vs_vector } else { vs_std };
+            for (is_stable, radix) in [false, true].into_iter().zip(vs_u64) {
                 let g = GateSample::take(data, is_stable).expect(name);
                 assert_eq!(g.sampled, GATE_MAX_SAMPLE, "{name}");
-                assert_eq!(g.stable, is_stable, "{name}");
+                assert_eq!((g.stable, g.vector_rival), (is_stable, vector), "{name}");
                 assert_eq!(g.picks_radix(), *radix, "{name}: {g:?}");
             }
         }

@@ -57,6 +57,16 @@ pub trait Sortable: Copy + Send + Sync + 'static + Wire {
     fn from_radix_u64(bits: u64) -> Self {
         unreachable!("{bits:#x}: only a key-only record is rebuilt from its embedding")
     }
+
+    /// `records` as plain `u64` keys when `Self` is `u64`, `None` for every
+    /// other type. The comparison kernel hands such a slice to
+    /// [`crate::vsort`]; a `u64` is its own key, so its stable and unstable
+    /// sorts are the same bits.
+    #[inline]
+    fn as_u64_keys(records: &mut [Self]) -> Option<&mut [u64]> {
+        let _ = records;
+        None
+    }
 }
 
 /// A key with an order-preserving mapping to `u64`:
@@ -133,6 +143,9 @@ impl_radix_unusable!(u128, i128);
 
 macro_rules! impl_sortable_prim {
     ($($t:ty),*) => {$(
+        impl_sortable_prim!($t, {});
+    )*};
+    ($t:ty, {$($extra:item)*}) => {
         impl Sortable for $t {
             type Key = $t;
             #[inline]
@@ -149,11 +162,18 @@ macro_rules! impl_sortable_prim {
             fn from_radix_u64(bits: u64) -> $t {
                 RadixKey::from_radix_u64(bits)
             }
+            $($extra)*
         }
-    )*};
+    };
 }
 
-impl_sortable_prim!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
+impl_sortable_prim!(u8, u16, u32, u128, usize, i8, i16, i32, i64, i128, isize);
+impl_sortable_prim!(u64, {
+    #[inline]
+    fn as_u64_keys(records: &mut [u64]) -> Option<&mut [u64]> {
+        Some(records)
+    }
+});
 
 /// Map an `f32` to a `u32` preserving total order (IEEE-754 trick: flip the
 /// sign bit for positives, flip all bits for negatives). NaNs order above

@@ -33,7 +33,7 @@ pub use json::{Json, ParseError};
 pub use metrics::{Counter, Gauge, Registry};
 pub use recorder::{PhaseComm, Recorder, Snapshot, SpanId};
 pub use report::{Decisions, MemoryReport, RunReport, WorldMeta, SCHEMA_VERSION};
-pub use timeline::{phases_from_spans, EventRecord, PhaseTimes, SpanRecord};
+pub use timeline::{chrome_trace, phases_from_spans, EventRecord, PhaseTimes, SpanRecord};
 
 /// RDFA (Relative Deviation From Average): `max(loads) / avg(loads)`, the
 /// paper's load-balance metric (Tables 3/4). `1.0` for empty or all-zero

@@ -130,6 +130,33 @@ pub fn phases_from_spans(spans: &[SpanRecord], ranks: usize) -> Vec<PhaseTimes> 
     phases
 }
 
+/// The spans as a Chrome-trace document (the JSON Object Format that
+/// `chrome://tracing` and Perfetto load): one complete (`"X"`) event per
+/// span, `tid` its rank, timestamps and durations in µs. `clock` names the
+/// axis, `"virtual"` for the simulator and `"wall"` for a real backend,
+/// and goes in the document's `otherData`: the two never share an axis.
+/// Nested spans (a `refine-round` inside `pivot-select`) nest by time.
+pub fn chrome_trace(spans: &[SpanRecord], clock: &str) -> Json {
+    let events = spans
+        .iter()
+        .map(|s| {
+            Json::obj(vec![
+                ("name", Json::from(s.name.clone())),
+                ("ph", Json::from("X")),
+                ("pid", Json::from(0u64)),
+                ("tid", Json::from(s.rank)),
+                ("ts", Json::from(s.start_v * 1e6)),
+                ("dur", Json::from(s.duration_v() * 1e6)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::from("ms")),
+        ("otherData", Json::obj(vec![("clock", Json::from(clock))])),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +185,32 @@ mod tests {
         assert_eq!(phases[0].v_max(), 2.0);
         assert_eq!(phases[1].name, "exchange");
         assert_eq!(phases[1].per_rank_v, vec![3.0, 0.0]);
+    }
+
+    #[test]
+    fn chrome_trace_has_one_complete_event_per_span() {
+        let spans = vec![
+            span(0, "pivot-select", 0.5, 2.0),
+            span(0, "refine-round", 1.0, 1.5),
+            span(1, "exchange", 2.0, 2.25),
+        ];
+        let doc = Json::parse(&chrome_trace(&spans, "virtual").to_string_compact()).unwrap();
+        assert_eq!(
+            doc.get("otherData").and_then(|d| d.get("clock")),
+            Some(&Json::from("virtual"))
+        );
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), spans.len());
+        for (e, s) in events.iter().zip(&spans) {
+            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
+            assert_eq!(e.get("name").and_then(Json::as_str), Some(s.name.as_str()));
+            assert_eq!(e.get("tid").and_then(Json::as_u64), Some(s.rank as u64));
+            assert_eq!(e.get("ts").and_then(Json::as_f64), Some(s.start_v * 1e6));
+            assert_eq!(
+                e.get("dur").and_then(Json::as_f64),
+                Some(s.duration_v() * 1e6)
+            );
+        }
     }
 
     #[test]

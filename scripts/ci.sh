@@ -64,7 +64,8 @@ else
 fi
 
 # AddressSanitizer over the unsafe-bearing crates' unit tests (sdssort's
-# merge, radix, record and local-sort kernels; comm's wire codec, payload
+# merge, radix, record and local-sort kernels, and the AVX-512 quicksort's
+# vector path wherever the CPU has avx512f; comm's wire codec, payload
 # and pages), over backend_equivalence, which drives every exchange path
 # through all three backends, and over transport_conformance, which drives
 # `Wire` encode/decode and `pages` through every collective with empty and

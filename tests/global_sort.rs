@@ -265,3 +265,44 @@ fn overlapped_virtual_clocks_are_reproducible() {
         );
     }
 }
+
+/// `decision.local-kernel` names the comparison sort that ran: the AVX-512
+/// quicksort for plain `u64` keys where the CPU has it, `std`'s sorts
+/// otherwise, with the reason.
+#[test]
+fn the_kernel_decision_names_the_comparison_sort() {
+    fn decision<T: sdssort::Sortable>(gen: impl Fn(usize) -> Vec<T> + Send + Sync) -> String {
+        let report = World::new(2)
+            .cores_per_node(1)
+            .net(NetModel::zero())
+            .telemetry(true)
+            .run(|comm| {
+                sds_sort(comm, gen(comm.rank()), &SdsConfig::default()).expect("no budget");
+            });
+        let snapshot = report.telemetry.expect("telemetry enabled");
+        let event = snapshot
+            .events
+            .iter()
+            .find(|e| e.name == "decision.local-kernel")
+            .expect("rank 0 records the kernel");
+        event.detail.clone()
+    }
+    // Full-range keys: 8 digits, so the comparison arm.
+    let wide = decision(|r| uniform_u64(5000, 42, r));
+    let want = if sdssort::vsort::available() {
+        "comparison (avx512 quicksort, n 5000); "
+    } else {
+        "comparison (std, n 5000; no avx512); "
+    };
+    assert!(wide.starts_with(want), "{wide}");
+    let records = decision(|r| {
+        uniform_u64(5000, 42, r)
+            .into_iter()
+            .map(|k| Record::new(k, r as u32))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        records.starts_with("comparison (std, n 5000; not u64); "),
+        "{records}"
+    );
+}

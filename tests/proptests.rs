@@ -12,7 +12,8 @@ use sdssort::partition::{
 };
 use sdssort::search::{lower_bound, upper_bound, LocalPivotIndex};
 use sdssort::{
-    counts_in_one_pass, local_sort_with, sds_sort, LocalKernel, Record, SdsConfig, RADIX_MIN_N,
+    counts_in_one_pass, local_sort_with, sds_sort, ComparisonKernel, LocalKernel, Record,
+    SdsConfig, RADIX_MIN_N,
 };
 
 /// Reference implementation of the paper's per-pivot `SdssReplicated` scan.
@@ -193,6 +194,26 @@ proptest! {
             prop_assert_eq!(report.kernel, expect, "gate saw {:?}", report.gate);
             prop_assert_eq!(report.gate.map(|g| g.stable), Some(stable));
         }
+        if report.kernel == LocalKernel::Comparison {
+            prop_assert_eq!(report.comparison, Some(ComparisonKernel::StdNotU64));
+        }
+        // The same keys as plain `u64`s: where the CPU has AVX-512 the
+        // comparison arm runs the vector quicksort (`sdssort::vsort`),
+        // stable or not, and the result is `sort_unstable`'s bits.
+        let wide: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 40 | u64::from(k)).collect();
+        let mut got_wide = wide.clone();
+        let wide_report = local_sort_with(&mut got_wide, threads, stable, kernel);
+        if wide_report.kernel == LocalKernel::Comparison {
+            let expect = if sdssort::vsort::available() {
+                ComparisonKernel::Avx512
+            } else {
+                ComparisonKernel::StdNoAvx512
+            };
+            prop_assert_eq!(wide_report.comparison, Some(expect));
+        }
+        let mut expect_wide = wide;
+        expect_wide.sort_unstable();
+        prop_assert_eq!(got_wide, expect_wide);
         if stable {
             let mut expect = recs.clone();
             expect.sort_by_key(|r| r.key);

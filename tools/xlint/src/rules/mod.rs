@@ -11,7 +11,7 @@
 //! | `tag-discipline` | everything outside `mpisim` | message tags are named constants, not integer literals |
 //! | `workload-determinism` (table) | `workloads` crate, tests included | generators are seeded: no `thread_rng`/`from_entropy`/`rand::random`/entropy sources |
 //! | `rank-divergent-collective` | algorithm/driver code | no `Communicator` collective call lexically inside a branch/loop/match that depends on the caller's rank — the static shadow of mpisim's runtime deadlock detector |
-//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix,exchange}`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the PR 7 merge-cut / radix-carve overflow class) |
+//! | `unchecked-partition-arith` | `sdssort::{partition,merge,radix,exchange,vsort}`, `algos` | no unchecked `*`/`-` (or compound `+`) on index/count expressions feeding slice bounds: widen to `u128` or use `checked_*`/`saturating_*` (the merge-cut / radix-carve overflow class) |
 //! | `user-tag-range` | outside the comm substrate crates | no literal or const tag at/above `MAX_USER_TAG`, and no `*_raw` reserved-tag call outside `crates/comm` and the three backend transports |
 //! | `blocking-in-dispatcher` (table) | `crates/service` | no `std::thread::sleep`/`park` or blocking channel `recv` in the service: the dispatcher's only sanctioned block point is the submission mailbox |
 //! | `driver-owns-prelude` (table) | `algos`, `sdssort::{sort,external}` | no `.now()` or `span_begin`, and (`external` aside, whose tests sort runs to write) no `sort_by_key`/`sort_unstable_by_key`: the one driver owns Fig. 1's clock, spans and local sort |
@@ -46,14 +46,17 @@ pub const RULES: [&str; 12] = [
 ];
 
 /// Files covered by `unchecked-partition-arith`: the partition/carve
-/// arithmetic the rule descends from lives here (PR 2's u128 widening,
-/// PR 7's merge-cut underfill and radix-carve overshoot fixes), and the
-/// exchange's displacement sums feed slice bounds the same way.
-const PARTITION_ARITH_SRC: [&str; 5] = [
+/// arithmetic the rule descends from lives here (the u128 widening of
+/// splitter interpolation, the merge-cut underfill and radix-carve
+/// overshoot fixes), the exchange's displacement sums feed slice bounds
+/// the same way, and the vector quicksort's cursors bound its in-place
+/// partition.
+const PARTITION_ARITH_SRC: [&str; 6] = [
     "crates/sdssort/src/partition.rs",
     "crates/sdssort/src/merge.rs",
     "crates/sdssort/src/radix.rs",
     "crates/sdssort/src/exchange.rs",
+    "crates/sdssort/src/vsort.rs",
     "crates/algos/src/",
 ];
 
