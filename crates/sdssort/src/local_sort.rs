@@ -662,11 +662,13 @@ mod tests {
     #[test]
     fn auto_kernel_selection_and_report() {
         // Large radix-capable input → radix, with the scratch accounted.
-        let mut v: Vec<u64> = (0..20_000).rev().collect();
+        // (`u32`: as plain `u64`s the keys' 2 digits would meet the vector
+        // quicksort, which byte passes do not beat.)
+        let mut v: Vec<u32> = (0..20_000).rev().collect();
         let r = local_sort_with(&mut v, 4, false, LocalKernel::Auto);
         assert_eq!(r.kernel, LocalKernel::Radix);
-        assert_eq!(r.scratch_bytes, 20_000 * std::mem::size_of::<u64>());
-        assert_eq!(v, (0..20_000).collect::<Vec<u64>>());
+        assert_eq!(r.scratch_bytes, 20_000 * std::mem::size_of::<u32>());
+        assert_eq!(v, (0..20_000).collect::<Vec<u32>>());
 
         // Small input → comparison, no scratch.
         let mut v = vec![3u64, 1, 2];

@@ -93,12 +93,14 @@ pub const RADIX_MAX_AUTO_DIGITS: u32 = 4;
 /// Most active digits for which [`LocalKernel::Auto`] still picks byte
 /// passes when the rival is [`crate::vsort`]'s AVX-512 quicksort: plain
 /// `u64` keys on a CPU that has it. Measured on one thread of the 2-vCPU
-/// guest from 2¹⁶ to 2²¹ keys (DESIGN.md §11.2): 4 byte passes lose
-/// 1.8–2.7× and 3 passes 1.1–2.1×, while 2 passes win 1.1–1.6× at 3 000–
-/// 20 000 keys, the size of `service-closed-loop`'s `zipf:0.8` jobs.
+/// guest (DESIGN.md §11.2): 3 and 4 byte passes lose 1.9–4.6× from 2¹⁶ to
+/// 2²¹ keys; 2 passes lose 1.1–1.9× from 10 000 keys up, and read from a
+/// 10 % win to a 1.5× loss from 2 048 to 5 000. One digit is a span of 8
+/// bits, which one counting pass covers at every size the gate samples,
+/// so byte passes do not run against the vector quicksort.
 ///
 /// [`LocalKernel::Auto`]: crate::config::LocalKernel::Auto
-pub const RADIX_MAX_AUTO_DIGITS_VS_VECTOR: u32 = 2;
+pub const RADIX_MAX_AUTO_DIGITS_VS_VECTOR: u32 = 1;
 
 /// Most keys [`GateSample::take`] reads, whatever `n` is.
 pub const GATE_MAX_SAMPLE: usize = 1024;
@@ -721,7 +723,7 @@ mod tests {
         };
         // (name, input, radix for an unstable sort and for a stable one
         // against `std`'s sorts, then both against the vector quicksort,
-        // which takes byte passes of at most two digits)
+        // which takes byte passes of at most one digit)
         type Row = (&'static str, Vec<u64>, [bool; 2], [bool; 2]);
         let table: Vec<Row> = vec![
             (
@@ -738,12 +740,12 @@ mod tests {
             ),
             ("90 % one key", skewed(0.9, 1000), [false; 2], [false; 2]),
             ("all equal", vec![42; n], [false; 2], [false; 2]),
-            ("0..n", (0..n as u64).collect(), [true; 2], [true; 2]),
+            ("0..n", (0..n as u64).collect(), [true; 2], [false; 2]),
             (
                 "reversed",
                 (0..n as u64).rev().collect(),
                 [true; 2],
-                [true; 2],
+                [false; 2],
             ),
             (
                 "uniform, u32 range",
@@ -755,7 +757,7 @@ mod tests {
                 "zipf:0.8-like, one key ~4 %",
                 skewed(0.04, 1 << 16),
                 [true; 2],
-                [true; 2],
+                [false; 2],
             ),
             (
                 "uniform, full range",
@@ -792,8 +794,9 @@ mod tests {
         assert_eq!(g.dup_bound(), RADIX_MAX_AUTO_DUP_STABLE);
 
         // Below the size floor, and for keys with no `u64` embedding,
-        // nothing is sampled at all.
-        let narrow: Vec<u64> = (0..RADIX_MIN_N as u64).collect();
+        // nothing is sampled at all. (At the floor, 2 digits pick byte
+        // passes against `std`'s sorts.)
+        let narrow: Vec<usize> = (0..RADIX_MIN_N).collect();
         let g = GateSample::take(&narrow, false).expect("at the floor");
         assert_eq!(g.sampled, 128);
         assert!(g.picks_radix());

@@ -9,17 +9,21 @@
 //!   order, so a presorted input costs one read pass;
 //! * the pivot is the median of 15 keys at a fixed stride, with no RNG;
 //! * the partition reads 4 vectors (32 keys) per step from whichever end
-//!   has less free space. One permute per vector puts its keys below the
-//!   pivot first and the rest last, and the vector is stored whole at both
-//!   write ends; the last few keys go through compress and masked stores.
-//!   The first and last 32 keys wait in registers, so the partition only
-//!   ever writes into slots whose keys it has already read;
+//!   has less free space, and prefetches the keys that end reads 256 keys
+//!   on. One permute per vector puts its keys below the pivot first and
+//!   the rest last, and the vector is stored whole at both write ends; the
+//!   last few keys go through compress and masked stores. The first and
+//!   last 32 keys wait in registers, so the partition only ever writes
+//!   into slots whose keys it has already read;
 //! * when the pivot is the smallest key of its slice — it equals the bound
 //!   the slice inherited from its parent, or nothing went left — the block
 //!   of keys equal to it is split off and never touched again, so heavy
 //!   keys retire in one pass;
-//! * slices of at most 64 keys are sorted by a bitonic network of up to
-//!   eight vectors, loaded with masked loads padded with `u64::MAX`;
+//! * slices of at most 64 keys are sorted in registers, loaded with masked
+//!   loads padded with `u64::MAX`: a sorting network across the vectors
+//!   sorts each lane's column, a transpose turns the columns into sorted
+//!   vectors, and bitonic merges join them, two vectors at a time within
+//!   their lanes;
 //! * after `2·log₂ n` partition levels a slice falls back to
 //!   `sort_unstable`, which bounds the worst case at `O(n log n)`.
 //!
@@ -72,8 +76,10 @@ mod avx512 {
         __m512i, __mmask8, _mm512_cmple_epu64_mask, _mm512_cmplt_epu64_mask, _mm512_loadu_epi64,
         _mm512_mask_loadu_epi64, _mm512_mask_max_epu64, _mm512_mask_storeu_epi64,
         _mm512_maskz_compress_epi64, _mm512_maskz_loadu_epi64, _mm512_max_epu64, _mm512_min_epu64,
-        _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_srlv_epi64,
-        _mm512_storeu_epi64,
+        _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_reduce_max_epu64,
+        _mm512_set1_epi64, _mm512_setr_epi64, _mm512_shuffle_i64x2, _mm512_srlv_epi64,
+        _mm512_storeu_epi64, _mm512_unpackhi_epi64, _mm512_unpacklo_epi64, _mm_prefetch,
+        _MM_HINT_T0,
     };
 
     /// Keys per vector.
@@ -81,11 +87,14 @@ mod avx512 {
     /// Vectors a partition step reads from one end.
     const STEP: usize = 4;
     /// Keys a partition step reads, and keys held back at each end.
-    const BLOCK: usize = STEP * LANES;
-    /// Longest slice the bitonic base case sorts.
+    pub(super) const BLOCK: usize = STEP * LANES;
+    /// Longest slice the base case sorts in registers.
     pub(super) const BASE: usize = 64;
     /// Keys the pivot is the median of.
     const SAMPLES: usize = 15;
+    /// How far ahead of a partition step's read, in keys, it prefetches
+    /// the keys that end will read next.
+    pub(super) const PREFETCH: usize = 256;
 
     #[cfg(test)]
     thread_local! {
@@ -159,17 +168,27 @@ mod avx512 {
         (0..SAMPLES).map(move |i| stride / 2 + i * stride)
     }
 
-    /// The median of the keys at [`sample_positions`], sorted by the
-    /// 16-key network with one `u64::MAX` pad. Reads `v` only, so the
-    /// pivot choice moves no key.
+    /// The median of the keys at [`sample_positions`]: two vectors of them
+    /// (one lane a `u64::MAX` pad), each sorted; the first step of their
+    /// merge leaves the eight smallest of the sixteen in one vector, whose
+    /// largest key is the median. Reads `v` only, so the pivot choice
+    /// moves no key.
     #[target_feature(enable = "avx512f,popcnt")]
     pub(super) fn median_of_15(v: &[u64]) -> u64 {
         let mut s = [u64::MAX; 2 * LANES];
         for (x, i) in s.iter_mut().zip(sample_positions(v.len())) {
             *x = v[i];
         }
-        network::<2>(&mut s);
-        s[SAMPLES / 2]
+        let [a, b] = [0, LANES].map(|at| sort8(vector(&s[at..at + LANES])));
+        _mm512_reduce_max_epu64(_mm512_min_epu64(a, reverse(b)))
+    }
+
+    /// The first eight keys of `k` as a vector, from registers.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn vector(k: &[u64]) -> __m512i {
+        let [a, b, c, d, e, f, g, h] = std::array::from_fn(|i| k[i] as i64);
+        _mm512_setr_epi64(a, b, c, d, e, f, g, h)
     }
 
     /// The mask of the first `k <= 8` lanes. A table: a variable shift
@@ -233,11 +252,14 @@ mod avx512 {
         /// at `self.left`, the others to end at `self.right`. One permute
         /// puts the left lanes first and the right lanes last, and the
         /// vector is stored whole at both ends; the lanes beyond each end's
-        /// keys land in its free slots and are overwritten later.
+        /// keys land in its free slots and are overwritten later. When the
+        /// two ends are the same eight slots, both stores write the same
+        /// vector there, which is every key in place.
         ///
         /// # Safety
         /// The eight slots from `self.left` and the eight before
-        /// `self.right` are in `self.base`'s slice, apart, and free.
+        /// `self.right` are in `self.base`'s slice and free, and either
+        /// apart or the same eight slots.
         #[target_feature(enable = "avx512f,popcnt")]
         #[inline]
         unsafe fn put_all(&mut self, x: __m512i, left: __mmask8) {
@@ -324,13 +346,21 @@ mod avx512 {
         };
         let (mut read_lo, mut read_hi) = (BLOCK, n - BLOCK);
         while read_hi - read_lo >= BLOCK {
-            let at = if read_lo - ends.left <= ends.right - read_hi {
+            let (at, ahead) = if read_lo - ends.left <= ends.right - read_hi {
                 read_lo += BLOCK;
-                read_lo - BLOCK
+                (read_lo - BLOCK, PREFETCH as isize)
             } else {
                 read_hi -= BLOCK;
-                read_hi
+                (read_hi, -(PREFETCH as isize))
             };
+            // The read end is picked from the write cursors, which wait on
+            // the last step's keys, so without a prefetch every step's
+            // loads wait on the last step's. A prefetch of an address past
+            // the slice touches nothing.
+            let next = base.wrapping_add(at).wrapping_offset(ahead);
+            for k in 0..STEP {
+                _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(k * LANES).cast());
+            }
             let mut x = [p; STEP];
             for (k, x) in x.iter_mut().enumerate() {
                 // SAFETY: `at..at + BLOCK` lies inside the unread keys
@@ -375,87 +405,239 @@ mod avx512 {
         for x in saved {
             // SAFETY: every key is read now: the one free run
             // `ends.left..ends.right` is exactly as long as the keys
-            // `saved` still holds.
-            unsafe { ends.put(x, goes_left::<EQ>(x, p), 0xFF) };
+            // `saved` still holds, so at least 16 slots, room for both
+            // windows apart, or the eight slots both windows are.
+            unsafe { ends.put_all(x, goes_left::<EQ>(x, p)) };
         }
         debug_assert_eq!(ends.left, ends.right);
         ends.left
     }
 
-    /// Sort `v` (at most 64 keys) with the bitonic network of the fewest
-    /// vectors that hold it.
+    /// Sort `v` (at most 64 keys) with the network of the fewest vectors
+    /// that hold it. Each arm is straight-line code on named vectors, so
+    /// they stay in registers between the load and the store.
     #[target_feature(enable = "avx512f,popcnt")]
-    fn network_sort(v: &mut [u64]) {
+    pub(super) fn network_sort(v: &mut [u64]) {
         match v.len() {
             0 | 1 => {}
-            2..=8 => network::<1>(v),
-            9..=16 => network::<2>(v),
-            17..=32 => network::<4>(v),
-            _ => network::<8>(v),
+            2..=8 => {
+                let [a] = load(v);
+                store(v, [sort8(a)]);
+            }
+            9..=16 => {
+                let [a, b] = load(v);
+                store(v, merge_2(sort8(a), sort8(b)));
+            }
+            17..=32 => store(v, sort_32(load(v))),
+            _ => store(v, sort_64(load(v))),
         }
     }
 
-    /// Load `v` into `N` vectors padded with `u64::MAX`, sort them, and
-    /// store the first `v.len()` keys back.
+    /// Load `v` (at most `8N` keys) into `N` vectors padded with
+    /// `u64::MAX`.
     #[target_feature(enable = "avx512f,popcnt")]
     #[inline]
-    fn network<const N: usize>(v: &mut [u64]) {
+    fn load<const N: usize>(v: &[u64]) -> [__m512i; N] {
         let pad = _mm512_set1_epi64(-1);
         let mut x = [pad; N];
-        for (x, chunk) in x.iter_mut().zip(v.chunks(LANES)) {
-            // SAFETY: the mask enables the chunk's own lanes only.
+        for (i, x) in x.iter_mut().enumerate() {
+            let k = v.len().saturating_sub(i * LANES).min(LANES);
+            // SAFETY: the mask enables the lanes of `v[8i..8i + k]` only, and
+            // a masked-off lane touches no memory, so a vector wholly past
+            // the slice (`k == 0`) reads nothing.
             *x = unsafe {
-                _mm512_mask_loadu_epi64(pad, first_lanes(chunk.len()), chunk.as_ptr().cast())
+                _mm512_mask_loadu_epi64(
+                    pad,
+                    first_lanes(k),
+                    v.as_ptr().wrapping_add(i * LANES).cast(),
+                )
             };
         }
-        sort_vectors(&mut x);
-        for (x, chunk) in x.iter().zip(v.chunks_mut(LANES)) {
-            // SAFETY: as for the load.
+        x
+    }
+
+    /// Store the first `v.len()` keys of `x` to `v`.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn store<const N: usize>(v: &mut [u64], x: [__m512i; N]) {
+        for (i, x) in x.into_iter().enumerate() {
+            let k = v.len().saturating_sub(i * LANES).min(LANES);
+            // SAFETY: as for `load`: the mask writes `v[8i..8i + k]` only.
             unsafe {
-                _mm512_mask_storeu_epi64(chunk.as_mut_ptr().cast(), first_lanes(chunk.len()), *x);
+                _mm512_mask_storeu_epi64(
+                    v.as_mut_ptr().wrapping_add(i * LANES).cast(),
+                    first_lanes(k),
+                    x,
+                );
             }
         }
     }
 
-    /// Sort the `8N` keys of `N` (a power of two) vectors, ascending
-    /// through the lanes of `x[0]`, then `x[1]`, … Each merge of two sorted
-    /// halves first compares every key with its mirror image across the
-    /// middle (which leaves both halves bitonic with every key of the
-    /// lower half below every key of the upper), then half-cleans at
-    /// distances halving down to one lane.
+    /// The smaller and the larger of each pair of lanes.
     #[target_feature(enable = "avx512f,popcnt")]
     #[inline]
-    fn sort_vectors<const N: usize>(x: &mut [__m512i; N]) {
-        for x in x.iter_mut() {
-            *x = sort8(*x);
-        }
-        let mut group = 2;
-        while group <= N {
-            for g in x.chunks_exact_mut(group) {
-                let (lo, hi) = g.split_at_mut(group / 2);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut().rev()) {
-                    let r = reverse(*b);
-                    *b = reverse(_mm512_max_epu64(*a, r));
-                    *a = _mm512_min_epu64(*a, r);
-                }
-                let mut d = group / 4;
-                while d >= 1 {
-                    for pair in g.chunks_exact_mut(2 * d) {
-                        let (lo, hi) = pair.split_at_mut(d);
-                        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                            let m = _mm512_min_epu64(*a, *b);
-                            *b = _mm512_max_epu64(*a, *b);
-                            *a = m;
-                        }
-                    }
-                    d /= 2;
-                }
-            }
-            for x in x.iter_mut() {
-                *x = merge8(*x);
-            }
-            group *= 2;
-        }
+    fn minmax(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+        (_mm512_min_epu64(a, b), _mm512_max_epu64(a, b))
+    }
+
+    /// Sort the 64 keys of eight vectors, ascending through the lanes of
+    /// `x[0]`, then `x[1]`, … The optimal 19-comparator network for eight
+    /// inputs sorts each lane's column across the vectors, a transpose
+    /// turns the columns into eight sorted vectors, and three bitonic
+    /// merge levels join them.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn sort_64(x: [__m512i; 8]) -> [__m512i; 8] {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = x;
+        let (x0, x2) = minmax(x0, x2);
+        let (x1, x3) = minmax(x1, x3);
+        let (x4, x6) = minmax(x4, x6);
+        let (x5, x7) = minmax(x5, x7);
+        let (x0, x4) = minmax(x0, x4);
+        let (x1, x5) = minmax(x1, x5);
+        let (x2, x6) = minmax(x2, x6);
+        let (x3, x7) = minmax(x3, x7);
+        let (x0, x1) = minmax(x0, x1);
+        let (x2, x3) = minmax(x2, x3);
+        let (x4, x5) = minmax(x4, x5);
+        let (x6, x7) = minmax(x6, x7);
+        let (x2, x4) = minmax(x2, x4);
+        let (x3, x5) = minmax(x3, x5);
+        let (x1, x4) = minmax(x1, x4);
+        let (x3, x6) = minmax(x3, x6);
+        let (x1, x2) = minmax(x1, x2);
+        let (x3, x4) = minmax(x3, x4);
+        let (x5, x6) = minmax(x5, x6);
+        let [c0, c1, c2, c3, c4, c5, c6, c7] = transpose([x0, x1, x2, x3, x4, x5, x6, x7]);
+        let [c0, c1] = merge_2(c0, c1);
+        let [c2, c3] = merge_2(c2, c3);
+        let [c4, c5] = merge_2(c4, c5);
+        let [c6, c7] = merge_2(c6, c7);
+        let [c0, c1, c2, c3] = merge_4([c0, c1, c2, c3]);
+        let [c4, c5, c6, c7] = merge_4([c4, c5, c6, c7]);
+        merge_8([c0, c1, c2, c3, c4, c5, c6, c7])
+    }
+
+    /// Sort the 32 keys of four vectors: the 5-comparator network sorts
+    /// each lane's column, [`columns_of_4`] puts columns `j` and `j + 4`
+    /// in one vector, whose two sorted halves one in-vector merge joins,
+    /// and two bitonic merge levels join the four.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn sort_32(x: [__m512i; 4]) -> [__m512i; 4] {
+        let [x0, x1, x2, x3] = x;
+        let (x0, x1) = minmax(x0, x1);
+        let (x2, x3) = minmax(x2, x3);
+        let (x0, x2) = minmax(x0, x2);
+        let (x1, x3) = minmax(x1, x3);
+        let (x1, x2) = minmax(x1, x2);
+        let [c0, c1, c2, c3] = columns_of_4([x0, x1, x2, x3]);
+        let [c0, c1] = merge_halves_x2(c0, c1);
+        let [c2, c3] = merge_halves_x2(c2, c3);
+        let [c0, c1] = merge_2(c0, c1);
+        let [c2, c3] = merge_2(c2, c3);
+        merge_4([c0, c1, c2, c3])
+    }
+
+    /// Lanes `j` and `j + 4` of four rows: vector `j` holds column `j` of
+    /// `x` in its lower half and column `j + 4` in its upper. Pairs of
+    /// rows interleave their lanes, then pairs of those their 128-bit
+    /// quarters.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn columns_of_4(x: [__m512i; 4]) -> [__m512i; 4] {
+        let [x0, x1, x2, x3] = x;
+        let (t0, t1) = (_mm512_unpacklo_epi64(x0, x1), _mm512_unpackhi_epi64(x0, x1));
+        let (t2, t3) = (_mm512_unpacklo_epi64(x2, x3), _mm512_unpackhi_epi64(x2, x3));
+        let even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+        let odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+        [
+            _mm512_permutex2var_epi64(t0, even, t2),
+            _mm512_permutex2var_epi64(t1, even, t3),
+            _mm512_permutex2var_epi64(t0, odd, t2),
+            _mm512_permutex2var_epi64(t1, odd, t3),
+        ]
+    }
+
+    /// The 8×8 transpose: lane `j` of vector `i` goes to lane `i` of
+    /// vector `j`. [`columns_of_4`] of each half of the rows, then their
+    /// 256-bit halves paired.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn transpose(x: [__m512i; 8]) -> [__m512i; 8] {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = x;
+        let [s0, s1, s2, s3] = columns_of_4([x0, x1, x2, x3]);
+        let [s4, s5, s6, s7] = columns_of_4([x4, x5, x6, x7]);
+        [
+            _mm512_shuffle_i64x2::<0x44>(s0, s4),
+            _mm512_shuffle_i64x2::<0x44>(s1, s5),
+            _mm512_shuffle_i64x2::<0x44>(s2, s6),
+            _mm512_shuffle_i64x2::<0x44>(s3, s7),
+            _mm512_shuffle_i64x2::<0xEE>(s0, s4),
+            _mm512_shuffle_i64x2::<0xEE>(s1, s5),
+            _mm512_shuffle_i64x2::<0xEE>(s2, s6),
+            _mm512_shuffle_i64x2::<0xEE>(s3, s7),
+        ]
+    }
+
+    /// Merge two sorted vectors into one sorted run of 16 keys. Comparing
+    /// each key of `a` with its mirror image in `b` leaves the eight
+    /// smaller keys and the eight larger each bitonic.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn merge_2(a: __m512i, b: __m512i) -> [__m512i; 2] {
+        let (lo, hi) = minmax(a, reverse(b));
+        merge8_x2(lo, hi)
+    }
+
+    /// Merge two sorted runs of 16 keys, `[a, b]` and `[c, d]`, into one
+    /// of 32. After the mirror compare the lower run is `[min(a, d'),
+    /// min(b, c')]` (`'` reverses the lanes) and the upper run, read
+    /// backwards, `[max(a, d'), max(b, c')]`: both bitonic, and sorting a
+    /// run read backwards gives the same keys, so neither is reversed.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn merge_4(x: [__m512i; 4]) -> [__m512i; 4] {
+        let [a, b, c, d] = x;
+        let (l0, u0) = minmax(a, reverse(d));
+        let (l1, u1) = minmax(b, reverse(c));
+        let [l0, l1] = clean_2(l0, l1);
+        let [u0, u1] = clean_2(u0, u1);
+        [l0, l1, u0, u1]
+    }
+
+    /// Merge two sorted runs of 32 keys, `x[..4]` and `x[4..]`, into one
+    /// of 64, as [`merge_4`] does.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn merge_8(x: [__m512i; 8]) -> [__m512i; 8] {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = x;
+        let (l0, u0) = minmax(x0, reverse(x7));
+        let (l1, u1) = minmax(x1, reverse(x6));
+        let (l2, u2) = minmax(x2, reverse(x5));
+        let (l3, u3) = minmax(x3, reverse(x4));
+        let [l0, l1, l2, l3] = clean_4(l0, l1, l2, l3);
+        let [u0, u1, u2, u3] = clean_4(u0, u1, u2, u3);
+        [l0, l1, l2, l3, u0, u1, u2, u3]
+    }
+
+    /// Sort the bitonic run of 16 keys `[a, b]`.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn clean_2(a: __m512i, b: __m512i) -> [__m512i; 2] {
+        let (a, b) = minmax(a, b);
+        merge8_x2(a, b)
+    }
+
+    /// Sort the bitonic run of 32 keys `[a, b, c, d]`.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn clean_4(a: __m512i, b: __m512i, c: __m512i, d: __m512i) -> [__m512i; 4] {
+        let (a, c) = minmax(a, c);
+        let (b, d) = minmax(b, d);
+        let [a, b] = clean_2(a, b);
+        let [c, d] = clean_2(c, d);
+        [a, b, c, d]
     }
 
     /// Compare each lane with the lane `idx` names and keep the larger key
@@ -485,12 +667,51 @@ mod avx512 {
         clean4(x)
     }
 
-    /// Sort the eight lanes of a bitonic `x`.
+    /// Sort the eight lanes of each of two bitonic vectors. The two go
+    /// through the half-cleaners together: each step gathers the lanes it
+    /// compares into two vectors, so one `min` and one `max` serve sixteen
+    /// keys, where a permute within each vector costs two of each.
     #[target_feature(enable = "avx512f,popcnt")]
     #[inline]
-    fn merge8(x: __m512i) -> __m512i {
-        let x = exchange(x, _mm512_setr_epi64(4, 5, 6, 7, 0, 1, 2, 3), 0xF0);
-        clean4(x)
+    fn merge8_x2(a: __m512i, b: __m512i) -> [__m512i; 2] {
+        let (lo, hi) = minmax(
+            _mm512_shuffle_i64x2::<0x44>(a, b),
+            _mm512_shuffle_i64x2::<0xEE>(a, b),
+        );
+        clean4_x2(lo, hi)
+    }
+
+    /// Sort the eight lanes of each of two vectors whose halves are
+    /// sorted. The mirror compare leaves each vector's lower half, and its
+    /// upper half read backwards, bitonic.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn merge_halves_x2(a: __m512i, b: __m512i) -> [__m512i; 2] {
+        let (lo, hi) = minmax(
+            _mm512_shuffle_i64x2::<0x44>(a, b),
+            _mm512_permutex2var_epi64(a, _mm512_setr_epi64(7, 6, 5, 4, 15, 14, 13, 12), b),
+        );
+        clean4_x2(lo, hi)
+    }
+
+    /// The half-cleaners at distances 2 and 1 over the bitonic quarters of
+    /// two vectors `a` and `b` that come as `lo = [a's lower four, b's
+    /// lower four]` and `hi = [a's upper four, b's upper four]`; returns
+    /// `a` and `b` sorted.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn clean4_x2(lo: __m512i, hi: __m512i) -> [__m512i; 2] {
+        // Distance 2: lanes 0, 1 of each quarter against lanes 2, 3.
+        let (lo, hi) = minmax(
+            _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13), hi),
+            _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15), hi),
+        );
+        // Distance 1: the even lanes of each quarter against the odd.
+        let (even, odd) = minmax(_mm512_unpacklo_epi64(lo, hi), _mm512_unpackhi_epi64(lo, hi));
+        [
+            _mm512_permutex2var_epi64(even, _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11), odd),
+            _mm512_permutex2var_epi64(even, _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15), odd),
+        ]
     }
 
     /// Sort each half of `x` whose halves are bitonic: the half-cleaners
@@ -661,6 +882,105 @@ mod tests {
         input
     }
 
+    /// Sort every length to 64 with the base network alone, inside a
+    /// buffer whose keys on either side must come out untouched.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn check_network_lengths() {
+        const GUARD: u64 = 0x6a09_e667_f3bc_c908;
+        let zipf = zipf(avx512::BASE);
+        for n in 0..=avx512::BASE {
+            let mut cases = shapes(n, n as u64, &zipf);
+            cases.push(("all u64::MAX", vec![u64::MAX; n]));
+            for (name, keys) in cases {
+                let mut expect = keys.clone();
+                expect.sort_unstable();
+                let mut buf = vec![GUARD; n + 2 * avx512::BASE];
+                buf[avx512::BASE..][..n].copy_from_slice(&keys);
+                avx512::network_sort(&mut buf[avx512::BASE..][..n]);
+                assert_eq!(buf[avx512::BASE..][..n], expect, "{name}, n {n}");
+                assert!(
+                    buf[..avx512::BASE].iter().all(|&k| k == GUARD)
+                        && buf[avx512::BASE + n..].iter().all(|&k| k == GUARD),
+                    "{name}, n {n}: the network wrote outside its slice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn network_sorts_every_length_to_64() {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if available() {
+            // SAFETY: the CPU has avx512f and popcnt.
+            unsafe { check_network_lengths() };
+            return;
+        }
+        note_fallback("network_sorts_every_length_to_64");
+    }
+
+    /// Partition a copy of `keys` around `pivot` and check the count
+    /// against a scalar one, the two sides, and that the keys are the
+    /// same multiset.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn check_partition<const EQ: bool>(keys: &[u64], pivot: u64, what: &str) {
+        let left = |k: &u64| if EQ { *k <= pivot } else { *k < pivot };
+        let mut v = keys.to_vec();
+        let below = avx512::partition::<EQ>(&mut v, pivot);
+        let n = keys.len();
+        let what = format!("{what}, n {n}, pivot {pivot:#x}, EQ {EQ}");
+        assert_eq!(below, keys.iter().filter(|k| left(k)).count(), "{what}");
+        assert!(
+            v[..below].iter().all(left),
+            "{what}: a key left of the count goes right"
+        );
+        assert!(
+            !v[below..].iter().any(left),
+            "{what}: a key right of the count goes left"
+        );
+        let mut expect = keys.to_vec();
+        expect.sort_unstable();
+        v.sort_unstable();
+        assert!(v == expect, "{what}: not a permutation of the input");
+    }
+
+    /// Every length from the partition's smallest to where its prefetch
+    /// has run past both ends of the slice and back, on uniform,
+    /// heavy-minimum and all-equal keys, around the median of 15, a key of
+    /// the slice and both extremes.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn check_partition_lengths() {
+        for n in 2 * avx512::BLOCK..=2 * avx512::PREFETCH + 2 * avx512::BLOCK + 8 {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let heavy_minimum = (0..n)
+                .map(|_| if rng.gen_bool(0.8) { 0 } else { rng.gen() })
+                .collect();
+            for (name, keys) in [
+                ("uniform", uniform(n, n as u64)),
+                ("heavy minimum", heavy_minimum),
+                ("all equal", vec![0x5eed; n]),
+            ] {
+                for pivot in [avx512::median_of_15(&keys), keys[n / 3], 0, u64::MAX] {
+                    check_partition::<false>(&keys, pivot, name);
+                    check_partition::<true>(&keys, pivot, name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_splits_every_length_around_the_prefetch() {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if available() {
+            // SAFETY: the CPU has avx512f and popcnt.
+            unsafe { check_partition_lengths() };
+            return;
+        }
+        note_fallback("partition_splits_every_length_around_the_prefetch");
+    }
+
     #[test]
     fn median_of_15_killer_reaches_the_depth_cap() {
         let n = 1 << 12;
@@ -675,5 +995,99 @@ mod tests {
         }
         note_fallback("median_of_15_killer_reaches_the_depth_cap");
         check(&uniform(n, 5), "uniform");
+    }
+
+    /// The median, over `reps` runs, of `part`'s time on a fresh copy of
+    /// `keys` (the copy untimed: it leaves the keys where the kernel's
+    /// previous pass would), in ns per key of `keys`.
+    fn ns_per_key(keys: &[u64], reps: usize, mut part: impl FnMut(&mut [u64])) -> f64 {
+        let mut work = keys.to_vec();
+        let mut ns: Vec<f64> = (0..reps)
+            .map(|_| {
+                work.copy_from_slice(keys);
+                let t = std::time::Instant::now();
+                part(&mut work);
+                t.elapsed().as_nanos() as f64 / keys.len() as f64
+            })
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        ns[reps / 2]
+    }
+
+    /// The rows of [`decomposition`]: each part of the kernel alone, on
+    /// uniform keys, called directly.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn decompose() {
+        let reps = |n: usize| (1 << 24) / n.max(1 << 16) + 10;
+        println!("| part | n | ns/key |\n|---|---|---|");
+        for log in [12, 16, 21] {
+            let n = 1 << log;
+            let keys = uniform(n, log);
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            let row = |part: &str, ns: f64| println!("| {part} | 2^{log} | {ns:.2} |");
+            row(
+                "whole sort",
+                ns_per_key(&keys, reps(n), |v| avx512::sort(v)),
+            );
+            // On unsorted keys the pre-scan stops at the first descent; on
+            // sorted ones it reads them all, the most it costs.
+            row(
+                "pre-scan (sorted keys)",
+                ns_per_key(&sorted, reps(n), |v| assert!(v.is_sorted())),
+            );
+            let pivot = avx512::median_of_15(&keys);
+            row(
+                "one partition level",
+                ns_per_key(&keys, reps(n), |v| {
+                    avx512::partition::<false>(v, pivot);
+                }),
+            );
+        }
+        let keys = uniform(1 << 16, 99);
+        for slice in [128, 256] {
+            let ns = ns_per_key(&keys, reps(keys.len()), |v| {
+                for v in v.chunks_exact_mut(slice) {
+                    let pivot = avx512::median_of_15(v);
+                    avx512::partition::<false>(v, pivot);
+                }
+            });
+            println!("| median of 15 + partition, {slice}-key slices | 2^16 | {ns:.2} |");
+        }
+        for chunk in [avx512::BASE, 32, 16] {
+            let ns = ns_per_key(&keys, reps(keys.len()), |v| {
+                for v in v.chunks_exact_mut(chunk) {
+                    avx512::network_sort(v);
+                }
+            });
+            println!("| base case, {chunk}-key chunks | 2^16 | {ns:.2} |");
+        }
+        let calls = 1 << 16;
+        let ns = ns_per_key(&keys[..calls], 11, |v| {
+            for i in 0..calls {
+                let v = &v[i % 1024..];
+                std::hint::black_box(avx512::median_of_15(std::hint::black_box(
+                    &v[..1024 + i % 512],
+                )));
+            }
+        });
+        println!("| median of 15, per call | 2^10 | {ns:.2} ns/call |");
+    }
+
+    /// Time each part of the vector kernel alone and print a table of ns
+    /// per key: the whole sort, the pre-scan, one partition level at each
+    /// residency (2^12 keys in L1/L2, 2^16 in L2, 2^21 beyond), partition
+    /// levels of small slices, the base case and the median of 15.
+    #[test]
+    #[ignore = "a measurement; run it in release with --ignored --nocapture"]
+    fn decomposition() {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if available() {
+            // SAFETY: the CPU has avx512f and popcnt.
+            unsafe { decompose() };
+            return;
+        }
+        note_fallback("decomposition");
     }
 }

@@ -185,6 +185,11 @@ sys.exit(None if r["attempted"] > 0 and r["failed"] == 0 else f"ci: benchmark sm
 }
 benchmark_smoke --workload sim-zipf-p16 --trace 1
 benchmark_smoke --workload threads-presorted --trace 0
+# ... and on uniform keys, whose local sort of a rank's 2^21 keys is the
+# AVX-512 vector quicksort wherever the CPU has it: the digest check sees
+# its output, on threads and on sockets.
+benchmark_smoke --workload threads-uniform --trace 0
+benchmark_smoke --workload sockets-uniform --trace 0
 # ... and on the skewed input, whose 20-bit key span fits one counting pass
 # of a rank's 2^21 keys: same digest check, the radix kernel's in-place
 # counted form.
