@@ -63,7 +63,7 @@ pub struct AmsConfig {
     /// data is merged onto leaders before sorting. 0 keeps merging off for
     /// any non-empty input.
     pub tau_m_bytes: usize,
-    /// Compute charging (see [`ComputeCharge`]).
+    /// Changes nothing. Read by nothing in the workspace; ROADMAP item 4b deletes it.
     pub charge: ComputeCharge,
 }
 
@@ -107,7 +107,7 @@ pub fn ams_sort<T: Sortable, C: Communicator>(
 ) -> Result<SortOutput<T>, SortError> {
     let prelude = Prelude {
         tau_m_bytes: Some(cfg.tau_m_bytes),
-        ..Prelude::unstable(cfg.charge)
+        ..Prelude::unstable()
     };
     driver::sort(comm, data, &prelude, |comm, data, clock| {
         levels(comm, data, cfg, clock, 0)
@@ -131,8 +131,7 @@ fn levels<T: Sortable, C: Communicator>(
     let mine = regular_sample(&data, OVERSAMPLE.saturating_mul(kb_want));
     let (mut pooled, _) = comm.allgatherv(&mine);
     let pool_n = pooled.len();
-    let splitters = cfg.charge.charged(
-        comm,
+    let splitters = comm.compute_with(
         |m| m.sort_cost(pool_n),
         || reference_pivots(&mut pooled, kb_want),
     );
@@ -167,11 +166,10 @@ fn levels<T: Sortable, C: Communicator>(
     let level = Level {
         to_group: &to_group,
         delivery: Delivery::Merge,
-        charge: cfg.charge,
         top: depth == 0,
     };
     group_step(comm, data, &level, clock, |sub, delivered, clock| {
-        let rebalanced = rebalance(sub, delivered, cfg, clock)?;
+        let rebalanced = rebalance(sub, delivered, clock)?;
         levels(sub, rebalanced, cfg, clock, depth + 1)
     })
 }
@@ -184,7 +182,6 @@ fn levels<T: Sortable, C: Communicator>(
 fn rebalance<T: Sortable, C: Communicator>(
     sub: &C,
     mine: Vec<T>,
-    cfg: &AmsConfig,
     clock: &mut Clock<'_, C>,
 ) -> Result<Vec<T>, SortError> {
     clock.enter(Step::Partition);
@@ -200,7 +197,7 @@ fn rebalance<T: Sortable, C: Communicator>(
         let b = hi.min(before + n);
         *s = b.saturating_sub(a) as usize;
     }
-    exchange(sub, mine, &send, Delivery::Merge, cfg.charge, clock)
+    exchange(sub, mine, &send, Delivery::Merge, clock)
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub struct HssConfig {
     pub eps: f64,
     /// Histogram refinement rounds before the exact-selection fallback.
     pub max_rounds: usize,
-    /// Compute charging (see [`ComputeCharge`]).
+    /// Changes nothing. Read by nothing in the workspace; ROADMAP item 4b deletes it.
     pub charge: ComputeCharge,
     /// Seed for candidate sampling.
     pub seed: u64,
@@ -216,7 +216,7 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
     data: Vec<T>,
     cfg: &HssConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    let prelude = Prelude::unstable(cfg.charge);
+    let prelude = Prelude::unstable();
     driver::sort(comm, data, &prelude, |comm, data, clock| {
         let p = comm.size();
         clock.enter(Step::Splitters);
@@ -229,6 +229,6 @@ pub fn hss_sort<T: Sortable, C: Communicator>(
         // Degenerate inputs can yield fewer cuts than p-1 boundaries; the
         // remaining ranks receive nothing.
         send.resize(p, 0);
-        exchange(comm, data, &send, Delivery::Merge, cfg.charge, clock)
+        exchange(comm, data, &send, Delivery::Merge, clock)
     })
 }

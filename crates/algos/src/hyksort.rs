@@ -19,7 +19,6 @@
 //! that.
 
 use comm::Communicator;
-use sdssort::config::ComputeCharge;
 use sdssort::driver::{self, group_step, Clock, Level, Prelude, Step};
 use sdssort::exchange::Delivery;
 use sdssort::histogram::{choose_k, histogram_splitters};
@@ -33,8 +32,6 @@ pub struct HykSortConfig {
     /// Fan-out per stage (`k`-way communication; the HykSort paper found
     /// k = 128 optimal, which SDS-Sort's evaluation reuses).
     pub k: usize,
-    /// Compute charging (see [`ComputeCharge`]).
-    pub charge: ComputeCharge,
     /// Seed for splitter sampling.
     pub seed: u64,
 }
@@ -43,7 +40,6 @@ impl Default for HykSortConfig {
     fn default() -> Self {
         Self {
             k: 128,
-            charge: ComputeCharge::Measured,
             seed: 0xCAFE,
         }
     }
@@ -57,7 +53,7 @@ pub fn hyksort<T: Sortable, C: Communicator>(
     data: Vec<T>,
     cfg: &HykSortConfig,
 ) -> Result<SortOutput<T>, SortError> {
-    let prelude = Prelude::unstable(cfg.charge);
+    let prelude = Prelude::unstable();
     let mut out = driver::sort(comm, data, &prelude, |comm, data, clock| {
         stage(comm, data, cfg, clock, 0)
     })?;
@@ -89,7 +85,6 @@ fn stage<T: Sortable, C: Communicator>(
         to_group: &cuts_to_counts(&cuts),
         // Asynchronous exchange overlapped with progressive merging.
         delivery: Delivery::Overlapped,
-        charge: cfg.charge,
         top: depth == 0,
     };
     group_step(comm, data, &level, clock, |sub, data, clock| {

@@ -14,7 +14,7 @@
 
 use crate::{ams_sort, hss_sort, hyksort, AmsConfig, HssConfig, HykSortConfig};
 use comm::Communicator;
-use sdssort::{sds_sort, ComputeCharge, SdsConfig, SortError, SortOutput, Sortable};
+use sdssort::{sds_sort, SdsConfig, SortError, SortOutput, Sortable};
 
 /// One distributed sorter of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,18 +43,6 @@ pub struct Tuning {
     pub ams: AmsConfig,
     /// HSS.
     pub hss: HssConfig,
-}
-
-impl Tuning {
-    /// Every sorter's defaults, each charging its compute by `charge`.
-    pub fn charged(charge: ComputeCharge) -> Tuning {
-        let mut t = Tuning::default();
-        t.sds.charge = charge;
-        t.hyksort.charge = charge;
-        t.ams.charge = charge;
-        t.hss.charge = charge;
-        t
-    }
 }
 
 impl Sorter {

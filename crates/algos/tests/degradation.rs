@@ -5,7 +5,7 @@
 
 use algos::{hyksort, HykSortConfig};
 use mpisim::{Communicator, FaultSpec, NetModel, World};
-use sdssort::{is_globally_sorted, sds_sort_resilient, ComputeModel, SdsConfig, SortError};
+use sdssort::{is_globally_sorted, sds_sort_resilient, SdsConfig, SortError};
 
 const P: usize = 6;
 const N: usize = 300;
@@ -26,15 +26,13 @@ fn hyksort_still_ooms_under_memory_ramp() {
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
-        .compute_scale(0.0)
         .memory_budget(BUDGET)
         .faults(ramp())
         .run(|comm| {
-            let mut cfg = HykSortConfig {
-                charge: sdssort::ComputeCharge::Modeled(ComputeModel::nominal()),
+            let cfg = HykSortConfig {
+                k: 2,
                 ..HykSortConfig::default()
             };
-            cfg.k = 2;
             hyksort(comm, input(comm.rank()), &cfg).map(|o| o.data)
         });
     assert!(
@@ -83,13 +81,14 @@ fn resilient_sds_sort_survives_the_same_ramp() {
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
-        .compute_scale(0.0)
         .memory_budget(BUDGET)
         .faults(ramp())
         .run(move |comm| {
-            let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
-            cfg.tau_m_bytes = 0;
-            cfg.tau_o = 0;
+            let cfg = SdsConfig {
+                tau_m_bytes: 0,
+                tau_o: 0,
+                ..SdsConfig::default()
+            };
             let out = sds_sort_resilient(comm, input(comm.rank()), &cfg, &spill_dir)
                 .expect("resilient driver survives the ramp HykSort dies under");
             (

@@ -8,17 +8,20 @@
 //! phases, and a histogram sorter's refinement rounds as spans nested in
 //! its splitter step.
 //!
-//! Determinism preconditions: modeled compute charging (no wall-clock
-//! measurement) and `compute_scale(0.0)` (no measured residue); SDS runs
-//! its synchronous exchange (`τo = 0`). HykSort's
-//! and the resilient exchange's asynchronous receives take chunks by
-//! virtual arrival, so their clocks are compared like everyone else's.
+//! Determinism needs no precondition: the simulator charges compute only
+//! from its model, never host time, and every receive takes chunks by
+//! virtual arrival, so each sorter on a default world is a pure function
+//! of its input — overlapped exchanges included
+//! (`every_sorter_is_a_pure_function_on_the_simulator`). The purity cases
+//! below run SDS's synchronous exchange (`τo = 0`); HykSort's and the
+//! resilient exchange's asynchronous receives are compared like everyone
+//! else's.
 
 use algos::Tuning;
 use mpisim::telemetry::SpanRecord;
 use mpisim::{Communicator, NetModel, World};
 use sdssort::histogram::ROUND_SPAN;
-use sdssort::{sds_sort_resilient, ComputeCharge, ComputeModel, SortOutput, SortStats};
+use sdssort::{sds_sort_resilient, SortOutput, SortStats};
 use shmem::ThreadWorld;
 
 /// Deterministic per-rank input: a mix of a shared heavy key (exercises
@@ -101,12 +104,15 @@ fn world(telemetry: bool) -> World {
     World::new(8)
         .cores_per_node(4)
         .net(NetModel::edison())
-        .compute_scale(0.0)
         .telemetry(telemetry)
 }
 
 fn run(telemetry: bool, sorter: Sorter, tuning: &Tuning) -> RunResult {
-    let report = world(telemetry).run(|comm| sorter.sort(comm, gen(comm.rank(), 500), tuning).data);
+    run_on(&world(telemetry), sorter, tuning)
+}
+
+fn run_on(world: &World, sorter: Sorter, tuning: &Tuning) -> RunResult {
+    let report = world.run(|comm| sorter.sort(comm, gen(comm.rank(), 500), tuning).data);
     RunResult {
         outputs: report.results.clone(),
         per_rank_time_bits: report.per_rank_time.iter().map(|&t| t.to_bits()).collect(),
@@ -129,12 +135,12 @@ fn purity_case(sorter: Sorter, tuning: &Tuning) {
     );
 }
 
-/// Modelled compute, no node merging, and no overlapped SDS exchange;
+/// No node merging, and no overlapped SDS exchange;
 /// HykSort's `k = 4` over `p = 8` makes two stages,
 /// AMS's default `kmax` over four cores per node one group per node, then
 /// four groups of one.
 fn tuning() -> Tuning {
-    let mut t = Tuning::charged(ComputeCharge::Modeled(ComputeModel::nominal()));
+    let mut t = Tuning::default();
     (t.sds.tau_o, t.sds.tau_m_bytes) = (0, 0);
     t.hyksort.k = 4;
     t
@@ -144,6 +150,24 @@ fn tuning() -> Tuning {
 fn identical_with_and_without_telemetry() {
     for sorter in Sorter::all() {
         purity_case(sorter, &tuning());
+    }
+}
+
+/// Every sorter with its defaults on a world that sets no compute option
+/// (two cores a node, so SDS merges each node onto its leader and the four
+/// leaders overlap their exchange with merging): two runs give
+/// bit-identical outputs, clocks, makespan and traffic.
+#[test]
+fn every_sorter_is_a_pure_function_on_the_simulator() {
+    let world = World::new(8).cores_per_node(2);
+    for sorter in Sorter::all() {
+        let first = run_on(&world, sorter, &Tuning::default());
+        assert_ne!(first.makespan_bits, 0, "{sorter:?}");
+        assert_eq!(
+            run_on(&world, sorter, &Tuning::default()),
+            first,
+            "{sorter:?}: two runs of one program"
+        );
     }
 }
 

@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use bench::{registry, Experiment, Run, Scale, REGISTRY};
+use bench::{calibrate, registry, Experiment, Run, Scale, REGISTRY};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -79,6 +79,9 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
+    // This host's constants, beside the nominal ones every modelled figure
+    // below is charged with; they gate nothing.
+    println!("{}\n", calibrate::host_report());
     let mut run = Run::new(Scale::from_env(), args.metrics_out);
     let mut diverged = Vec::new();
     for exp in &args.selected {

@@ -675,14 +675,7 @@ fn report(args: &Args, run: BackendRun) -> ExitCode {
             );
         }
         // Only a merge that found a key filling a sample stride cuts it out.
-        // The simulator's overlapped merges pair chunks by virtual arrival,
-        // which follows the measured host compute charged here, so there
-        // the count is not a function of the program and would break its
-        // two-run identical tables: real backends only.
-        let replicated = snapshot
-            .counter("merge.replicated_records")
-            .filter(|_| args.backend != "sim");
-        if let Some(records) = replicated {
+        if let Some(records) = snapshot.counter("merge.replicated_records") {
             println!(
                 "moved as replicated-key blocks (merge.replicated_records): {records} records"
             );

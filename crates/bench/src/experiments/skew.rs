@@ -61,7 +61,7 @@ pub fn fig6c(r: &mut Run) -> bool {
     for &(alpha, delta) in &PAPER_ALPHA_DELTA_TABLE2 {
         let mut row = vec![format!("{delta:.1}"), format!("{alpha:.1}")];
         for s in sorters {
-            let o = run_sorter(s, SWEEP_P, Some(budget), r.model(), move |rank| {
+            let o = run_sorter(s, SWEEP_P, Some(budget), move |rank| {
                 zipf_keys(n_rank, alpha, 0x6C, rank)
             });
             let done = o.time_s.is_some();
@@ -93,7 +93,6 @@ pub fn fig6c(r: &mut Run) -> bool {
 /// knob changed by `tweak` — what both ablations below compare. No
 /// overlap and no node merging, so only the knob differs between rows.
 fn sds_variant(
-    r: &Run,
     p: usize,
     n_rank: usize,
     budget: usize,
@@ -101,9 +100,11 @@ fn sds_variant(
     seed: u64,
     tweak: impl Fn(&mut SdsConfig),
 ) -> RunOutcome {
-    let mut cfg = SdsConfig::modeled(r.model());
-    cfg.tau_m_bytes = 0;
-    cfg.tau_o = 0;
+    let mut cfg = SdsConfig {
+        tau_m_bytes: 0,
+        tau_o: 0,
+        ..SdsConfig::default()
+    };
     tweak(&mut cfg);
     run_world(p, Some(budget), |comm| {
         sds_sort(comm, zipf_keys(n_rank, alpha, seed, comm.rank()), &cfg)
@@ -137,7 +138,7 @@ pub fn ablation_partition(r: &mut Run) -> bool {
             ("skew-aware", PartitionStrategy::SkewAware),
             ("classic", PartitionStrategy::Classic),
         ] {
-            let o = sds_variant(r, SWEEP_P, n_rank, budget, alpha, 0xAB1, |cfg| {
+            let o = sds_variant(SWEEP_P, n_rank, budget, alpha, 0xAB1, |cfg| {
                 cfg.partition = strategy;
             });
             match strategy {
@@ -187,7 +188,7 @@ pub fn ablation_pivot_source(r: &mut Run) -> bool {
             ("histogram", PivotSource::Histogram),
         ] {
             let label = format!("{selector} + {rule}");
-            let o = sds_variant(r, p, n_rank, budget, 1.4, 0xAB5, |cfg| {
+            let o = sds_variant(p, n_rank, budget, 1.4, 0xAB5, |cfg| {
                 cfg.pivot_source = source;
                 cfg.partition = partition;
             });
@@ -206,7 +207,7 @@ pub fn ablation_pivot_source(r: &mut Run) -> bool {
 
 /// The skew shoot-out: every row of the sorter table — SDS-Sort (fast +
 /// stable), HykSort, AMS-sort, and Histogram Sort with Sampling — head to
-/// head, with modeled compute (so every cell is deterministic and
+/// head, in virtual time (so every cell is deterministic and
 /// machine-independent).
 ///
 /// 1. **Skew sweep** at fixed `p`: Uniform, low/high-α Zipf, and the
@@ -245,7 +246,7 @@ pub fn shootout(r: &mut Run) -> bool {
     let mut all_bounded = true;
     // One cell: sort, record, fold into the verdict, hand back for printing.
     let mut cell = |s: Sorter, name: &'static str, q: usize| {
-        let o = run_sorter(s, q, None, r.model(), move |rank| {
+        let o = run_sorter(s, q, None, move |rank| {
             keys_by_name(name, n_rank, 0xA1, rank).expect("workload from the fixed matrix")
         });
         all_complete &= o.time_s.is_some();

@@ -3,7 +3,7 @@
 //! ablations, and the communication-matrix trace. All on the simulator.
 
 use super::{contest, crossover};
-use crate::{fmt_bytes, modeled_world, Run, Table};
+use crate::{fmt_bytes, Run, Table};
 use mpisim::{Communicator, NetModel, World};
 use sdssort::node_merge::node_merge;
 use sdssort::partition::{cuts_to_counts, fast_cuts};
@@ -20,14 +20,14 @@ const NODES: usize = 4;
 /// Modelled time of the exchange phase over `NODES` nodes of `CORES`
 /// ranks under `net`, with `n_rank` u64 records per rank, with or without
 /// merging each node's data onto its leader first.
-fn exchange_time(n_rank: usize, merge: bool, net: &NetModel, m: ComputeModel) -> f64 {
+fn exchange_time(n_rank: usize, merge: bool, net: &NetModel) -> f64 {
     /// All-to-all of sorted `data` over `c`, cut at equal-width pivots.
     fn exchange<C: Communicator>(c: &C, data: &[u64]) {
         let p = c.size() as u64;
         let pivots: Vec<u64> = (1..p).map(|i| i * (u64::MAX / p)).collect();
         c.alltoallv(data, &cuts_to_counts(&fast_cuts(data, &pivots, None)));
     }
-    let report = modeled_world(CORES * NODES).net(net.clone()).run(|comm| {
+    let report = World::new(CORES * NODES).net(net.clone()).run(|comm| {
         let mut data = uniform_u64(n_rank, 5, comm.rank());
         data.sort_unstable();
         comm.barrier(); // measure from a common start
@@ -37,7 +37,8 @@ fn exchange_time(n_rank: usize, merge: bool, net: &NetModel, m: ComputeModel) ->
             let node_n = cl.allreduce(data.len(), |a, b| a + b);
             let merged = node_merge(&cl, &data);
             if cl.rank() == 0 {
-                comm.clock().charge(m.kway_merge_cost(node_n, cl.size()));
+                comm.clock()
+                    .charge(ComputeModel::nominal().kway_merge_cost(node_n, cl.size()));
             }
             if let (Some(cg), Some(merged)) = (cg, merged) {
                 exchange(&cg, &merged);
@@ -59,9 +60,8 @@ fn merge_contest(
     net: &NetModel,
 ) -> (Vec<Vec<f64>>, Option<usize>) {
     let names = ["merging", "no-merging"];
-    let time = |r: &Run, per_node: usize| {
-        let times =
-            [true, false].map(|merge| exchange_time(per_node / CORES / 8, merge, net, r.model()));
+    let time = |_: &Run, per_node: usize| {
+        let times = [true, false].map(|merge| exchange_time(per_node / CORES / 8, merge, net));
         times.to_vec()
     };
     let rows = contest(r, series, "per-node size", &names, sizes, fmt_bytes, time);
@@ -137,14 +137,15 @@ pub fn fig5b(r: &mut Run) -> bool {
     let mut ps = vec![4usize, 8, 16, 32, 64, 128];
     ps.extend(r.scale().pick(vec![], vec![256, 512]));
     let n_rank = r.scale().pick(20_000, 50_000);
-    let m = r.model();
     let run = |p: usize, overlap: bool| {
-        let mut cfg = SdsConfig::modeled(m);
-        cfg.tau_m_bytes = 0;
-        cfg.tau_o = if overlap { usize::MAX } else { 0 };
+        let cfg = SdsConfig {
+            tau_m_bytes: 0,
+            tau_o: if overlap { usize::MAX } else { 0 },
+            ..SdsConfig::default()
+        };
         // One rank per node: the exchange crosses the network at every p
         // (the paper likewise spreads ranks across nodes as p grows).
-        let world = World::new(p).cores_per_node(1).compute_scale(0.0);
+        let world = World::new(p).cores_per_node(1);
         let report = world.run(|comm| {
             let data = uniform_u64(n_rank, 0x5B, comm.rank());
             sds_sort(comm, data, &cfg)
@@ -176,7 +177,7 @@ pub fn fig5b(r: &mut Run) -> bool {
 /// sort's log-round exchanges.
 pub fn ablation_pivot_methods(r: &mut Run) -> bool {
     let time_method = |p: usize, method: PivotMethod| {
-        let report = modeled_world(p).run(|comm| {
+        let report = World::new(p).run(|comm| {
             let mut data = uniform_u64(4096, 0xAB2, comm.rank());
             data.sort_unstable();
             let samples = regular_sample(&data, p - 1);

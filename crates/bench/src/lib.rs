@@ -19,10 +19,11 @@
 
 use algos::{Sorter, Tuning};
 use mpisim::{Comm, World};
-use sdssort::{ComputeCharge, ComputeModel, SortError, SortOutput, Sortable};
+use sdssort::{SortError, SortOutput, Sortable};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+pub mod calibrate;
 pub mod emit;
 pub mod experiments;
 pub mod registry;
@@ -57,13 +58,6 @@ impl Scale {
             Scale::Full => full,
         }
     }
-}
-
-/// A modelled world: Edison network and 24-core nodes (the `World`
-/// defaults), zero wall-clock compute charging (compute enters through
-/// `ComputeCharge::Modeled`).
-pub fn modeled_world(p: usize) -> World {
-    World::new(p).compute_scale(0.0)
 }
 
 /// Short git revision of the checkout producing a report, or `"unknown"`
@@ -110,7 +104,8 @@ impl RunOutcome {
     }
 }
 
-/// Run `sort` on every rank of a [`modeled_world`] of `p` ranks, optionally
+/// Run `sort` on every rank of a simulated world of `p` ranks (Edison
+/// network and 24-core nodes, the [`World`] defaults), optionally
 /// under a per-rank simulated memory `budget`, and fold the per-rank results
 /// into one [`RunOutcome`] (a failure on any rank is a failed run).
 pub fn run_world<T, F>(p: usize, budget: Option<usize>, sort: F) -> RunOutcome
@@ -118,7 +113,7 @@ where
     T: Sortable,
     F: Fn(&mut Comm) -> Result<SortOutput<T>, SortError> + Send + Sync,
 {
-    let mut world = modeled_world(p);
+    let mut world = World::new(p);
     if let Some(b) = budget {
         world = world.memory_budget(b);
     }
@@ -141,15 +136,9 @@ where
 }
 
 /// Run `sorter` over `p` ranks where rank `r` sorts `gen(r)`; compute is
-/// charged via the calibrated model, communication via the Edison network
-/// model. `budget` optionally caps per-rank simulated memory.
-pub fn run_sorter<T, G>(
-    sorter: Sorter,
-    p: usize,
-    budget: Option<usize>,
-    model: ComputeModel,
-    gen: G,
-) -> RunOutcome
+/// charged from the nominal compute model, communication from the Edison
+/// network model. `budget` optionally caps per-rank simulated memory.
+pub fn run_sorter<T, G>(sorter: Sorter, p: usize, budget: Option<usize>, gen: G) -> RunOutcome
 where
     T: Sortable,
     G: Fn(usize) -> Vec<T> + Send + Sync,
@@ -165,7 +154,7 @@ where
     // 4096/4000 for Edison (Figs. 5b/5c); our Fig. 5b/5c experiments locate
     // the crossovers near 16 and 8 on the simulated machine, so the
     // comparative runs use those.
-    let mut tuning = Tuning::charged(ComputeCharge::Modeled(model));
+    let mut tuning = Tuning::default();
     (tuning.sds.tau_m_bytes, tuning.sds.tau_o, tuning.sds.tau_s) = (0, 16, 8);
     run_world(p, budget, |comm| {
         sorter.sort(comm, gen(comm.rank()), &tuning)

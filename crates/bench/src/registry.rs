@@ -2,8 +2,8 @@
 //! binary.
 //!
 //! [`REGISTRY`] names every table, figure, ablation and trace of
-//! EXPERIMENTS.md; [`Run`] owns what they all share — one compute-model
-//! calibration, the scale, the per-experiment [`Emitter`], header/verdict
+//! EXPERIMENTS.md; [`Run`] owns what they all share — the scale, the
+//! per-experiment [`Emitter`], header/verdict
 //! printing, and a memo of the (dataset, p, sorter) cells already sorted, so
 //! Table 3 reports from the very runs Figs. 7/8 printed and Table 4 from
 //! Figs. 9/10 (on its own, either table simply runs the cells it needs).
@@ -13,7 +13,6 @@ use crate::experiments::{kernels, scaling, skew, thresholds};
 use crate::{run_sorter, RunOutcome, Scale};
 use algos::Sorter;
 use mpisim::telemetry::Json;
-use sdssort::ComputeModel;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use workloads::{cosmology_particles, ptf_scores, uniform_u64, zipf_keys, Particle};
@@ -197,19 +196,17 @@ impl Dataset {
         }
     }
 
-    fn run(self, scale: Scale, model: ComputeModel, p: usize, sorter: Sorter) -> RunOutcome {
+    fn run(self, scale: Scale, p: usize, sorter: Sorter) -> RunOutcome {
         let n = self.n_rank(scale);
         match self {
-            Dataset::Uniform => {
-                run_sorter(sorter, p, None, model, move |r| uniform_u64(n, 0xF167, r))
-            }
-            Dataset::Zipf => run_sorter(sorter, p, Some(n * 8 * 7 / 2), model, move |r| {
+            Dataset::Uniform => run_sorter(sorter, p, None, move |r| uniform_u64(n, 0xF167, r)),
+            Dataset::Zipf => run_sorter(sorter, p, Some(n * 8 * 7 / 2), move |r| {
                 zipf_keys(n, 1.4, 0xF168, r)
             }),
-            Dataset::Ptf => run_sorter(sorter, p, None, model, move |r| ptf_scores(n, 0x97F, r)),
+            Dataset::Ptf => run_sorter(sorter, p, None, move |r| ptf_scores(n, 0x97F, r)),
             Dataset::Cosmology => {
                 let budget = n * std::mem::size_of::<Particle>() * 5 / 2;
-                run_sorter(sorter, p, Some(budget), model, move |r| {
+                run_sorter(sorter, p, Some(budget), move |r| {
                     cosmology_particles(n, 0xC05, r)
                 })
             }
@@ -234,43 +231,16 @@ impl Cells {
 /// Shared state of one `experiments` invocation.
 pub struct Run {
     scale: Scale,
-    model: ComputeModel,
     out: Option<PathBuf>,
     em: Option<Emitter>,
     memo: HashMap<(Dataset, usize, Sorter), RunOutcome>,
 }
 
-/// Calibrations [`Run::new`] takes the per-constant minimum of.
-const CALIBRATIONS: usize = 7;
-
-/// The host's compute model, robust to a cold start and a loaded host: one
-/// `ComputeModel::calibrate()` is ~10 ms of wall clock whose merge constant
-/// spread 1.43–2.09 ns/key over 45 minima on a 2-vCPU guest (it times the
-/// product's two-way kernel into resident storage, on two runs that
-/// interleave and share no key, so every record goes through the
-/// branchless loop), and Figs. 5a/7 follow it. Interference only adds
-/// time, so each constant is the minimum over [`CALIBRATIONS`] calls and
-/// the stable premium the ratio of the two minima.
-fn calibrate_best() -> ComputeModel {
-    let runs: Vec<_> = (0..CALIBRATIONS)
-        .map(|_| ComputeModel::calibrate())
-        .collect();
-    let min = |f: fn(&ComputeModel) -> f64| runs.iter().map(f).fold(f64::INFINITY, f64::min);
-    let sort_per_key_log = min(|m| m.sort_per_key_log);
-    ComputeModel {
-        sort_per_key_log,
-        merge_per_key: min(|m| m.merge_per_key),
-        scan_per_key: min(|m| m.scan_per_key),
-        stable_factor: min(|m| m.sort_per_key_log * m.stable_factor) / sort_per_key_log,
-    }
-}
-
 impl Run {
-    /// Calibrate once; `out` is the `--metrics-out` destination.
+    /// A run at `scale`; `out` is the `--metrics-out` destination.
     pub fn new(scale: Scale, out: Option<PathBuf>) -> Self {
         Self {
             scale,
-            model: calibrate_best(),
             out,
             em: None,
             memo: HashMap::new(),
@@ -280,13 +250,6 @@ impl Run {
     /// Sweep sizes.
     pub fn scale(&self) -> Scale {
         self.scale
-    }
-
-    /// The one compute-model calibration every modelled time in this
-    /// invocation is charged with, so cells are comparable across
-    /// experiments.
-    pub fn model(&self) -> ComputeModel {
-        self.model
     }
 
     /// Run one registry entry: header, body, verdict, metrics document.
@@ -320,14 +283,14 @@ impl Run {
     /// `ps`, sorting only the cells no earlier experiment of this run
     /// already sorted.
     pub fn sweep(&mut self, data: Dataset, ps: &[usize]) -> Cells {
-        let (scale, model) = (self.scale, self.model);
+        let scale = self.scale;
         let mut cells = Vec::new();
         for &p in ps {
             for sorter in [Sorter::HykSort, Sorter::Sds, Sorter::SdsStable] {
                 let outcome = self
                     .memo
                     .entry((data, p, sorter))
-                    .or_insert_with(|| data.run(scale, model, p, sorter));
+                    .or_insert_with(|| data.run(scale, p, sorter));
                 cells.push((p, sorter, outcome.clone()));
             }
         }

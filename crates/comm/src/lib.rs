@@ -37,8 +37,8 @@
 //! point-to-point sends, the collectives the sort uses, the asynchronous
 //! all-to-all protocol ([`raw::RawAsync`] and [`AsyncExchange`]),
 //! communicator splitting, plus the cost-accounting and telemetry hooks
-//! (`compute`, `charge_compute`, spans, counters) that feed
-//! `telemetry::RunReport`.
+//! (`compute_with`, `compute`, `charge_compute`, spans, counters) that
+//! feed `telemetry::RunReport`.
 //!
 //! ## Composed collectives
 //!
@@ -59,6 +59,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cost;
 pub mod mailbox;
 pub mod memory;
 pub mod pages;
@@ -66,6 +67,7 @@ pub mod raw;
 pub mod run;
 pub mod wire;
 
+pub use cost::ComputeModel;
 pub use memory::Budget;
 pub use run::Run;
 pub use wire::Wire;
@@ -328,10 +330,18 @@ pub trait Communicator: Sized {
 
     // ---- time & cost accounting ------------------------------------------
 
-    /// Run `f` and charge its cost to this rank's timeline. The default is
-    /// the wall-clock one: the work takes the time it takes, and the
-    /// elapsed seconds are attributed to the compute ledger. The simulator
-    /// converts the measured host time to virtual seconds.
+    /// Run `f`, the work `cost` prices from a [`ComputeModel`], and charge
+    /// it to this rank's timeline: the one call a sorter books compute
+    /// through. The default times `f` ([`compute`](Self::compute)); the
+    /// simulator charges `cost(&ComputeModel::nominal())` instead.
+    fn compute_with<R>(&self, cost: impl FnOnce(&ComputeModel) -> f64, f: impl FnOnce() -> R) -> R {
+        let _ = cost;
+        self.compute(f)
+    }
+
+    /// Run `f` and book the time it takes on this rank's timeline to the
+    /// compute ledger: its wall time on a real backend, nothing on the
+    /// simulator, whose clock does not move while `f` runs.
     fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
         let t0 = self.now();
         let r = f();

@@ -29,7 +29,7 @@ use crate::clock::VirtualClock;
 use crate::mailbox::{Envelope, TakeResult};
 use crate::universe::Universe;
 use ::comm::raw::{append_moved, Group};
-use ::comm::{Aborted, Budget, Communicator, Run, Wire};
+use ::comm::{Aborted, Budget, Communicator, ComputeModel, Run, Wire};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -161,20 +161,11 @@ impl Communicator for Comm {
         &self.uni.recorder
     }
 
-    /// Run `f`, measure its host time, charge it to the virtual clock.
-    fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        let me_w = self.group.world_rank();
-        let before = self.clock.now();
-        let r = self.clock.measure(f);
-        let factor = self.uni.faults().compute_factor(me_w);
-        if factor != 1.0 {
-            // Slowed rank: the same work takes `factor` times as long.
-            let dt = self.clock.now() - before;
-            self.clock.charge(dt * (factor - 1.0));
-        }
-        self.uni
-            .recorder
-            .add_compute(me_w, self.clock.now() - before);
+    /// Runs `f` and charges the nominal model's price for it (times a
+    /// slowdown fault's factor): host time never reaches the clock.
+    fn compute_with<R>(&self, cost: impl FnOnce(&ComputeModel) -> f64, f: impl FnOnce() -> R) -> R {
+        let r = f();
+        self.charge_compute(cost(&ComputeModel::nominal()));
         r
     }
 

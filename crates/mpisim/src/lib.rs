@@ -7,7 +7,8 @@
 //! node-local communicators, an asynchronous all-to-all), and virtual
 //! clocks with a LogGP-style network model ([`NetModel`]) reproduce the
 //! hardware-dependent aspects of the evaluation: computation advances only
-//! the local clock; messages carry arrival times and advance the receiver, so
+//! the local clock, by its price under the nominal compute model
+//! (`Communicator::compute_with`), never by host time; messages carry arrival times and advance the receiver, so
 //! the maximum clock at the end of a run is the modelled makespan on the
 //! configured machine. The per-rank memory budget that reproduces the
 //! paper's out-of-memory failures is `comm::Budget`, the same account the
@@ -53,4 +54,4 @@ pub use telemetry;
 
 // The backend-neutral surface `Comm` implements, re-exported so tests and
 // drivers can bring it into scope from here.
-pub use ::comm::{AsyncExchange, Communicator};
+pub use ::comm::{AsyncExchange, Communicator, ComputeModel};

@@ -1,7 +1,7 @@
 //! World construction and SPMD execution.
 //!
 //! [`World`] configures a simulated machine (rank count, cores per node,
-//! network model, per-rank memory budget, compute-time scaling) and
+//! network model, per-rank memory budget, faults, telemetry) and
 //! [`World::run`] executes an SPMD closure on every rank, each on its own
 //! OS thread, returning a [`WorldReport`] with per-rank results, the
 //! virtual-time makespan, and traffic statistics.
@@ -29,15 +29,15 @@ pub struct World {
     node_map: Option<Vec<usize>>,
     net: NetModel,
     memory_budget: Option<usize>,
-    compute_scale: f64,
     telemetry: bool,
     faults: Option<FaultSpec>,
 }
 
 impl World {
     /// A world of `size` ranks with default settings: 24-core nodes (Edison
-    /// compute nodes have two 12-core sockets), the Edison network model, no
-    /// memory budget, and unscaled wall-clock compute charging.
+    /// compute nodes have two 12-core sockets), the Edison network model and
+    /// no memory budget. Compute is charged from the nominal compute model
+    /// (see `Communicator::compute_with`).
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "world needs at least one rank");
         Self {
@@ -46,7 +46,6 @@ impl World {
             node_map: None,
             net: NetModel::edison(),
             memory_budget: None,
-            compute_scale: 1.0,
             telemetry: false,
             faults: None,
         }
@@ -90,11 +89,10 @@ impl World {
         self
     }
 
-    /// Scale factor applied to measured compute durations (see
-    /// [`VirtualClock`]). Use 0.0 to charge no measured compute at all
-    /// (pure communication models).
-    pub fn compute_scale(mut self, s: f64) -> Self {
-        self.compute_scale = s;
+    /// Asserts `s` is finite and non-negative, and changes nothing.
+    /// Read by nothing in the workspace; ROADMAP item 4b deletes it.
+    pub fn compute_scale(self, s: f64) -> Self {
+        assert!(s.is_finite() && s >= 0.0, "compute scale {s}");
         self
     }
 
@@ -145,13 +143,12 @@ impl World {
                 let uni = Arc::clone(&uni);
                 let members = Arc::clone(&members);
                 let f = &f;
-                let compute_scale = self.compute_scale;
                 let builder = std::thread::Builder::new()
                     .name(format!("mpisim-rank-{rank}"))
                     .stack_size(STACK_SIZE);
                 let handle = builder
                     .spawn_scoped(scope, move || {
-                        let clock = Rc::new(VirtualClock::new(compute_scale));
+                        let clock = Rc::new(VirtualClock::default());
                         let group = Group::new(0, members, rank);
                         let mut comm = Comm::new(Arc::clone(&uni), group, Rc::clone(&clock));
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));

@@ -1,7 +1,7 @@
 //! Integration tests: world execution semantics — panic propagation,
 //! virtual clocks, memory budgets, point-to-point ordering.
 
-use mpisim::{Communicator, NetModel, World};
+use mpisim::{Communicator, ComputeModel, FaultSpec, NetModel, World};
 
 #[test]
 fn results_in_rank_order() {
@@ -84,16 +84,13 @@ fn virtual_clock_advances_with_messages() {
 
 #[test]
 fn barrier_synchronizes_clocks() {
-    let report = World::new(4)
-        .net(NetModel::edison())
-        .compute_scale(0.0)
-        .run(|comm| {
-            if comm.rank() == 0 {
-                comm.clock().charge(1.0); // one slow rank
-            }
-            comm.barrier();
-            comm.clock().now()
-        });
+    let report = World::new(4).net(NetModel::edison()).run(|comm| {
+        if comm.rank() == 0 {
+            comm.clock().charge(1.0); // one slow rank
+        }
+        comm.barrier();
+        comm.clock().now()
+    });
     for t in report.results {
         assert!(
             t >= 1.0,
@@ -108,6 +105,36 @@ fn charged_compute_contributes_to_makespan() {
         comm.clock().charge(0.5 * (comm.rank() + 1) as f64);
     });
     assert!((report.makespan - 1.5).abs() < 1e-9);
+}
+
+/// Compute reaches the clock only as the model's price: `compute_with`
+/// charges exactly `cost(&nominal())`, times a slowed rank's factor,
+/// and `compute` charges nothing however long its closure runs.
+#[test]
+fn compute_with_charges_the_nominal_price_and_compute_charges_nothing() {
+    let spec = FaultSpec {
+        slow_every: 2,
+        slow_factor: 3.0,
+        ..FaultSpec::none()
+    };
+    let report = World::new(3).faults(spec).run(|comm| {
+        let t0 = comm.now();
+        let busy: u64 = comm.compute(|| (0..200_000u64).map(std::hint::black_box).sum());
+        let after_compute = comm.now();
+        let v = comm.compute_with(|m| m.sort_cost(1 << 16), || busy.wrapping_mul(3));
+        (after_compute - t0, comm.now() - after_compute, v)
+    });
+    let price = ComputeModel::nominal().sort_cost(1 << 16);
+    assert!(price > 0.0);
+    for (rank, &(computed, charged, v)) in report.results.iter().enumerate() {
+        assert_eq!(
+            computed, 0.0,
+            "rank {rank}: compute(f) books no virtual time"
+        );
+        let factor = if rank % 2 == 0 { 3.0 } else { 1.0 };
+        assert_eq!(charged, price * factor, "rank {rank}");
+        assert_eq!(v, (0..200_000u64).sum::<u64>().wrapping_mul(3));
+    }
 }
 
 #[test]
@@ -149,7 +176,6 @@ fn intra_node_messages_cheaper_in_model() {
         World::new(2)
             .cores_per_node(cores)
             .net(NetModel::edison())
-            .compute_scale(0.0)
             .run(|comm| {
                 if comm.rank() == 0 {
                     comm.send_vec(1, 0, vec![0u8; 1 << 22]);

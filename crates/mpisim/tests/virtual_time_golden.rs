@@ -28,9 +28,8 @@ fn synchronous_collectives_keep_their_virtual_time() {
         .net(NetModel::edison())
         .run(|comm| {
             let r = comm.rank();
-            // Modeled charges only (never `compute`, which measures host
-            // time) and exact-source receives only: every clock below is
-            // a pure function of the script.
+            // Modeled charges and exact-source receives only: every clock
+            // below is a pure function of the script.
             comm.charge_compute(1e-6 * (r as f64 + 1.0));
             comm.barrier();
             let b = comm.bcast(3, (r == 3).then(|| vec![7u64; 100]));
@@ -84,7 +83,7 @@ fn async_wait_any_charges_one_test_sweep_per_pending_chunk() {
         async_test_overhead: 1.0,
         ..NetModel::zero()
     };
-    let report = World::new(p).net(net).compute_scale(0.0).run(|comm| {
+    let report = World::new(p).net(net).run(|comm| {
         let me = comm.rank();
         // Rank `me` sends one record to every rank `d <= me` (self
         // included), so rank `r` receives from the `p - r` ranks `s >= r`.

@@ -13,151 +13,16 @@
 //! Defaults here are scaled to the simulated machine; every harness that
 //! reproduces a figure sweeps the relevant threshold explicitly.
 
-use comm::Communicator;
+pub use comm::ComputeModel;
 
-/// How compute time is charged to the virtual clocks.
+/// Changes nothing: compute is charged through `Communicator::compute_with`.
+/// Read by nothing in the workspace; ROADMAP item 4b deletes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ComputeCharge {
-    /// Measure wall-clock time of each compute section (accurate when the
-    /// host is not oversubscribed).
+    /// Time each compute section.
     Measured,
-    /// Charge analytically modelled durations from a [`ComputeModel`]
-    /// (robust for scaling studies with thousands of simulated ranks).
+    /// Charge modelled durations from a [`ComputeModel`].
     Modeled(ComputeModel),
-}
-
-impl ComputeCharge {
-    /// Run `f` on `comm`'s timeline, charging either its measured duration
-    /// or the model cost returned from `cost`.
-    pub fn charged<R, C: Communicator>(
-        self,
-        comm: &C,
-        cost: impl FnOnce(&ComputeModel) -> f64,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        match self {
-            ComputeCharge::Measured => comm.compute(f),
-            ComputeCharge::Modeled(m) => {
-                let r = f();
-                comm.charge_compute(cost(&m));
-                r
-            }
-        }
-    }
-}
-
-/// Calibrated per-record compute costs, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComputeModel {
-    /// Comparison-sort cost: seconds per `record · log2(n)` unit.
-    pub sort_per_key_log: f64,
-    /// Sequential merge cost: seconds per record per merge pass.
-    pub merge_per_key: f64,
-    /// Linear scan/copy cost: seconds per record.
-    pub scan_per_key: f64,
-    /// Stable-sort slowdown over the unstable sort (Table 1 measures
-    /// ~1.4–2× for `std::stable_sort` vs `std::sort`).
-    pub stable_factor: f64,
-}
-
-impl ComputeModel {
-    /// A model with typical modern-CPU constants (≈100M keys/s·log for
-    /// sorting, ≈400M keys/s merging). Use [`calibrate`](Self::calibrate)
-    /// for host-specific constants.
-    pub fn nominal() -> Self {
-        Self {
-            sort_per_key_log: 1.0e-8,
-            merge_per_key: 2.5e-9,
-            scan_per_key: 1.0e-9,
-            stable_factor: 1.5,
-        }
-    }
-
-    /// Measure the host's sort and merge throughput once and derive model
-    /// constants. Deterministic input, ~10 ms of work.
-    pub fn calibrate() -> Self {
-        use std::time::Instant;
-        let n = 1 << 19;
-        let mut data: Vec<u64> = (0..n as u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let t0 = Instant::now();
-        data.sort_unstable();
-        let sort_secs = t0.elapsed().as_secs_f64();
-        let log_n = (n as f64).log2();
-        let sort_per_key_log = (sort_secs / (n as f64 * log_n)).max(1e-11);
-
-        // The even- and odd-indexed keys: two runs that interleave, with no
-        // key in common, so the kernel merges every record (the two halves
-        // of `data` would be two block copies).
-        let a: Vec<u64> = data.iter().step_by(2).copied().collect();
-        let b: Vec<u64> = data.iter().skip(1).step_by(2).copied().collect();
-        // The two-way kernel the product runs, into storage that is already
-        // resident: `merge_per_key` is a cost per merge *pass*, and whether
-        // a fresh output faults in page by page is the allocator's regime
-        // (it moved this constant by 2.7 ns/key), not the kernel's speed.
-        let mut merged = data.clone();
-        let t1 = Instant::now();
-        crate::merge::kway_merge_into(&[&a, &b], &mut merged);
-        let merge_secs = t1.elapsed().as_secs_f64();
-        std::hint::black_box(&merged);
-        let merge_per_key = (merge_secs / n as f64).max(1e-12);
-
-        // Stable-sort premium: time the stable sort on the same input.
-        let mut data2: Vec<u64> = (0..n as u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let t2 = Instant::now();
-        data2.sort();
-        let stable_secs = t2.elapsed().as_secs_f64();
-        std::hint::black_box(&data2);
-        let stable_factor = (stable_secs / sort_secs).clamp(1.0, 4.0);
-
-        Self {
-            sort_per_key_log,
-            merge_per_key,
-            scan_per_key: merge_per_key * 0.5,
-            stable_factor,
-        }
-    }
-
-    /// Modelled cost of comparison-sorting `n` records, stable or not.
-    pub fn sort_cost_with(&self, n: usize, stable: bool) -> f64 {
-        let base = self.sort_cost(n);
-        if stable {
-            base * self.stable_factor
-        } else {
-            base
-        }
-    }
-
-    /// Modelled cost of comparison-sorting `n` records.
-    pub fn sort_cost(&self, n: usize) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        self.sort_per_key_log * n as f64 * (n as f64).log2()
-    }
-
-    /// Modelled cost of merging `n` total records from `k` sorted chunks.
-    pub fn kway_merge_cost(&self, n: usize, k: usize) -> f64 {
-        if n == 0 || k < 2 {
-            return self.scan_per_key * n as f64;
-        }
-        self.merge_per_key * n as f64 * (k as f64).log2().max(1.0)
-    }
-
-    /// Modelled cost of linearly scanning or copying `n` records.
-    pub fn scan_cost(&self, n: usize) -> f64 {
-        self.scan_per_key * n as f64
-    }
-
-    /// Modelled cost of sorting `n` records that consist of `k` presorted
-    /// runs: adaptive sorts approach `O(n log k)` on such inputs (paper
-    /// §2.7's argument for re-sorting partially ordered data).
-    pub fn adaptive_sort_cost(&self, n: usize, k: usize) -> f64 {
-        self.kway_merge_cost(n, k.max(2)) * 1.15 + self.scan_cost(n)
-    }
 }
 
 /// Which partitioning rule assigns records to destination ranks.
@@ -233,7 +98,7 @@ pub struct SdsConfig {
     pub local_threads: usize,
     /// Local-sort kernel selection (see [`LocalKernel`]).
     pub local_kernel: LocalKernel,
-    /// How compute is charged to virtual clocks.
+    /// Changes nothing. Read by nothing in the workspace; ROADMAP item 4b deletes it.
     pub charge: ComputeCharge,
     /// Partitioning rule (ablation switch; default skew-aware).
     pub partition: PartitionStrategy,
@@ -275,7 +140,7 @@ impl SdsConfig {
         }
     }
 
-    /// Configuration charging modelled compute (for scaling studies).
+    /// The default configuration. Read by nothing in the workspace; ROADMAP item 4b deletes it.
     pub fn modeled(model: ComputeModel) -> Self {
         Self {
             charge: ComputeCharge::Modeled(model),
@@ -322,20 +187,5 @@ mod tests {
         let c = SdsConfig::default();
         assert!(c.should_merge_local(8));
         assert!(!c.should_merge_local(5000));
-    }
-
-    #[test]
-    fn compute_model_costs_monotone() {
-        let m = ComputeModel::nominal();
-        assert!(m.sort_cost(1000) < m.sort_cost(10_000));
-        assert!(m.kway_merge_cost(1000, 2) < m.kway_merge_cost(1000, 64));
-        assert_eq!(m.sort_cost(1), 0.0);
-    }
-
-    #[test]
-    fn calibrate_produces_sane_constants() {
-        let m = ComputeModel::calibrate();
-        assert!(m.sort_per_key_log > 0.0 && m.sort_per_key_log < 1e-6);
-        assert!(m.merge_per_key > 0.0 && m.merge_per_key < 1e-6);
     }
 }

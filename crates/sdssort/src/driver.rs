@@ -18,7 +18,7 @@
 //! call, and every sorter emits the same kind of span sequence on every
 //! backend.
 
-use crate::config::{ComputeCharge, LocalKernel};
+use crate::config::LocalKernel;
 use crate::exchange::{exchange, fail_together, Delivery};
 use crate::local_sort::{local_sort_with, ComparisonKernel, LocalSortReport};
 use crate::merge::take_replicated_tally;
@@ -217,20 +217,17 @@ pub struct Prelude {
     /// `None` skips it, decision included: the decision is a collective,
     /// which a sorter without the stage never paid.
     pub tau_m_bytes: Option<usize>,
-    /// Compute charging.
-    pub charge: ComputeCharge,
 }
 
 impl Prelude {
     /// The prelude of an unstable single-threaded sorter without the `τm`
     /// stage, with the kernel `Auto` picks.
-    pub fn unstable(charge: ComputeCharge) -> Self {
+    pub fn unstable() -> Self {
         Self {
             stable: false,
             threads: 1,
             kernel: LocalKernel::Auto,
             tau_m_bytes: None,
-            charge,
         }
     }
 }
@@ -323,8 +320,7 @@ where
     let mut clock = Clock::start(comm, Step::LocalSort);
     let n0 = data.len();
     clock.stats.input_count = n0;
-    let report = prelude.charge.charged(
-        comm,
+    let report = comm.compute_with(
         |m| m.sort_cost_with(n0, prelude.stable),
         || local_sort_with(&mut data, prelude.threads, prelude.stable, prelude.kernel),
     );
@@ -350,7 +346,7 @@ where
         }
         if merge {
             clock.stats.node_merged = true;
-            let (cl, led) = merge_onto_leaders(comm, data, prelude.charge);
+            let (cl, led) = merge_onto_leaders(comm, data);
             node = Some(cl);
             (data, alone) = match led {
                 Some((cg, merged)) => {
@@ -388,8 +384,6 @@ pub struct Level<'a> {
     pub to_group: &'a [usize],
     /// How the level's exchange delivers and orders.
     pub delivery: Delivery<'a>,
-    /// Compute charging.
-    pub charge: ComputeCharge,
     /// Whether this is the level the sort started on. Below it the memory
     /// checks are per group, so one group can fail while the others
     /// finish; the top level makes that everyone's failure.
@@ -426,7 +420,7 @@ where
             .expect("destination b*g + (me%g) < p, which fit in usize");
         scounts[dst] = count;
     }
-    let mine = exchange(comm, data, &scounts, level.delivery, level.charge, clock)?;
+    let mine = exchange(comm, data, &scounts, level.delivery, clock)?;
     if g == 1 {
         return Ok(mine);
     }

@@ -43,7 +43,7 @@
 //! time; the clock books what was reserved and advised as
 //! `mem.sort_buffer_bytes` / `mem.huge_advised_bytes`.
 
-use crate::config::{ComputeCharge, LocalKernel};
+use crate::config::LocalKernel;
 use crate::driver::{count_local_sort, Clock, Step};
 use crate::external::Staged;
 use crate::local_sort::local_sort_with;
@@ -134,14 +134,12 @@ pub fn fail_together<R, C: Communicator>(
 ///
 /// Fails on every rank of `comm` when any rank's receive buffer exceeds its
 /// memory budget and, under [`Delivery::Spill`], so does its largest
-/// incoming chunk. `charge` prices the merging. The exchange and the
-/// ordering are booked on `clock`.
+/// incoming chunk. The exchange and the ordering are booked on `clock`.
 pub fn exchange<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
     scounts: &[usize],
     delivery: Delivery<'_>,
-    charge: ComputeCharge,
     clock: &mut Clock<'_, C>,
 ) -> Result<Vec<T>, SortError> {
     let p = comm.size();
@@ -179,8 +177,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
                     let (lvl, hi) = runs.pop().expect("len>=2");
                     let (_, lo) = runs.pop().expect("len>=2");
                     let tm = comm.now();
-                    let merged = charge.charged(
-                        comm,
+                    let merged = comm.compute_with(
                         |mo| mo.kway_merge_cost(hi.len() + lo.len(), 2),
                         || merge_two(&lo, &hi),
                     );
@@ -207,11 +204,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
                 let refs: Vec<&[T]> = runs.iter().map(|(_, r)| &r[..]).collect();
                 let left: usize = refs.iter().map(|r| r.len()).sum();
                 let k_left = refs.len();
-                charge.charged(
-                    comm,
-                    |mo| mo.kway_merge_cost(left, k_left),
-                    || kway_merge(&refs),
-                )
+                comm.compute_with(|mo| mo.kway_merge_cost(left, k_left), || kway_merge(&refs))
             }
         }
         Delivery::Spill(dir) if verdict == STAGE => {
@@ -230,13 +223,13 @@ pub fn exchange<T: Sortable, C: Communicator>(
             let pending = comm.alltoallv_async_runs(Arc::new(data), scounts, rcounts);
             let staged = Staged::write(comm, pending, &dir)?;
             clock.enter(Step::LocalOrder);
-            staged.read_back(comm, m, charge)?
+            staged.read_back(comm, m)?
         }
         Delivery::Merge | Delivery::Spill(_) => {
             let runs = comm.alltoallv_runs(Arc::new(data), scounts, &rcounts);
             clock.enter(Step::LocalOrder);
             let refs: Vec<&[T]> = runs.iter().map(|r| &r[..]).collect();
-            charge.charged(comm, |mo| mo.kway_merge_cost(m, p), || kway_merge(&refs))
+            comm.compute_with(|mo| mo.kway_merge_cost(m, p), || kway_merge(&refs))
         }
         Delivery::Resort {
             threads,
@@ -246,8 +239,7 @@ pub fn exchange<T: Sortable, C: Communicator>(
             let mut buf = comm.alltoallv_given_counts(&data, scounts, &rcounts);
             drop(data);
             clock.enter(Step::LocalOrder);
-            let report = charge.charged(
-                comm,
+            let report = comm.compute_with(
                 |mo| {
                     let base = mo.adaptive_sort_cost(m, p);
                     if stable {

@@ -21,7 +21,6 @@
 //! short or does not decode to its records is an error naming the file,
 //! never a shorter output.
 
-use crate::config::ComputeCharge;
 use crate::merge::{is_sorted_by_key, LoserTree};
 use crate::record::Sortable;
 use crate::sort::SortError;
@@ -162,13 +161,11 @@ impl Staged {
         self,
         comm: &C,
         m: usize,
-        charge: ComputeCharge,
     ) -> Result<Vec<T>, SortError> {
         let runs: Vec<&RunFile> = self.by_source.iter().flatten().collect();
         let bytes = m * std::mem::size_of::<T>();
         comm.charge_compute(runs.len() as f64 * DISK_SEEK_S + bytes as f64 / DISK_BW);
-        let merged = charge.charged(
-            comm,
+        let merged = comm.compute_with(
             |mo| mo.kway_merge_cost(m, runs.len().max(2)),
             || -> io::Result<Vec<T>> { RunMerger::new(runs.iter().copied())?.collect() },
         );

@@ -10,7 +10,6 @@
 //! ([`crate::config::SdsConfig::tau_m_bytes`]); Fig. 5a locates the
 //! crossover.
 
-use crate::config::ComputeCharge;
 use crate::merge::kway_merge;
 use crate::record::Sortable;
 use crate::sort::SortError;
@@ -47,16 +46,11 @@ pub fn node_merge_applies<T: Sortable, C: Communicator>(
 pub fn merge_onto_leaders<T: Sortable, C: Communicator>(
     comm: &C,
     data: Vec<T>,
-    charge: ComputeCharge,
 ) -> (C, Option<(C, Vec<T>)>) {
     let (cg, cl) = comm.refine_comm();
     let node_n = cl.allreduce(data.len(), |a, b| a + b);
     let k = cl.size();
-    let merged = charge.charged(
-        comm,
-        |m| m.kway_merge_cost(node_n, k),
-        || node_merge(&cl, &data),
-    );
+    let merged = comm.compute_with(|m| m.kway_merge_cost(node_n, k), || node_merge(&cl, &data));
     let led = match (cg, merged) {
         (Some(cg), Some(merged)) => Some((cg, merged)),
         (None, None) => None,

@@ -150,7 +150,6 @@ fn sds_sort_with<T: Sortable, C: Communicator>(
         threads: cfg.local_threads,
         kernel: cfg.local_kernel,
         tau_m_bytes: Some(cfg.tau_m_bytes),
-        charge: cfg.charge,
     };
     driver::sort(comm, data, &prelude, |comm, data, clock| {
         let p = comm.size();
@@ -188,8 +187,7 @@ fn sds_sort_with<T: Sortable, C: Communicator>(
                     shares_for_source(&by_source, comm.rank())
                 }
             });
-            cfg.charge.charged(
-                comm,
+            comm.compute_with(
                 |m| m.scan_cost(p * 32),
                 || match (&shares, cfg.partition) {
                     (Some(shares), _) => stable_cuts(&data, pivots, Some(&index), shares),
@@ -207,7 +205,7 @@ fn sds_sort_with<T: Sortable, C: Communicator>(
             Some(dir) => Delivery::Spill(dir),
             None => delivery(comm, cfg, clock),
         };
-        exchange(comm, data, &scounts, delivery, cfg.charge, clock)
+        exchange(comm, data, &scounts, delivery, clock)
     })
 }
 

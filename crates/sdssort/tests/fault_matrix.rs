@@ -7,8 +7,8 @@ use mpisim::{Communicator, FaultSpec, NetModel, World};
 use sdssort::external::{write_run, RunMerger};
 use sdssort::record::Pad;
 use sdssort::{
-    is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, ComputeModel, OrderedF32,
-    Record, SdsConfig, SortError, SortStats, Sortable, Tagged, SPILL_PRESSURE,
+    is_globally_sorted, is_permutation_of, sds_sort, sds_sort_resilient, OrderedF32, Record,
+    SdsConfig, SortError, SortStats, Sortable, Tagged, SPILL_PRESSURE,
 };
 use std::path::PathBuf;
 
@@ -16,10 +16,11 @@ const P: usize = 6;
 const N: usize = 300;
 
 fn base_cfg(overlap: bool) -> SdsConfig {
-    let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
-    cfg.tau_m_bytes = 0; // keep every rank active (no node merging)
-    cfg.tau_o = if overlap { usize::MAX } else { 0 };
-    cfg
+    SdsConfig {
+        tau_m_bytes: 0, // keep every rank active (no node merging)
+        tau_o: if overlap { usize::MAX } else { 0 },
+        ..SdsConfig::default()
+    }
 }
 
 fn workload(kind: &str, rank: usize) -> Vec<u64> {
@@ -46,10 +47,7 @@ struct Cell {
 
 fn run_cell(spec: Option<FaultSpec>, kind: &'static str, overlap: bool) -> Cell {
     let cfg = base_cfg(overlap);
-    let mut world = World::new(P)
-        .cores_per_node(3)
-        .net(NetModel::edison())
-        .compute_scale(0.0);
+    let mut world = World::new(P).cores_per_node(3).net(NetModel::edison());
     if let Some(s) = spec {
         world = world.faults(s);
     }
@@ -190,7 +188,6 @@ fn memory_ramp_kills_plain_sort_but_resilient_survives() {
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
-        .compute_scale(0.0)
         .memory_budget(BUDGET)
         .faults(ramp)
         .run(move |comm| sds_sort(comm, workload("uniform", comm.rank()), &cfg).map(|o| o.data));
@@ -213,7 +210,6 @@ fn memory_ramp_kills_plain_sort_but_resilient_survives() {
     let report = World::new(P)
         .cores_per_node(3)
         .net(NetModel::edison())
-        .compute_scale(0.0)
         .memory_budget(BUDGET)
         .faults(ramp)
         .run(move |comm| {
@@ -310,12 +306,7 @@ fn resilient_equals_plain<T: Spillable>(
             .map(|(i, key)| T::make(key, (rank * case.n + i) as u64))
             .collect()
     };
-    let world = || {
-        World::new(case.p)
-            .cores_per_node(3)
-            .net(NetModel::edison())
-            .compute_scale(0.0)
-    };
+    let world = || World::new(case.p).cores_per_node(3).net(NetModel::edison());
     let dir = spill_dir(case.tag);
     let spill_dir = dir.clone();
     let budgeted = match case.budget_records {

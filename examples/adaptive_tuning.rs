@@ -12,16 +12,18 @@
 //! Run with: `cargo run --release --example adaptive_tuning`
 
 use mpisim::{Communicator, World};
-use sdssort::{sds_sort, ComputeModel, SdsConfig};
+use sdssort::{sds_sort, SdsConfig};
 use workloads::uniform_u64;
 
 fn run(p: usize, n_rank: usize, tweak: impl Fn(&mut SdsConfig)) -> f64 {
-    let mut cfg = SdsConfig::modeled(ComputeModel::calibrate());
-    cfg.tau_m_bytes = 0;
-    cfg.tau_o = 0;
-    cfg.tau_s = usize::MAX;
+    let mut cfg = SdsConfig {
+        tau_m_bytes: 0,
+        tau_o: 0,
+        tau_s: usize::MAX,
+        ..SdsConfig::default()
+    };
     tweak(&mut cfg);
-    let world = World::new(p).cores_per_node(8).compute_scale(0.0);
+    let world = World::new(p).cores_per_node(8);
     world
         .run(|comm| {
             let data = uniform_u64(n_rank, 1, comm.rank());

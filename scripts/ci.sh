@@ -120,7 +120,10 @@ run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
 # each of them. Each run must print every step's row, the `exchange` row
 # with messages in it, and at least the local-kernel decision; and because a
 # send is counted under its sender's phase the table is a function of the
-# program: two simulator runs must print it byte for byte the same.
+# program: two simulator runs must print it byte for byte the same. So must
+# they the modelled makespan and the records the merges moved as
+# replicated-key blocks: the simulator charges compute only from its model,
+# so its merges pair chunks by a virtual arrival the program determines.
 trace_table() {
     local out table step
     out="$("$@")"
@@ -136,6 +139,7 @@ trace_table() {
         return 1
     fi
     printf '%s\n' "$table"
+    grep -E '^ *modelled makespan |^moved as replicated-key blocks ' <<<"$out" || true
 }
 trace=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
     --workload zipf:1.4 --records 2000 --trace)
@@ -144,6 +148,10 @@ for sorter in sds sds-stable hyksort ams hss; do
     echo "ci: ${trace[*]} --sorter $sorter --ranks 16 --cores 4 (twice), --backend threads --ranks 4 --cores 2"
     first="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
     second="$(trace_table "${trace[@]}" --sorter "$sorter" --ranks 16 --cores 4)"
+    if ! grep -q 'modelled makespan' <<<"$first"; then
+        echo "ci: no modelled makespan line from the simulator run of $sorter" >&2
+        exit 1
+    fi
     if [ "$first" != "$second" ]; then
         printf 'ci: two simulator runs of %s printed different --trace tables:\n%s\n%s\n' \
             "$sorter" "$first" "$second" >&2
@@ -153,6 +161,17 @@ for sorter in sds sds-stable hyksort ams hss; do
     # leader has nobody to exchange with)
     trace_table "${trace[@]}" --sorter "$sorter" --backend threads --ranks 4 --cores 2 >/dev/null
 done
+
+# A simulated run is a pure function of (program, network, seed): three
+# runs of one command print one makespan.
+once=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
+    --backend sim --ranks 64 --records 4096 --cores 1 --workload uniform)
+echo "ci: ${once[*]} (three runs, one makespan)"
+makespans="$(for _ in 1 2 3; do "${once[@]}" | grep 'modelled makespan' || true; done | sort -u)"
+if [ -z "$makespans" ] || [ "$(wc -l <<<"$makespans")" -ne 1 ]; then
+    printf 'ci: three simulator runs printed these makespans:\n%s\n' "$makespans" >&2
+    exit 1
+fi
 
 # A two-way merge cuts out the blocks of keys that fill a sample stride and
 # copies them (DESIGN.md §11.3): on zipf:1.4 the threads --trace must report

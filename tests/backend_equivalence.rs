@@ -822,13 +822,12 @@ fn owned_exchange_cases<C: comm::Communicator>(comm: &C, world_size: u64) -> Own
         // stable sort of the source-ordered receive buffer.
         let mut want = borrowed;
         want.sort_by_key(|r| r.key);
-        let charge = SdsConfig::default().charge;
         let clock = &mut Clock::start(comm, Step::Exchange);
-        let merged = exchange(comm, data.clone(), &scounts, Delivery::Merge, charge, clock)
+        let merged = exchange(comm, data.clone(), &scounts, Delivery::Merge, clock)
             .expect("no memory budget");
         assert_eq!(merged, want, "rank {me}: stable merge over runs");
-        let mut overlapped = exchange(comm, data, &scounts, Delivery::Overlapped, charge, clock)
-            .expect("no memory budget");
+        let mut overlapped =
+            exchange(comm, data, &scounts, Delivery::Overlapped, clock).expect("no memory budget");
         assert!(overlapped.windows(2).all(|w| w[0].key <= w[1].key));
         overlapped.sort_by_key(|r| (r.key, r.payload));
         want.sort_by_key(|r| (r.key, r.payload));

@@ -6,7 +6,7 @@ mod common;
 
 use common::assert_global_sort;
 use mpisim::{Communicator, NetModel, World};
-use sdssort::{sds_sort, ComputeModel, Record, SdsConfig, SortOutput};
+use sdssort::{sds_sort, Record, SdsConfig, SortOutput};
 use std::collections::HashSet;
 use workloads::{cosmology_particles, ptf_scores, uniform_u64, zipf_keys};
 
@@ -237,14 +237,16 @@ fn presplit_exchange_volume_is_minimal() {
 
 #[test]
 fn overlapped_virtual_clocks_are_reproducible() {
-    // With modelled compute and no measured host time, an overlapped sort's
-    // clocks depend only on the inputs: the simulator hands each rank its
-    // chunks by virtual arrival, never in host-thread order.
-    let mut cfg = SdsConfig::modeled(ComputeModel::nominal());
-    cfg.tau_m_bytes = 0;
-    cfg.tau_o = usize::MAX;
+    // The simulator charges compute from its model, never host time, so an
+    // overlapped sort's clocks depend only on the inputs: it hands each
+    // rank its chunks by virtual arrival, never in host-thread order.
+    let cfg = SdsConfig {
+        tau_m_bytes: 0,
+        tau_o: usize::MAX,
+        ..SdsConfig::default()
+    };
     for p in [4usize, 16] {
-        let world = World::new(p).cores_per_node(1).compute_scale(0.0);
+        let world = World::new(p).cores_per_node(1);
         let clocks: HashSet<Vec<u64>> = (0..10)
             .map(|_| {
                 let report = world.run(|comm| {

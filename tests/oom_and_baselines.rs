@@ -15,8 +15,7 @@ use algos::{hyksort, HykSortConfig, Sorter, Tuning};
 use common::assert_global_sort;
 use mpisim::{Comm, Communicator, NetModel, World};
 use sdssort::{
-    sds_sort, sds_sort_resilient, ComputeCharge, ComputeModel, Record, SdsConfig, SortError,
-    SortStats, Tagged,
+    sds_sort, sds_sort_resilient, ComputeModel, Record, SdsConfig, SortError, SortStats, Tagged,
 };
 use shmem::ThreadWorld;
 use sockcomm::SocketWorld;
@@ -380,7 +379,7 @@ fn one_gate(
 /// `exchange_s` and the `split`s between its levels nowhere.
 #[test]
 fn every_sorters_phases_sum_to_its_time_with_the_local_sort_under_pivot() {
-    let mut unmerged = Tuning::charged(ComputeCharge::Modeled(ComputeModel::nominal()));
+    let mut unmerged = Tuning::default();
     unmerged.sds.tau_m_bytes = 0;
     // k = 4 over p = 8: two HykSort stages; kmax = 4: two AMS levels.
     (unmerged.hyksort.k, unmerged.ams.kmax) = (4, 4);
