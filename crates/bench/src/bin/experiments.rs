@@ -4,18 +4,22 @@
 //! ```text
 //! Usage: experiments --list | --all | <name>...
 //!
-//!   --list                 print every registry name with its title
+//!   --list                 print every registry name with its title,
+//!                          marking the (host-timed) entries
 //!   --all                  run every experiment, in EXPERIMENTS.md order
 //!   <name>...              run the named experiments, in the order given
 //!   --metrics-out <path>   also write each experiment's series as JSON: a
 //!                          directory gets BENCH_<name>.json per experiment,
 //!                          a path ending in .json is used as-is (one
-//!                          experiment only); honours BENCH_METRICS_OUT
+//!                          experiment only)
 //! ```
 //!
 //! `BENCH_SCALE=full` enlarges every sweep. Exits 0 iff every selected
 //! experiment's verdict is REPRODUCED, 1 if any DIVERGED (or a metrics
 //! document could not be written), 2 on a usage error.
+//! `scripts/record_golden.sh` records every entry but the host-timed ones
+//! as the golden (`crates/bench/golden/`, EXPERIMENTS.md's blocks), which
+//! `scripts/ci.sh` re-records into a temporary copy and diffs.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +39,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         list: false,
         selected: Vec::new(),
-        metrics_out: std::env::var_os("BENCH_METRICS_OUT").map(PathBuf::from),
+        metrics_out: None,
     };
     while let Some(a) = argv.next() {
         if a == "--list" {
@@ -75,7 +79,9 @@ fn main() -> ExitCode {
     };
     if args.list {
         for e in REGISTRY {
-            println!("{:<24} {}", e.name, e.title);
+            let timed = registry::HOST_TIMED.contains(&e.name);
+            let mark = if timed { "(host-timed) " } else { "" };
+            println!("{:<24} {mark}{}", e.name, e.title);
         }
         return ExitCode::SUCCESS;
     }

@@ -57,8 +57,7 @@
 //!                                  memory pressure by spilling received
 //!                                  chunks to <spill-dir> instead of aborting
 //!   --metrics-out <path>           write a telemetry RunReport as JSON
-//!                                  (a directory gets BENCH_sortcli.json;
-//!                                  also honours BENCH_METRICS_OUT)
+//!                                  (a directory gets BENCH_sortcli.json)
 //!   --validate-metrics <file>      parse a previously written RunReport
 //!                                  and exit 0 iff it is valid (CI smoke)
 //!   --serve                        run a resident SortService (threads
@@ -150,7 +149,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         faults: None,
         faults_text: None,
         resilient: None,
-        metrics_out: std::env::var_os("BENCH_METRICS_OUT").map(PathBuf::from),
+        metrics_out: None,
         validate_metrics: None,
         serve: false,
         jobs: 32,

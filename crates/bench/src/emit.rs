@@ -3,10 +3,9 @@
 //! Each experiment records its series through an [`Emitter`] — one named
 //! series per sorter/variant, one point per parameter setting — instead of
 //! hand-rolling `println!` output. When the process was given
-//! `--metrics-out <path>` (or `BENCH_METRICS_OUT` is set), `finish`
-//! additionally writes the run as canonical JSON: a file named
-//! `BENCH_<experiment>.json` when the path is a directory, or the path
-//! itself when it ends in `.json`.
+//! `--metrics-out <path>`, `finish` additionally writes the run as
+//! canonical JSON: a file named `BENCH_<experiment>.json` when the path is
+//! a directory, or the path itself when it ends in `.json`.
 //!
 //! The JSON shape (schema version [`EXPERIMENT_SCHEMA_VERSION`]):
 //!
@@ -145,7 +144,6 @@ pub fn outcome_values(o: &RunOutcome) -> Vec<(&'static str, Json)> {
     vec![
         ("time_s", Json::from(o.time_s)),
         ("rdfa", Json::from(o.rdfa())),
-        ("wall_s", Json::from(o.wall_s)),
         ("pivot_s", Json::from(o.phases.pivot_s)),
         ("exchange_s", Json::from(o.phases.exchange_s)),
         ("local_order_s", Json::from(o.phases.local_order_s)),
@@ -153,6 +151,8 @@ pub fn outcome_values(o: &RunOutcome) -> Vec<(&'static str, Json)> {
         ("recv_count_max", Json::from(o.phases.recv_count as u64)),
         ("node_merged", Json::from(o.phases.node_merged)),
         ("overlapped", Json::from(o.phases.overlapped)),
+        ("messages", Json::from(o.messages)),
+        ("bytes", Json::from(o.bytes)),
     ]
 }
 

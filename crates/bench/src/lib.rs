@@ -89,8 +89,10 @@ pub struct RunOutcome {
     pub loads: Vec<usize>,
     /// Phase maxima across ranks (zeroed on failure).
     pub phases: sdssort::SortStats,
-    /// Host wall time of the simulation.
-    pub wall_s: f64,
+    /// Messages sent, all ranks.
+    pub messages: u64,
+    /// Payload bytes sent, all ranks.
+    pub bytes: u64,
 }
 
 impl RunOutcome {
@@ -117,12 +119,11 @@ where
     if let Some(b) = budget {
         world = world.memory_budget(b);
     }
-    let started = Instant::now();
     let report = world.run(sort);
-    let wall_s = started.elapsed().as_secs_f64();
     let Ok(outputs) = report.results.into_iter().collect::<Result<Vec<_>, _>>() else {
         return RunOutcome {
-            wall_s,
+            messages: report.messages,
+            bytes: report.bytes,
             ..RunOutcome::default()
         };
     };
@@ -131,7 +132,8 @@ where
         time_s: Some(report.makespan),
         loads: outputs.iter().map(|o| o.data.len()).collect(),
         phases: sdssort::stats::phase_maxima(&stats),
-        wall_s,
+        messages: report.messages,
+        bytes: report.bytes,
     }
 }
 

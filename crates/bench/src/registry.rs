@@ -157,6 +157,12 @@ pub const REGISTRY: &[Experiment] = &[
     },
 ];
 
+/// The entries that time real code on this host (Figs. 5c, 6a, 6b and
+/// Table 1), so their numbers move from run to run. Every other entry is a
+/// pure function of code, model and seed, and `crates/bench/golden` holds
+/// its document (`scripts/record_golden.sh` records them).
+pub const HOST_TIMED: &[&str] = &["fig5c", "table1", "fig6a", "fig6b"];
+
 /// Look an experiment up by registry name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.name == name)
@@ -252,11 +258,12 @@ impl Run {
         self.scale
     }
 
-    /// Run one registry entry: header, body, verdict, metrics document.
-    /// Returns the shape verdict.
+    /// Run one registry entry: header (opening with the registry name),
+    /// body, verdict, metrics document. Returns the shape verdict.
     pub fn execute(&mut self, exp: &Experiment) -> std::io::Result<bool> {
         let bar = "=".repeat(62);
-        println!("{bar}\n{}\npaper: {}", exp.title, exp.paper_claim);
+        println!("{bar}\n[{}] {}", exp.name, exp.title);
+        println!("paper: {}", exp.paper_claim);
         let scale = self.scale;
         println!("scale: {scale:?} (set BENCH_SCALE=full for larger sweeps)\n{bar}");
         self.em = Some(Emitter::with_out(exp.name, self.out.clone()));

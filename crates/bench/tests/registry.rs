@@ -1,11 +1,15 @@
-//! The experiment registry: well-formed names, in step with EXPERIMENTS.md,
-//! and runnable through the same `Run` path as the `experiments` binary.
+//! The experiment registry: well-formed names, in step with EXPERIMENTS.md
+//! and the golden documents, and runnable through the same `Run` path as
+//! the `experiments` binary.
 
 use bench::{registry, Run, Scale, REGISTRY};
 use mpisim::telemetry::Json;
 use std::collections::HashSet;
 
 const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+/// `scripts/record_golden.sh` writes `BENCH_<name>.json` here for every
+/// entry that does not time the host.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
 
 /// The `name` of every "## … (`name`)" heading in EXPERIMENTS.md.
 fn documented_names() -> Vec<&'static str> {
@@ -51,7 +55,49 @@ fn registry_and_experiments_md_name_the_same_experiments() {
     }
 }
 
-/// The sub-second entries, end to end: header, body, verdict, document.
+/// The `name` of every `BENCH_<name>.json` in the golden directory.
+fn golden_names() -> Vec<String> {
+    std::fs::read_dir(GOLDEN)
+        .expect("the golden directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .filter_map(|f| {
+            Some(
+                f.to_str()?
+                    .strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .to_owned(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn golden_documents_and_deterministic_entries_name_the_same_experiments() {
+    let golden = golden_names();
+    for e in REGISTRY {
+        assert_eq!(
+            golden.iter().any(|g| g == e.name),
+            !registry::HOST_TIMED.contains(&e.name),
+            "{}: a golden document exactly when the entry is not host-timed",
+            e.name
+        );
+    }
+    for name in &golden {
+        assert!(
+            registry::find(name).is_some(),
+            "golden BENCH_{name}.json names no registry entry"
+        );
+    }
+    for name in registry::HOST_TIMED {
+        assert!(
+            registry::find(name).is_some(),
+            "HOST_TIMED names {name}, which is no registry entry"
+        );
+    }
+}
+
+/// The sub-second entries, end to end: header, body, verdict, document;
+/// the deterministic ones' documents equal their goldens but for `git_rev`.
 #[test]
 fn fast_experiments_reproduce_and_emit_a_parsable_document() {
     let out = std::env::temp_dir().join(format!("bench-registry-test-{}", std::process::id()));
@@ -73,6 +119,19 @@ fn fast_experiments_reproduce_and_emit_a_parsable_document() {
         for s in series {
             let points = s.get("points").and_then(Json::as_arr).expect("points");
             assert!(!points.is_empty(), "{name} has an empty series");
+        }
+        if !registry::HOST_TIMED.contains(&name) {
+            let golden = std::fs::read_to_string(format!("{GOLDEN}/BENCH_{name}.json"))
+                .expect("golden document exists");
+            let recorded: String = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("\"git_rev\": "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(
+                recorded, golden,
+                "{name} moved from its golden (re-record with scripts/record_golden.sh)"
+            );
         }
     }
     std::fs::remove_dir_all(&out).expect("clean up the test's output directory");

@@ -162,17 +162,6 @@ for sorter in sds sds-stable hyksort ams hss; do
     trace_table "${trace[@]}" --sorter "$sorter" --backend threads --ranks 4 --cores 2 >/dev/null
 done
 
-# A simulated run is a pure function of (program, network, seed): three
-# runs of one command print one makespan.
-once=(cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin sortcli -- \
-    --backend sim --ranks 64 --records 4096 --cores 1 --workload uniform)
-echo "ci: ${once[*]} (three runs, one makespan)"
-makespans="$(for _ in 1 2 3; do "${once[@]}" | grep 'modelled makespan' || true; done | sort -u)"
-if [ -z "$makespans" ] || [ "$(wc -l <<<"$makespans")" -ne 1 ]; then
-    printf 'ci: three simulator runs printed these makespans:\n%s\n' "$makespans" >&2
-    exit 1
-fi
-
 # A two-way merge cuts out the blocks of keys that fill a sample stride and
 # copies them (DESIGN.md §11.3): on zipf:1.4 the threads --trace must report
 # the records it moved so, on uniform keys there are none and no line.
@@ -270,15 +259,19 @@ if ! grep -q "result: OK" <<<"$out" || ! grep -q "records were spilled" <<<"$out
 fi
 
 # Every table, figure, ablation and the shoot-out (EXPERIMENTS.md), from
-# the one registry: the run fails if any shape verdict is DIVERGED (~1-2
-# min on 2 cores at the default BENCH_SCALE=small), and each experiment
-# must have written its document — spot-checked on the shoot-out's.
-run cargo run --release -q "${CARGO_OPTS[@]}" -p bench --bin experiments -- \
-    --all --metrics-out "$tmp/exp"
-test -s "$tmp/exp/BENCH_shootout.json" || {
-    echo "ci: experiments did not write BENCH_shootout.json" >&2
+# the one registry, recorded into a temporary copy: the recording fails if
+# any shape verdict is DIVERGED (~1 min on 2 cores), and every entry that
+# does not time the host must reproduce its committed golden document and
+# its EXPERIMENTS.md block exactly. A figure that moved on purpose is
+# re-recorded in place with scripts/record_golden.sh.
+run bash scripts/record_golden.sh "$tmp/rec"
+moved=0
+diff -ru crates/bench/golden "$tmp/rec/crates/bench/golden" || moved=1
+diff -u EXPERIMENTS.md "$tmp/rec/EXPERIMENTS.md" || moved=1
+if [ "$moved" -ne 0 ]; then
+    echo "ci: the modelled figures moved (diff above); re-record with scripts/record_golden.sh" >&2
     exit 1
-}
+fi
 
 # Resident-service smoke: the long-lived SortService (persistent rank
 # pool, bounded queue, arena reuse) must absorb a concurrent Zipf-sized
